@@ -876,10 +876,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print("  POST /drain      close submissions, finish, report metrics")
     if args.journal:
         print(f"journaling accepted submissions to {args.journal}")
-    # The banner must land before the (indefinite) serve loop even when
-    # stdout is a block-buffered pipe, or callers scripting the daemon
-    # never learn the ephemeral port.
-    sys.stdout.flush()
     import signal
     import time as _time
 
@@ -894,6 +890,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         terminating = True
 
     previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
+    # The banner must land before the (indefinite) serve loop even when stdout
+    # is a block-buffered pipe (scripted callers learn the ephemeral port from
+    # it), but not before SIGTERM is handled: they may send it right after.
+    sys.stdout.flush()
     drained = False
 
     def _drain(reason: str) -> int:

@@ -41,7 +41,7 @@ class Instance:
         could never be executed.
     """
 
-    __slots__ = ("_jobs", "_platform", "_ideal_times", "_eligible_cache")
+    __slots__ = ("_jobs", "_platform", "_ideal_times", "_eligible_ids")
 
     def __init__(
         self,
@@ -56,7 +56,7 @@ class Instance:
         jobset = jobset.sorted_by_release()
         self._jobs = jobset
         self._platform = platform
-        self._eligible_cache: dict[int, tuple[Machine, ...]] = {}
+        self._eligible_ids: dict[str | None, tuple[int, ...]] = {}
         if require_feasible:
             for job in jobset:
                 if not platform.machines_hosting(job.databank):
@@ -115,16 +115,16 @@ class Instance:
 
     def eligible_machines(self, job_id: int) -> tuple[Machine, ...]:
         """Machines that host the databank required by job ``job_id``."""
-        cached = self._eligible_cache.get(job_id)
-        if cached is None:
-            job = self.job(job_id)
-            cached = self._platform.machines_hosting(job.databank)
-            self._eligible_cache[job_id] = cached
-        return cached
+        return self._platform.machines_hosting(self.job(job_id).databank)
 
     def eligible_machine_ids(self, job_id: int) -> tuple[int, ...]:
-        """Identifiers of the machines eligible for job ``job_id``."""
-        return tuple(m.machine_id for m in self.eligible_machines(job_id))
+        """Identifiers of the machines eligible for job ``job_id`` (one tuple per databank)."""
+        databank = self.job(job_id).databank
+        cached = self._eligible_ids.get(databank)
+        if cached is None:
+            cached = tuple(m.machine_id for m in self._platform.machines_hosting(databank))
+            self._eligible_ids[databank] = cached
+        return cached
 
     def eligible_classes(self, job_id: int) -> tuple[CapabilityClass, ...]:
         """Capability classes whose machines may process job ``job_id``."""
@@ -245,9 +245,9 @@ class LiveInstance(Instance):
     :class:`~repro.lp.problem.JobTable`) therefore sees the same order
     whether the instance was materialized or grown.
 
-    The per-job caches of :class:`Instance` are keyed by job id, so admitting
-    new jobs never invalidates them.  A :class:`LiveInstance` is mutable and
-    must not be used as a dictionary key.
+    The caches of :class:`Instance` are keyed by job id or by databank (of
+    the fixed platform), so admitting new jobs never invalidates them.  A
+    :class:`LiveInstance` is mutable and must not be used as a dictionary key.
     """
 
     __slots__ = ()

@@ -193,7 +193,13 @@ class MetricsReport:
 
 
 def evaluate(instance: Instance, completions: Mapping[int, float]) -> MetricsReport:
-    """Compute the full :class:`MetricsReport` for one run."""
+    """Compute the full :class:`MetricsReport` for one run.
+
+    A run without any job (a daemon drained before its first admission)
+    scores zero on every metric.
+    """
+    if instance.n_jobs == 0:
+        return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, n_jobs=0)
     flows = flow_times(instance, completions)
     strs = stretches(instance, completions)
     return MetricsReport(

@@ -154,7 +154,7 @@ class CapabilityClass:
 class Platform(Sequence[Machine]):
     """An immutable collection of machines forming the target platform."""
 
-    __slots__ = ("_machines", "_by_id", "_clusters")
+    __slots__ = ("_machines", "_by_id", "_ids", "_clusters", "_hosting")
 
     def __init__(self, machines: Iterable[Machine]):
         machines = tuple(machines)
@@ -169,7 +169,9 @@ class Platform(Sequence[Machine]):
             by_id[machine.machine_id] = machine
         self._machines = machines
         self._by_id = by_id
+        self._ids = tuple(by_id)
         self._clusters: tuple[Cluster, ...] | None = None
+        self._hosting: dict[str | None, tuple[Machine, ...]] = {}
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -235,7 +237,7 @@ class Platform(Sequence[Machine]):
         return self._by_id[machine_id]
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(m.machine_id for m in self._machines)
+        return self._ids
 
     def clusters(self) -> tuple[Cluster, ...]:
         """Group machines by ``cluster_id`` (cached)."""
@@ -256,8 +258,12 @@ class Platform(Sequence[Machine]):
         return frozenset(banks)
 
     def machines_hosting(self, databank: str | None) -> tuple[Machine, ...]:
-        """All machines able to process a job targeting ``databank``."""
-        return tuple(m for m in self._machines if m.hosts(databank))
+        """All machines able to process a job targeting ``databank`` (cached)."""
+        hosts = self._hosting.get(databank)
+        if hosts is None:
+            hosts = tuple(m for m in self._machines if m.hosts(databank))
+            self._hosting[databank] = hosts
+        return hosts
 
     def aggregate_speed(self, databank: str | None = None) -> float:
         """Total speed (work per second) available to jobs targeting ``databank``.

@@ -437,4 +437,6 @@ def record_lp_probes() -> Iterator[LPProbeStats]:
     try:
         yield stats
     finally:
-        _ACTIVE_STATS.remove(stats)
+        # By identity: ``list.remove`` compares the dataclasses by value, and
+        # nested collectors that saw the same probes are equal.
+        del _ACTIVE_STATS[next(i for i, s in enumerate(_ACTIVE_STATS) if s is stats)]

@@ -32,7 +32,37 @@ from repro.schedulers import kernels
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.policies import ReplanPolicy
 
-__all__ = ["Scheduler", "PriorityScheduler", "PlanBasedScheduler", "PlanSegment"]
+__all__ = [
+    "Scheduler",
+    "PriorityScheduler",
+    "PlanBasedScheduler",
+    "PlanSegment",
+    "greedy_assignment",
+]
+
+
+def greedy_assignment(state: SchedulerState, runtimes: Iterable[JobRuntime]) -> Assignment:
+    """The greedy rule of Section 3 over ``runtimes`` in priority order.
+
+    The first job of a databank takes *all* its available hosts, so later
+    jobs of that databank can get nothing and are skipped without a scan.
+    """
+    instance = state.instance
+    available = state.available_ids()
+    mapping: dict[int, int] = {}
+    served: set[str | None] = set()
+    for runtime in runtimes:
+        if not available:
+            break
+        job = runtime.job
+        if job.databank in served:
+            continue
+        served.add(job.databank)
+        for machine_id in instance.eligible_machine_ids(job.job_id):
+            if machine_id in available:
+                mapping[machine_id] = job.job_id
+                available.discard(machine_id)
+    return Assignment(mapping=mapping)
 
 
 class Scheduler(ABC):
@@ -153,28 +183,13 @@ class PriorityScheduler(Scheduler):
         )
 
     def assign(self, state: SchedulerState) -> Assignment:
-        instance = state.instance
         runtimes = state.active_jobs()
         keys = np.asarray(self.priority_keys(state, runtimes), dtype=np.float64)
         job_ids = np.fromiter(
             (rt.job_id for rt in runtimes), np.int64, count=len(runtimes)
         )
         order = kernels.rank_by_priority(keys, job_ids)
-        available = state.available_ids()
-        mapping: dict[int, int] = {}
-        for position in order.tolist():
-            if not available:
-                break
-            runtime = runtimes[position]
-            eligible = [
-                m for m in instance.eligible_machine_ids(runtime.job_id) if m in available
-            ]
-            if not eligible:
-                continue
-            for machine_id in eligible:
-                mapping[machine_id] = runtime.job_id
-                available.discard(machine_id)
-        return Assignment(mapping=mapping)
+        return greedy_assignment(state, (runtimes[position] for position in order.tolist()))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from repro.lp.problem import Resource, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.lp.speculate import predict_replan_remaining
 from repro.simulation.state import Assignment, SchedulerState
-from repro.schedulers.base import PlanBasedScheduler, PlanSegment
+from repro.schedulers.base import PlanBasedScheduler, PlanSegment, greedy_assignment
 from repro.schedulers.policies import OnArrivalPolicy, ReplanPolicy, parse_policy
 
 __all__ = ["OnlineLPScheduler"]
@@ -453,22 +453,10 @@ class OnlineLPScheduler(PlanBasedScheduler):
         if self.variant != "online-egdf":
             return super().plan_assignment(state)
         # Greedy restricted-availability rule with the stored global priorities.
-        instance = state.instance
         order = sorted(
             state.active_jobs(),
             key=lambda rt: self._egdf_rank.get(
                 rt.job_id, (math.inf, math.inf, float(rt.job_id))
             ),
         )
-        available = state.available_ids()
-        mapping: dict[int, int] = {}
-        for runtime in order:
-            if not available:
-                break
-            eligible = [
-                m for m in instance.eligible_machine_ids(runtime.job_id) if m in available
-            ]
-            for machine_id in eligible:
-                mapping[machine_id] = runtime.job_id
-                available.discard(machine_id)
-        return Assignment(mapping=mapping)
+        return greedy_assignment(state, order)

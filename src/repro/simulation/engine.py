@@ -19,13 +19,18 @@ in closed form from the current rates at every step, so they are never
 queued and never go stale.  The engine also records the wall-clock time
 spent inside scheduler callbacks, which reproduces the scheduling-overhead
 comparison of Section 5.3.
+
+The realized schedule is recorded run-length: a step extends a machine's open
+run in place when it keeps the same job there and starts where the run ended,
+and opens a new run otherwise, so it allocates only where the assignment
+changed and a run's ``work`` is summed step by step in execution order.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -125,7 +130,12 @@ class SimulationEngine:
         #: Mapping of the most recent applied assignment (live telemetry).
         self.last_assignment: dict[int, int] = {}
         self._jobs_admitted = 0
-        self._slices: list[WorkSlice] = []
+        #: Per-run machine tables (the platform is immutable).
+        self._speed = {m.machine_id: m.speed for m in instance.platform}
+        self._databanks = {m.machine_id: m.databanks for m in instance.platform}
+        #: Recorded runs ``[job_id, machine_id, start, end, work]`` and each machine's open one.
+        self._runs: list[list] = []
+        self._open_runs: dict[int, list] = {}
         self._events: list[SimulationEvent] = []
         self._scheduler_time = 0.0
         self._n_decisions = 0
@@ -234,9 +244,9 @@ class SimulationEngine:
             # step (the arrays feed both the completion horizon and the
             # advance below).
             rates: dict[int, float] = {}
+            speeds = self._speed
             for machine_id, job_id in assignment.mapping.items():
-                speed = instance.machine(machine_id).speed
-                rates[job_id] = rates.get(job_id, 0.0) + speed
+                rates[job_id] = rates.get(job_id, 0.0) + speeds[machine_id]
             rated_ids, rate_arr, remaining_arr = self._rate_arrays(rates, state)
 
             # 5. Horizon of this step: next queued event, scheduler horizon,
@@ -303,7 +313,7 @@ class SimulationEngine:
         # into the scheduler wall-clock, like every other callback.
         self._timed(self.scheduler.finalize, state)
 
-        schedule = Schedule(_merge_adjacent(self._slices))
+        schedule = Schedule(WorkSlice(*run) for run in self._runs)
         return SimulationResult(
             instance=instance,
             scheduler_name=self.scheduler.name,
@@ -410,23 +420,23 @@ class SimulationEngine:
         state = self.state
         down = state.down
         for machine_id, job_id in assignment.mapping.items():
-            try:
-                machine = self.instance.machine(machine_id)
-            except KeyError:
+            hosted = self._databanks.get(machine_id)
+            if hosted is None:
                 raise ScheduleError(f"assignment references unknown machine {machine_id}")
             if down and machine_id in down:
                 raise ScheduleError(
                     f"assignment references machine {machine_id} which is down at t={state.time}"
                 )
-            if job_id not in state.active:
+            runtime = state.active.get(job_id)
+            if runtime is None:
                 raise ScheduleError(
                     f"assignment references job {job_id} which is not active at t={state.time}"
                 )
-            job = state.active[job_id].job
-            if not machine.hosts(job.databank):
+            databank = runtime.job.databank
+            if databank is not None and databank not in hosted:
                 raise ScheduleError(
                     f"machine {machine_id} cannot process job {job_id} "
-                    f"(databank {job.databank!r} not hosted)"
+                    f"(databank {databank!r} not hosted)"
                 )
 
     @staticmethod
@@ -451,7 +461,7 @@ class SimulationEngine:
         start: float,
         end: float,
     ) -> None:
-        """Execute the assignment over ``[start, end]`` and record slices.
+        """Execute the assignment over ``[start, end]`` and record the runs.
 
         ``job_ids``/``rate``/``remaining`` are the step's rate arrays as
         returned by :meth:`_rate_arrays` (already used to compute the step
@@ -459,21 +469,34 @@ class SimulationEngine:
         """
         duration = end - start
         if duration <= 0:
+            # A zero-length step executes nothing; past this point
+            # ``end > start``, so every recorded piece has positive duration.
             return
-        state = self.state
+        active = self.state.active
+        speeds = self._speed
+        runs, open_runs = self._runs, self._open_runs
+        gap_tol = 1e-12 * max(1.0, abs(start))  # a run ending within it of ``start`` continues
         for machine_id, job_id in assignment.mapping.items():
-            speed = self.instance.machine(machine_id).speed
-            work = speed * duration
-            runtime = state.active[job_id]
+            work = speeds[machine_id] * duration
+            if work <= 0:
+                raise ScheduleError(
+                    f"slice for job {job_id} on machine {machine_id} has "
+                    f"non-positive work {work}"
+                )
+            runtime = active[job_id]
             if runtime.first_service is None:
                 runtime.first_service = start
-            self._slices.append(
-                WorkSlice(job_id=job_id, machine_id=machine_id, start=start, end=end, work=work)
-            )
+            run = open_runs.get(machine_id)
+            if run is not None and run[0] == job_id and abs(run[3] - start) <= gap_tol:
+                run[3] = end
+                run[4] += work
+            else:
+                run = open_runs[machine_id] = [job_id, machine_id, start, end, work]
+                runs.append(run)
         if len(job_ids):
             new_remaining = np.maximum(0.0, remaining - rate * duration)
             for job_id, value in zip(job_ids, new_remaining):
-                state.active[job_id].remaining = float(value)
+                active[job_id].remaining = float(value)
 
     def _collect_completions(self) -> None:
         state = self.state
@@ -516,37 +539,6 @@ def _earliest_completion(rate: np.ndarray, remaining: np.ndarray, now: float) ->
     if not positive.any():
         return math.inf
     return now + float(np.min(remaining[positive] / rate[positive]))
-
-
-def _merge_adjacent(slices: Iterable[WorkSlice]) -> list[WorkSlice]:
-    """Merge back-to-back slices of the same job on the same machine.
-
-    The engine creates one slice per step; consecutive steps often keep the
-    same assignment, so merging keeps schedules compact without changing any
-    derived quantity.
-    """
-    merged: dict[int, list[WorkSlice]] = {}
-    for s in sorted(slices, key=lambda s: (s.machine_id, s.start)):
-        per_machine = merged.setdefault(s.machine_id, [])
-        if (
-            per_machine
-            and per_machine[-1].job_id == s.job_id
-            and abs(per_machine[-1].end - s.start) <= 1e-12 * max(1.0, abs(s.start))
-        ):
-            last = per_machine[-1]
-            per_machine[-1] = WorkSlice(
-                job_id=last.job_id,
-                machine_id=last.machine_id,
-                start=last.start,
-                end=s.end,
-                work=last.work + s.work,
-            )
-        else:
-            per_machine.append(s)
-    out: list[WorkSlice] = []
-    for per_machine in merged.values():
-        out.extend(per_machine)
-    return out
 
 
 def simulate(

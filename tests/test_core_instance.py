@@ -75,6 +75,11 @@ class TestDerivedQuantities:
         assert [m.machine_id for m in instance.eligible_machines(0)] == [0, 1]
         assert instance.eligible_machine_ids(1) == (1, 2)
 
+    def test_jobs_of_one_databank_share_their_eligible_tuples(self, instance):
+        assert instance.eligible_machine_ids(0) == (0, 1)
+        assert instance.eligible_machine_ids(0) is instance.eligible_machine_ids(2)
+        assert instance.eligible_machines(0) is instance.eligible_machines(2)
+
     def test_eligible_classes(self, instance):
         classes = instance.eligible_classes(1)
         banks = {cls.databanks for cls in classes}

@@ -109,6 +109,12 @@ class TestPlatformQueries:
         assert [m.machine_id for m in platform.machines_hosting("b")] == [2, 3]
         assert len(platform.machines_hosting(None)) == 4
 
+    def test_ids_and_hosts_are_built_once(self, platform):
+        assert platform.ids() == (0, 1, 2, 3)
+        assert platform.ids() is platform.ids()
+        assert platform.machines_hosting("a") is platform.machines_hosting("a")
+        assert platform.machines_hosting(None) is platform.machines_hosting(None)
+
     def test_aggregate_speed_restricted(self, platform):
         assert platform.aggregate_speed("a") == pytest.approx(1 + 1 + 2)
         assert platform.aggregate_speed("b") == pytest.approx(2 + 0.5)

@@ -1,0 +1,111 @@
+"""Golden fixture: full-slice digests of the heuristics on one wide instance.
+
+``tests/golden/engine_slices_120x200.json`` was generated from the commit
+*before* the engine switched to run-length slice recording and the greedy
+rule was keyed by databank (``PYTHONPATH=<that checkout>/src python
+tests/test_engine_golden.py`` rewrites it).  Each digest covers every slice
+of the realized schedule -- ``job_id, machine_id, start, end, work``, floats
+in hex -- so a change in any bit of any slice, or in the number or order of
+slices, fails the test.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+import scipy
+
+from repro import api
+from repro.core.instance import Instance
+from repro.workload.generator import (
+    PlatformSpec,
+    WorkloadSpec,
+    generate_platform,
+    generate_workload,
+)
+
+FIXTURE = Path(__file__).parent / "golden" / "engine_slices_120x200.json"
+
+#: ``online-egdf`` ranks jobs from LP optima; the one-shot scipy backend is
+#: the bit-stable one, but only for a given scipy release.
+SCHEDULERS: dict[str, dict] = {
+    "swrpt": {},
+    "srpt": {},
+    "spt": {},
+    "bender02": {},
+    "mct": {},
+    "mct-div": {},
+    "online-egdf": {"solver_backend": "scipy"},
+}
+#: ``online-egdf`` solves one LP search per arrival (43 s at 120 jobs), so it
+#: runs on the first 40 jobs of the instance: same platform, same greedy rule.
+EGDF_JOBS = 40
+
+
+def wide_instance() -> Instance:
+    """120 jobs on the paper's largest platform shape (20 sites x 10 processors)."""
+    platform, catalog = generate_platform(
+        PlatformSpec(n_clusters=20, processors_per_cluster=10, n_databanks=20, availability=0.6),
+        rng=2006,
+    )
+    jobs = generate_workload(
+        platform, catalog, WorkloadSpec(density=1.5, window=2.0, max_jobs=120), rng=13
+    )
+    return Instance(jobs, platform)
+
+
+def slice_digest(key: str, instance: Instance) -> dict:
+    if key == "online-egdf":
+        instance = instance.restrict_jobs(job.job_id for job in instance.jobs[:EGDF_JOBS])
+    result = api.simulate(instance, key, scheduler_options=SCHEDULERS[key])
+    sha = hashlib.sha256()
+    for s in result.schedule:
+        sha.update(
+            f"{s.job_id},{s.machine_id},{s.start.hex()},{s.end.hex()},{s.work.hex()}\n".encode()
+        )
+    return {
+        "sha256": sha.hexdigest(),
+        "n_slices": len(result.schedule),
+        "n_decisions": result.n_decisions,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def instance() -> Instance:
+    instance = wide_instance()
+    assert (instance.n_jobs, instance.n_machines) == (120, 200)
+    return instance
+
+
+@pytest.mark.parametrize("key", list(SCHEDULERS))
+def test_full_slice_digest_matches_golden(key, golden, instance):
+    if key == "online-egdf" and scipy.__version__ != golden["scipy"]:
+        pytest.skip(
+            f"LP-derived floats are pinned to scipy {golden['scipy']}, "
+            f"this is {scipy.__version__}"
+        )
+    assert slice_digest(key, instance) == golden["digests"][key]
+
+
+if __name__ == "__main__":
+    instance = wide_instance()
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(
+        json.dumps(
+            {
+                "scipy": scipy.__version__,
+                "digests": {key: slice_digest(key, instance) for key in SCHEDULERS},
+            },
+            indent=2,
+        )
+        + "\n"
+    )
+    print(FIXTURE.read_text())

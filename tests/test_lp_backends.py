@@ -277,6 +277,22 @@ class TestPersistentMechanics:
         assert stats.per_probe_seconds > 0
 
 
+class TestProbeCollectorNesting:
+    def test_nested_collectors_with_equal_contents_are_removed_by_identity(self):
+        """The engine nests a third collector inside; all three compare equal."""
+        from repro.lp.backends import base
+
+        instance = _small_instance(3, max_jobs=8)
+        scheduler = make_scheduler("online", solver_backend="scipy")
+        with record_lp_probes() as outer:
+            with record_lp_probes() as inner:
+                result = simulate(instance, scheduler)
+            assert [id(s) for s in base._ACTIVE_STATS] == [id(outer)]
+        assert base._ACTIVE_STATS == []
+        assert result.lp_probes.n_probes > 0
+        assert outer == inner == result.lp_probes
+
+
 # -- backend selection ---------------------------------------------------------------
 
 

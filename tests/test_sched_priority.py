@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Machine, Platform
+from repro.schedulers.base import greedy_assignment
 from repro.schedulers.priority import (
     EDFScheduler,
     FCFSScheduler,
@@ -17,6 +20,7 @@ from repro.schedulers.priority import (
     SWRPTScheduler,
 )
 from repro.simulation.engine import simulate
+from repro.simulation.state import SchedulerState
 
 from helpers import make_uniform_instance
 
@@ -185,3 +189,45 @@ class TestGreedyDistributionRule:
         # Even though job 0 has priority, job 1 runs concurrently on machine 1.
         assert result.completions[0] == pytest.approx(1.0)
         assert result.completions[1] == pytest.approx(5.0)
+
+
+def per_job_greedy_loop(state: SchedulerState, runtimes) -> dict[int, int]:
+    """The rule as it was written before it skipped served databanks."""
+    instance = state.instance
+    available = state.available_ids()
+    mapping: dict[int, int] = {}
+    for runtime in runtimes:
+        if not available:
+            break
+        eligible = [
+            m
+            for m in instance.platform.ids()
+            if instance.machine(m).hosts(runtime.job.databank) and m in available
+        ]
+        for machine_id in eligible:
+            mapping[machine_id] = runtime.job_id
+            available.discard(machine_id)
+    return mapping
+
+
+BANKS = ("a", "b", "c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hosted=st.lists(st.sets(st.sampled_from(BANKS)), min_size=1, max_size=8),
+    wanted=st.lists(st.sampled_from(BANKS + (None,)), min_size=1, max_size=12),
+    down=st.sets(st.integers(0, 7)),
+    data=st.data(),
+)
+def test_greedy_rule_equals_the_per_job_loop(hosted, wanted, down, data):
+    """Same mapping *and* same key order, with ``None`` jobs and machines down."""
+    platform = Platform(Machine(i, 1.0 + i, i, frozenset(b)) for i, b in enumerate(hosted))
+    jobs = [Job(i, release=0.0, size=1.0, databank=bank) for i, bank in enumerate(wanted)]
+    state = SchedulerState(Instance(jobs, platform, require_feasible=False))
+    for job in jobs:
+        state.release(job)
+    state.down = {m for m in down if m < len(hosted)}
+    order = data.draw(st.permutations(state.active_jobs()))
+    expected = per_job_greedy_loop(state, order)
+    assert list(greedy_assignment(state, order).mapping.items()) == list(expected.items())

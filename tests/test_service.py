@@ -523,6 +523,14 @@ class TestHttpHardening:
             assert telemetry["shed"] == 1
             http_json(f"{server.url}/drain", b"", method="POST")
 
+    def test_drain_before_any_admission_replies_200_with_a_zero_row(self):
+        daemon = SchedulerDaemon(small_platform(), ServiceConfig())
+        with ServiceServer(daemon) as server:
+            status, drained = http_json(f"{server.url}/drain", b"", method="POST")
+        assert status == 200
+        assert drained["status"] == "drained" and drained["n_jobs"] == 0
+        assert set(drained["metrics"].values()) == {0.0}
+
     def test_healthz_route_tracks_the_drain(self):
         daemon = SchedulerDaemon(small_platform(), ServiceConfig())
         with ServiceServer(daemon) as server:

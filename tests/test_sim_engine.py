@@ -12,6 +12,7 @@ from repro.schedulers.base import Scheduler
 from repro.schedulers.priority import FCFSScheduler, SRPTScheduler
 from repro.simulation.engine import SimulationEngine, simulate
 from repro.simulation.events import ArrivalEvent, CompletionEvent
+from repro.simulation.faults import FaultTimeline
 from repro.simulation.state import Assignment
 
 
@@ -92,7 +93,7 @@ class TestRestrictedAvailability:
             def assign(self, state):
                 return Assignment(mapping={1: 0})  # machine 1 lacks databank a
 
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="databank 'a' not hosted"):
             simulate(instance, BadScheduler())
 
     def test_engine_rejects_unknown_machine(self, instance):
@@ -102,8 +103,19 @@ class TestRestrictedAvailability:
             def assign(self, state):
                 return Assignment(mapping={99: 0})
 
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="unknown machine 99"):
             simulate(instance, BadScheduler())
+
+    def test_engine_rejects_down_machine(self, instance):
+        class BadScheduler(Scheduler):
+            name = "bad-down"
+
+            def assign(self, state):
+                return Assignment(mapping={0: 0})  # machine 0 is down from t=0 on
+
+        faults = FaultTimeline.from_intervals([(0, 0.0, None)])
+        with pytest.raises(ScheduleError, match="machine 0 which is down"):
+            simulate(instance, BadScheduler(), faults=faults)
 
     def test_engine_rejects_inactive_job(self, instance):
         class BadScheduler(Scheduler):
@@ -112,7 +124,7 @@ class TestRestrictedAvailability:
             def assign(self, state):
                 return Assignment(mapping={0: 2})  # job 2 not released at t=0
 
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="job 2 which is not active"):
             simulate(instance, BadScheduler())
 
     def test_priority_scheduler_respects_databanks(self):
@@ -197,6 +209,20 @@ class TestEngineRobustness:
         result = simulate(instance, scheduler)
         assert result.completions[0] == pytest.approx(4.0)
         assert scheduler.calls >= 4
+
+    def test_step_whose_work_underflows_to_zero_is_rejected(self):
+        """The per-step ``work > 0`` check of a slice survives run-length recording."""
+        platform = Platform.uniform([1e300], databanks=["db"])
+        instance = Instance([Job(0, release=0.0, size=1.0, databank="db")], platform)
+
+        class TinyStepScheduler(Scheduler):
+            name = "tiny-step"
+
+            def assign(self, state):
+                return Assignment(mapping={0: 0}, valid_until=state.time + 1e-30)
+
+        with pytest.raises(ScheduleError, match="non-positive work"):
+            simulate(instance, TinyStepScheduler())
 
     def test_adjacent_slices_merged(self, instance):
         result = simulate(instance, FCFSScheduler())
