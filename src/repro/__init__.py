@@ -38,7 +38,7 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- bank       * content-addressed cross-run solver-state bank
     |   |                (System (1)/(2) solutions by problem signature,
     |   |                certificates, series bases; per-worker, LRU)
-    |   |-- aggregation  LP allocations -> per-machine work slices
+    |   |-- aggregation  LP allocations -> plan lanes per class / work slices
     |   |-- solver     * sparse COO program builder (scalar + block APIs)
     |   |                over pluggable backends
     |   `-- backends/  * LP solver backends + probe timing/histogram hooks

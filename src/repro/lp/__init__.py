@@ -20,8 +20,8 @@ on-line heuristics:
   and eligibility, warm-started milestone search and constraint-skeleton
   reuse.
 * :mod:`repro.lp.aggregation` -- materialization of interval/resource work
-  allocations into concrete per-machine :class:`~repro.core.schedule.WorkSlice`
-  lists.
+  allocations into plan lanes (one timeline per capability class) or concrete
+  per-machine :class:`~repro.core.schedule.WorkSlice` lists.
 * :mod:`repro.lp.solver` -- the sparse COO program builder, delegating solves
   to a pluggable backend.
 * :mod:`repro.lp.backends` -- the solver backends: one-shot

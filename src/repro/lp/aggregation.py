@@ -1,28 +1,38 @@
-"""Materialization of LP allocations into per-machine work slices.
+"""Materialization of LP allocations into plans and work slices.
 
 The LPs of Systems (1) and (2) allocate *work amounts* per (interval,
 resource, job); a resource is a capability class, i.e. a group of machines
-hosting the same databanks.  This module turns those allocations into a
-concrete :class:`~repro.core.schedule.Schedule`:
+hosting the same databanks, which act as one equivalent processor.  This
+module turns those allocations into something executable:
 
 * inside an interval, the jobs allocated to a resource are serialized in a
   chosen order (any order is feasible because constraint (1c) guarantees that
   every allocated job's deadline is at or after the end of the interval);
-* each job's serialized sub-interval is then spread across the physical
-  machines of the class proportionally to their speeds, so the per-machine
-  slices neither overlap nor exceed capacity.
+  :func:`allocation_rows` yields the resulting ``(resource, job, start,
+  end)`` rows;
+* a row dedicates every machine of the class to the job, each processing
+  work proportional to its speed.  The plan-following schedulers install the
+  rows as they are, one lane per class (``per_machine=False``); the
+  :class:`~repro.core.schedule.Schedule` of :func:`materialize_solution`
+  spreads each row into one validated slice per physical machine, so the
+  per-machine slices neither overlap nor exceed capacity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, WorkSlice
 from repro.lp.maxstretch import MaxStretchSolution
+from repro.lp.problem import Resource
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.schedulers.base import Lane, Row
 
 __all__ = [
+    "allocation_rows",
     "materialize_solution",
     "split_work_across_machines",
     "edf_order",
@@ -118,12 +128,51 @@ def split_work_across_machines(
     return slices
 
 
+def allocation_rows(
+    solution: MaxStretchSolution, order_rule: OrderRule = edf_order
+) -> Iterator[tuple[int, int, float, float]]:
+    """Serialize the allocation into ``(resource, job_id, start, end)`` rows.
+
+    One row per share, interval by interval and resource by resource; the
+    rows of a resource never overlap and come out in increasing start order.
+    """
+    for t, (lo, hi) in enumerate(solution.interval_bounds):
+        length = hi - lo
+        if length <= 0:
+            # Zero-length intervals can only carry zero work.
+            continue
+        for resource_idx, shares in sorted(solution.shares_in_interval(t).items()):
+            allocations = [(job_id, work) for job_id, work in shares if work > _WORK_EPS]
+            if not allocations:
+                continue
+            speed = solution.problem.resources[resource_idx].speed
+            ordered = order_rule(solution, t, resource_idx, allocations)
+            total_duration = sum(work for _, work in ordered) / speed
+            scale = 1.0
+            if total_duration > length:
+                if total_duration > length * (1.0 + _OVERFLOW_TOL) + _OVERFLOW_TOL:
+                    raise ScheduleError(
+                        f"interval {t} on resource {resource_idx} overflows: "
+                        f"needs {total_duration:.9f}s but only {length:.9f}s available"
+                    )
+                scale = length / total_duration
+            cursor = lo
+            for job_id, work in ordered:
+                duration = (work / speed) * scale
+                if duration <= 0:
+                    continue
+                end = min(cursor + duration, hi)
+                yield resource_idx, job_id, cursor, end
+                cursor = end
+
+
 def materialize_solution(
     solution: MaxStretchSolution,
     instance: Instance,
     *,
     order_rule: OrderRule = edf_order,
-) -> Schedule:
+    per_machine: bool = True,
+) -> Schedule | list[Lane]:
     """Turn an LP allocation into a concrete schedule.
 
     Parameters
@@ -135,41 +184,52 @@ def materialize_solution(
     order_rule:
         Serialization order of the jobs inside each (interval, resource);
         defaults to earliest deadline first, which is always feasible.
+    per_machine:
+        ``True`` spreads every row over the machines of its class and returns
+        the validated :class:`Schedule`.  ``False`` returns the same plan as
+        lanes, one per capability class, which is what the plan-following
+        schedulers install: the machines of a class all follow one timeline.
     """
-    slices: list[WorkSlice] = []
-    for t, (lo, hi) in enumerate(solution.interval_bounds):
-        length = hi - lo
-        if length <= 0:
-            # Zero-length intervals can only carry zero work.
-            continue
-        per_resource: dict[int, list[tuple[int, float]]] = {}
-        for (interval, resource, job_id), work in solution.allocations.items():
-            if interval != t or work <= _WORK_EPS:
-                continue
-            per_resource.setdefault(resource, []).append((job_id, work))
+    resources = solution.problem.resources
+    rows = allocation_rows(solution, order_rule)
+    if not per_machine:
+        return _class_lanes(resources, instance, rows)
+    return Schedule(
+        piece
+        for resource_idx, job_id, start, end in rows
+        for piece in split_work_across_machines(
+            instance, resources[resource_idx].machine_ids, job_id, start, end
+        )
+    )
 
-        for resource_idx, allocations in sorted(per_resource.items()):
-            resource = solution.problem.resources[resource_idx]
-            ordered = order_rule(solution, t, resource_idx, allocations)
-            total_duration = sum(work for _, work in ordered) / resource.speed
-            scale = 1.0
-            if total_duration > length:
-                if total_duration > length * (1.0 + _OVERFLOW_TOL) + _OVERFLOW_TOL:
-                    raise ScheduleError(
-                        f"interval {t} on resource {resource_idx} overflows: "
-                        f"needs {total_duration:.9f}s but only {length:.9f}s available"
-                    )
-                scale = length / total_duration
-            cursor = lo
-            for job_id, work in ordered:
-                duration = (work / resource.speed) * scale
-                if duration <= 0:
-                    continue
-                end = min(cursor + duration, hi)
-                slices.extend(
-                    split_work_across_machines(
-                        instance, resource.machine_ids, job_id, cursor, end
-                    )
-                )
-                cursor = end
-    return Schedule(slices)
+
+def _class_lanes(
+    resources: Sequence[Resource],
+    instance: Instance,
+    rows: Iterable[tuple[int, int, float, float]],
+) -> list[Lane]:
+    """Group ``rows`` into one lane per resource, shared by all its machines.
+
+    :func:`split_work_across_machines` drops a machine from a row in which it
+    would do no more than ``_WORK_EPS`` work.  A class whose slowest machine
+    keeps every row shares one timeline; any other class gets one lane per
+    machine, holding exactly the rows that function keeps for it.
+    """
+    timelines: dict[int, list[Row]] = {}
+    for resource_idx, job_id, start, end in rows:
+        timelines.setdefault(resource_idx, []).append((start, end, job_id))
+    lanes: list[Lane] = []
+    for resource_idx, timeline in timelines.items():
+        machine_ids = resources[resource_idx].machine_ids
+        slowest = min(instance.machine(m).speed for m in machine_ids)
+        if all(slowest * (end - start) > _WORK_EPS for start, end, _ in timeline):
+            lanes.append((machine_ids, timeline))
+            continue
+        for m in machine_ids:
+            kept = [
+                row
+                for row in timeline
+                if split_work_across_machines(instance, (m,), row[2], row[0], row[1])
+            ]
+            lanes.append(((m,), kept))
+    return lanes

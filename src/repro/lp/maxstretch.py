@@ -81,6 +81,34 @@ DEFAULT_SEARCH = "certificate"
 _ALLOCATION_EPS = 1e-10
 
 
+class _AllocationIndex:
+    """Everything the :class:`MaxStretchSolution` accessors answer, from one pass.
+
+    Totals are ``sum()`` over the works in allocation order, exactly what a
+    full scan of the dict adds up.
+    """
+
+    __slots__ = ("shares", "share_last", "job_last", "share_work", "job_work")
+
+    def __init__(self, allocations: dict[tuple[int, int, int], float]):
+        #: ``interval -> resource -> [(job, work), ...]`` in allocation order.
+        self.shares: dict[int, dict[int, list[tuple[int, float]]]] = {}
+        #: Last interval with positive work, per ``(job, resource)`` and per job.
+        self.share_last: dict[tuple[int, int], int] = {}
+        self.job_last: dict[int, int] = {}
+        share_works: dict[tuple[int, int], list[float]] = {}
+        job_works: dict[int, list[float]] = {}
+        for (t, c, j), w in allocations.items():
+            self.shares.setdefault(t, {}).setdefault(c, []).append((j, w))
+            share_works.setdefault((j, c), []).append(w)
+            job_works.setdefault(j, []).append(w)
+            if w > 0:
+                self.share_last[j, c] = max(t, self.share_last.get((j, c), t))
+                self.job_last[j] = max(t, self.job_last.get(j, t))
+        self.share_work = {key: float(sum(works)) for key, works in share_works.items()}
+        self.job_work = {key: float(sum(works)) for key, works in job_works.items()}
+
+
 @dataclass(frozen=True)
 class MaxStretchSolution:
     """A feasible (usually optimal) allocation achieving a given max weighted flow.
@@ -112,29 +140,36 @@ class MaxStretchSolution:
         """Deadline of the job at the achieved objective."""
         return self.problem.job_by_id(job_id).deadline(self.objective)
 
+    def _index(self) -> _AllocationIndex:
+        """The one-pass index over :attr:`allocations` behind every accessor."""
+        index = self.__dict__.get("_allocation_index")
+        if index is None:
+            index = _AllocationIndex(self.allocations)
+            # Frozen dataclass: a pure cache stashed in the instance dict,
+            # invisible to equality (see ``MaxStretchProblem.job_by_id``).
+            object.__setattr__(self, "_allocation_index", index)
+        return index
+
+    def shares_in_interval(self, interval: int) -> dict[int, list[tuple[int, float]]]:
+        """``resource -> [(job, work), ...]`` inside one interval, in allocation order."""
+        return self._index().shares.get(interval, {})
+
     def allocations_in_interval(self, interval: int) -> dict[tuple[int, int], float]:
         """``(resource, job) -> work`` allocations inside one interval."""
         return {
             (c, j): w
-            for (t, c, j), w in self.allocations.items()
-            if t == interval and w > 0
+            for c, shares in self.shares_in_interval(interval).items()
+            for j, w in shares
+            if w > 0
         }
 
     def work_for_job(self, job_id: int) -> float:
         """Total work allocated to the job across intervals and resources."""
-        return float(
-            sum(w for (t, c, j), w in self.allocations.items() if j == job_id)
-        )
+        return self._index().job_work.get(job_id, 0.0)
 
     def work_for_job_on_resource(self, job_id: int, resource: int) -> float:
         """Total work of the job allocated to one resource."""
-        return float(
-            sum(
-                w
-                for (t, c, j), w in self.allocations.items()
-                if j == job_id and c == resource
-            )
-        )
+        return self._index().share_work.get((job_id, resource), 0.0)
 
     def completion_interval(self, job_id: int) -> int:
         """Index of the last interval in which the job receives work.
@@ -142,25 +177,15 @@ class MaxStretchSolution:
         Used by the Online-EGDF variant to build its global priority list.
         Raises :class:`KeyError` when the job receives no allocation.
         """
-        indices = [t for (t, c, j), w in self.allocations.items() if j == job_id and w > 0]
-        if not indices:
-            raise KeyError(job_id)
-        return max(indices)
+        return self._index().job_last[job_id]
 
     def completion_interval_on_resource(self, job_id: int, resource: int) -> int | None:
         """Last interval in which the job receives work on ``resource`` (None if never)."""
-        indices = [
-            t
-            for (t, c, j), w in self.allocations.items()
-            if j == job_id and c == resource and w > 0
-        ]
-        return max(indices) if indices else None
+        return self._index().share_last.get((job_id, resource))
 
     def jobs_on_resource(self, resource: int) -> list[int]:
         """Job ids receiving any work on ``resource``."""
-        return sorted(
-            {j for (t, c, j), w in self.allocations.items() if c == resource and w > 0}
-        )
+        return sorted(j for j, c in self._index().share_last if c == resource)
 
     def max_weighted_flow_of_allocation(self) -> float:
         """The max weighted flow actually implied by the allocation.

@@ -8,24 +8,26 @@ Three families of schedulers are supported:
   to process it, the next job receives the remaining ones, and so on.  On a
   single machine this is exactly preemptive priority scheduling, which is the
   setting in which SRPT, SWRPT, ... are analysed in the paper.
-* :class:`PlanBasedScheduler` -- schedulers that compute an explicit plan
-  (per-machine timelines of job segments) at certain events and then simply
-  follow it.  The off-line optimal algorithm, the LP-based on-line heuristics
-  and the MCT greedy strategies fall in this family.
+* :class:`PlanBasedScheduler` -- schedulers that compute an explicit plan at
+  certain events and then simply follow it.  The plan is a set of lanes, each
+  a group of machines following one timeline of job segments: one lane per
+  capability class for the off-line optimal algorithm and the LP-based
+  on-line heuristics, one per machine for the MCT greedy strategies.
 * Free-form schedulers deriving directly from :class:`Scheduler`.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.instance import Instance
 from repro.core.job import Job
-from repro.core.schedule import Schedule
 from repro.simulation.state import Assignment, JobRuntime, SchedulerState
 from repro.schedulers import kernels
 
@@ -37,8 +39,15 @@ __all__ = [
     "PriorityScheduler",
     "PlanBasedScheduler",
     "PlanSegment",
+    "Row",
+    "Lane",
     "greedy_assignment",
 ]
+
+#: A planned ``(start, end, job_id)`` dedication of every machine of a lane.
+Row = tuple[float, float, int]
+#: Machine ids and the timeline of rows they all follow.
+Lane = tuple[Sequence[int], list[Row]]
 
 
 def greedy_assignment(state: SchedulerState, runtimes: Iterable[JobRuntime]) -> Assignment:
@@ -213,13 +222,39 @@ class PlanSegment:
         return self.end - self.start
 
 
-class PlanBasedScheduler(Scheduler):
-    """A scheduler that follows an explicit per-machine plan.
+class _Lane:
+    """One timeline of rows (sorted by start) and what is derived from it."""
 
-    Subclasses populate the plan by calling :meth:`set_plan`,
-    :meth:`extend_plan` or :meth:`clear_plan_from` (typically from
-    :meth:`reset` or :meth:`on_arrival`); :meth:`assign` then simply reads
-    the plan.
+    __slots__ = ("rows", "shared", "cursor", "arrays")
+
+    def __init__(self, rows: list[Row], shared: bool):
+        self.rows = rows
+        #: Whether several machines follow this timeline.
+        self.shared = shared
+        self.changed()
+
+    def changed(self) -> None:
+        """Re-establish the row order after any change to ``rows``."""
+        self.rows.sort(key=itemgetter(0))
+        #: Rows before this index had ``end <= time + 1e-12`` at the last
+        #: :meth:`PlanBasedScheduler.plan_assignment`; only they are skipped.
+        self.cursor = 0
+        #: (starts, ends) float64 views for the plan-horizon kernel, lazy.
+        self.arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+
+class PlanBasedScheduler(Scheduler):
+    """A scheduler that follows an explicit plan.
+
+    The plan is a set of *lanes*: a lane is a tuple of machine ids that all
+    follow one timeline of ``(start, end, job_id)`` rows, and a machine
+    belongs to at most one lane.  The LP schedulers install one lane per
+    capability class through :meth:`set_lanes` (the machines of a class act
+    as one equivalent processor, Section 4.3.2 step 4); everything phrased
+    per machine -- :meth:`set_plan`, :meth:`extend_plan`, the MCT strategies
+    -- uses single-machine lanes.  Subclasses populate the plan (typically
+    from :meth:`reset` or :meth:`on_arrival`); :meth:`assign` then simply
+    reads it.
 
     On-line subclasses may additionally hand a
     :class:`~repro.schedulers.policies.ReplanPolicy` to the constructor and
@@ -233,39 +268,49 @@ class PlanBasedScheduler(Scheduler):
 
     def __init__(self, policy: "ReplanPolicy | None" = None) -> None:
         self.instance: Instance | None = None
-        self._plan: dict[int, list[PlanSegment]] = {}
-        #: Per-machine (starts, ends) float64 views of ``_plan``, built lazily
-        #: for the plan-horizon kernel and dropped whenever the machine's
-        #: segment list changes (every mutation goes through the methods
-        #: below, so the cache cannot go stale).
-        self._plan_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Machine id -> the lane it follows (machines without one are idle).
+        self._lanes: dict[int, _Lane] = {}
+        #: Date of the last plan reading: lane cursors hold from there on.
+        self._read_at = -math.inf
         self.policy = policy
         self._recheck_at: float | None = None
 
     def reset(self, instance: Instance) -> None:
         self.instance = instance
-        self._plan = {m.machine_id: [] for m in instance.platform}
-        self._plan_arrays = {}
+        self._lanes = {}
         self._recheck_at = None
         if self.policy is not None:
             self.policy.reset(instance)
 
     # -- plan manipulation ---------------------------------------------------------
+    def set_lanes(self, lanes: Iterable[Lane]) -> None:
+        """Replace the whole plan by ``(machine ids, rows)`` lanes."""
+        self._lanes = {}
+        for machine_ids, rows in lanes:
+            for start, end, job_id in rows:
+                PlanSegment(machine_ids[0], job_id, start, end)  # checks the duration
+            lane = _Lane(rows, shared=len(machine_ids) > 1)
+            for machine_id in machine_ids:
+                self._lanes[machine_id] = lane
+
     def set_plan(self, segments: Iterable[PlanSegment]) -> None:
         """Replace the whole plan."""
-        assert self.instance is not None
-        self._plan = {m.machine_id: [] for m in self.instance.platform}
-        self._plan_arrays = {}
+        self._lanes = {}
         self.extend_plan(segments)
 
     def extend_plan(self, segments: Iterable[PlanSegment]) -> None:
         """Append segments to the plan (kept sorted by start time)."""
+        touched: dict[int, _Lane] = {}
         for segment in segments:
-            per_machine = self._plan.setdefault(segment.machine_id, [])
-            per_machine.append(segment)
-            self._plan_arrays.pop(segment.machine_id, None)
-        for per_machine in self._plan.values():
-            per_machine.sort(key=lambda s: s.start)
+            lane = self._lanes.get(segment.machine_id)
+            if lane is None or lane.shared:
+                # A machine of a class leaves the timeline the class shares.
+                lane = _Lane(list(lane.rows) if lane else [], shared=False)
+                self._lanes[segment.machine_id] = lane
+            lane.rows.append((segment.start, segment.end, segment.job_id))
+            touched[segment.machine_id] = lane
+        for lane in touched.values():
+            lane.changed()
 
     def clear_plan_from(self, time: float) -> None:
         """Drop every planned segment that starts at or after ``time``.
@@ -273,42 +318,44 @@ class PlanBasedScheduler(Scheduler):
         Segments straddling ``time`` are truncated; used by on-line
         strategies that re-plan at each release date.
         """
-        for machine_id, per_machine in self._plan.items():
-            kept: list[PlanSegment] = []
-            for segment in per_machine:
-                if segment.end <= time + 1e-12:
-                    kept.append(segment)
-                elif segment.start < time - 1e-12:
-                    kept.append(
-                        PlanSegment(
-                            machine_id=segment.machine_id,
-                            job_id=segment.job_id,
-                            start=segment.start,
-                            end=time,
-                        )
-                    )
+        for lane in set(self._lanes.values()):
+            kept: list[Row] = []
+            for row in lane.rows:
+                if row[1] <= time + 1e-12:
+                    kept.append(row)
+                elif row[0] < time - 1e-12:
+                    kept.append((row[0], time, row[2]))
                 # Segments starting after ``time`` are dropped.
-            self._plan[machine_id] = kept
-        self._plan_arrays = {}
+            lane.rows = kept
+            lane.changed()
+
+    def has_plan(self) -> bool:
+        """Whether any machine has a planned segment."""
+        return any(lane.rows for lane in self._lanes.values())
 
     def plan_segments(self, machine_id: int | None = None) -> list[PlanSegment]:
-        """The current plan (for inspection and testing)."""
-        if machine_id is not None:
-            return list(self._plan.get(machine_id, []))
-        return [s for per_machine in self._plan.values() for s in per_machine]
+        """The current plan, machine by machine (for inspection and testing)."""
+        assert self.instance is not None
+        machine_ids = self.instance.platform.ids() if machine_id is None else (machine_id,)
+        return [
+            PlanSegment(machine_id=m, job_id=job_id, start=start, end=end)
+            for m in machine_ids
+            if m in self._lanes
+            for start, end, job_id in self._lanes[m].rows
+        ]
 
     def plan_horizon(self, machine_id: int, time: float) -> float:
         """Earliest date >= ``time`` at which the machine becomes free in the plan."""
-        arrays = self._plan_arrays.get(machine_id)
-        if arrays is None:
-            per_machine = self._plan.get(machine_id, ())
-            count = len(per_machine)
-            arrays = (
-                np.fromiter((s.start for s in per_machine), np.float64, count=count),
-                np.fromiter((s.end for s in per_machine), np.float64, count=count),
+        lane = self._lanes.get(machine_id)
+        if lane is None:
+            return float(time)
+        if lane.arrays is None:
+            count = len(lane.rows)
+            lane.arrays = (
+                np.fromiter((row[0] for row in lane.rows), np.float64, count=count),
+                np.fromiter((row[1] for row in lane.rows), np.float64, count=count),
             )
-            self._plan_arrays[machine_id] = arrays
-        return kernels.plan_horizon_scan(arrays[0], arrays[1], time)
+        return kernels.plan_horizon_scan(lane.arrays[0], lane.arrays[1], time)
 
     def plan_tail(self, machine_id: int, time: float) -> float:
         """Date at which the machine's *whole* plan is over (>= ``time``).
@@ -317,10 +364,10 @@ class PlanBasedScheduler(Scheduler):
         segment appended at the tail can never overlap planned work (LP plans
         routinely leave gaps between milestone intervals).
         """
-        per_machine = self._plan.get(machine_id, [])
-        if not per_machine:
+        lane = self._lanes.get(machine_id)
+        if lane is None or not lane.rows:
             return time
-        return max(time, max(segment.end for segment in per_machine))
+        return max(time, max(row[1] for row in lane.rows))
 
     # -- policy-driven replanning --------------------------------------------------------
     def replan(self, state: SchedulerState) -> None:
@@ -400,47 +447,54 @@ class PlanBasedScheduler(Scheduler):
 
     def plan_assignment(self, state: SchedulerState) -> Assignment:
         """Read the current plan at ``state.time`` (overridable)."""
+        assert self.instance is not None
         time = state.time
+        if time < self._read_at:
+            for lane in self._lanes.values():
+                lane.cursor = 0
+        self._read_at = time
         mapping: dict[int, int] = {}
         breakpoints: list[float] = []
         down = state.down
-        for machine_id, per_machine in self._plan.items():
-            if down and machine_id in down:
+        #: What each lane says at ``time``; its machines all read the same.
+        readings: dict[_Lane, tuple[int | None, float | None]] = {}
+        for machine_id in self.instance.platform.ids():
+            lane = self._lanes.get(machine_id)
+            if lane is None or (down and machine_id in down):
                 # Defensive: a downed machine executes nothing, whatever a
                 # stale plan says (replans triggered by on_availability make
                 # this unreachable in practice).
                 continue
-            current: PlanSegment | None = None
-            upcoming: PlanSegment | None = None
-            for segment in per_machine:
-                if segment.end <= time + 1e-12:
-                    continue
-                if not state.is_active(segment.job_id):
-                    # The job finished (slightly) earlier than planned; skip
-                    # its leftover segments.
-                    continue
-                if segment.start <= time + 1e-12:
-                    current = segment
-                else:
-                    upcoming = segment
-                break_found = current is not None or upcoming is not None
-                if break_found:
-                    break
-            if current is not None:
-                mapping[machine_id] = current.job_id
-                breakpoints.append(current.end)
-            elif upcoming is not None:
-                breakpoints.append(upcoming.start)
+            reading = readings.get(lane)
+            if reading is None:
+                reading = readings[lane] = self._read_lane(lane, state)
+                if reading[1] is not None:
+                    breakpoints.append(reading[1])
+            if reading[0] is not None:
+                mapping[machine_id] = reading[0]
         valid_until = min(breakpoints) if breakpoints else None
         return Assignment(mapping=mapping, valid_until=valid_until)
 
-    # -- helpers for subclasses --------------------------------------------------------
     @staticmethod
-    def segments_from_schedule(schedule: Schedule) -> list[PlanSegment]:
-        """Convert a materialized :class:`Schedule` into plan segments."""
-        return [
-            PlanSegment(
-                machine_id=s.machine_id, job_id=s.job_id, start=s.start, end=s.end
-            )
-            for s in schedule
-        ]
+    def _read_lane(lane: _Lane, state: SchedulerState) -> tuple[int | None, float | None]:
+        """``(job to run now, next date the lane's reading changes)``."""
+        expired = state.time + 1e-12
+        rows = lane.rows
+        count = len(rows)
+        index = lane.cursor
+        while index < count and rows[index][1] <= expired:
+            index += 1
+        lane.cursor = index
+        while index < count:
+            start, end, job_id = rows[index]
+            index += 1
+            if end <= expired:
+                continue
+            if not state.is_active(job_id):
+                # The job finished (slightly) earlier than planned, or is not
+                # released yet; its segments are looked at again next time.
+                continue
+            if start <= expired:
+                return job_id, end
+            return None, start
+        return None, None

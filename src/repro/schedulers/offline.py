@@ -7,9 +7,9 @@ At initialization it:
 2. runs the milestone binary search of :mod:`repro.lp.maxstretch` to obtain
    the optimal max-stretch :math:`S^*` and an interval/resource allocation
    achieving it,
-3. materializes the allocation into a per-machine plan (earliest deadline
-   first inside each interval, which is always feasible), and then simply
-   follows the plan.
+3. materializes the allocation into a plan, one lane per capability class
+   (earliest deadline first inside each interval, which is always feasible),
+   and then simply follows the plan.
 
 The achieved max-stretch is optimal; the sum-stretch is whatever falls out
 (Table 1 of the paper reports ~1.67x the best observed sum-stretch).  Passing
@@ -85,5 +85,6 @@ class OfflineScheduler(PlanBasedScheduler):
                 problem, solution.objective, backend=backend
             )
             order_rule = swrpt_terminal_order
-        schedule = materialize_solution(solution, instance, order_rule=order_rule)
-        self.set_plan(self.segments_from_schedule(schedule))
+        self.set_lanes(
+            materialize_solution(solution, instance, order_rule=order_rule, per_machine=False)
+        )

@@ -58,7 +58,13 @@ from repro.lp.problem import Resource, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.lp.speculate import predict_replan_remaining
 from repro.simulation.state import Assignment, SchedulerState
-from repro.schedulers.base import PlanBasedScheduler, PlanSegment, greedy_assignment
+from repro.schedulers.base import (
+    Lane,
+    PlanBasedScheduler,
+    PlanSegment,
+    Row,
+    greedy_assignment,
+)
 from repro.schedulers.policies import OnArrivalPolicy, ReplanPolicy, parse_policy
 
 __all__ = ["OnlineLPScheduler"]
@@ -279,15 +285,14 @@ class OnlineLPScheduler(PlanBasedScheduler):
             self._egdf_rank = self._global_priorities(solution)
             self.set_plan([])  # the EGDF variant does not follow a plan
         elif self.variant == "online-edf":
-            self.set_plan(self._per_processor_list_plan(solution, instance, now))
-        elif self.variant == "online-nonopt":
-            schedule = materialize_solution(solution, instance, order_rule=edf_order)
-            self.set_plan(self.segments_from_schedule(schedule))
-        else:  # "online"
-            schedule = materialize_solution(
-                solution, instance, order_rule=swrpt_terminal_order
+            self.set_lanes(self._per_processor_list_plan(solution, now))
+        else:
+            order_rule = edf_order if self.variant == "online-nonopt" else swrpt_terminal_order
+            self.set_lanes(
+                materialize_solution(
+                    solution, instance, order_rule=order_rule, per_machine=False
+                )
             )
-            self.set_plan(self.segments_from_schedule(schedule))
 
     # -- degraded replans (machine outages) --------------------------------------------
     def _replan_degraded(
@@ -369,13 +374,9 @@ class OnlineLPScheduler(PlanBasedScheduler):
         return ranks
 
     # -- Online-EDF: per-processor list scheduling ------------------------------------
-    def _per_processor_list_plan(
-        self,
-        solution: MaxStretchSolution,
-        instance: Instance,
-        now: float,
-    ) -> list[PlanSegment]:
-        segments: list[PlanSegment] = []
+    @staticmethod
+    def _per_processor_list_plan(solution: MaxStretchSolution, now: float) -> list[Lane]:
+        lanes: list[Lane] = []
         for resource in solution.problem.resources:
             jobs_here = solution.jobs_on_resource(resource.index)
             if not jobs_here:
@@ -391,20 +392,16 @@ class OnlineLPScheduler(PlanBasedScheduler):
                 )
 
             cursor = now
+            rows: list[Row] = []
             for job_id in sorted(jobs_here, key=order_key):
                 work = solution.work_for_job_on_resource(job_id, resource.index)
                 if work <= 0:
                     continue
-                duration = work / resource.speed
-                end = cursor + duration
-                for machine_id in resource.machine_ids:
-                    segments.append(
-                        PlanSegment(
-                            machine_id=machine_id, job_id=job_id, start=cursor, end=end
-                        )
-                    )
+                end = cursor + work / resource.speed
+                rows.append((cursor, end, job_id))
                 cursor = end
-        return segments
+            lanes.append((resource.machine_ids, rows))
+        return lanes
 
     # -- deferred-arrival absorption (threshold policy) ---------------------------------
     def absorb_arrivals(self, state: SchedulerState, jobs: Sequence[Job]) -> None:

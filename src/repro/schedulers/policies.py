@@ -194,7 +194,7 @@ class ThresholdPolicy(ReplanPolicy):
         instance = state.instance
         now = state.time
         new_ids = {job.job_id for job in jobs}
-        has_plan = bool(scheduler.plan_segments())
+        has_plan = scheduler.has_plan()
         # The batch is estimated *sequentially*, mirroring the absorb rule:
         # earlier batch members occupy the tail (or backlog) the later ones
         # queue behind, otherwise two simultaneous jobs would each be judged

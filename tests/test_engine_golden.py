@@ -2,7 +2,8 @@
 
 ``tests/golden/engine_slices_120x200.json`` was generated from the commit
 *before* the engine switched to run-length slice recording and the greedy
-rule was keyed by databank (``PYTHONPATH=<that checkout>/src python
+rule was keyed by databank; the plan-following LP schedulers were added from
+the commit before plans became lanes per capability class (``PYTHONPATH=<that checkout>/src python
 tests/test_engine_golden.py`` rewrites it).  Each digest covers every slice
 of the realized schedule -- ``job_id, machine_id, start, end, work``, floats
 in hex -- so a change in any bit of any slice, or in the number or order of
@@ -29,8 +30,12 @@ from repro.workload.generator import (
 
 FIXTURE = Path(__file__).parent / "golden" / "engine_slices_120x200.json"
 
-#: ``online-egdf`` ranks jobs from LP optima; the one-shot scipy backend is
-#: the bit-stable one, but only for a given scipy release.
+#: The LP schedulers derive ranks and plans from LP optima; the one-shot
+#: scipy backend is the bit-stable one, but only for a given scipy release.
+#: The plan followers (``online``, ``online-edf``, ``online-nonopt``,
+#: ``offline``) were added from the commit before plans became lanes per
+#: capability class.
+LP_SCHEDULERS = ("online-egdf", "online", "online-edf", "online-nonopt", "offline")
 SCHEDULERS: dict[str, dict] = {
     "swrpt": {},
     "srpt": {},
@@ -38,11 +43,13 @@ SCHEDULERS: dict[str, dict] = {
     "bender02": {},
     "mct": {},
     "mct-div": {},
-    "online-egdf": {"solver_backend": "scipy"},
+    **{key: {"solver_backend": "scipy"} for key in LP_SCHEDULERS},
 }
-#: ``online-egdf`` solves one LP search per arrival (43 s at 120 jobs), so it
-#: runs on the first 40 jobs of the instance: same platform, same greedy rule.
-EGDF_JOBS = 40
+#: The on-line LP schedulers solve one LP search per arrival (43 s at 120
+#: jobs), so they run on the first 40 jobs of the instance: same platform.
+#: ``offline`` takes 39: with the 40th, one probe of its whole-run search
+#: fails inside scipy's HiGHS ("status 4: Solve error"), at any commit.
+LP_JOBS = {key: 40 for key in LP_SCHEDULERS} | {"offline": 39}
 
 
 def wide_instance() -> Instance:
@@ -58,8 +65,8 @@ def wide_instance() -> Instance:
 
 
 def slice_digest(key: str, instance: Instance) -> dict:
-    if key == "online-egdf":
-        instance = instance.restrict_jobs(job.job_id for job in instance.jobs[:EGDF_JOBS])
+    if key in LP_SCHEDULERS:
+        instance = instance.restrict_jobs(job.job_id for job in instance.jobs[: LP_JOBS[key]])
     result = api.simulate(instance, key, scheduler_options=SCHEDULERS[key])
     sha = hashlib.sha256()
     for s in result.schedule:
@@ -87,7 +94,7 @@ def instance() -> Instance:
 
 @pytest.mark.parametrize("key", list(SCHEDULERS))
 def test_full_slice_digest_matches_golden(key, golden, instance):
-    if key == "online-egdf" and scipy.__version__ != golden["scipy"]:
+    if key in LP_SCHEDULERS and scipy.__version__ != golden["scipy"]:
         pytest.skip(
             f"LP-derived floats are pinned to scipy {golden['scipy']}, "
             f"this is {scipy.__version__}"
