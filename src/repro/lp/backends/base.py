@@ -283,7 +283,7 @@ class LPProbeStats:
     n_primal_reuses: int = 0
     #: Wall-clock seconds spent assembling LPs before handing them to the
     #: backend (interval structure + skeleton + COO blocks): the python-side
-    #: cost the compiled replan kernels of :mod:`repro.lp.kernels` attack.
+    #: cost the replan kernels of :mod:`repro.lp.kernels` attack.
     assembly_seconds: float = 0.0
     #: Wall-clock seconds inside whole milestone searches (bounds, milestone
     #: enumeration, probe loop -- solves included).

@@ -1,367 +1,40 @@
-"""Compiled replan kernels: the per-replan python, as array programs.
+"""Replan kernels: the per-replan python, as array programs.
 
 After the certificate search (PR 5) and the solver-state bank (PR 6) the
 milestone search solves a median of ~1 LP per replan, so the replan floor
 is no longer "how many LPs" but "how much python per probe": milestone
 merging, interval-boundary ordering, ``JobTable`` delta application and the
-COO scatter behind the builder's block APIs.  This module extracts those
-loops into kernels with two executable tiers:
-
-* **numpy** (always available): array-programmed implementations;
-* **numba** (``pip install .[jit]``): the loop-carried kernels compiled with
-  ``@njit(fastmath=False)`` -- no arithmetic reassociation, so both tiers
-  are **bit-identical** by construction (enforced by
-  ``tests/test_replan_kernels.py``).
-
-The tier is chosen once at import time (numba when importable, numpy
-otherwise); ``REPRO_KERNELS=numpy|numba|legacy`` overrides the choice, and
-:func:`set_active_tier` switches it at runtime (used by the benchmarks).
-The **legacy** tier keeps the pre-kernel pure-python implementations
-verbatim: it is the reference every kernel is equality-tested against and
-the baseline ``bench_overhead.py::bench_replan_latency`` measures the
-kernel win from.
+COO scatter behind the builder's block APIs.  This module holds those loops
+as numpy array programs, one implementation per kernel.
 
 Every kernel preserves the historical float arithmetic operation-for-
 operation (same IEEE ops per output element, no reordering), so replacing
-the python loops changes *nothing* about results -- S* trajectories,
-allocations and campaign record sets are bit-identical across tiers.
+the python loops changed *nothing* about results -- S* trajectories,
+allocations and campaign record sets are bit-identical to the pre-kernel
+pure-python loops, which ``tests/kernel_oracles.py`` keeps verbatim as the
+oracles of ``tests/test_replan_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "KERNEL_NAMES",
     "active_tier",
-    "available_tiers",
-    "set_active_tier",
     "merge_close_milestones",
     "order_affine_boundaries",
     "active_jobs_delta",
     "scatter_capacity_sys1",
 ]
 
-try:  # pragma: no cover - exercised only on the CI jit leg
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default dependency-light path
-    _njit = None
-    HAVE_NUMBA = False
-
-#: Names of the dispatchable kernels (the test suite iterates this list so a
-#: new kernel cannot land without its cross-tier equality test).
-KERNEL_NAMES = (
-    "merge_close_milestones",
-    "order_affine_boundaries",
-    "active_jobs_delta",
-    "scatter_capacity_sys1",
-)
-
-
-# -- legacy tier: the pre-kernel python, kept verbatim as the reference --------------
-
-
-def _merge_close_milestones_legacy(values: np.ndarray, tol: float) -> list[float]:
-    """The historical sequential merge loop of ``enumerate_milestones``."""
-    merged: list[float] = [float(values[0])]
-    for v in values[1:]:
-        if abs(v - merged[-1]) > tol * max(1.0, abs(v)):
-            merged.append(float(v))
-    return merged
-
-
-def _order_affine_boundaries_legacy(
-    consts: np.ndarray, coefs: np.ndarray, probe: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The historical dict-dedup + python-sorted boundary ordering."""
-    seen: dict[tuple[float, float], int] = {}
-    uniq: list[tuple[float, float]] = []
-    for const, coef in zip(consts.tolist(), coefs.tolist()):
-        key = (const, coef)
-        if key not in seen:
-            seen[key] = len(uniq)
-            uniq.append(key)
-    order = sorted(
-        range(len(uniq)),
-        key=lambda i: (uniq[i][0] + uniq[i][1] * probe, uniq[i][1], uniq[i][0]),
-    )
-    out_consts = np.array([uniq[i][0] for i in order], dtype=np.float64)
-    out_coefs = np.array([uniq[i][1] for i in order], dtype=np.float64)
-    return out_consts, out_coefs
-
-
-def _active_jobs_delta_legacy(
-    releases: np.ndarray,
-    factors: np.ndarray,
-    rem: np.ndarray,
-    now: float,
-    has_now: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The historical per-row active-job filter of ``_problem_from_job_table``."""
-    idx_list: list[int] = []
-    earliest: list[float] = []
-    works: list[float] = []
-    for i in range(releases.size):
-        value = rem[i]
-        if value <= 0.0:
-            continue
-        idx_list.append(i)
-        release = releases[i]
-        earliest.append(release if not has_now else max(release, now))
-        works.append(float(value))
-    idx = np.array(idx_list, dtype=np.int64)
-    return (
-        idx,
-        np.array(earliest, dtype=np.float64),
-        np.array(works, dtype=np.float64),
-        releases[idx],
-        factors[idx],
-    )
-
-
-def _scatter_capacity_sys1_legacy(
-    entry_rows: np.ndarray,
-    entry_cols: np.ndarray,
-    len_const: np.ndarray,
-    len_coef: np.ndarray,
-    speeds: np.ndarray,
-    offset: int,
-    f_var: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The historical System (1) capacity-block scatter of ``_assemble_constraints``."""
-    x_vals = np.ones(entry_cols.size, dtype=np.float64)
-    f_coefs = -(speeds * len_coef)
-    nonzero = np.nonzero(f_coefs)[0]
-    rows = np.concatenate([entry_rows, nonzero])
-    cols = np.concatenate(
-        [entry_cols + offset, np.full(nonzero.size, f_var, dtype=np.int64)]
-    )
-    vals = np.concatenate([x_vals, f_coefs[nonzero]])
-    rhs = speeds * len_const
-    return rows, cols, vals, rhs
-
-
-# -- numpy tier: array-programmed fallback (always available) ------------------------
-
-
-def _merge_close_milestones_numpy(values: np.ndarray, tol: float) -> list[float]:
-    # The merge condition compares each value against the last *kept* one, a
-    # loop-carried dependency.  But merges only fire on near-duplicates
-    # (relative tol, default 1e-12), so in the overwhelmingly common case the
-    # vectorized adjacent-difference test proves that nothing merges -- and
-    # then "last kept" == "previous element" and the whole array survives
-    # verbatim.  Any failing pair falls back to the exact sequential loop.
-    gaps = np.abs(values[1:] - values[:-1]) > tol * np.maximum(1.0, np.abs(values[1:]))
-    if bool(gaps.all()):
-        return values.tolist()
-    return _merge_close_milestones_legacy(values, tol)
-
-
-def _order_affine_boundaries_numpy(
-    consts: np.ndarray, coefs: np.ndarray, probe: float
-) -> tuple[np.ndarray, np.ndarray]:
-    # Sort by (value at probe, coef, const); exact duplicates -- equal
-    # (const, coef) pairs, hence equal full keys -- land adjacent and are
-    # dropped.  Distinct pairs always differ in the full key (equal value and
-    # equal coef force equal const), so the order is total and matches the
-    # legacy first-occurrence-then-sort result exactly.
-    values = consts + coefs * probe
-    order = np.lexsort((consts, coefs, values))
-    c = consts[order]
-    k = coefs[order]
-    keep = np.empty(order.size, dtype=bool)
-    if order.size:
-        keep[0] = True
-        np.logical_or(c[1:] != c[:-1], k[1:] != k[:-1], out=keep[1:])
-    return c[keep], k[keep]
-
-
-def _active_jobs_delta_numpy(
-    releases: np.ndarray,
-    factors: np.ndarray,
-    rem: np.ndarray,
-    now: float,
-    has_now: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    idx = np.nonzero(rem > 0.0)[0]
-    rel = releases[idx]
-    earliest = np.maximum(rel, now) if has_now else rel.copy()
-    return idx, earliest, rem[idx], rel, factors[idx]
-
-
-_scatter_capacity_sys1_numpy = _scatter_capacity_sys1_legacy
-
-
-# -- numba tier: the loop-carried kernels, compiled ----------------------------------
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only on the CI jit leg
-
-    @_njit(cache=True, fastmath=False)
-    def _merge_close_milestones_jit_core(values: np.ndarray, tol: float) -> np.ndarray:
-        out = np.empty(values.size, dtype=np.float64)
-        out[0] = values[0]
-        n = 1
-        for i in range(1, values.size):
-            v = values[i]
-            limit = abs(v)
-            if limit < 1.0:
-                limit = 1.0
-            if abs(v - out[n - 1]) > tol * limit:
-                out[n] = v
-                n += 1
-        return out[:n]
-
-    def _merge_close_milestones_numba(values: np.ndarray, tol: float) -> list[float]:
-        return _merge_close_milestones_jit_core(values, float(tol)).tolist()
-
-    @_njit(cache=True, fastmath=False)
-    def _active_jobs_delta_numba(
-        releases: np.ndarray,
-        factors: np.ndarray,
-        rem: np.ndarray,
-        now: float,
-        has_now: bool,
-    ):
-        n = releases.size
-        idx = np.empty(n, dtype=np.int64)
-        earliest = np.empty(n, dtype=np.float64)
-        works = np.empty(n, dtype=np.float64)
-        rel = np.empty(n, dtype=np.float64)
-        fac = np.empty(n, dtype=np.float64)
-        count = 0
-        for i in range(n):
-            value = rem[i]
-            if value <= 0.0:
-                continue
-            release = releases[i]
-            idx[count] = i
-            rel[count] = release
-            fac[count] = factors[i]
-            works[count] = value
-            earliest[count] = max(release, now) if has_now else release
-            count += 1
-        return idx[:count], earliest[:count], works[:count], rel[:count], fac[:count]
-
-    @_njit(cache=True, fastmath=False)
-    def _scatter_capacity_sys1_numba(
-        entry_rows: np.ndarray,
-        entry_cols: np.ndarray,
-        len_const: np.ndarray,
-        len_coef: np.ndarray,
-        speeds: np.ndarray,
-        offset: int,
-        f_var: int,
-    ):
-        n_entries = entry_cols.size
-        n_rows = speeds.size
-        f_coefs = np.empty(n_rows, dtype=np.float64)
-        n_nonzero = 0
-        for r in range(n_rows):
-            coef = -(speeds[r] * len_coef[r])
-            f_coefs[r] = coef
-            if coef != 0.0:
-                n_nonzero += 1
-        total = n_entries + n_nonzero
-        rows = np.empty(total, dtype=np.int64)
-        cols = np.empty(total, dtype=np.int64)
-        vals = np.empty(total, dtype=np.float64)
-        rhs = np.empty(n_rows, dtype=np.float64)
-        for e in range(n_entries):
-            rows[e] = entry_rows[e]
-            cols[e] = entry_cols[e] + offset
-            vals[e] = 1.0
-        pos = n_entries
-        for r in range(n_rows):
-            rhs[r] = speeds[r] * len_const[r]
-            if f_coefs[r] != 0.0:
-                rows[pos] = r
-                cols[pos] = f_var
-                vals[pos] = f_coefs[r]
-                pos += 1
-        return rows, cols, vals, rhs
-
-    # Boundary ordering pivots on np.lexsort (not supported by numba); the
-    # numpy form is already a pure array program, so the compiled tier
-    # shares it.
-    _order_affine_boundaries_numba = _order_affine_boundaries_numpy
-
-
-_TIERS: dict[str, dict[str, object]] = {
-    "legacy": {
-        "merge_close_milestones": _merge_close_milestones_legacy,
-        "order_affine_boundaries": _order_affine_boundaries_legacy,
-        "active_jobs_delta": _active_jobs_delta_legacy,
-        "scatter_capacity_sys1": _scatter_capacity_sys1_legacy,
-    },
-    "numpy": {
-        "merge_close_milestones": _merge_close_milestones_numpy,
-        "order_affine_boundaries": _order_affine_boundaries_numpy,
-        "active_jobs_delta": _active_jobs_delta_numpy,
-        "scatter_capacity_sys1": _scatter_capacity_sys1_numpy,
-    },
-}
-if HAVE_NUMBA:  # pragma: no cover - exercised only on the CI jit leg
-    _TIERS["numba"] = {
-        "merge_close_milestones": _merge_close_milestones_numba,
-        "order_affine_boundaries": _order_affine_boundaries_numba,
-        "active_jobs_delta": _active_jobs_delta_numba,
-        "scatter_capacity_sys1": _scatter_capacity_sys1_numba,
-    }
-
-
-def available_tiers() -> tuple[str, ...]:
-    """The kernel tiers importable in this process, fastest last."""
-    return tuple(_TIERS)
-
-
-def _default_tier() -> str:
-    forced = os.environ.get("REPRO_KERNELS", "").strip().lower()
-    if forced:
-        if forced not in _TIERS:
-            known = ", ".join(sorted(_TIERS))
-            raise ValueError(
-                f"REPRO_KERNELS={forced!r} is not an available kernel tier ({known})"
-            )
-        return forced
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE_TIER = _default_tier()
-
 
 def active_tier() -> str:
-    """The kernel tier currently dispatched (``numba`` | ``numpy`` | ``legacy``)."""
-    return _ACTIVE_TIER
-
-
-def set_active_tier(tier: str) -> str:
-    """Switch the dispatched kernel tier; returns the previous one.
-
-    Results are bit-identical across tiers by construction -- switching only
-    changes speed.  Used by the equality tests and by
-    ``bench_overhead.py::bench_replan_latency`` to measure the kernel win
-    against the ``legacy`` reference.
-    """
-    global _ACTIVE_TIER
-    if tier not in _TIERS:
-        known = ", ".join(sorted(_TIERS))
-        raise ValueError(f"unknown kernel tier {tier!r} (available: {known})")
-    previous = _ACTIVE_TIER
-    _ACTIVE_TIER = tier
-    return previous
-
-
-def kernel(name: str, tier: str | None = None):
-    """The implementation of kernel ``name`` in ``tier`` (active tier default)."""
-    return _TIERS[tier or _ACTIVE_TIER][name]
-
-
-# -- dispatching entry points (the call sites bind these) ----------------------------
+    """The one kernel implementation there is (``"numpy"``)."""
+    # Sole reader: benchmarks/e2e/cli.py stamps this into every result's
+    # ``environment.kernel_tier``, and that harness is read-only for ordinary
+    # PRs.  A benchmark-type PR drops the field and this function together
+    # (ROADMAP item 6).
+    return "numpy"
 
 
 def merge_close_milestones(values: np.ndarray, tol: float) -> list[float]:
@@ -371,7 +44,20 @@ def merge_close_milestones(values: np.ndarray, tol: float) -> list[float]:
     against the last *kept* value -- exactly the historical sequential loop.
     ``values`` must be sorted, non-empty, float64.
     """
-    return _TIERS[_ACTIVE_TIER]["merge_close_milestones"](values, tol)
+    # The merge condition compares each value against the last *kept* one, a
+    # loop-carried dependency.  But merges only fire on near-duplicates
+    # (relative tol, default 1e-12), so in the overwhelmingly common case the
+    # vectorized adjacent-difference test proves that nothing merges -- and
+    # then "last kept" == "previous element" and the whole array survives
+    # verbatim.  Any failing pair falls back to the exact sequential loop.
+    gaps = np.abs(values[1:] - values[:-1]) > tol * np.maximum(1.0, np.abs(values[1:]))
+    if bool(gaps.all()):
+        return values.tolist()
+    merged: list[float] = [float(values[0])]
+    for v in values[1:]:
+        if abs(v - merged[-1]) > tol * max(1.0, abs(v)):
+            merged.append(float(v))
+    return merged
 
 
 def order_affine_boundaries(
@@ -383,7 +69,20 @@ def order_affine_boundaries(
     ``probe``, coef, const) -- the deterministic boundary order of
     :func:`repro.lp.intervals.build_interval_structure`.
     """
-    return _TIERS[_ACTIVE_TIER]["order_affine_boundaries"](consts, coefs, probe)
+    # Sort by (value at probe, coef, const); exact duplicates -- equal
+    # (const, coef) pairs, hence equal full keys -- land adjacent and are
+    # dropped.  Distinct pairs always differ in the full key (equal value and
+    # equal coef force equal const), so the order is total and matches the
+    # historical first-occurrence-dedup-then-sort result exactly.
+    values = consts + coefs * probe
+    order = np.lexsort((consts, coefs, values))
+    c = consts[order]
+    k = coefs[order]
+    keep = np.empty(order.size, dtype=bool)
+    if order.size:
+        keep[0] = True
+        np.logical_or(c[1:] != c[:-1], k[1:] != k[:-1], out=keep[1:])
+    return c[keep], k[keep]
 
 
 def active_jobs_delta(
@@ -399,10 +98,10 @@ def active_jobs_delta(
     clamped to ``now`` when given -- the replan fast path of
     ``problem_from_instance``.
     """
-    has_now = now is not None
-    return _TIERS[_ACTIVE_TIER]["active_jobs_delta"](
-        releases, factors, rem, float(now) if has_now else 0.0, has_now
-    )
+    idx = np.nonzero(rem > 0.0)[0]
+    rel = releases[idx]
+    earliest = rel.copy() if now is None else np.maximum(rel, float(now))
+    return idx, earliest, rem[idx], rel, factors[idx]
 
 
 def scatter_capacity_sys1(
@@ -421,6 +120,13 @@ def scatter_capacity_sys1(
     length.coef`` on rows where that is nonzero; the RHS is ``speed *
     length.const``.
     """
-    return _TIERS[_ACTIVE_TIER]["scatter_capacity_sys1"](
-        entry_rows, entry_cols, len_const, len_coef, speeds, int(offset), int(f_var)
+    x_vals = np.ones(entry_cols.size, dtype=np.float64)
+    f_coefs = -(speeds * len_coef)
+    nonzero = np.nonzero(f_coefs)[0]
+    rows = np.concatenate([entry_rows, nonzero])
+    cols = np.concatenate(
+        [entry_cols + int(offset), np.full(nonzero.size, int(f_var), dtype=np.int64)]
     )
+    vals = np.concatenate([x_vals, f_coefs[nonzero]])
+    rhs = speeds * len_const
+    return rows, cols, vals, rhs

@@ -5,43 +5,26 @@ schedulers (MCT/MCT-Div, the priority queues, the Bender heuristics) as the
 dominant per-event python at campaign scale: the eligible-machine argmin of
 MCT, the water-filling spread of MCT-Div, the plan-horizon scans behind
 both, the (priority, job_id) ranking of every list scheduler and the
-deadline/pseudo-stretch key computations.  This module extracts those loops
-into kernels with the same tier structure as :mod:`repro.lp.kernels`:
-
-* **numpy** (always available): array-programmed implementations; the
-  loop-carried kernels (water filling, plan-horizon scan) share the legacy
-  loops, exactly like ``scatter_capacity_sys1`` does on the LP side;
-* **numba** (``pip install .[jit]``): the loop-carried kernels compiled with
-  ``@njit(fastmath=False)`` -- no arithmetic reassociation, so every tier is
-  **bit-identical** by construction (enforced by
-  ``tests/test_scheduler_kernels.py``).
-
-The tier is chosen once at import time (numba when importable, numpy
-otherwise); the same ``REPRO_KERNELS=numpy|numba|legacy`` switch that drives
-:mod:`repro.lp.kernels` overrides the choice, and :func:`set_active_tier`
-switches it at runtime (used by the equality tests and benchmarks).  The
-**legacy** tier keeps the pre-kernel pure-python loops verbatim: it is the
-reference every kernel is equality-tested against.
+deadline/pseudo-stretch key computations.  This module holds those loops,
+one implementation per kernel: numpy array programs where the arithmetic
+is elementwise, the sequential loop where it is loop-carried (water
+filling, the plan-horizon scan).
 
 Every kernel preserves the historical float arithmetic operation-for-
 operation (same IEEE ops per output element, no reordering), so replacing
-the python loops changes *nothing* about results -- schedules, metrics and
-campaign record sets are bit-identical across tiers.
+the python loops changed *nothing* about results -- schedules, metrics and
+campaign record sets are bit-identical to the pre-kernel pure-python loops,
+which ``tests/kernel_oracles.py`` keeps verbatim as the oracles of
+``tests/test_scheduler_kernels.py``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "KERNEL_NAMES",
-    "active_tier",
-    "available_tiers",
-    "set_active_tier",
     "mct_argmin_completion",
     "water_filling_completion",
     "plan_horizon_scan",
@@ -50,33 +33,33 @@ __all__ = [
     "expand_deadlines",
 ]
 
-try:  # pragma: no cover - exercised only on the CI jit leg
-    from numba import njit as _njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default dependency-light path
-    _njit = None
-    HAVE_NUMBA = False
-
-#: Names of the dispatchable kernels (the test suite iterates this list so a
-#: new kernel cannot land without its cross-tier equality test).
-KERNEL_NAMES = (
-    "mct_argmin_completion",
-    "water_filling_completion",
-    "plan_horizon_scan",
-    "rank_by_priority",
-    "pseudo_stretch_priorities",
-    "expand_deadlines",
-)
-
-
-# -- legacy tier: the pre-kernel python, kept verbatim as the reference --------------
-
-
-def _mct_argmin_completion_legacy(
+def mct_argmin_completion(
     available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
 ) -> tuple[int, float]:
-    """The historical champion scan of ``MCTScheduler.on_arrival``."""
+    """MCT's champion scan: earliest-completing eligible machine.
+
+    Returns ``(index, completion)`` where ``completion = max(available[i],
+    now) + size * cycle_times[i]`` and a candidate only displaces the
+    incumbent when it wins by more than the historical 1e-15 tolerance.
+    Returns ``(-1, inf)`` on empty input (the caller rejects that case).
+    """
+    now = float(now)
+    size = float(size)
+    # The champion scan accepts a machine only when it beats the incumbent by
+    # more than 1e-15, a loop-carried chain that is *not* a plain argmin when
+    # several completions fall within the tolerance of each other.  But when
+    # the minimum wins by more than 1e-15 over every other completion the
+    # chain provably ends on it (any earlier champion is beaten by it, and no
+    # later candidate can displace the minimum), so the vectorized argmin is
+    # exact; any tolerance-band tie falls back to the sequential loop.
+    completions = np.maximum(available, now) + size * cycle_times
+    if completions.size == 0:
+        return -1, math.inf
+    best = int(np.argmin(completions))
+    value = completions[best]
+    if int(np.count_nonzero(completions <= value + 1e-15)) == 1:
+        return best, float(value)
     best_index = -1
     best_completion = math.inf
     for i in range(available.size):
@@ -87,13 +70,24 @@ def _mct_argmin_completion_legacy(
     return best_index, float(best_completion)
 
 
-def _water_filling_completion_legacy(
+def water_filling_completion(
     work: float, speeds: np.ndarray, availability: np.ndarray
 ) -> float:
-    """The historical sequential water-filling loop of ``MCT-Div``."""
+    """Earliest common completion date of ``work`` spread over the machines.
+
+    Machine ``i`` becomes available at ``availability[i]`` and then processes
+    at ``speeds[i]``; the job completes at the smallest ``T`` such that
+    ``sum_i speeds[i] * max(0, T - availability[i]) = work`` -- MCT-Div's
+    water-filling sweep in earliest-availability order.
+    """
+    if speeds.size == 0:
+        raise ValueError("at least one machine is required")
+    # The sweep consumes the remaining work along a loop-carried subtraction
+    # chain; vectorizing it would reassociate the arithmetic, so it stays the
+    # sequential loop.
     order = sorted(range(len(speeds)), key=lambda i: availability[i])
     active_speed = 0.0
-    remaining = work
+    remaining = float(work)
     current = availability[order[0]]
     for idx in order:
         # Advance from the previous availability date to this one using the
@@ -111,9 +105,17 @@ def _water_filling_completion_legacy(
     return float(current + remaining / active_speed)
 
 
-def _plan_horizon_scan_legacy(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
-    """The historical chained scan of ``PlanBasedScheduler.plan_horizon``."""
-    horizon = time
+def plan_horizon_scan(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
+    """Earliest date >= ``time`` at which a machine's plan leaves it free.
+
+    ``starts``/``ends`` are the machine's planned segments sorted by start;
+    the scan chains through every segment overlapping the running horizon
+    (1e-12 tolerance), exactly as ``PlanBasedScheduler.plan_horizon`` always
+    did.
+    """
+    # The horizon chains through the last absorbed segment end, a loop-carried
+    # control flow, so the scan stays sequential.
+    horizon = float(time)
     for i in range(starts.size):
         if ends[i] <= horizon + 1e-12:
             continue
@@ -123,314 +125,15 @@ def _plan_horizon_scan_legacy(starts: np.ndarray, ends: np.ndarray, time: float)
     return float(horizon)
 
 
-def _rank_by_priority_legacy(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
-    """The historical ``sorted(..., key=(priority, job_id))`` list ranking."""
-    order = sorted(range(priorities.size), key=lambda i: (priorities[i], job_ids[i]))
-    return np.array(order, dtype=np.int64)
-
-
-def _pseudo_stretch_priorities_legacy(
-    ages: np.ndarray, relative_sizes: np.ndarray, delta: float
-) -> np.ndarray:
-    """The historical per-job pseudo-stretch keys of ``Bender02Scheduler``."""
-    out = np.empty(ages.size, dtype=np.float64)
-    for i in range(ages.size):
-        if relative_sizes[i] <= math.sqrt(delta):
-            out[i] = -(ages[i] / math.sqrt(delta))
-        else:
-            out[i] = -(ages[i] / delta)
-    return out
-
-
-def _expand_deadlines_legacy(
-    releases: np.ndarray, flow_factors: np.ndarray, scale: float
-) -> np.ndarray:
-    """The historical per-job deadline expansion of ``Bender98Scheduler``."""
-    out = np.empty(releases.size, dtype=np.float64)
-    for i in range(releases.size):
-        out[i] = releases[i] + scale * flow_factors[i]
-    return out
-
-
-# -- numpy tier: array-programmed fallback (always available) ------------------------
-
-
-def _mct_argmin_completion_numpy(
-    available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
-) -> tuple[int, float]:
-    # The champion scan accepts a machine only when it beats the incumbent by
-    # more than 1e-15, a loop-carried chain that is *not* a plain argmin when
-    # several completions fall within the tolerance of each other.  But when
-    # the minimum wins by more than 1e-15 over every other completion the
-    # chain provably ends on it (any earlier champion is beaten by it, and no
-    # later candidate can displace the minimum), so the vectorized argmin is
-    # exact; any tolerance-band tie falls back to the sequential loop.
-    completions = np.maximum(available, now) + size * cycle_times
-    if completions.size == 0:
-        return -1, math.inf
-    best = int(np.argmin(completions))
-    value = completions[best]
-    if int(np.count_nonzero(completions <= value + 1e-15)) == 1:
-        return best, float(value)
-    return _mct_argmin_completion_legacy(available, cycle_times, now, size)
-
-
-def _rank_by_priority_numpy(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
-    # Job ids are unique, so the (priority, job_id) key is total and the
-    # lexicographic sort matches the legacy stable tuple sort exactly.
-    return np.lexsort((job_ids, priorities)).astype(np.int64, copy=False)
-
-
-def _pseudo_stretch_priorities_numpy(
-    ages: np.ndarray, relative_sizes: np.ndarray, delta: float
-) -> np.ndarray:
-    # Both branch quotients are computed elementwise and selected, so each
-    # output element is the exact division the legacy branch performed.
-    sqrt_delta = math.sqrt(delta)
-    return -np.where(relative_sizes <= sqrt_delta, ages / sqrt_delta, ages / delta)
-
-
-def _expand_deadlines_numpy(
-    releases: np.ndarray, flow_factors: np.ndarray, scale: float
-) -> np.ndarray:
-    return releases + scale * flow_factors
-
-
-# Water filling consumes the remaining work along a loop-carried subtraction
-# chain, and the plan-horizon scan chains through the last absorbed segment
-# end; vectorizing either would reassociate the arithmetic/control flow, so
-# the numpy tier shares the legacy loops (same pattern as
-# ``scatter_capacity_sys1`` in ``repro.lp.kernels``) and the win comes from
-# the compiled tier.
-_water_filling_completion_numpy = _water_filling_completion_legacy
-_plan_horizon_scan_numpy = _plan_horizon_scan_legacy
-
-
-# -- numba tier: the loop-carried kernels, compiled ----------------------------------
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only on the CI jit leg
-
-    @_njit(cache=True, fastmath=False)
-    def _mct_argmin_jit_core(
-        available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
-    ):
-        best_index = -1
-        best_completion = np.inf
-        for i in range(available.size):
-            avail = available[i]
-            if avail < now:
-                avail = now
-            completion = avail + size * cycle_times[i]
-            if completion < best_completion - 1e-15:
-                best_completion = completion
-                best_index = i
-        return best_index, best_completion
-
-    def _mct_argmin_completion_numba(
-        available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
-    ) -> tuple[int, float]:
-        index, completion = _mct_argmin_jit_core(
-            available, cycle_times, float(now), float(size)
-        )
-        return int(index), float(completion)
-
-    @_njit(cache=True, fastmath=False)
-    def _water_filling_jit_core(
-        work: float, speeds: np.ndarray, availability: np.ndarray
-    ) -> float:
-        order = np.argsort(availability, kind="mergesort")
-        active_speed = 0.0
-        remaining = work
-        current = availability[order[0]]
-        for r in range(order.size):
-            idx = order[r]
-            gap = availability[idx] - current
-            if gap > 0.0 and active_speed > 0.0:
-                doable = active_speed * gap
-                if doable >= remaining:
-                    return current + remaining / active_speed
-                remaining -= doable
-                current = availability[idx]
-            else:
-                current = max(current, availability[idx])
-            active_speed += speeds[idx]
-        return current + remaining / active_speed
-
-    def _water_filling_completion_numba(
-        work: float, speeds: np.ndarray, availability: np.ndarray
-    ) -> float:
-        return float(_water_filling_jit_core(float(work), speeds, availability))
-
-    @_njit(cache=True, fastmath=False)
-    def _plan_horizon_jit_core(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
-        horizon = time
-        for i in range(starts.size):
-            if ends[i] <= horizon + 1e-12:
-                continue
-            if starts[i] > horizon + 1e-12:
-                break
-            horizon = ends[i]
-        return horizon
-
-    def _plan_horizon_scan_numba(
-        starts: np.ndarray, ends: np.ndarray, time: float
-    ) -> float:
-        return float(_plan_horizon_jit_core(starts, ends, float(time)))
-
-    @_njit(cache=True, fastmath=False)
-    def _pseudo_stretch_jit_core(
-        ages: np.ndarray, relative_sizes: np.ndarray, delta: float
-    ) -> np.ndarray:
-        sqrt_delta = math.sqrt(delta)
-        out = np.empty(ages.size, dtype=np.float64)
-        for i in range(ages.size):
-            if relative_sizes[i] <= sqrt_delta:
-                out[i] = -(ages[i] / sqrt_delta)
-            else:
-                out[i] = -(ages[i] / delta)
-        return out
-
-    def _pseudo_stretch_priorities_numba(
-        ages: np.ndarray, relative_sizes: np.ndarray, delta: float
-    ) -> np.ndarray:
-        return _pseudo_stretch_jit_core(ages, relative_sizes, float(delta))
-
-    # Priority ranking pivots on np.lexsort (not supported by numba) and the
-    # deadline expansion is a pure elementwise array program; the compiled
-    # tier shares the numpy forms.
-    _rank_by_priority_numba = _rank_by_priority_numpy
-    _expand_deadlines_numba = _expand_deadlines_numpy
-
-
-_TIERS: dict[str, dict[str, object]] = {
-    "legacy": {
-        "mct_argmin_completion": _mct_argmin_completion_legacy,
-        "water_filling_completion": _water_filling_completion_legacy,
-        "plan_horizon_scan": _plan_horizon_scan_legacy,
-        "rank_by_priority": _rank_by_priority_legacy,
-        "pseudo_stretch_priorities": _pseudo_stretch_priorities_legacy,
-        "expand_deadlines": _expand_deadlines_legacy,
-    },
-    "numpy": {
-        "mct_argmin_completion": _mct_argmin_completion_numpy,
-        "water_filling_completion": _water_filling_completion_numpy,
-        "plan_horizon_scan": _plan_horizon_scan_numpy,
-        "rank_by_priority": _rank_by_priority_numpy,
-        "pseudo_stretch_priorities": _pseudo_stretch_priorities_numpy,
-        "expand_deadlines": _expand_deadlines_numpy,
-    },
-}
-if HAVE_NUMBA:  # pragma: no cover - exercised only on the CI jit leg
-    _TIERS["numba"] = {
-        "mct_argmin_completion": _mct_argmin_completion_numba,
-        "water_filling_completion": _water_filling_completion_numba,
-        "plan_horizon_scan": _plan_horizon_scan_numba,
-        "rank_by_priority": _rank_by_priority_numba,
-        "pseudo_stretch_priorities": _pseudo_stretch_priorities_numba,
-        "expand_deadlines": _expand_deadlines_numba,
-    }
-
-
-def available_tiers() -> tuple[str, ...]:
-    """The kernel tiers importable in this process, fastest last."""
-    return tuple(_TIERS)
-
-
-def _default_tier() -> str:
-    forced = os.environ.get("REPRO_KERNELS", "").strip().lower()
-    if forced:
-        if forced not in _TIERS:
-            known = ", ".join(sorted(_TIERS))
-            raise ValueError(
-                f"REPRO_KERNELS={forced!r} is not an available kernel tier ({known})"
-            )
-        return forced
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE_TIER = _default_tier()
-
-
-def active_tier() -> str:
-    """The kernel tier currently dispatched (``numba`` | ``numpy`` | ``legacy``)."""
-    return _ACTIVE_TIER
-
-
-def set_active_tier(tier: str) -> str:
-    """Switch the dispatched kernel tier; returns the previous one.
-
-    Results are bit-identical across tiers by construction -- switching only
-    changes speed.  Used by the equality tests and by
-    ``bench_campaign.py::bench_campaign_throughput`` to measure the kernel
-    win against the ``legacy`` reference.
-    """
-    global _ACTIVE_TIER
-    if tier not in _TIERS:
-        known = ", ".join(sorted(_TIERS))
-        raise ValueError(f"unknown kernel tier {tier!r} (available: {known})")
-    previous = _ACTIVE_TIER
-    _ACTIVE_TIER = tier
-    return previous
-
-
-def kernel(name: str, tier: str | None = None):
-    """The implementation of kernel ``name`` in ``tier`` (active tier default)."""
-    return _TIERS[tier or _ACTIVE_TIER][name]
-
-
-# -- dispatching entry points (the call sites bind these) ----------------------------
-
-
-def mct_argmin_completion(
-    available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
-) -> tuple[int, float]:
-    """MCT's champion scan: earliest-completing eligible machine.
-
-    Returns ``(index, completion)`` where ``completion = max(available[i],
-    now) + size * cycle_times[i]`` and a candidate only displaces the
-    incumbent when it wins by more than the historical 1e-15 tolerance.
-    Returns ``(-1, inf)`` on empty input (the caller rejects that case).
-    """
-    return _TIERS[_ACTIVE_TIER]["mct_argmin_completion"](
-        available, cycle_times, float(now), float(size)
-    )
-
-
-def water_filling_completion(
-    work: float, speeds: np.ndarray, availability: np.ndarray
-) -> float:
-    """Earliest common completion date of ``work`` spread over the machines.
-
-    Machine ``i`` becomes available at ``availability[i]`` and then processes
-    at ``speeds[i]``; the job completes at the smallest ``T`` such that
-    ``sum_i speeds[i] * max(0, T - availability[i]) = work`` -- MCT-Div's
-    water-filling sweep in earliest-availability order.
-    """
-    if speeds.size == 0:
-        raise ValueError("at least one machine is required")
-    return _TIERS[_ACTIVE_TIER]["water_filling_completion"](
-        float(work), speeds, availability
-    )
-
-
-def plan_horizon_scan(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
-    """Earliest date >= ``time`` at which a machine's plan leaves it free.
-
-    ``starts``/``ends`` are the machine's planned segments sorted by start;
-    the scan chains through every segment overlapping the running horizon
-    (1e-12 tolerance), exactly as ``PlanBasedScheduler.plan_horizon`` always
-    did.
-    """
-    return _TIERS[_ACTIVE_TIER]["plan_horizon_scan"](starts, ends, float(time))
-
-
 def rank_by_priority(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
     """Rank jobs by ``(priority, job_id)`` ascending; returns int64 positions.
 
     The ranking of every list scheduler (Section 3's greedy rule): smaller
     keys are more urgent, ties broken by job id.
     """
-    return _TIERS[_ACTIVE_TIER]["rank_by_priority"](priorities, job_ids)
+    # Job ids are unique, so the (priority, job_id) key is total and the
+    # lexicographic sort matches the historical stable tuple sort exactly.
+    return np.lexsort((job_ids, priorities)).astype(np.int64, copy=False)
 
 
 def pseudo_stretch_priorities(
@@ -442,9 +145,11 @@ def pseudo_stretch_priorities(
     larger jobs at 1/delta; larger pseudo-stretch means more urgent, hence
     the negation into PriorityScheduler's smaller-is-urgent convention.
     """
-    return _TIERS[_ACTIVE_TIER]["pseudo_stretch_priorities"](
-        ages, relative_sizes, float(delta)
-    )
+    # Both branch quotients are computed elementwise and selected, so each
+    # output element is the exact division the per-job branch performed.
+    delta = float(delta)
+    sqrt_delta = math.sqrt(delta)
+    return -np.where(relative_sizes <= sqrt_delta, ages / sqrt_delta, ages / delta)
 
 
 def expand_deadlines(
@@ -455,4 +160,4 @@ def expand_deadlines(
     ``scale`` is the caller's ``expansion * S*`` product, so each element
     reproduces the historical ``r_j + alpha * S* / w_j`` arithmetic exactly.
     """
-    return _TIERS[_ACTIVE_TIER]["expand_deadlines"](releases, flow_factors, float(scale))
+    return releases + float(scale) * flow_factors

@@ -115,21 +115,3 @@ class MCTDivScheduler(PlanBasedScheduler):
                     )
                 )
         self.extend_plan(segments)
-
-
-def _water_filling_completion(
-    work: float, speeds: Sequence[float], availability: Sequence[float]
-) -> float:
-    """Earliest common completion date of ``work`` spread over the machines.
-
-    Machine ``i`` becomes available at ``availability[i]`` and then processes
-    at ``speeds[i]``; the job completes at the smallest ``T`` such that
-    ``sum_i speeds[i] * max(0, T - availability[i]) = work``.  Thin sequence
-    front-end over :func:`repro.schedulers.kernels.water_filling_completion`
-    (which dispatches the active kernel tier).
-    """
-    return kernels.water_filling_completion(
-        work,
-        np.asarray(speeds, dtype=np.float64),
-        np.asarray(availability, dtype=np.float64),
-    )

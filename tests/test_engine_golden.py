@@ -3,11 +3,12 @@
 ``tests/golden/engine_slices_120x200.json`` was generated from the commit
 *before* the engine switched to run-length slice recording and the greedy
 rule was keyed by databank; the plan-following LP schedulers were added from
-the commit before plans became lanes per capability class (``PYTHONPATH=<that checkout>/src python
-tests/test_engine_golden.py`` rewrites it).  Each digest covers every slice
-of the realized schedule -- ``job_id, machine_id, start, end, work``, floats
-in hex -- so a change in any bit of any slice, or in the number or order of
-slices, fails the test.
+the commit before plans became lanes per capability class, and ``bender98``
+from the commit before the kernel tiers were deleted (``PYTHONPATH=<that
+checkout>/src python tests/test_engine_golden.py`` rewrites it).  Each digest
+covers every slice of the realized schedule -- ``job_id, machine_id, start,
+end, work``, floats in hex -- so a change in any bit of any slice, or in the
+number or order of slices, fails the test.
 """
 
 from __future__ import annotations
@@ -44,12 +45,19 @@ SCHEDULERS: dict[str, dict] = {
     "mct": {},
     "mct-div": {},
     **{key: {"solver_backend": "scipy"} for key in LP_SCHEDULERS},
+    # Re-solves the off-line problem at every release, always on the one-shot
+    # scipy default (it takes no backend option), capped to the 8 latest jobs
+    # per resolution.  The one registry scheduler behind the
+    # ``expand_deadlines`` kernel; cut from the commit before the kernel tiers
+    # were deleted.
+    "bender98": {"max_jobs_per_resolution": 8},
 }
 #: The on-line LP schedulers solve one LP search per arrival (43 s at 120
 #: jobs), so they run on the first 40 jobs of the instance: same platform.
 #: ``offline`` takes 39: with the 40th, one probe of its whole-run search
 #: fails inside scipy's HiGHS ("status 4: Solve error"), at any commit.
-LP_JOBS = {key: 40 for key in LP_SCHEDULERS} | {"offline": 39}
+#: ``bender98`` shares the slice, and the scipy pin, of the LP schedulers.
+LP_JOBS = {key: 40 for key in (*LP_SCHEDULERS, "bender98")} | {"offline": 39}
 
 
 def wide_instance() -> Instance:
@@ -65,7 +73,7 @@ def wide_instance() -> Instance:
 
 
 def slice_digest(key: str, instance: Instance) -> dict:
-    if key in LP_SCHEDULERS:
+    if key in LP_JOBS:
         instance = instance.restrict_jobs(job.job_id for job in instance.jobs[: LP_JOBS[key]])
     result = api.simulate(instance, key, scheduler_options=SCHEDULERS[key])
     sha = hashlib.sha256()
@@ -94,7 +102,7 @@ def instance() -> Instance:
 
 @pytest.mark.parametrize("key", list(SCHEDULERS))
 def test_full_slice_digest_matches_golden(key, golden, instance):
-    if key in LP_SCHEDULERS and scipy.__version__ != golden["scipy"]:
+    if key in LP_JOBS and scipy.__version__ != golden["scipy"]:
         pytest.skip(
             f"LP-derived floats are pinned to scipy {golden['scipy']}, "
             f"this is {scipy.__version__}"

@@ -1,29 +1,31 @@
-"""Cross-tier bit-equality of the compiled replan kernels (:mod:`repro.lp.kernels`).
+"""Bit-equality of the replan kernels (:mod:`repro.lp.kernels`) with their oracles.
 
-Every kernel in :data:`~repro.lp.kernels.KERNEL_NAMES` is checked against
-the ``legacy`` tier (the pre-kernel pure python, kept verbatim) on
-randomized inputs, in every importable tier -- ``numpy`` always, ``numba``
-on the CI jit leg.  Equality is exact (``==`` on every element), matching
-the module's bit-identity contract.  A second group checks the contract at
-the integration level: whole-run S* trajectories and completions are
-identical under every tier.
+Each kernel that replaced a pure-python loop is checked against that loop,
+kept verbatim in ``tests/kernel_oracles.py``, on randomized inputs drawn
+from hypothesis seeds -- with near-duplicate clusters and exact duplicate
+pairs injected so the merge and dedup paths actually fire.  Equality is
+exact (``==`` on every element, same shapes, same tuple layout), matching
+the module's bit-identity contract.  ``scatter_capacity_sys1`` *is* its
+historical body, so it is checked against the matrix it must build
+instead.  A last test checks the contract at the integration level: whole
+``online`` and ``offline`` runs with every oracle patched in reproduce the
+final S* and the completions of the unpatched runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernel_oracles import LP_ORACLES, assert_bit_equal, patch_in_oracles
 from repro.lp import kernels
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
-#: Tiers equality-tested against the legacy reference.
-CANDIDATE_TIERS = [t for t in kernels.available_tiers() if t != "legacy"]
-
-#: Randomized trials per kernel and tier.
-N_TRIALS = 25
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -64,7 +66,7 @@ def _case_active_jobs_delta(rng):
     rem[rng.random(size=n) < 0.4] = 0.0  # completed jobs drop out
     now = float(rng.uniform(0.0, 30.0))
     has_now = bool(rng.random() < 0.8)
-    return (releases, factors, rem, now, has_now)
+    return (releases, factors, rem, now if has_now else None)
 
 
 def _case_scatter_capacity_sys1(rng):
@@ -89,59 +91,68 @@ _CASE_BUILDERS = {
 }
 
 
-def _assert_bit_equal(actual, expected):
-    if isinstance(expected, tuple):
-        assert isinstance(actual, tuple) and len(actual) == len(expected)
-        for a, e in zip(actual, expected):
-            _assert_bit_equal(a, e)
-    elif isinstance(expected, np.ndarray):
-        assert np.asarray(actual).shape == expected.shape
-        assert np.array_equal(np.asarray(actual), expected)
-    else:
-        assert actual == expected
+def test_every_kernel_has_an_oracle_or_a_property():
+    # A new kernel cannot land without its equality (or property) coverage.
+    public = set(kernels.__all__) - {"active_tier"}
+    assert set(_CASE_BUILDERS) == public
+    assert set(LP_ORACLES) == public - {"scatter_capacity_sys1"}
 
 
-def test_every_kernel_has_a_case_builder():
-    # A new kernel cannot land without its cross-tier equality coverage.
-    assert set(_CASE_BUILDERS) == set(kernels.KERNEL_NAMES)
+@pytest.mark.parametrize("name", sorted(LP_ORACLES))
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+def test_kernel_bit_equal_to_oracle(name, seed):
+    args = _CASE_BUILDERS[name](_rng(seed))
+    assert_bit_equal(getattr(kernels, name)(*args), LP_ORACLES[name](*args))
 
 
-@pytest.mark.parametrize("tier", CANDIDATE_TIERS)
-@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
-def test_kernel_bit_equal_to_legacy(name, tier):
-    reference = kernels.kernel(name, "legacy")
-    candidate = kernels.kernel(name, tier)
-    for trial in range(N_TRIALS):
-        seed = 1000 * trial + kernels.KERNEL_NAMES.index(name)
-        args = _CASE_BUILDERS[name](_rng(seed))
-        _assert_bit_equal(candidate(*args), reference(*args))
+def test_near_duplicate_cases_reach_the_sequential_merge():
+    # The vectorized branch returns the input untouched, so an output
+    # shorter than its input can only have come out of the sequential
+    # fallback loop.  The builder must reach both branches, often.
+    merged = untouched = 0
+    for seed in range(200):
+        values, tol = _case_merge_close_milestones(_rng(seed))
+        out = kernels.merge_close_milestones(values, tol)
+        if len(out) < values.size:
+            merged += 1
+        else:
+            assert out == values.tolist()
+            untouched += 1
+    assert merged >= 50 and untouched >= 20, (merged, untouched)
 
 
-class TestTierDispatch:
-    def test_default_tier_matches_numba_availability(self):
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels._default_tier() == expected
-
-    def test_set_active_tier_round_trips(self):
-        initial = kernels.active_tier()
-        previous = kernels.set_active_tier("legacy")
-        try:
-            assert previous == initial
-            assert kernels.active_tier() == "legacy"
-        finally:
-            kernels.set_active_tier(initial)
-        assert kernels.active_tier() == initial
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            kernels.set_active_tier("fortran")
-
-    def test_numba_tier_listed_only_when_importable(self):
-        assert ("numba" in kernels.available_tiers()) == kernels.HAVE_NUMBA
+def test_merge_compares_against_the_last_kept_value():
+    # A drifting cluster: each value is within tol of its predecessor, but
+    # the third is not within tol of the last *kept* one (the first).  An
+    # adjacent-difference filter would drop it; the sequential loop keeps it.
+    values = np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 5.0])
+    assert kernels.merge_close_milestones(values, 1e-9) == [1.0, 1.0 + 1.2e-9, 5.0]
 
 
-@pytest.mark.parametrize("tier", CANDIDATE_TIERS)
-def test_whole_run_bit_identical_across_tiers(tier):
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+def test_scatter_capacity_sys1_builds_the_capacity_block(seed):
+    args = _case_scatter_capacity_sys1(_rng(seed))
+    entry_rows, entry_cols, len_const, len_coef, speeds, offset, f_var = args
+    rows, cols, vals, rhs = kernels.scatter_capacity_sys1(*args)
+
+    assert rows.shape == cols.shape == vals.shape
+    assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.float64
+    shape = (speeds.size, f_var + 1)
+    dense = np.zeros(shape)
+    np.add.at(dense, (rows, cols), vals)
+
+    expected = np.zeros(shape)
+    np.add.at(expected, (entry_rows, entry_cols + offset), 1.0)
+    expected[:, f_var] = -speeds * len_coef
+    assert np.array_equal(dense, expected)
+    # Structural zeros of the F column are not stored.
+    assert vals.size == entry_cols.size + np.count_nonzero(speeds * len_coef)
+    assert np.array_equal(rhs, speeds * len_const)
+
+
+def test_whole_run_bit_identical_with_oracles_patched_in(monkeypatch):
     platform_spec = PlatformSpec(
         n_clusters=2, processors_per_cluster=4, n_databanks=2, availability=0.6
     )
@@ -149,16 +160,19 @@ def test_whole_run_bit_identical_across_tiers(tier):
     instance = generate_instance(platform_spec, workload_spec, rng=21)
 
     def run():
-        scheduler = make_scheduler("online")
-        result = simulate(instance, scheduler)
-        return scheduler.last_objective, result.completions
+        # ``online`` replans through the job-table delta and the boundary
+        # ordering; only ``offline``'s whole-run search enumerates milestones
+        # on an instance this small.
+        online, offline = make_scheduler("online"), make_scheduler("offline")
+        return (
+            simulate(instance, online).completions,
+            online.last_objective,
+            simulate(instance, offline).completions,
+            offline.optimal_max_stretch,
+        )
 
-    initial = kernels.set_active_tier("legacy")
-    try:
-        reference = run()
-        kernels.set_active_tier(tier)
-        candidate = run()
-    finally:
-        kernels.set_active_tier(initial)
-    assert candidate[0] == reference[0]
-    assert candidate[1] == reference[1]
+    candidate = run()
+    calls = patch_in_oracles(monkeypatch, kernels, LP_ORACLES)
+    reference = run()
+    assert all(calls.values()), calls
+    assert candidate == reference

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Machine, Platform
-from repro.schedulers.mct import MCTDivScheduler, MCTScheduler, _water_filling_completion
+from repro.schedulers.kernels import water_filling_completion
+from repro.schedulers.mct import MCTDivScheduler, MCTScheduler
 from repro.simulation.engine import simulate
 
 
@@ -19,24 +21,28 @@ def two_speed_platform() -> Platform:
 class TestWaterFilling:
     def test_all_machines_available_immediately(self):
         # Speeds 1 and 2, both available at t=0, work 6 -> T = 2.
-        assert _water_filling_completion(6.0, [1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.0)
+        done = water_filling_completion(6.0, np.asarray([1.0, 2.0]), np.asarray([0.0, 0.0]))
+        assert done == pytest.approx(2.0)
 
     def test_staggered_availability(self):
         # Machine A (speed 1) free at 0, machine B (speed 1) free at 4, work 6:
         # A alone does 4 units by t=4, remaining 2 split over 2 machines -> T=5.
-        assert _water_filling_completion(6.0, [1.0, 1.0], [0.0, 4.0]) == pytest.approx(5.0)
+        done = water_filling_completion(6.0, np.asarray([1.0, 1.0]), np.asarray([0.0, 4.0]))
+        assert done == pytest.approx(5.0)
 
     def test_single_machine(self):
-        assert _water_filling_completion(3.0, [2.0], [1.0]) == pytest.approx(2.5)
+        done = water_filling_completion(3.0, np.asarray([2.0]), np.asarray([1.0]))
+        assert done == pytest.approx(2.5)
 
     def test_later_machine_not_used_when_done_before(self):
         # Work 1 on a speed-1 machine available at 0 finishes at 1, before the
         # second machine (available at 10) could even start.
-        assert _water_filling_completion(1.0, [1.0, 5.0], [0.0, 10.0]) == pytest.approx(1.0)
+        done = water_filling_completion(1.0, np.asarray([1.0, 5.0]), np.asarray([0.0, 10.0]))
+        assert done == pytest.approx(1.0)
 
     def test_requires_at_least_one_machine(self):
         with pytest.raises(ValueError):
-            _water_filling_completion(1.0, [], [])
+            water_filling_completion(1.0, np.asarray([]), np.asarray([]))
 
 
 class TestMCT:
