@@ -43,7 +43,7 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                over pluggable backends
     |   `-- backends/  * LP solver backends + probe timing/histogram hooks
     |       |-- scipy_backend  one-shot scipy.optimize.linprog (default)
-    |       `-- highs  *       persistent HiGHS models: delta updates, basis
+    |       `-- highs  *       HiGHS model per solve, series basis kept:
     |                          warm starts + dual-ray certificates across
     |                          milestone probes and replans
     |-- simulation/    the fluid discrete-event engine

@@ -464,7 +464,7 @@ def _add_replanning_arguments(sub: argparse.ArgumentParser) -> None:
         **enum_option(SolverBackendChoice, SolverBackendChoice.AUTO,
                       param="--solver-backend"),
         help="LP solver backend for the LP-based schedulers: 'auto' "
-        "(default: the persistent HiGHS backend -- live models with basis "
+        "(default: the persistent HiGHS backend -- dual-simplex basis "
         "warm starts across milestone probes and replans -- when highspy "
         "or scipy >= 1.15 provides bindings, one-shot scipy otherwise), "
         "'highs' (require the persistent backend), or 'scipy' (force the "

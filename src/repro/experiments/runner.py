@@ -18,7 +18,7 @@ through a pool of long-lived worker processes:
 * **Worker-resident solver backend.**  Each worker owns one long-lived
   :class:`~repro.lp.backends.SolverBackend` per backend name, resolved once
   (bindings import, option tables) and injected into every LP scheduler the
-  worker runs.  Per-run solver state (live models, transplanted bases) is
+  worker runs.  Per-run solver state (the warm-start series bases) is
   still scoped to the run -- :class:`~repro.lp.incremental.ReplanContext`
   empties the backend at run start -- which is exactly what keeps a sharded
   campaign *bit-identical* to the serial one: results can never depend on
@@ -920,8 +920,8 @@ def run_campaign(
                         )
             finally:
                 # Pool workers die with the pool; the serial path runs in the
-                # caller's process, so drop the cached instances and live
-                # solver models instead of pinning them until process exit.
+                # caller's process, so drop the cached instances and solver
+                # state instead of pinning them until process exit.
                 if _WORKER is not None:
                     _WORKER.close()
         elif pending:  # a fully-restored resume never pays for a pool

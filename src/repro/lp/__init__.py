@@ -26,8 +26,8 @@ on-line heuristics:
   to a pluggable backend.
 * :mod:`repro.lp.backends` -- the solver backends: one-shot
   :func:`scipy.optimize.linprog` (default) and the persistent HiGHS backend
-  that keeps factorized models alive across milestone probes and replans
-  (delta updates + dual-simplex basis warm starts), plus the LP probe timing
+  that carries the dual-simplex basis across milestone probes and replans
+  (basis transplants onto each freshly built model), plus the LP probe timing
   hooks used by the overhead benchmarks.
 """
 

@@ -2,9 +2,9 @@
 
 * :class:`ScipyBackend` -- the historical one-shot
   :func:`scipy.optimize.linprog` path (default; always available).
-* :class:`HighsPersistentBackend` -- keeps HiGHS models alive across
-  milestone probes and replans, applies delta updates (changed RHS, bounds
-  and costs only) and warm-starts dual simplex from the retained basis.
+* :class:`HighsPersistentBackend` -- builds a HiGHS model per solve and
+  warm-starts dual simplex from the basis the previous solve of the same
+  series left, across milestone probes and replans.
   Backed by ``highspy`` when installed, falling back to the bindings vendored
   by scipy >= 1.15.
 
@@ -113,7 +113,7 @@ def make_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
 
     * ``None`` / ``"scipy"`` -- the shared one-shot scipy backend;
     * ``"highs"`` -- a *fresh* :class:`HighsPersistentBackend` (each caller
-      owns its live models; raises :class:`SolverError` when no HiGHS
+      owns its series bases; raises :class:`SolverError` when no HiGHS
       bindings are available);
     * ``"auto"`` -- a fresh persistent HiGHS backend when available, the
       scipy backend otherwise;

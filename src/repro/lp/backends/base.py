@@ -6,19 +6,15 @@ Two implementations exist:
 
 * :class:`~repro.lp.backends.scipy_backend.ScipyBackend` -- the historical
   one-shot :func:`scipy.optimize.linprog` path (default);
-* :class:`~repro.lp.backends.highs.HighsPersistentBackend` -- keeps HiGHS
-  models alive across solves and applies delta updates (changed RHS, bounds
-  and objective coefficients only) between milestone probes, warm-starting
-  dual simplex from the previous basis.
+* :class:`~repro.lp.backends.highs.HighsPersistentBackend` -- builds a HiGHS
+  model per solve and keeps the latest basis of each warm-start series,
+  warm-starting dual simplex on the next model of the series from it.
 
-Persistent backends identify reusable structure through the ``key`` argument
-of :meth:`SolverBackend.solve`: two solves submitted under the same key are
-guaranteed by the caller to share the exact same constraint-matrix sparsity
-pattern *and values* (only costs, variable bounds and row bounds may differ).
-The keys are derived from the constraint-skeleton signatures of
-:mod:`repro.lp.maxstretch`, with the boundary constants stripped, so that the
-System (1) LPs of successive replans on the same milestone pattern -- and the
-System (2) re-optimizations that follow them -- hit the same factorized model.
+Persistent backends relate successive solves through the ``warm`` argument of
+:meth:`SolverBackend.solve`: a :class:`WarmStartHint` names the series and
+gives every variable and row a stable identity, through which the previous
+basis of the series is mapped onto the new model -- the matrices of two
+solves need not match.
 
 This module also hosts the *probe timing hooks* used by the overhead
 benchmarks: :func:`record_lp_probes` measures how much of the scheduler
@@ -129,9 +125,8 @@ class WarmStartHint:
     """Stable identities letting a persistent backend transplant bases.
 
     Consecutive milestone probes (and the System (2) re-optimization after
-    the winning probe) are built on *different* constraint matrices, so a
-    live model cannot always be delta-updated.  Their variables and rows do,
-    however, carry stable identities -- ``(interval, resource, job)`` for the
+    the winning probe) are built on *different* constraint matrices.  Their
+    variables and rows do, however, carry stable identities -- ``(interval, resource, job)`` for the
     work variables, ``(interval, resource)``/``job`` for the rows -- and the
     optimal (or infeasibility-proving) basis of one probe is an excellent
     starting basis for the next once mapped through those identities.
@@ -164,9 +159,9 @@ class SolverBackend(ABC):
 
     #: Registry/display name of the backend ("scipy", "highs", ...).
     name: str = "abstract"
-    #: Whether the backend exploits the ``key``/``warm`` arguments to reuse
-    #: models and bases across solves.  Callers skip building keys and warm
-    #: hints for non-persistent backends.
+    #: Whether the backend exploits the ``warm`` argument to reuse bases
+    #: across solves.  Callers skip building warm hints for non-persistent
+    #: backends.
     persistent: bool = False
 
     def solve(
@@ -174,21 +169,16 @@ class SolverBackend(ABC):
         spec: LPSpec,
         *,
         method: str = "auto",
-        key: Hashable | None = None,
         warm: WarmStartHint | None = None,
     ) -> LPResult:
         """Solve ``spec``; see :meth:`~repro.lp.solver.LinearProgramBuilder.solve`.
 
-        ``key``, when not ``None``, asserts that any other solve submitted
-        under the same key shares the constraint matrix exactly (pattern and
-        values); persistent backends use it to apply delta updates to a live
-        model instead of rebuilding it.  ``warm`` optionally carries the
-        stable identities used to transplant the previous basis of the same
-        series onto a freshly built model.
+        ``warm`` optionally carries the stable identities used to transplant
+        the previous basis of the same series onto the freshly built model.
         """
         start = time.perf_counter()
         try:
-            return self._solve(spec, method=method, key=key, warm=warm)
+            return self._solve(spec, method=method, warm=warm)
         finally:
             _note_probe(self.name, time.perf_counter() - start)
 
@@ -198,7 +188,6 @@ class SolverBackend(ABC):
         spec: LPSpec,
         *,
         method: str = "auto",
-        key: Hashable | None = None,
         warm: WarmStartHint | None = None,
     ) -> LPResult:
         """Backend-specific solve (timed and accounted by :meth:`solve`)."""
@@ -250,8 +239,8 @@ class LPProbeStats:
     (:mod:`repro.lp.maxstretch`): how many milestone probes were actually
     solved, how many were skipped outright by a dual-ray certificate bound
     or the interior-optimum re-check, and how many solved probes were served
-    warm by the persistent backend (delta update on a live model or a
-    transplanted basis instead of a cold factorization).
+    warm by the persistent backend (a transplanted basis instead of a cold
+    factorization).
     """
 
     n_probes: int = 0
@@ -260,8 +249,8 @@ class LPProbeStats:
     #: Milestone probes eliminated without an LP solve (certificate jumps
     #: plus downward probes pruned by the interior-optimum re-check).
     n_certificate_skipped: int = 0
-    #: Solved probes served from warm persistent-solver state (delta update
-    #: or successful basis transplant) instead of a cold build.
+    #: Solved probes served from warm persistent-solver state (a successful
+    #: basis transplant) instead of a cold start.
     n_basis_reused: int = 0
     #: Milestone searches ended by the interior-optimum short circuit (the
     #: winning probe's own optimum proved global optimality, so the

@@ -1,18 +1,11 @@
-"""Persistent HiGHS backend: model reuse, delta updates, basis warm starts.
+"""Persistent HiGHS backend: basis warm starts across related solves.
 
 The milestone search and the System (2) re-optimization submit long runs of
 closely-related LPs.  The one-shot scipy path rebuilds COO -> CSR ->
-presolve -> factorize for every probe; this backend keeps solver state alive
-at two levels instead:
-
-* **Model reuse (delta updates).**  Solves submitted under the same
-  persistence ``key`` share the exact constraint matrix, so the live
-  ``Highs`` model is updated in place -- only changed objective
-  coefficients, variable bounds and row bounds are pushed through the HiGHS
-  modification API -- and ``run()`` hot-starts from the basis retained in
-  the model.  This fires when a skeleton pattern recurs: System (2)
-  inflation retries, and replans whose active set keeps the same epochal
-  ordering.
+presolve -> factorize for every probe.  This backend also builds a new
+``Highs`` model for every solve -- the on-line heuristics replan at every
+arrival, so consecutive solves carry different job sets and matrices -- but
+keeps the one piece of solver state that does carry over: the *basis*.
 
 * **Basis transplants.**  Consecutive probes whose matrices differ (the
   milestone gallop walks a lattice of interval structures; arrivals change
@@ -22,6 +15,10 @@ at two levels instead:
   is mapped through those identities onto the freshly built model before
   ``run()``.  A transplanted basis typically proves infeasibility or
   optimality in a handful of dual-simplex iterations instead of hundreds.
+
+The series bases (four small numpy arrays per series) are the only state
+that outlives a solve; the ``Highs`` object and its factorization die with
+the call.
 
 Bindings are resolved at import time from, in order of preference:
 
@@ -37,7 +34,6 @@ constructing :class:`HighsPersistentBackend` raises
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Hashable
@@ -60,12 +56,6 @@ __all__ = [
     "highs_source",
     "highs_unavailable_reason",
 ]
-
-#: Live models kept per backend instance.  One replan touches a handful of
-#: milestone patterns; a small multiple of that bounds memory on long
-#: campaigns without measurably hurting the hit rate (mirrors the skeleton
-#: cache bound of :mod:`repro.lp.incremental`).
-_MAX_MODELS = 16
 
 _API: SimpleNamespace | None = None
 _API_RESOLVED = False
@@ -162,21 +152,6 @@ def highs_unavailable_reason() -> str | None:
     return f"{highspy_reason}, and {vendored_reason}"
 
 
-@dataclass
-class _ModelEntry:
-    """A live HiGHS model plus the arrays it was last solved with."""
-
-    highs: object
-    n_vars: int
-    n_rows: int
-    nnz: int
-    costs: np.ndarray
-    col_lower: np.ndarray
-    col_upper: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-
-
 def _sorted_side(ids: np.ndarray, statuses) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, statuses)`` sorted by id, statuses down-converted to int8."""
     values = np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
@@ -214,26 +189,18 @@ class _SeriesBasis:
 
 
 class HighsPersistentBackend(SolverBackend):
-    """Backend keeping live HiGHS models and bases across related solves.
+    """Backend keeping the latest simplex basis of each warm-start series.
 
-    Parameters
-    ----------
-    max_models:
-        Bound on the number of live models (least-recently-used eviction).
-
-    Notes
-    -----
-    Solves submitted without a ``key`` go through a single scratch model that
-    is re-passed wholesale each time (no reuse).  Keyed solves hit the
-    modification API when their pattern is live, and freshly built models
-    inherit the series basis through the caller's
-    :class:`~repro.lp.backends.base.WarmStartHint` identities.
+    Every solve builds its own ``Highs`` model, which dies with the call.
+    Solves submitted with a :class:`~repro.lp.backends.base.WarmStartHint`
+    start from the series' previous basis, mapped through the hint's
+    identities, and leave theirs behind for the next one.
     """
 
     name = "highs"
     persistent = True
 
-    def __init__(self, *, max_models: int = _MAX_MODELS):
+    def __init__(self):
         api = _load_api()
         if api is None:
             raise SolverError(
@@ -244,10 +211,7 @@ class HighsPersistentBackend(SolverBackend):
                 "or use --solver-backend scipy"
             )
         self._api = api
-        self._max_models = max(1, int(max_models))
-        self._models: OrderedDict[Hashable, _ModelEntry] = OrderedDict()
         self._series: dict[Hashable, _SeriesBasis] = {}
-        self._scratch: object | None = None
         # int <-> HighsBasisStatus tables for the vectorized basis mapping.
         self._status_by_int = {
             int(member): member
@@ -255,9 +219,8 @@ class HighsPersistentBackend(SolverBackend):
         }
         self._int_basic = int(api.HighsBasisStatus.kBasic)
         self._int_lower = int(api.HighsBasisStatus.kLower)
-        #: Counters exposed for tests/benchmarks: how the solves were served.
-        self.n_full_builds = 0
-        self.n_delta_updates = 0
+        #: Counter exposed for tests/benchmarks: solves started from a
+        #: transplanted series basis.
         self.n_basis_transplants = 0
 
     # -- SolverBackend interface ---------------------------------------------------
@@ -266,50 +229,25 @@ class HighsPersistentBackend(SolverBackend):
         spec: LPSpec,
         *,
         method: str = "auto",
-        key: Hashable | None = None,
         warm: WarmStartHint | None = None,
     ) -> LPResult:
         del method  # HiGHS picks simplex/IPM itself; warm starts force simplex
-        if key is None:
-            if self._scratch is None:
-                self._scratch = self._new_solver()
-            self._build_model(self._scratch, spec, self._arrays(spec))
-            self.n_full_builds += 1
-            return self._run(self._scratch, spec, warm=None)
-
-        entry = self._models.get(key)
-        if (
-            entry is not None
-            and entry.n_vars == spec.n_vars
-            and entry.n_rows == spec.n_rows
-            and entry.nnz == spec.nnz
-        ):
-            self._models.move_to_end(key)
-            self._apply_deltas(entry, spec)
-            self.n_delta_updates += 1
-            note_basis_reuse()  # the live model keeps its basis across deltas
-            return self._run(entry.highs, spec, warm=warm)
-        solver = self._new_solver()
+        highs = self._new_solver()
         if warm is not None:
-            # Keyed solves feed a warm-start series.  Presolve would prove
+            # Hinted solves feed a warm-start series.  Presolve would prove
             # the many infeasible milestone probes without ever running
             # simplex, leaving no basis to transplant into the next probe --
             # and a transplanted basis settles those probes in a handful of
             # iterations anyway, so simplex-only is the faster regime.
-            solver.setOptionValue("presolve", "off")
-        arrays = self._arrays(spec)
-        highs = self._build_model(solver, spec, arrays)
-        self._remember(key, highs, spec, arrays)
-        self.n_full_builds += 1
+            highs.setOptionValue("presolve", "off")
+        self._build_model(highs, spec)
         if warm is not None:
             self._transplant_basis(highs, spec, warm)
         return self._run(highs, spec, warm=warm)
 
     def close(self) -> None:
-        """Drop every live model and basis (frees the HiGHS factorizations)."""
-        self._models.clear()
+        """Drop every series basis."""
         self._series.clear()
-        self._scratch = None
 
     # -- series-state serialization (cross-run solver-state bank) -------------------
     def export_series_state(self) -> "dict | None":
@@ -357,7 +295,7 @@ class HighsPersistentBackend(SolverBackend):
         return highs
 
     def _arrays(self, spec: LPSpec):
-        """Cost/bound/RHS vectors of ``spec`` as fresh numpy arrays."""
+        """Cost/bound/RHS vectors of ``spec`` as numpy arrays."""
         costs = np.asarray(spec.objective, dtype=np.float64)
         col_lower = np.asarray(spec.lower, dtype=np.float64)
         col_upper = np.asarray(spec.upper, dtype=np.float64)
@@ -370,10 +308,10 @@ class HighsPersistentBackend(SolverBackend):
         row_upper[n_ub:] = spec.eq_rhs
         return costs, col_lower, col_upper, row_lower, row_upper
 
-    def _build_model(self, highs, spec: LPSpec, arrays):
+    def _build_model(self, highs, spec: LPSpec) -> None:
         """Pass ``spec`` wholesale into ``highs`` (cold model, no basis)."""
         api = self._api
-        costs, col_lower, col_upper, row_lower, row_upper = arrays
+        costs, col_lower, col_upper, row_lower, row_upper = self._arrays(spec)
         n_ub = len(spec.ub_rhs)
         rows = np.concatenate(
             [
@@ -415,76 +353,6 @@ class HighsPersistentBackend(SolverBackend):
         status = highs.passModel(lp)
         if status == api.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
-        return highs
-
-    def _remember(self, key: Hashable, highs, spec: LPSpec, arrays) -> None:
-        costs, col_lower, col_upper, row_lower, row_upper = arrays
-        self._models[key] = _ModelEntry(
-            highs=highs,
-            n_vars=spec.n_vars,
-            n_rows=spec.n_rows,
-            nnz=spec.nnz,
-            costs=costs,
-            col_lower=col_lower,
-            col_upper=col_upper,
-            row_lower=row_lower,
-            row_upper=row_upper,
-        )
-        self._models.move_to_end(key)
-        while len(self._models) > self._max_models:
-            self._models.popitem(last=False)
-
-    # -- delta updates ---------------------------------------------------------------
-    def _apply_deltas(self, entry: _ModelEntry, spec: LPSpec) -> None:
-        """Push only the changed coefficients into the live model.
-
-        The caller's key contract guarantees the constraint matrix (pattern
-        and values) is unchanged, so the deltas are confined to objective
-        coefficients, variable bounds and row bounds -- none of which
-        invalidate the basis held by the model.
-        """
-        highs = entry.highs
-        costs, col_lower, col_upper, row_lower, row_upper = self._arrays(spec)
-
-        changed = np.nonzero(entry.costs != costs)[0]
-        if changed.size:
-            highs.changeColsCost(
-                changed.size, changed.astype(np.int32), costs[changed]
-            )
-            entry.costs = costs
-
-        changed = np.nonzero(
-            (entry.col_lower != col_lower) | (entry.col_upper != col_upper)
-        )[0]
-        if changed.size:
-            highs.changeColsBounds(
-                changed.size,
-                changed.astype(np.int32),
-                col_lower[changed],
-                col_upper[changed],
-            )
-            entry.col_lower = col_lower
-            entry.col_upper = col_upper
-
-        changed = np.nonzero(
-            (entry.row_lower != row_lower) | (entry.row_upper != row_upper)
-        )[0]
-        if changed.size:
-            change_rows = getattr(highs, "changeRowsBounds", None)
-            if change_rows is not None:  # plural form (recent highspy)
-                change_rows(
-                    changed.size,
-                    changed.astype(np.int32),
-                    row_lower[changed],
-                    row_upper[changed],
-                )
-            else:  # scipy-vendored bindings only expose the scalar form
-                for i in changed:
-                    highs.changeRowBounds(
-                        int(i), float(row_lower[i]), float(row_upper[i])
-                    )
-            entry.row_lower = row_lower
-            entry.row_upper = row_upper
 
     # -- basis transplants ---------------------------------------------------------
     def _transplant_basis(self, highs, spec: LPSpec, warm: WarmStartHint) -> None:

@@ -8,8 +8,6 @@ results are the reference the persistent backends are tested against.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
@@ -54,10 +52,9 @@ class ScipyBackend(SolverBackend):
         spec: LPSpec,
         *,
         method: str = "auto",
-        key: Hashable | None = None,
         warm: WarmStartHint | None = None,
     ) -> LPResult:
-        del key, warm  # one-shot backend: nothing to reuse
+        del warm  # one-shot backend: nothing to reuse
         if method == "auto":
             method = "highs-ipm" if spec.n_vars > 8000 else "highs"
         c = np.asarray(spec.objective)

@@ -30,8 +30,8 @@ benchmarking the difference.
 The LP solves themselves go through a pluggable :mod:`repro.lp.backends`
 backend owned by the context.  The default (one-shot scipy) preserves the
 bit-identical guarantee above; the persistent HiGHS backend
-(``solver_backend="highs"``) additionally keeps factorized solver models
-alive between probes and replans, which changes results only within solver
+(``solver_backend="highs"``) additionally carries the simplex basis
+between probes and replans, which changes results only within solver
 tolerance (equivalence is enforced by ``tests/test_lp_backends.py``).
 
 Two further accelerators stack on top of the per-run caches:
@@ -113,10 +113,10 @@ class ReplanContext:
         (``"scipy"`` | ``"highs"`` | ``"auto"``), a ready
         :class:`~repro.lp.backends.SolverBackend` instance, or ``None`` for
         the one-shot scipy default.  With the persistent HiGHS backend the
-        context owns the live solver models alongside its constraint-skeleton
-        cache, so consecutive milestone probes and System (2) solves sharing
-        a skeleton pattern are delta updates on an already-factorized model
-        instead of from-scratch rebuilds.
+        context owns the warm-start series bases alongside its
+        constraint-skeleton cache, so consecutive milestone probes and
+        System (2) solves start dual simplex from the previous basis instead
+        of from a cold one.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across the
         runs of one campaign worker.  The context acquires the bucket for
@@ -166,7 +166,7 @@ class ReplanContext:
         self._table_ids: set[int] = {row[0] for row in self.job_table.rows}
         self.backend: SolverBackend = make_backend(solver_backend)
         # A caller-supplied backend instance may have served a previous run;
-        # drop its live models/bases so warm starts never cross simulations
+        # drop its series bases so warm starts never cross simulations
         # (no-op for the freshly made or stateless backends).  Cross-run
         # carry happens exclusively through the content-addressed bank.
         self.backend.close()
@@ -367,7 +367,7 @@ class ReplanContext:
         the non-optimized variant, which never calls it).
 
         No-op on persistent backends: a mispredicted speculative solve would
-        leave its deltas in the live solver models, breaking the
+        replace the series basis the real replan starts from, breaking the
         miss-is-free contract.  The stateless scipy backend has no such
         state, and hints/caps only reorder its monotone milestone search.
         """
@@ -608,7 +608,7 @@ class ReplanContext:
         bucket.n_publications += 1
 
     def close(self) -> None:
-        """Release the backend's persistent solver state (live HiGHS models)."""
+        """Release the backend's persistent solver state (the series bases)."""
         self.backend.close()
 
     # -- internals ----------------------------------------------------------------

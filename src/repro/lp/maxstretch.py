@@ -64,7 +64,6 @@ __all__ = [
     "SearchCertificate",
     "MilestoneSearchReport",
     "build_skeleton",
-    "model_key",
     "warm_hint",
     "minimize_max_weighted_flow",
     "solve_on_objective_range",
@@ -309,31 +308,6 @@ def build_skeleton(
     if cache is not None:
         cache[signature] = skeleton
     return skeleton
-
-
-def model_key(
-    problem: MaxStretchProblem, skeleton: ConstraintSkeleton, tag: str
-) -> tuple:
-    """Persistence key for the LP built from ``skeleton`` (see backends).
-
-    Two builders producing the same key are guaranteed to share the exact
-    constraint matrix -- sparsity pattern *and* values: the variable/row
-    layout is pinned by the skeleton's job windows and resource groups, the x
-    coefficients are all 1, the F-column coefficients of System (1) are
-    ``-speed * length.coef`` where the interval-length slopes derive from the
-    boundary *slopes* only, and the resource speeds are keyed explicitly.
-    The boundary constants (which move with the current time between replans)
-    only enter the right-hand sides and the F bounds, which persistent
-    backends delta-update.  ``tag`` separates the System (1) layout (leading
-    F variable) from the System (2) layout (x variables only).
-    """
-    boundaries, jobs = skeleton.signature
-    return (
-        tag,
-        tuple(coef for _const, coef in boundaries),
-        jobs,
-        tuple(r.speed for r in problem.resources),
-    )
 
 
 #: Stable column identity of the objective variable F in warm-start hints
@@ -669,8 +643,8 @@ def solve_on_objective_range(
     ``skeleton_cache`` optionally reuses constraint skeletons across solves
     sharing the same interval structure (see :class:`ConstraintSkeleton`);
     ``backend`` selects the LP solver backend (persistent backends
-    additionally reuse live solver models across probes sharing a skeleton
-    pattern, keyed by :func:`model_key`).  ``outcome``, when provided,
+    additionally start each probe from the basis of the previous one,
+    mapped through :func:`warm_hint`).  ``outcome``, when provided,
     receives the infeasibility certificate of a refused probe (backends
     without dual-ray support leave it empty).
     """
@@ -700,12 +674,11 @@ def solve_on_objective_range(
         builder, problem, skeleton, offset=1, f_var=f_var, objective_value=None
     )
 
-    key = warm = None
+    warm = None
     if backend is not None and backend.persistent:
-        key = model_key(problem, skeleton, "sys1")
         warm = warm_hint(problem, skeleton, with_objective_var=True)
     note_phase_assembly(time.perf_counter() - assembly_start)
-    result = builder.solve(backend=backend, key=key, warm=warm)
+    result = builder.solve(backend=backend, warm=warm)
     if not result.feasible:
         if outcome is not None and result.dual_ray is not None:
             _probe_certificate(problem, skeleton, result.dual_ray, outcome)
@@ -768,9 +741,8 @@ def minimize_max_weighted_flow(
         :class:`ConstraintSkeleton`).
     backend:
         LP solver backend; ``None`` uses the one-shot scipy default.  A
-        persistent backend (``HighsPersistentBackend``) additionally reuses
-        live solver models between probes sharing a skeleton pattern,
-        warm-starts dual simplex from the previous basis, and produces the
+        persistent backend (``HighsPersistentBackend``) additionally
+        warm-starts dual simplex from the previous basis and produces the
         dual-ray certificates the search prunes with; results are equivalent
         within solver tolerance.
     search:

@@ -31,7 +31,6 @@ from repro.lp.maxstretch import (
     _assembly_arrays,
     _extract_allocations,
     build_skeleton,
-    model_key,
     warm_hint,
 )
 from repro.lp.problem import MaxStretchProblem
@@ -66,9 +65,9 @@ def reoptimize_allocation(
         :func:`~repro.lp.maxstretch.minimize_max_weighted_flow`.
     backend:
         LP solver backend (``None`` -> one-shot scipy default).  With a
-        persistent backend, the geometric inflation retries below -- and any
-        later System (2) solve sharing the same skeleton pattern -- reuse one
-        live solver model through pure RHS/cost delta updates.
+        persistent backend, the solve -- and each geometric inflation retry
+        below -- starts from the basis the winning System (1) probe left in
+        the warm-start series.
     inflation:
         Relative slack added to ``objective`` before building the deadlines.
         The optimum returned by :func:`minimize_max_weighted_flow` sits
@@ -137,11 +136,10 @@ def _solve_fixed_objective(
         builder, problem, skeleton, offset=0, f_var=None, objective_value=objective
     )
 
-    key = warm = None
+    warm = None
     if backend is not None and backend.persistent:
-        key = model_key(problem, skeleton, "sys2")
         warm = warm_hint(problem, skeleton, with_objective_var=False)
-    result = builder.solve(backend=backend, key=key, warm=warm)
+    result = builder.solve(backend=backend, warm=warm)
     if not result.feasible:
         return None
     allocations = _extract_allocations(problem, skeleton, 0, result.values)

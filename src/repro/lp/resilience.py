@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import Callable, Protocol
 
 from repro.core.errors import ModelError, SolverError
 from repro.lp.backends.base import LPResult, LPSpec, SolverBackend, WarmStartHint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Hashable
 
 __all__ = [
     "RetryPolicy",
@@ -148,11 +145,14 @@ class ResilientBackend(SolverBackend):
     Wraps a primary backend; a :class:`SolverError` from it triggers one
     re-solve of the *same spec* on the fallback (a fresh
     :class:`~repro.lp.backends.scipy_backend.ScipyBackend` unless another
-    stateless backend is supplied).  The fallback solves from scratch --
-    no key, no warm start -- so a corrupted persistent model cannot poison
-    it.  Warm-start bookkeeping (``persistent``, series state) delegates to
-    the primary; the wrapper advertises the primary's name so probe
-    accounting and bank keying are unchanged.
+    stateless backend is supplied).  The fallback solves from scratch, with
+    no warm hint, so nothing of the failed solve reaches it; and a failed
+    primary solve leaves the primary's series basis as it was (a persistent
+    backend records a basis only on an optimal or infeasible outcome), so
+    the next primary solve starts where this one did.  Warm-start
+    bookkeeping (``persistent``, series state) delegates to the primary; the
+    wrapper advertises the primary's name so probe accounting and bank
+    keying are unchanged.
     """
 
     def __init__(self, primary: SolverBackend, fallback: SolverBackend | None = None):
@@ -172,15 +172,14 @@ class ResilientBackend(SolverBackend):
         spec: LPSpec,
         *,
         method: str = "auto",
-        key: "Hashable | None" = None,
         warm: WarmStartHint | None = None,
     ) -> LPResult:
         try:
-            return self._primary._solve(spec, method=method, key=key, warm=warm)
+            return self._primary._solve(spec, method=method, warm=warm)
         except SolverError as primary_exc:
             annotate_solver_error(primary_exc, backend=self._primary.name, method=method)
             try:
-                result = self._fallback._solve(spec, method="auto", key=None, warm=None)
+                result = self._fallback._solve(spec, method="auto", warm=None)
             except SolverError as fallback_exc:
                 annotate_solver_error(fallback_exc, backend=self._fallback.name)
                 raise fallback_exc from primary_exc

@@ -4,13 +4,13 @@ The LPs built by :mod:`repro.lp.maxstretch` and :mod:`repro.lp.relaxation`
 are sparse (each variable appears in exactly one capacity constraint and one
 completeness constraint), so constraints are accumulated in COO form; the
 actual solve is delegated to a :mod:`repro.lp.backends` backend -- the
-one-shot scipy path by default, or the persistent HiGHS backend that reuses
-factorized models across milestone probes.
+one-shot scipy path by default, or the persistent HiGHS backend that carries
+the simplex basis across milestone probes.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -252,7 +252,6 @@ class LinearProgramBuilder:
         *,
         method: str = "auto",
         backend: SolverBackend | None = None,
-        key: Hashable | None = None,
         warm: WarmStartHint | None = None,
     ) -> LPResult:
         """Run the LP; returns an :class:`LPResult` (``feasible`` False when infeasible).
@@ -267,11 +266,6 @@ class LinearProgramBuilder:
         backend:
             The :class:`~repro.lp.backends.SolverBackend` to solve with;
             ``None`` uses the process-wide default (one-shot scipy).
-        key:
-            Persistence key for backends that reuse live models: two solves
-            submitted under the same key MUST share the exact constraint
-            matrix (sparsity pattern and values) -- only costs, variable
-            bounds and row RHS may differ.  Ignored by one-shot backends.
         warm:
             Optional :class:`~repro.lp.backends.WarmStartHint` carrying
             stable variable/row identities so a persistent backend can
@@ -286,4 +280,4 @@ class LinearProgramBuilder:
             return LPResult(status=0, feasible=True, objective=0.0, values=np.zeros(0))
         if backend is None:
             backend = default_backend()
-        return backend.solve(self.spec(), method=method, key=key, warm=warm)
+        return backend.solve(self.spec(), method=method, warm=warm)

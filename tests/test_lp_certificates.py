@@ -406,7 +406,7 @@ def test_dual_ray_sign_convention():
     builder.add_eq([(x, 1.0), (y, 1.0)], 5.0)  # infeasible: x + y <= 2 < 5
     backend = make_backend("highs")
     try:
-        result = builder.solve(backend=backend, key="ray-probe", warm=None)
+        result = builder.solve(backend=backend, warm=None)
     finally:
         backend.close()
     assert not result.feasible

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ModelError, SolverError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_campaign
-from repro.lp.backends import make_backend
-from repro.lp.backends.base import LPResult, LPSpec, SolverBackend
+from repro.lp.backends import highs_available, make_backend
+from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint
 from repro.lp.backends.scipy_backend import ScipyBackend
 from repro.lp.resilience import (
     DEFAULT_RETRY_POLICY,
@@ -33,6 +34,7 @@ from repro.lp.resilience import (
     make_resilient,
     solve_with_retries,
 )
+from repro.lp.solver import LinearProgramBuilder
 
 
 class FakeStatus:
@@ -176,7 +178,7 @@ class FailingBackend(SolverBackend):
         self.closed = False
         self.imported: list[object] = []
 
-    def _solve(self, spec, *, method="auto", key=None, warm=None):
+    def _solve(self, spec, *, method="auto", warm=None):
         raise SolverError("persistent model corrupted")
 
     def close(self):
@@ -236,12 +238,52 @@ class TestResilientBackend:
         assert isinstance(wrapped, ResilientBackend)
         assert make_resilient(wrapped) is wrapped  # never double-wrapped
 
+    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
+    def test_failed_primary_solve_leaves_the_series_basis_alone(self, monkeypatch):
+        """The primary solve after a downgraded one equals a cold solve."""
+
+        def spec(rhs: float) -> LPSpec:  # min x + 2y  s.t.  x + y = rhs, x <= 2
+            builder = LinearProgramBuilder()
+            x = builder.add_variable(objective=1.0, upper=2.0)
+            y = builder.add_variable(objective=2.0)
+            builder.add_eq([(x, 1.0), (y, 1.0)], rhs)
+            return builder.spec()
+
+        warm = WarmStartHint(
+            series="s",
+            col_ids=np.array([0, 1], dtype=np.int64),
+            row_ids=np.array([0], dtype=np.int64),
+        )
+        primary = make_backend("highs")
+        backend = ResilientBackend(primary)
+        backend.solve(spec(3.0), warm=warm)
+        before = primary.export_series_state()
+
+        def poisoned_run(highs, spec, warm):
+            raise SolverError("HiGHS solve failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(primary, "_run", poisoned_run)
+            downgraded = backend.solve(spec(4.0), warm=warm)
+        assert backend.n_downgrades == 1
+        assert downgraded.objective == pytest.approx(6.0)
+        after = primary.export_series_state()
+        assert before.keys() == after.keys()
+        for a, b in zip(before["s"], after["s"]):
+            assert np.array_equal(a, b)
+
+        result = backend.solve(spec(5.0), warm=warm)
+        cold = make_backend("highs").solve(spec(5.0), warm=warm)
+        assert backend.n_downgrades == 1  # served by the primary again
+        assert result.objective == cold.objective == pytest.approx(8.0)
+        assert np.array_equal(result.values, cold.values)
+
 
 class TestPoisonedProbeRegression:
     def test_poisoned_probe_becomes_failed_record_not_a_crash(self, monkeypatch):
         """A terminal SolverError fails one run, never the campaign."""
 
-        def poisoned_solve(self, spec, *, method="auto", key=None, warm=None):
+        def poisoned_solve(self, spec, *, method="auto", warm=None):
             raise SolverError(
                 "poisoned probe", backend=self.name, status=4, attempts=2
             )

@@ -92,8 +92,8 @@ class TestBitIdentity:
 
     def test_auto_backend(self):
         # With the persistent backend speculation is a declared no-op (a
-        # mispredicted solve would leave deltas in the live models); with
-        # the scipy fallback it behaves as usual.  Either way: bit-identical.
+        # mispredicted solve would replace the series basis); with the
+        # scipy fallback it behaves as usual.  Either way: bit-identical.
         instance = _dense_instance(5)
         off = _run(instance, speculate_on=False, backend="auto")
         on = _run(instance, speculate_on=True, backend="auto")
