@@ -11,9 +11,12 @@ scaled-down defaults used by the table benchmarks.
 from __future__ import annotations
 
 import statistics
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.lp.maxstretch as maxstretch
 from repro.lp.backends import highs_available, highs_source, make_backend, record_lp_probes
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow
@@ -24,6 +27,11 @@ from repro.simulation.engine import simulate
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from _bench_utils import update_json_artifact
+
+# Both gated comparisons below pin the gallop milestone search, which is no
+# longer in the package: it is the test oracle in tests/replan_oracles.py.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from replan_oracles import search_gallop  # noqa: E402
 
 
 def _instance(n_clusters: int, n_jobs: int, seed: int = 11):
@@ -103,10 +111,11 @@ def bench_system1_warm_start(benchmark):
 _TIMING_ROUNDS = 3
 
 
-def _resolution_with_backend(problem, backend_name: str):
+def _resolution_with_backend(problem, backend_name: str, monkeypatch):
     """Best-of-N full resolutions (System (1) search + System (2)).
 
-    The milestone search is pinned to the legacy gallop so both backends
+    The milestone search is pinned to the legacy gallop (swapped in for the
+    certificate search through ``monkeypatch``) so both backends
     walk the *same* probe sequence and the per-probe timing ratio isolates
     the solver backend: the certificate search would prune different probes
     on each backend (scipy produces no dual rays), skewing the per-probe
@@ -117,10 +126,9 @@ def _resolution_with_backend(problem, backend_name: str):
     for _ in range(_TIMING_ROUNDS):
         backend = make_backend(backend_name)
         try:
-            with record_lp_probes() as stats:
-                best = minimize_max_weighted_flow(
-                    problem, backend=backend, search="gallop"
-                )
+            with record_lp_probes() as stats, monkeypatch.context() as patch:
+                patch.setattr(maxstretch, "_search_certificate", search_gallop)
+                best = minimize_max_weighted_flow(problem, backend=backend)
                 reoptimize_allocation(problem, best.objective, backend=backend)
         finally:
             backend.close()
@@ -129,7 +137,7 @@ def _resolution_with_backend(problem, backend_name: str):
     return best, fastest
 
 
-def bench_solver_backend_comparison(benchmark):
+def bench_solver_backend_comparison(benchmark, monkeypatch):
     """Per-probe LP solve time: one-shot scipy vs persistent HiGHS backend.
 
     Runs the complete milestone search plus the System (2) re-optimization
@@ -163,7 +171,7 @@ def bench_solver_backend_comparison(benchmark):
         for n_jobs in sizes:
             problem = problems[n_jobs]
             for backend_name in backends:
-                best, stats = _resolution_with_backend(problem, backend_name)
+                best, stats = _resolution_with_backend(problem, backend_name, monkeypatch)
                 rows.append(
                     {
                         "n_jobs": len(problem.jobs),
@@ -240,11 +248,9 @@ def _record_replan_problems(instance, backend_name: str):
     return problems
 
 
-def _replay_search(instance, problems, backend_name: str, mode: str):
+def _replay_search(instance, problems, backend_name: str):
     """Solve the recorded problems through a warm-carried context; per-replan stats."""
-    context = ReplanContext(
-        instance, solver_backend=backend_name, milestone_search=mode
-    )
+    context = ReplanContext(instance, solver_backend=backend_name)
     objectives = []
     try:
         with record_lp_probes() as stats:
@@ -255,7 +261,7 @@ def _replay_search(instance, problems, backend_name: str, mode: str):
     return objectives, stats
 
 
-def bench_certificate_probe_elimination(benchmark):
+def bench_certificate_probe_elimination(benchmark, monkeypatch):
     """Certificate-guided search vs the legacy gallop: LP probes per replan.
 
     The acceptance gate of the probe-elimination subsystem: on the dense
@@ -281,8 +287,10 @@ def bench_certificate_probe_elimination(benchmark):
     assert len(problems) >= 30, f"only {len(problems)} replans recorded"
 
     def run():
-        gallop = _replay_search(instance, problems, backend_name, "gallop")
-        certificate = _replay_search(instance, problems, backend_name, "certificate")
+        with monkeypatch.context() as patch:
+            patch.setattr(maxstretch, "_search_certificate", search_gallop)
+            gallop = _replay_search(instance, problems, backend_name)
+        certificate = _replay_search(instance, problems, backend_name)
         return gallop, certificate
 
     (g_obj, g_stats), (c_obj, c_stats) = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -70,75 +70,6 @@ def _fixed_instance():
     return generate_instance(platform_spec, workload_spec, rng=53)
 
 
-def bench_incremental_replanning_speedup(benchmark):
-    """Incremental ReplanContext vs from-scratch LP replanning.
-
-    Runs the Online heuristic twice on a dense >= 50-job workload (the regime
-    where replanning cost dominates, cf. Section 5.3): once rebuilding every
-    LP from scratch at each release date, once with the warm-started
-    ReplanContext.  The acceptance claim is a >= 2x reduction in total
-    scheduler cost with *identical* completion times and S* objectives; the
-    workload is fixed (not scaled by the REPRO_BENCH knobs) because it
-    validates that claim.  The enforced 2x gate is on the deterministic LP
-    probe count (measured wall-clock speedup, ~2.5x locally, is recorded in
-    the artifact and only sanity-checked, so a noisy CI runner cannot flake
-    the build).
-    """
-    import repro.lp.maxstretch as maxstretch_module
-
-    platform_spec = PlatformSpec(
-        n_clusters=3, processors_per_cluster=10, n_databanks=3, availability=0.6
-    )
-    workload_spec = WorkloadSpec(density=3.0, window=45.0, max_jobs=60)
-    instance = generate_instance(platform_spec, workload_spec, rng=11)
-    assert instance.n_jobs >= 50
-
-    probes = {"n": 0}
-    original_solve = maxstretch_module.solve_on_objective_range
-
-    def counting_solve(*args, **kwargs):
-        probes["n"] += 1
-        return original_solve(*args, **kwargs)
-
-    def run_both():
-        maxstretch_module.solve_on_objective_range = counting_solve
-        try:
-            probes["n"] = 0
-            scratch_sched = make_scheduler("online", incremental=False)
-            scratch = simulate(instance, scratch_sched)
-            scratch_probes = probes["n"]
-            probes["n"] = 0
-            incremental_sched = make_scheduler("online", incremental=True)
-            incremental = simulate(instance, incremental_sched)
-            incremental_probes = probes["n"]
-        finally:
-            maxstretch_module.solve_on_objective_range = original_solve
-        return (scratch, scratch_sched, scratch_probes,
-                incremental, incremental_sched, incremental_probes)
-
-    (scratch, scratch_sched, scratch_probes,
-     incremental, incremental_sched, incremental_probes) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-
-    # Identical results ...
-    assert incremental_sched.last_objective == scratch_sched.last_objective
-    for job_id, completion in scratch.completions.items():
-        assert abs(incremental.completions[job_id] - completion) <= 1e-6
-    # ... at least 2x cheaper on the scheduler side.
-    speedup = scratch.scheduler_time / incremental.scheduler_time
-    probe_ratio = scratch_probes / incremental_probes
-    write_artifact(
-        "incremental_replanning.txt",
-        f"workload: {instance.n_jobs} jobs, rho=3.0, 3 clusters\n"
-        f"from-scratch: {scratch.scheduler_time:.3f} s, {scratch_probes} LP probes\n"
-        f"incremental:  {incremental.scheduler_time:.3f} s, {incremental_probes} LP probes\n"
-        f"wall-clock speedup: {speedup:.2f}x, probe reduction: {probe_ratio:.2f}x\n",
-    )
-    assert probe_ratio >= 2.0, f"only {probe_ratio:.2f}x fewer LP probes"
-    assert speedup >= 1.5, f"incremental replanning only {speedup:.2f}x faster"
-
-
 def bench_lp_solve_fraction(benchmark):
     """LP-solve share of the Online heuristic's scheduler wall-clock.
 

@@ -253,7 +253,6 @@ def serve(
     *,
     scheduler: str = "online",
     replan_policy: str = "on-arrival",
-    incremental_lp: bool = True,
     solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO,
     speculation: "OnOff | bool | str" = OnOff.OFF,
     time_scale: float = 0.0,
@@ -283,7 +282,7 @@ def serve(
         A service-safe registry key
         (:data:`repro.schedulers.registry.SERVICE_SCHEDULERS`); the
         clairvoyant strategies are rejected.
-    replan_policy, incremental_lp, solver_backend, speculation:
+    replan_policy, solver_backend, speculation:
         The replanning knobs of the on-line LP heuristics, as in
         :class:`~repro.experiments.config.ExperimentConfig`.
     time_scale:
@@ -313,7 +312,6 @@ def serve(
     config = ServiceConfig(
         scheduler=scheduler,
         replan_policy=replan_policy,
-        incremental_lp=incremental_lp,
         solver_backend=solver_backend,
         speculation=speculation,
         time_scale=time_scale,

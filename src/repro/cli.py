@@ -60,7 +60,6 @@ import sys
 from typing import Sequence
 
 from repro.experiments.config import (
-    ONLINE_LP_SCHEDULERS,
     ExperimentConfig,
     figure3_configurations,
     paper_configurations,
@@ -70,11 +69,7 @@ from repro.core.errors import ReproError
 from repro.experiments.ab import run_backend_ab
 from repro.experiments.figures import run_figure3_sweep
 from repro.experiments.io import save_records_csv
-from repro.experiments.overhead import (
-    DEFAULT_OVERHEAD_SCHEDULERS,
-    OVERHEAD_TABLE_HEADERS,
-    scheduling_overhead,
-)
+from repro.experiments.overhead import OVERHEAD_TABLE_HEADERS, scheduling_overhead
 from repro.experiments.sharding import parse_shard_spec
 from repro.experiments.tables import breakdown_tables, table1
 from repro.lp.backends import (
@@ -393,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     over.add_argument("--window", type=float, default=30.0)
     over.add_argument("--max-jobs", type=int, default=25)
     _add_replanning_arguments(over)
-    over.add_argument(
-        "--compare-incremental",
-        action="store_true",
-        help="run the on-line LP heuristics twice (incremental and from-scratch) "
-        "and print both, reproducing the replanning-pipeline ablation",
-    )
 
     th1 = sub.add_parser("theorem1", help="starvation instance of Theorem 1")
     th1.add_argument("--delta", type=float, default=16.0)
@@ -454,12 +443,6 @@ def _add_replanning_arguments(sub: argparse.ArgumentParser) -> None:
         "'threshold[:<factor>]'",
     )
     sub.add_argument(
-        "--from-scratch",
-        action="store_true",
-        help="disable the incremental ReplanContext (rebuild every LP from "
-        "scratch at each release date, as the paper's heuristics do)",
-    )
-    sub.add_argument(
         "--solver-backend",
         **enum_option(SolverBackendChoice, SolverBackendChoice.AUTO,
                       param="--solver-backend"),
@@ -497,7 +480,6 @@ def _online_options(args: argparse.Namespace) -> dict[str, dict[str, object]]:
         availability=1.0,
         density=1.0,
         replan_policy=args.replan_policy,
-        incremental_lp=not args.from_scratch,
         solver_backend=args.solver_backend,
         speculation=getattr(args, "speculate", OnOff.OFF),
     )
@@ -676,7 +658,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         window=args.window,
         max_jobs=args.max_jobs if args.max_jobs > 0 else None,
         replan_policy=args.replan_policy,
-        incremental_lp=not args.from_scratch,
         solver_backend=args.solver_backend,
         state_bank=args.state_bank,
         speculation=args.speculate,
@@ -852,7 +833,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             platform,
             scheduler=args.scheduler,
             replan_policy=args.replan_policy,
-            incremental_lp=not args.from_scratch,
             solver_backend=args.solver_backend,
             speculation=args.speculate,
             time_scale=args.time_scale,
@@ -948,46 +928,18 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    if args.compare_incremental and args.from_scratch:
-        print(
-            "error: --from-scratch and --compare-incremental are mutually "
-            "exclusive (the comparison runs both LP paths)",
-            file=sys.stderr,
-        )
-        return 2
-    # (scheduler subset, incremental toggle, row suffix) per pass.  The
-    # incremental toggle only exists on the on-line LP heuristics, so the
-    # comparison pass reruns just those -- restricted to the strategies of
-    # the base pass so every '(from scratch)' row has a counterpart.
-    runs: list[tuple[Sequence[str] | None, bool, str]] = [
-        (None, not args.from_scratch, "")
-    ]
-    if args.compare_incremental:
-        comparison_keys = tuple(
-            key for key in DEFAULT_OVERHEAD_SCHEDULERS if key in ONLINE_LP_SCHEDULERS
-        )
-        runs = [
-            (None, True, ""),
-            (comparison_keys, False, " (from scratch)"),
-        ]
+    records = scheduling_overhead(
+        replicates=args.replicates,
+        window=args.window,
+        max_jobs=args.max_jobs,
+        scheduler_options={"bender98": {"max_jobs_per_resolution": 25}},
+        replan_policy=args.replan_policy,
+        solver_backend=args.solver_backend,
+        speculation=bool(args.speculate),
+    )
     table = TextTable(headers=list(OVERHEAD_TABLE_HEADERS))
-    for keys, incremental, suffix in runs:
-        kwargs = {} if keys is None else {"scheduler_keys": keys}
-        records = scheduling_overhead(
-            replicates=args.replicates,
-            window=args.window,
-            max_jobs=args.max_jobs,
-            scheduler_options={"bender98": {"max_jobs_per_resolution": 25}},
-            replan_policy=args.replan_policy,
-            incremental_lp=incremental,
-            solver_backend=args.solver_backend,
-            speculation=bool(args.speculate),
-            **kwargs,
-        )
-        for record in records:
-            cells = record.cells()
-            cells[0] = f"{cells[0]}{suffix}"
-            table.add_row(cells)
+    for record in records:
+        table.add_row(record.cells())
     print(table.render())
     return 0
 

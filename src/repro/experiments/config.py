@@ -55,10 +55,9 @@ class ExperimentConfig:
     The six features of Section 5.1, plus the submission window and an
     optional cap on the number of jobs per instance (both used to scale the
     campaign to the available compute budget without changing its design),
-    plus three knobs of the replanning pipeline: the replan policy driving
+    plus two knobs of the replanning pipeline: the replan policy driving
     the on-line LP heuristics (a new scenario axis the paper only discusses
-    qualitatively), the incremental/from-scratch LP toggle (used by the
-    overhead comparisons) and the LP solver backend.  The backend defaults
+    qualitatively) and the LP solver backend.  The backend defaults
     to ``"auto"`` (the persistent HiGHS backend with basis warm starts when
     bindings are available, validated at campaign scale by the A/B gate in
     ``benchmarks/bench_campaign.py``); ``"scipy"`` remains the bit-stable
@@ -100,7 +99,6 @@ class ExperimentConfig:
     window: float = SUBMISSION_WINDOW_SECONDS
     max_jobs: int | None = None
     replan_policy: str = "on-arrival"
-    incremental_lp: bool = True
     solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO
     state_bank: "OnOff | bool | str" = OnOff.ON
     speculation: "OnOff | bool | str" = OnOff.OFF
@@ -123,8 +121,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ModelError(str(exc)) from None
         # Normalize the typed toggles (the dataclass is frozen, hence the
-        # explicit __setattr__): booleans and legacy spellings are accepted
-        # on the way in, the stored values are always enum members.
+        # explicit __setattr__): booleans and canonical spellings are
+        # accepted on the way in, the stored values are always enum members.
         try:
             object.__setattr__(
                 self,
@@ -185,7 +183,7 @@ class ExperimentConfig:
     def scheduler_options_for(self, key: str) -> dict[str, object]:
         """Constructor options this configuration implies for scheduler ``key``.
 
-        The replan policy and the incremental toggle only exist on the
+        The replan policy, the state bank and speculation only exist on the
         on-line LP heuristics; the solver backend applies to every LP
         consumer (``LP_SOLVER_SCHEDULERS``); every other scheduler gets no
         options.
@@ -195,7 +193,6 @@ class ExperimentConfig:
             options["solver_backend"] = str(self.solver_backend)
         if key in ONLINE_LP_SCHEDULERS:
             options["policy"] = self.replan_policy
-            options["incremental"] = self.incremental_lp
             # A bool at this level; the campaign workers swap in their
             # resident SolverStateBank (OnlineLPScheduler ignores non-bank
             # values, so other call sites are unaffected).
@@ -214,7 +211,12 @@ class ExperimentConfig:
             "window": self.window,
             "max_jobs": self.max_jobs,
             "replan_policy": self.replan_policy,
-            "incremental_lp": self.incremental_lp,
+            # Every run takes the incremental replan path now.  The key
+            # stays, constant, because journal headers are compared for
+            # equality on --resume: journals written while it was a toggle
+            # (including the ones campaign-full.yml caches across attempts)
+            # must still resume.  merge drops it when rebuilding configs.
+            "incremental_lp": True,
             # The journal/checkpoint schema predates the typed toggles: keep
             # emitting the historical primitives (str / bool).
             "solver_backend": str(self.solver_backend),
@@ -239,7 +241,6 @@ def paper_configurations(
     max_jobs: int | None = None,
     processors_per_cluster: int = DEFAULT_PROCESSORS_PER_CLUSTER,
     replan_policy: str = "on-arrival",
-    incremental_lp: bool = True,
     solver_backend: str = "auto",
     state_bank: bool = True,
     speculation: bool = False,
@@ -272,7 +273,6 @@ def paper_configurations(
                             window=window,
                             max_jobs=max_jobs,
                             replan_policy=replan_policy,
-                            incremental_lp=incremental_lp,
                             solver_backend=solver_backend,
                             state_bank=state_bank,
                             speculation=speculation,

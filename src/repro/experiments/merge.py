@@ -65,9 +65,23 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
     keys, replicates, base seed), so the expected triple set -- and each
     shard's slice of it -- is recomputed rather than trusted from the
     journals themselves.
+
+    Every configuration dict carries the replan-mode key of the removed
+    from-scratch path, now a constant ``True`` (see
+    :meth:`ExperimentConfig.as_dict`); it is dropped here.  A journal
+    recorded with ``False`` ran that removed path and is rejected.
     """
     try:
-        configs = [ExperimentConfig(**values) for values in meta["configs"]]
+        configs = []
+        for values in meta["configs"]:
+            values = dict(values)
+            if values.pop("incremental_lp", True) is not True:
+                raise ReproError(
+                    f"configuration {values.get('name')!r} was run with the "
+                    "from-scratch LP replan path, which no longer exists; "
+                    "its journals cannot be merged"
+                )
+            configs.append(ExperimentConfig(**values))
         return campaign_tasks(
             configs,
             tuple(meta["scheduler_keys"]),

@@ -128,7 +128,6 @@ def scheduling_overhead(
     replicates: int = 3,
     base_seed: int = 53,
     replan_policy: str = "on-arrival",
-    incremental_lp: bool = True,
     solver_backend: str = "scipy",
     state_bank: bool = False,
     speculation: bool = False,
@@ -137,11 +136,10 @@ def scheduling_overhead(
 
     Defaults mirror the paper's setup (3-cluster platforms) with a reduced
     submission window so that Bender98 remains tractable; the window and job
-    cap are configurable for larger runs.  ``replan_policy``,
-    ``incremental_lp`` and ``solver_backend`` select the replanning pipeline
-    of the on-line LP heuristics, so the overhead tables can compare
-    cadences, the incremental vs from-scratch LP paths, and the scipy vs
-    persistent-HiGHS solver backends.
+    cap are configurable for larger runs.  ``replan_policy`` and
+    ``solver_backend`` select the replanning pipeline of the on-line LP
+    heuristics, so the overhead tables can compare cadences and the scipy
+    vs persistent-HiGHS solver backends.
 
     ``solver_backend`` stays pinned to ``"scipy"`` here even though the
     campaign surface defaults to ``"auto"``: the overhead regression gates
@@ -166,7 +164,6 @@ def scheduling_overhead(
         window=window,
         max_jobs=max_jobs,
         replan_policy=replan_policy,
-        incremental_lp=incremental_lp,
         solver_backend=solver_backend,
         speculation=speculation,
     )

@@ -18,14 +18,13 @@ work is identical:
   follows share the same milestone interval, so their **constraint
   skeletons** (variable indexing and row grouping) are identical and cached.
 
-:class:`ReplanContext` bundles these caches behind the same three calls the
-from-scratch path makes (`build problem`, `solve System (1)`, `re-optimize
+:class:`ReplanContext` bundles these caches behind the same three calls a
+from-scratch replan makes (`build problem`, `solve System (1)`, `re-optimize
 System (2)`).  Because warm-starting only reorders the probes of a monotone
 feasibility search and the cached skeletons pin the exact variable order of
 the historical builder, the context returns *bit-identical* objectives and
-allocations to the from-scratch path -- ``incremental=False`` on
-:class:`~repro.schedulers.online_lp.OnlineLPScheduler` exists purely for
-benchmarking the difference.
+allocations to rebuilding every LP from scratch -- the from-scratch
+scheduler survives only as the test oracle in ``tests/replan_oracles.py``.
 
 The LP solves themselves go through a pluggable :mod:`repro.lp.backends`
 backend owned by the context.  The default (one-shot scipy) preserves the
@@ -152,7 +151,6 @@ class ReplanContext:
         instance: Instance,
         *,
         solver_backend: "str | SolverBackend | None" = None,
-        milestone_search: str | None = None,
         state_bank: "SolverStateBank | None" = None,
     ):
         self.instance = instance
@@ -170,7 +168,6 @@ class ReplanContext:
         # (no-op for the freshly made or stateless backends).  Cross-run
         # carry happens exclusively through the content-addressed bank.
         self.backend.close()
-        self.milestone_search = milestone_search
         self.last_objective: float | None = None
         self.last_certificate: SearchCertificate | None = None
         self.n_replans: int = 0
@@ -307,7 +304,6 @@ class ReplanContext:
                 feasible_cap=self._feasible_cap(problem),
                 skeleton_cache=self._skeletons,
                 backend=self.backend,
-                search=self.milestone_search,
                 report=report,
             )
         except SolverError as exc:
@@ -387,7 +383,6 @@ class ReplanContext:
             feasible_cap=self._feasible_cap(problem),
             skeleton_cache=self._skeletons,
             backend=self.backend,
-            search=self.milestone_search,
             report=report,
         )
         self.n_probes_solved += report.n_solved

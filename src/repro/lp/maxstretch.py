@@ -22,7 +22,8 @@ optimum (monotone feasibility), so the downward confirmation probes of the
 classical gallop are skipped outright.  Backends without certificate support
 (the one-shot scipy path) degrade to the uncertified probe order; results
 are identical either way, only the number of LPs actually solved changes
-(``search="gallop"`` keeps the legacy gallop + bisection as a reference).
+(the legacy gallop + bisection is the test oracle in
+``tests/replan_oracles.py``).
 
 The LP works on *resources* (capability classes) rather than individual
 machines; variables are the amounts of work ``x[t, c, j]`` of job ``j``
@@ -68,12 +69,6 @@ __all__ = [
     "minimize_max_weighted_flow",
     "solve_on_objective_range",
 ]
-
-#: Default milestone-search strategy: ``"certificate"`` (dual-ray guided
-#: parametric search) or ``"gallop"`` (the legacy bidirectional gallop +
-#: bisection, kept as the reference the certificate search is gated
-#: against).  Overridable per call through ``minimize_max_weighted_flow``.
-DEFAULT_SEARCH = "certificate"
 
 #: Work amounts below this threshold (relative to the job's remaining work)
 #: are dropped from the reported allocation.
@@ -704,7 +699,6 @@ def minimize_max_weighted_flow(
     feasible_cap: float | None = None,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
-    search: str | None = None,
     report: MilestoneSearchReport | None = None,
 ) -> MaxStretchSolution:
     """Compute the optimal max weighted flow (max-stretch) for ``problem``.
@@ -745,11 +739,6 @@ def minimize_max_weighted_flow(
         warm-starts dual simplex from the previous basis and produces the
         dual-ray certificates the search prunes with; results are equivalent
         within solver tolerance.
-    search:
-        ``"certificate"`` (dual-ray guided parametric search, the default)
-        or ``"gallop"`` (the legacy bidirectional gallop + bisection);
-        ``None`` resolves to :data:`DEFAULT_SEARCH`.  Both return the same
-        optimum -- the certificate search solves fewer LPs.
     report:
         Optional :class:`MilestoneSearchReport` receiving the search's probe
         economy and its strongest certificate (for cross-replan carry).
@@ -780,13 +769,12 @@ def minimize_max_weighted_flow(
     if feasible_cap is not None and last > 0:
         start_idx = min(start_idx, _interval_of(boundaries, feasible_cap, 0, last))
 
-    best = _search_first_feasible(
+    best = _search_certificate(
         problem,
         boundaries,
         start_idx,
         skeleton_cache=skeleton_cache,
         backend=backend,
-        search=search,
         report=report,
     )
 
@@ -805,40 +793,6 @@ def minimize_max_weighted_flow(
         best = widened
     note_phase_search(time.perf_counter() - search_start)
     return best
-
-
-def _search_first_feasible(
-    problem: MaxStretchProblem,
-    boundaries: Sequence[float],
-    start_idx: int,
-    *,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
-    backend: SolverBackend | None = None,
-    search: str | None = None,
-    report: MilestoneSearchReport | None = None,
-) -> MaxStretchSolution | None:
-    """Locate the first feasible milestone interval and return its optimum.
-
-    Feasibility of "max weighted flow in [boundaries[i], boundaries[i+1]]" is
-    monotone in the interval index ``i``, so the minimizer lives in the first
-    feasible interval.  Two strategies find it -- ``"certificate"`` (default,
-    :func:`_search_certificate`) and ``"gallop"`` (the legacy reference,
-    :func:`_search_gallop`) -- with identical results by construction: a
-    solution is only ever accepted when its own LP optimum proves global
-    optimality or when the adjacent lower interval was solved infeasible.
-    """
-    mode = DEFAULT_SEARCH if search is None else search
-    if mode == "certificate":
-        return _search_certificate(
-            problem, boundaries, start_idx,
-            skeleton_cache=skeleton_cache, backend=backend, report=report,
-        )
-    if mode == "gallop":
-        return _search_gallop(
-            problem, boundaries, start_idx,
-            skeleton_cache=skeleton_cache, backend=backend, report=report,
-        )
-    raise ValueError(f"unknown milestone search strategy {mode!r}")
 
 
 def _interval_of(boundaries: Sequence[float], value: float, lo: int, hi: int) -> int:
@@ -868,8 +822,11 @@ def _search_certificate(
     backend: SolverBackend | None = None,
     report: MilestoneSearchReport | None = None,
 ) -> MaxStretchSolution | None:
-    """Certificate-guided parametric search (the default strategy).
+    """Locate the first feasible milestone interval and return its optimum.
 
+    Feasibility of "max weighted flow in [boundaries[i], boundaries[i+1]]" is
+    monotone in the interval index ``i``, so the minimizer lives in the first
+    feasible interval; certificates guide the search for it.
     Upward, an infeasible probe's dual ray refutes every milestone below its
     affine bound ``-A/B``, so the search jumps straight to the first
     non-refuted interval instead of galloping through the refuted ones.
@@ -967,95 +924,6 @@ def _search_certificate(
         else:
             if bound is not None and mid + 1 < best_idx:
                 hint = bound
-            lo = mid + 1
-    return finish(best)
-
-
-def _search_gallop(
-    problem: MaxStretchProblem,
-    boundaries: Sequence[float],
-    start_idx: int,
-    *,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
-    backend: SolverBackend | None = None,
-    report: MilestoneSearchReport | None = None,
-) -> MaxStretchSolution | None:
-    """The legacy bidirectional gallop + bisection (reference strategy).
-
-    Gallops outward from ``start_idx`` -- downward while feasible, upward
-    while infeasible, with doubling steps -- then binary-searches the
-    bracket found.  Solves strictly more LPs than the certificate search
-    (every candidate is settled by an actual solve); kept as the oracle the
-    certificate search is equality-gated against in tests and benchmarks.
-    """
-    last = len(boundaries) - 2
-    solved = 0
-
-    def probe(i: int) -> MaxStretchSolution | None:
-        nonlocal solved
-        solved += 1
-        return solve_on_objective_range(
-            problem, boundaries[i], boundaries[i + 1],
-            skeleton_cache=skeleton_cache, backend=backend,
-        )
-
-    def finish(best: MaxStretchSolution | None) -> MaxStretchSolution | None:
-        if report is not None:
-            report.n_solved = solved
-        note_milestone_search(solved, 0, False)
-        return best
-
-    best: MaxStretchSolution | None = None
-    lo = 0
-    hi = -1
-    solution = probe(start_idx)
-    if solution is not None:
-        # Gallop downward until an infeasible interval bounds the bracket
-        # (a feasible probe at index 0 means the optimum lives there and the
-        # bracket stays empty).
-        best = solution
-        floor = start_idx
-        step = 1
-        idx = start_idx - 1
-        while idx >= 0:
-            solution = probe(idx)
-            if solution is None:
-                lo, hi = idx + 1, floor - 1
-                break
-            best = solution
-            floor = idx
-            if idx == 0:
-                break
-            idx = max(idx - step, 0)
-            step *= 2
-    else:
-        # Gallop upward until a feasible interval is found.
-        prev = start_idx
-        step = 1
-        idx = start_idx + 1
-        while idx <= last:
-            solution = probe(idx)
-            if solution is not None:
-                best = solution
-                lo, hi = prev + 1, idx - 1
-                break
-            prev = idx
-            if idx == last:
-                break
-            idx = min(idx + step, last)
-            step *= 2
-        if best is None:
-            return finish(None)
-
-    # Refine inside the bracket (lo..hi are untested indices below the first
-    # known-feasible one).
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        solution = probe(mid)
-        if solution is not None:
-            best = solution
-            hi = mid - 1
-        else:
             lo = mid + 1
     return finish(best)
 

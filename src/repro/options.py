@@ -10,17 +10,16 @@ coercion rule and one shared ``argparse`` helper:
   compare equal to their spelling, serialize to JSON as plain strings and
   pass through existing ``== "group"``-style checks unchanged);
 * :meth:`OptionEnum.coerce` turns user input into a member, accepting the
-  canonical spellings silently and the *legacy* spellings (``true``/``yes``
-  for ``on``, ...) with a :class:`DeprecationWarning`;
+  canonical spellings case-insensitively and rejecting anything else with
+  the list of choices;
 * :func:`enum_option` builds the ``add_argument`` keywords so every CLI
   toggle parses, validates and displays its choices the same way.
 """
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = [
     "OptionEnum",
@@ -45,16 +44,10 @@ class OptionEnum(str, Enum):
     __format__ = str.__format__
 
     @classmethod
-    def _legacy_aliases(cls) -> "Mapping[str, OptionEnum]":
-        """Deprecated spellings still accepted (with a warning)."""
-        return {}
-
-    @classmethod
     def coerce(cls, value: Any, *, param: str | None = None) -> "OptionEnum":
         """Normalize ``value`` into a member of this enum.
 
-        Members pass through; canonical spellings (case-insensitively) map
-        silently; legacy spellings map with a :class:`DeprecationWarning`;
+        Members pass through; canonical spellings map case-insensitively;
         anything else raises :class:`ValueError` naming the valid choices.
         """
         if isinstance(value, cls):
@@ -65,14 +58,6 @@ class OptionEnum(str, Enum):
             return cls(text)
         except ValueError:
             pass
-        alias = cls._legacy_aliases().get(text)
-        if alias is not None:
-            warnings.warn(
-                f"{label}={value!r} is deprecated; use {alias.value!r}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return alias
         valid = ", ".join(repr(m.value) for m in cls)
         raise ValueError(f"{label} must be one of {valid} (got {value!r})")
 
@@ -100,19 +85,6 @@ class OnOff(OptionEnum):
             return cls.from_bool(value)
         return super().coerce(value, param=param)  # type: ignore[return-value]
 
-    @classmethod
-    def _legacy_aliases(cls) -> "Mapping[str, OnOff]":
-        return {
-            "true": cls.ON,
-            "yes": cls.ON,
-            "1": cls.ON,
-            "enabled": cls.ON,
-            "false": cls.OFF,
-            "no": cls.OFF,
-            "0": cls.OFF,
-            "disabled": cls.OFF,
-        }
-
 
 class SolverBackendChoice(OptionEnum):
     """LP solver backend selector (``scipy`` | ``highs`` | ``auto``).
@@ -125,28 +97,12 @@ class SolverBackendChoice(OptionEnum):
     HIGHS = "highs"
     AUTO = "auto"
 
-    @classmethod
-    def _legacy_aliases(cls) -> "Mapping[str, SolverBackendChoice]":
-        return {
-            "linprog": cls.SCIPY,  # historical name of the one-shot path
-            "highspy": cls.HIGHS,  # the binding, not the backend
-            "default": cls.AUTO,
-        }
-
 
 class DispatchMode(OptionEnum):
     """Campaign dispatch granularity (``group`` | ``task``)."""
 
     GROUP = "group"
     TASK = "task"
-
-    @classmethod
-    def _legacy_aliases(cls) -> "Mapping[str, DispatchMode]":
-        return {
-            "grouped": cls.GROUP,
-            "per-task": cls.TASK,
-            "tasks": cls.TASK,
-        }
 
 
 def enum_option(
@@ -158,9 +114,8 @@ def enum_option(
     """``argparse.add_argument`` keywords for an enum-valued option.
 
     One helper, every toggle: input goes through :meth:`OptionEnum.coerce`
-    (so legacy spellings keep working, with a deprecation warning), the
-    ``choices`` list shows the canonical spellings, and the parsed value is
-    always an enum member.
+    (canonical spellings, case-insensitively), the ``choices`` list shows
+    them, and the parsed value is always an enum member.
     """
 
     def parse(text: str) -> OptionEnum:

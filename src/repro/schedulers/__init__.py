@@ -28,10 +28,9 @@ plus the classical heuristics used in the theory sections:
 
 The on-line LP heuristics additionally accept a *replan policy*
 (:mod:`repro.schedulers.policies`) deciding when the LP resolutions run --
-``on-arrival`` (paper-faithful), ``batched:D`` or ``threshold:K`` -- and an
-``incremental`` toggle selecting the warm-started
-:class:`~repro.lp.incremental.ReplanContext` hot path (default) or the
-from-scratch resolution of the original heuristic.
+``on-arrival`` (paper-faithful), ``batched:D`` or ``threshold:K``; every
+resolution goes through the warm-started
+:class:`~repro.lp.incremental.ReplanContext`.
 """
 
 from repro.schedulers.base import (

@@ -25,16 +25,14 @@ The *non-optimized* variant (``variant="online-nonopt"``) skips step 3 and
 directly materializes the System (1) allocation; Figure 3 of the paper
 compares it against the optimized version.
 
-Two orthogonal knobs refine the hot path without changing the defaults:
-
-* ``policy`` -- a :mod:`~repro.schedulers.policies` replan policy deciding
-  *when* the LP resolutions run (``"on-arrival"``, the paper's behaviour, by
-  default);
-* ``incremental`` -- when True (default) a
-  :class:`~repro.lp.incremental.ReplanContext` carries caches and an
-  :math:`S^*` warm start across replans, which cuts the LP probe count per
-  release date by several times while producing bit-identical schedules;
-  ``incremental=False`` keeps the from-scratch path for comparison.
+A :mod:`~repro.schedulers.policies` replan policy decides *when* the LP
+resolutions run (``"on-arrival"``, the paper's behaviour, by default).
+Every full-platform resolution goes through a
+:class:`~repro.lp.incremental.ReplanContext`, which carries caches and an
+:math:`S^*` warm start across replans: it cuts the LP probe count per
+release date by several times while producing schedules bit-identical to
+rebuilding every LP from scratch (the from-scratch twin is the test oracle
+in ``tests/replan_oracles.py``).
 """
 
 from __future__ import annotations
@@ -90,32 +88,26 @@ class OnlineLPScheduler(PlanBasedScheduler):
     policy:
         Replan policy (textual spec or :class:`ReplanPolicy` instance); the
         default ``"on-arrival"`` reproduces the paper exactly.
-    incremental:
-        Carry a :class:`~repro.lp.incremental.ReplanContext` across replans
-        (default).  ``False`` rebuilds everything from scratch at every
-        resolution, as the original heuristic does.
     solver_backend:
         LP solver backend (``"scipy"`` | ``"highs"`` | ``"auto"``, a
         :class:`~repro.lp.backends.SolverBackend` instance, or ``None`` for
-        the scipy default).  Orthogonal to ``incremental``: the backend
-        lives at the solver layer (one instance per run, owned by the
-        ReplanContext when ``incremental`` is on), so the from-scratch
-        planning path can still be measured against both backends.
+        the scipy default).  The backend lives at the solver layer: one
+        instance per run, owned by the ReplanContext.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across runs
-        (the campaign workers hold one each).  Only honoured with
-        ``incremental=True``; any non-bank value -- including the raw
-        booleans of :attr:`ExperimentConfig.state_bank`, which only the
-        campaign runner translates into a live bank -- is treated as "no
-        bank", so direct ``simulate()`` and CLI paths stay bank-less.
+        (the campaign workers hold one each).  Any non-bank value --
+        including the raw booleans of :attr:`ExperimentConfig.state_bank`,
+        which only the campaign runner translates into a live bank -- is
+        treated as "no bank", so direct ``simulate()`` and CLI paths stay
+        bank-less.
     speculate:
         When True, the engine's once-per-gap :meth:`on_idle` callback
         pre-solves the *predicted* next replan (the event-horizon projection
         of :mod:`repro.lp.speculate`) so an exact prediction turns the
         arrival's LP work into a memo re-bind.  Bit-identical schedules by
         construction -- hits are exact optima of the signed problem, misses
-        are discarded -- and a no-op without ``incremental`` or on the
-        persistent HiGHS backend (see :meth:`ReplanContext.speculate`).
+        are discarded -- and a no-op on the persistent HiGHS backend (see
+        :meth:`ReplanContext.speculate`).
         Default off (the paper's heuristics have no such look-ahead).
     """
 
@@ -124,7 +116,6 @@ class OnlineLPScheduler(PlanBasedScheduler):
         variant: Variant = "online",
         *,
         policy: "str | ReplanPolicy" = "on-arrival",
-        incremental: bool = True,
         solver_backend: "str | SolverBackend | None" = None,
         state_bank: "SolverStateBank | object | None" = None,
         speculate: bool = False,
@@ -138,14 +129,13 @@ class OnlineLPScheduler(PlanBasedScheduler):
             # Non-default cadences are a new scenario axis; make them visible
             # in result tables without renaming the paper-faithful default.
             self.name = f"{self.name} [{self.policy.describe()}]"
-        self.incremental = incremental
         self.speculate = bool(speculate)
         self.solver_backend = solver_backend
         self.state_bank: SolverStateBank | None = (
             state_bank if isinstance(state_bank, SolverStateBank) else None
         )
-        self._backend: SolverBackend | None = None
-        self._context: ReplanContext | None = None
+        #: Built by :meth:`reset`, once per run.
+        self._context: ReplanContext
         #: Lazily created backend for degraded (restricted-availability)
         #: replans, kept apart from the full-platform warm-start state.
         self._fault_backend: SolverBackend | None = None
@@ -158,20 +148,11 @@ class OnlineLPScheduler(PlanBasedScheduler):
     # -- event handling ------------------------------------------------------------
     def reset(self, instance: Instance) -> None:
         super().reset(instance)
-        if self.incremental:
-            self._context = ReplanContext(
-                instance,
-                solver_backend=self.solver_backend,
-                state_bank=self.state_bank,
-            )
-            self._backend = self._context.backend
-        else:
-            self._context = None
-            # Persistent solver state never leaks across runs: freshly named
-            # backends start empty, and a caller-supplied instance is
-            # emptied here (mirroring the ReplanContext lifetime).
-            self._backend = make_backend(self.solver_backend)
-            self._backend.close()
+        self._context = ReplanContext(
+            instance,
+            solver_backend=self.solver_backend,
+            state_bank=self.state_bank,
+        )
         if self._fault_backend is not None:
             self._fault_backend.close()
             self._fault_backend = None
@@ -182,21 +163,19 @@ class OnlineLPScheduler(PlanBasedScheduler):
     def on_availability(
         self, state: SchedulerState, downs: Sequence[int], ups: Sequence[int]
     ) -> None:
-        if self._context is not None:
-            # Carried S*/certificates assume the previous plan was followed
-            # on a stable platform; an outage breaks that premise, so the
-            # context must restart cold (the speculation memo dies with it
-            # -- an UP during an idle gap therefore misses cleanly).
-            self._context.invalidate_carry()
+        # Carried S*/certificates assume the previous plan was followed
+        # on a stable platform; an outage breaks that premise, so the
+        # context must restart cold (the speculation memo dies with it
+        # -- an UP during an idle gap therefore misses cleanly).
+        self._context.invalidate_carry()
         super().on_availability(state, downs, ups)
 
     def on_arrivals(self, state: SchedulerState, jobs: Sequence[Job]) -> None:
-        if self._context is not None:
-            # Service mode admits jobs after reset; make sure the replan fast
-            # path has a row for each before any policy decision can trigger
-            # an LP resolution.  No-op in batch mode (the table is built from
-            # the full instance up front), so schedules are unchanged there.
-            self._context.ensure_jobs(jobs)
+        # Service mode admits jobs after reset; make sure the replan fast
+        # path has a row for each before any policy decision can trigger
+        # an LP resolution.  No-op in batch mode (the table is built from
+        # the full instance up front), so schedules are unchanged there.
+        self._context.ensure_jobs(jobs)
         super().on_arrivals(state, jobs)
 
     def on_arrival(self, state: SchedulerState, job: Job) -> None:
@@ -206,8 +185,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
 
     def finalize(self, state: SchedulerState) -> None:
         """Publish the run's final solver state into the cross-run bank."""
-        if self._context is not None:
-            self._context.publish()
+        self._context.publish()
 
     def on_idle(self, state: SchedulerState, until: float) -> None:
         """Speculatively pre-solve the replan predicted at ``until``.
@@ -220,7 +198,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
         completion-triggered replans make the prediction miss, which
         discards the memo -- never changing results either way.
         """
-        if not self.speculate or self._context is None:
+        if not self.speculate:
             return
         if state.down:
             # Degraded replans bypass the context (and its memo); a
@@ -255,24 +233,16 @@ class OnlineLPScheduler(PlanBasedScheduler):
             return
 
         # Step 2: best achievable max-stretch given the decisions already made.
-        if self._context is not None:
-            problem = self._context.build_problem(now, remaining)
-            best = self._context.solve_max_stretch(problem)
-        else:
-            problem = problem_from_instance(instance, now=now, remaining=remaining)
-            best = minimize_max_weighted_flow(problem, backend=self._backend)
+        problem = self._context.build_problem(now, remaining)
+        best = self._context.solve_max_stretch(problem)
         self.last_objective = best.objective
         self.n_resolutions += 1
 
         if self.variant == "online-nonopt":
             solution = best
-        elif self._context is not None:
+        else:
             # Step 3: System (2) re-optimization at fixed max-stretch.
             solution = self._context.reoptimize(problem, best.objective)
-        else:
-            solution = reoptimize_allocation(
-                problem, best.objective, backend=self._backend
-            )
 
         # Step 4: build the executable plan.
         self._install_plan(solution, instance, now)

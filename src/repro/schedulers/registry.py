@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Keys of the on-line LP heuristics -- the schedulers that accept the
-#: replanning knobs (``policy=...``, ``incremental=...``).  Kept next to the
+#: replanning knobs (``policy=...``, ``speculate=...``).  Kept next to the
 #: registrations below so a new variant cannot drift out of sync with the
 #: experiment/CLI layers that consult this tuple.
 ONLINE_LP_SCHEDULERS: tuple[str, ...] = (

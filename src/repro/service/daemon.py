@@ -81,7 +81,6 @@ class ServiceConfig:
 
     scheduler: str = "online"
     replan_policy: str = "on-arrival"
-    incremental_lp: bool = True
     solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO
     speculation: "OnOff | bool | str" = OnOff.OFF
     time_scale: float = 0.0
@@ -138,7 +137,6 @@ class ServiceConfig:
             options["solver_backend"] = str(self.solver_backend)
         if self.scheduler in ONLINE_LP_SCHEDULERS:
             options["policy"] = self.replan_policy
-            options["incremental"] = self.incremental_lp
             options["speculate"] = bool(self.speculation)
         return options
 

@@ -251,6 +251,17 @@ def read_trace(path: "str | Path") -> SubmissionTrace:
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"trace {path} has a malformed platform: {exc}") from None
 
+    # Traces recorded while the replan path was a scheduler option carry it
+    # as "incremental".  True is the only path left and is dropped; a trace
+    # recorded from scratch cannot be replayed by it (on HiGHS the carried
+    # basis leads to other System (2) vertices), so it is refused.
+    scheduler_options = dict(header.get("scheduler_options") or {})
+    if scheduler_options.pop("incremental", True) is not True:
+        raise ServiceError(
+            f"trace {path} was recorded on the from-scratch LP replan path, "
+            "which no longer exists"
+        )
+
     jobs: list[Job] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -275,7 +286,7 @@ def read_trace(path: "str | Path") -> SubmissionTrace:
     return SubmissionTrace(
         platform=platform,
         scheduler=str(header.get("scheduler", "online")),
-        scheduler_options=header.get("scheduler_options") or {},
+        scheduler_options=scheduler_options,
         jobs=jobs,
         time_scale=float(header.get("time_scale", 0.0)),
     )

@@ -12,9 +12,11 @@ Three families of guarantees:
   below pin that down, including a regression instance whose rays overshoot
   ``F*`` by ~25%).
 * **Result equivalence** -- the certificate search returns the same
-  :math:`S^*` and allocations as the legacy gallop, across seeds, backends
-  and whole replan sequences (bit-identical on the stateless scipy backend,
-  within solver tolerance on persistent HiGHS).
+  :math:`S^*` and allocations as the legacy gallop (the oracle
+  :func:`replan_oracles.search_gallop`, swapped in for the production
+  search), across seeds, backends and whole replan sequences (bit-identical
+  on the stateless scipy backend, within solver tolerance on persistent
+  HiGHS).
 * **Graceful degradation** -- backends without dual-ray support (scipy) run
   the same search without certificates: no bounds, no skips from jumps, and
   still-correct results.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.lp.maxstretch as maxstretch
 from repro.lp.backends import highs_available, make_backend, record_lp_probes
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import (
@@ -36,6 +39,8 @@ from repro.lp.maxstretch import (
 )
 from repro.lp.problem import problem_from_instance
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
+
+from replan_oracles import search_gallop
 
 requires_highs = pytest.mark.skipif(
     not highs_available(),
@@ -52,6 +57,32 @@ def _problem(seed: int, *, max_jobs: int = 18, density: float = 1.5):
     workload_spec = WorkloadSpec(density=density, window=30.0, max_jobs=max_jobs)
     instance = generate_instance(platform_spec, workload_spec, rng=seed)
     return instance, problem_from_instance(instance)
+
+
+def _patch_gallop(monkeypatch) -> list[int]:
+    """Swap the gallop oracle in for the certificate search.
+
+    Returns the list every oracle call appends its start index to, so a test
+    can assert the oracle really ran.  ``monkeypatch.context()`` scopes the
+    swap; the patch is module-global while it lasts.
+    """
+    calls: list[int] = []
+
+    def counted(problem, boundaries, start_idx, **kwargs):
+        calls.append(start_idx)
+        return search_gallop(problem, boundaries, start_idx, **kwargs)
+
+    monkeypatch.setattr(maxstretch, "_search_certificate", counted)
+    return calls
+
+
+def _gallop(monkeypatch, problem, **kwargs):
+    """``minimize_max_weighted_flow`` through the gallop oracle."""
+    with monkeypatch.context() as patch:
+        calls = _patch_gallop(patch)
+        solution = minimize_max_weighted_flow(problem, **kwargs)
+    assert calls, "the gallop oracle did not run"
+    return solution
 
 
 # -- soundness of the parametric bound ----------------------------------------------
@@ -137,23 +168,21 @@ class TestDualRayBoundSoundness:
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestSearchEquivalence:
-    def test_scipy_results_bit_identical(self, seed):
+    def test_scipy_results_bit_identical(self, seed, monkeypatch):
         _instance, problem = _problem(seed)
-        gallop = minimize_max_weighted_flow(problem, search="gallop")
-        certificate = minimize_max_weighted_flow(problem, search="certificate")
+        gallop = _gallop(monkeypatch, problem)
+        certificate = minimize_max_weighted_flow(problem)
         assert certificate.objective == gallop.objective
         assert certificate.allocations == gallop.allocations
 
     @requires_highs
-    def test_highs_results_within_solver_tolerance(self, seed):
+    def test_highs_results_within_solver_tolerance(self, seed, monkeypatch):
         _instance, problem = _problem(seed)
         backend_g = make_backend("highs")
         backend_c = make_backend("highs")
         try:
-            gallop = minimize_max_weighted_flow(problem, backend=backend_g, search="gallop")
-            certificate = minimize_max_weighted_flow(
-                problem, backend=backend_c, search="certificate"
-            )
+            gallop = _gallop(monkeypatch, problem, backend=backend_g)
+            certificate = minimize_max_weighted_flow(problem, backend=backend_c)
         finally:
             backend_g.close()
             backend_c.close()
@@ -163,19 +192,17 @@ class TestSearchEquivalence:
                 job.remaining_work, rel=1e-6
             )
 
-    def test_warm_started_searches_agree(self, seed):
+    def test_warm_started_searches_agree(self, seed, monkeypatch):
         """Warm starts (any index) only reorder probes, never change results."""
         _instance, problem = _problem(seed)
-        reference = minimize_max_weighted_flow(problem, search="gallop")
+        reference = _gallop(monkeypatch, problem)
         for warm in (None, 1.0, reference.objective, 10.0 * reference.objective):
-            warmed = minimize_max_weighted_flow(
-                problem, warm_start=warm, search="certificate"
-            )
+            warmed = minimize_max_weighted_flow(problem, warm_start=warm)
             assert warmed.objective == reference.objective
 
 
 @requires_highs
-def test_overshooting_certificates_regression():
+def test_overshooting_certificates_regression(monkeypatch):
     """Rays whose bounds overshoot F* must not mislead the search.
 
     Regression instance (from the campaign A/B gate): the dual rays of the
@@ -200,40 +227,44 @@ def test_overshooting_certificates_regression():
     seed = derive_seed(2006, "bench-low", 3)
     instance = generate_instance(config.platform_spec(), config.workload_spec(), rng=seed)
     problem = problem_from_instance(instance)
-    reference = minimize_max_weighted_flow(problem, search="gallop")
+    reference = _gallop(monkeypatch, problem)
     backend = make_backend("highs")
     try:
-        certified = minimize_max_weighted_flow(
-            problem, backend=backend, search="certificate"
-        )
+        certified = minimize_max_weighted_flow(problem, backend=backend)
     finally:
         backend.close()
     assert certified.objective == pytest.approx(reference.objective, rel=1e-9)
 
 
 @pytest.mark.parametrize("backend_name", ["scipy", pytest.param("highs", marks=requires_highs)])
-def test_replan_sequence_equivalence(backend_name):
-    """Certificate-guided contexts track gallop contexts over whole replan runs."""
+def test_replan_sequence_equivalence(backend_name, monkeypatch):
+    """Certificate-guided contexts track gallop contexts over whole replan runs.
+
+    The gallop swap is module-global, so the two contexts run one after the
+    other over the same replan sequence.
+    """
     instance, _problem_unused = _problem(5, max_jobs=20, density=2.0)
-    ctx_gallop = ReplanContext(
-        instance, solver_backend=backend_name, milestone_search="gallop"
-    )
-    ctx_cert = ReplanContext(
-        instance, solver_backend=backend_name, milestone_search="certificate"
-    )
-    remaining = {job.job_id: job.size for job in instance.jobs}
-    try:
-        for now in (0.0, 4.0, 9.0):
-            active = dict(remaining)
-            p_gallop = ctx_gallop.build_problem(now, active)
-            p_cert = ctx_cert.build_problem(now, active)
-            s_gallop = ctx_gallop.solve_max_stretch(p_gallop)
-            s_cert = ctx_cert.solve_max_stretch(p_cert)
-            assert s_cert.objective == pytest.approx(s_gallop.objective, rel=1e-9)
-            remaining = {j: 0.6 * r for j, r in remaining.items()}
-    finally:
-        ctx_gallop.close()
-        ctx_cert.close()
+
+    def replan_sequence(context):
+        remaining = {job.job_id: job.size for job in instance.jobs}
+        objectives = []
+        try:
+            for now in (0.0, 4.0, 9.0):
+                problem = context.build_problem(now, dict(remaining))
+                objectives.append(context.solve_max_stretch(problem).objective)
+                remaining = {j: 0.6 * r for j, r in remaining.items()}
+        finally:
+            context.close()
+        return objectives
+
+    ctx_gallop = ReplanContext(instance, solver_backend=backend_name)
+    with monkeypatch.context() as patch:
+        calls = _patch_gallop(patch)
+        gallop_objectives = replan_sequence(ctx_gallop)
+    assert len(calls) == 3, "the gallop oracle did not run every replan"
+    ctx_cert = ReplanContext(instance, solver_backend=backend_name)
+    cert_objectives = replan_sequence(ctx_cert)
+    assert cert_objectives == pytest.approx(gallop_objectives, rel=1e-9)
     # The certificate context never solves more probes than the gallop one.
     assert ctx_cert.n_probes_solved <= ctx_gallop.n_probes_solved
 
@@ -258,31 +289,23 @@ class TestScipyFallback:
     def test_search_report_has_no_certificate_carry(self):
         _instance, problem = _problem(3)
         report = MilestoneSearchReport()
-        minimize_max_weighted_flow(problem, search="certificate", report=report)
+        minimize_max_weighted_flow(problem, report=report)
         assert report.certificate is None
         assert report.n_solved > 0
 
-    def test_interior_exit_still_prunes_on_scipy(self):
+    def test_interior_exit_still_prunes_on_scipy(self, monkeypatch):
         """The interior-optimum re-check needs no certificate support."""
         _instance, problem = _problem(7)
-        reference = minimize_max_weighted_flow(problem, search="gallop")
+        reference = _gallop(monkeypatch, problem)
         report = MilestoneSearchReport()
         warmed = minimize_max_weighted_flow(
             problem,
             warm_start=reference.objective,
-            search="certificate",
             report=report,
         )
         assert warmed.objective == reference.objective
         if report.interior_exit:
             assert report.n_solved == 1  # the winning probe proved itself optimal
-
-
-class TestUnknownSearchMode:
-    def test_rejected(self):
-        _instance, problem = _problem(0, max_jobs=6)
-        with pytest.raises(ValueError, match="unknown milestone search"):
-            minimize_max_weighted_flow(problem, search="bogus")
 
 
 # -- cross-replan certificate carry ---------------------------------------------------
@@ -332,7 +355,7 @@ class TestProbeHistogram:
     def test_record_lp_probes_collects_searches(self):
         _instance, problem = _problem(0)
         with record_lp_probes() as stats:
-            minimize_max_weighted_flow(problem, search="certificate")
+            minimize_max_weighted_flow(problem)
         assert len(stats.searches) == 1
         solved, skipped = stats.searches[0]
         assert solved >= 1
@@ -355,14 +378,17 @@ class TestProbeHistogram:
         assert stats.search_seconds >= stats.assembly_seconds
 
     @requires_highs
-    def test_certificate_search_solves_fewer_lps(self):
+    def test_certificate_search_solves_fewer_lps(self, monkeypatch):
         _instance, problem = _problem(7, max_jobs=24, density=2.0)
         counts = {}
         for mode in ("gallop", "certificate"):
             backend = make_backend("highs")
             try:
                 with record_lp_probes() as stats:
-                    minimize_max_weighted_flow(problem, backend=backend, search=mode)
+                    if mode == "gallop":
+                        _gallop(monkeypatch, problem, backend=backend)
+                    else:
+                        minimize_max_weighted_flow(problem, backend=backend)
             finally:
                 backend.close()
             counts[mode] = stats.n_probes

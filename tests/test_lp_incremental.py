@@ -2,14 +2,17 @@
 
 The contract under test is strong: the warm-started, cache-carrying path
 must produce *identical* objectives, allocations and simulated completion
-times to the from-scratch path -- warm-starting only reorders the probes of
-a monotone feasibility search, and the cached constraint skeletons pin the
-exact variable order of the historical LP builder.
+times to rebuilding every LP from scratch (the oracle
+:class:`replan_oracles.FromScratchOnlineLP`) -- warm-starting only reorders
+the probes of a monotone feasibility search, and the cached constraint
+skeletons pin the exact variable order of the historical LP builder.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch_module
 from repro.lp.incremental import ReplanContext
@@ -17,8 +20,10 @@ from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_r
 from repro.lp.problem import problem_from_instance
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
+from repro.workload.faults import FaultSpec, generate_fault_timeline
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
+from replan_oracles import FromScratchOnlineLP
 from test_sched_offline_online import random_restricted_instance
 
 
@@ -96,32 +101,48 @@ class TestWarmStartEquivalence:
 
 
 class TestIncrementalSchedulerEquivalence:
-    @pytest.mark.parametrize("variant", ["online", "online-edf", "online-egdf", "online-nonopt"])
-    def test_identical_completions_and_objective(self, variant):
-        instance = _gripps_instance(7, max_jobs=14)
-        scratch_sched = OnlineLPScheduler(variant=variant, incremental=False)
-        scratch = simulate(instance, scratch_sched)
-        incremental_sched = OnlineLPScheduler(variant=variant, incremental=True)
-        incremental = simulate(instance, incremental_sched)
-        assert incremental_sched.last_objective == scratch_sched.last_objective
-        assert incremental_sched.n_resolutions == scratch_sched.n_resolutions
-        for job_id, completion in scratch.completions.items():
-            assert incremental.completions[job_id] == pytest.approx(
-                completion, abs=1e-6
-            )
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        variant=st.sampled_from(["online", "online-edf", "online-egdf", "online-nonopt"]),
+        policy=st.sampled_from(["on-arrival", "batched:2", "threshold:1.2"]),
+        with_faults=st.booleans(),
+        speculate=st.booleans(),
+    )
+    def test_identical_to_from_scratch_oracle(
+        self, seed, variant, policy, with_faults, speculate
+    ):
+        """On scipy the context path equals the from-scratch oracle exactly."""
+        instance = _gripps_instance(seed, max_jobs=14)
+        faults = None
+        if with_faults:
+            spec = FaultSpec(mtbf=20.0, mttr=3.0, horizon=30.0)
+            faults = generate_fault_timeline(instance.platform, spec, rng=seed)
+        options = dict(
+            variant=variant, policy=policy, solver_backend="scipy", speculate=speculate
+        )
+        oracle_sched = FromScratchOnlineLP(**options)
+        oracle = simulate(instance, oracle_sched, faults=faults)
+        assert oracle_sched._context.n_replans == 0  # no replan went through it
+        context_sched = OnlineLPScheduler(**options)
+        result = simulate(instance, context_sched, faults=faults)
+        assert result.completions == oracle.completions
+        assert result.schedule.slices == oracle.schedule.slices
+        assert context_sched.last_objective == oracle_sched.last_objective
+        assert context_sched.n_resolutions == oracle_sched.n_resolutions
 
     def test_incremental_uses_fewer_probes(self, monkeypatch):
         instance = _gripps_instance(11, max_jobs=25, density=2.0)
         counter = _ProbeCounter(monkeypatch)
-        simulate(instance, OnlineLPScheduler(variant="online", incremental=False))
+        simulate(instance, FromScratchOnlineLP(variant="online"))
         scratch_probes = counter.count
         counter.count = 0
-        simulate(instance, OnlineLPScheduler(variant="online", incremental=True))
+        simulate(instance, OnlineLPScheduler(variant="online"))
         assert counter.count <= scratch_probes
 
     def test_context_records_replans(self):
         instance = random_restricted_instance(2, n_jobs=6)
-        scheduler = OnlineLPScheduler(variant="online", incremental=True)
+        scheduler = OnlineLPScheduler(variant="online")
         simulate(instance, scheduler)
         assert scheduler._context is not None
         assert scheduler._context.n_replans == scheduler.n_resolutions
@@ -144,7 +165,7 @@ class TestSkeletonCache:
 
     def test_context_cache_is_bounded(self):
         instance = _gripps_instance(3, max_jobs=20)
-        scheduler = OnlineLPScheduler(variant="online", incremental=True)
+        scheduler = OnlineLPScheduler(variant="online")
         simulate(instance, scheduler)
         from repro.lp.incremental import _MAX_SKELETONS
 

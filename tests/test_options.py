@@ -30,15 +30,6 @@ class TestOnOff:
         assert OnOff.coerce(True) is OnOff.ON
         assert OnOff.coerce(False) is OnOff.OFF
 
-    @pytest.mark.parametrize(
-        "legacy,expected",
-        [("true", OnOff.ON), ("yes", OnOff.ON), ("1", OnOff.ON),
-         ("false", OnOff.OFF), ("no", OnOff.OFF), ("disabled", OnOff.OFF)],
-    )
-    def test_legacy_spellings_warn(self, legacy, expected):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert OnOff.coerce(legacy, param="--state-bank") is expected
-
     def test_invalid_value_names_choices(self):
         with pytest.raises(ValueError, match="'on', 'off'"):
             OnOff.coerce("maybe", param="--speculate")
@@ -47,17 +38,32 @@ class TestOnOff:
 class TestOtherEnums:
     def test_solver_backend_choices(self):
         assert SolverBackendChoice.coerce("auto") is SolverBackendChoice.AUTO
-        with pytest.warns(DeprecationWarning):
-            assert SolverBackendChoice.coerce("linprog") is SolverBackendChoice.SCIPY
         with pytest.raises(ValueError):
             SolverBackendChoice.coerce("cplex")
 
     def test_dispatch_modes(self):
         assert DispatchMode.coerce("task") is DispatchMode.TASK
-        with pytest.warns(DeprecationWarning):
-            assert DispatchMode.coerce("grouped") is DispatchMode.GROUP
         # The str mixin keeps historical comparisons working.
         assert DispatchMode.GROUP == "group"
+
+
+#: The spellings coerce() mapped with a DeprecationWarning before they were
+#: removed; each is now an invalid value like any other.
+REMOVED_SPELLINGS = {
+    OnOff: ("true", "yes", "1", "enabled", "false", "no", "0", "disabled"),
+    SolverBackendChoice: ("linprog", "highspy", "default"),
+    DispatchMode: ("grouped", "per-task", "tasks"),
+}
+
+
+@pytest.mark.parametrize(
+    "enum_cls,text",
+    [(enum_cls, text) for enum_cls, texts in REMOVED_SPELLINGS.items() for text in texts],
+)
+def test_removed_spelling_is_rejected_with_choices(enum_cls, text):
+    choices = ", ".join(repr(member.value) for member in enum_cls)
+    with pytest.raises(ValueError, match=f"must be one of {choices}"):
+        enum_cls.coerce(text, param="--option")
 
 
 class TestEnumOption:
@@ -73,11 +79,6 @@ class TestEnumOption:
 
     def test_default_is_a_member(self):
         assert self.build().parse_args([]).toggle is OnOff.OFF
-
-    def test_legacy_value_warns_but_parses(self):
-        with pytest.warns(DeprecationWarning):
-            args = self.build().parse_args(["--toggle", "yes"])
-        assert args.toggle is OnOff.ON
 
     def test_invalid_value_errors_out(self):
         with pytest.raises(SystemExit):
@@ -133,14 +134,3 @@ class TestRunnerDispatchCoercion:
         with pytest.raises(ReproError, match="unknown dispatch mode"):
             run_campaign(small_configurations()[:1], scheduler_keys=["fcfs"],
                          replicates=1, dispatch="shuffled")
-
-    def test_legacy_dispatch_spelling_warns(self):
-        from repro.experiments.config import small_configurations
-        from repro.experiments.runner import run_campaign
-
-        with pytest.warns(DeprecationWarning):
-            results = run_campaign(
-                small_configurations()[:1], scheduler_keys=["fcfs"],
-                replicates=1, dispatch="per-task"
-            )
-        assert len(results) == 1

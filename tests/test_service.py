@@ -67,7 +67,7 @@ def make_trace(scheduler="online", options=None, jobs=None) -> SubmissionTrace:
 
 class TestTraceRoundTrip:
     def test_write_read_round_trip_is_exact(self, tmp_path):
-        trace = make_trace(options={"policy": "batched:1.5", "incremental": True})
+        trace = make_trace(options={"policy": "batched:1.5", "speculate": True})
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, trace) as writer:
             for job in trace.jobs:
@@ -109,6 +109,43 @@ class TestTraceRoundTrip:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(trace.header()) + "\n" + "{broken\n" + "x\n")
         with pytest.raises(ServiceError, match="malformed record at line 2"):
+            read_trace(path)
+
+
+#: A trace as the daemon journaled it while the replan path was still a
+#: scheduler option: the header carries ``"incremental": true``.
+LEGACY_TRACE_LINES = [
+    '{"kind": "repro-service-trace", "version": 1, "scheduler": "online", '
+    '"scheduler_options": {"solver_backend": "scipy", "policy": "on-arrival", '
+    '"incremental": true, "speculate": false}, "time_scale": 0.0, "platform": '
+    '[{"id": 0, "cycle_time": 0.5, "cluster": 0, "databanks": ["nt", "sp"], '
+    '"name": ""}, {"id": 1, "cycle_time": 1.0, "cluster": 1, "databanks": '
+    '["nt", "pdb"], "name": ""}]}',
+    '{"kind": "submission", "id": 0, "release": 0.0, "size": 6.0, '
+    '"databank": "sp", "weight": null, "name": ""}',
+    '{"kind": "submission", "id": 1, "release": 0.5, "size": 2.0, '
+    '"databank": "pdb", "weight": null, "name": ""}',
+    '{"kind": "submission", "id": 2, "release": 2.0, "size": 3.0, '
+    '"databank": "nt", "weight": null, "name": ""}',
+]
+
+
+class TestLegacyReplanOption:
+    def test_incremental_true_trace_replays(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text("\n".join(LEGACY_TRACE_LINES) + "\n")
+        trace = read_trace(path)
+        assert trace.scheduler_options == {
+            "solver_backend": "scipy", "policy": "on-arrival", "speculate": False
+        }
+        check = verify_replay(trace)
+        assert check.identical, check.detail
+
+    def test_incremental_false_trace_is_rejected(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        header = LEGACY_TRACE_LINES[0].replace('"incremental": true', '"incremental": false')
+        path.write_text("\n".join([header, *LEGACY_TRACE_LINES[1:]]) + "\n")
+        with pytest.raises(ServiceError, match="from-scratch LP replan path"):
             read_trace(path)
 
 

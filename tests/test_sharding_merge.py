@@ -363,6 +363,53 @@ class TestMergeValidation:
             design_tasks_from_meta({"base_seed": 1})
 
 
+#: A journal header as campaigns wrote it while the replan path was a
+#: configuration toggle (``incremental_lp``), for LEGACY_CONFIG below.
+LEGACY_HEADER = (
+    '{"kind": "repro-campaign-checkpoint", "version": 1, "meta": {"base_seed": 17, '
+    '"replicates": 1, "scheduler_keys": ["online", "swrpt"], "configs": [{"name": '
+    '"legacy", "n_clusters": 2, "n_databanks": 2, "availability": 0.6, "density": '
+    '1.0, "processors_per_cluster": 3, "window": 12.0, "max_jobs": 5, '
+    '"replan_policy": "on-arrival", "incremental_lp": true, "solver_backend": '
+    '"scipy", "state_bank": true, "speculation": false, "fault_mtbf": null, '
+    '"fault_mttr": null, "fault_horizon": null, "fault_machine_fraction": 1.0, '
+    '"fault_loss_model": "resume", "fault_checkpoint_fraction": 0.0}], '
+    '"resolved_backends": ["scipy"], "scheduler_options": null}}'
+)
+LEGACY_CONFIG = ExperimentConfig(
+    name="legacy", n_clusters=2, n_databanks=2, availability=0.6, density=1.0,
+    processors_per_cluster=3, window=12.0, max_jobs=5, solver_backend="scipy",
+)
+
+
+class TestLegacyReplanKey:
+    def _resume(self, path):
+        return run_campaign(
+            [LEGACY_CONFIG], scheduler_keys=("online", "swrpt"), replicates=1,
+            base_seed=17, checkpoint=path, resume=True,
+        )
+
+    def test_legacy_journal_resumes_and_merges(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(LEGACY_HEADER + "\n")
+        results = self._resume(path)
+        assert len(results) == 2
+        merged = merge_journals([path])
+        assert merged.complete
+        assert merged.results.result_set() == results.result_set()
+
+    def test_from_scratch_journal_is_rejected(self, tmp_path):
+        path = tmp_path / "scratch.jsonl"
+        path.write_text(
+            LEGACY_HEADER.replace('"incremental_lp": true', '"incremental_lp": false')
+            + "\n"
+        )
+        with pytest.raises(ReproError, match="different campaign"):
+            self._resume(path)
+        with pytest.raises(ReproError, match="from-scratch LP replan path"):
+            merge_journals([path])
+
+
 class TestReportStage:
     def test_report_regenerates_table1_from_merged_run(
         self, serial_results, shard_journals, tmp_path
