@@ -30,9 +30,8 @@ A fourth gate covers the group-batched dispatch of PR 8
 (:func:`bench_campaign_throughput`): on a heuristic-heavy mini-campaign
 (tiny per-task compute, so dispatch/transport overhead dominates) the
 grouped 4-worker run must reach >= 2x the serial records/sec whenever the
-machine has the CPUs, with the per-task-dispatch leg recorded alongside so
-the dispatch win itself is tracked; record sets must be bit-identical
-across all legs on every machine.
+machine has the CPUs; record sets must be bit-identical across both legs
+on every machine.
 
 A fifth measurement covers the distribution layer: merging N shard
 journals of a paper-shaped design (162 configurations x 10 schedulers)
@@ -375,24 +374,19 @@ def bench_campaign_throughput(benchmark):
     """End-to-end records/sec: serial vs group-batched dispatch at 4 workers.
 
     A heuristic-heavy mini-campaign (cheap per-task compute, many tasks)
-    run three ways:
+    run two ways:
 
     * serially (the single-process baseline; compute per record is
       unchanged since PR 7, so this doubles as the PR-7 throughput
       reference),
-    * at ``REPRO_BENCH_WORKERS`` workers with the historical per-task
-      dispatch (``dispatch="task"`` -- one pool round-trip per record),
-    * at the same worker count with group-batched dispatch (one round-trip,
-      one packed payload per (configuration, replicate) group -- the PR-8
-      default).
+    * at ``REPRO_BENCH_WORKERS`` workers with group-batched dispatch (one
+      round-trip, one packed payload per (configuration, replicate) group).
 
-    Bit-identity across all three legs is asserted on every machine.  The
+    Bit-identity across both legs is asserted on every machine.  The
     >= 2x grouped-vs-serial records/sec gate is enforced whenever the
     machine actually has the CPUs; on starved runners the measurement is
     recorded as explicitly skipped (a time-sliced "speedup" would read as a
-    throughput regression in the committed baseline).  The per-task leg is
-    recorded alongside so the dispatch win itself (grouped vs per-task at
-    equal parallelism) is tracked across PRs.
+    throughput regression in the committed baseline).
     """
     scale = _scale()
     # 8 replicates x 3 configs = 24 (config, replicate) groups: divisible by
@@ -408,7 +402,7 @@ def bench_campaign_throughput(benchmark):
     configs = _mini_campaign(throughput_scale)
     workers = int(scale["workers"])
 
-    def run(n_workers: int, dispatch: str):
+    def run(n_workers: int):
         start = time.perf_counter()
         results = run_campaign(
             configs,
@@ -416,24 +410,17 @@ def bench_campaign_throughput(benchmark):
             replicates=replicates,
             base_seed=2006,
             n_workers=n_workers,
-            dispatch=dispatch,
         )
         return results, time.perf_counter() - start
 
     serial, serial_seconds = benchmark.pedantic(
-        lambda: run(1, "group"), rounds=1, iterations=1
+        lambda: run(1), rounds=1, iterations=1
     )
-    per_task, per_task_seconds = run(workers, "task")
-    grouped, grouped_seconds = run(workers, "group")
+    grouped, grouped_seconds = run(workers)
 
-    reference = serial.result_set()
-    identical = (
-        per_task.result_set() == reference
-        and grouped.result_set() == reference
-    )
+    identical = grouped.result_set() == serial.result_set()
     n_records = len(serial)
     serial_rps = n_records / serial_seconds if serial_seconds > 0 else 0.0
-    per_task_rps = n_records / per_task_seconds if per_task_seconds > 0 else 0.0
     grouped_rps = n_records / grouped_seconds if grouped_seconds > 0 else 0.0
     cpu_count = os.cpu_count() or 1
     enforced = cpu_count >= workers
@@ -457,15 +444,10 @@ def bench_campaign_throughput(benchmark):
         payload.update(
             {
                 "status": "measured",
-                "wall_clock_per_task_s": round(per_task_seconds, 3),
-                "records_per_second_per_task": round(per_task_rps, 1),
                 "wall_clock_grouped_s": round(grouped_seconds, 3),
                 "records_per_second_grouped": round(grouped_rps, 1),
                 "grouped_vs_serial": round(grouped_rps / serial_rps, 3)
                 if serial_rps > 0
-                else 0.0,
-                "grouped_vs_per_task": round(grouped_rps / per_task_rps, 3)
-                if per_task_rps > 0
                 else 0.0,
             }
         )
@@ -473,8 +455,8 @@ def bench_campaign_throughput(benchmark):
         payload["status"] = "skipped (insufficient cpus)"
     _update_artifact("campaign_throughput", payload)
 
-    # The hard invariant holds on any machine: neither the worker count nor
-    # the dispatch granularity may change the record set.
+    # The hard invariant holds on any machine: the worker count may not
+    # change the record set.
     assert identical, (
         "group-batched dispatch changed the campaign record set"
     )

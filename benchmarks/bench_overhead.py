@@ -23,7 +23,7 @@ from repro.simulation.engine import simulate
 from repro.utils.textable import TextTable
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
-from _bench_utils import update_json_artifact, write_artifact
+from _bench_utils import write_artifact
 from _bench_utils import bench_scale as _bench_scale
 
 
@@ -108,121 +108,6 @@ def bench_lp_solve_fraction(benchmark):
         f"LP solve is only {fraction:.1%} of scheduler time; the 'LP is the "
         f"floor' premise of the backend layer no longer holds"
     )
-
-
-#: Timing rounds per replan-latency leg; the best round (by p50) is kept,
-#: which symmetrically discards transient noise on shared CI runners
-#: without biasing the speculation comparison.
-_LATENCY_ROUNDS = 2
-
-#: Extra seeds of the 60-job configuration forming the mini-campaign over
-#: which the speculation hit rate is measured (rng=11 is the timing fixture).
-_HIT_RATE_SEEDS = (11, 12, 13)
-
-
-def bench_replan_latency(benchmark):
-    """Arrival-to-plan replan latency: what speculative pre-solves buy.
-
-    On the dense 60-job workload (the regime where the ROADMAP identifies
-    the replan as the on-line scheduling floor) the Online heuristic runs
-    twice:
-
-    * ``baseline``, speculation off -- every arrival solves its LPs on the
-      latency path;
-    * ``speculation``, speculation on -- idle-gap pre-solves must cut the
-      p50 replan wall-clock (arrival to refreshed plan, measured by the
-      ``note_replan`` hook) by >= 30 %; over 90 % is the locally observed
-      margin, since a speculation hit re-binds a memoized LP solution
-      instead of solving on the latency path.
-
-    Completions and S* are asserted bit-identical across the two legs (the
-    speculation invariant), the speculation hit rate is measured over a
-    3-seed mini-campaign of the same configuration, and the whole payload
-    lands in ``BENCH_lp.json`` (uploaded by CI).
-    """
-    platform_spec = PlatformSpec(
-        n_clusters=3, processors_per_cluster=10, n_databanks=3, availability=0.6
-    )
-    workload_spec = WorkloadSpec(density=3.0, window=45.0, max_jobs=60)
-    instance = generate_instance(platform_spec, workload_spec, rng=11)
-    assert instance.n_jobs >= 50
-
-    def measure(speculate: bool):
-        """Best-of-N timed runs of one leg."""
-        best = None
-        for _ in range(_LATENCY_ROUNDS):
-            scheduler = make_scheduler("online", speculate=speculate)
-            with record_lp_probes() as stats:
-                result = simulate(instance, scheduler)
-            assert stats.replan_latencies, "no replans recorded"
-            candidate = (result, scheduler.last_objective, stats)
-            if best is None or (
-                stats.replan_percentile(50) < best[2].replan_percentile(50)
-            ):
-                best = candidate
-        return best
-
-    def run():
-        return measure(False), measure(True)
-
-    baseline, speculative = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # Hard gate 1: the two legs are bit-identical -- a speculation hit
-    # re-binds the exact optimum of the same LP (a miss is discarded).
-    assert speculative[1] == baseline[1]
-    assert speculative[0].completions == baseline[0].completions
-
-    p50 = {
-        "baseline": baseline[2].replan_percentile(50),
-        "speculation": speculative[2].replan_percentile(50),
-    }
-    reduction = 1.0 - p50["speculation"] / p50["baseline"]
-
-    # The speculation hit rate over the mini-campaign (3 seeds of the same
-    # dense configuration; the on-arrival policy predicts every replan after
-    # the first, so the expected rate is 1.0).
-    hits = misses = 0
-    hit_rates = {}
-    for seed in _HIT_RATE_SEEDS:
-        campaign_instance = generate_instance(platform_spec, workload_spec, rng=seed)
-        with record_lp_probes() as stats:
-            simulate(campaign_instance, make_scheduler("online", speculate=True))
-        hits += stats.n_spec_hits
-        misses += stats.n_spec_misses
-        hit_rates[str(seed)] = stats.speculation_hit_rate
-    hit_rate = hits / (hits + misses) if hits + misses else 0.0
-
-    update_json_artifact(
-        "BENCH_lp.json",
-        "replan_latency",
-        {
-            "benchmark": "bench_replan_latency",
-            "n_jobs": instance.n_jobs,
-            "n_replans": len(baseline[2].replan_latencies),
-            "timing_rounds": _LATENCY_ROUNDS,
-            "p50_replan_seconds": p50,
-            "p95_replan_seconds": {
-                "baseline": baseline[2].replan_percentile(95),
-                "speculation": speculative[2].replan_percentile(95),
-            },
-            "p50_reduction_vs_baseline": reduction,
-            "speculation_hit_rate": {
-                "mini_campaign": hit_rate,
-                "per_seed": hit_rates,
-                "hits": hits,
-                "misses": misses,
-            },
-        },
-    )
-
-    # Hard gate 2: speculation cuts the p50 replan by >= 30 % against
-    # speculation off.
-    assert reduction >= 0.30, (
-        f"speculation only cut the p50 replan wall-clock by "
-        f"{reduction:.0%} ({p50['baseline'] * 1e3:.2f} ms -> "
-        f"{p50['speculation'] * 1e3:.2f} ms; target >= 30%)"
-    )
-    assert hits + misses > 0, "no speculative pre-solves were consumed"
 
 
 def bench_simulation_online(benchmark):

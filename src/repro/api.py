@@ -40,7 +40,7 @@ from repro.experiments.merge import (
 )
 from repro.experiments.runner import DEFAULT_SCHEDULERS, ExperimentResults
 from repro.experiments.runner import run_campaign as _run_campaign
-from repro.options import DispatchMode, OnOff, SolverBackendChoice
+from repro.options import SolverBackendChoice
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate as _simulate
 from repro.simulation.result import SimulationResult
@@ -131,7 +131,6 @@ def run_campaign(
     resume: bool = False,
     max_in_flight: int | None = None,
     shard: "str | None" = None,
-    dispatch: "DispatchMode | str" = DispatchMode.GROUP,
 ) -> ExperimentResults:
     """Run a whole campaign: every configuration x replicate x scheduler.
 
@@ -163,7 +162,6 @@ def run_campaign(
         resume=resume,
         max_in_flight=max_in_flight,
         shard=shard,
-        dispatch=dispatch,
     )
 
 
@@ -254,7 +252,6 @@ def serve(
     scheduler: str = "online",
     replan_policy: str = "on-arrival",
     solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO,
-    speculation: "OnOff | bool | str" = OnOff.OFF,
     time_scale: float = 0.0,
     journal: "str | Path | None" = None,
     record_events: bool = False,
@@ -282,7 +279,7 @@ def serve(
         A service-safe registry key
         (:data:`repro.schedulers.registry.SERVICE_SCHEDULERS`); the
         clairvoyant strategies are rejected.
-    replan_policy, solver_backend, speculation:
+    replan_policy, solver_backend:
         The replanning knobs of the on-line LP heuristics, as in
         :class:`~repro.experiments.config.ExperimentConfig`.
     time_scale:
@@ -313,7 +310,6 @@ def serve(
         scheduler=scheduler,
         replan_policy=replan_policy,
         solver_backend=solver_backend,
-        speculation=speculation,
         time_scale=time_scale,
         journal=None if journal is None else str(journal),
         record_events=record_events,

@@ -454,16 +454,6 @@ def _add_replanning_arguments(sub: argparse.ArgumentParser) -> None:
         "one-shot linprog path: the bit-stable escape hatch reproducing "
         "the historical campaign numbers exactly)",
     )
-    sub.add_argument(
-        "--speculate",
-        **enum_option(OnOff, OnOff.OFF, param="--speculate"),
-        help="speculative replan pre-solves: during each inter-arrival gap "
-        "the on-line LP heuristics pre-solve the predicted next replan so "
-        "the arrival's LP work becomes a memo re-bind on correct "
-        "predictions; results are bit-identical either way (hits are "
-        "exact optima of the same LP, misses are discarded), only the "
-        "arrival-to-plan latency moves (default: off)",
-    )
 
 
 def _online_options(args: argparse.Namespace) -> dict[str, dict[str, object]]:
@@ -481,7 +471,6 @@ def _online_options(args: argparse.Namespace) -> dict[str, dict[str, object]]:
         density=1.0,
         replan_policy=args.replan_policy,
         solver_backend=args.solver_backend,
-        speculation=getattr(args, "speculate", OnOff.OFF),
     )
     return {
         key: options
@@ -660,7 +649,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         replan_policy=args.replan_policy,
         solver_backend=args.solver_backend,
         state_bank=args.state_bank,
-        speculation=args.speculate,
         fault_mtbf=args.fault_mtbf,
         fault_mttr=args.fault_mttr,
         fault_loss_model=args.fault_loss_model,
@@ -834,7 +822,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scheduler=args.scheduler,
             replan_policy=args.replan_policy,
             solver_backend=args.solver_backend,
-            speculation=args.speculate,
             time_scale=args.time_scale,
             journal=args.journal,
             host=args.host,
@@ -935,7 +922,6 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
         scheduler_options={"bender98": {"max_jobs_per_resolution": 25}},
         replan_policy=args.replan_policy,
         solver_backend=args.solver_backend,
-        speculation=bool(args.speculate),
     )
     table = TextTable(headers=list(OVERHEAD_TABLE_HEADERS))
     for record in records:

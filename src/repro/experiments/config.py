@@ -72,13 +72,6 @@ class ExperimentConfig:
     cold solves and is kept as the escape hatch mirroring
     ``solver_backend="scipy"``.
 
-    ``speculation`` toggles the idle-gap speculative replan pre-solves of
-    :mod:`repro.lp.speculate` on the on-line LP heuristics.  Results are
-    bit-identical either way (hits re-bind exact optima of the same LP,
-    misses are discarded); the toggle only moves LP work out of the
-    arrival-to-plan latency path, so it defaults off like every other
-    non-paper accelerator axis.
-
     The ``fault_*`` fields add a machine-availability axis (another scenario
     the paper discusses only qualitatively): when ``fault_mtbf`` and
     ``fault_mttr`` are both set, each replicate's instance is paired with a
@@ -101,7 +94,6 @@ class ExperimentConfig:
     replan_policy: str = "on-arrival"
     solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO
     state_bank: "OnOff | bool | str" = OnOff.ON
-    speculation: "OnOff | bool | str" = OnOff.OFF
     fault_mtbf: float | None = None
     fault_mttr: float | None = None
     fault_horizon: float | None = None
@@ -131,9 +123,6 @@ class ExperimentConfig:
             )
             object.__setattr__(
                 self, "state_bank", OnOff.coerce(self.state_bank, param="state_bank")
-            )
-            object.__setattr__(
-                self, "speculation", OnOff.coerce(self.speculation, param="speculation")
             )
         except ValueError as exc:
             raise ModelError(str(exc)) from None
@@ -183,10 +172,9 @@ class ExperimentConfig:
     def scheduler_options_for(self, key: str) -> dict[str, object]:
         """Constructor options this configuration implies for scheduler ``key``.
 
-        The replan policy, the state bank and speculation only exist on the
-        on-line LP heuristics; the solver backend applies to every LP
-        consumer (``LP_SOLVER_SCHEDULERS``); every other scheduler gets no
-        options.
+        The replan policy and the state bank only exist on the on-line LP
+        heuristics; the solver backend applies to every LP consumer
+        (``LP_SOLVER_SCHEDULERS``); every other scheduler gets no options.
         """
         options: dict[str, object] = {}
         if key in LP_SOLVER_SCHEDULERS:
@@ -197,7 +185,6 @@ class ExperimentConfig:
             # resident SolverStateBank (OnlineLPScheduler ignores non-bank
             # values, so other call sites are unaffected).
             options["state_bank"] = bool(self.state_bank)
-            options["speculate"] = bool(self.speculation)
         return options
 
     def as_dict(self) -> dict[str, float | int | str | bool | None]:
@@ -221,7 +208,10 @@ class ExperimentConfig:
             # emitting the historical primitives (str / bool).
             "solver_backend": str(self.solver_backend),
             "state_bank": bool(self.state_bank),
-            "speculation": bool(self.speculation),
+            # Speculative replan pre-solving is gone; the key stays,
+            # constant, for the same --resume header-equality reason as
+            # "incremental_lp".  merge drops it whatever its value.
+            "speculation": False,
             "fault_mtbf": self.fault_mtbf,
             "fault_mttr": self.fault_mttr,
             "fault_horizon": self.fault_horizon,
@@ -243,7 +233,6 @@ def paper_configurations(
     replan_policy: str = "on-arrival",
     solver_backend: str = "auto",
     state_bank: bool = True,
-    speculation: bool = False,
     fault_mtbf: float | None = None,
     fault_mttr: float | None = None,
     fault_horizon: float | None = None,
@@ -275,7 +264,6 @@ def paper_configurations(
                             replan_policy=replan_policy,
                             solver_backend=solver_backend,
                             state_bank=state_bank,
-                            speculation=speculation,
                             fault_mtbf=fault_mtbf,
                             fault_mttr=fault_mttr,
                             fault_horizon=fault_horizon,

@@ -69,7 +69,9 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
     Every configuration dict carries the replan-mode key of the removed
     from-scratch path, now a constant ``True`` (see
     :meth:`ExperimentConfig.as_dict`); it is dropped here.  A journal
-    recorded with ``False`` ran that removed path and is rejected.
+    recorded with ``False`` ran that removed path and is rejected.  The
+    constant ``speculation`` key is dropped whatever its value: the removed
+    speculative pre-solves never changed a record.
     """
     try:
         configs = []
@@ -81,6 +83,7 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
                     "from-scratch LP replan path, which no longer exists; "
                     "its journals cannot be merged"
                 )
+            values.pop("speculation", None)
             configs.append(ExperimentConfig(**values))
         return campaign_tasks(
             configs,

@@ -59,7 +59,6 @@ OVERHEAD_TABLE_HEADERS: tuple[str, ...] = (
     "primal reused",
     "p50 replan (s)",
     "p95 replan (s)",
-    "spec hit rate",
     "instances",
 )
 
@@ -78,9 +77,7 @@ class OverheadRecord:
     unless a bank is threaded in via ``state_bank=True``).
     ``p50_replan_latency`` / ``p95_replan_latency`` are nearest-rank
     percentiles of the per-replan wall-clock (arrival to refreshed plan),
-    pooled over the strategy's runs; ``speculation_hit_rate`` is the
-    fraction of consumed speculative pre-solves whose prediction matched
-    the live replan (0 with speculation off or for LP-free strategies).
+    pooled over the strategy's runs.
     """
 
     scheduler: str
@@ -95,7 +92,6 @@ class OverheadRecord:
     mean_primal_reused: float = 0.0
     p50_replan_latency: float = 0.0
     p95_replan_latency: float = 0.0
-    speculation_hit_rate: float = 0.0
 
     def cells(self) -> list[object]:
         return [
@@ -110,7 +106,6 @@ class OverheadRecord:
             self.mean_primal_reused,
             self.p50_replan_latency,
             self.p95_replan_latency,
-            self.speculation_hit_rate,
             self.n_instances,
         ]
 
@@ -130,7 +125,6 @@ def scheduling_overhead(
     replan_policy: str = "on-arrival",
     solver_backend: str = "scipy",
     state_bank: bool = False,
-    speculation: bool = False,
 ) -> list[OverheadRecord]:
     """Measure the scheduler-side wall-clock cost of each strategy.
 
@@ -165,7 +159,6 @@ def scheduling_overhead(
         max_jobs=max_jobs,
         replan_policy=replan_policy,
         solver_backend=solver_backend,
-        speculation=speculation,
     )
     times: dict[str, list[float]] = {key: [] for key in scheduler_keys}
     decisions: dict[str, list[int]] = {key: [] for key in scheduler_keys}
@@ -175,8 +168,6 @@ def scheduling_overhead(
     bank_hits: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     primal_reused: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     replan_latencies: dict[str, list[float]] = {key: [] for key in scheduler_keys}
-    spec_hits: dict[str, int] = {key: 0 for key in scheduler_keys}
-    spec_misses: dict[str, int] = {key: 0 for key in scheduler_keys}
     names: dict[str, str] = {}
     for replicate in range(replicates):
         seed = derive_seed(base_seed, "overhead", replicate)
@@ -203,8 +194,6 @@ def scheduling_overhead(
             bank_hits[key].append(result.lp_probes.n_bank_hits)
             primal_reused[key].append(result.lp_probes.n_primal_reuses)
             replan_latencies[key].extend(result.lp_probes.replan_latencies)
-            spec_hits[key] += result.lp_probes.n_spec_hits
-            spec_misses[key] += result.lp_probes.n_spec_misses
 
     records: list[OverheadRecord] = []
     for key in scheduler_keys:
@@ -213,7 +202,6 @@ def scheduling_overhead(
         # The percentile definition (nearest rank) lives on LPProbeStats;
         # pooling the runs' latencies into one stats object reuses it.
         pooled = LPProbeStats(replan_latencies=replan_latencies[key])
-        n_spec = spec_hits[key] + spec_misses[key]
         records.append(
             OverheadRecord(
                 scheduler=names[key],
@@ -228,7 +216,6 @@ def scheduling_overhead(
                 mean_primal_reused=float(np.mean(primal_reused[key])),
                 p50_replan_latency=pooled.replan_percentile(50),
                 p95_replan_latency=pooled.replan_percentile(95),
-                speculation_hit_rate=spec_hits[key] / n_spec if n_spec else 0.0,
             )
         )
     return records

@@ -41,9 +41,7 @@ through a pool of long-lived worker processes:
   record.  The group's records return as one :class:`PackedRecords`
   columnar payload (a single float64 metrics buffer plus one shared
   metadata dict), and its journal lines are written in one batch with a
-  single flush at the group boundary.  ``dispatch="task"`` restores the
-  historical one-future-per-scheduler granularity; both paths produce
-  bit-identical record sets.
+  single flush at the group boundary.
 * **Streaming collection.**  Dispatch units are submitted through a bounded
   in-flight window per lane and collected as they complete (no head-of-line
   blocking, bounded memory); each completed record is appended to an
@@ -72,7 +70,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.lp.backends import SolverBackend, make_backend, resolve_backend_name
 from repro.lp.bank import SolverStateBank
 from repro.lp.resilience import make_resilient
-from repro.options import DispatchMode
 from repro.schedulers.registry import make_scheduler, paper_schedulers
 from repro.simulation.engine import simulate
 from repro.utils.seeding import derive_seed
@@ -585,19 +582,6 @@ def _run_one(
     )
 
 
-def _run_task(
-    config: ExperimentConfig,
-    replicate: int,
-    scheduler_key: str,
-    seed: int,
-    scheduler_options: Mapping[str, Mapping[str, object]] | None = None,
-) -> RunRecord:
-    """Worker body: run one scheduler on the (cached) realized instance."""
-    return _run_one(
-        _worker_state(), config, replicate, scheduler_key, seed, scheduler_options
-    )
-
-
 def _run_task_group(
     config: ExperimentConfig,
     replicate: int,
@@ -699,14 +683,6 @@ class _CampaignRun:
                 )
             )
 
-    def finish(self, index: int, record: RunRecord) -> None:
-        """Adopt a freshly computed record: store, checkpoint, announce."""
-        if self.checkpoint is not None:
-            t_journal = time.perf_counter()
-            self.checkpoint.append(self.tasks[index].scheduler_key, record)
-            self.stage_seconds["journal"] += time.perf_counter() - t_journal
-        self._announce(index, record)
-
     def finish_group(
         self,
         indices: Sequence[int],
@@ -760,7 +736,6 @@ def run_campaign(
     resume: bool = False,
     max_in_flight: int | None = None,
     shard: "object | str | None" = None,
-    dispatch: "DispatchMode | str" = DispatchMode.GROUP,
 ) -> ExperimentResults:
     """Run a whole campaign (all configurations x replicates x schedulers).
 
@@ -803,8 +778,8 @@ def run_campaign(
         error (never silently overwritten or duplicated).
     max_in_flight:
         Bound on concurrently submitted dispatch units (default: 4 per
-        worker).  Under group dispatch a unit is a whole (configuration,
-        replicate) group; under per-task dispatch it is a single task.
+        worker).  A unit is a whole (configuration, replicate) group: one
+        pool round-trip, one packed payload and one batched journal flush.
     shard:
         Optional :class:`~repro.experiments.sharding.ShardPlan` (or an
         ``"i/N"`` spec string) restricting this invocation to one
@@ -812,18 +787,7 @@ def run_campaign(
         the shard identity, so a shard journal can only resume its own
         slice; :func:`~repro.experiments.merge.merge_journals` reunites the
         N slices into the full record set.
-    dispatch:
-        ``"group"`` (default) runs each (configuration, replicate) group as
-        one dispatch unit -- one pool round-trip, one packed payload and one
-        batched journal flush per group.  ``"task"`` restores the historical
-        one-unit-per-scheduler granularity (useful as the amortization
-        baseline in benchmarks).  Both produce bit-identical record sets at
-        every worker count.
     """
-    try:
-        dispatch = DispatchMode.coerce(dispatch, param="dispatch")
-    except ValueError:
-        raise ReproError(f"unknown dispatch mode {dispatch!r} (group or task)") from None
     tasks = campaign_tasks(configs, scheduler_keys, replicates, base_seed)
 
     plan = None
@@ -897,27 +861,16 @@ def run_campaign(
     try:
         if n_workers <= 1:
             try:
-                if dispatch == "group":
-                    for indices in _group_pending(tasks, pending):
-                        first = tasks[indices[0]]
-                        packed, compute_seconds, pack_seconds = _run_task_group(
-                            first.config,
-                            first.replicate,
-                            first.seed,
-                            tuple(tasks[i].scheduler_key for i in indices),
-                            scheduler_options,
-                        )
-                        run.finish_group(indices, packed, compute_seconds, pack_seconds)
-                else:
-                    for i in pending:
-                        task = tasks[i]
-                        run.finish(
-                            i,
-                            _run_task(
-                                task.config, task.replicate, task.scheduler_key,
-                                task.seed, scheduler_options,
-                            ),
-                        )
+                for indices in _group_pending(tasks, pending):
+                    first = tasks[indices[0]]
+                    packed, compute_seconds, pack_seconds = _run_task_group(
+                        first.config,
+                        first.replicate,
+                        first.seed,
+                        tuple(tasks[i].scheduler_key for i in indices),
+                        scheduler_options,
+                    )
+                    run.finish_group(indices, packed, compute_seconds, pack_seconds)
             finally:
                 # Pool workers die with the pool; the serial path runs in the
                 # caller's process, so drop the cached instances and solver
@@ -930,7 +883,7 @@ def run_campaign(
                 if max_in_flight is not None
                 else n_workers * _IN_FLIGHT_PER_WORKER
             )
-            _run_pooled(run, pending, n_workers, scheduler_options, window, dispatch)
+            _run_pooled(run, pending, n_workers, scheduler_options, window)
     finally:
         if ckpt is not None:
             ckpt.close()
@@ -990,18 +943,16 @@ def _run_pooled(
     n_workers: int,
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
     max_in_flight: int,
-    dispatch: str,
 ) -> None:
     """Stream ``pending`` dispatch units through per-lane single-worker pools.
 
     Each lane is a dedicated one-process pool fed in canonical order from
     its own FIFO queue, so a lane's tasks execute exactly in serial order on
-    one long-lived worker (replicate affinity).  Under group dispatch a unit
-    is a whole (configuration, replicate) group submitted as one
-    :func:`_run_task_group` future returning one packed payload; under
-    per-task dispatch each unit is a single task.  Submission is windowed
-    per lane (bounded memory, and the worker never idles waiting for the
-    collector) and collection uses ``wait(FIRST_COMPLETED)`` across all
+    one long-lived worker (replicate affinity).  A unit is a whole
+    (configuration, replicate) group submitted as one
+    :func:`_run_task_group` future returning one packed payload.  Submission
+    is windowed per lane (bounded memory, and the worker never idles waiting
+    for the collector) and collection uses ``wait(FIRST_COMPLETED)`` across all
     lanes, so records are checkpointed and reported the moment their unit
     finishes -- a straggler lane blocks neither the progress stream nor the
     other lanes.
@@ -1019,12 +970,9 @@ def _run_pooled(
     """
     tasks = run.tasks
     lanes = _lane_assignments(tasks, n_workers)
-    if dispatch == "group":
-        # Every index of a group shares its lane by construction (lanes are
-        # dealt per (configuration, replicate) group).
-        units = _group_pending(tasks, pending)
-    else:
-        units = [[index] for index in pending]
+    # Every index of a group shares its lane by construction (lanes are
+    # dealt per (configuration, replicate) group).
+    units = _group_pending(tasks, pending)
     queues: list[deque[list[int]]] = [deque() for _ in range(n_workers)]
     for unit in units:
         queues[lanes[unit[0]]].append(unit)
@@ -1048,17 +996,11 @@ def _run_pooled(
                 pool = ProcessPoolExecutor(max_workers=1, initializer=_init_worker)
                 pools[lane] = pool
             t_submit = time.perf_counter()
-            if dispatch == "group":
-                future = pool.submit(
-                    _run_task_group, first.config, first.replicate, first.seed,
-                    tuple(tasks[index].scheduler_key for index in unit),
-                    scheduler_options,
-                )
-            else:
-                future = pool.submit(
-                    _run_task, first.config, first.replicate, first.scheduler_key,
-                    first.seed, scheduler_options,
-                )
+            future = pool.submit(
+                _run_task_group, first.config, first.replicate, first.seed,
+                tuple(tasks[index].scheduler_key for index in unit),
+                scheduler_options,
+            )
             stage_seconds["dispatch"] += time.perf_counter() - t_submit
             in_flight[future] = unit
 
@@ -1102,11 +1044,8 @@ def _run_pooled(
                     recover_lane(lanes[unit[0]], unit)
                     continue
                 submit_next(lanes[unit[0]])
-                if dispatch == "group":
-                    packed, compute_seconds, pack_seconds = payload
-                    run.finish_group(unit, packed, compute_seconds, pack_seconds)
-                else:
-                    run.finish(unit[0], payload)
+                packed, compute_seconds, pack_seconds = payload
+                run.finish_group(unit, packed, compute_seconds, pack_seconds)
     finally:
         for pool in pools.values():
             pool.shutdown(wait=True, cancel_futures=True)

@@ -30,7 +30,6 @@ from repro.lp.backends.base import (
     note_phase_search,
     note_primal_reuse,
     note_replan,
-    note_speculation,
     record_lp_probes,
 )
 from repro.lp.backends.highs import (
@@ -56,7 +55,6 @@ __all__ = [
     "note_phase_search",
     "note_primal_reuse",
     "note_replan",
-    "note_speculation",
     "ScipyBackend",
     "HighsPersistentBackend",
     "highs_available",

@@ -47,7 +47,6 @@ __all__ = [
     "note_phase_assembly",
     "note_phase_search",
     "note_replan",
-    "note_speculation",
 ]
 
 
@@ -279,14 +278,8 @@ class LPProbeStats:
     search_seconds: float = 0.0
     #: Per-replan wall-clock latencies (seconds), one entry per scheduler
     #: replan in completion order; feeds the p50/p95 replan-latency columns
-    #: of the overhead tables and ``bench_overhead.py::bench_replan_latency``.
+    #: of the overhead tables and the daemon's ``/telemetry`` replan p50/p90/p99.
     replan_latencies: list[float] = field(default_factory=list)
-    #: Speculative pre-solves consumed by a later replan with an exactly
-    #: matching problem signature (the replan became a rebind).
-    n_spec_hits: int = 0
-    #: Speculative pre-solves discarded because the predicted problem never
-    #: materialized (mispredictions -- results are unaffected by design).
-    n_spec_misses: int = 0
 
     @property
     def per_probe_seconds(self) -> float:
@@ -309,12 +302,6 @@ class LPProbeStats:
         rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
         return ordered[rank]
 
-    @property
-    def speculation_hit_rate(self) -> float:
-        """Consumed share of the speculative pre-solves (0 when none ran)."""
-        total = self.n_spec_hits + self.n_spec_misses
-        return self.n_spec_hits / total if total else 0.0
-
     def histogram(self) -> dict[str, int]:
         """The probe-count histogram: solved vs certificate-skipped vs basis-reused."""
         return {
@@ -325,8 +312,6 @@ class LPProbeStats:
             "bank_hits": self.n_bank_hits,
             "bank_misses": self.n_bank_misses,
             "primal_reuses": self.n_primal_reuses,
-            "spec_hits": self.n_spec_hits,
-            "spec_misses": self.n_spec_misses,
         }
 
 
@@ -395,15 +380,6 @@ def note_replan(seconds: float) -> None:
     """Record the wall-clock latency of one scheduler replan."""
     for stats in _ACTIVE_STATS:
         stats.replan_latencies.append(seconds)
-
-
-def note_speculation(hit: bool) -> None:
-    """Record the fate of one speculative pre-solve (consumed or discarded)."""
-    for stats in _ACTIVE_STATS:
-        if hit:
-            stats.n_spec_hits += 1
-        else:
-            stats.n_spec_misses += 1
 
 
 @contextmanager

@@ -376,7 +376,7 @@ class HighsPersistentBackend(SolverBackend):
         # HiGHS rejects bases whose basic count differs from the row count,
         # which happens whenever the identity overlap is partial.  Repair
         # deterministically: demote surplus basic columns (latest first, the
-        # columns of the latest intervals are the most speculative), then
+        # columns of the latest intervals are the least settled), then
         # promote row slacks to cover any deficit.
         excess = int((col_status == basic).sum() + (row_status == basic).sum())
         excess -= spec.n_rows

@@ -66,7 +66,6 @@ from repro.lp.backends import (
     make_backend,
     note_bank_lookup,
     note_primal_reuse,
-    note_speculation,
 )
 from repro.lp.bank import BankBucket, SolverStateBank, instance_content_key, problem_signature
 from repro.lp.maxstretch import (
@@ -183,17 +182,6 @@ class ReplanContext:
         self._last_problem: MaxStretchProblem | None = None
         self._last_solution: MaxStretchSolution | None = None
         self._prev_active: dict[int, float] | None = None
-        # Single-slot speculation memo: (signature, System (1) solution,
-        # certificate, optional System (2) solution).  Filled by
-        # :meth:`speculate` during idle gaps, consumed (hit or miss) by the
-        # next :meth:`solve_max_stretch`.
-        self._spec: (
-            "tuple[tuple, MaxStretchSolution, SearchCertificate | None,"
-            " MaxStretchSolution | None] | None"
-        ) = None
-        # Carry of a hit's pre-solved System (2): (signature, objective,
-        # solution), consumed by the :meth:`reoptimize` that follows.
-        self._spec_sys2: "tuple[tuple, float, MaxStretchSolution] | None" = None
         if state_bank is not None:
             self._bucket, self._bank_hit = state_bank.acquire(
                 instance_content_key(instance)
@@ -292,9 +280,6 @@ class ReplanContext:
         reused = self._reuse_sys1(problem, sig)
         if reused is not None:
             return reused
-        speculated = self._consume_speculation(problem, sig)
-        if speculated is not None:
-            return speculated
 
         report = MilestoneSearchReport()
         try:
@@ -347,93 +332,13 @@ class ReplanContext:
                 return solution
         return None
 
-    # -- speculative pre-solves ------------------------------------------------------
-    def speculate(self, problem: MaxStretchProblem, *, with_reoptimize: bool = True) -> None:
-        """Pre-solve a *predicted* next replan problem during an idle gap.
-
-        The solution is stored in a single-slot memo keyed by the problem's
-        exact content signature; the next :meth:`solve_max_stretch` consumes
-        it -- a signature match re-binds the pre-solved optimum (hit), any
-        mismatch discards it (miss).  Because the memoized solution is an
-        exact optimum of the signed problem and signatures capture the full
-        LP content, hits return bit-identical results to solving live;
-        speculation therefore never changes schedules, only *when* the LP
-        work happens.  ``with_reoptimize`` additionally pre-solves the
-        System (2) re-optimization at the speculative optimum (skipped by
-        the non-optimized variant, which never calls it).
-
-        No-op on persistent backends: a mispredicted speculative solve would
-        replace the series basis the real replan starts from, breaking the
-        miss-is-free contract.  The stateless scipy backend has no such
-        state, and hints/caps only reorder its monotone milestone search.
-        """
-        if self.backend.persistent:
-            return
-        sig = problem_signature(problem)
-        if sig == self._last_sig:
-            return  # the replan will reuse the previous solution outright
-        if self._spec is not None and self._spec[0] == sig:
-            return  # already speculated for this exact problem
-        if self._bucket is not None and sig in self._bucket.sys1:
-            return  # the bank already serves this signature without solving
-        report = MilestoneSearchReport()
-        solution = minimize_max_weighted_flow(
-            problem,
-            warm_start=self._warm_hint(problem),
-            feasible_cap=self._feasible_cap(problem),
-            skeleton_cache=self._skeletons,
-            backend=self.backend,
-            report=report,
-        )
-        self.n_probes_solved += report.n_solved
-        self.n_probes_skipped += report.n_skipped
-        self._trim_skeletons()
-        sys2: MaxStretchSolution | None = None
-        if with_reoptimize:
-            sys2 = reoptimize_allocation(
-                problem,
-                solution.objective,
-                skeleton_cache=self._skeletons,
-                backend=self.backend,
-            )
-        self._spec = (sig, solution, report.certificate, sys2)
-
-    def _consume_speculation(
-        self, problem: MaxStretchProblem, sig: tuple
-    ) -> MaxStretchSolution | None:
-        """Resolve the speculation memo against the live replan's ``sig``.
-
-        Hit: the memoized System (1) optimum is re-bound onto the live
-        problem (and its pre-solved System (2), if any, staged for the
-        following :meth:`reoptimize`).  Miss: the memo is discarded -- the
-        prediction was wrong, the live solve proceeds untouched.  Either
-        way the slot empties.
-        """
-        spec = self._spec
-        if spec is None:
-            return None
-        self._spec = None
-        spec_sig, spec_solution, spec_certificate, spec_sys2 = spec
-        if spec_sig != sig:
-            note_speculation(False)
-            return None
-        note_speculation(True)
-        solution = self._rebind(spec_solution, problem)
-        self._note_solution(problem, sig, solution, spec_certificate)
-        if spec_sys2 is not None:
-            self._spec_sys2 = (sig, solution.objective, spec_sys2)
-        if self._bucket is not None and sig not in self._bucket.sys1:
-            self._bucket.sys1[sig] = (solution, spec_certificate)
-            self._bucket.trim()
-        return solution
-
     def invalidate_carry(self) -> None:
         """Forget everything carried from previous replans.
 
         Called on machine availability transitions.  The carried
-        :math:`S^*`, certificate, previous-solution shortcut and speculation
-        memo are all justified by the previous plan having been *followed*
-        on a stable platform -- an outage violates that (a downed machine
+        :math:`S^*`, certificate and previous-solution shortcut are all
+        justified by the previous plan having been *followed* on a stable
+        platform -- an outage violates that (a downed machine
         executes nothing its plan claimed, so the carried cap may refute the
         new true optimum).  Structural caches (resources, job table,
         skeletons) survive: they describe problem shapes, not solution
@@ -448,8 +353,6 @@ class ReplanContext:
         self._last_problem = None
         self._last_solution = None
         self._prev_active = None
-        self._spec = None
-        self._spec_sys2 = None
 
     def _note_solution(
         self,
@@ -539,26 +442,8 @@ class ReplanContext:
         With a bank bucket, a re-optimization already published for the
         exact ``(problem signature, objective)`` pair is re-bound and
         returned without solving (the deterministic inflation loop makes
-        the stored solution the one this call would compute).  A System (2)
-        solution pre-solved speculatively alongside a just-hit System (1)
-        takes the same shortcut (it was computed on a content-identical
-        problem at this exact objective).
+        the stored solution the one this call would compute).
         """
-        staged = self._spec_sys2
-        if staged is not None:
-            self._spec_sys2 = None
-            spec_sig, spec_objective, spec_solution = staged
-            sig = (
-                self._last_sig
-                if problem is self._last_problem
-                else problem_signature(problem)
-            )
-            if spec_sig == sig and spec_objective == objective:
-                solution = self._rebind(spec_solution, problem)
-                if self._bucket is not None:
-                    self._bucket.sys2[(sig, objective)] = solution
-                    self._bucket.trim()
-                return solution
         if self._bucket is None:
             return reoptimize_allocation(
                 problem, objective, skeleton_cache=self._skeletons, backend=self.backend

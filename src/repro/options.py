@@ -1,14 +1,14 @@
 """Typed option enums for the knobs that accumulated as bare strings.
 
 The experiment surface grew a handful of string/bool toggles over time --
-``--state-bank on|off``, ``--speculate on|off``, ``dispatch="group"|"task"``,
-``--solver-backend scipy|highs|auto`` -- each validated ad hoc at its own
-entry point.  This module normalizes them into enums with one shared
-coercion rule and one shared ``argparse`` helper:
+``--state-bank on|off``, ``--solver-backend scipy|highs|auto`` -- each
+validated ad hoc at its own entry point.  This module normalizes them
+into enums with one shared coercion rule and one shared ``argparse``
+helper:
 
 * every enum subclasses :class:`OptionEnum` (a ``str`` mixin, so members
   compare equal to their spelling, serialize to JSON as plain strings and
-  pass through existing ``== "group"``-style checks unchanged);
+  pass through existing ``== "auto"``-style checks unchanged);
 * :meth:`OptionEnum.coerce` turns user input into a member, accepting the
   canonical spellings case-insensitively and rejecting anything else with
   the list of choices;
@@ -25,7 +25,6 @@ __all__ = [
     "OptionEnum",
     "OnOff",
     "SolverBackendChoice",
-    "DispatchMode",
     "enum_option",
 ]
 
@@ -63,7 +62,7 @@ class OptionEnum(str, Enum):
 
 
 class OnOff(OptionEnum):
-    """A boolean toggle spelled ``on``/``off`` (``--state-bank``, ``--speculate``).
+    """A boolean toggle spelled ``on``/``off`` (``--state-bank``).
 
     Truthiness follows the toggle (``bool(OnOff.OFF) is False``), so the
     member can replace a plain bool anywhere.
@@ -96,13 +95,6 @@ class SolverBackendChoice(OptionEnum):
     SCIPY = "scipy"
     HIGHS = "highs"
     AUTO = "auto"
-
-
-class DispatchMode(OptionEnum):
-    """Campaign dispatch granularity (``group`` | ``task``)."""
-
-    GROUP = "group"
-    TASK = "task"
 
 
 def enum_option(

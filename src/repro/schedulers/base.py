@@ -125,19 +125,6 @@ class Scheduler(ABC):
         references the transitioned machines.
         """
 
-    def on_idle(self, state: SchedulerState, until: float) -> None:
-        """Called when simulated time is about to jump to ``until``.
-
-        The engine fires this exactly once per inter-event gap, just before
-        time advances to the next queued event: either no job is active, or
-        the current step runs uninterrupted into that event.  Schedulers may
-        use the dead time to precompute work for the upcoming event (e.g.
-        the LP heuristics speculatively pre-solving the next replan), but
-        must not alter the schedule -- the state is read-only here like in
-        every other callback, and the wall-clock spent is counted into the
-        scheduler overhead.
-        """
-
     def finalize(self, state: SchedulerState) -> None:
         """Called once after the last job completed (the run is over).
 

@@ -54,7 +54,6 @@ from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import MaxStretchSolution, minimize_max_weighted_flow
 from repro.lp.problem import Resource, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
-from repro.lp.speculate import predict_replan_remaining
 from repro.simulation.state import Assignment, SchedulerState
 from repro.schedulers.base import (
     Lane,
@@ -100,15 +99,6 @@ class OnlineLPScheduler(PlanBasedScheduler):
         which only the campaign runner translates into a live bank -- is
         treated as "no bank", so direct ``simulate()`` and CLI paths stay
         bank-less.
-    speculate:
-        When True, the engine's once-per-gap :meth:`on_idle` callback
-        pre-solves the *predicted* next replan (the event-horizon projection
-        of :mod:`repro.lp.speculate`) so an exact prediction turns the
-        arrival's LP work into a memo re-bind.  Bit-identical schedules by
-        construction -- hits are exact optima of the signed problem, misses
-        are discarded -- and a no-op on the persistent HiGHS backend (see
-        :meth:`ReplanContext.speculate`).
-        Default off (the paper's heuristics have no such look-ahead).
     """
 
     def __init__(
@@ -118,7 +108,6 @@ class OnlineLPScheduler(PlanBasedScheduler):
         policy: "str | ReplanPolicy" = "on-arrival",
         solver_backend: "str | SolverBackend | None" = None,
         state_bank: "SolverStateBank | object | None" = None,
-        speculate: bool = False,
     ):
         super().__init__(policy=parse_policy(policy))
         if variant not in _VARIANT_NAMES:
@@ -129,7 +118,6 @@ class OnlineLPScheduler(PlanBasedScheduler):
             # Non-default cadences are a new scenario axis; make them visible
             # in result tables without renaming the paper-faithful default.
             self.name = f"{self.name} [{self.policy.describe()}]"
-        self.speculate = bool(speculate)
         self.solver_backend = solver_backend
         self.state_bank: SolverStateBank | None = (
             state_bank if isinstance(state_bank, SolverStateBank) else None
@@ -165,8 +153,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
     ) -> None:
         # Carried S*/certificates assume the previous plan was followed
         # on a stable platform; an outage breaks that premise, so the
-        # context must restart cold (the speculation memo dies with it
-        # -- an UP during an idle gap therefore misses cleanly).
+        # context must restart cold.
         self._context.invalidate_carry()
         super().on_availability(state, downs, ups)
 
@@ -188,31 +175,14 @@ class OnlineLPScheduler(PlanBasedScheduler):
         self._context.publish()
 
     def on_idle(self, state: SchedulerState, until: float) -> None:
-        """Speculatively pre-solve the replan predicted at ``until``.
+        """No-op, kept only for the end-to-end benchmark harness.
 
-        The engine fires this exactly once per inter-event gap, from the
-        step that runs uninterrupted into the next arrival; the event-horizon
-        projection of :mod:`repro.lp.speculate` therefore reproduces the
-        replan's remaining-work map exactly whenever the arrival does
-        trigger a replan (the on-arrival default).  Deferring policies and
-        completion-triggered replans make the prediction miss, which
-        discards the memo -- never changing results either way.
+        The engine never calls it: it was the hook of the speculative
+        replan pre-solves, which are gone.  ``benchmarks/e2e/common.py`` and
+        its tracer still look it up with ``vars(OnlineLPScheduler)["on_idle"]``
+        to time it, so without it the traced pass would raise ``KeyError``.
+        Delete it together with that lookup.
         """
-        if not self.speculate:
-            return
-        if state.down:
-            # Degraded replans bypass the context (and its memo); a
-            # speculative full-platform pre-solve could never hit anyway.
-            return
-        remaining = predict_replan_remaining(
-            state, self.plan_assignment(state).mapping, until
-        )
-        if not remaining:
-            return
-        problem = self._context.build_problem(until, remaining)
-        self._context.speculate(
-            problem, with_reoptimize=self.variant != "online-nonopt"
-        )
 
     def replan(self, state: SchedulerState) -> None:
         start = _time.perf_counter()

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.core.instance import LiveInstance
 from repro.core.job import Job
 from repro.core.platform import Platform
-from repro.options import OnOff, SolverBackendChoice
+from repro.options import SolverBackendChoice
 from repro.schedulers.policies import parse_policy
 from repro.schedulers.registry import (
     LP_SOLVER_SCHEDULERS,
@@ -82,7 +82,6 @@ class ServiceConfig:
     scheduler: str = "online"
     replan_policy: str = "on-arrival"
     solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO
-    speculation: "OnOff | bool | str" = OnOff.OFF
     time_scale: float = 0.0
     journal: str | None = None
     record_events: bool = False
@@ -107,9 +106,6 @@ class ServiceConfig:
                 self,
                 "solver_backend",
                 SolverBackendChoice.coerce(self.solver_backend, param="solver_backend"),
-            )
-            object.__setattr__(
-                self, "speculation", OnOff.coerce(self.speculation, param="speculation")
             )
         except ValueError as exc:
             raise ServiceError(str(exc)) from None
@@ -137,7 +133,6 @@ class ServiceConfig:
             options["solver_backend"] = str(self.solver_backend)
         if self.scheduler in ONLINE_LP_SCHEDULERS:
             options["policy"] = self.replan_policy
-            options["speculate"] = bool(self.speculation)
         return options
 
 
@@ -400,7 +395,6 @@ class SchedulerDaemon:
             "replan_latency_p50": 0.0,
             "replan_latency_p90": 0.0,
             "replan_latency_p99": 0.0,
-            "speculation_hit_rate": 0.0,
         }
         if stats is not None:
             lp = {
@@ -411,7 +405,6 @@ class SchedulerDaemon:
                 "replan_latency_p50": stats.replan_percentile(50),
                 "replan_latency_p90": stats.replan_percentile(90),
                 "replan_latency_p99": stats.replan_percentile(99),
-                "speculation_hit_rate": stats.speculation_hit_rate,
             }
         with self._admit_lock:
             accepted, rejected, shed = self._accepted, self._rejected, self._shed

@@ -261,6 +261,9 @@ def read_trace(path: "str | Path") -> SubmissionTrace:
             f"trace {path} was recorded on the from-scratch LP replan path, "
             "which no longer exists"
         )
+    # The removed speculative pre-solves never changed a schedule, so a
+    # trace recorded with "speculate" replays whatever its value.
+    scheduler_options.pop("speculate", None)
 
     jobs: list[Job] = []
     for line_no, line in enumerate(lines[1:], start=2):

@@ -220,7 +220,6 @@ class SimulationEngine:
                     next_event = self._sync_submissions(next_event)
                 if math.isinf(next_event):
                     break
-                self._timed(self.scheduler.on_idle, state, next_event)
                 state.time = self.clock.advance_to(next_event)
                 continue
 
@@ -292,13 +291,6 @@ class SimulationEngine:
                     )
             else:
                 stall_count = 0
-
-            if step_end == next_event and not math.isinf(next_event):
-                # The step runs uninterrupted into the next queued event:
-                # this is the last step of the inter-event gap, so the
-                # scheduler gets its once-per-gap idle callback (a one-step
-                # projection from here to ``next_event`` is exact).
-                self._timed(self.scheduler.on_idle, state, next_event)
 
             # 6. Advance execution to ``step_end``.
             self._advance(assignment, rated_ids, rate_arr, remaining_arr,

@@ -152,9 +152,6 @@ class FromScratchOnlineLP(OnlineLPScheduler):
         self._backend = make_backend(self.solver_backend)
         self._backend.close()
 
-    def on_idle(self, state: SchedulerState, until: float) -> None:
-        """No speculation: there is no context memo for a replan to consume."""
-
     def _replan(self, state: SchedulerState) -> None:
         instance = state.instance
         now = state.time

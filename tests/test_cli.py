@@ -50,6 +50,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--state-bank", "maybe"])
 
+    @pytest.mark.parametrize("sub", ["simulate", "campaign", "serve", "overhead"])
+    def test_speculate_flag_is_gone(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([sub, "--speculate", "off"])
+        assert "unrecognized arguments: --speculate" in capsys.readouterr().err
+
     def test_campaign_engine_flags(self):
         args = build_parser().parse_args(
             ["campaign", "--checkpoint", "ck.jsonl", "--resume", "--workers", "4"]

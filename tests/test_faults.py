@@ -37,6 +37,7 @@ from repro.simulation.faults import (
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
 from helpers import make_uniform_instance
+from replan_oracles import FromScratchOnlineLP
 
 
 class TestApplyLoss:
@@ -228,21 +229,26 @@ class TestEligibilityEdgeCases:
         assert math.isinf(report.max_stretch)
 
     @pytest.mark.parametrize("scheduler_key", ["online", "swrpt"])
-    def test_up_during_idle_gap_is_a_clean_speculation_miss(self, scheduler_key):
+    def test_up_during_idle_gap_is_a_clean_replan(self, scheduler_key):
         # An UP transition lands inside the idle gap between the first batch
-        # draining (by t~4) and the t=10 arrival.  Speculative idle-gap
-        # pre-solves must treat the availability change as a plain miss:
-        # same completions, same schedule as the unspeculated run.
+        # draining (by t~4) and the t=10 arrival.  The arrival's replan sees
+        # the restored platform: every job completes, nothing runs on the
+        # machine while it is down, and the on-line LP still matches its
+        # from-scratch oracle exactly.
         instance = make_uniform_instance(
             [2.0, 1.0, 3.0], [0.0, 0.0, 10.0], cycle_times=(1.0, 1.0)
         )
         faults = FaultTimeline.from_intervals([(1, 0.5, 7.0)])
-        options = {"speculate": True} if scheduler_key == "online" else {}
-        plain = simulate(instance, make_scheduler(scheduler_key), faults=faults)
-        spec = simulate(instance, make_scheduler(scheduler_key, **options), faults=faults)
-        assert spec.completions == plain.completions
-        assert spec.schedule.slices == plain.schedule.slices
-        assert outage_free(plain.schedule, faults)
+        options = {"solver_backend": "scipy"} if scheduler_key == "online" else {}
+        result = simulate(instance, make_scheduler(scheduler_key, **options), faults=faults)
+        assert not result.parked
+        assert sorted(result.completions) == [0, 1, 2]
+        assert result.completions[2] > 10.0
+        assert outage_free(result.schedule, faults)
+        if scheduler_key == "online":
+            oracle = simulate(instance, FromScratchOnlineLP(**options), faults=faults)
+            assert result.completions == oracle.completions
+            assert result.schedule.slices == oracle.schedule.slices
 
 
 class TestGeneratedTraces:

@@ -370,8 +370,6 @@ class TestProbeHistogram:
             "bank_hits",
             "bank_misses",
             "primal_reuses",
-            "spec_hits",
-            "spec_misses",
         }
         # The new per-phase timing split is live alongside the counters.
         assert stats.assembly_seconds > 0.0

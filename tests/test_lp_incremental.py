@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch_module
+from repro.lp.backends import record_lp_probes
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
 from repro.lp.problem import problem_from_instance
+from repro.lp.relaxation import reoptimize_allocation
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
@@ -107,20 +109,15 @@ class TestIncrementalSchedulerEquivalence:
         variant=st.sampled_from(["online", "online-edf", "online-egdf", "online-nonopt"]),
         policy=st.sampled_from(["on-arrival", "batched:2", "threshold:1.2"]),
         with_faults=st.booleans(),
-        speculate=st.booleans(),
     )
-    def test_identical_to_from_scratch_oracle(
-        self, seed, variant, policy, with_faults, speculate
-    ):
+    def test_identical_to_from_scratch_oracle(self, seed, variant, policy, with_faults):
         """On scipy the context path equals the from-scratch oracle exactly."""
         instance = _gripps_instance(seed, max_jobs=14)
         faults = None
         if with_faults:
             spec = FaultSpec(mtbf=20.0, mttr=3.0, horizon=30.0)
             faults = generate_fault_timeline(instance.platform, spec, rng=seed)
-        options = dict(
-            variant=variant, policy=policy, solver_backend="scipy", speculate=speculate
-        )
+        options = dict(variant=variant, policy=policy, solver_backend="scipy")
         oracle_sched = FromScratchOnlineLP(**options)
         oracle = simulate(instance, oracle_sched, faults=faults)
         assert oracle_sched._context.n_replans == 0  # no replan went through it
@@ -170,3 +167,144 @@ class TestSkeletonCache:
         from repro.lp.incremental import _MAX_SKELETONS
 
         assert len(scheduler._context._skeletons) <= _MAX_SKELETONS
+
+
+def _dense_instance(seed: int, max_jobs: int = 14):
+    """A small dense workload: many arrivals, so many warm replans."""
+    platform = PlatformSpec(
+        n_clusters=2, processors_per_cluster=4, n_databanks=2, availability=0.6
+    )
+    workload = WorkloadSpec(density=2.0, window=30.0, max_jobs=max_jobs)
+    return generate_instance(platform, workload, rng=seed)
+
+
+def _assert_matches_oracle(instance, **options):
+    options.setdefault("solver_backend", "scipy")
+    oracle_sched = FromScratchOnlineLP(**options)
+    oracle = simulate(instance, oracle_sched)
+    context_sched = OnlineLPScheduler(**options)
+    result = simulate(instance, context_sched)
+    assert result.completions == oracle.completions
+    assert result.schedule.slices == oracle.schedule.slices
+    assert context_sched.last_objective == oracle_sched.last_objective
+    assert context_sched.n_resolutions == oracle_sched.n_resolutions
+
+
+class TestOracleRegressionCases:
+    """Pinned dense cases of the oracle property above (scipy, no faults)."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("variant", ["online", "online-nonopt"])
+    def test_trajectories_and_completions(self, seed, variant):
+        _assert_matches_oracle(_dense_instance(seed), variant=variant)
+
+    @pytest.mark.parametrize("variant", ["online-edf", "online-egdf"])
+    def test_other_variants(self, variant):
+        _assert_matches_oracle(_dense_instance(7), variant=variant)
+
+    @pytest.mark.parametrize("policy", ["batched:2.5", "threshold", "threshold:1.5"])
+    def test_deferring_policies(self, policy):
+        # Deferred replans fire at times and on active sets the on-arrival
+        # cadence never sees, and exercise the shrink-only feasible cap.
+        _assert_matches_oracle(_dense_instance(9), variant="online", policy=policy)
+
+    def test_auto_backend_is_deterministic(self):
+        # The persistent backend carries a basis across replans; two runs of
+        # the same instance still follow the same S* trajectory exactly.
+        instance = _dense_instance(5)
+        runs = []
+        for _ in range(2):
+            objectives = []
+            scheduler = OnlineLPScheduler(variant="online", solver_backend="auto")
+            original = ReplanContext.solve_max_stretch
+
+            def recording(self, problem):
+                solution = original(self, problem)
+                objectives.append(solution.objective)
+                return solution
+
+            ReplanContext.solve_max_stretch = recording
+            try:
+                result = simulate(instance, scheduler)
+            finally:
+                ReplanContext.solve_max_stretch = original
+            runs.append((objectives, result.completions))
+        assert len(runs[0][0]) > 1
+        assert runs[0] == runs[1]
+
+
+class TestReplanContextShortcuts:
+    """The previous-solution shortcut and the carry it rests on."""
+
+    def _context_and_problem(self):
+        instance = _dense_instance(13)
+        context = ReplanContext(instance, solver_backend="scipy")
+        releases = sorted({job.release for job in instance.jobs})
+        now = releases[2]
+        remaining = {j.job_id: j.size for j in instance.jobs if j.release <= now}
+        return context, now, remaining
+
+    def test_solve_and_reoptimize_match_from_scratch(self):
+        context, now, remaining = self._context_and_problem()
+        live = context.build_problem(now, dict(remaining))
+        solution = context.solve_max_stretch(live)
+        fresh = minimize_max_weighted_flow(context.build_problem(now, remaining))
+        assert solution.objective == fresh.objective
+        assert solution.allocations == fresh.allocations
+        sys2 = context.reoptimize(live, solution.objective)
+        reference = reoptimize_allocation(
+            context.build_problem(now, remaining), fresh.objective
+        )
+        assert sys2.allocations == reference.allocations
+        context.close()
+
+    def test_identical_problem_reuses_the_last_solution(self):
+        context, now, remaining = self._context_and_problem()
+        first = context.solve_max_stretch(context.build_problem(now, dict(remaining)))
+        before = context.n_probes_solved
+        live = context.build_problem(now, dict(remaining))
+        with record_lp_probes() as stats:
+            again = context.solve_max_stretch(live)
+        assert context.n_probes_solved == before
+        assert stats.n_primal_reuses == 1 and stats.n_probes == 0
+        assert again.problem is live  # re-bound on the live problem
+        assert again.objective == first.objective
+        assert again.allocations == first.allocations
+        context.close()
+
+    def test_changed_problem_is_solved_afresh(self):
+        context, now, remaining = self._context_and_problem()
+        context.solve_max_stretch(context.build_problem(now, dict(remaining)))
+        changed = dict(remaining)
+        first = next(iter(changed))
+        changed[first] *= 0.5
+        before = context.n_probes_solved
+        solution = context.solve_max_stretch(context.build_problem(now, changed))
+        assert context.n_probes_solved > before
+        fresh = minimize_max_weighted_flow(context.build_problem(now, changed))
+        assert solution.objective == fresh.objective
+        assert solution.allocations == fresh.allocations
+        context.close()
+
+    def test_invalidate_carry_forgets_the_last_solution(self):
+        context, now, remaining = self._context_and_problem()
+        first = context.solve_max_stretch(context.build_problem(now, dict(remaining)))
+        context.invalidate_carry()
+        assert context.last_objective is None
+        before = context.n_probes_solved
+        again = context.solve_max_stretch(context.build_problem(now, dict(remaining)))
+        assert context.n_probes_solved > before
+        assert again.objective == first.objective
+        context.close()
+
+    def test_persistent_backend_reaches_the_same_optimum(self):
+        instance = _dense_instance(13)
+        now = sorted({job.release for job in instance.jobs})[2]
+        remaining = {j.job_id: j.size for j in instance.jobs if j.release <= now}
+        objectives = []
+        for backend in ("scipy", "auto"):
+            context = ReplanContext(instance, solver_backend=backend)
+            solution = context.solve_max_stretch(context.build_problem(now, remaining))
+            objectives.append(solution.objective)
+            context.close()
+        assert objectives[1] == pytest.approx(objectives[0], rel=1e-7)

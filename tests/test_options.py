@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.errors import ModelError
 from repro.experiments.config import ExperimentConfig
-from repro.options import DispatchMode, OnOff, SolverBackendChoice, enum_option
+from repro.options import OnOff, SolverBackendChoice, enum_option
 
 
 class TestOnOff:
@@ -32,7 +32,7 @@ class TestOnOff:
 
     def test_invalid_value_names_choices(self):
         with pytest.raises(ValueError, match="'on', 'off'"):
-            OnOff.coerce("maybe", param="--speculate")
+            OnOff.coerce("maybe", param="--state-bank")
 
 
 class TestOtherEnums:
@@ -41,18 +41,12 @@ class TestOtherEnums:
         with pytest.raises(ValueError):
             SolverBackendChoice.coerce("cplex")
 
-    def test_dispatch_modes(self):
-        assert DispatchMode.coerce("task") is DispatchMode.TASK
-        # The str mixin keeps historical comparisons working.
-        assert DispatchMode.GROUP == "group"
-
 
 #: The spellings coerce() mapped with a DeprecationWarning before they were
 #: removed; each is now an invalid value like any other.
 REMOVED_SPELLINGS = {
     OnOff: ("true", "yes", "1", "enabled", "false", "no", "0", "disabled"),
     SolverBackendChoice: ("linprog", "highspy", "default"),
-    DispatchMode: ("grouped", "per-task", "tasks"),
 }
 
 
@@ -64,6 +58,49 @@ def test_removed_spelling_is_rejected_with_choices(enum_cls, text):
     choices = ", ".join(repr(member.value) for member in enum_cls)
     with pytest.raises(ValueError, match=f"must be one of {choices}"):
         enum_cls.coerce(text, param="--option")
+
+
+def _removed_keyword_calls():
+    from repro import api
+    from repro.experiments import runner
+    from repro.experiments.config import paper_configurations
+    from repro.experiments.overhead import scheduling_overhead
+    from repro.schedulers.registry import make_scheduler
+    from repro.service.daemon import ServiceConfig
+
+    return [
+        pytest.param(lambda: ExperimentConfig(
+            name="t", n_clusters=2, n_databanks=2, availability=0.6,
+            density=1.0, speculation=True), "speculation", id="ExperimentConfig"),
+        pytest.param(lambda: ServiceConfig(speculation=True), "speculation",
+                     id="ServiceConfig"),
+        pytest.param(lambda: api.serve(None, speculation=True), "speculation",
+                     id="api.serve"),
+        pytest.param(lambda: api.run_campaign([], dispatch="task"), "dispatch",
+                     id="api.run_campaign"),
+        pytest.param(lambda: runner.run_campaign([], dispatch="group"), "dispatch",
+                     id="runner.run_campaign"),
+        pytest.param(lambda: paper_configurations(speculation=True), "speculation",
+                     id="paper_configurations"),
+        pytest.param(lambda: scheduling_overhead(speculation=True), "speculation",
+                     id="scheduling_overhead"),
+        pytest.param(lambda: make_scheduler("online", speculate=True), "speculate",
+                     id="make_scheduler"),
+    ]
+
+
+#: The speculative pre-solve toggle and the campaign dispatch mode are gone
+#: from every entry point: passing one is a plain TypeError, not a no-op.
+@pytest.mark.parametrize("call,keyword", _removed_keyword_calls())
+def test_removed_keyword_is_rejected(call, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        call()
+
+
+def test_dispatch_mode_enum_is_gone():
+    import repro.options
+
+    assert not hasattr(repro.options, "DispatchMode")
 
 
 class TestEnumOption:
@@ -96,14 +133,11 @@ class TestExperimentConfigNormalization:
         config = self.make()
         assert config.solver_backend is SolverBackendChoice.AUTO
         assert config.state_bank is OnOff.ON
-        assert config.speculation is OnOff.OFF
 
     def test_strings_and_bools_normalize(self):
-        config = self.make(solver_backend="scipy", state_bank=False,
-                           speculation="on")
+        config = self.make(solver_backend="scipy", state_bank=False)
         assert config.solver_backend is SolverBackendChoice.SCIPY
         assert config.state_bank is OnOff.OFF
-        assert config.speculation is OnOff.ON
 
     def test_invalid_toggle_is_a_model_error(self):
         with pytest.raises(ModelError):
@@ -112,25 +146,16 @@ class TestExperimentConfigNormalization:
             self.make(state_bank="sometimes")
 
     def test_as_dict_keeps_the_journal_schema_primitives(self):
-        config = self.make(state_bank="off", speculation=True)
+        config = self.make(state_bank="off")
         data = config.as_dict()
         assert data["solver_backend"] == "auto"
         assert data["state_bank"] is False
-        assert data["speculation"] is True
+        # Retired toggles stay as constants so old headers still resume.
+        assert data["incremental_lp"] is True
+        assert data["speculation"] is False
 
     def test_scheduler_options_emit_plain_types(self):
         options = self.make(state_bank="off").scheduler_options_for("online")
         assert options["state_bank"] is False
-        assert options["speculate"] is False
+        assert "speculate" not in options
         assert isinstance(options["solver_backend"], str)
-
-
-class TestRunnerDispatchCoercion:
-    def test_bad_dispatch_mode_is_rejected_early(self):
-        from repro.core.errors import ReproError
-        from repro.experiments.config import small_configurations
-        from repro.experiments.runner import run_campaign
-
-        with pytest.raises(ReproError, match="unknown dispatch mode"):
-            run_campaign(small_configurations()[:1], scheduler_keys=["fcfs"],
-                         replicates=1, dispatch="shuffled")

@@ -67,7 +67,7 @@ def make_trace(scheduler="online", options=None, jobs=None) -> SubmissionTrace:
 
 class TestTraceRoundTrip:
     def test_write_read_round_trip_is_exact(self, tmp_path):
-        trace = make_trace(options={"policy": "batched:1.5", "speculate": True})
+        trace = make_trace(options={"policy": "batched:1.5", "solver_backend": "scipy"})
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, trace) as writer:
             for job in trace.jobs:
@@ -112,8 +112,9 @@ class TestTraceRoundTrip:
             read_trace(path)
 
 
-#: A trace as the daemon journaled it while the replan path was still a
-#: scheduler option: the header carries ``"incremental": true``.
+#: A trace as the daemon journaled it while the replan path and speculative
+#: pre-solving were still scheduler options: the header carries
+#: ``"incremental": true`` and ``"speculate": false``.
 LEGACY_TRACE_LINES = [
     '{"kind": "repro-service-trace", "version": 1, "scheduler": "online", '
     '"scheduler_options": {"solver_backend": "scipy", "policy": "on-arrival", '
@@ -136,8 +137,18 @@ class TestLegacyReplanOption:
         path.write_text("\n".join(LEGACY_TRACE_LINES) + "\n")
         trace = read_trace(path)
         assert trace.scheduler_options == {
-            "solver_backend": "scipy", "policy": "on-arrival", "speculate": False
+            "solver_backend": "scipy", "policy": "on-arrival"
         }
+        check = verify_replay(trace)
+        assert check.identical, check.detail
+
+    def test_speculate_true_trace_replays(self, tmp_path):
+        # Speculation never changed a schedule, so either value replays.
+        path = tmp_path / "legacy.jsonl"
+        header = LEGACY_TRACE_LINES[0].replace('"speculate": false', '"speculate": true')
+        path.write_text("\n".join([header, *LEGACY_TRACE_LINES[1:]]) + "\n")
+        trace = read_trace(path)
+        assert "speculate" not in trace.scheduler_options
         check = verify_replay(trace)
         assert check.identical, check.detail
 
@@ -318,7 +329,7 @@ class TestDaemon:
             assert key in telemetry, key
         for key in (
             "n_probes", "histogram", "n_replans", "replan_latency_p50",
-            "replan_latency_p90", "replan_latency_p99", "speculation_hit_rate",
+            "replan_latency_p90", "replan_latency_p99",
         ):
             assert key in telemetry["lp"], key
         assert telemetry["accepted"] == 1

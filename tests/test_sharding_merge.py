@@ -363,8 +363,9 @@ class TestMergeValidation:
             design_tasks_from_meta({"base_seed": 1})
 
 
-#: A journal header as campaigns wrote it while the replan path was a
-#: configuration toggle (``incremental_lp``), for LEGACY_CONFIG below.
+#: A journal header as campaigns wrote it while the replan path and
+#: speculative pre-solving were configuration toggles (``incremental_lp``,
+#: ``speculation``), for LEGACY_CONFIG below.
 LEGACY_HEADER = (
     '{"kind": "repro-campaign-checkpoint", "version": 1, "meta": {"base_seed": 17, '
     '"replicates": 1, "scheduler_keys": ["online", "swrpt"], "configs": [{"name": '
@@ -408,6 +409,21 @@ class TestLegacyReplanKey:
             self._resume(path)
         with pytest.raises(ReproError, match="from-scratch LP replan path"):
             merge_journals([path])
+
+    def test_speculation_true_journal_merges(self, tmp_path):
+        # Speculation never changed a record: such journals still merge,
+        # while resuming one is refused by the header-equality check.
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(LEGACY_HEADER + "\n")
+        results = self._resume(path)
+        text = path.read_text()
+        assert text.count('"speculation": false') == 1
+        path.write_text(text.replace('"speculation": false', '"speculation": true'))
+        merged = merge_journals([path])
+        assert merged.complete
+        assert merged.results.result_set() == results.result_set()
+        with pytest.raises(ReproError, match="different campaign"):
+            self._resume(path)
 
 
 class TestReportStage:
