@@ -55,9 +55,12 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- base       * Scheduler / PriorityScheduler / PlanBasedScheduler
     |   |-- policies   * ReplanPolicy: on-arrival | batched:D | threshold:K
     |   |-- online_lp  * the four on-line LP variants (policy + ReplanContext)
+    |   |-- registry   * key -> factory, and RunOptions: the run options
+    |   |                (replan policy, solver backend) declared once, with
+    |   |                the one rule handing them to the LP keys
     |   `-- ...          offline, bender98/02, mct, priority heuristics
     |-- workload/      GriPPS-like synthetic platform/workload generation
-    |-- experiments/   the paper's campaign (configs carry the replan knobs)
+    |-- experiments/   the paper's campaign (configs inherit RunOptions)
     |   |-- runner     * campaign engine: (config, replicate, scheduler) task
     |   |                streaming over long-lived worker lanes (instance
     |   |                LRU + resident solver backend + solver-state bank,

@@ -40,14 +40,12 @@ from repro.experiments.merge import (
 )
 from repro.experiments.runner import DEFAULT_SCHEDULERS, ExperimentResults
 from repro.experiments.runner import run_campaign as _run_campaign
-from repro.options import SolverBackendChoice
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate as _simulate
 from repro.simulation.result import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.base import Scheduler
-    from repro.service.daemon import ServiceConfig
     from repro.service.http import ServiceServer
 
 __all__ = [
@@ -249,17 +247,9 @@ def report(
 def serve(
     platform: Platform,
     *,
-    scheduler: str = "online",
-    replan_policy: str = "on-arrival",
-    solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO,
-    time_scale: float = 0.0,
-    journal: "str | Path | None" = None,
-    record_events: bool = False,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_pending: int | None = None,
-    shed_replan_p99: float | None = None,
-    retry_after: float = 1.0,
+    **config: Any,
 ) -> "ServiceServer":
     """Boot the streaming-arrival scheduler daemon behind its HTTP surface.
 
@@ -275,27 +265,16 @@ def serve(
     ----------
     platform:
         The machine park the daemon schedules onto.
-    scheduler:
-        A service-safe registry key
-        (:data:`repro.schedulers.registry.SERVICE_SCHEDULERS`); the
-        clairvoyant strategies are rejected.
-    replan_policy, solver_backend:
-        The replanning knobs of the on-line LP heuristics, as in
-        :class:`~repro.experiments.config.ExperimentConfig`.
-    time_scale:
-        Virtual seconds per wall-clock second; ``0`` (default) free-runs.
-    journal:
-        Path receiving the replayable submission trace; replaying it
-        through :func:`repro.service.replay_trace` is bit-identical to
-        batch :func:`simulate` on the reconstructed instance.
     host, port:
         Bind address; ``port=0`` picks a free port (see ``server.port`` /
         ``server.url``).
-    max_pending, shed_replan_p99, retry_after:
-        The admission valve (both triggers default off): shed submissions
-        with ``503`` + ``Retry-After: retry_after`` once ``max_pending``
-        admitted jobs await delivery, or once the live replan-latency p99
-        exceeds ``shed_replan_p99`` seconds.
+    **config:
+        The :class:`~repro.service.daemon.ServiceConfig` fields, which
+        declare their defaults: the service-safe ``scheduler`` key, the run
+        options ``replan_policy`` / ``solver_backend``, ``time_scale``,
+        ``journal`` (the replayable submission trace), ``record_events`` and
+        the admission valve ``max_pending`` / ``shed_replan_p99`` /
+        ``retry_after``.
 
     Returns
     -------
@@ -306,17 +285,7 @@ def serve(
     from repro.service.daemon import SchedulerDaemon, ServiceConfig
     from repro.service.http import ServiceServer
 
-    config = ServiceConfig(
-        scheduler=scheduler,
-        replan_policy=replan_policy,
-        solver_backend=solver_backend,
-        time_scale=time_scale,
-        journal=None if journal is None else str(journal),
-        record_events=record_events,
-        max_pending=max_pending,
-        shed_replan_p99=shed_replan_p99,
-        retry_after=retry_after,
-    )
-    server = ServiceServer(SchedulerDaemon(platform, config), host=host, port=port)
+    daemon = SchedulerDaemon(platform, ServiceConfig(**config))
+    server = ServiceServer(daemon, host=host, port=port)
     server.start()
     return server

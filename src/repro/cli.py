@@ -56,14 +56,11 @@ Every sub-command accepts ``--seed`` for reproducibility.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
-from repro.experiments.config import (
-    ExperimentConfig,
-    figure3_configurations,
-    paper_configurations,
-)
+from repro.experiments.config import figure3_configurations, paper_configurations
 from repro import api
 from repro.core.errors import ReproError
 from repro.experiments.ab import run_backend_ab
@@ -77,11 +74,10 @@ from repro.lp.backends import (
     highs_unavailable_reason,
     resolve_backend_name,
 )
-from repro.options import OnOff, SolverBackendChoice, enum_option
-from repro.schedulers.policies import parse_policy
+from repro.options import OnOff, enum_option
 from repro.schedulers.registry import (
-    LP_SOLVER_SCHEDULERS,
     SERVICE_SCHEDULERS,
+    RunOptions,
     available_schedulers,
     paper_schedulers,
 )
@@ -158,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of processed work preserved under the restart loss "
         "model (0 = restart from scratch)",
     )
-    _add_replanning_arguments(sim)
+    _add_run_options(sim)
 
     camp = sub.add_parser("campaign", help="run a scaled-down version of the paper campaign")
     camp.add_argument("--replicates", type=int, default=1)
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which degenerate-vertex tie-breaking legitimately perturbs "
         "across solver backends",
     )
-    _add_replanning_arguments(camp)
+    _add_run_options(camp)
 
     mrg = sub.add_parser(
         "merge",
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="back-off advertised on shed submissions (default: 1.0)",
     )
-    _add_replanning_arguments(srv)
+    _add_run_options(srv)
 
     fig = sub.add_parser("figure3", help="run the Figure 3 density sweep")
     fig.add_argument("--replicates", type=int, default=3)
@@ -387,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     over.add_argument("--replicates", type=int, default=2)
     over.add_argument("--window", type=float, default=30.0)
     over.add_argument("--max-jobs", type=int, default=25)
-    _add_replanning_arguments(over)
+    _add_run_options(over)
 
     th1 = sub.add_parser("theorem1", help="starvation instance of Theorem 1")
     th1.add_argument("--delta", type=float, default=16.0)
@@ -401,15 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     th2.add_argument("--unit-jobs", type=int, default=300)
 
     return parser
-
-
-def _policy_spec(text: str) -> str:
-    """argparse type: validate a replan-policy spec early, keep it textual."""
-    try:
-        parse_policy(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def _job_cap(text: str) -> int:
@@ -431,52 +418,38 @@ def _shard_spec(text: str) -> str:
     return text
 
 
-def _add_replanning_arguments(sub: argparse.ArgumentParser) -> None:
-    """Replanning-pipeline knobs shared by simulate/campaign/overhead."""
-    sub.add_argument(
-        "--replan-policy",
-        type=_policy_spec,
-        default="on-arrival",
-        metavar="SPEC",
-        help="replan cadence of the on-line LP heuristics: "
-        "'on-arrival' (paper default), 'batched:<seconds>' or "
-        "'threshold[:<factor>]'",
-    )
-    sub.add_argument(
-        "--solver-backend",
-        **enum_option(SolverBackendChoice, SolverBackendChoice.AUTO,
-                      param="--solver-backend"),
-        help="LP solver backend for the LP-based schedulers: 'auto' "
-        "(default: the persistent HiGHS backend -- dual-simplex basis "
-        "warm starts across milestone probes and replans -- when highspy "
-        "or scipy >= 1.15 provides bindings, one-shot scipy otherwise), "
-        "'highs' (require the persistent backend), or 'scipy' (force the "
-        "one-shot linprog path: the bit-stable escape hatch reproducing "
-        "the historical campaign numbers exactly)",
-    )
+def _add_run_options(sub: argparse.ArgumentParser) -> None:
+    """One flag per :class:`RunOptions` field, help and metavar from its metadata."""
+    for option in dataclasses.fields(RunOptions):
+        sub.add_argument(
+            "--" + option.name.replace("_", "-"),
+            type=_run_option_type(option.name),
+            default=option.default,
+            **option.metadata,
+        )
 
 
-def _online_options(args: argparse.Namespace) -> dict[str, dict[str, object]]:
-    """Per-scheduler-key options implied by the replanning CLI flags.
+def _run_option_type(name: str):
+    """argparse type: validate one run option through :class:`RunOptions`.
 
-    Delegates to :meth:`ExperimentConfig.scheduler_options_for` so the CLI
-    and campaign layers cannot disagree about which schedulers take which
-    knobs.
+    The parsed value is the one the library stores (e.g. a
+    ``SolverBackendChoice`` member), so the flag and the library share one
+    validation rule.
     """
-    config = ExperimentConfig(
-        name="cli",
-        n_clusters=1,
-        n_databanks=1,
-        availability=1.0,
-        density=1.0,
-        replan_policy=args.replan_policy,
-        solver_backend=args.solver_backend,
-    )
-    return {
-        key: options
-        for key in LP_SOLVER_SCHEDULERS
-        if (options := config.scheduler_options_for(key))
-    }
+
+    def parse(text: str):
+        try:
+            return getattr(RunOptions(**{name: text}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _run_options(args: argparse.Namespace) -> dict[str, object]:
+    """The parsed :class:`RunOptions` flags, as keyword arguments."""
+    names = (option.name for option in dataclasses.fields(RunOptions))
+    return {name: getattr(args, name) for name in names}
 
 
 def _check_backend(args: argparse.Namespace) -> str | None:
@@ -550,12 +523,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         headers=["Scheduler", "max-stretch", "sum-stretch", "max-flow", "makespan",
                  "sched time (s)"]
     )
-    online_options = _online_options(args)
+    run_options = RunOptions(**_run_options(args))
     for key in args.schedulers:
         result = api.simulate(
             instance,
             key,
-            scheduler_options=online_options.get(key),
+            scheduler_options=run_options.scheduler_options_for(key),
             record_events=args.trace,
             faults=faults,
         )
@@ -646,8 +619,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         densities=args.densities,
         window=args.window,
         max_jobs=args.max_jobs if args.max_jobs > 0 else None,
-        replan_policy=args.replan_policy,
-        solver_backend=args.solver_backend,
+        **_run_options(args),
         state_bank=args.state_bank,
         fault_mtbf=args.fault_mtbf,
         fault_mttr=args.fault_mttr,
@@ -820,8 +792,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = api.serve(
             platform,
             scheduler=args.scheduler,
-            replan_policy=args.replan_policy,
-            solver_backend=args.solver_backend,
+            **_run_options(args),
             time_scale=args.time_scale,
             journal=args.journal,
             host=args.host,
@@ -920,8 +891,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
         window=args.window,
         max_jobs=args.max_jobs,
         scheduler_options={"bender98": {"max_jobs_per_resolution": 25}},
-        replan_policy=args.replan_policy,
-        solver_backend=args.solver_backend,
+        **_run_options(args),
     )
     table = TextTable(headers=list(OVERHEAD_TABLE_HEADERS))
     for record in records:

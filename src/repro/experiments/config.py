@@ -19,12 +19,11 @@ EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ModelError
-from repro.options import OnOff, SolverBackendChoice
-from repro.schedulers.policies import parse_policy
-from repro.schedulers.registry import LP_SOLVER_SCHEDULERS, ONLINE_LP_SCHEDULERS
+from repro.options import OnOff
+from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, RunOptions
 from repro.workload.faults import FaultSpec
 from repro.workload.generator import PlatformSpec, WorkloadSpec
 from repro.workload.gripps import DEFAULT_PROCESSORS_PER_CLUSTER, SUBMISSION_WINDOW_SECONDS
@@ -49,17 +48,18 @@ PAPER_DENSITIES: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(RunOptions):
     """One point of the experimental design.
 
     The six features of Section 5.1, plus the submission window and an
     optional cap on the number of jobs per instance (both used to scale the
     campaign to the available compute budget without changing its design),
-    plus two knobs of the replanning pipeline: the replan policy driving
-    the on-line LP heuristics (a new scenario axis the paper only discusses
-    qualitatively) and the LP solver backend.  The backend defaults
-    to ``"auto"`` (the persistent HiGHS backend with basis warm starts when
-    bindings are available, validated at campaign scale by the A/B gate in
+    plus the :class:`~repro.schedulers.registry.RunOptions` it inherits
+    (keyword-only): the replan policy driving the on-line LP heuristics (a
+    new scenario axis the paper only discusses qualitatively) and the LP
+    solver backend.  The backend defaults to ``"auto"`` (the persistent
+    HiGHS backend with basis warm starts when bindings are available,
+    validated at campaign scale by the A/B gate in
     ``benchmarks/bench_campaign.py``); ``"scipy"`` remains the bit-stable
     escape hatch reproducing the historical one-shot-linprog numbers.
 
@@ -91,8 +91,6 @@ class ExperimentConfig:
     processors_per_cluster: int = DEFAULT_PROCESSORS_PER_CLUSTER
     window: float = SUBMISSION_WINDOW_SECONDS
     max_jobs: int | None = None
-    replan_policy: str = "on-arrival"
-    solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO
     state_bank: "OnOff | bool | str" = OnOff.ON
     fault_mtbf: float | None = None
     fault_mttr: float | None = None
@@ -108,19 +106,11 @@ class ExperimentConfig:
             raise ModelError("availability must lie in (0, 1]")
         if self.density <= 0 or self.window <= 0:
             raise ModelError("density and window must be positive")
+        # The inherited run options validate (and normalize) themselves; the
+        # state-bank toggle is normalized the same way (the dataclass is
+        # frozen, hence the explicit __setattr__).
         try:
-            parse_policy(self.replan_policy)
-        except ValueError as exc:
-            raise ModelError(str(exc)) from None
-        # Normalize the typed toggles (the dataclass is frozen, hence the
-        # explicit __setattr__): booleans and canonical spellings are
-        # accepted on the way in, the stored values are always enum members.
-        try:
-            object.__setattr__(
-                self,
-                "solver_backend",
-                SolverBackendChoice.coerce(self.solver_backend, param="solver_backend"),
-            )
+            super().__post_init__()
             object.__setattr__(
                 self, "state_bank", OnOff.coerce(self.state_bank, param="state_bank")
             )
@@ -172,15 +162,13 @@ class ExperimentConfig:
     def scheduler_options_for(self, key: str) -> dict[str, object]:
         """Constructor options this configuration implies for scheduler ``key``.
 
-        The replan policy and the state bank only exist on the on-line LP
-        heuristics; the solver backend applies to every LP consumer
-        (``LP_SOLVER_SCHEDULERS``); every other scheduler gets no options.
+        The run options' rule
+        (:meth:`~repro.schedulers.registry.RunOptions.scheduler_options_for`)
+        plus the state-bank toggle, which only exists on the on-line LP
+        heuristics.
         """
-        options: dict[str, object] = {}
-        if key in LP_SOLVER_SCHEDULERS:
-            options["solver_backend"] = str(self.solver_backend)
+        options = super().scheduler_options_for(key)
         if key in ONLINE_LP_SCHEDULERS:
-            options["policy"] = self.replan_policy
             # A bool at this level; the campaign workers swap in their
             # resident SolverStateBank (OnlineLPScheduler ignores non-bank
             # values, so other call sites are unaffected).
@@ -227,20 +215,14 @@ def paper_configurations(
     databanks: Sequence[int] = PAPER_DATABANKS,
     availabilities: Sequence[float] = PAPER_AVAILABILITIES,
     densities: Sequence[float] = PAPER_DENSITIES,
-    window: float = SUBMISSION_WINDOW_SECONDS,
-    max_jobs: int | None = None,
-    processors_per_cluster: int = DEFAULT_PROCESSORS_PER_CLUSTER,
-    replan_policy: str = "on-arrival",
-    solver_backend: str = "auto",
-    state_bank: bool = True,
-    fault_mtbf: float | None = None,
-    fault_mttr: float | None = None,
-    fault_horizon: float | None = None,
-    fault_machine_fraction: float = 1.0,
-    fault_loss_model: str = "resume",
-    fault_checkpoint_fraction: float = 0.0,
+    **fields: Any,
 ) -> list[ExperimentConfig]:
-    """The full factorial design of Section 5.3 (162 configurations by default)."""
+    """The full factorial design of Section 5.3 (162 configurations by default).
+
+    Every other keyword (``window``, ``max_jobs``, the run options, the
+    fault axis, ...) is an :class:`ExperimentConfig` field shared by every
+    configuration, with that field's default.
+    """
     configs: list[ExperimentConfig] = []
     for n_clusters in sites:
         for n_databanks in databanks:
@@ -258,18 +240,7 @@ def paper_configurations(
                             n_databanks=n_databanks,
                             availability=availability,
                             density=density,
-                            processors_per_cluster=processors_per_cluster,
-                            window=window,
-                            max_jobs=max_jobs,
-                            replan_policy=replan_policy,
-                            solver_backend=solver_backend,
-                            state_bank=state_bank,
-                            fault_mtbf=fault_mtbf,
-                            fault_mttr=fault_mttr,
-                            fault_horizon=fault_horizon,
-                            fault_machine_fraction=fault_machine_fraction,
-                            fault_loss_model=fault_loss_model,
-                            fault_checkpoint_fraction=fault_checkpoint_fraction,
+                            **fields,
                         )
                     )
     return configs

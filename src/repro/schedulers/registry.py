@@ -11,18 +11,25 @@ directly or through the decorator form::
     @register_scheduler("my-heuristic")
     def _make():
         return MyScheduler()
+
+:class:`RunOptions` declares the run options of the LP schedulers once, and
+:meth:`RunOptions.scheduler_options_for` is the one rule mapping them onto
+the registered keys.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.options import SolverBackendChoice
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bender02 import Bender02Scheduler
 from repro.schedulers.bender98 import Bender98Scheduler
 from repro.schedulers.mct import MCTDivScheduler, MCTScheduler
 from repro.schedulers.offline import OfflineScheduler
 from repro.schedulers.online_lp import OnlineLPScheduler
+from repro.schedulers.policies import parse_policy
 from repro.schedulers.priority import (
     EDFScheduler,
     FCFSScheduler,
@@ -37,6 +44,7 @@ __all__ = [
     "make_scheduler",
     "available_schedulers",
     "paper_schedulers",
+    "RunOptions",
     "PAPER_TABLE1_ORDER",
     "ONLINE_LP_SCHEDULERS",
     "LP_SOLVER_SCHEDULERS",
@@ -56,8 +64,8 @@ ONLINE_LP_SCHEDULERS: tuple[str, ...] = (
 
 #: Keys of every scheduler that solves Systems (1)/(2) and therefore accepts
 #: the ``solver_backend=...`` knob (the on-line heuristics plus the off-line
-#: optimal variants).  The experiment-config and CLI layers consult this
-#: tuple so a new LP consumer cannot drift out of sync with them.
+#: optimal variants).  :meth:`RunOptions.scheduler_options_for` consults
+#: this tuple so a new LP consumer cannot drift out of sync with it.
 LP_SOLVER_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + (
     "offline",
     "offline-sum",
@@ -78,6 +86,72 @@ SERVICE_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + (
     "mct",
     "mct-div",
 )
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunOptions:
+    """The run options of the LP schedulers, declared once.
+
+    :class:`~repro.experiments.config.ExperimentConfig` and
+    :class:`~repro.service.daemon.ServiceConfig` inherit these fields, the
+    CLI derives its ``--replan-policy`` / ``--solver-backend`` flags from
+    their metadata, and :meth:`scheduler_options_for` is the one rule that
+    maps them onto the LP schedulers' constructor options.
+
+    Values are validated on construction: the policy must parse, and the
+    backend is coerced into a :class:`~repro.options.SolverBackendChoice`
+    member (canonical spellings, case-insensitively).  An invalid value
+    raises :class:`ValueError`.
+    """
+
+    replan_policy: str = field(
+        default="on-arrival",
+        metadata={
+            "metavar": "SPEC",
+            "help": "replan cadence of the on-line LP heuristics: "
+            "'on-arrival' (paper default), 'batched:<seconds>' or "
+            "'threshold[:<factor>]'",
+        },
+    )
+    solver_backend: "SolverBackendChoice | str" = field(
+        default=SolverBackendChoice.AUTO,
+        metadata={
+            "metavar": "|".join(member.value for member in SolverBackendChoice),
+            "help": "LP solver backend for the LP-based schedulers: 'auto' "
+            "(default: the persistent HiGHS backend -- dual-simplex basis "
+            "warm starts across milestone probes and replans -- when highspy "
+            "or scipy >= 1.15 provides bindings, one-shot scipy otherwise), "
+            "'highs' (require the persistent backend), or 'scipy' (force the "
+            "one-shot linprog path: the bit-stable escape hatch reproducing "
+            "the historical campaign numbers exactly)",
+        },
+    )
+
+    def __post_init__(self) -> None:
+        parse_policy(self.replan_policy)
+        # Frozen (and so are the subclasses), hence the explicit __setattr__.
+        object.__setattr__(
+            self,
+            "solver_backend",
+            SolverBackendChoice.coerce(self.solver_backend, param="solver_backend"),
+        )
+
+    def scheduler_options_for(self, key: str) -> dict[str, object]:
+        """Constructor options these run options imply for scheduler ``key``.
+
+        The solver backend goes to every LP consumer
+        (``LP_SOLVER_SCHEDULERS``), the replan policy only to the on-line LP
+        heuristics (``ONLINE_LP_SCHEDULERS``); every other scheduler gets no
+        options.  The values are plain strings, so the result can go into a
+        trace header as it is.
+        """
+        options: dict[str, object] = {}
+        if key in LP_SOLVER_SCHEDULERS:
+            options["solver_backend"] = str(self.solver_backend)
+        if key in ONLINE_LP_SCHEDULERS:
+            options["policy"] = self.replan_policy
+        return options
+
 
 SchedulerFactory = Callable[[], Scheduler]
 
@@ -103,7 +177,8 @@ def make_scheduler(key: str, **kwargs) -> Scheduler:
     """Instantiate the scheduler registered under ``key``.
 
     Keyword arguments are forwarded to the factory (most factories accept
-    none; the LP-based and Bender98 factories accept tuning options).
+    none; the LP-based and Bender98 factories accept tuning options, see
+    :meth:`RunOptions.scheduler_options_for`).
     """
     try:
         factory = _REGISTRY[key.lower()]

@@ -21,19 +21,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.instance import LiveInstance
 from repro.core.job import Job
 from repro.core.platform import Platform
-from repro.options import SolverBackendChoice
-from repro.schedulers.policies import parse_policy
-from repro.schedulers.registry import (
-    LP_SOLVER_SCHEDULERS,
-    ONLINE_LP_SCHEDULERS,
-    SERVICE_SCHEDULERS,
-    make_scheduler,
-)
+from repro.schedulers.registry import SERVICE_SCHEDULERS, RunOptions, make_scheduler
 from repro.service.ingest import IngestReport, SubmissionRequest, ingest_lines
 from repro.service.stream import StreamingSource
 from repro.service.trace import AdmissionError, ServiceError, SubmissionTrace, TraceWriter
@@ -57,8 +51,13 @@ _SHED_MIN_REPLANS = 5
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(RunOptions):
     """Configuration of one daemon run.
+
+    The replan policy and solver backend are the inherited
+    :class:`~repro.schedulers.registry.RunOptions` (keyword-only).  The
+    cross-run solver-state bank is deliberately absent: it is a
+    campaign-layer accelerator with no meaning for a single resident daemon.
 
     ``scheduler`` must be service-safe (``SERVICE_SCHEDULERS``): strategies
     whose ``reset`` reads whole-instance quantities (the clairvoyant
@@ -80,10 +79,8 @@ class ServiceConfig:
     """
 
     scheduler: str = "online"
-    replan_policy: str = "on-arrival"
-    solver_backend: "SolverBackendChoice | str" = SolverBackendChoice.AUTO
     time_scale: float = 0.0
-    journal: str | None = None
+    journal: "str | Path | None" = None
     record_events: bool = False
     max_pending: int | None = None
     shed_replan_p99: float | None = None
@@ -98,15 +95,7 @@ class ServiceConfig:
             )
         object.__setattr__(self, "scheduler", key)
         try:
-            parse_policy(self.replan_policy)
-        except ValueError as exc:
-            raise ServiceError(str(exc)) from None
-        try:
-            object.__setattr__(
-                self,
-                "solver_backend",
-                SolverBackendChoice.coerce(self.solver_backend, param="solver_backend"),
-            )
+            super().__post_init__()
         except ValueError as exc:
             raise ServiceError(str(exc)) from None
         if self.time_scale < 0:
@@ -119,21 +108,6 @@ class ServiceConfig:
             )
         if self.retry_after <= 0:
             raise ServiceError(f"retry_after must be > 0, got {self.retry_after}")
-
-    def scheduler_options(self) -> dict[str, Any]:
-        """Constructor options for :func:`make_scheduler` -- JSON-safe.
-
-        These go into the trace header verbatim, so they must round-trip
-        through JSON (plain str/bool only).  The cross-run solver-state
-        bank is deliberately absent: it is a campaign-layer accelerator
-        with no meaning for a single resident daemon.
-        """
-        options: dict[str, Any] = {}
-        if self.scheduler in LP_SOLVER_SCHEDULERS:
-            options["solver_backend"] = str(self.solver_backend)
-        if self.scheduler in ONLINE_LP_SCHEDULERS:
-            options["policy"] = self.replan_policy
-        return options
 
 
 class SchedulerDaemon:
@@ -162,9 +136,9 @@ class SchedulerDaemon:
         self.source = StreamingSource(
             time_scale=self.config.time_scale, on_pull=self._refresh_telemetry
         )
-        self.scheduler = make_scheduler(
-            self.config.scheduler, **self.config.scheduler_options()
-        )
+        # Bank-less, so plain strings: these also go into the trace header.
+        options = self.config.scheduler_options_for(self.config.scheduler)
+        self.scheduler = make_scheduler(self.config.scheduler, **options)
         self.engine = SimulationEngine(
             self.instance,
             self.scheduler,
@@ -178,7 +152,7 @@ class SchedulerDaemon:
                 SubmissionTrace(
                     platform=platform,
                     scheduler=self.config.scheduler,
-                    scheduler_options=self.config.scheduler_options(),
+                    scheduler_options=options,
                     time_scale=self.config.time_scale,
                 ),
             )

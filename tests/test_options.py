@@ -1,15 +1,24 @@
-"""Tests of the typed option enums and their shared coercion/CLI helper."""
+"""Tests of the typed option enums, their shared coercion/CLI helper, and
+:class:`RunOptions`: one declaration, one validation rule, one mapping."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.errors import ModelError
 from repro.experiments.config import ExperimentConfig
 from repro.options import OnOff, SolverBackendChoice, enum_option
+from repro.schedulers.registry import (
+    LP_SOLVER_SCHEDULERS,
+    ONLINE_LP_SCHEDULERS,
+    RunOptions,
+    available_schedulers,
+)
 
 
 class TestOnOff:
@@ -159,3 +168,80 @@ class TestExperimentConfigNormalization:
         assert options["state_bank"] is False
         assert "speculate" not in options
         assert isinstance(options["solver_backend"], str)
+
+
+class TestRunOptions:
+    def test_defaults(self):
+        options = RunOptions()
+        assert options.replan_policy == "on-arrival"
+        assert options.solver_backend is SolverBackendChoice.AUTO
+
+    def test_backend_is_coerced_to_a_member(self):
+        assert RunOptions(solver_backend=" SciPy ").solver_backend is SolverBackendChoice.SCIPY
+
+    def test_invalid_values_name_the_choices(self):
+        with pytest.raises(ValueError, match="'scipy', 'highs', 'auto'"):
+            RunOptions(solver_backend="cplex")
+        with pytest.raises(ValueError, match="unknown replan policy"):
+            RunOptions(replan_policy="sometimes")
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            RunOptions("on-arrival")  # type: ignore[misc]
+
+
+class TestTheOneRule:
+    """``RunOptions.scheduler_options_for`` maps policy and backend onto the keys."""
+
+    def test_every_key_gets_exactly_its_options(self):
+        options = RunOptions(replan_policy="batched:2", solver_backend="scipy")
+        for key in available_schedulers():
+            expected: dict[str, object] = {}
+            if key in LP_SOLVER_SCHEDULERS:
+                expected["solver_backend"] = "scipy"
+            if key in ONLINE_LP_SCHEDULERS:
+                expected["policy"] = "batched:2"
+            got = options.scheduler_options_for(key)
+            assert got == expected, key
+            assert all(type(value) is str for value in got.values()), key
+
+    def test_configs_inherit_the_rule(self):
+        from repro.service.daemon import ServiceConfig
+
+        config = ExperimentConfig(
+            name="t", n_clusters=2, n_databanks=2, availability=0.6, density=1.0,
+            replan_policy="threshold:1.5", solver_backend="highs",
+        )
+        service = ServiceConfig(replan_policy="threshold:1.5", solver_backend="highs")
+        rule = RunOptions(replan_policy="threshold:1.5", solver_backend="highs")
+        for key in available_schedulers():
+            expected = rule.scheduler_options_for(key)
+            assert service.scheduler_options_for(key) == expected, key
+            # The configuration adds only its state-bank toggle.
+            from_config = config.scheduler_options_for(key)
+            assert from_config.pop("state_bank", None) is (
+                True if key in ONLINE_LP_SCHEDULERS else None
+            ), key
+            assert from_config == expected, key
+
+
+class TestRunOptionFlags:
+    """The CLI derives one flag per RunOptions field, on every LP subcommand."""
+
+    @pytest.mark.parametrize("sub", ["simulate", "campaign", "serve", "overhead"])
+    def test_every_field_has_a_flag_with_its_default(self, sub):
+        args = build_parser().parse_args([sub])
+        for option in dataclasses.fields(RunOptions):
+            assert getattr(args, option.name) == option.default
+
+    def test_parses_to_the_stored_value(self):
+        args = build_parser().parse_args(["simulate", "--solver-backend", "SCIPY"])
+        assert args.solver_backend is SolverBackendChoice.SCIPY
+
+    def test_invalid_value_errors_out_with_the_library_message(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--replan-policy", "sideways"])
+        assert "unknown replan policy 'sideways'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--solver-backend", "linprog"])
+        assert "solver_backend must be one of" in capsys.readouterr().err

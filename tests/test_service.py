@@ -152,6 +152,21 @@ class TestLegacyReplanOption:
         check = verify_replay(trace)
         assert check.identical, check.detail
 
+    def test_daemon_header_options_are_unchanged(self, tmp_path):
+        # The daemon's scheduler options now come from the registry rule;
+        # the header they journal keeps its keys, values and order.
+        path = tmp_path / "new.jsonl"
+        config = ServiceConfig(
+            solver_backend="SciPy", replan_policy="batched:2", journal=path
+        )
+        daemon = SchedulerDaemon(small_platform(), config)
+        daemon._writer.close()
+        header = path.read_text().splitlines()[0]
+        assert (
+            '"scheduler": "online", "scheduler_options": {"solver_backend": '
+            '"scipy", "policy": "batched:2"}, "time_scale": 0.0'
+        ) in header
+
     def test_incremental_false_trace_is_rejected(self, tmp_path):
         path = tmp_path / "legacy.jsonl"
         header = LEGACY_TRACE_LINES[0].replace('"incremental": true', '"incremental": false')

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -388,6 +389,21 @@ class TestLegacyReplanKey:
         return run_campaign(
             [LEGACY_CONFIG], scheduler_keys=("online", "swrpt"), replicates=1,
             base_seed=17, checkpoint=path, resume=True,
+        )
+
+    def test_header_bytes_are_unchanged(self):
+        # The run options moved into RunOptions; the header they write must
+        # not move with them, or no older journal would resume.
+        meta = campaign_meta([LEGACY_CONFIG], ("online", "swrpt"), 1, 17)
+        header = json.dumps({"kind": "repro-campaign-checkpoint", "version": 1,
+                             "meta": meta})
+        assert header == LEGACY_HEADER
+        knobbed = replace(LEGACY_CONFIG, replan_policy="batched:2", state_bank=False)
+        assert json.dumps(knobbed.as_dict()).startswith(
+            '{"name": "legacy", "n_clusters": 2, "n_databanks": 2, "availability": '
+            '0.6, "density": 1.0, "processors_per_cluster": 3, "window": 12.0, '
+            '"max_jobs": 5, "replan_policy": "batched:2", "incremental_lp": true, '
+            '"solver_backend": "scipy", "state_bank": false, "speculation": false, '
         )
 
     def test_legacy_journal_resumes_and_merges(self, tmp_path):
