@@ -87,7 +87,8 @@ from repro.theory.starvation import starvation_analysis
 from repro.utils.seeding import derive_seed
 from repro.utils.textable import TextTable
 from repro.workload.faults import FaultSpec, generate_fault_timeline
-from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance, generate_platform
+from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
+from repro.workload.generator import generate_platform
 
 __all__ = ["main", "build_parser"]
 

@@ -8,7 +8,8 @@ Two implementations exist:
   one-shot :func:`scipy.optimize.linprog` path (default);
 * :class:`~repro.lp.backends.highs.HighsPersistentBackend` -- builds a HiGHS
   model per solve and keeps the latest basis of each warm-start series,
-  warm-starting dual simplex on the next model of the series from it.
+  warm-starting dual simplex on the next model of the series from it, and
+  returns an optimal model for :meth:`SolverBackend.resolve_fixed` to re-solve.
 
 Persistent backends relate successive solves through the ``warm`` argument of
 :meth:`SolverBackend.solve`: a :class:`WarmStartHint` names the series and
@@ -74,6 +75,9 @@ class LPResult:
         the objective ``F`` (the RHS is affine in ``F``) to refute whole
         ranges of milestones without solving them
         (:mod:`repro.lp.maxstretch`).
+    model:
+        Opaque handle on the live model of an optimal, hinted solve for
+        :meth:`SolverBackend.resolve_fixed` (persistent HiGHS only, else ``None``).
     """
 
     status: int
@@ -82,6 +86,7 @@ class LPResult:
     values: np.ndarray
     message: str = ""
     dual_ray: "np.ndarray | None" = None
+    model: object | None = None
 
     def value(self, index: int) -> float:
         """Value of variable ``index`` in the optimal solution."""
@@ -191,6 +196,20 @@ class SolverBackend(ABC):
     ) -> LPResult:
         """Backend-specific solve (timed and accounted by :meth:`solve`)."""
 
+    def resolve_fixed(self, model, *, column: int, value: float, costs) -> LPResult:
+        """Re-solve an :attr:`LPResult.model`: ``column`` fixed at ``value``, new
+        ``costs``.  Counted as a solve and a basis reuse; raises SolverError on
+        failure.  Backends that hand out models implement ``_resolve_fixed``."""
+        start = time.perf_counter()
+        try:
+            result = self._resolve_fixed(model, column=column, value=value, costs=costs)
+        finally:
+            _note_probe(self.name, time.perf_counter() - start)
+        for stats in _ACTIVE_STATS:
+            stats.n_basis_reused += 1
+            stats.n_live_reoptimizations += 1
+        return result
+
     def close(self) -> None:
         """Release any persistent solver state (no-op by default)."""
 
@@ -251,6 +270,8 @@ class LPProbeStats:
     #: Solved probes served from warm persistent-solver state (a successful
     #: basis transplant) instead of a cold start.
     n_basis_reused: int = 0
+    #: System (2) solves run on the winning System (1) probe's model.
+    n_live_reoptimizations: int = 0
     #: Milestone searches ended by the interior-optimum short circuit (the
     #: winning probe's own optimum proved global optimality, so the
     #: downward confirmation probe was never solved).
@@ -308,6 +329,7 @@ class LPProbeStats:
             "solved": self.n_probes,
             "certificate_skipped": self.n_certificate_skipped,
             "basis_reused": self.n_basis_reused,
+            "live_reoptimizations": self.n_live_reoptimizations,
             "interior_exits": self.n_interior_exits,
             "bank_hits": self.n_bank_hits,
             "bank_misses": self.n_bank_misses,

@@ -16,9 +16,13 @@ keeps the one piece of solver state that does carry over: the *basis*.
   ``run()``.  A transplanted basis typically proves infeasibility or
   optimality in a handful of dual-simplex iterations instead of hundreds.
 
+* **Live re-solves.**  System (2) shares every row with the winning System
+  (1) probe, so :meth:`~HighsPersistentBackend.resolve_fixed` fixes ``F`` on
+  the probe's model, swaps the costs and runs *primal* simplex from its basis.
+
 The series bases (four small numpy arrays per series) are the only state
-that outlives a solve; the ``Highs`` object and its factorization die with
-the call.
+the backend keeps; a ``Highs`` object dies with the call or, when its
+result's handle is taken, with the handle (dropped within the replan).
 
 Bindings are resolved at import time from, in order of preference:
 
@@ -191,7 +195,8 @@ class _SeriesBasis:
 class HighsPersistentBackend(SolverBackend):
     """Backend keeping the latest simplex basis of each warm-start series.
 
-    Every solve builds its own ``Highs`` model, which dies with the call.
+    Every solve builds its own ``Highs`` model, which only the handle on an
+    optimal hinted result (for :meth:`resolve_fixed`) keeps alive.
     Solves submitted with a :class:`~repro.lp.backends.base.WarmStartHint`
     start from the series' previous basis, mapped through the hint's
     identities, and leave theirs behind for the next one.
@@ -243,6 +248,15 @@ class HighsPersistentBackend(SolverBackend):
         self._build_model(highs, spec)
         if warm is not None:
             self._transplant_basis(highs, spec, warm)
+        return self._run(highs, spec, warm=warm)
+
+    def _resolve_fixed(self, model, *, column, value, costs) -> LPResult:
+        highs, spec, warm = model
+        highs.changeColBounds(column, value, value)
+        highs.changeColsCost(costs.size, np.arange(costs.size, dtype=np.int32), costs)
+        highs.setOptionValue("simplex_strategy", 4)  # primal simplex
+        # At the default 1e-7, System (2) optima stop up to ~2e-7 (relative) short.
+        highs.setOptionValue("dual_feasibility_tolerance", 1e-9)
         return self._run(highs, spec, warm=warm)
 
     def close(self) -> None:
@@ -475,6 +489,7 @@ class HighsPersistentBackend(SolverBackend):
                 objective=float(highs.getObjectiveValue()),
                 values=values,
                 message="Optimal (HiGHS persistent)",
+                model=(highs, spec, warm) if warm is not None else None,
             )
         if model_status == api.HighsModelStatus.kInfeasible:
             # The dual-ray basis of an infeasible probe is as good a warm

@@ -16,7 +16,8 @@ work is identical:
   the carried dual ray refutes);
 * the winning System (1) probe and the System (2) re-optimization that
   follows share the same milestone interval, so their **constraint
-  skeletons** (variable indexing and row grouping) are identical and cached.
+  skeletons** (variable indexing and row grouping) are identical and cached;
+  on persistent HiGHS, System (2) even re-solves the winning probe's model.
 
 :class:`ReplanContext` bundles these caches behind the same three calls a
 from-scratch replan makes (`build problem`, `solve System (1)`, `re-optimize
@@ -70,6 +71,7 @@ from repro.lp.backends import (
 from repro.lp.bank import BankBucket, SolverStateBank, instance_content_key, problem_signature
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
+    LiveProbe,
     MaxStretchSolution,
     MilestoneSearchReport,
     SearchCertificate,
@@ -182,6 +184,7 @@ class ReplanContext:
         self._last_problem: MaxStretchProblem | None = None
         self._last_solution: MaxStretchSolution | None = None
         self._prev_active: dict[int, float] | None = None
+        self._live: LiveProbe | None = None
         if state_bank is not None:
             self._bucket, self._bank_hit = state_bank.acquire(
                 instance_content_key(instance)
@@ -276,6 +279,7 @@ class ReplanContext:
             # record_lp_probes block rather than at scheduler construction.
             self._bank_lookup_pending = False
             note_bank_lookup(self._bank_hit)
+        self._live = None
         sig = problem_signature(problem)
         reused = self._reuse_sys1(problem, sig)
         if reused is not None:
@@ -297,6 +301,7 @@ class ReplanContext:
             annotate_solver_error(exc, backend=self.backend.name, probe_signature=sig)
             raise
         self._note_solution(problem, sig, solution, report.certificate)
+        self._live = report.live
         self.n_probes_solved += report.n_solved
         self.n_probes_skipped += report.n_skipped
         self._trim_skeletons()
@@ -444,9 +449,11 @@ class ReplanContext:
         returned without solving (the deterministic inflation loop makes
         the stored solution the one this call would compute).
         """
+        live = self._live if problem is self._last_problem else None
+        self._live = None
         if self._bucket is None:
             return reoptimize_allocation(
-                problem, objective, skeleton_cache=self._skeletons, backend=self.backend
+                problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live
             )
         sig = (
             self._last_sig
@@ -459,7 +466,7 @@ class ReplanContext:
             note_primal_reuse()
             return self._rebind(banked, problem)
         solution = reoptimize_allocation(
-            problem, objective, skeleton_cache=self._skeletons, backend=self.backend
+            problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live
         )
         self._bucket.sys2[key] = solution
         self._bucket.trim()
@@ -474,8 +481,9 @@ class ReplanContext:
         (latest publisher wins -- any content-identical state is an equally
         good hint); the exported warm-start bases are kept first-publisher
         wins, since later runs consumed them and re-deriving adds nothing.
-        No-op without a bank.
+        Drops the live model either way.
         """
+        self._live = None
         bucket = self._bucket
         if bucket is None:
             return

@@ -40,7 +40,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, Sequence
+from typing import Mapping, MutableMapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ __all__ = [
     "MaxStretchSolution",
     "ConstraintSkeleton",
     "SearchCertificate",
+    "LiveProbe",
     "MilestoneSearchReport",
     "build_skeleton",
     "warm_hint",
@@ -542,17 +543,27 @@ class SearchCertificate:
         return -(self.capacity_const + load) / self.capacity_coef
 
 
+class LiveProbe(NamedTuple):
+    """A feasible probe's ``LPResult.model`` (``F`` is column 0), skeleton, F bounds."""
+
+    model: object
+    skeleton: ConstraintSkeleton
+    f_low: float
+    f_high: float
+
+
 @dataclass
 class ProbeOutcome:
     """Mutable side channel filled by :func:`solve_on_objective_range`.
 
     ``certificate_bound``/``certificate`` are populated on infeasible probes
-    whose backend produced a dual ray (persistent HiGHS); they stay ``None``
-    on feasible probes and on certificate-less backends.
+    whose backend produced a dual ray (persistent HiGHS), ``live`` on feasible
+    probes whose backend keeps models; all stay ``None`` otherwise.
     """
 
     certificate_bound: float | None = None
     certificate: SearchCertificate | None = None
+    live: LiveProbe | None = None
 
 
 @dataclass
@@ -571,12 +582,15 @@ class MilestoneSearchReport:
     certificate:
         The strongest :class:`SearchCertificate` collected (highest bound),
         for cross-replan carry; ``None`` without certificate support.
+    live:
+        The winning probe's :class:`LiveProbe`, for System (2) (or ``None``).
     """
 
     n_solved: int = 0
     n_skipped: int = 0
     interior_exit: bool = False
     certificate: SearchCertificate | None = None
+    live: LiveProbe | None = None
 
 
 #: Coefficients of F below this threshold make a certificate bound
@@ -679,6 +693,8 @@ def solve_on_objective_range(
             _probe_certificate(problem, skeleton, result.dual_ray, outcome)
         return None
 
+    if outcome is not None and result.model is not None:
+        outcome.live = LiveProbe(result.model, skeleton, f_low, f_high)
     objective = result.value(f_var)
     allocations = _extract_allocations(problem, skeleton, 1, result.values)
     bounds = tuple(structure.bounds_at(objective))
@@ -850,15 +866,19 @@ def _search_certificate(
     interior_exit = False
     strongest_bound = -math.inf
     strongest: SearchCertificate | None = None
+    live: LiveProbe | None = None
 
     def probe(i: int) -> tuple[MaxStretchSolution | None, float | None]:
-        nonlocal solved, strongest, strongest_bound
+        nonlocal solved, strongest, strongest_bound, live
         outcome = ProbeOutcome()
         solution = solve_on_objective_range(
             problem, boundaries[i], boundaries[i + 1],
             skeleton_cache=skeleton_cache, backend=backend, outcome=outcome,
         )
         solved += 1
+        if solution is not None:
+            # Every feasible probe becomes ``best``: keep only its model.
+            live = outcome.live
         if outcome.certificate is not None and outcome.certificate_bound > strongest_bound:
             strongest_bound = outcome.certificate_bound
             strongest = outcome.certificate
@@ -870,6 +890,7 @@ def _search_certificate(
             report.n_skipped = skipped
             report.interior_exit = interior_exit
             report.certificate = strongest
+            report.live = live
         note_certificate_skips(skipped)
         note_milestone_search(solved, skipped, interior_exit)
         return best

@@ -15,17 +15,25 @@ job processed there,
 
 subject to the same deadline/capacity/completeness constraints as System (1)
 with the objective fixed at :math:`\\mathcal{S}^*`.
+
+System (2) is degenerate: its costs ignore the resource, so every split of
+a job's interval work across its eligible resources is optimal.  The paper
+leaves the choice among these optima open; the one HiGHS returns depends on
+its starting basis (a re-solve and a rebuild may differ at equal objective).
 """
 
 from __future__ import annotations
 
 from typing import MutableMapping
 
-from repro.core.errors import InfeasibleError
+import numpy as np
+
+from repro.core.errors import InfeasibleError, SolverError
 from repro.lp.backends import SolverBackend
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
+    LiveProbe,
     MaxStretchSolution,
     _assemble_constraints,
     _assembly_arrays,
@@ -47,6 +55,7 @@ def reoptimize_allocation(
     max_inflation: float = 1e-3,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
+    live: LiveProbe | None = None,
 ) -> MaxStretchSolution:
     """Solve System (2) for ``problem`` at max weighted flow ``objective``.
 
@@ -64,10 +73,12 @@ def reoptimize_allocation(
         same mapping was passed to
         :func:`~repro.lp.maxstretch.minimize_max_weighted_flow`.
     backend:
-        LP solver backend (``None`` -> one-shot scipy default).  With a
-        persistent backend, the solve -- and each geometric inflation retry
-        below -- starts from the basis the winning System (1) probe left in
-        the warm-start series.
+        LP solver backend (``None`` -> one-shot scipy default).
+    live:
+        The winning probe of ``problem``'s milestone search.  A target with
+        its skeleton and inside its ``F`` bounds -- each geometric inflation
+        retry included -- is solved on its model; otherwise, or on failure,
+        the program is rebuilt (warm-started from the series basis).
     inflation:
         Relative slack added to ``objective`` before building the deadlines.
         The optimum returned by :func:`minimize_max_weighted_flow` sits
@@ -97,7 +108,7 @@ def reoptimize_allocation(
     last_error: str | None = None
     while slack <= max_inflation:
         target = objective * (1.0 + slack)
-        solution = _solve_fixed_objective(problem, target, skeleton_cache, backend)
+        solution = _solve_fixed_objective(problem, target, skeleton_cache, backend, live)
         if solution is not None:
             return solution
         last_error = f"System (2) infeasible at objective {target!r}"
@@ -110,6 +121,7 @@ def _solve_fixed_objective(
     objective: float,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
+    live: LiveProbe | None = None,
 ) -> MaxStretchSolution | None:
     structure = build_interval_structure(problem, objective)
     skeleton = build_skeleton(problem, structure, skeleton_cache)
@@ -117,7 +129,6 @@ def _solve_fixed_objective(
         return None
     structure = skeleton.structure
 
-    builder = LinearProgramBuilder()
     # Objective coefficient per variable: fraction of the job processed in
     # the interval (work / remaining) times the interval midpoint --
     # vectorized over the skeleton's cached per-variable interval/job index
@@ -127,22 +138,29 @@ def _solve_fixed_objective(
     boundary_values = arrays.bnd_const + arrays.bnd_coef * objective
     midpoints = 0.5 * (boundary_values[:-1] + boundary_values[1:])
     works = problem.remaining_works()
-    builder.add_variables(
-        len(skeleton.keys),
-        objective=midpoints[arrays.key_t] / works[arrays.key_jpos],
-    )
-
-    _assemble_constraints(
-        builder, problem, skeleton, offset=0, f_var=None, objective_value=objective
-    )
-
-    warm = None
-    if backend is not None and backend.persistent:
-        warm = warm_hint(problem, skeleton, with_objective_var=False)
-    result = builder.solve(backend=backend, warm=warm)
+    costs = midpoints[arrays.key_t] / works[arrays.key_jpos]
+    result = None
+    if live is not None and live.skeleton is skeleton and live.f_low <= objective <= live.f_high:
+        try:
+            result = backend.resolve_fixed(
+                live.model, column=0, value=objective, costs=np.concatenate(([0.0], costs))
+            )
+        except SolverError:
+            pass  # build the program afresh below
+    if result is None:
+        builder = LinearProgramBuilder()
+        builder.add_variables(len(skeleton.keys), objective=costs)
+        _assemble_constraints(
+            builder, problem, skeleton, offset=0, f_var=None, objective_value=objective
+        )
+        warm = None
+        if backend is not None and backend.persistent:
+            warm = warm_hint(problem, skeleton, with_objective_var=False)
+        result = builder.solve(backend=backend, warm=warm)
     if not result.feasible:
         return None
-    allocations = _extract_allocations(problem, skeleton, 0, result.values)
+    offset = result.values.size - len(skeleton.keys)  # 1 on the live model: F leads
+    allocations = _extract_allocations(problem, skeleton, offset, result.values)
     bounds = tuple(
         (float(boundary_values[t]), float(boundary_values[t + 1]))
         for t in range(len(boundary_values) - 1)

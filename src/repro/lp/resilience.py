@@ -186,6 +186,9 @@ class ResilientBackend(SolverBackend):
             self.n_downgrades += 1
             return result
 
+    def _resolve_fixed(self, model, *, column, value, costs) -> LPResult:
+        return self._primary._resolve_fixed(model, column=column, value=value, costs=costs)
+
     def close(self) -> None:
         self._primary.close()
         self._fallback.close()

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.core.instance import Instance
 from repro.lp.aggregation import edf_order, materialize_solution, swrpt_terminal_order
 from repro.lp.backends import SolverBackend, make_backend
-from repro.lp.maxstretch import minimize_max_weighted_flow
+from repro.lp.maxstretch import MilestoneSearchReport, minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.schedulers.base import PlanBasedScheduler
@@ -77,12 +77,17 @@ class OfflineScheduler(PlanBasedScheduler):
         # Caller-supplied instances may carry state from a previous run.
         backend.close()
         problem = problem_from_instance(instance)
-        solution = minimize_max_weighted_flow(problem, backend=backend)
+        skeletons: dict = {}  # lets System (2) find the winning probe's model
+        report = MilestoneSearchReport()
+        solution = minimize_max_weighted_flow(
+            problem, backend=backend, skeleton_cache=skeletons, report=report
+        )
         self.optimal_max_stretch = solution.objective
         order_rule = edf_order
         if self.reoptimize_sum:
             solution = reoptimize_allocation(
-                problem, solution.objective, backend=backend
+                problem, solution.objective, backend=backend,
+                skeleton_cache=skeletons, live=report.live,
             )
             order_rule = swrpt_terminal_order
         self.set_lanes(

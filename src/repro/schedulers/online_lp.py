@@ -51,7 +51,8 @@ from repro.lp.aggregation import (
 from repro.lp.backends import SolverBackend, make_backend, note_replan
 from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
-from repro.lp.maxstretch import MaxStretchSolution, minimize_max_weighted_flow
+from repro.lp.maxstretch import MaxStretchSolution, MilestoneSearchReport
+from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import Resource, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.simulation.state import Assignment, SchedulerState
@@ -288,14 +289,19 @@ class OnlineLPScheduler(PlanBasedScheduler):
         if self._fault_backend is None:
             self._fault_backend = make_backend(self.solver_backend)
             self._fault_backend.close()
-        best = minimize_max_weighted_flow(problem, backend=self._fault_backend)
+        skeletons: dict = {}  # lets System (2) find the winning probe's model
+        report = MilestoneSearchReport()
+        best = minimize_max_weighted_flow(
+            problem, backend=self._fault_backend, skeleton_cache=skeletons, report=report
+        )
         self.last_objective = best.objective
         self.n_resolutions += 1
         if self.variant == "online-nonopt":
             solution = best
         else:
             solution = reoptimize_allocation(
-                problem, best.objective, backend=self._fault_backend
+                problem, best.objective, backend=self._fault_backend,
+                skeleton_cache=skeletons, live=report.live,
             )
         self._install_plan(solution, instance, now)
 

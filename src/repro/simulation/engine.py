@@ -195,7 +195,8 @@ class SimulationEngine:
                 # Availability transitions apply before the arrivals of the
                 # same batch: a machine failing exactly at an arrival instant
                 # is already gone when the scheduler sees the new jobs.
-                transitions = [e for e in due if e.type is EventType.WAKEUP and e.machine_id is not None]
+                transitions = [e for e in due
+                               if e.type is EventType.WAKEUP and e.machine_id is not None]
                 if transitions:
                     self._apply_availability(transitions)
             arrivals = [e.job for e in due if e.type is EventType.ARRIVAL and e.job]

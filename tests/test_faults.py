@@ -49,7 +49,8 @@ class TestApplyLoss:
 
     def test_restart_with_checkpoint_keeps_saved_progress(self):
         # 7 units processed, half checkpointed: 3.5 survive the failure.
-        assert apply_loss(3.0, 10.0, loss_model="restart", checkpoint_fraction=0.5) == pytest.approx(6.5)
+        kept = apply_loss(3.0, 10.0, loss_model="restart", checkpoint_fraction=0.5)
+        assert kept == pytest.approx(6.5)
 
     def test_restart_never_exceeds_size_nor_shrinks_remaining(self):
         assert apply_loss(10.0, 10.0, loss_model="restart") == 10.0
@@ -87,7 +88,9 @@ class TestFaultTimeline:
 
     def test_interval_round_trip(self):
         rows = [(0, 1.0, 2.5), (1, 0.5, None), (0, 4.0, None)]
-        timeline = FaultTimeline.from_intervals(rows, loss_model="restart", checkpoint_fraction=0.25)
+        timeline = FaultTimeline.from_intervals(
+            rows, loss_model="restart", checkpoint_fraction=0.25
+        )
         assert timeline.intervals() == sorted(rows, key=lambda r: (r[1], r[0]))
         assert timeline.loss_model == "restart"
         assert timeline.checkpoint_fraction == 0.25

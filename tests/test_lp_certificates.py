@@ -366,6 +366,7 @@ class TestProbeHistogram:
             "solved",
             "certificate_skipped",
             "basis_reused",
+            "live_reoptimizations",
             "interior_exits",
             "bank_hits",
             "bank_misses",
