@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.instance import Instance
 from repro.core.platform import Platform
@@ -38,8 +38,7 @@ from repro.experiments.merge import (
     merge_journals,
     write_merged_journal,
 )
-from repro.experiments.runner import DEFAULT_SCHEDULERS, ExperimentResults
-from repro.experiments.runner import run_campaign as _run_campaign
+from repro.experiments.runner import ExperimentResults, run_campaign
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate as _simulate
 from repro.simulation.result import SimulationResult
@@ -114,53 +113,6 @@ def simulate(
 
         faults = _coerce_timeline(faults)
     return _simulate(instance, scheduler, record_events=record_events, faults=faults)
-
-
-def run_campaign(
-    configs: Sequence[ExperimentConfig],
-    *,
-    scheduler_keys: Sequence[str] = DEFAULT_SCHEDULERS,
-    replicates: int = 5,
-    base_seed: int = 2006,
-    n_workers: int = 1,
-    scheduler_options: Mapping[str, Mapping[str, object]] | None = None,
-    progress: Callable[..., None] | None = None,
-    checkpoint: "str | Path | None" = None,
-    resume: bool = False,
-    max_in_flight: int | None = None,
-    shard: "str | None" = None,
-) -> ExperimentResults:
-    """Run a whole campaign: every configuration x replicate x scheduler.
-
-    The execution engine streams tasks over ``n_workers`` long-lived worker
-    processes (instance cache, resident solver backend and cross-run
-    solver-state bank per worker; results are bit-identical at any worker
-    count), journals completed records to ``checkpoint`` and can ``resume``
-    a killed run.  ``shard="i/N"`` restricts the run to one deterministic
-    slice of the design so N independent jobs can split a campaign; their
-    journals are reunited by :func:`merge`.
-
-    See :func:`repro.experiments.runner.run_campaign` for the full
-    parameter reference; this facade forwards verbatim.
-
-    Returns
-    -------
-    ExperimentResults
-        The record set: per-run metrics plus aggregation/table helpers.
-    """
-    return _run_campaign(
-        configs,
-        scheduler_keys=scheduler_keys,
-        replicates=replicates,
-        base_seed=base_seed,
-        n_workers=n_workers,
-        scheduler_options=scheduler_options,
-        progress=progress,
-        checkpoint=checkpoint,
-        resume=resume,
-        max_in_flight=max_in_flight,
-        shard=shard,
-    )
 
 
 def merge(

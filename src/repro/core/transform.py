@@ -104,8 +104,6 @@ def uniprocessor_schedule_to_divisible(
 def divisible_schedule_to_uniprocessor(
     schedule: Schedule,
     instance: Instance,
-    *,
-    uniprocessor_machine_id: int = 0,
 ) -> Schedule:
     """Forward transformation of Lemma 1.
 
@@ -159,7 +157,7 @@ def divisible_schedule_to_uniprocessor(
             slices_out.append(
                 WorkSlice(
                     job_id=job_id,
-                    machine_id=uniprocessor_machine_id,
+                    machine_id=0,
                     start=cursor,
                     end=end,
                     work=work,

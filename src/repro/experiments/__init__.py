@@ -38,7 +38,6 @@ from repro.experiments.runner import (
     campaign_meta,
     campaign_tasks,
     run_campaign,
-    run_configuration,
 )
 from repro.experiments.sharding import ShardPlan, parse_shard_spec
 from repro.experiments.merge import (
@@ -84,7 +83,6 @@ __all__ = [
     "CampaignProgress",
     "campaign_tasks",
     "campaign_meta",
-    "run_configuration",
     "run_campaign",
     "ShardPlan",
     "parse_shard_spec",

@@ -169,9 +169,8 @@ class ExperimentConfig(RunOptions):
         """
         options = super().scheduler_options_for(key)
         if key in ONLINE_LP_SCHEDULERS:
-            # A bool at this level; the campaign workers swap in their
-            # resident SolverStateBank (OnlineLPScheduler ignores non-bank
-            # values, so other call sites are unaffected).
+            # A bool at this level; every caller turns it into a live
+            # SolverStateBank or None (OnlineLPScheduler rejects the bool).
             options["state_bank"] = bool(self.state_bank)
         return options
 

@@ -178,7 +178,7 @@ def scheduling_overhead(
         for key in scheduler_keys:
             options = config.scheduler_options_for(key)
             options.update((scheduler_options or {}).get(key, {}))
-            if bank is not None and isinstance(options.get("state_bank"), bool):
+            if isinstance(options.get("state_bank"), bool):
                 options["state_bank"] = bank if options["state_bank"] else None
             scheduler = make_scheduler(key, **options)
             names.setdefault(key, scheduler.name)

@@ -87,7 +87,6 @@ __all__ = [
     "CampaignProgress",
     "campaign_tasks",
     "campaign_meta",
-    "run_configuration",
     "run_campaign",
 ]
 
@@ -441,8 +440,7 @@ class _WorkerState:
     at run start, so sharing a worker never changes a task's result.
     """
 
-    def __init__(self, *, instance_cache_size: int = _INSTANCE_CACHE_SIZE):
-        self._instance_cache_size = max(1, int(instance_cache_size))
+    def __init__(self):
         self._instances: OrderedDict[tuple, object] = OrderedDict()
         self._backends: dict[str, SolverBackend] = {}
         #: The worker's cross-run solver-state bank (content-addressed, see
@@ -470,7 +468,7 @@ class _WorkerState:
         else:
             self.n_instance_hits += 1
         self._instances.move_to_end(key)
-        while len(self._instances) > self._instance_cache_size:
+        while len(self._instances) > _INSTANCE_CACHE_SIZE:
             self._instances.popitem(last=False)
         return instance
 
@@ -609,28 +607,6 @@ def _run_task_group(
     return packed, compute_seconds, time.perf_counter() - t_pack
 
 
-def run_configuration(
-    config: ExperimentConfig,
-    *,
-    scheduler_keys: Sequence[str] = DEFAULT_SCHEDULERS,
-    replicates: int = 5,
-    base_seed: int = 2006,
-    scheduler_options: Mapping[str, Mapping[str, object]] | None = None,
-) -> ExperimentResults:
-    """Run one configuration for the requested number of replicates (serial).
-
-    A thin wrapper over :func:`run_campaign` with a single configuration, so
-    both entry points share one worker-state lifecycle.
-    """
-    return run_campaign(
-        [config],
-        scheduler_keys=scheduler_keys,
-        replicates=replicates,
-        base_seed=base_seed,
-        scheduler_options=scheduler_options,
-    )
-
-
 class _CampaignRun:
     """Bookkeeping of one :func:`run_campaign` invocation (streaming collection)."""
 
@@ -734,7 +710,6 @@ def run_campaign(
     progress: Callable[[CampaignProgress], None] | None = None,
     checkpoint: "CampaignCheckpoint | str | Path | None" = None,
     resume: bool = False,
-    max_in_flight: int | None = None,
     shard: "object | str | None" = None,
 ) -> ExperimentResults:
     """Run a whole campaign (all configurations x replicates x schedulers).
@@ -776,10 +751,6 @@ def run_campaign(
         every (configuration, replicate, scheduler) triple it already
         contains.  Without ``resume``, an existing checkpoint file is an
         error (never silently overwritten or duplicated).
-    max_in_flight:
-        Bound on concurrently submitted dispatch units (default: 4 per
-        worker).  A unit is a whole (configuration, replicate) group: one
-        pool round-trip, one packed payload and one batched journal flush.
     shard:
         Optional :class:`~repro.experiments.sharding.ShardPlan` (or an
         ``"i/N"`` spec string) restricting this invocation to one
@@ -787,6 +758,12 @@ def run_campaign(
         the shard identity, so a shard journal can only resume its own
         slice; :func:`~repro.experiments.merge.merge_journals` reunites the
         N slices into the full record set.
+
+    Returns
+    -------
+    ExperimentResults
+        The record set in canonical task order: per-run metrics plus
+        aggregation/table helpers.
     """
     tasks = campaign_tasks(configs, scheduler_keys, replicates, base_seed)
 
@@ -878,12 +855,7 @@ def run_campaign(
                 if _WORKER is not None:
                     _WORKER.close()
         elif pending:  # a fully-restored resume never pays for a pool
-            window = (
-                max_in_flight
-                if max_in_flight is not None
-                else n_workers * _IN_FLIGHT_PER_WORKER
-            )
-            _run_pooled(run, pending, n_workers, scheduler_options, window)
+            _run_pooled(run, pending, n_workers, scheduler_options)
     finally:
         if ckpt is not None:
             ckpt.close()
@@ -942,7 +914,6 @@ def _run_pooled(
     pending: Sequence[int],
     n_workers: int,
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
-    max_in_flight: int,
 ) -> None:
     """Stream ``pending`` dispatch units through per-lane single-worker pools.
 
@@ -976,7 +947,6 @@ def _run_pooled(
     queues: list[deque[list[int]]] = [deque() for _ in range(n_workers)]
     for unit in units:
         queues[lanes[unit[0]]].append(unit)
-    window = max(1, max_in_flight // n_workers)
     stage_seconds = run.stage_seconds
 
     pools: dict[int, ProcessPoolExecutor] = {}
@@ -1026,11 +996,11 @@ def _run_pooled(
             broken = pools.pop(lane, None)
             if broken is not None:
                 broken.shutdown(wait=False, cancel_futures=True)
-            for _ in range(window):
+            for _ in range(_IN_FLIGHT_PER_WORKER):
                 submit_next(lane)
 
         for lane in range(n_workers):
-            for _ in range(window):
+            for _ in range(_IN_FLIGHT_PER_WORKER):
                 submit_next(lane)
         while in_flight:
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)

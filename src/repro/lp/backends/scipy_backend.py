@@ -14,7 +14,6 @@ from scipy.optimize import linprog
 
 from repro.core.errors import SolverError
 from repro.lp.backends.base import LPResult, LPSpec, SolverBackend, WarmStartHint
-from repro.lp.resilience import DEFAULT_RETRY_POLICY, RetryPolicy, solve_with_retries
 
 __all__ = ["ScipyBackend"]
 
@@ -26,12 +25,12 @@ class ScipyBackend(SolverBackend):
     HiGHS interior-point method for large ones (empirically ~2x faster on the
     transportation-like LPs produced by System (1) on big platforms).
 
-    scipy status 1 (iteration limit) is treated as retriable: per the
-    backend's :class:`~repro.lp.resilience.RetryPolicy` (the default policy
-    unless one is passed at construction), the solve is retried with
-    ``highs-ipm``, whose iteration economy differs enough from dual simplex
-    to clear the limit on the rare degenerate programs that hit it.  Only a
-    failure that exhausts the chain raises :class:`SolverError`.
+    scipy status 1 (iteration limit) and 4 (numerical difficulties) are
+    retried once with the other HiGHS method: ``highs-ipm`` after dual
+    simplex, ``highs-ds`` after anything else.  The two algorithms fail on
+    different programs, so the second attempt clears the rare degenerate or
+    badly scaled LP that trips the first.  A second failure raises
+    :class:`SolverError` with ``attempts=2``.
 
     :func:`scipy.optimize.linprog` does not expose Farkas certificates, so
     infeasible results carry ``dual_ray=None`` and the certificate-guided
@@ -41,11 +40,6 @@ class ScipyBackend(SolverBackend):
 
     name = "scipy"
     persistent = False
-
-    def __init__(self, retry_policy: RetryPolicy | None = None):
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        )
 
     def _solve(
         self,
@@ -88,18 +82,21 @@ class ScipyBackend(SolverBackend):
             )
 
         # scipy status codes: 0 success, 1 iteration limit, 2 infeasible,
-        # 3 unbounded, 4 numerical difficulties.  Status 1 walks the retry
-        # policy's escalation chain; 2 is a certified answer, not a failure.
-        result, attempts, used = solve_with_retries(
-            run, method, policy=self.retry_policy
-        )
+        # 3 unbounded, 4 numerical difficulties.  1 and 4 get one retry with
+        # the other method; 2 is a certified answer, not a failure.
+        result = run(method)
+        attempts = 1
+        if result.status in (1, 4):
+            method = "highs-ipm" if method == "highs" else "highs-ds"
+            result = run(method)
+            attempts = 2
         if result.status == 2:
             return self.infeasible_result(spec, result.message)
         if result.status != 0:
             raise SolverError(
                 f"LP solver failed (status {result.status}): {result.message}",
                 backend=self.name,
-                method=used,
+                method=method,
                 status=int(result.status),
                 attempts=attempts,
             )

@@ -52,7 +52,6 @@ def reoptimize_allocation(
     objective: float,
     *,
     inflation: float = 1e-7,
-    max_inflation: float = 1e-3,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     live: LiveProbe | None = None,
@@ -85,9 +84,8 @@ def reoptimize_allocation(
         exactly on the feasibility boundary; without a tiny inflation the
         re-optimization LP can come out marginally infeasible because of
         floating-point roundoff (the paper reports the same phenomenon).
-    max_inflation:
-        If the LP is still infeasible the inflation is increased
-        geometrically up to this bound before giving up.
+        If the LP is still infeasible the inflation is increased tenfold
+        at a time up to ``1e-3`` before giving up.
 
     Returns
     -------
@@ -106,7 +104,7 @@ def reoptimize_allocation(
 
     slack = inflation
     last_error: str | None = None
-    while slack <= max_inflation:
+    while slack <= 1e-3:
         target = objective * (1.0 + slack)
         solution = _solve_fixed_objective(problem, target, skeleton_cache, backend, live)
         if solution is not None:

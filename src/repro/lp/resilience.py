@@ -1,13 +1,11 @@
-"""Bounded retry/backoff and graceful degradation for LP solves.
+"""Graceful degradation for LP solves.
 
-This module generalizes the scipy backend's historical status-1 one-shot
-retry into an explicit, testable policy, and adds the last line of defence
-above it: a backend wrapper that re-runs a probe on the stateless scipy
-fallback when the primary (persistent) backend raises.  The layering is
+A backend wrapper re-runs a probe on the stateless scipy fallback when the
+primary (persistent) backend raises.  The layering is
 
-1. :func:`solve_with_retries` -- inside one backend, walk a bounded method
-   escalation chain while the solver reports a *retriable* status (scipy
-   status 1, iteration limit, by default);
+1. inside the scipy backend -- a solve that reports status 1 (iteration
+   limit) or 4 (numerical difficulties) is retried once with the other
+   HiGHS method (see :class:`~repro.lp.backends.scipy_backend.ScipyBackend`);
 2. :class:`ResilientBackend` -- across backends, a probe whose primary
    backend raised :class:`~repro.core.errors.SolverError` is retried once on
    the scipy fallback (highs -> scipy downgrade);
@@ -17,113 +15,20 @@ fallback when the primary (persistent) backend raises.  The layering is
    the rest of the group keep going.
 
 Every retry path preserves exactness: a retried probe either returns the
-optimum of the same LP or fails again -- policies never change which
+optimum of the same LP or fails again -- retries never change which
 solution is accepted, only how hard the stack tries before giving up.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable, Protocol
-
-from repro.core.errors import ModelError, SolverError
+from repro.core.errors import SolverError
 from repro.lp.backends.base import LPResult, LPSpec, SolverBackend, WarmStartHint
 
 __all__ = [
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
-    "solve_with_retries",
     "annotate_solver_error",
     "ResilientBackend",
     "make_resilient",
 ]
-
-
-class _StatusResult(Protocol):  # pragma: no cover - typing only
-    status: int
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """A bounded method-escalation chain for retriable solver statuses.
-
-    Attributes
-    ----------
-    escalation:
-        Methods to try, in order, after the initially requested one keeps
-        reporting a retriable status.  A candidate equal to the method just
-        tried is skipped (retrying the identical configuration would only
-        reproduce the failure).
-    retriable_statuses:
-        Solver status codes worth another attempt.  The default is scipy's
-        status 1 (iteration limit): a different algorithm routinely clears
-        it.  Statuses meaning "the model itself is bad" (infeasible,
-        unbounded) must *not* be listed -- retrying cannot fix those.
-    max_attempts:
-        Hard bound on the total number of solves, initial attempt included.
-    backoff_seconds / backoff_factor:
-        Sleep inserted before each retry, growing geometrically.  Zero
-        (default) disables sleeping -- LP retries are CPU-bound, so backoff
-        only matters for tests and future remote solvers.
-    """
-
-    escalation: tuple[str, ...] = ("highs-ipm",)
-    retriable_statuses: tuple[int, ...] = (1,)
-    max_attempts: int = 2
-    backoff_seconds: float = 0.0
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ModelError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_seconds < 0.0:
-            raise ModelError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
-        if self.backoff_factor < 1.0:
-            raise ModelError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-
-
-#: The historical scipy behaviour: one extra attempt with ``highs-ipm`` when
-#: the first method hits the iteration limit (status 1), no sleeping.
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-def solve_with_retries(
-    run: "Callable[[str], _StatusResult]",
-    method: str,
-    *,
-    policy: RetryPolicy | None = None,
-    sleep: "Callable[[float], None]" = time.sleep,
-):
-    """Run ``run(method)`` with the policy's bounded escalation chain.
-
-    Returns ``(result, attempts, method_used)`` where ``result`` is the last
-    attempt's outcome (retriable or not -- the caller decides what a
-    non-zero terminal status means), ``attempts`` counts the solves
-    performed and ``method_used`` is the method of the last attempt.
-    ``sleep`` is injectable so tests can assert backoff without waiting.
-    """
-    active = policy if policy is not None else DEFAULT_RETRY_POLICY
-    result = run(method)
-    attempts = 1
-    used = method
-    if result.status not in active.retriable_statuses:
-        return result, attempts, used
-    delay = active.backoff_seconds
-    for candidate in active.escalation:
-        if attempts >= active.max_attempts:
-            break
-        if candidate == used:
-            continue
-        if delay > 0.0:
-            sleep(delay)
-            delay *= active.backoff_factor
-        result = run(candidate)
-        attempts += 1
-        used = candidate
-        if result.status not in active.retriable_statuses:
-            break
-    return result, attempts, used
 
 
 def annotate_solver_error(exc: SolverError, **context: object) -> SolverError:
@@ -204,7 +109,7 @@ def make_resilient(backend: SolverBackend) -> SolverBackend:
     """Wrap persistent backends with the scipy downgrade; pass others through.
 
     The stateless scipy backend is already the floor of the degradation
-    chain (and carries its own internal retry policy), so wrapping it would
+    chain (and carries its own one-retry rule), so wrapping it would
     only re-run the identical failing solve.
     """
     if isinstance(backend, ResilientBackend) or not backend.persistent:

@@ -48,7 +48,7 @@ from repro.lp.aggregation import (
     materialize_solution,
     swrpt_terminal_order,
 )
-from repro.lp.backends import SolverBackend, make_backend, note_replan
+from repro.lp.backends import SolverBackend, note_replan
 from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import MaxStretchSolution, MilestoneSearchReport
@@ -95,11 +95,10 @@ class OnlineLPScheduler(PlanBasedScheduler):
         instance per run, owned by the ReplanContext.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across runs
-        (the campaign workers hold one each).  Any non-bank value --
-        including the raw booleans of :attr:`ExperimentConfig.state_bank`,
-        which only the campaign runner translates into a live bank -- is
-        treated as "no bank", so direct ``simulate()`` and CLI paths stay
-        bank-less.
+        (the campaign workers hold one each), or ``None``.  Any other value
+        raises :class:`TypeError`: the bool of
+        :attr:`ExperimentConfig.state_bank` must be turned into a bank or
+        ``None`` by the caller, as the campaign runner does.
     """
 
     def __init__(
@@ -108,7 +107,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
         *,
         policy: "str | ReplanPolicy" = "on-arrival",
         solver_backend: "str | SolverBackend | None" = None,
-        state_bank: "SolverStateBank | object | None" = None,
+        state_bank: SolverStateBank | None = None,
     ):
         super().__init__(policy=parse_policy(policy))
         if variant not in _VARIANT_NAMES:
@@ -119,15 +118,14 @@ class OnlineLPScheduler(PlanBasedScheduler):
             # Non-default cadences are a new scenario axis; make them visible
             # in result tables without renaming the paper-faithful default.
             self.name = f"{self.name} [{self.policy.describe()}]"
+        if state_bank is not None and not isinstance(state_bank, SolverStateBank):
+            raise TypeError(
+                f"state_bank must be a SolverStateBank or None, got {state_bank!r}"
+            )
         self.solver_backend = solver_backend
-        self.state_bank: SolverStateBank | None = (
-            state_bank if isinstance(state_bank, SolverStateBank) else None
-        )
+        self.state_bank = state_bank
         #: Built by :meth:`reset`, once per run.
         self._context: ReplanContext
-        #: Lazily created backend for degraded (restricted-availability)
-        #: replans, kept apart from the full-platform warm-start state.
-        self._fault_backend: SolverBackend | None = None
         #: Best achievable max-stretch computed at the last release date.
         self.last_objective: float | None = None
         #: Number of LP re-optimizations performed.
@@ -142,9 +140,6 @@ class OnlineLPScheduler(PlanBasedScheduler):
             solver_backend=self.solver_backend,
             state_bank=self.state_bank,
         )
-        if self._fault_backend is not None:
-            self._fault_backend.close()
-            self._fault_backend = None
         self.last_objective = None
         self.n_resolutions = 0
         self._egdf_rank = {}
@@ -244,7 +239,8 @@ class OnlineLPScheduler(PlanBasedScheduler):
         The LP is rebuilt from scratch over the capability classes of the
         *restricted* platform, bypassing every :class:`ReplanContext` cache
         (whose resources, job table and carried state all describe the full
-        platform).  Flow factors still come from the full-platform ideal
+        platform) but solving on the context's backend, which it never
+        closes.  Flow factors still come from the full-platform ideal
         times -- the instance's stretch convention -- so objectives remain
         comparable across availability regimes.  Jobs whose eligible
         machines are all down are left out of the LP; they park until an UP
@@ -286,13 +282,11 @@ class OnlineLPScheduler(PlanBasedScheduler):
             resources=resources,
             eligibility=eligibility,
         )
-        if self._fault_backend is None:
-            self._fault_backend = make_backend(self.solver_backend)
-            self._fault_backend.close()
+        backend = self._context.backend
         skeletons: dict = {}  # lets System (2) find the winning probe's model
         report = MilestoneSearchReport()
         best = minimize_max_weighted_flow(
-            problem, backend=self._fault_backend, skeleton_cache=skeletons, report=report
+            problem, backend=backend, skeleton_cache=skeletons, report=report
         )
         self.last_objective = best.objective
         self.n_resolutions += 1
@@ -300,7 +294,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
             solution = best
         else:
             solution = reoptimize_allocation(
-                problem, best.objective, backend=self._fault_backend,
+                problem, best.objective, backend=backend,
                 skeleton_cache=skeletons, live=report.live,
             )
         self._install_plan(solution, instance, now)

@@ -310,7 +310,7 @@ class SchedulerDaemon:
             self._accepted += 1
             return job.job_id, job.release
 
-    def ingest(self, lines: Iterable[str], *, first_line_no: int = 1) -> IngestReport:
+    def ingest(self, lines: Iterable[str]) -> IngestReport:
         """Feed a JSONL window through admission with per-record accounting.
 
         Malformed and duplicate lines are rejected (and counted in the
@@ -322,7 +322,7 @@ class SchedulerDaemon:
         def admit(request: SubmissionRequest) -> tuple[int, float]:
             return self.submit(request)
 
-        report = ingest_lines(lines, admit, first_line_no=first_line_no)
+        report = ingest_lines(lines, admit)
         # ``submit`` counted its own rejections (duplicates, unhosted
         # databanks); parse-level rejections never reached it.
         parse_rejections = report.rejected - (self._rejected - before)

@@ -134,8 +134,6 @@ def parse_submission(payload: Mapping[str, Any]) -> SubmissionRequest:
 def ingest_lines(
     lines: Iterable[str],
     admit: "Callable[[SubmissionRequest], tuple[int, float]]",
-    *,
-    first_line_no: int = 1,
 ) -> IngestReport:
     """Feed a window of JSONL lines through ``admit``, accounting per record.
 
@@ -149,7 +147,7 @@ def ingest_lines(
     from repro.service.trace import ServiceError
 
     report = IngestReport()
-    for line_no, line in enumerate(lines, start=first_line_no):
+    for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue

@@ -169,19 +169,18 @@ def generate_instance(
     workload_spec: WorkloadSpec,
     *,
     rng: np.random.Generator | int | None = None,
-    ensure_nonempty: bool = True,
 ) -> Instance:
     """Generate one full random instance (platform + workload).
 
-    ``ensure_nonempty`` retries the workload generation (with the same
-    platform) until at least one job is produced, which can otherwise happen
-    at very low densities on short windows.
+    The workload generation is retried (with the same platform) until at
+    least one job is produced, which can otherwise fail to happen at very
+    low densities on short windows.
     """
     rng = spawn_rng(rng)
     platform, catalog = generate_platform(platform_spec, rng=rng)
     jobs = generate_workload(platform, catalog, workload_spec, rng=rng)
     attempts = 0
-    while ensure_nonempty and not jobs:
+    while not jobs:
         attempts += 1
         if attempts > 100:
             raise ModelError(

@@ -35,6 +35,11 @@ class TestReExports:
         assert repro.simulate is api.simulate
         assert repro.serve is api.serve
 
+    def test_run_campaign_is_the_runners(self):
+        from repro.experiments import runner
+
+        assert api.run_campaign is runner.run_campaign
+
     def test_facade_functions_carry_reference_docstrings(self):
         for fn in (api.simulate, api.run_campaign, api.merge, api.report,
                    api.serve):

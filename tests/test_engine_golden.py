@@ -55,7 +55,9 @@ SCHEDULERS: dict[str, dict] = {
 #: The on-line LP schedulers solve one LP search per arrival (43 s at 120
 #: jobs), so they run on the first 40 jobs of the instance: same platform.
 #: ``offline`` takes 39: with the 40th, one probe of its whole-run search
-#: fails inside scipy's HiGHS ("status 4: Solve error"), at any commit.
+#: fails ``highs-ipm`` with status 4 and is cleared only by the scipy
+#: backend's retry with ``highs-ds`` (``tests/test_resilience.py`` runs that
+#: slice); the fixture predates the retry and keeps the 39-job slice.
 #: ``bender98`` shares the slice, and the scipy pin, of the LP schedulers.
 LP_JOBS = {key: 40 for key in (*LP_SCHEDULERS, "bender98")} | {"offline": 39}
 

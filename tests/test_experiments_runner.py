@@ -10,7 +10,7 @@ from repro.experiments.config import ExperimentConfig, figure3_configurations
 from repro.experiments.figures import figure3a, figure3b, run_figure3_sweep
 from repro.experiments.io import load_records_csv, save_records_csv, save_records_json
 from repro.experiments.overhead import scheduling_overhead
-from repro.experiments.runner import ExperimentResults, RunRecord, run_campaign, run_configuration
+from repro.experiments.runner import ExperimentResults, RunRecord, run_campaign
 from repro.experiments.statistics import compute_degradations, summarize
 from repro.experiments.tables import (
     table1,
@@ -82,8 +82,8 @@ class TestRunner:
             window=20.0,
             max_jobs=8,
         )
-        a = run_configuration(config, scheduler_keys=("swrpt",), replicates=2, base_seed=5)
-        b = run_configuration(config, scheduler_keys=("swrpt",), replicates=2, base_seed=5)
+        a = run_campaign([config], scheduler_keys=("swrpt",), replicates=2, base_seed=5)
+        b = run_campaign([config], scheduler_keys=("swrpt",), replicates=2, base_seed=5)
         for ra, rb in zip(a, b):
             assert ra.max_stretch == pytest.approx(rb.max_stretch)
             assert ra.n_jobs == rb.n_jobs

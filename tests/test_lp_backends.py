@@ -31,6 +31,7 @@ from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_r
 from repro.lp.problem import problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.lp.solver import LinearProgramBuilder
+from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
@@ -46,6 +47,19 @@ BACKENDS = [
     pytest.param("scipy"),
     pytest.param("highs", marks=requires_highs),
 ]
+
+
+def count_degraded_replans(monkeypatch) -> list:
+    """Record every restricted-platform (fault) replan of an on-line LP run."""
+    calls: list = []
+    replan_degraded = OnlineLPScheduler._replan_degraded
+
+    def spy(self, *args):
+        calls.append(self)
+        return replan_degraded(self, *args)
+
+    monkeypatch.setattr(OnlineLPScheduler, "_replan_degraded", spy)
+    return calls
 
 
 def _small_instance(seed: int, *, max_jobs: int = 18, density: float = 1.5):
@@ -266,13 +280,14 @@ class TestReplanContextWithHighsBackend:
     # handed the very matrix it solved before.
     @pytest.mark.parametrize("seed", [13, 2007])
     @pytest.mark.parametrize("scheduler_key", ["online", "online-edf"])
-    def test_fault_replans_equivalent(self, scheduler_key, seed):
+    def test_fault_replans_equivalent(self, monkeypatch, scheduler_key, seed):
+        degraded = count_degraded_replans(monkeypatch)
         instance = _small_instance(seed, max_jobs=30)
         faults = generate_fault_timeline(
             instance.platform, FaultSpec(mtbf=20.0, mttr=3.0, horizon=30.0), rng=seed
         )
         scheduler = self._assert_simulations_equivalent(instance, scheduler_key, faults)
-        assert scheduler._fault_backend is not None  # degraded replans did run
+        assert scheduler in degraded  # degraded replans did run
 
 
 # -- persistence mechanics -----------------------------------------------------------
@@ -294,6 +309,7 @@ class TestPersistentMechanics:
             return solver
 
         monkeypatch.setattr(HighsPersistentBackend, "_new_solver", tracking_new_solver)
+        degraded = count_degraded_replans(monkeypatch)
         instance = _small_instance(2006, max_jobs=60, density=2.0)
         faults = None
         if with_faults:
@@ -304,8 +320,8 @@ class TestPersistentMechanics:
         simulate(instance, scheduler, faults=faults)
         gc.collect()
         assert len(created) > 16
-        assert (scheduler._fault_backend is not None) == with_faults
-        # The scheduler (and through it both backends) is still referenced.
+        assert bool(degraded) == with_faults
+        # The scheduler (and through it its backend) is still referenced.
         assert sum(ref() is not None for ref in created) == 0
 
     def test_milestone_search_transplants_bases(self):

@@ -74,8 +74,11 @@ def _removed_keyword_calls():
     from repro.experiments import runner
     from repro.experiments.config import paper_configurations
     from repro.experiments.overhead import scheduling_overhead
+    from repro.lp.backends import ScipyBackend
+    from repro.lp.relaxation import reoptimize_allocation
     from repro.schedulers.registry import make_scheduler
-    from repro.service.daemon import ServiceConfig
+    from repro.service.daemon import SchedulerDaemon, ServiceConfig
+    from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
     return [
         pytest.param(lambda: ExperimentConfig(
@@ -95,11 +98,26 @@ def _removed_keyword_calls():
                      id="scheduling_overhead"),
         pytest.param(lambda: make_scheduler("online", speculate=True), "speculate",
                      id="make_scheduler"),
+        pytest.param(lambda: api.run_campaign([], max_in_flight=4), "max_in_flight",
+                     id="api.run_campaign-max_in_flight"),
+        pytest.param(lambda: runner.run_campaign([], max_in_flight=4), "max_in_flight",
+                     id="runner.run_campaign-max_in_flight"),
+        # No __init__ left: object's error names the class, not the keyword.
+        pytest.param(lambda: ScipyBackend(retry_policy=None), "takes no arguments",
+                     id="ScipyBackend"),
+        pytest.param(lambda: generate_instance(
+            PlatformSpec(), WorkloadSpec(), ensure_nonempty=False), "ensure_nonempty",
+                     id="generate_instance"),
+        pytest.param(lambda: reoptimize_allocation(None, 1.0, max_inflation=1e-2),
+                     "max_inflation", id="reoptimize_allocation"),
+        pytest.param(lambda: SchedulerDaemon.ingest(None, [], first_line_no=2),
+                     "first_line_no", id="SchedulerDaemon.ingest"),
     ]
 
 
-#: The speculative pre-solve toggle and the campaign dispatch mode are gone
-#: from every entry point: passing one is a plain TypeError, not a no-op.
+#: The speculative pre-solve toggle, the campaign dispatch mode and the knobs
+#: no caller set are gone from every entry point: passing one is a plain
+#: TypeError, not a no-op.
 @pytest.mark.parametrize("call,keyword", _removed_keyword_calls())
 def test_removed_keyword_is_rejected(call, keyword):
     with pytest.raises(TypeError, match=keyword):

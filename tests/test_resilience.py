@@ -1,9 +1,10 @@
-"""Solver robustness: retry policies, backend downgrade, failed records.
+"""Solver robustness: the scipy retry, backend downgrade, failed records.
 
 The defence-in-depth contract of :mod:`repro.lp.resilience`:
 
-1. inside one backend, retriable solver statuses walk a bounded method
-   escalation chain (the historical scipy status-1 retry, generalized);
+1. inside the scipy backend, status 1 (iteration limit) or 4 (numerical
+   difficulties) is retried once with the other HiGHS method -- which is
+   what lets ``offline`` finish the 40-job golden slice;
 2. across backends, a probe whose persistent primary raises is re-solved
    once on the stateless scipy fallback (highs -> scipy downgrade);
 3. a :class:`SolverError` that survives both layers carries enough context
@@ -16,112 +17,28 @@ from __future__ import annotations
 
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.errors import ModelError, SolverError
+import repro.lp.backends.scipy_backend as scipy_backend_module
+from repro import api
+from repro.core.errors import SolverError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_campaign
 from repro.lp.backends import highs_available, make_backend
 from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint
 from repro.lp.backends.scipy_backend import ScipyBackend
-from repro.lp.resilience import (
-    DEFAULT_RETRY_POLICY,
-    ResilientBackend,
-    RetryPolicy,
-    annotate_solver_error,
-    make_resilient,
-    solve_with_retries,
-)
+from repro.lp.resilience import ResilientBackend, annotate_solver_error, make_resilient
 from repro.lp.solver import LinearProgramBuilder
+from repro.schedulers.offline import OfflineScheduler
+from repro.schedulers.online_lp import OnlineLPScheduler
+from repro.simulation.engine import simulate
+from repro.workload.faults import FaultSpec, generate_fault_timeline
 
-
-class FakeStatus:
-    def __init__(self, status: int):
-        self.status = status
-        self.message = f"status {status}"
-
-
-def scripted_run(statuses_by_method):
-    """A ``run(method)`` callable with a scripted status per method."""
-    calls: list[str] = []
-
-    def run(method: str) -> FakeStatus:
-        calls.append(method)
-        return FakeStatus(statuses_by_method[method])
-
-    return run, calls
-
-
-class TestRetryPolicy:
-    def test_default_reproduces_historical_scipy_behavior(self):
-        assert DEFAULT_RETRY_POLICY.escalation == ("highs-ipm",)
-        assert DEFAULT_RETRY_POLICY.retriable_statuses == (1,)
-        assert DEFAULT_RETRY_POLICY.max_attempts == 2
-        assert DEFAULT_RETRY_POLICY.backoff_seconds == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ModelError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ModelError, match="backoff_seconds"):
-            RetryPolicy(backoff_seconds=-0.1)
-        with pytest.raises(ModelError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
-
-
-class TestSolveWithRetries:
-    def test_success_on_first_attempt(self):
-        run, calls = scripted_run({"highs": 0})
-        result, attempts, used = solve_with_retries(run, "highs")
-        assert (result.status, attempts, used) == (0, 1, "highs")
-        assert calls == ["highs"]
-
-    def test_retriable_status_escalates_once(self):
-        run, calls = scripted_run({"highs": 1, "highs-ipm": 0})
-        result, attempts, used = solve_with_retries(run, "highs")
-        assert (result.status, attempts, used) == (0, 2, "highs-ipm")
-        assert calls == ["highs", "highs-ipm"]
-
-    def test_candidate_equal_to_requested_method_is_skipped(self):
-        # Retrying the identical configuration would only reproduce the
-        # failure: the chain has nothing new to offer and stops at 1 attempt.
-        run, calls = scripted_run({"highs-ipm": 1})
-        result, attempts, used = solve_with_retries(run, "highs-ipm")
-        assert (result.status, attempts, used) == (1, 1, "highs-ipm")
-        assert calls == ["highs-ipm"]
-
-    def test_max_attempts_bounds_the_chain(self):
-        policy = RetryPolicy(
-            escalation=("a", "b", "c"), retriable_statuses=(1,), max_attempts=2
-        )
-        run, calls = scripted_run({"start": 1, "a": 1, "b": 1, "c": 1})
-        result, attempts, used = solve_with_retries(run, "start", policy=policy)
-        assert (result.status, attempts, used) == (1, 2, "a")
-        assert calls == ["start", "a"]
-
-    def test_terminal_status_stops_the_chain(self):
-        # Status 2 (infeasible) is not retriable: the certified answer of the
-        # first escalation step is returned as-is.
-        policy = RetryPolicy(
-            escalation=("a", "b"), retriable_statuses=(1,), max_attempts=3
-        )
-        run, calls = scripted_run({"start": 1, "a": 2, "b": 0})
-        result, attempts, used = solve_with_retries(run, "start", policy=policy)
-        assert (result.status, attempts, used) == (2, 2, "a")
-
-    def test_geometric_backoff_uses_injected_sleep(self):
-        policy = RetryPolicy(
-            escalation=("a", "b", "c"),
-            retriable_statuses=(1,),
-            max_attempts=4,
-            backoff_seconds=0.1,
-            backoff_factor=3.0,
-        )
-        slept: list[float] = []
-        run, _ = scripted_run({"start": 1, "a": 1, "b": 1, "c": 1})
-        solve_with_retries(run, "start", policy=policy, sleep=slept.append)
-        assert slept == pytest.approx([0.1, 0.3, 0.9])
+from test_engine_golden import wide_instance
+from test_lp_backends import _small_instance
 
 
 class TestSolverErrorContext:
@@ -191,17 +108,120 @@ class FailingBackend(SolverBackend):
         self.imported.append(payload)
 
 
+class ScriptedLinprog:
+    """Stands in for ``linprog``: one scripted status per call, in order."""
+
+    def __init__(self, *statuses: int):
+        self.statuses = list(statuses)
+        self.methods: list[str] = []
+
+    def __call__(self, c, *, method, **kwargs):
+        self.methods.append(method)
+        status = self.statuses.pop(0)
+        return SimpleNamespace(
+            status=status, message=f"status {status}", fun=2.0, x=np.array([1.0])
+        )
+
+
 class TestScipyBackendRetry:
-    def test_solves_and_respects_custom_policy(self):
-        backend = ScipyBackend(RetryPolicy(retriable_statuses=()))
-        result = backend.solve(trivial_spec())
+    def scripted(self, monkeypatch, *statuses: int) -> ScriptedLinprog:
+        linprog = ScriptedLinprog(*statuses)
+        monkeypatch.setattr(scipy_backend_module, "linprog", linprog)
+        return linprog
+
+    def test_solves_on_the_first_attempt(self):
+        result = ScipyBackend().solve(trivial_spec())
         assert result.status == 0 and result.feasible
         assert result.objective == pytest.approx(2.0)
+
+    def test_success_is_not_retried(self, monkeypatch):
+        linprog = self.scripted(monkeypatch, 0)
+        assert ScipyBackend().solve(trivial_spec()).status == 0
+        assert linprog.methods == ["highs"]
+
+    def test_iteration_limit_on_highs_retries_with_ipm(self, monkeypatch):
+        linprog = self.scripted(monkeypatch, 1, 0)
+        result = ScipyBackend().solve(trivial_spec())
+        assert result.status == 0 and result.objective == 2.0
+        assert linprog.methods == ["highs", "highs-ipm"]
+
+    def test_numerical_failure_on_ipm_retries_with_dual_simplex(self, monkeypatch):
+        linprog = self.scripted(monkeypatch, 4, 0)
+        result = ScipyBackend().solve(trivial_spec(), method="highs-ipm")
+        assert result.status == 0
+        assert linprog.methods == ["highs-ipm", "highs-ds"]
+
+    def test_infeasible_is_not_retried(self, monkeypatch):
+        linprog = self.scripted(monkeypatch, 2)
+        result = ScipyBackend().solve(trivial_spec())
+        assert result.status == 2 and not result.feasible
+        assert linprog.methods == ["highs"]
+
+    def test_infeasible_retry_is_a_certified_answer(self, monkeypatch):
+        linprog = self.scripted(monkeypatch, 4, 2)
+        result = ScipyBackend().solve(trivial_spec())
+        assert result.status == 2 and not result.feasible
+        assert linprog.methods == ["highs", "highs-ipm"]
+
+    def test_double_failure_raises_with_two_attempts(self, monkeypatch):
+        linprog = self.scripted(monkeypatch, 4, 4)
+        with pytest.raises(SolverError, match="status 4") as info:
+            ScipyBackend().solve(trivial_spec())
+        assert linprog.methods == ["highs", "highs-ipm"]
+        assert info.value.attempts == 2
+        assert info.value.method == "highs-ipm"
+        assert info.value.status == 4
+        assert info.value.backend == "scipy"
 
     def test_infeasible_is_a_certified_answer_not_a_failure(self):
         result = ScipyBackend().solve(trivial_spec(infeasible=True))
         assert result.status == 2 and not result.feasible
         assert math.isinf(result.objective)
+
+    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
+    def test_offline_finishes_the_40_job_golden_slice(self):
+        """One ``offline`` probe fails ``highs-ipm`` with status 4 here.
+
+        The retry with ``highs-ds`` clears it, and the optimum is the one the
+        persistent HiGHS backend finds.
+        """
+        instance = wide_instance()
+        instance = instance.restrict_jobs(job.job_id for job in instance.jobs[:40])
+        optima = {}
+        for backend in ("scipy", "auto"):
+            scheduler = OfflineScheduler(solver_backend=backend)
+            api.simulate(instance, scheduler)
+            optima[backend] = scheduler.optimal_max_stretch
+        assert optima["scipy"] == pytest.approx(optima["auto"], rel=1e-9)
+
+
+class TestDegradedReplanBackend:
+    def test_degraded_replan_never_closes_a_supplied_backend(self, monkeypatch):
+        """A fault replan solves on the run's backend and leaves it open.
+
+        The backend is the one a campaign worker hands every run; closing it
+        would wipe the series bases the run's replan context warm-starts from.
+        """
+        backend = make_resilient(make_backend("auto"))
+        closes: list[str] = []
+        monkeypatch.setattr(backend, "close", lambda: closes.append("close"))
+        replan_degraded = OnlineLPScheduler._replan_degraded
+        closes_per_replan: list[int] = []
+
+        def spy(self, *args):
+            before = len(closes)
+            replan_degraded(self, *args)
+            closes_per_replan.append(len(closes) - before)
+
+        monkeypatch.setattr(OnlineLPScheduler, "_replan_degraded", spy)
+        instance = _small_instance(13, max_jobs=30)
+        faults = generate_fault_timeline(
+            instance.platform, FaultSpec(mtbf=20.0, mttr=3.0, horizon=30.0), rng=13
+        )
+        scheduler = OnlineLPScheduler("online", solver_backend=backend)
+        simulate(instance, scheduler, faults=faults)
+        assert closes_per_replan and set(closes_per_replan) == {0}
+        assert closes == ["close"]  # the replan context's, at run start
 
 
 class TestResilientBackend:

@@ -223,13 +223,22 @@ class TestBankTransparency:
             assert consumer.n_primal_reuses > 0
             assert consumer.n_probes < publisher.n_probes
 
-    def test_non_bank_values_are_ignored(self):
-        # ExperimentConfig hands a plain bool to every construction site;
-        # only the campaign workers swap in a live bank.
-        scheduler = make_scheduler("online", state_bank=True)
-        assert scheduler.state_bank is None
-        scheduler = make_scheduler("online", state_bank=SolverStateBank())
-        assert scheduler.state_bank is not None
+    def test_non_bank_values_are_rejected(self):
+        # ExperimentConfig's bool must become a bank or None before it gets
+        # here; every caller translates it.
+        with pytest.raises(TypeError, match="SolverStateBank or None"):
+            make_scheduler("online", state_bank=True)
+        assert make_scheduler("online", state_bank=None).state_bank is None
+        bank = SolverStateBank()
+        assert make_scheduler("online", state_bank=bank).state_bank is bank
+
+    def test_overhead_translates_the_config_bool(self):
+        # The overhead config keeps ExperimentConfig's default bank toggle
+        # (on) while scheduling_overhead defaults to no bank.
+        records = scheduling_overhead(
+            scheduler_keys=("online",), window=10.0, max_jobs=6, replicates=1
+        )
+        assert [record.mean_bank_hits for record in records] == [0.0]
 
 
 # -- campaign invariants -------------------------------------------------------------
