@@ -380,7 +380,7 @@ def bench_campaign_throughput(benchmark):
       unchanged since PR 7, so this doubles as the PR-7 throughput
       reference),
     * at ``REPRO_BENCH_WORKERS`` workers with group-batched dispatch (one
-      round-trip, one packed payload per (configuration, replicate) group).
+      round-trip, one record list per (configuration, replicate) group).
 
     Bit-identity across both legs is asserted on every machine.  The
     >= 2x grouped-vs-serial records/sec gate is enforced whenever the

@@ -61,11 +61,11 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   `-- ...          offline, bender98/02, mct, priority heuristics
     |-- workload/      GriPPS-like synthetic platform/workload generation
     |-- experiments/   the paper's campaign (configs inherit RunOptions)
-    |   |-- runner     * campaign engine: (config, replicate, scheduler) task
-    |   |                streaming over long-lived worker lanes (instance
-    |   |                LRU + resident solver backend + solver-state bank,
-    |   |                replicate-affinity placement), bit-identical at
-    |   |                any worker count, progress/ETA
+    |   |-- runner     * campaign engine: whole (config, replicate) groups
+    |   |                over long-lived worker lanes (resident solver
+    |   |                backend + solver-state bank, replicate-affinity
+    |   |                placement, crash recovery), bit-identical at any
+    |   |                worker count, progress/ETA
     |   |-- ab           scipy-vs-HiGHS campaign A/B equivalence harness
     |   |-- io           CSV/JSON persistence + JSONL campaign checkpoints
     |   |                (kill-tolerant --checkpoint/--resume)

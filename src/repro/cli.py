@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print the campaign's per-stage wall-clock breakdown "
-        "(dispatch / compute / serialize / journal) after the run",
+        "(dispatch / compute / journal) after the run",
     )
     camp.add_argument(
         "--checkpoint",
@@ -563,20 +563,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_STAGE_ORDER = ("dispatch", "compute", "serialize", "journal")
-
-
 def _profile_table(stage_seconds: dict[str, float]) -> TextTable:
     """The ``--profile`` per-stage wall-clock breakdown of a campaign run."""
     table = TextTable(
         headers=["Stage", "seconds", "share (%)"],
         title="Campaign stage profile",
     )
-    known = [s for s in _STAGE_ORDER if s in stage_seconds]
-    extra = sorted(s for s in stage_seconds if s not in _STAGE_ORDER)
     total = sum(stage_seconds.values())
-    for stage in known + extra:
-        seconds = stage_seconds[stage]
+    for stage, seconds in stage_seconds.items():
         share = 100.0 * seconds / total if total > 0 else 0.0
         table.add_row([stage, seconds, share])
     table.add_row(["total", total, 100.0 if total > 0 else 0.0])

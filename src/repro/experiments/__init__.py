@@ -2,10 +2,10 @@
 
 * :mod:`repro.experiments.config` -- experiment configurations: the 162-point
   factorial design of Section 5.3 and the density sweep of Section 5.2.
-* :mod:`repro.experiments.runner` -- the campaign execution engine: streams
-  (configuration, replicate, scheduler) tasks over long-lived worker
-  processes (per-worker instance cache + resident solver backend), with
-  progress/ETA reporting and checkpoint/resume.
+* :mod:`repro.experiments.runner` -- the campaign execution engine: runs
+  whole (configuration, replicate) groups over long-lived worker processes
+  (resident solver backend + solver-state bank per worker; a serial run
+  owns its own), with progress/ETA reporting and checkpoint/resume.
 * :mod:`repro.experiments.ab` -- the campaign-scale solver-backend A/B
   harness (the equivalence gate behind the ``auto`` backend default).
 * :mod:`repro.experiments.statistics` -- per-instance normalization

@@ -1,20 +1,18 @@
-"""Campaign execution engine: streaming work distribution over long-lived workers.
+"""Campaign execution engine: whole instance groups over long-lived worker lanes.
 
 The paper's Section 5.3 evidence is a factorial campaign of 162
 configurations x 200 replicates (~32 000 instances, ~320 000 scheduler
 runs).  This module carries campaigns of that scale by splitting the work
-into *(configuration, replicate, scheduler)* task units and streaming them
-through a pool of long-lived worker processes:
+into *(configuration, replicate, scheduler)* tasks and running them, one
+whole ``(configuration, replicate)`` group at a time, on long-lived
+workers:
 
-* **Task granularity.**  One task = one scheduler on one instance, so a slow
-  LP scheduler on a 20-cluster instance cannot hold the cheap list
-  heuristics of the same replicate hostage, and the pool stays busy until
-  the very last task.
-* **Per-worker instance cache.**  Instances are realized from the derived
-  seed inside the worker and kept in a small LRU keyed by
-  ``(configuration, replicate, seed)``; the schedulers of one replicate are
-  adjacent in task order, so each worker typically generates every instance
-  it touches exactly once.  Nothing heavy is ever pickled.
+* **Group dispatch.**  A group is one realized instance and every
+  scheduler of the design on it.  The worker generates the instance once
+  from the derived seed (nothing heavy is ever pickled), runs the
+  schedulers back to back in canonical order, and returns the group's
+  records as a plain ``list[RunRecord]``; their journal lines are written
+  in one batch with a single flush at the group boundary.
 * **Worker-resident solver backend.**  Each worker owns one long-lived
   :class:`~repro.lp.backends.SolverBackend` per backend name, resolved once
   (bindings import, option tables) and injected into every LP scheduler the
@@ -24,31 +22,26 @@ through a pool of long-lived worker processes:
   campaign *bit-identical* to the serial one: results can never depend on
   which tasks previously shared a worker.
 * **Replicate-affinity placement + cross-run solver-state bank.**  Each
-  worker also holds one :class:`~repro.lp.bank.SolverStateBank`, and tasks
-  are dealt to fixed per-worker *lanes* in whole ``(configuration,
-  replicate)`` groups (by first appearance, exactly like the
-  :class:`~repro.experiments.sharding.ShardPlan` deals instance groups
+  worker also holds one :class:`~repro.lp.bank.SolverStateBank`, and groups
+  are dealt to fixed per-worker *lanes* by first appearance (exactly like
+  the :class:`~repro.experiments.sharding.ShardPlan` deals instance groups
   across shard legs).  All four on-line LP variants of one replicate thus
   colocate on one worker and share banked solver state keyed by the
   instance's *content* -- and because each content key's bucket history is
   the group's canonical prefix at any worker count, the bank preserves the
   serial/sharded bit-identity invariant instead of breaking it.
-* **Group-batched dispatch + packed transport.**  Because lanes already deal
-  work in whole ``(configuration, replicate)`` groups, the pool path submits
-  each group as *one* :func:`_run_task_group` future covering every
-  scheduler of the group: one pickle/IPC round-trip and one instance-cache
-  lookup amortized over the ~13 schedulers of a group instead of one per
-  record.  The group's records return as one :class:`PackedRecords`
-  columnar payload (a single float64 metrics buffer plus one shared
-  metadata dict), and its journal lines are written in one batch with a
-  single flush at the group boundary.
-* **Streaming collection.**  Dispatch units are submitted through a bounded
-  in-flight window per lane and collected as they complete (no head-of-line
-  blocking, bounded memory); each completed record is appended to an
-  optional :class:`~repro.experiments.io.CampaignCheckpoint` so a killed
-  campaign can be resumed without recomputing finished triples.  The
-  returned record list is always in canonical task order, independent of
-  completion order and of ``n_workers``.
+* **Serial runs own their state.**  With ``n_workers=1`` the groups run in
+  the calling process on a worker state built for that run and closed when
+  it ends, so concurrent serial campaigns in one process never share a
+  backend or a bank.
+* **Streaming collection + crash recovery.**  Each lane holds a few groups
+  in flight at a time; completed groups are collected as they finish on
+  any lane and appended to an optional
+  :class:`~repro.experiments.io.CampaignCheckpoint`, so a killed campaign
+  can be resumed without recomputing finished triples; a lane whose worker
+  process dies is rebuilt and its unfinished groups re-run.  The returned
+  record list is always in canonical task order, independent of completion
+  order and of ``n_workers``.
 """
 
 from __future__ import annotations
@@ -56,16 +49,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.errors import ReproError
+from repro.core.instance import Instance
 from repro.experiments.config import ExperimentConfig
 from repro.lp.backends import SolverBackend, make_backend, resolve_backend_name
 from repro.lp.bank import SolverStateBank
@@ -81,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "RunRecord",
-    "PackedRecords",
     "ExperimentResults",
     "CampaignTask",
     "CampaignProgress",
@@ -94,15 +84,11 @@ __all__ = [
 #: overhead restricted it to the smallest platforms even in the paper).
 DEFAULT_SCHEDULERS: tuple[str, ...] = tuple(paper_schedulers(include_bender98=False))
 
-#: In-flight submissions per worker.  Large enough that a worker finishing a
-#: cheap task never idles waiting for the collector, small enough that a
-#: 32k-task campaign does not materialize all its futures at once.
+#: Groups submitted per lane at a time.  Large enough that a worker finishing
+#: a cheap group never idles waiting for the collector; bounded because every
+#: ``wait(FIRST_COMPLETED)`` walks all outstanding futures, so handing a lane
+#: its whole list up front makes the collector quadratic in the group count.
 _IN_FLIGHT_PER_WORKER = 4
-
-#: Instances kept alive per worker.  Task order is scheduler-innermost, so a
-#: worker normally alternates between at most a handful of live instances
-#: even when the pool steals tasks across replicate boundaries.
-_INSTANCE_CACHE_SIZE = 8
 
 #: Extra attempts a dispatch unit gets after its worker process dies (OOM
 #: kill, SIGKILL, segfault in native code).  A unit whose fresh-worker
@@ -165,100 +151,6 @@ class RunRecord:
         del values["scheduler_time"]
         return nan_to_none(values)
 
-    @staticmethod
-    def to_packed(records: Sequence["RunRecord"]) -> "PackedRecords":
-        """Columnar-encode one group's records (see :class:`PackedRecords`)."""
-        return PackedRecords.pack(records)
-
-    @staticmethod
-    def from_packed(packed: "PackedRecords") -> list["RunRecord"]:
-        """Rebuild the records of a :meth:`to_packed` payload, bit-exactly."""
-        return packed.unpack()
-
-
-#: RunRecord fields shared by every record of one (configuration, replicate)
-#: group -- carried once per packed group instead of once per record.
-_GROUP_META_FIELDS = (
-    "config",
-    "replicate",
-    "n_jobs",
-    "n_clusters",
-    "n_databanks",
-    "availability",
-    "density",
-)
-
-#: RunRecord float columns carried as one (k, 6) float64 buffer per group.
-_PACKED_METRIC_FIELDS = (
-    "max_stretch",
-    "sum_stretch",
-    "max_flow",
-    "sum_flow",
-    "makespan",
-    "scheduler_time",
-)
-
-
-@dataclass(frozen=True)
-class PackedRecords:
-    """One (configuration, replicate) group's records in columnar form.
-
-    The pool-transport encoding of the group-batched dispatch: the fields
-    every record of the group shares travel once in ``meta``, the per-record
-    scheduler display names as a tuple, and the six float metric columns as
-    a single ``(k, 6)`` float64 buffer.  Pickling a group therefore moves
-    one contiguous numpy buffer (serialized as raw memory, no per-field
-    boxing) plus a handful of scalars, instead of ``k`` full dataclass
-    objects.  ``pack``/``unpack`` round-trip bit-exactly: float64 columns
-    store the records' python floats verbatim (NaN included -- failed runs
-    normalize through :func:`nan_to_none` downstream, exactly as before).
-    """
-
-    meta: dict[str, object]
-    schedulers: tuple[str, ...]
-    metrics: np.ndarray
-    failed: np.ndarray
-
-    @classmethod
-    def pack(cls, records: Sequence[RunRecord]) -> "PackedRecords":
-        if not records:
-            raise ValueError("cannot pack an empty record group")
-        first = records[0]
-        meta = {field: getattr(first, field) for field in _GROUP_META_FIELDS}
-        metrics = np.empty((len(records), len(_PACKED_METRIC_FIELDS)), dtype=np.float64)
-        failed = np.empty(len(records), dtype=np.bool_)
-        for i, record in enumerate(records):
-            for j, field in enumerate(_PACKED_METRIC_FIELDS):
-                metrics[i, j] = getattr(record, field)
-            failed[i] = record.failed
-        return cls(
-            meta=meta,
-            schedulers=tuple(record.scheduler for record in records),
-            metrics=metrics,
-            failed=failed,
-        )
-
-    def unpack(self) -> list[RunRecord]:
-        rows = self.metrics.tolist()
-        flags = self.failed.tolist()
-        return [
-            RunRecord(
-                scheduler=scheduler,
-                max_stretch=row[0],
-                sum_stretch=row[1],
-                max_flow=row[2],
-                sum_flow=row[3],
-                makespan=row[4],
-                scheduler_time=row[5],
-                failed=flag,
-                **self.meta,
-            )
-            for scheduler, row, flag in zip(self.schedulers, rows, flags)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.schedulers)
-
 
 class ExperimentResults:
     """A flat collection of :class:`RunRecord` with filtering helpers."""
@@ -266,7 +158,7 @@ class ExperimentResults:
     def __init__(self, records: Iterable[RunRecord] = ()):
         self.records: list[RunRecord] = list(records)
         #: Per-stage wall-clock of the producing campaign run (``dispatch`` /
-        #: ``compute`` / ``serialize`` / ``journal``), filled in by
+        #: ``compute`` / ``journal``), filled in by
         #: :func:`run_campaign`; empty for derived or merged result sets.
         self.stage_seconds: dict[str, float] = {}
 
@@ -345,9 +237,6 @@ class CampaignProgress:
     ``rate`` and ``eta_seconds`` are computed over the tasks executed in
     *this* process invocation (checkpoint-restored tasks are excluded so a
     resumed campaign does not report a fantasy throughput).
-    ``stage_seconds`` is the run's cumulative per-stage wall-clock so far
-    (``dispatch`` / ``compute`` / ``serialize`` / ``journal`` -- the
-    breakdown behind ``campaign --profile``).
     """
 
     completed: int
@@ -356,7 +245,6 @@ class CampaignProgress:
     elapsed_seconds: float
     rate: float
     eta_seconds: float
-    stage_seconds: Mapping[str, float] | None = None
 
     def __str__(self) -> str:
         config, replicate, scheduler = self.triple
@@ -375,8 +263,8 @@ def campaign_tasks(
     """The campaign's task list in canonical order.
 
     Scheduler-innermost, so the tasks sharing one realized instance are
-    adjacent (maximizing the per-worker instance-cache hit rate) and the
-    canonical record order matches the historical serial runner.
+    adjacent (one dispatch group each) and the canonical record order
+    matches the historical serial runner.
     """
     tasks: list[CampaignTask] = []
     for config in configs:
@@ -432,45 +320,21 @@ def campaign_meta(
 
 
 class _WorkerState:
-    """Long-lived state owned by one worker process (or the serial caller).
+    """Long-lived state owned by one worker process (or one serial run).
 
-    Holds the instance LRU and one resolved solver backend per backend name.
-    The backend *handle* (imported bindings, model cache object, counters)
-    survives across tasks; per-run solver state is emptied by the schedulers
-    at run start, so sharing a worker never changes a task's result.
+    Holds one resolved solver backend per backend name and the cross-run
+    solver-state bank.  The backend *handle* (imported bindings, model cache
+    object, counters) survives across tasks; per-run solver state is emptied
+    by the schedulers at run start, so sharing a worker never changes a
+    task's result.
     """
 
     def __init__(self):
-        self._instances: OrderedDict[tuple, object] = OrderedDict()
         self._backends: dict[str, SolverBackend] = {}
         #: The worker's cross-run solver-state bank (content-addressed, see
         #: :mod:`repro.lp.bank`); handed to schedulers whose configuration
         #: enables ``state_bank``.
         self.bank = SolverStateBank()
-        #: Exposed for tests/benchmarks: instance generations vs cache hits.
-        self.n_instance_builds = 0
-        self.n_instance_hits = 0
-
-    def instance_for(self, config: ExperimentConfig, seed: int):
-        """The realized instance of (config, derived seed), generated once.
-
-        Keyed by the instance-shaping inputs themselves -- the platform and
-        workload specs plus the derived seed -- so two configurations that
-        merely share a name (e.g. across separate campaigns run in the same
-        process) can never alias each other's instances.
-        """
-        key = (config.platform_spec(), config.workload_spec(), seed)
-        instance = self._instances.get(key)
-        if instance is None:
-            instance = generate_instance(key[0], key[1], rng=seed)
-            self._instances[key] = instance
-            self.n_instance_builds += 1
-        else:
-            self.n_instance_hits += 1
-        self._instances.move_to_end(key)
-        while len(self._instances) > _INSTANCE_CACHE_SIZE:
-            self._instances.popitem(last=False)
-        return instance
 
     def backend_for(self, spec: object) -> object:
         """Resolve a backend spec to this worker's resident instance.
@@ -492,39 +356,33 @@ class _WorkerState:
         return backend
 
     def close(self) -> None:
-        self._instances.clear()
         for backend in self._backends.values():
             backend.close()
         self._backends.clear()
         self.bank.clear()
 
 
+#: The pool process's worker state, set by :func:`_init_worker`.  Only pool
+#: processes have one: a serial run builds its own :class:`_WorkerState`.
 _WORKER: _WorkerState | None = None
-
-
-def _worker_state() -> _WorkerState:
-    """The calling process's :class:`_WorkerState` (created on first use)."""
-    global _WORKER
-    if _WORKER is None:
-        _WORKER = _WorkerState()
-    return _WORKER
 
 
 def _init_worker() -> None:
     """Pool initializer: give the worker its long-lived state up front."""
-    _worker_state()
+    global _WORKER
+    _WORKER = _WorkerState()
 
 
 def _run_one(
     state: _WorkerState,
     config: ExperimentConfig,
+    instance: Instance,
     replicate: int,
     scheduler_key: str,
     seed: int,
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> RunRecord:
-    """Run one scheduler on the (cached) realized instance of ``state``."""
-    instance = state.instance_for(config, seed)
+    """Run one scheduler on the group's realized ``instance``."""
     # Configuration-level replanning knobs first, then explicit per-key
     # options so callers can still override them.
     options = config.scheduler_options_for(scheduler_key)
@@ -581,30 +439,31 @@ def _run_one(
 
 
 def _run_task_group(
+    state: _WorkerState,
     config: ExperimentConfig,
     replicate: int,
     seed: int,
     scheduler_keys: Sequence[str],
-    scheduler_options: Mapping[str, Mapping[str, object]] | None = None,
-) -> tuple[PackedRecords, float, float]:
-    """Worker body: run a whole (configuration, replicate) group in one call.
+    scheduler_options: Mapping[str, Mapping[str, object]] | None,
+) -> tuple[list[RunRecord], float]:
+    """Run the schedulers of one (configuration, replicate) group on ``state``.
 
-    One pool round-trip covers every scheduler of the group: the instance is
-    realized (or LRU-hit) once, each scheduler runs back to back in the
-    historical canonical order, and the records return as one packed
-    columnar payload.  Returns ``(packed, compute_seconds, pack_seconds)``
-    so the collector can account wall-clock to the right profile stage.
+    The instance is realized once, each scheduler runs back to back in the
+    canonical order, and the call returns ``(records, compute_seconds)``.
     """
-    state = _worker_state()
     t_compute = time.perf_counter()
+    instance = generate_instance(config.platform_spec(), config.workload_spec(), rng=seed)
     records = [
-        _run_one(state, config, replicate, key, seed, scheduler_options)
+        _run_one(state, config, instance, replicate, key, seed, scheduler_options)
         for key in scheduler_keys
     ]
-    compute_seconds = time.perf_counter() - t_compute
-    t_pack = time.perf_counter()
-    packed = RunRecord.to_packed(records)
-    return packed, compute_seconds, time.perf_counter() - t_pack
+    return records, time.perf_counter() - t_compute
+
+
+def _run_in_worker(*args: object) -> tuple[list[RunRecord], float]:
+    """Pool entry point: :func:`_run_task_group` on the pool process's state."""
+    assert _WORKER is not None, "pool worker started without _init_worker"
+    return _run_task_group(_WORKER, *args)
 
 
 class _CampaignRun:
@@ -625,12 +484,10 @@ class _CampaignRun:
         self.started = time.perf_counter()
         #: Cumulative per-stage wall-clock of this run (the ``--profile``
         #: breakdown): ``dispatch`` = submitting futures, ``compute`` =
-        #: worker-side scheduler runs, ``serialize`` = packing + unpacking
-        #: the columnar payloads, ``journal`` = checkpoint writes.
+        #: worker-side scheduler runs, ``journal`` = checkpoint writes.
         self.stage_seconds: dict[str, float] = {
             "dispatch": 0.0,
             "compute": 0.0,
-            "serialize": 0.0,
             "journal": 0.0,
         }
 
@@ -655,18 +512,16 @@ class _CampaignRun:
                     elapsed_seconds=elapsed,
                     rate=rate,
                     eta_seconds=remaining / rate if rate > 0 else math.inf,
-                    stage_seconds=dict(self.stage_seconds),
                 )
             )
 
     def finish_group(
         self,
         indices: Sequence[int],
-        packed: PackedRecords,
+        records: Sequence[RunRecord],
         compute_seconds: float,
-        pack_seconds: float,
     ) -> None:
-        """Adopt one group's packed records: unpack, journal once, announce.
+        """Adopt one group's records: journal them once, then announce each.
 
         The group's journal lines are written in one batch with a single
         flush (:meth:`~repro.experiments.io.CampaignCheckpoint.append_batch`)
@@ -674,11 +529,6 @@ class _CampaignRun:
         truncated-line sealing of ``open_append`` keeps a kill mid-batch
         resumable exactly once.
         """
-        t_unpack = time.perf_counter()
-        records = RunRecord.from_packed(packed)
-        self.stage_seconds["serialize"] += (
-            pack_seconds + time.perf_counter() - t_unpack
-        )
         self.stage_seconds["compute"] += compute_seconds
         if self.checkpoint is not None:
             t_journal = time.perf_counter()
@@ -727,14 +577,14 @@ def run_campaign(
         always sees the same instance.
     n_workers:
         Number of worker processes.  ``1`` (default) runs everything in the
-        calling process; larger values stream (configuration, replicate,
-        scheduler) tasks over per-worker *lanes* (one single-process pool
-        each) with whole ``(configuration, replicate)`` groups dealt to a
-        fixed lane by first appearance -- so every worker keeps its
-        instance cache, solver backend and cross-run solver-state bank
-        effective across the schedulers of its replicates.  The returned
-        record set is bit-identical (up to the ``scheduler_time``
-        measurement) for every worker count, bank on or off.
+        calling process, on a solver backend and bank owned by this call
+        alone; larger values run whole ``(configuration, replicate)``
+        groups on per-worker *lanes* (one single-process pool each), each
+        group dealt to a fixed lane by first appearance -- so every worker
+        keeps its solver backend and cross-run solver-state bank effective
+        across the schedulers of its replicates.  The returned record set
+        is bit-identical (up to the ``scheduler_time`` measurement) for
+        every worker count, bank on or off.
     scheduler_options:
         Optional per-scheduler-key constructor options (e.g.
         ``{"bender98": {"max_jobs_per_resolution": 30}}``).  Must be
@@ -837,23 +687,17 @@ def run_campaign(
 
     try:
         if n_workers <= 1:
+            # This run's own state: another serial run in this process (a
+            # second thread) must neither share its bank nor close its backend.
+            state = _WorkerState()
             try:
-                for indices in _group_pending(tasks, pending):
-                    first = tasks[indices[0]]
-                    packed, compute_seconds, pack_seconds = _run_task_group(
-                        first.config,
-                        first.replicate,
-                        first.seed,
-                        tuple(tasks[i].scheduler_key for i in indices),
-                        scheduler_options,
+                for unit in _group_pending(tasks, pending):
+                    records, compute_seconds = _run_task_group(
+                        state, *_group_args(tasks, unit, scheduler_options)
                     )
-                    run.finish_group(indices, packed, compute_seconds, pack_seconds)
+                    run.finish_group(unit, records, compute_seconds)
             finally:
-                # Pool workers die with the pool; the serial path runs in the
-                # caller's process, so drop the cached instances and solver
-                # state instead of pinning them until process exit.
-                if _WORKER is not None:
-                    _WORKER.close()
+                state.close()
         elif pending:  # a fully-restored resume never pays for a pool
             _run_pooled(run, pending, n_workers, scheduler_options)
     finally:
@@ -893,9 +737,8 @@ def _lane_assignments(tasks: Sequence[CampaignTask], n_workers: int) -> list[int
     :class:`~repro.experiments.sharding.ShardPlan` uses across shard legs,
     so placement is resume-stable: restored tasks still consume their
     group's position).  Keeping a group whole on one lane is what gives the
-    worker's instance cache, backend state and solver bank their hit rate,
-    and what makes every bank bucket's history independent of the worker
-    count.
+    worker's backend state and solver bank their hit rate, and what makes
+    every bank bucket's history independent of the worker count.
     """
     lanes: list[int] = []
     group_lane: dict[tuple[str, int], int] = {}
@@ -909,113 +752,120 @@ def _lane_assignments(tasks: Sequence[CampaignTask], n_workers: int) -> list[int
     return lanes
 
 
+def _group_args(
+    tasks: Sequence[CampaignTask],
+    unit: Sequence[int],
+    scheduler_options: Mapping[str, Mapping[str, object]] | None,
+) -> tuple:
+    """The :func:`_run_task_group` arguments (after ``state``) of one group."""
+    first = tasks[unit[0]]
+    return (
+        first.config,
+        first.replicate,
+        first.seed,
+        tuple(tasks[index].scheduler_key for index in unit),
+        scheduler_options,
+    )
+
+
 def _run_pooled(
     run: _CampaignRun,
     pending: Sequence[int],
     n_workers: int,
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> None:
-    """Stream ``pending`` dispatch units through per-lane single-worker pools.
+    """Run the ``pending`` groups on per-lane single-worker pools.
 
-    Each lane is a dedicated one-process pool fed in canonical order from
-    its own FIFO queue, so a lane's tasks execute exactly in serial order on
-    one long-lived worker (replicate affinity).  A unit is a whole
-    (configuration, replicate) group submitted as one
-    :func:`_run_task_group` future returning one packed payload.  Submission
-    is windowed per lane (bounded memory, and the worker never idles waiting
-    for the collector) and collection uses ``wait(FIRST_COMPLETED)`` across all
-    lanes, so records are checkpointed and reported the moment their unit
-    finishes -- a straggler lane blocks neither the progress stream nor the
-    other lanes.
+    Each lane is a dedicated one-process pool fed its groups in canonical
+    order, ``_IN_FLIGHT_PER_WORKER`` at a time: the pool runs them one call
+    at a time on its single long-lived worker, so a lane executes exactly in
+    serial order (replicate affinity), and the lane's next group is
+    submitted as the collector adopts a finished one.  Collection uses
+    ``wait(FIRST_COMPLETED)`` across all lanes, so records are checkpointed
+    and reported the moment their group finishes -- a straggler lane blocks
+    neither the progress stream nor the other lanes.
 
     A lane whose worker process dies (OOM killer, SIGKILL, native crash)
-    surfaces as :class:`BrokenProcessPool` on its in-flight futures.  The
-    lane is rebuilt: the broken pool is discarded, every unit that was in
-    flight on it is requeued at the front of the lane's FIFO in canonical
-    order, and a fresh single-process pool takes over.  Results are
-    unaffected -- units are deterministic in the replicate seed and the
-    bank only ever reuses exact optima -- so recovery preserves the
-    any-worker-count bit-identity invariant; each unit gets at most
-    ``_MAX_UNIT_RETRIES`` fresh-worker re-runs before the campaign aborts
-    with the poisonous unit named.
+    surfaces as :class:`BrokenProcessPool` on its submitted futures.  The
+    broken pool is discarded and those groups go back to the front of the
+    lane's backlog for a fresh pool.  Only the lowest-index one is charged a
+    retry: with one worker running the lane FIFO, it is the group that was
+    running when the worker died.  Results are unaffected -- groups are
+    deterministic in the replicate seed and the bank only ever reuses exact
+    optima -- so recovery preserves the any-worker-count bit-identity
+    invariant; a group gets at most ``_MAX_UNIT_RETRIES`` fresh-worker
+    re-runs before the campaign aborts with the poisonous group named.
     """
     tasks = run.tasks
     lanes = _lane_assignments(tasks, n_workers)
     # Every index of a group shares its lane by construction (lanes are
-    # dealt per (configuration, replicate) group).
-    units = _group_pending(tasks, pending)
-    queues: list[deque[list[int]]] = [deque() for _ in range(n_workers)]
-    for unit in units:
-        queues[lanes[unit[0]]].append(unit)
-    stage_seconds = run.stage_seconds
+    # dealt per (configuration, replicate) group).  Backlogs are stored in
+    # reverse canonical order, so ``pop()`` yields a lane's next group.  A
+    # lane with no pending group (fewer groups than workers, a
+    # mostly-restored resume) never starts a process.
+    backlogs: dict[int, list[list[int]]] = {}
+    for unit in reversed(_group_pending(tasks, pending)):
+        backlogs.setdefault(lanes[unit[0]], []).append(unit)
 
     pools: dict[int, ProcessPoolExecutor] = {}
-    in_flight: dict[object, list[int]] = {}
-    try:
+    unfinished: dict[Future, list[int]] = {}
+    retries: dict[int, int] = {}
 
-        def submit_next(lane: int) -> None:
-            queue = queues[lane]
-            if not queue:
-                return
-            unit = queue.popleft()
-            first = tasks[unit[0]]
-            pool = pools.get(lane)
-            if pool is None:
-                # Lazily created: an empty lane (fewer pending groups than
-                # workers, or a mostly-restored resume) costs no process.
-                pool = ProcessPoolExecutor(max_workers=1, initializer=_init_worker)
-                pools[lane] = pool
-            t_submit = time.perf_counter()
-            future = pool.submit(
-                _run_task_group, first.config, first.replicate, first.seed,
-                tuple(tasks[index].scheduler_key for index in unit),
-                scheduler_options,
+    def submit_next(lane: int) -> None:
+        backlog = backlogs[lane]
+        if not backlog:
+            return
+        pool = pools.get(lane)
+        if pool is None:
+            pool = pools[lane] = ProcessPoolExecutor(
+                max_workers=1, initializer=_init_worker
             )
-            stage_seconds["dispatch"] += time.perf_counter() - t_submit
-            in_flight[future] = unit
+        unit = backlog.pop()
+        t_submit = time.perf_counter()
+        future = pool.submit(
+            _run_in_worker, *_group_args(tasks, unit, scheduler_options)
+        )
+        run.stage_seconds["dispatch"] += time.perf_counter() - t_submit
+        unfinished[future] = unit
 
-        retries: dict[int, int] = {}
+    def recover_lane(lane: int) -> None:
+        """Rebuild a lane whose worker died; charge the group it was running."""
+        lost = [f for f, unit in unfinished.items() if lanes[unit[0]] == lane]
+        stranded = sorted((unfinished.pop(f) for f in lost), key=lambda unit: unit[0])
+        crashed = stranded[0][0]
+        count = retries.get(crashed, 0) + 1
+        if count > _MAX_UNIT_RETRIES:
+            raise ReproError(
+                f"campaign unit {tasks[crashed].triple} crashed its worker "
+                f"{count} times; aborting (raise _MAX_UNIT_RETRIES "
+                "or investigate the instance)"
+            )
+        retries[crashed] = count
+        pools.pop(lane).shutdown(wait=False, cancel_futures=True)
+        backlogs[lane].extend(reversed(stranded))
+        for _ in range(_IN_FLIGHT_PER_WORKER):
+            submit_next(lane)
 
-        def recover_lane(lane: int, unit: list[int]) -> None:
-            """Rebuild a lane whose worker died; requeue its in-flight units."""
-            stranded = [unit]
-            for future in [f for f, u in in_flight.items() if lanes[u[0]] == lane]:
-                stranded.append(in_flight.pop(future))
-            stranded.sort(key=lambda u: u[0])
-            for retried in stranded:
-                count = retries.get(retried[0], 0) + 1
-                if count > _MAX_UNIT_RETRIES:
-                    first = tasks[retried[0]]
-                    raise ReproError(
-                        f"campaign unit {first.triple} crashed its worker "
-                        f"{count} times; aborting (raise _MAX_UNIT_RETRIES "
-                        "or investigate the instance)"
-                    )
-                retries[retried[0]] = count
-            queues[lane].extendleft(reversed(stranded))
-            broken = pools.pop(lane, None)
-            if broken is not None:
-                broken.shutdown(wait=False, cancel_futures=True)
+    try:
+        for lane in backlogs:
             for _ in range(_IN_FLIGHT_PER_WORKER):
                 submit_next(lane)
-
-        for lane in range(n_workers):
-            for _ in range(_IN_FLIGHT_PER_WORKER):
-                submit_next(lane)
-        while in_flight:
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                unit = in_flight.pop(future, None)
+        while unfinished:
+            done, _ = wait(unfinished, return_when=FIRST_COMPLETED)
+            # Canonical order: a lane's finished groups are adopted before
+            # the crash of the group that followed them is handled.
+            for future in sorted(done, key=lambda f: unfinished[f][0]):
+                unit = unfinished.get(future)
                 if unit is None:
-                    continue  # already requeued by a lane recovery this round
+                    continue  # re-run by a lane recovery earlier this round
                 try:
-                    payload = future.result()
+                    records, compute_seconds = future.result()
                 except BrokenProcessPool:
-                    recover_lane(lanes[unit[0]], unit)
+                    recover_lane(lanes[unit[0]])
                     continue
+                del unfinished[future]
                 submit_next(lanes[unit[0]])
-                packed, compute_seconds, pack_seconds = payload
-                run.finish_group(unit, packed, compute_seconds, pack_seconds)
+                run.finish_group(unit, records, compute_seconds)
     finally:
         for pool in pools.values():
             pool.shutdown(wait=True, cancel_futures=True)

@@ -15,7 +15,7 @@ Design of the partition
 
 * **Instance granularity.**  Tasks are grouped by realized instance
   (configuration, replicate) and whole groups are assigned to shards, so
-  the schedulers sharing one instance stay on one worker's instance cache --
+  the schedulers sharing one instance run in one worker group call --
   splitting a group would generate the same instance in several jobs.
 * **Round-robin over the canonical order.**  Group ``g`` (0-based, in
   canonical task order) lands on shard ``g % N``.  The canonical order

@@ -76,10 +76,8 @@ class SimulationResult:
     def metrics_row(self) -> dict[str, float]:
         """The five campaign metrics keyed like ``RunRecord``'s columns.
 
-        The single source of the metric-name -> value mapping shared by the
-        campaign runner's record construction and the packed columnar
-        transport, so a metric cannot be added to one side without the
-        other noticing.
+        The single source of the metric-name -> value mapping used by the
+        campaign runner's record construction.
         """
         report = self.report()
         return {

@@ -5,7 +5,9 @@ Two robustness contracts of :mod:`repro.experiments.runner`:
 * SIGKILLing a pool worker mid-campaign breaks that lane's process pool;
   the runner rebuilds the pool, re-dispatches the stranded units, and the
   final record set (and checkpoint journal) is exactly the one a serial
-  run produces -- every triple exactly once;
+  run produces -- every triple exactly once; a unit that keeps killing its
+  worker aborts the campaign after ``_MAX_UNIT_RETRIES`` re-runs, and only
+  that unit is charged for the crashes;
 * the fault axis (seeded availability timelines regenerated in-worker) is
   bit-identical at any worker count, with the solver-state bank on or
   off and on either solver backend, including the NaN-metrics ``failed``
@@ -18,9 +20,12 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
+import repro.experiments.runner as runner_mod
+from repro.core.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.io import CampaignCheckpoint
 from repro.experiments.runner import campaign_tasks, run_campaign
@@ -167,3 +172,57 @@ class TestWorkerCrashRecovery:
         )
         assert events == []
         assert resumed.result_set() == fault_serial.result_set()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker body reaches pool workers only by fork",
+    )
+    def test_poisonous_unit_aborts_after_max_retries(self, monkeypatch, tmp_path):
+        """A group that kills its worker every time aborts the campaign with
+        its triple named, after exactly ``_MAX_UNIT_RETRIES + 1`` crashes of
+        its own; a crash of another group is never charged to it, and every
+        other group still delivers its records."""
+        import dataclasses
+
+        config = dataclasses.replace(FAULT_CONFIG, fault_mtbf=None, fault_mttr=None)
+        keys = ("swrpt", "mct")
+        tasks = campaign_tasks([config], keys, 4, SEED)
+        # Replicates 0..3 are dealt to lanes 0, 1, 0, 1: replicate 2 is the
+        # last group of lane 0, so every other group can finish before it.
+        # Replicate 0 runs ahead of it on the same lane and crashes once.
+        flaky = tasks[0]
+        poisoned = next(task for task in tasks if task.replicate == 2)
+        others_done = tmp_path / "others-done"
+        run_one = runner_mod._run_one
+
+        def crash_on_poison(state, cfg, instance, replicate, key, seed, options):
+            if seed == flaky.seed and not (tmp_path / "flaky-crashed").exists():
+                (tmp_path / "flaky-crashed").touch()
+                os._exit(1)
+            if seed == poisoned.seed:
+                # Crash only once every other group is in, so the abort
+                # cannot race the other lane.
+                deadline = time.monotonic() + 60.0
+                while not others_done.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (tmp_path / f"poison-crash-{os.getpid()}").touch()
+                os._exit(1)
+            return run_one(state, cfg, instance, replicate, key, seed, options)
+
+        monkeypatch.setattr(runner_mod, "_run_one", crash_on_poison)
+        reached = set()
+
+        def collect(progress) -> None:
+            reached.add(progress.triple)
+            if len(reached) == len(tasks) - len(keys):
+                others_done.touch()
+
+        with pytest.raises(ReproError, match="crashed its worker") as caught:
+            run_campaign(
+                [config], scheduler_keys=keys, replicates=4, base_seed=SEED,
+                n_workers=2, progress=collect,
+            )
+        assert str(poisoned.triple) in str(caught.value)
+        crashes = list(tmp_path.glob("poison-crash-*"))
+        assert len(crashes) == runner_mod._MAX_UNIT_RETRIES + 1
+        assert reached == {task.triple for task in tasks if task.seed != poisoned.seed}
