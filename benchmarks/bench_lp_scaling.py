@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro.lp.maxstretch as maxstretch
-from repro.lp.backends import highs_available, highs_source, make_backend, record_lp_probes
+from repro.lp.backends import highs_available, highs_source, make_backend
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
@@ -125,8 +125,9 @@ def _resolution_with_backend(problem, backend_name: str, monkeypatch):
     best = fastest = None
     for _ in range(_TIMING_ROUNDS):
         backend = make_backend(backend_name)
+        stats = backend.stats
         try:
-            with record_lp_probes() as stats, monkeypatch.context() as patch:
+            with monkeypatch.context() as patch:
                 patch.setattr(maxstretch, "_search_certificate", search_gallop)
                 best = minimize_max_weighted_flow(problem, backend=backend)
                 reoptimize_allocation(problem, best.objective, backend=backend)
@@ -251,11 +252,11 @@ def _record_replan_problems(instance, backend_name: str):
 def _replay_search(instance, problems, backend_name: str):
     """Solve the recorded problems through a warm-carried context; per-replan stats."""
     context = ReplanContext(instance, solver_backend=backend_name)
+    stats = context.backend.stats
     objectives = []
     try:
-        with record_lp_probes() as stats:
-            for problem in problems:
-                objectives.append(context.solve_max_stretch(problem).objective)
+        for problem in problems:
+            objectives.append(context.solve_max_stretch(problem).objective)
     finally:
         context.close()
     return objectives, stats

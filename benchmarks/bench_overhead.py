@@ -17,7 +17,6 @@ actually pays.
 from __future__ import annotations
 
 from repro.experiments.overhead import OVERHEAD_TABLE_HEADERS, scheduling_overhead
-from repro.lp.backends import record_lp_probes
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.utils.textable import TextTable
@@ -75,8 +74,8 @@ def bench_lp_solve_fraction(benchmark):
 
     The ROADMAP claim motivating the persistent-solver backend layer -- the
     LP solve is the scheduling floor, ~60 % of scheduler time -- is
-    regression-checked here instead of staying anecdotal: the probe timing
-    hooks of :mod:`repro.lp.backends` measure the pure solver time (model
+    regression-checked here instead of staying anecdotal: the run's LP
+    counters (``SimulationResult.lp_probes``) measure the pure solver time (model
     build + factorization + simplex) inside a full dense-workload run.  The
     enforced floor is deliberately below the observed ~70 % so a noisy
     runner cannot flake the build; the measured fraction and the per-probe
@@ -89,9 +88,8 @@ def bench_lp_solve_fraction(benchmark):
     instance = generate_instance(platform_spec, workload_spec, rng=11)
 
     def run():
-        with record_lp_probes() as stats:
-            result = simulate(instance, make_scheduler("online"))
-        return result, stats
+        result = simulate(instance, make_scheduler("online"))
+        return result, result.lp_probes
 
     result, stats = benchmark.pedantic(run, rounds=1, iterations=1)
     fraction = stats.fraction_of(result.scheduler_time)

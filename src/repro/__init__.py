@@ -41,7 +41,7 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- aggregation  LP allocations -> plan lanes per class / work slices
     |   |-- solver     * sparse COO program builder (scalar + block APIs)
     |   |                over pluggable backends
-    |   `-- backends/  * LP solver backends + probe timing/histogram hooks
+    |   `-- backends/  * LP solver backends, each with its run's LP counters
     |       |-- scipy_backend  one-shot scipy.optimize.linprog (default)
     |       `-- highs  *       HiGHS model per solve, series basis kept:
     |                          warm starts + dual-ray certificates across

@@ -27,8 +27,8 @@ on-line heuristics:
 * :mod:`repro.lp.backends` -- the solver backends: one-shot
   :func:`scipy.optimize.linprog` (default) and the persistent HiGHS backend
   that carries the dual-simplex basis across milestone probes and replans
-  (basis transplants onto each freshly built model), plus the LP probe timing
-  hooks used by the overhead benchmarks.
+  (basis transplants onto each freshly built model); each backend carries
+  the LP counters of the run using it (``LPProbeStats``).
 """
 
 from repro.lp.problem import (
@@ -55,7 +55,6 @@ from repro.lp.backends import (
     available_backends,
     highs_available,
     make_backend,
-    record_lp_probes,
 )
 from repro.lp.solver import LinearProgramBuilder, LPResult
 
@@ -81,5 +80,4 @@ __all__ = [
     "available_backends",
     "highs_available",
     "make_backend",
-    "record_lp_probes",
 ]

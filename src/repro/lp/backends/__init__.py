@@ -11,6 +11,9 @@
 Backends are selected by name through :func:`make_backend` (``"scipy"``,
 ``"highs"``, ``"auto"``) -- the same names exposed by the
 ``--solver-backend`` CLI flag and :attr:`ExperimentConfig.solver_backend`.
+Every name builds a fresh backend: a backend carries the LP counters of the
+run using it (:attr:`SolverBackend.stats`, an :class:`LPProbeStats`), so no
+two runs share one.
 """
 
 from __future__ import annotations
@@ -22,15 +25,6 @@ from repro.lp.backends.base import (
     LPSpec,
     SolverBackend,
     WarmStartHint,
-    note_bank_lookup,
-    note_basis_reuse,
-    note_certificate_skips,
-    note_milestone_search,
-    note_phase_assembly,
-    note_phase_search,
-    note_primal_reuse,
-    note_replan,
-    record_lp_probes,
 )
 from repro.lp.backends.highs import (
     HighsPersistentBackend,
@@ -46,15 +40,6 @@ __all__ = [
     "SolverBackend",
     "WarmStartHint",
     "LPProbeStats",
-    "record_lp_probes",
-    "note_bank_lookup",
-    "note_basis_reuse",
-    "note_certificate_skips",
-    "note_milestone_search",
-    "note_phase_assembly",
-    "note_phase_search",
-    "note_primal_reuse",
-    "note_replan",
     "ScipyBackend",
     "HighsPersistentBackend",
     "highs_available",
@@ -63,21 +48,11 @@ __all__ = [
     "BACKEND_CHOICES",
     "available_backends",
     "make_backend",
-    "default_backend",
     "resolve_backend_name",
 ]
 
 #: Names accepted by :func:`make_backend` and the ``--solver-backend`` flag.
 BACKEND_CHOICES: tuple[str, ...] = ("scipy", "highs", "auto")
-
-#: Shared stateless scipy backend (safe across contexts and threads-of-use;
-#: persistent backends are instantiated per replan context instead).
-_SCIPY_SINGLETON = ScipyBackend()
-
-
-def default_backend() -> SolverBackend:
-    """The process-wide default backend (one-shot scipy)."""
-    return _SCIPY_SINGLETON
 
 
 def available_backends() -> tuple[str, ...]:
@@ -109,7 +84,7 @@ def resolve_backend_name(spec: "str | SolverBackend | None" = None) -> str:
 def make_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
     """Resolve a backend from a name, an instance, or ``None``.
 
-    * ``None`` / ``"scipy"`` -- the shared one-shot scipy backend;
+    * ``None`` / ``"scipy"`` -- a fresh one-shot scipy backend;
     * ``"highs"`` -- a *fresh* :class:`HighsPersistentBackend` (each caller
       owns its series bases; raises :class:`SolverError` when no HiGHS
       bindings are available);
@@ -124,5 +99,5 @@ def make_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
     # 'highs' resolves to itself even without bindings -- the constructor
     # raises the descriptive SolverError for an explicit request.
     if resolve_backend_name(spec) == "scipy":
-        return _SCIPY_SINGLETON
+        return ScipyBackend()
     return HighsPersistentBackend()

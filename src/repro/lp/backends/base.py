@@ -17,18 +17,20 @@ gives every variable and row a stable identity, through which the previous
 basis of the series is mapped onto the new model -- the matrices of two
 solves need not match.
 
-This module also hosts the *probe timing hooks* used by the overhead
-benchmarks: :func:`record_lp_probes` measures how much of the scheduler
-wall-clock is spent inside the LP solver proper, regardless of backend.
+Each backend also carries the LP counters of the run using it,
+:attr:`SolverBackend.stats` (an :class:`LPProbeStats`): how many solves it
+ran and how long they took, plus what the milestone search, the replan
+context and the scheduler record about the same run.  A run's backend is
+not shared with any other run, so concurrent runs never count into each
+other's numbers.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -39,15 +41,6 @@ __all__ = [
     "WarmStartHint",
     "SolverBackend",
     "LPProbeStats",
-    "record_lp_probes",
-    "note_certificate_skips",
-    "note_basis_reuse",
-    "note_milestone_search",
-    "note_bank_lookup",
-    "note_primal_reuse",
-    "note_phase_assembly",
-    "note_phase_search",
-    "note_replan",
 ]
 
 
@@ -157,8 +150,14 @@ class SolverBackend(ABC):
     """Strategy object solving the LPs built by ``LinearProgramBuilder``.
 
     Subclasses implement :meth:`_solve`; the public :meth:`solve` wraps it
-    with the probe timing hooks so that every backend feeds the same
-    LP-fraction accounting (see :func:`record_lp_probes`).
+    with the probe timing, so every backend feeds the same LP-fraction
+    accounting into :attr:`stats`.
+
+    A backend serves one run at a time.  The run starts by calling
+    :meth:`close`, which also replaces :attr:`stats` by a fresh
+    :class:`LPProbeStats`; whoever reports the run keeps a reference to that
+    object, since the next run (a campaign worker reuses its backend) starts
+    another.
     """
 
     #: Registry/display name of the backend ("scipy", "highs", ...).
@@ -167,6 +166,16 @@ class SolverBackend(ABC):
     #: across solves.  Callers skip building warm hints for non-persistent
     #: backends.
     persistent: bool = False
+
+    def __init__(self) -> None:
+        #: The LP counters of the current run.
+        self.stats = LPProbeStats()
+
+    def _count_solve(self, seconds: float) -> None:
+        stats = self.stats
+        stats.n_probes += 1
+        stats.solve_seconds += seconds
+        stats.by_backend[self.name] = stats.by_backend.get(self.name, 0) + 1
 
     def solve(
         self,
@@ -184,7 +193,7 @@ class SolverBackend(ABC):
         try:
             return self._solve(spec, method=method, warm=warm)
         finally:
-            _note_probe(self.name, time.perf_counter() - start)
+            self._count_solve(time.perf_counter() - start)
 
     @abstractmethod
     def _solve(
@@ -204,14 +213,14 @@ class SolverBackend(ABC):
         try:
             result = self._resolve_fixed(model, column=column, value=value, costs=costs)
         finally:
-            _note_probe(self.name, time.perf_counter() - start)
-        for stats in _ACTIVE_STATS:
-            stats.n_basis_reused += 1
-            stats.n_live_reoptimizations += 1
+            self._count_solve(time.perf_counter() - start)
+        self.stats.n_basis_reused += 1
+        self.stats.n_live_reoptimizations += 1
         return result
 
     def close(self) -> None:
-        """Release any persistent solver state (no-op by default)."""
+        """Release any persistent solver state and start a fresh :attr:`stats`."""
+        self.stats = LPProbeStats()
 
     def export_series_state(self) -> object | None:
         """A process-local snapshot of the warm-start series bases.
@@ -245,20 +254,21 @@ class SolverBackend(ABC):
         )
 
 
-# -- probe timing hooks ---------------------------------------------------------
-
-
 @dataclass
 class LPProbeStats:
-    """Accumulated LP solve cost observed inside a :func:`record_lp_probes` block.
+    """The LP counters of one run, kept on the run's :attr:`SolverBackend.stats`.
 
-    Beyond the historical solve counters, the block also collects the
-    *probe-elimination histogram* of the certificate-guided milestone search
-    (:mod:`repro.lp.maxstretch`): how many milestone probes were actually
-    solved, how many were skipped outright by a dual-ray certificate bound
-    or the interior-optimum re-check, and how many solved probes were served
-    warm by the persistent backend (a transplanted basis instead of a cold
-    factorization).
+    The backend counts its solves and their solver time (model build +
+    factorization + simplex/IPM, excluding the python-side assembly); the
+    milestone search, the replan context and the scheduler add what they
+    see of the same run: the *probe-elimination histogram* of the
+    certificate-guided search (:mod:`repro.lp.maxstretch`) -- probes solved,
+    probes skipped by a dual-ray bound or the interior-optimum re-check,
+    solves served warm from a transplanted basis --, the solver-state bank
+    lookups and reuses, and the replan latencies.  The engine hands the
+    object out as :attr:`SimulationResult.lp_probes
+    <repro.simulation.result.SimulationResult.lp_probes>`; LP-free runs get
+    an empty one.
     """
 
     n_probes: int = 0
@@ -335,95 +345,3 @@ class LPProbeStats:
             "bank_misses": self.n_bank_misses,
             "primal_reuses": self.n_primal_reuses,
         }
-
-
-#: Stack of active stat collectors (nested ``record_lp_probes`` blocks all see
-#: every probe run inside them).
-_ACTIVE_STATS: list[LPProbeStats] = []
-
-
-def _note_probe(backend_name: str, seconds: float) -> None:
-    for stats in _ACTIVE_STATS:
-        stats.n_probes += 1
-        stats.solve_seconds += seconds
-        stats.by_backend[backend_name] = stats.by_backend.get(backend_name, 0) + 1
-
-
-def note_certificate_skips(count: int) -> None:
-    """Record ``count`` milestone probes eliminated without an LP solve."""
-    if count <= 0:
-        return
-    for stats in _ACTIVE_STATS:
-        stats.n_certificate_skipped += count
-
-
-def note_basis_reuse() -> None:
-    """Record one solved probe served from warm persistent-solver state."""
-    for stats in _ACTIVE_STATS:
-        stats.n_basis_reused += 1
-
-
-def note_milestone_search(solved: int, skipped: int, interior_exit: bool) -> None:
-    """Record the probe economy of one completed milestone search."""
-    for stats in _ACTIVE_STATS:
-        stats.searches.append((solved, skipped))
-        if interior_exit:
-            stats.n_interior_exits += 1
-
-
-def note_bank_lookup(hit: bool) -> None:
-    """Record one solver-state-bank bucket acquisition (warm or cold)."""
-    for stats in _ACTIVE_STATS:
-        if hit:
-            stats.n_bank_hits += 1
-        else:
-            stats.n_bank_misses += 1
-
-
-def note_primal_reuse() -> None:
-    """Record one whole LP solve replaced by a stored primal solution."""
-    for stats in _ACTIVE_STATS:
-        stats.n_primal_reuses += 1
-
-
-def note_phase_assembly(seconds: float) -> None:
-    """Record python-side LP assembly time (structure + skeleton + COO blocks)."""
-    for stats in _ACTIVE_STATS:
-        stats.assembly_seconds += seconds
-
-
-def note_phase_search(seconds: float) -> None:
-    """Record the wall-clock of one whole milestone search (solves included)."""
-    for stats in _ACTIVE_STATS:
-        stats.search_seconds += seconds
-
-
-def note_replan(seconds: float) -> None:
-    """Record the wall-clock latency of one scheduler replan."""
-    for stats in _ACTIVE_STATS:
-        stats.replan_latencies.append(seconds)
-
-
-@contextmanager
-def record_lp_probes() -> Iterator[LPProbeStats]:
-    """Collect the number and wall-clock cost of LP solves in the block.
-
-    >>> from repro.lp.backends import record_lp_probes
-    >>> with record_lp_probes() as stats:
-    ...     pass  # run a simulation / milestone search ...
-    >>> stats.n_probes
-    0
-
-    The hook sits inside :meth:`SolverBackend.solve`, so it measures the pure
-    solver time (model build + factorization + simplex/IPM), excluding the
-    Python-side constraint assembly -- which is exactly the "LP is the floor"
-    quantity tracked by ``benchmarks/bench_overhead.py``.
-    """
-    stats = LPProbeStats()
-    _ACTIVE_STATS.append(stats)
-    try:
-        yield stats
-    finally:
-        # By identity: ``list.remove`` compares the dataclasses by value, and
-        # nested collectors that saw the same probes are equal.
-        del _ACTIVE_STATS[next(i for i, s in enumerate(_ACTIVE_STATS) if s is stats)]

@@ -51,7 +51,6 @@ from repro.lp.backends.base import (
     LPSpec,
     SolverBackend,
     WarmStartHint,
-    note_basis_reuse,
 )
 
 __all__ = [
@@ -215,6 +214,7 @@ class HighsPersistentBackend(SolverBackend):
                 "`pip install repro-stretch[highs]` (or any highspy >= 1.5), "
                 "or use --solver-backend scipy"
             )
+        super().__init__()
         self._api = api
         self._series: dict[Hashable, _SeriesBasis] = {}
         # int <-> HighsBasisStatus tables for the vectorized basis mapping.
@@ -224,9 +224,6 @@ class HighsPersistentBackend(SolverBackend):
         }
         self._int_basic = int(api.HighsBasisStatus.kBasic)
         self._int_lower = int(api.HighsBasisStatus.kLower)
-        #: Counter exposed for tests/benchmarks: solves started from a
-        #: transplanted series basis.
-        self.n_basis_transplants = 0
 
     # -- SolverBackend interface ---------------------------------------------------
     def _solve(
@@ -260,7 +257,8 @@ class HighsPersistentBackend(SolverBackend):
         return self._run(highs, spec, warm=warm)
 
     def close(self) -> None:
-        """Drop every series basis."""
+        """Drop every series basis and start a fresh :attr:`stats`."""
+        super().close()
         self._series.clear()
 
     # -- series-state serialization (cross-run solver-state bank) -------------------
@@ -413,8 +411,7 @@ class HighsPersistentBackend(SolverBackend):
         basis.row_status = [lookup[v] for v in row_status.tolist()]
         basis.valid = True
         if highs.setBasis(basis) != api.HighsStatus.kError:
-            self.n_basis_transplants += 1
-            note_basis_reuse()
+            self.stats.n_basis_reused += 1
 
     def _capture_basis(self, highs, warm: WarmStartHint) -> None:
         basis = highs.getBasis()

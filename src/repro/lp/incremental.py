@@ -62,12 +62,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.errors import ModelError, SolverError
 from repro.core.instance import Instance
-from repro.lp.backends import (
-    SolverBackend,
-    make_backend,
-    note_bank_lookup,
-    note_primal_reuse,
-)
+from repro.lp.backends import SolverBackend, make_backend
 from repro.lp.bank import BankBucket, SolverStateBank, instance_content_key, problem_signature
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
@@ -140,11 +135,11 @@ class ReplanContext:
         probe-order hint, so results are unaffected.
     n_replans:
         Number of System (1) resolutions performed through this context.
-    n_probes_solved / n_probes_skipped:
-        Accumulated milestone-search probe economy across the context's
-        replans (solved LPs vs candidates eliminated without a solve).
     backend:
-        The resolved :class:`~repro.lp.backends.SolverBackend`.
+        The resolved :class:`~repro.lp.backends.SolverBackend`.  Its
+        :attr:`~repro.lp.backends.SolverBackend.stats` are the run's LP
+        counters, started fresh here; the context adds its bank lookup and
+        primal reuses to them.
     """
 
     def __init__(
@@ -165,33 +160,28 @@ class ReplanContext:
         self._table_ids: set[int] = {row[0] for row in self.job_table.rows}
         self.backend: SolverBackend = make_backend(solver_backend)
         # A caller-supplied backend instance may have served a previous run;
-        # drop its series bases so warm starts never cross simulations
-        # (no-op for the freshly made or stateless backends).  Cross-run
-        # carry happens exclusively through the content-addressed bank.
+        # drop its series bases so warm starts never cross simulations, and
+        # its counters so they describe this run only.  Cross-run carry
+        # happens exclusively through the content-addressed bank.
         self.backend.close()
         self.last_objective: float | None = None
         self.last_certificate: SearchCertificate | None = None
         self.n_replans: int = 0
-        self.n_probes_solved: int = 0
-        self.n_probes_skipped: int = 0
         self._skeletons: dict[tuple, ConstraintSkeleton] = {}
         self._bucket: BankBucket | None = None
-        self._bank_hit = False
-        # The hit/miss counter is emitted at the first solve instead of here
-        # so it lands inside the run's record_lp_probes block.
-        self._bank_lookup_pending = False
         self._last_sig: tuple | None = None
         self._last_problem: MaxStretchProblem | None = None
         self._last_solution: MaxStretchSolution | None = None
         self._prev_active: dict[int, float] | None = None
         self._live: LiveProbe | None = None
         if state_bank is not None:
-            self._bucket, self._bank_hit = state_bank.acquire(
-                instance_content_key(instance)
-            )
-            self._bank_lookup_pending = True
-            if self._bank_hit and self._bucket.series_state is not None:
-                self.backend.import_series_state(self._bucket.series_state)
+            self._bucket, hit = state_bank.acquire(instance_content_key(instance))
+            if hit:
+                self.backend.stats.n_bank_hits += 1
+                if self._bucket.series_state is not None:
+                    self.backend.import_series_state(self._bucket.series_state)
+            else:
+                self.backend.stats.n_bank_misses += 1
 
     # -- problem construction ------------------------------------------------------
     def build_problem(
@@ -274,11 +264,6 @@ class ReplanContext:
         :func:`~repro.lp.bank.problem_signature` by an earlier run of the
         same instance is re-bound and returned without solving.
         """
-        if self._bank_lookup_pending:
-            # Deferred from __init__ so the counter lands inside the run's
-            # record_lp_probes block rather than at scheduler construction.
-            self._bank_lookup_pending = False
-            note_bank_lookup(self._bank_hit)
         self._live = None
         sig = problem_signature(problem)
         reused = self._reuse_sys1(problem, sig)
@@ -302,8 +287,6 @@ class ReplanContext:
             raise
         self._note_solution(problem, sig, solution, report.certificate)
         self._live = report.live
-        self.n_probes_solved += report.n_solved
-        self.n_probes_skipped += report.n_skipped
         self._trim_skeletons()
         if self._bucket is not None and sig not in self._bucket.sys1:
             self._bucket.sys1[sig] = (solution, report.certificate)
@@ -323,7 +306,7 @@ class ReplanContext:
         this problem, so downstream acceptance is unchanged.
         """
         if sig == self._last_sig and self._last_solution is not None:
-            note_primal_reuse()
+            self.backend.stats.n_primal_reuses += 1
             solution = self._rebind(self._last_solution, problem)
             self._note_solution(problem, sig, solution, None)
             return solution
@@ -331,7 +314,7 @@ class ReplanContext:
             stored = self._bucket.sys1.get(sig)
             if stored is not None:
                 banked, certificate = stored
-                note_primal_reuse()
+                self.backend.stats.n_primal_reuses += 1
                 solution = self._rebind(banked, problem)
                 self._note_solution(problem, sig, solution, certificate)
                 return solution
@@ -463,7 +446,7 @@ class ReplanContext:
         key = (sig, objective)
         banked = self._bucket.sys2.get(key)
         if banked is not None:
-            note_primal_reuse()
+            self.backend.stats.n_primal_reuses += 1
             return self._rebind(banked, problem)
         solution = reoptimize_allocation(
             problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live

@@ -46,14 +46,7 @@ import numpy as np
 
 from repro.core.errors import InfeasibleError
 from repro.lp import kernels
-from repro.lp.backends import (
-    SolverBackend,
-    WarmStartHint,
-    note_certificate_skips,
-    note_milestone_search,
-    note_phase_assembly,
-    note_phase_search,
-)
+from repro.lp.backends import SolverBackend, WarmStartHint, make_backend
 from repro.lp.intervals import IntervalStructure, build_interval_structure
 from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import MaxStretchProblem
@@ -568,17 +561,13 @@ class ProbeOutcome:
 
 @dataclass
 class MilestoneSearchReport:
-    """Probe economy of one milestone search (filled when requested).
+    """What one milestone search hands its caller (filled when requested).
+
+    The search's probe economy goes to the backend's
+    :attr:`~repro.lp.backends.SolverBackend.stats` instead.
 
     Attributes
     ----------
-    n_solved / n_skipped:
-        LP probes actually solved vs milestone intervals eliminated without
-        a solve (certificate jumps and the interior-optimum re-check).
-    interior_exit:
-        True when the search ended because the winning probe's optimum lay
-        strictly inside its milestone interval (global optimality by
-        monotone feasibility -- no downward confirmation probe needed).
     certificate:
         The strongest :class:`SearchCertificate` collected (highest bound),
         for cross-replan carry; ``None`` without certificate support.
@@ -586,9 +575,6 @@ class MilestoneSearchReport:
         The winning probe's :class:`LiveProbe`, for System (2) (or ``None``).
     """
 
-    n_solved: int = 0
-    n_skipped: int = 0
-    interior_exit: bool = False
     certificate: SearchCertificate | None = None
     live: LiveProbe | None = None
 
@@ -653,7 +639,9 @@ def solve_on_objective_range(
     sharing the same interval structure (see :class:`ConstraintSkeleton`);
     ``backend`` selects the LP solver backend (persistent backends
     additionally start each probe from the basis of the previous one,
-    mapped through :func:`warm_hint`).  ``outcome``, when provided,
+    mapped through :func:`warm_hint`) and receives the assembly time in its
+    :attr:`~repro.lp.backends.SolverBackend.stats`; ``None`` means a fresh
+    one-shot scipy backend.  ``outcome``, when provided,
     receives the infeasibility certificate of a refused probe (backends
     without dual-ray support leave it empty).
     """
@@ -668,12 +656,13 @@ def solve_on_objective_range(
     if f_high < f_low:
         raise ValueError(f"invalid objective range [{f_low}, {f_high}]")
 
+    backend = make_backend(backend)
     assembly_start = time.perf_counter()
     probe = _probe_value(f_low, f_high)
     structure = build_interval_structure(problem, probe)
     skeleton = build_skeleton(problem, structure, skeleton_cache)
     if skeleton is None:
-        note_phase_assembly(time.perf_counter() - assembly_start)
+        backend.stats.assembly_seconds += time.perf_counter() - assembly_start
         return None
 
     builder = LinearProgramBuilder()
@@ -684,9 +673,9 @@ def solve_on_objective_range(
     )
 
     warm = None
-    if backend is not None and backend.persistent:
+    if backend.persistent:
         warm = warm_hint(problem, skeleton, with_objective_var=True)
-    note_phase_assembly(time.perf_counter() - assembly_start)
+    backend.stats.assembly_seconds += time.perf_counter() - assembly_start
     result = builder.solve(backend=backend, warm=warm)
     if not result.feasible:
         if outcome is not None and result.dual_ray is not None:
@@ -750,11 +739,13 @@ def minimize_max_weighted_flow(
         Optional mapping reusing constraint skeletons across solves (see
         :class:`ConstraintSkeleton`).
     backend:
-        LP solver backend; ``None`` uses the one-shot scipy default.  A
-        persistent backend (``HighsPersistentBackend``) additionally
-        warm-starts dual simplex from the previous basis and produces the
-        dual-ray certificates the search prunes with; results are equivalent
-        within solver tolerance.
+        LP solver backend; ``None`` means one fresh one-shot scipy backend
+        for the whole search.  A persistent backend
+        (``HighsPersistentBackend``) additionally warm-starts dual simplex
+        from the previous basis and produces the dual-ray certificates the
+        search prunes with; results are equivalent within solver tolerance.
+        The search records its probe economy and timings in the backend's
+        :attr:`~repro.lp.backends.SolverBackend.stats`.
     report:
         Optional :class:`MilestoneSearchReport` receiving the search's probe
         economy and its strongest certificate (for cross-replan carry).
@@ -768,6 +759,7 @@ def minimize_max_weighted_flow(
     if not problem.jobs:
         return solve_on_objective_range(problem, 0.0, 0.0)  # type: ignore[return-value]
 
+    backend = make_backend(backend)
     search_start = time.perf_counter()
     f_lb = problem.objective_lower_bound()
     f_ub = problem.objective_upper_bound()
@@ -807,7 +799,7 @@ def minimize_max_weighted_flow(
                 "no feasible schedule found for the max weighted flow problem"
             )
         best = widened
-    note_phase_search(time.perf_counter() - search_start)
+    backend.stats.search_seconds += time.perf_counter() - search_start
     return best
 
 
@@ -835,7 +827,7 @@ def _search_certificate(
     start_idx: int,
     *,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
-    backend: SolverBackend | None = None,
+    backend: SolverBackend,
     report: MilestoneSearchReport | None = None,
 ) -> MaxStretchSolution | None:
     """Locate the first feasible milestone interval and return its optimum.
@@ -886,13 +878,12 @@ def _search_certificate(
 
     def finish(best: MaxStretchSolution | None) -> MaxStretchSolution | None:
         if report is not None:
-            report.n_solved = solved
-            report.n_skipped = skipped
-            report.interior_exit = interior_exit
             report.certificate = strongest
             report.live = live
-        note_certificate_skips(skipped)
-        note_milestone_search(solved, skipped, interior_exit)
+        stats = backend.stats
+        stats.n_certificate_skipped += skipped
+        stats.searches.append((solved, skipped))
+        stats.n_interior_exits += int(interior_exit)
         return best
 
     # -- upward phase: find some feasible interval ---------------------------------

@@ -22,7 +22,13 @@ solution is accepted, only how hard the stack tries before giving up.
 from __future__ import annotations
 
 from repro.core.errors import SolverError
-from repro.lp.backends.base import LPResult, LPSpec, SolverBackend, WarmStartHint
+from repro.lp.backends.base import (
+    LPProbeStats,
+    LPResult,
+    LPSpec,
+    SolverBackend,
+    WarmStartHint,
+)
 
 __all__ = [
     "annotate_solver_error",
@@ -56,8 +62,9 @@ class ResilientBackend(SolverBackend):
     backend records a basis only on an optimal or infeasible outcome), so
     the next primary solve starts where this one did.  Warm-start
     bookkeeping (``persistent``, series state) delegates to the primary; the
-    wrapper advertises the primary's name so probe accounting and bank
-    keying are unchanged.
+    wrapper advertises the primary's name and shares the primary's
+    :attr:`stats`, so the probes it times and the basis reuses the primary
+    counts land in one object, and bank keying is unchanged.
     """
 
     def __init__(self, primary: SolverBackend, fallback: SolverBackend | None = None):
@@ -71,6 +78,11 @@ class ResilientBackend(SolverBackend):
         self.persistent = primary.persistent
         #: Number of probes served by the fallback (degradation telemetry).
         self.n_downgrades = 0
+
+    @property
+    def stats(self) -> LPProbeStats:
+        """The primary's counters (the wrapper keeps none of its own)."""
+        return self._primary.stats
 
     def _solve(
         self,

@@ -20,7 +20,7 @@ from repro.lp.backends import (
     LPSpec,
     SolverBackend,
     WarmStartHint,
-    default_backend,
+    make_backend,
 )
 
 __all__ = ["LinearProgramBuilder", "LPResult"]
@@ -265,7 +265,8 @@ class LinearProgramBuilder:
             large ones); the persistent HiGHS backend ignores it.
         backend:
             The :class:`~repro.lp.backends.SolverBackend` to solve with;
-            ``None`` uses the process-wide default (one-shot scipy).
+            ``None`` solves on a fresh one-shot scipy backend, whose
+            counters nobody reads.
         warm:
             Optional :class:`~repro.lp.backends.WarmStartHint` carrying
             stable variable/row identities so a persistent backend can
@@ -279,5 +280,5 @@ class LinearProgramBuilder:
         if self._n_vars == 0:
             return LPResult(status=0, feasible=True, objective=0.0, values=np.zeros(0))
         if backend is None:
-            backend = default_backend()
+            backend = make_backend(None)
         return backend.solve(self.spec(), method=method, warm=warm)

@@ -32,6 +32,7 @@ from repro.simulation.state import Assignment, JobRuntime, SchedulerState
 from repro.schedulers import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lp.backends import LPProbeStats
     from repro.schedulers.policies import ReplanPolicy
 
 __all__ = [
@@ -85,6 +86,11 @@ class Scheduler(ABC):
     #: to ``False``; the engine then refuses to pair them with faults
     #: instead of producing silently wrong schedules.
     fault_aware: bool = True
+
+    #: The LP counters of the current run: LP schedulers point it at their
+    #: backend's fresh :attr:`~repro.lp.backends.SolverBackend.stats` in
+    #: :meth:`reset`; ``None`` for the LP-free ones.
+    lp_stats: "LPProbeStats | None" = None
 
     def reset(self, instance: Instance) -> None:
         """Called once before the simulation starts.
@@ -145,11 +151,11 @@ class Scheduler(ABC):
 class PriorityScheduler(Scheduler):
     """Greedy list scheduling driven by a per-job priority key.
 
-    Subclasses implement :meth:`priority`; lower keys mean higher priority.
-    At every decision point the active jobs are sorted by priority and the
-    rule of Section 3 is applied: while some processors are idle, pick the
-    highest-priority not-yet-served job and give it every available processor
-    able to serve it.
+    Subclasses implement :meth:`priority_keys`; lower keys mean higher
+    priority.  At every decision point the active jobs are sorted by
+    priority and the rule of Section 3 is applied: while some processors are
+    idle, pick the highest-priority not-yet-served job and give it every
+    available processor able to serve it.
     """
 
     def __init__(self) -> None:
@@ -159,24 +165,11 @@ class PriorityScheduler(Scheduler):
         self.instance = instance
 
     @abstractmethod
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        """Priority key of an active job (smaller = more urgent)."""
-
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
     ) -> np.ndarray:
-        """Priority keys of ``runtimes`` as a float64 array.
-
-        The default evaluates :meth:`priority` job by job; subclasses whose
-        key is arrayable override this to build the whole vector in one pass
-        (the values must match :meth:`priority` exactly -- the ranking
-        kernel consumes them verbatim).
-        """
-        return np.fromiter(
-            (self.priority(state, rt) for rt in runtimes),
-            np.float64,
-            count=len(runtimes),
-        )
+        """Priority keys of the active ``runtimes`` as a float64 array
+        (smaller = more urgent); the ranking kernel consumes them verbatim."""
 
     def assign(self, state: SchedulerState) -> Assignment:
         runtimes = state.active_jobs()

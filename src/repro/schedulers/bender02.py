@@ -81,11 +81,6 @@ class Bender02Scheduler(PriorityScheduler):
             return age / math.sqrt(delta)
         return age / delta
 
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        # Larger pseudo-stretch = more urgent; PriorityScheduler treats
-        # smaller keys as higher priority, hence the negation.
-        return -self.pseudo_stretch(state, runtime)
-
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
     ) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.instance import Instance
 from repro.core.job import Job
+from repro.lp.backends import make_backend
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
 from repro.simulation.state import JobRuntime, SchedulerState
@@ -72,6 +73,8 @@ class Bender98Scheduler(PriorityScheduler):
         super().reset(instance)
         self._deadlines = {}
         self.n_resolutions = 0
+        self._backend = make_backend(None)
+        self.lp_stats = self._backend.stats
         if self._expansion_override is not None:
             self._expansion = self._expansion_override
         elif len(instance.jobs) > 0:
@@ -88,7 +91,7 @@ class Bender98Scheduler(PriorityScheduler):
         # Off-line problem over the jobs arrived so far, with their original
         # sizes and release dates (Bender et al. ignore the work already done).
         problem = problem_from_instance(instance, job_ids=released)
-        solution = minimize_max_weighted_flow(problem)
+        solution = minimize_max_weighted_flow(problem, backend=self._backend)
         self.n_resolutions += 1
         optimal = solution.objective
         count = len(released)
@@ -107,9 +110,6 @@ class Bender98Scheduler(PriorityScheduler):
         )
         for job_id, deadline in zip(released, deadlines.tolist()):
             self._deadlines[job_id] = deadline
-
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        return self._deadlines.get(runtime.job_id, float("inf"))
 
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]

@@ -70,12 +70,15 @@ class OfflineScheduler(PlanBasedScheduler):
 
     def reset(self, instance: Instance) -> None:
         super().reset(instance)
+        self.lp_stats = None
         if len(instance.jobs) == 0:
             self.optimal_max_stretch = 0.0
             return
         backend = make_backend(self.solver_backend)
-        # Caller-supplied instances may carry state from a previous run.
+        # Caller-supplied instances may carry state (and counters) from a
+        # previous run.
         backend.close()
+        self.lp_stats = backend.stats
         problem = problem_from_instance(instance)
         skeletons: dict = {}  # lets System (2) find the winning probe's model
         report = MilestoneSearchReport()

@@ -48,7 +48,7 @@ from repro.lp.aggregation import (
     materialize_solution,
     swrpt_terminal_order,
 )
-from repro.lp.backends import SolverBackend, note_replan
+from repro.lp.backends import SolverBackend
 from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import MaxStretchSolution, MilestoneSearchReport
@@ -140,6 +140,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
             solver_backend=self.solver_backend,
             state_bank=self.state_bank,
         )
+        self.lp_stats = self._context.backend.stats
         self.last_objective = None
         self.n_resolutions = 0
         self._egdf_rank = {}
@@ -185,7 +186,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
         try:
             self._replan(state)
         finally:
-            note_replan(_time.perf_counter() - start)
+            self.lp_stats.replan_latencies.append(_time.perf_counter() - start)
 
     def _replan(self, state: SchedulerState) -> None:
         instance = state.instance

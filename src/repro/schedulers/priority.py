@@ -44,9 +44,6 @@ class FCFSScheduler(PriorityScheduler):
 
     name = "FCFS"
 
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        return runtime.job.release
-
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
     ) -> np.ndarray:
@@ -60,9 +57,6 @@ class SRPTScheduler(PriorityScheduler):
 
     name = "SRPT"
 
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        return runtime.remaining
-
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
     ) -> np.ndarray:
@@ -75,9 +69,6 @@ class SPTScheduler(PriorityScheduler):
     """Shortest processing time first (priority = original job size)."""
 
     name = "SPT"
-
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        return runtime.job.size
 
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
@@ -96,12 +87,6 @@ class SWPTScheduler(PriorityScheduler):
     """
 
     name = "SWPT"
-
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        job = runtime.job
-        if job.weight is not None:
-            return job.size / job.weight
-        return job.size * job.size
 
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
@@ -127,12 +112,6 @@ class SWRPTScheduler(PriorityScheduler):
     """
 
     name = "SWRPT"
-
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        job = runtime.job
-        if job.weight is not None:
-            return runtime.remaining / job.weight
-        return job.size * runtime.remaining
 
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
@@ -181,9 +160,14 @@ class EDFScheduler(PriorityScheduler):
                 return float("inf")
         return float(self._deadline_fn.get(job_id, float("inf")))
 
-    def priority(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        deadline = self.deadline_of(runtime.job_id)
-        if deadline == float("inf"):
-            # No deadline: serve after deadline-carrying jobs, FCFS among them.
-            return 1e18 + runtime.job.release
-        return deadline
+    def priority_keys(
+        self, state: SchedulerState, runtimes: Sequence[JobRuntime]
+    ) -> np.ndarray:
+        def key(runtime: JobRuntime) -> float:
+            deadline = self.deadline_of(runtime.job_id)
+            if deadline == float("inf"):
+                # No deadline: serve after deadline-carrying jobs, FCFS among them.
+                return 1e18 + runtime.job.release
+            return deadline
+
+        return np.fromiter((key(rt) for rt in runtimes), np.float64, count=len(runtimes))

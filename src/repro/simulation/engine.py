@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, WorkSlice
-from repro.lp.backends import record_lp_probes
+from repro.lp.backends import LPProbeStats
 from repro.simulation.clock import EventQueue, EventType, QueuedEvent, SimulationClock
 from repro.simulation.events import (
     ArrivalEvent,
@@ -125,8 +125,8 @@ class SimulationEngine:
             source if source is not None else InstanceSource(instance)
         )
         #: LP probe statistics of the in-flight run (live telemetry surface);
-        #: set by :meth:`run`, also attached to the returned result.
-        self.lp_stats = None
+        #: set once the scheduler is reset, also attached to the result.
+        self.lp_stats: LPProbeStats | None = None
         #: Mapping of the most recent applied assignment (live telemetry).
         self.last_assignment: dict[int, int] = {}
         self._jobs_admitted = 0
@@ -144,19 +144,15 @@ class SimulationEngine:
     def run(self) -> SimulationResult:
         """Simulate until every job has completed and return the result.
 
-        The run is wrapped in :func:`repro.lp.backends.record_lp_probes`, so
-        the result carries the LP probe statistics (solve count/time and the
-        probe-elimination histogram of the certificate-guided milestone
-        search) alongside the scheduler wall-clock -- the instrumentation
-        surface of the Section 5.3 overhead experiment.
+        The result carries the LP probe statistics of the run (solve
+        count/time, the probe-elimination histogram of the certificate-guided
+        milestone search, the replan latencies) alongside the scheduler
+        wall-clock -- the instrumentation surface of the Section 5.3 overhead
+        experiment.  They are the scheduler's :attr:`Scheduler.lp_stats
+        <repro.schedulers.base.Scheduler.lp_stats>`, taken right after its
+        reset (an empty object for LP-free schedulers), so each run counts
+        only its own LP solves, whatever else runs in the process.
         """
-        with record_lp_probes() as lp_stats:
-            self.lp_stats = lp_stats
-            result = self._run()
-        result.lp_probes = lp_stats
-        return result
-
-    def _run(self) -> SimulationResult:
         instance, state = self.instance, self.state
         source = self.source
         source.start(self.queue)
@@ -168,6 +164,8 @@ class SimulationEngine:
         start = _time.perf_counter()
         self._call(self.scheduler.reset, instance)
         self._scheduler_time += _time.perf_counter() - start
+        lp_stats = self.scheduler.lp_stats
+        self.lp_stats = lp_stats if lp_stats is not None else LPProbeStats()
 
         if len(self.queue) == 0 and not source.exhausted:
             # Externally fed run: park until the first submission so the
@@ -316,6 +314,7 @@ class SimulationEngine:
             n_decisions=self._n_decisions,
             events=tuple(self._events),
             parked={j: rt.remaining for j, rt in state.active.items()},
+            lp_probes=self.lp_stats,
         )
 
     # -- internals --------------------------------------------------------------------

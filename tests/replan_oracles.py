@@ -26,7 +26,7 @@ from typing import MutableMapping, Sequence
 
 from repro.core.instance import Instance
 from repro.lp import maxstretch
-from repro.lp.backends import SolverBackend, make_backend, note_milestone_search
+from repro.lp.backends import SolverBackend, make_backend
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
     MaxStretchSolution,
@@ -73,9 +73,7 @@ def search_gallop(
         )
 
     def finish(best: MaxStretchSolution | None) -> MaxStretchSolution | None:
-        if report is not None:
-            report.n_solved = solved
-        note_milestone_search(solved, 0, False)
+        backend.stats.searches.append((solved, 0))
         return best
 
     best: MaxStretchSolution | None = None
@@ -151,6 +149,7 @@ class FromScratchOnlineLP(OnlineLPScheduler):
         # emptied here (mirroring the ReplanContext lifetime).
         self._backend = make_backend(self.solver_backend)
         self._backend.close()
+        self.lp_stats = self._backend.stats
 
     def _replan(self, state: SchedulerState) -> None:
         instance = state.instance

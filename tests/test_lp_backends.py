@@ -11,20 +11,20 @@ vendored bindings are importable.
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.errors import SolverError
 from repro.lp.backends import (
     BACKEND_CHOICES,
     ScipyBackend,
     WarmStartHint,
-    default_backend,
     highs_available,
     make_backend,
-    record_lp_probes,
 )
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
@@ -144,7 +144,7 @@ class TestBuilderWithBackend:
         assert second.objective == pytest.approx(2.5)  # y carries the load now
         if backend.persistent:
             # The second model started from the basis the first one left.
-            assert backend.n_basis_transplants == 1
+            assert backend.stats.n_basis_reused == 1
 
 
 # -- milestone search / System (2) equivalence ---------------------------------------
@@ -328,49 +328,75 @@ class TestPersistentMechanics:
         instance = _small_instance(7, max_jobs=20, density=2.0)
         problem = problem_from_instance(instance)
         backend = make_backend("highs")
-        with record_lp_probes() as stats:
-            minimize_max_weighted_flow(problem, backend=backend)
+        minimize_max_weighted_flow(problem, backend=backend)
+        stats = backend.stats
         assert stats.n_probes >= 2
         # Every probe after the first inherits the previous probe's basis.
-        assert backend.n_basis_transplants >= stats.n_probes - 1
+        assert stats.n_basis_reused >= stats.n_probes - 1
 
-    def test_probe_stats_hook_counts_all_backends(self):
+    def test_each_backend_counts_its_own_probes(self):
         instance = _small_instance(1, max_jobs=8)
         problem = problem_from_instance(instance)
-        with record_lp_probes() as stats:
-            minimize_max_weighted_flow(problem)
-            minimize_max_weighted_flow(problem, backend=make_backend("highs"))
-        assert stats.n_probes > 0
-        assert set(stats.by_backend) == {"scipy", "highs"}
-        assert stats.solve_seconds > 0
-        assert stats.per_probe_seconds > 0
+        backends = [make_backend("scipy"), make_backend("highs")]
+        for backend in backends:
+            minimize_max_weighted_flow(problem, backend=backend)
+        for backend in backends:
+            stats = backend.stats
+            assert stats.n_probes > 0
+            assert set(stats.by_backend) == {backend.name}
+            assert stats.solve_seconds > 0
+            assert stats.per_probe_seconds > 0
 
 
-class TestProbeCollectorNesting:
-    def test_nested_collectors_with_equal_contents_are_removed_by_identity(self):
-        """The engine nests a third collector inside; all three compare equal."""
-        from repro.lp.backends import base
+class TestRunOwnsItsCounters:
+    def test_concurrent_simulations_keep_their_own_counts(self):
+        """Two runs in two threads count exactly what a lone run counts."""
+        instance = generate_instance(
+            PlatformSpec(n_clusters=3, n_databanks=3, availability=0.6),
+            WorkloadSpec(density=1.5, window=20.0, max_jobs=25),
+            rng=7,
+        )
 
-        instance = _small_instance(3, max_jobs=8)
-        scheduler = make_scheduler("online", solver_backend="scipy")
-        with record_lp_probes() as outer:
-            with record_lp_probes() as inner:
-                result = simulate(instance, scheduler)
-            assert [id(s) for s in base._ACTIVE_STATS] == [id(outer)]
-        assert base._ACTIVE_STATS == []
-        assert result.lp_probes.n_probes > 0
-        assert outer == inner == result.lp_probes
+        def counts(stats):
+            return stats.n_probes, len(stats.replan_latencies), stats.searches
+
+        lone = counts(api.simulate(instance, "online").lp_probes)
+        assert lone[0] > 0 and lone[1] > 0
+        for _trial in range(3):
+            results = [None, None]
+
+            def run(slot):
+                results[slot] = api.simulate(instance, "online")
+
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
+            assert [counts(result.lp_probes) for result in results] == [lone, lone]
+
+    def test_close_starts_a_fresh_stats_object(self):
+        backend = make_backend("scipy")
+        minimize_max_weighted_flow(
+            problem_from_instance(_small_instance(1, max_jobs=8)), backend=backend
+        )
+        spent = backend.stats
+        backend.close()
+        assert spent.n_probes > 0
+        assert backend.stats is not spent and backend.stats.n_probes == 0
 
 
 # -- backend selection ---------------------------------------------------------------
 
 
 class TestMakeBackend:
-    def test_default_is_shared_scipy(self):
-        assert make_backend(None) is default_backend()
-        assert make_backend("scipy") is default_backend()
-        assert isinstance(default_backend(), ScipyBackend)
-        assert not default_backend().persistent
+    def test_default_is_a_fresh_scipy_backend(self):
+        for spec in (None, "scipy"):
+            backend = make_backend(spec)
+            assert isinstance(backend, ScipyBackend)
+            assert not backend.persistent
+            assert make_backend(spec) is not backend
 
     def test_instance_passthrough(self):
         backend = ScipyBackend()

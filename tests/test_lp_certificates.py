@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import repro.lp.maxstretch as maxstretch
-from repro.lp.backends import highs_available, make_backend, record_lp_probes
+from repro.lp.backends import highs_available, make_backend
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import (
     MilestoneSearchReport,
@@ -258,15 +258,20 @@ def test_replan_sequence_equivalence(backend_name, monkeypatch):
         return objectives
 
     ctx_gallop = ReplanContext(instance, solver_backend=backend_name)
+    gallop_stats = ctx_gallop.backend.stats  # closing the context starts new ones
     with monkeypatch.context() as patch:
         calls = _patch_gallop(patch)
         gallop_objectives = replan_sequence(ctx_gallop)
     assert len(calls) == 3, "the gallop oracle did not run every replan"
     ctx_cert = ReplanContext(instance, solver_backend=backend_name)
+    cert_stats = ctx_cert.backend.stats
     cert_objectives = replan_sequence(ctx_cert)
     assert cert_objectives == pytest.approx(gallop_objectives, rel=1e-9)
     # The certificate context never solves more probes than the gallop one.
-    assert ctx_cert.n_probes_solved <= ctx_gallop.n_probes_solved
+    def probes_solved(stats):
+        return sum(solved for solved, _skipped in stats.searches)
+
+    assert probes_solved(cert_stats) <= probes_solved(gallop_stats)
 
 
 # -- graceful no-certificate fallback -------------------------------------------------
@@ -289,23 +294,27 @@ class TestScipyFallback:
     def test_search_report_has_no_certificate_carry(self):
         _instance, problem = _problem(3)
         report = MilestoneSearchReport()
-        minimize_max_weighted_flow(problem, report=report)
+        backend = make_backend(None)
+        minimize_max_weighted_flow(problem, backend=backend, report=report)
         assert report.certificate is None
-        assert report.n_solved > 0
+        [(solved, _skipped)] = backend.stats.searches
+        assert solved > 0
 
     def test_interior_exit_still_prunes_on_scipy(self, monkeypatch):
         """The interior-optimum re-check needs no certificate support."""
         _instance, problem = _problem(7)
         reference = _gallop(monkeypatch, problem)
-        report = MilestoneSearchReport()
+        backend = make_backend(None)
         warmed = minimize_max_weighted_flow(
             problem,
             warm_start=reference.objective,
-            report=report,
+            backend=backend,
         )
         assert warmed.objective == reference.objective
-        if report.interior_exit:
-            assert report.n_solved == 1  # the winning probe proved itself optimal
+        stats = backend.stats
+        if stats.n_interior_exits:
+            # The winning probe proved itself optimal.
+            assert [solved for solved, _skipped in stats.searches] == [1]
 
 
 # -- cross-replan certificate carry ---------------------------------------------------
@@ -352,10 +361,11 @@ class TestSearchCertificateCarry:
 
 
 class TestProbeHistogram:
-    def test_record_lp_probes_collects_searches(self):
+    def test_backend_stats_collect_searches(self):
         _instance, problem = _problem(0)
-        with record_lp_probes() as stats:
-            minimize_max_weighted_flow(problem)
+        backend = make_backend(None)
+        minimize_max_weighted_flow(problem, backend=backend)
+        stats = backend.stats
         assert len(stats.searches) == 1
         solved, skipped = stats.searches[0]
         assert solved >= 1
@@ -383,14 +393,13 @@ class TestProbeHistogram:
         for mode in ("gallop", "certificate"):
             backend = make_backend("highs")
             try:
-                with record_lp_probes() as stats:
-                    if mode == "gallop":
-                        _gallop(monkeypatch, problem, backend=backend)
-                    else:
-                        minimize_max_weighted_flow(problem, backend=backend)
+                if mode == "gallop":
+                    _gallop(monkeypatch, problem, backend=backend)
+                else:
+                    minimize_max_weighted_flow(problem, backend=backend)
+                counts[mode] = backend.stats.n_probes
             finally:
                 backend.close()
-            counts[mode] = stats.n_probes
         assert counts["certificate"] < counts["gallop"]
 
     @requires_highs
@@ -398,8 +407,8 @@ class TestProbeHistogram:
         _instance, problem = _problem(7, max_jobs=20, density=2.0)
         backend = make_backend("highs")
         try:
-            with record_lp_probes() as stats:
-                minimize_max_weighted_flow(problem, backend=backend)
+            minimize_max_weighted_flow(problem, backend=backend)
+            stats = backend.stats
         finally:
             backend.close()
         assert stats.n_basis_reused >= 1

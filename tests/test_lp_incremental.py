@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch_module
-from repro.lp.backends import record_lp_probes
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
 from repro.lp.problem import problem_from_instance
@@ -233,6 +232,11 @@ class TestOracleRegressionCases:
         assert runs[0] == runs[1]
 
 
+def _probes_solved(context: ReplanContext) -> int:
+    """Milestone probes the context's searches have solved so far."""
+    return sum(solved for solved, _skipped in context.backend.stats.searches)
+
+
 class TestReplanContextShortcuts:
     """The previous-solution shortcut and the carry it rests on."""
 
@@ -261,12 +265,13 @@ class TestReplanContextShortcuts:
     def test_identical_problem_reuses_the_last_solution(self):
         context, now, remaining = self._context_and_problem()
         first = context.solve_max_stretch(context.build_problem(now, dict(remaining)))
-        before = context.n_probes_solved
+        before = _probes_solved(context)
+        stats = context.backend.stats
+        reuses, probes = stats.n_primal_reuses, stats.n_probes
         live = context.build_problem(now, dict(remaining))
-        with record_lp_probes() as stats:
-            again = context.solve_max_stretch(live)
-        assert context.n_probes_solved == before
-        assert stats.n_primal_reuses == 1 and stats.n_probes == 0
+        again = context.solve_max_stretch(live)
+        assert _probes_solved(context) == before
+        assert stats.n_primal_reuses == reuses + 1 and stats.n_probes == probes
         assert again.problem is live  # re-bound on the live problem
         assert again.objective == first.objective
         assert again.allocations == first.allocations
@@ -278,9 +283,9 @@ class TestReplanContextShortcuts:
         changed = dict(remaining)
         first = next(iter(changed))
         changed[first] *= 0.5
-        before = context.n_probes_solved
+        before = _probes_solved(context)
         solution = context.solve_max_stretch(context.build_problem(now, changed))
-        assert context.n_probes_solved > before
+        assert _probes_solved(context) > before
         fresh = minimize_max_weighted_flow(context.build_problem(now, changed))
         assert solution.objective == fresh.objective
         assert solution.allocations == fresh.allocations
@@ -291,9 +296,9 @@ class TestReplanContextShortcuts:
         first = context.solve_max_stretch(context.build_problem(now, dict(remaining)))
         context.invalidate_carry()
         assert context.last_objective is None
-        before = context.n_probes_solved
+        before = _probes_solved(context)
         again = context.solve_max_stretch(context.build_problem(now, dict(remaining)))
-        assert context.n_probes_solved > before
+        assert _probes_solved(context) > before
         assert again.objective == first.objective
         context.close()
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import repro.lp.incremental as incremental_module
 from repro.core.errors import SolverError
-from repro.lp.backends import HighsPersistentBackend, make_backend, record_lp_probes
+from repro.lp.backends import HighsPersistentBackend, LPProbeStats, make_backend
 from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import MilestoneSearchReport, minimize_max_weighted_flow
@@ -75,6 +75,12 @@ class _ExactHighs(HighsPersistentBackend):
         return highs
 
 
+def _fresh_stats(backend) -> LPProbeStats:
+    """Start ``backend`` on new counters (keeping its solver state)."""
+    backend.stats = LPProbeStats()
+    return backend.stats
+
+
 def _sys2_solves(stats) -> int:
     """LP solves of a run that were not milestone-search probes."""
     return stats.n_probes - sum(solved for solved, _skipped in stats.searches)
@@ -111,8 +117,8 @@ class TestLiveEqualsRebuild:
         shares = {}
         for backend in ("highs", "scipy"):
             instance = _small_instance(2006, max_jobs=60)
-            with record_lp_probes() as stats:
-                simulate(instance, OnlineLPScheduler("online", solver_backend=backend))
+            scheduler = OnlineLPScheduler("online", solver_backend=backend)
+            stats = simulate(instance, scheduler).lp_probes
             assert stats.histogram()["live_reoptimizations"] == stats.n_live_reoptimizations
             shares[backend] = stats.n_live_reoptimizations / _sys2_solves(stats)
         assert shares["highs"] >= 0.95
@@ -120,8 +126,8 @@ class TestLiveEqualsRebuild:
 
     def test_offline_sum_rides_the_live_model(self):
         instance = _small_instance(7, max_jobs=20, density=2.0)
-        with record_lp_probes() as stats:
-            simulate(instance, OfflineScheduler(reoptimize_sum=True, solver_backend="highs"))
+        offline = OfflineScheduler(reoptimize_sum=True, solver_backend="highs")
+        stats = simulate(instance, offline).lp_probes
         assert stats.n_live_reoptimizations == 1
 
 
@@ -136,17 +142,17 @@ class TestFallbacks:
         )
         live = report.live
         assert live is not None and live.f_low <= best.objective < live.f_high
-        with record_lp_probes() as stats:
-            above = reoptimize_allocation(
-                problem, live.f_high, skeleton_cache=skeletons, backend=backend, live=live
-            )
+        stats = _fresh_stats(backend)
+        above = reoptimize_allocation(
+            problem, live.f_high, skeleton_cache=skeletons, backend=backend, live=live
+        )
         assert (stats.n_probes, stats.n_live_reoptimizations) == (1, 0)
         _assert_feasible(above)
         # The same handle still serves a target inside its bracket.
-        with record_lp_probes() as stats:
-            inside = reoptimize_allocation(
-                problem, best.objective, skeleton_cache=skeletons, backend=backend, live=live
-            )
+        stats = _fresh_stats(backend)
+        inside = reoptimize_allocation(
+            problem, best.objective, skeleton_cache=skeletons, backend=backend, live=live
+        )
         assert (stats.n_probes, stats.n_live_reoptimizations) == (1, 1)
         _assert_feasible(inside)
 
@@ -163,10 +169,10 @@ class TestFallbacks:
         consumer = ReplanContext(instance, solver_backend="highs", state_bank=bank)
         consumer._bucket.sys2.clear()  # make System (2) solve
         problem = consumer.build_problem(0.0, remaining)
-        with record_lp_probes() as stats:
-            best = consumer.solve_max_stretch(problem)
-            assert consumer._live is None
-            solution = consumer.reoptimize(problem, best.objective)
+        stats = consumer.backend.stats
+        best = consumer.solve_max_stretch(problem)
+        assert consumer._live is None
+        solution = consumer.reoptimize(problem, best.objective)
         assert stats.n_primal_reuses == 1
         assert (stats.n_probes, stats.n_live_reoptimizations) == (1, 0)
         _assert_feasible(solution)
@@ -178,10 +184,10 @@ class TestFallbacks:
         context.solve_max_stretch(context.build_problem(0.0, remaining))
         assert context._live is not None
         problem = context.build_problem(0.0, remaining)
-        with record_lp_probes() as stats:
-            best = context.solve_max_stretch(problem)
-            assert context._live is None
-            solution = context.reoptimize(problem, best.objective)
+        stats = _fresh_stats(context.backend)
+        best = context.solve_max_stretch(problem)
+        assert context._live is None
+        solution = context.reoptimize(problem, best.objective)
         assert stats.n_primal_reuses == 1
         assert (stats.n_probes, stats.n_live_reoptimizations) == (1, 0)
         _assert_feasible(solution)
@@ -206,8 +212,8 @@ class TestFallbacks:
         instance = _small_instance(2006, max_jobs=30)
         backend = ResilientBackend(HighsPersistentBackend())
         scheduler = OnlineLPScheduler("online", solver_backend=backend)
-        with record_lp_probes() as stats:
-            result = simulate(instance, scheduler)
+        result = simulate(instance, scheduler)
+        stats = result.lp_probes
         assert stats.n_live_reoptimizations == 0
         # Each System (2) is a downgraded rebuild, most after a failed live attempt.
         assert backend.n_downgrades == scheduler.n_resolutions > 0

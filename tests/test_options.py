@@ -102,8 +102,7 @@ def _removed_keyword_calls():
                      id="api.run_campaign-max_in_flight"),
         pytest.param(lambda: runner.run_campaign([], max_in_flight=4), "max_in_flight",
                      id="runner.run_campaign-max_in_flight"),
-        # No __init__ left: object's error names the class, not the keyword.
-        pytest.param(lambda: ScipyBackend(retry_policy=None), "takes no arguments",
+        pytest.param(lambda: ScipyBackend(retry_policy=None), "retry_policy",
                      id="ScipyBackend"),
         pytest.param(lambda: generate_instance(
             PlatformSpec(), WorkloadSpec(), ensure_nonempty=False), "ensure_nonempty",

@@ -92,6 +92,7 @@ class FailingBackend(SolverBackend):
     persistent = True
 
     def __init__(self):
+        super().__init__()
         self.closed = False
         self.imported: list[object] = []
 

@@ -523,6 +523,53 @@ class TestAdmissionControl:
         daemon.join(timeout=60.0)
 
 
+class TestTelemetryIsolationHardening:
+    """Two daemons in one process: each ``/telemetry`` counts its own LP work only."""
+
+    REQUESTS = [
+        SubmissionRequest(size=1.0 + i % 4, databank=("sp", "pdb", "nt")[i % 3])
+        for i in range(25)
+    ]
+
+    @staticmethod
+    def lp_counts(daemon: SchedulerDaemon):
+        lp = daemon.telemetry()["lp"]
+        return lp["n_probes"], lp["n_replans"], lp["histogram"]
+
+    def run_alone(self, requests):
+        daemon = SchedulerDaemon(small_platform(), ServiceConfig(scheduler="online"))
+        for request in requests:
+            daemon.submit(request)  # before start: one arrival batch at 0
+        daemon.start()
+        drain(daemon)
+        return self.lp_counts(daemon)
+
+    def test_two_daemons_report_only_their_own_lp_telemetry(self):
+        lone = self.run_alone(self.REQUESTS)
+        lone_single = self.run_alone(self.REQUESTS[:1])
+        assert lone[0] > 0 and lone[1] > 0
+
+        idle = SchedulerDaemon(small_platform(), ServiceConfig(scheduler="online"))
+        idle.start()
+        deadline = time.monotonic() + 30.0
+        while idle.engine.lp_stats is None:  # wait until its run has begun
+            assert time.monotonic() < deadline, "the idle daemon never started its run"
+            time.sleep(0.01)
+        busy = SchedulerDaemon(small_platform(), ServiceConfig(scheduler="online"))
+        for request in self.REQUESTS:
+            busy.submit(request)
+        busy.start()
+        drain(busy)
+        # The busy daemon's replans ran while the idle one was mid-run.
+        assert self.lp_counts(busy) == lone
+        assert self.lp_counts(idle)[:2] == (0, 0)
+
+        idle.submit(self.REQUESTS[0])
+        drain(idle)
+        assert self.lp_counts(idle) == lone_single
+        assert self.lp_counts(busy) == lone
+
+
 class TestHealthz:
     def test_status_ladder(self):
         daemon = SchedulerDaemon(small_platform(), ServiceConfig())

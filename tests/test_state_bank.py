@@ -26,7 +26,7 @@ from repro.experiments.runner import (
     campaign_tasks,
     run_campaign,
 )
-from repro.lp.backends import highs_available, make_backend, record_lp_probes
+from repro.lp.backends import highs_available, make_backend
 from repro.lp.bank import (
     BankBucket,
     SolverStateBank,
@@ -192,12 +192,11 @@ class TestBankTransparency:
         for label, state_bank in (("banked", bank), ("cold", None)):
             options = config.scheduler_options_for(variant)
             options.update(solver_backend="scipy", state_bank=state_bank)
-            with record_lp_probes() as stats:
-                result = simulate(instance, make_scheduler(variant, **options))
+            result = simulate(instance, make_scheduler(variant, **options))
             results[label] = result
             if label == "banked":
-                assert stats.n_bank_hits == 1
-                assert stats.n_primal_reuses > 0
+                assert result.lp_probes.n_bank_hits == 1
+                assert result.lp_probes.n_primal_reuses > 0
         banked, cold = results["banked"], results["cold"]
         assert banked.max_stretch == cold.max_stretch
         assert banked.sum_stretch == cold.sum_stretch
@@ -344,9 +343,9 @@ class TestReplanContextBank:
 
         consumer = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
         problem2 = consumer.build_problem(1.0, {0: 5.0, 1: 3.0, 2: 2.0})
-        with record_lp_probes() as stats:
-            reused = consumer.solve_max_stretch(problem2)
-            consumer.reoptimize(problem2, reused.objective)
+        stats = consumer.backend.stats
+        reused = consumer.solve_max_stretch(problem2)
+        consumer.reoptimize(problem2, reused.objective)
         consumer.close()
         assert stats.n_probes == 0  # both systems answered from the bank
         assert stats.n_primal_reuses == 2
