@@ -25,10 +25,10 @@ the *incremental replanning pipeline* spanning the starred modules::
     |-- core/          jobs, platforms, instances, schedules, metrics, Lemma 1
     |-- lp/            the System (1)/(2) linear programs
     |   |-- problem      LP data model (jobs, resources, deadlines affine in
-    |   |                F; JobTable replan fast path, cached lookup arrays)
+    |   |                F), built one way: from a per-instance JobTable
     |   |-- milestones   objective values where the interval structure changes
     |   |-- intervals    epochal times -> elementary interval structures
-    |   |-- maxstretch * System (1): skeleton-built LPs (vectorized COO-block
+    |   |-- maxstretch * System (1): skeleton-built LPSpecs (vectorized COO
     |   |                assembly) + the certificate-guided parametric search
     |   |                (dual-ray bounds skip probes; interior-optimum exit)
     |   |-- relaxation * System (2): sum-stretch-like re-optimization
@@ -39,8 +39,6 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                (System (1)/(2) solutions by problem signature,
     |   |                certificates, series bases; per-worker, LRU)
     |   |-- aggregation  LP allocations -> plan lanes per class / work slices
-    |   |-- solver     * sparse COO program builder (scalar + block APIs)
-    |   |                over pluggable backends
     |   `-- backends/  * LP solver backends, each with its run's LP counters
     |       |-- scipy_backend  one-shot scipy.optimize.linprog (default)
     |       `-- highs  *       HiGHS model per solve, series basis kept:

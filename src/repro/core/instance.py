@@ -183,9 +183,9 @@ class Instance:
         return self._platform.is_uniform_for(banks)
 
     # -- restrictions / projections -------------------------------------------
-    def restrict_jobs(self, job_ids: Iterable[int]) -> "Instance":
-        """A sub-instance containing only the given jobs (platform unchanged)."""
-        wanted = set(job_ids)
+    def restrict_jobs(self, ids: Iterable[int]) -> "Instance":
+        """A sub-instance containing only the jobs ``ids`` (platform unchanged)."""
+        wanted = set(ids)
         return Instance(
             (j for j in self._jobs if j.job_id in wanted),
             self._platform,

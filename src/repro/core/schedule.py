@@ -105,9 +105,6 @@ class Schedule:
     def slices_on_machine(self, machine_id: int) -> tuple[WorkSlice, ...]:
         return tuple(s for s in self._slices if s.machine_id == machine_id)
 
-    def job_ids(self) -> frozenset[int]:
-        return frozenset(s.job_id for s in self._slices)
-
     def machine_ids(self) -> frozenset[int]:
         return frozenset(s.machine_id for s in self._slices)
 

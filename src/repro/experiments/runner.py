@@ -786,11 +786,14 @@ def _run_pooled(
     neither the progress stream nor the other lanes.
 
     A lane whose worker process dies (OOM killer, SIGKILL, native crash)
-    surfaces as :class:`BrokenProcessPool` on its submitted futures.  The
-    broken pool is discarded and those groups go back to the front of the
-    lane's backlog for a fresh pool.  Only the lowest-index one is charged a
-    retry: with one worker running the lane FIFO, it is the group that was
-    running when the worker died.  Results are unaffected -- groups are
+    surfaces as :class:`BrokenProcessPool` on its submitted futures, or from
+    ``pool.submit`` itself when the worker died since the lane's last
+    collection (the group being submitted then goes back on the backlog).
+    The broken pool is discarded and the lane's in-flight groups go back to
+    the front of its backlog for a fresh pool.  Only the lowest-index one is
+    charged a retry: with one worker running the lane FIFO, it is the group
+    that was running when the worker died (none is charged when the lane had
+    nothing in flight).  Results are unaffected -- groups are
     deterministic in the replicate seed and the bank only ever reuses exact
     optima -- so recovery preserves the any-worker-count bit-identity
     invariant; a group gets at most ``_MAX_UNIT_RETRIES`` fresh-worker
@@ -822,9 +825,12 @@ def _run_pooled(
             )
         unit = backlog.pop()
         t_submit = time.perf_counter()
-        future = pool.submit(
-            _run_in_worker, *_group_args(tasks, unit, scheduler_options)
-        )
+        try:
+            future = pool.submit(_run_in_worker, *_group_args(tasks, unit, scheduler_options))
+        except BrokenProcessPool:
+            backlog.append(unit)
+            recover_lane(lane)
+            return
         run.stage_seconds["dispatch"] += time.perf_counter() - t_submit
         unfinished[future] = unit
 
@@ -832,15 +838,16 @@ def _run_pooled(
         """Rebuild a lane whose worker died; charge the group it was running."""
         lost = [f for f, unit in unfinished.items() if lanes[unit[0]] == lane]
         stranded = sorted((unfinished.pop(f) for f in lost), key=lambda unit: unit[0])
-        crashed = stranded[0][0]
-        count = retries.get(crashed, 0) + 1
-        if count > _MAX_UNIT_RETRIES:
-            raise ReproError(
-                f"campaign unit {tasks[crashed].triple} crashed its worker "
-                f"{count} times; aborting (raise _MAX_UNIT_RETRIES "
-                "or investigate the instance)"
-            )
-        retries[crashed] = count
+        if stranded:
+            crashed = stranded[0][0]
+            count = retries.get(crashed, 0) + 1
+            if count > _MAX_UNIT_RETRIES:
+                raise ReproError(
+                    f"campaign unit {tasks[crashed].triple} crashed its worker "
+                    f"{count} times; aborting (raise _MAX_UNIT_RETRIES "
+                    "or investigate the instance)"
+                )
+            retries[crashed] = count
         pools.pop(lane).shutdown(wait=False, cancel_futures=True)
         backlogs[lane].extend(reversed(stranded))
         for _ in range(_IN_FLIGHT_PER_WORKER):

@@ -6,24 +6,24 @@ on-line heuristics:
 
 * :mod:`repro.lp.problem` -- the data model handed to the LP layer: jobs with
   earliest start dates, remaining works and deadline functions affine in the
-  objective, and *resources* (capability classes of machines).
+  objective, and *resources* (capability classes of machines), all built
+  from one per-instance ``JobTable``.
 * :mod:`repro.lp.milestones` -- enumeration of the objective values at which
   the relative order of release dates and deadlines changes.
 * :mod:`repro.lp.maxstretch` -- System (1): the parametric LP on one
-  milestone interval and the binary search producing the optimal maximum
+  milestone interval, assembled as an ``LPSpec`` from a constraint
+  skeleton, and the milestone search producing the optimal maximum
   weighted flow (max-stretch).
 * :mod:`repro.lp.relaxation` -- System (2): re-optimization of a
   sum-stretch-like objective under the constraint that the optimal
   max-stretch is preserved.
 * :mod:`repro.lp.incremental` -- the :class:`~repro.lp.incremental.
   ReplanContext` carried across on-line replans: cached capability classes
-  and eligibility, warm-started milestone search and constraint-skeleton
+  and job table, warm-started milestone search and constraint-skeleton
   reuse.
 * :mod:`repro.lp.aggregation` -- materialization of interval/resource work
   allocations into plan lanes (one timeline per capability class) or concrete
   per-machine :class:`~repro.core.schedule.WorkSlice` lists.
-* :mod:`repro.lp.solver` -- the sparse COO program builder, delegating solves
-  to a pluggable backend.
 * :mod:`repro.lp.backends` -- the solver backends: one-shot
   :func:`scipy.optimize.linprog` (default) and the persistent HiGHS backend
   that carries the dual-simplex basis across milestone probes and replans
@@ -50,13 +50,13 @@ from repro.lp.aggregation import materialize_solution
 from repro.lp.backends import (
     BACKEND_CHOICES,
     HighsPersistentBackend,
+    LPResult,
     ScipyBackend,
     SolverBackend,
     available_backends,
     highs_available,
     make_backend,
 )
-from repro.lp.solver import LinearProgramBuilder, LPResult
 
 __all__ = [
     "Affine",
@@ -71,7 +71,6 @@ __all__ = [
     "reoptimize_allocation",
     "ReplanContext",
     "materialize_solution",
-    "LinearProgramBuilder",
     "LPResult",
     "SolverBackend",
     "ScipyBackend",

@@ -1,4 +1,8 @@
-"""Pluggable LP solver backends behind :class:`~repro.lp.solver.LinearProgramBuilder`.
+"""Pluggable LP solver backends: each solves an :class:`LPSpec` into an :class:`LPResult`.
+
+:mod:`repro.lp.maxstretch` assembles System (1) and System (2) as an
+:class:`LPSpec` straight from the constraint skeleton and hands it to the
+:meth:`SolverBackend.solve` of one of two backends:
 
 * :class:`ScipyBackend` -- the historical one-shot
   :func:`scipy.optimize.linprog` path (default; always available).

@@ -1,8 +1,8 @@
 """Solver-backend abstraction for the System (1)/(2) linear programs.
 
-A :class:`SolverBackend` turns the arrays accumulated by a
-:class:`~repro.lp.solver.LinearProgramBuilder` into an :class:`LPResult`.
-Two implementations exist:
+A :class:`SolverBackend` turns an :class:`LPSpec` -- the arrays of System
+(1) or (2), assembled by :mod:`repro.lp.maxstretch` from a constraint
+skeleton -- into an :class:`LPResult`.  Two implementations exist:
 
 * :class:`~repro.lp.backends.scipy_backend.ScipyBackend` -- the historical
   one-shot :func:`scipy.optimize.linprog` path (default);
@@ -90,9 +90,10 @@ class LPResult:
 class LPSpec:
     """The arrays of one ``min c.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub``.
 
-    A read-only view over the lists accumulated by
-    :class:`~repro.lp.solver.LinearProgramBuilder` (no copies are made); the
-    inequality/equality matrices are in COO triplet form.
+    The inequality/equality matrices are in COO triplet form; fields may be
+    lists or numpy arrays (the System (1)/(2) assembly passes python-float
+    lists for the objective and bounds, and the skeleton's index arrays
+    as they are).  Backends read the arrays and never write to them.
     """
 
     n_vars: int
@@ -135,7 +136,7 @@ class WarmStartHint:
         replan context is the natural granularity).
     col_ids / row_ids:
         One integer identity per variable / constraint row (inequality rows
-        first, then equality rows, matching the builder's row order), as
+        first, then equality rows, matching the :class:`LPSpec` row order), as
         int64 numpy arrays -- integers so the basis mapping stays fully
         vectorized.  Identities present in the previous basis inherit its
         statuses; new ones start non-basic (columns) / basic-slack (rows).
@@ -147,11 +148,12 @@ class WarmStartHint:
 
 
 class SolverBackend(ABC):
-    """Strategy object solving the LPs built by ``LinearProgramBuilder``.
+    """Strategy object solving one :class:`LPSpec` per :meth:`solve` call.
 
-    Subclasses implement :meth:`_solve`; the public :meth:`solve` wraps it
-    with the probe timing, so every backend feeds the same LP-fraction
-    accounting into :attr:`stats`.
+    Subclasses implement :meth:`_solve`; the public :meth:`solve` -- the
+    entry point of every LP solve in the package -- wraps it with the probe
+    timing, so every backend feeds the same LP-fraction accounting into
+    :attr:`stats`.
 
     A backend serves one run at a time.  The run starts by calling
     :meth:`close`, which also replaces :attr:`stats` by a fresh
@@ -177,32 +179,24 @@ class SolverBackend(ABC):
         stats.solve_seconds += seconds
         stats.by_backend[self.name] = stats.by_backend.get(self.name, 0) + 1
 
-    def solve(
-        self,
-        spec: LPSpec,
-        *,
-        method: str = "auto",
-        warm: WarmStartHint | None = None,
-    ) -> LPResult:
-        """Solve ``spec``; see :meth:`~repro.lp.solver.LinearProgramBuilder.solve`.
+    def solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
+        """Solve ``spec``; ``feasible`` is False on a plain infeasibility.
 
         ``warm`` optionally carries the stable identities used to transplant
-        the previous basis of the same series onto the freshly built model.
+        the previous basis of the same series onto the freshly built model
+        (one-shot backends ignore it).  Raises :class:`SolverError` for
+        unexpected solver failures (numerical breakdown, unboundedness,
+        ...), but *not* for plain infeasibility, which is an expected
+        outcome during the milestone search.
         """
         start = time.perf_counter()
         try:
-            return self._solve(spec, method=method, warm=warm)
+            return self._solve(spec, warm=warm)
         finally:
             self._count_solve(time.perf_counter() - start)
 
     @abstractmethod
-    def _solve(
-        self,
-        spec: LPSpec,
-        *,
-        method: str = "auto",
-        warm: WarmStartHint | None = None,
-    ) -> LPResult:
+    def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
         """Backend-specific solve (timed and accounted by :meth:`solve`)."""
 
     def resolve_fixed(self, model, *, column: int, value: float, costs) -> LPResult:
@@ -301,7 +295,7 @@ class LPProbeStats:
     #: signature, or the feasible-side shrink-only carry within a run.
     n_primal_reuses: int = 0
     #: Wall-clock seconds spent assembling LPs before handing them to the
-    #: backend (interval structure + skeleton + COO blocks): the python-side
+    #: backend (interval structure + skeleton + ``LPSpec``): the python-side
     #: cost the replan kernels of :mod:`repro.lp.kernels` attack.
     assembly_seconds: float = 0.0
     #: Wall-clock seconds inside whole milestone searches (bounds, milestone

@@ -226,14 +226,7 @@ class HighsPersistentBackend(SolverBackend):
         self._int_lower = int(api.HighsBasisStatus.kLower)
 
     # -- SolverBackend interface ---------------------------------------------------
-    def _solve(
-        self,
-        spec: LPSpec,
-        *,
-        method: str = "auto",
-        warm: WarmStartHint | None = None,
-    ) -> LPResult:
-        del method  # HiGHS picks simplex/IPM itself; warm starts force simplex
+    def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
         highs = self._new_solver()
         if warm is not None:
             # Hinted solves feed a warm-start series.  Presolve would prove

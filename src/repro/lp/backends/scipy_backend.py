@@ -1,6 +1,6 @@
 """One-shot :func:`scipy.optimize.linprog` backend (the historical path).
 
-Every solve converts the builder's COO triplets to CSR and hands the whole
+Every solve converts the spec's COO triplets to CSR and hands the whole
 program to scipy, which re-presolves and re-factorizes from scratch.  This is
 the default backend: it has no persistent state, is always available, and its
 results are the reference the persistent backends are tested against.
@@ -21,9 +21,10 @@ __all__ = ["ScipyBackend"]
 class ScipyBackend(SolverBackend):
     """Stateless backend delegating to :func:`scipy.optimize.linprog`.
 
-    ``method="auto"`` picks HiGHS dual simplex for small programs and the
-    HiGHS interior-point method for large ones (empirically ~2x faster on the
-    transportation-like LPs produced by System (1) on big platforms).
+    It picks HiGHS dual simplex (``highs``) for small programs and the
+    HiGHS interior-point method (``highs-ipm``) above 8000 variables
+    (empirically ~2x faster on the transportation-like LPs produced by
+    System (1) on big platforms).
 
     scipy status 1 (iteration limit) and 4 (numerical difficulties) are
     retried once with the other HiGHS method: ``highs-ipm`` after dual
@@ -41,22 +42,14 @@ class ScipyBackend(SolverBackend):
     name = "scipy"
     persistent = False
 
-    def _solve(
-        self,
-        spec: LPSpec,
-        *,
-        method: str = "auto",
-        warm: WarmStartHint | None = None,
-    ) -> LPResult:
+    def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
         del warm  # one-shot backend: nothing to reuse
-        if method == "auto":
-            method = "highs-ipm" if spec.n_vars > 8000 else "highs"
+        method = "highs-ipm" if spec.n_vars > 8000 else "highs"
         c = np.asarray(spec.objective)
         bounds = list(zip(spec.lower, spec.upper))
         a_ub = b_ub = a_eq = b_eq = None
-        # Length checks, not truthiness: the builder may hand the RHS over
-        # as numpy arrays (kernel-assembled blocks), where truthiness is
-        # ambiguous.
+        # Length checks, not truthiness: the RHS may be a numpy array
+        # (kernel-assembled rows), where truthiness is ambiguous.
         if len(spec.ub_rhs):
             a_ub = sparse.coo_matrix(
                 (spec.ub_vals, (spec.ub_rows, spec.ub_cols)),

@@ -23,7 +23,7 @@ work is identical:
 from-scratch replan makes (`build problem`, `solve System (1)`, `re-optimize
 System (2)`).  Because warm-starting only reorders the probes of a monotone
 feasibility search and the cached skeletons pin the exact variable order of
-the historical builder, the context returns *bit-identical* objectives and
+every LP, the context returns *bit-identical* objectives and
 allocations to rebuilding every LP from scratch -- the from-scratch
 scheduler survives only as the test oracle in ``tests/replan_oracles.py``.
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.core.errors import ModelError, SolverError
+from repro.core.errors import SolverError
 from repro.core.instance import Instance
 from repro.lp.backends import SolverBackend, make_backend
 from repro.lp.bank import BankBucket, SolverStateBank, instance_content_key, problem_signature
@@ -76,9 +76,9 @@ from repro.lp.problem import (
     JobTable,
     MaxStretchProblem,
     Resource,
-    build_eligibility,
     build_job_table,
     build_resources,
+    job_rows,
     problem_from_instance,
 )
 from repro.lp.relaxation import reoptimize_allocation
@@ -102,7 +102,7 @@ class ReplanContext:
     ----------
     instance:
         The instance being simulated.  The platform-derived caches (resource
-        tuple, per-databank eligibility) are computed once here.
+        tuple and :class:`~repro.lp.problem.JobTable`) are computed once here.
     solver_backend:
         LP solver backend carried across the context's solves: a name
         (``"scipy"`` | ``"highs"`` | ``"auto"``), a ready
@@ -150,13 +150,8 @@ class ReplanContext:
         state_bank: "SolverStateBank | None" = None,
     ):
         self.instance = instance
-        self.resources: tuple[Resource, ...] = build_resources(instance)
-        self.eligibility: dict[str | None, tuple[int, ...]] = build_eligibility(
-            instance, self.resources
-        )
-        self.job_table: JobTable = build_job_table(
-            instance, self.resources, self.eligibility
-        )
+        self.resources: tuple[Resource, ...] = build_resources(instance.platform)
+        self.job_table: JobTable = build_job_table(instance, self.resources)
         self._table_ids: set[int] = {row[0] for row in self.job_table.rows}
         self.backend: SolverBackend = make_backend(solver_backend)
         # A caller-supplied backend instance may have served a previous run;
@@ -189,17 +184,15 @@ class ReplanContext:
     ) -> MaxStretchProblem:
         """The on-line problem at time ``now`` for the active jobs.
 
-        Identical to ``problem_from_instance(instance, now=now,
-        remaining=remaining)`` but skipping the capability-class,
-        eligibility and per-job weight recomputation (the array-backed
-        :class:`~repro.lp.problem.JobTable` fast path).
+        ``problem_from_instance(instance, now=now, remaining=remaining)`` on
+        the context's resource tuple and :class:`~repro.lp.problem.JobTable`,
+        so no replan recomputes capability classes, eligibility or weights.
         """
         return problem_from_instance(
             self.instance,
             now=now,
             remaining=remaining,
             resources=self.resources,
-            eligibility=self.eligibility,
             job_table=self.job_table,
         )
 
@@ -210,44 +203,24 @@ class ReplanContext:
         full instance up front, so this is a no-op there (every arriving job
         is already a table row).  In service mode the instance *grows* as
         submissions are accepted; the scheduler calls this from its arrival
-        hook so the table gains one row per admitted job, computed by the
-        exact expressions :func:`~repro.lp.problem.build_job_table` uses.
+        hook so the table gains one row per admitted job, computed by
+        :func:`~repro.lp.problem.job_rows` like the rest of the table.
         Jobs are admitted in ``(release, job_id)`` order (the
         :class:`~repro.core.instance.LiveInstance` invariant), so a table
         grown incrementally is bit-identical to one built from the final
         instance restricted to the jobs seen so far -- which keeps service
         replans bit-identical to their batch counterparts.
         """
-        new_rows = []
+        new = []
         for job in jobs:
-            if job.job_id in self._table_ids:
-                continue
-            eligible = self.eligibility.get(job.databank)
-            if eligible is None:
-                # First job targeting this databank: derive its eligible
-                # resource set exactly as build_eligibility would have.
-                eligible = tuple(
-                    r.index
-                    for r in self.resources
-                    if job.databank is None or job.databank in r.databanks
-                )
-                self.eligibility[job.databank] = eligible
-            if not eligible:
-                raise ModelError(f"job {job.job_id} has no eligible capability class")
-            new_rows.append(
-                (
-                    job.job_id,
-                    job.release,
-                    job.size,
-                    1.0 / self.instance.weight(job.job_id),
-                    eligible,
-                )
-            )
-            self._table_ids.add(job.job_id)
-        if new_rows:
+            if job.job_id not in self._table_ids:
+                self._table_ids.add(job.job_id)
+                new.append(job)
+        if new:
             # JobTable is frozen (its arrays() cache must match its rows);
             # grow by replacement so the cache is rebuilt lazily.
-            self.job_table = JobTable(rows=self.job_table.rows + tuple(new_rows))
+            rows = job_rows(self.instance, new, self.resources)
+            self.job_table = JobTable(rows=self.job_table.rows + rows)
 
     # -- solves --------------------------------------------------------------------
     def solve_max_stretch(self, problem: MaxStretchProblem) -> MaxStretchSolution:

@@ -4,7 +4,7 @@ After the certificate search (PR 5) and the solver-state bank (PR 6) the
 milestone search solves a median of ~1 LP per replan, so the replan floor
 is no longer "how many LPs" but "how much python per probe": milestone
 merging, interval-boundary ordering, ``JobTable`` delta application and the
-COO scatter behind the builder's block APIs.  This module holds those loops
+COO scatter of the System (1) capacity rows.  This module holds those loops
 as numpy array programs, one implementation per kernel.
 
 Every kernel preserves the historical float arithmetic operation-for-

@@ -30,8 +30,9 @@ machines; variables are the amounts of work ``x[t, c, j]`` of job ``j``
 processed on resource ``c`` during elementary interval ``t``, plus the
 objective ``F`` itself.  Constraints are exactly (1a)-(1e) of the paper:
 interval/resource capacities (affine in ``F``), structural zeros outside the
-[earliest start, deadline] window, and per-job completeness -- assembled as
-whole numpy COO blocks from index arrays cached on the skeleton.
+[earliest start, deadline] window, and per-job completeness -- assembled into
+one :class:`~repro.lp.backends.LPSpec` from index arrays cached on the
+skeleton.
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ import numpy as np
 
 from repro.core.errors import InfeasibleError
 from repro.lp import kernels
-from repro.lp.backends import SolverBackend, WarmStartHint, make_backend
+from repro.lp.backends import LPSpec, SolverBackend, WarmStartHint, make_backend
 from repro.lp.intervals import IntervalStructure, build_interval_structure
 from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import MaxStretchProblem
-from repro.lp.solver import LinearProgramBuilder
 
 __all__ = [
     "MaxStretchSolution",
@@ -448,52 +448,67 @@ def _assembly_arrays(skeleton: ConstraintSkeleton) -> _AssemblyArrays:
     return cache
 
 
-def _assemble_constraints(
-    builder: LinearProgramBuilder,
+def _lp_spec(
     problem: MaxStretchProblem,
     skeleton: ConstraintSkeleton,
     *,
-    offset: int,
-    f_var: int | None,
-    objective_value: float | None,
-) -> None:
-    """Emit constraints (1d)/(1e) from a skeleton as vectorized COO blocks.
+    f_range: tuple[float, float] | None = None,
+    fixed_objective: float | None = None,
+    costs: np.ndarray | None = None,
+) -> LPSpec:
+    """The System (1) or System (2) program on ``skeleton``, as one :class:`LPSpec`.
 
-    ``offset`` is the index of the first x variable in the builder (1 when
-    the objective variable ``F`` precedes them, 0 for fixed-objective
-    solves); the row order (capacity rows sorted by (interval, resource),
-    then completeness rows in job order), the sparsity pattern (zero ``F``
-    coefficients dropped) and every coefficient value match the historical
-    per-row builder exactly.
+    With ``f_range = (f_low, f_high)`` this is System (1): ``min F`` over
+    ``f_low <= F <= f_high``, ``F`` in column 0 and the x variables after
+    it, capacities affine in ``F`` (zero ``F`` coefficients dropped).
+    Otherwise it is System (2) at ``fixed_objective``: x variables only,
+    costs ``costs`` and constant capacities.  Rows are the capacity rows
+    (1d), sorted by (interval, resource), then the completeness rows (1e)
+    in job order; every coefficient comes from the skeleton's cached
+    :class:`_AssemblyArrays`, without a per-entry Python loop.
     """
     arrays = _assembly_arrays(skeleton)
+    n_x = len(skeleton.keys)
     speeds = problem.resource_speeds()[arrays.cap_c]
-    if f_var is not None:
-        rows, cols, vals, rhs = kernels.scatter_capacity_sys1(
+    if f_range is not None:
+        offset = 1
+        ub_rows, ub_cols, ub_vals, ub_rhs = kernels.scatter_capacity_sys1(
             arrays.cap_entry_rows,
             arrays.cap_entry_cols,
             arrays.cap_len_const,
             arrays.cap_len_coef,
             speeds,
             offset,
-            f_var,
+            0,
         )
+        objective = [1.0] + [0.0] * n_x
+        lower = [float(f_range[0])] + [0.0] * n_x
+        upper = [float(f_range[1])] + [math.inf] * n_x
     else:
-        assert objective_value is not None
-        rows = arrays.cap_entry_rows
-        cols = arrays.cap_entry_cols + offset
-        vals = np.ones(arrays.cap_entry_cols.size, dtype=np.float64)
-        rhs = speeds * np.maximum(
-            0.0, arrays.cap_len_const + arrays.cap_len_coef * objective_value
+        assert fixed_objective is not None and costs is not None
+        offset = 0
+        ub_rows = arrays.cap_entry_rows
+        ub_cols = arrays.cap_entry_cols
+        ub_vals = np.ones(arrays.cap_entry_cols.size, dtype=np.float64)
+        ub_rhs = speeds * np.maximum(
+            0.0, arrays.cap_len_const + arrays.cap_len_coef * fixed_objective
         )
-    builder.add_leq_block(rows, cols, vals, rhs)
-
-    works = problem.remaining_works()
-    builder.add_eq_block(
-        arrays.comp_entry_rows,
-        arrays.comp_entry_cols + offset,
-        np.ones(arrays.comp_entry_cols.size, dtype=np.float64),
-        works[arrays.comp_job_pos],
+        objective = costs.tolist()
+        lower = [0.0] * n_x
+        upper = [math.inf] * n_x
+    return LPSpec(
+        n_vars=offset + n_x,
+        objective=objective,
+        lower=lower,
+        upper=upper,
+        ub_rows=ub_rows,
+        ub_cols=ub_cols,
+        ub_vals=ub_vals,
+        ub_rhs=ub_rhs,
+        eq_rows=arrays.comp_entry_rows,
+        eq_cols=arrays.comp_entry_cols + offset,
+        eq_vals=np.ones(arrays.comp_entry_cols.size, dtype=np.float64),
+        eq_rhs=problem.remaining_works()[arrays.comp_job_pos],
     )
 
 
@@ -665,18 +680,12 @@ def solve_on_objective_range(
         backend.stats.assembly_seconds += time.perf_counter() - assembly_start
         return None
 
-    builder = LinearProgramBuilder()
-    f_var = builder.add_variable(objective=1.0, lower=f_low, upper=f_high, name="F")
-    builder.add_variables(len(skeleton.keys))
-    _assemble_constraints(
-        builder, problem, skeleton, offset=1, f_var=f_var, objective_value=None
-    )
-
+    spec = _lp_spec(problem, skeleton, f_range=(f_low, f_high))
     warm = None
     if backend.persistent:
         warm = warm_hint(problem, skeleton, with_objective_var=True)
     backend.stats.assembly_seconds += time.perf_counter() - assembly_start
-    result = builder.solve(backend=backend, warm=warm)
+    result = backend.solve(spec, warm=warm)
     if not result.feasible:
         if outcome is not None and result.dual_ray is not None:
             _probe_certificate(problem, skeleton, result.dual_ray, outcome)
@@ -684,7 +693,7 @@ def solve_on_objective_range(
 
     if outcome is not None and result.model is not None:
         outcome.live = LiveProbe(result.model, skeleton, f_low, f_high)
-    objective = result.value(f_var)
+    objective = result.value(0)
     allocations = _extract_allocations(problem, skeleton, 1, result.values)
     bounds = tuple(structure.bounds_at(objective))
     return MaxStretchSolution(
@@ -699,7 +708,6 @@ def solve_on_objective_range(
 def minimize_max_weighted_flow(
     problem: MaxStretchProblem,
     *,
-    max_milestones: int | None = None,
     warm_start: float | None = None,
     feasible_cap: float | None = None,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
@@ -712,11 +720,6 @@ def minimize_max_weighted_flow(
     ----------
     problem:
         The scheduling problem (off-line or an on-line re-optimization).
-    max_milestones:
-        Optional cap on the number of milestones considered (the list is
-        thinned uniformly when longer).  The result is then an upper bound on
-        the optimum, within the resolution of the retained milestones; the
-        default (no cap) is exact.
     warm_start:
         Optional objective value expected to be close to the optimum
         (typically the previous replan's :math:`S^*`, possibly raised by a
@@ -764,10 +767,6 @@ def minimize_max_weighted_flow(
     f_lb = problem.objective_lower_bound()
     f_ub = problem.objective_upper_bound()
     milestones = enumerate_milestones(problem, lower=f_lb, upper=f_ub)
-    if max_milestones is not None and len(milestones) > max_milestones:
-        step = len(milestones) / max_milestones
-        milestones = [milestones[int(i * step)] for i in range(max_milestones)]
-
     boundaries = [f_lb] + milestones + [f_ub]
     last = len(boundaries) - 2
 
@@ -940,7 +939,7 @@ def _search_certificate(
     return finish(best)
 
 
-# -- shared constraint builders (also used by the System (2) relaxation) -------------
+# -- helpers shared with the System (2) relaxation ------------------------------------
 
 
 def _probe_value(f_low: float, f_high: float) -> float:

@@ -21,6 +21,12 @@ The deadline of job :math:`J_j` for objective value :math:`\\mathcal{F}` is
 where ``f_j`` (:attr:`LPJob.flow_factor`) is :math:`1/w_j`; for the stretch,
 ``f_j`` is the job's ideal time on the platform, so that a max-stretch of 1
 gives every job exactly its ideal time after release.
+
+There is one way to build a problem: :func:`problem_from_instance` reads the
+jobs' invariants (release, size, flow factor, eligible resources) from a
+:class:`JobTable` and applies the remaining works and the current time to
+it in one array pass.  Off-line solves, Bender98's resolutions and degraded
+replans let it build the table; the on-line replan context keeps its own.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.instance import Instance
+from repro.core.job import Job
+from repro.core.platform import Platform
 from repro.lp import kernels
 
 __all__ = [
@@ -43,7 +51,8 @@ __all__ = [
     "problem_from_instance",
     "build_job_table",
     "build_resources",
-    "build_eligibility",
+    "eligible_resources",
+    "job_rows",
 ]
 
 
@@ -244,7 +253,7 @@ class MaxStretchProblem:
         """
         if not self.jobs:
             return 0.0
-        starts, releases, factors = self._job_vectors()
+        starts, releases, factors = self.job_vectors()
         completions = starts + self.remaining_works() / self._eligible_speeds()
         return float(((completions - releases) / factors).max())
 
@@ -257,7 +266,7 @@ class MaxStretchProblem:
         """
         if not self.jobs:
             return 0.0
-        starts, releases, factors = self._job_vectors()
+        starts, releases, factors = self.job_vectors()
         horizon = float(starts.max())
         horizon += float((self.remaining_works() / self._eligible_speeds()).sum())
         bound = float(((horizon - releases) / factors).max())
@@ -282,11 +291,8 @@ class MaxStretchProblem:
             object.__setattr__(self, "_job_vectors_cache", vectors)
         return vectors
 
-    # Backwards-compatible private alias (pre-kernel name).
-    _job_vectors = job_vectors
 
-
-def build_resources(instance: Instance) -> tuple[Resource, ...]:
+def build_resources(platform: Platform) -> tuple[Resource, ...]:
     """The LP resource tuple: one aggregated resource per capability class."""
     return tuple(
         Resource(
@@ -295,28 +301,22 @@ def build_resources(instance: Instance) -> tuple[Resource, ...]:
             machine_ids=cls.machine_ids,
             databanks=cls.databanks,
         )
-        for i, cls in enumerate(instance.platform.capability_classes())
+        for i, cls in enumerate(platform.capability_classes())
     )
 
 
-def build_eligibility(
-    instance: Instance, resources: Sequence[Resource]
-) -> dict[str | None, tuple[int, ...]]:
-    """``databank -> eligible resource indices`` for every databank in use."""
-    eligibility: dict[str | None, tuple[int, ...]] = {}
-    for job in instance.jobs:
-        if job.databank not in eligibility:
-            eligibility[job.databank] = tuple(
-                r.index
-                for r in resources
-                if job.databank is None or job.databank in r.databanks
-            )
-    return eligibility
+def eligible_resources(resources: Sequence[Resource], databank: str | None) -> tuple[int, ...]:
+    """Indices of the resources able to run a job on ``databank`` (all for ``None``)."""
+    return tuple(r.index for r in resources if databank is None or databank in r.databanks)
+
+
+#: One :class:`JobTable` row: ``(job_id, release, size, flow_factor, resources)``.
+JobRow = tuple[int, float, float, float, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class JobTable:
-    """Array-backed per-job invariants for the on-line replan fast path.
+    """Array-backed per-job invariants, the one way into a :class:`MaxStretchProblem`.
 
     One row per instance job, in instance order (which pins the LP job and
     column order): ``(job_id, release, size, flow_factor, eligible resource
@@ -324,10 +324,12 @@ class JobTable:
     the jobs' ideal times) and eligibility never change during a simulation,
     so the :class:`~repro.lp.incremental.ReplanContext` builds the table
     once and every replan's :func:`problem_from_instance` call skips the
-    weight and eligibility recomputation entirely.
+    weight and eligibility recomputation entirely.  A table built on a
+    restricted platform (degraded replans) may hold rows with no eligible
+    resource: those jobs must not be active.
     """
 
-    rows: tuple[tuple[int, float, float, float, tuple[int, ...]], ...]
+    rows: tuple[JobRow, ...]
 
     def arrays(self) -> tuple[list[int], np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
         """Cached column views of the table for the replan delta kernel.
@@ -349,41 +351,70 @@ class JobTable:
         return cached
 
 
-def build_job_table(
-    instance: Instance,
-    resources: "tuple[Resource, ...] | None" = None,
-    eligibility: "Mapping[str | None, tuple[int, ...]] | None" = None,
-) -> JobTable:
-    """Precompute the :class:`JobTable` of ``instance`` (see the replan fast path)."""
-    if resources is None:
-        resources = build_resources(instance)
-    if eligibility is None:
-        eligibility = build_eligibility(instance, resources)
+def job_rows(
+    instance: Instance, jobs: Iterable[Job], resources: Sequence[Resource]
+) -> tuple[JobRow, ...]:
+    """The :class:`JobTable` rows of ``jobs`` (in the given order) on ``resources``."""
+    by_databank: dict[str | None, tuple[int, ...]] = {}
     rows = []
-    for job in instance.jobs:
-        eligible = eligibility[job.databank]
-        if not eligible:
-            raise ModelError(f"job {job.job_id} has no eligible capability class")
+    for job in jobs:
+        eligible = by_databank.get(job.databank)
+        if eligible is None:
+            eligible = by_databank[job.databank] = eligible_resources(resources, job.databank)
         rows.append(
-            (
-                job.job_id,
-                job.release,
-                job.size,
-                1.0 / instance.weight(job.job_id),
-                eligible,
-            )
+            (job.job_id, job.release, job.size, 1.0 / instance.weight(job.job_id), eligible)
         )
-    return JobTable(rows=tuple(rows))
+    return tuple(rows)
 
 
-def _problem_from_job_table(
-    table: JobTable,
-    resources: tuple[Resource, ...],
-    now: float | None,
-    remaining: Mapping[int, float],
+def build_job_table(instance: Instance, resources: "Sequence[Resource] | None" = None) -> JobTable:
+    """The :class:`JobTable` of ``instance`` (resources default to its platform's)."""
+    if resources is None:
+        resources = build_resources(instance.platform)
+    return JobTable(rows=job_rows(instance, instance.jobs, resources))
+
+
+def problem_from_instance(
+    instance: Instance,
+    *,
+    now: float | None = None,
+    remaining: Mapping[int, float] | None = None,
+    resources: tuple[Resource, ...] | None = None,
+    job_table: JobTable | None = None,
 ) -> MaxStretchProblem:
-    """The replan-shaped fast path: active jobs only, invariants from the table."""
-    ids, releases, factors, eligibles = table.arrays()
+    """Build a :class:`MaxStretchProblem` from an instance.
+
+    Parameters
+    ----------
+    instance:
+        The scheduling instance.
+    now:
+        Current time for on-line re-optimizations; job earliest starts become
+        ``max(release, now)``.  ``None`` (off-line) keeps the release dates.
+    remaining:
+        Remaining work per job id; the problem holds exactly the jobs mapped
+        to a positive value (the active jobs).  ``None`` means every job of
+        the instance at its full size.
+    resources:
+        The resource tuple, by default that of ``instance.platform``.
+        Degraded replans pass the resources of the surviving machines; the
+        :class:`~repro.lp.incremental.ReplanContext` passes its cached tuple.
+    job_table:
+        The :class:`JobTable` of ``instance`` on ``resources`` (see
+        :func:`build_job_table`, which builds it when omitted).  The replan
+        context builds it once per run, so a replan skips the per-job weight
+        and eligibility lookups.
+
+    Raises :class:`~repro.core.errors.ModelError` (from :class:`LPJob`) when
+    an active job has no eligible resource.
+    """
+    if resources is None:
+        resources = build_resources(instance.platform)
+    if job_table is None:
+        job_table = build_job_table(instance, resources)
+    if remaining is None:
+        remaining = {row[0]: row[2] for row in job_table.rows}
+    ids, releases, factors, eligibles = job_table.arrays()
     rem = np.fromiter(
         ((remaining.get(job_id) or 0.0) for job_id in ids),
         dtype=np.float64,
@@ -410,102 +441,3 @@ def _problem_from_job_table(
     object.__setattr__(problem, "_works", works)
     object.__setattr__(problem, "_job_vectors_cache", (earliest, rel_active, fac_active))
     return problem
-
-
-def problem_from_instance(
-    instance: Instance,
-    *,
-    now: float | None = None,
-    remaining: Mapping[int, float] | None = None,
-    job_ids: Iterable[int] | None = None,
-    flow_factors: Mapping[int, float] | None = None,
-    resources: tuple[Resource, ...] | None = None,
-    eligibility: Mapping[str | None, tuple[int, ...]] | None = None,
-    job_table: JobTable | None = None,
-) -> MaxStretchProblem:
-    """Build a :class:`MaxStretchProblem` from an instance.
-
-    Parameters
-    ----------
-    instance:
-        The scheduling instance.
-    now:
-        Current time for on-line re-optimizations; job earliest starts become
-        ``max(release, now)``.  ``None`` (off-line) keeps the release dates.
-    remaining:
-        Remaining work per job id.  When provided, the problem is restricted
-        to exactly these jobs (unless ``job_ids`` is also given): this is the
-        natural on-line usage where the mapping describes the currently
-        active jobs.  Jobs mapped to a non-positive value are dropped
-        (completed).
-    job_ids:
-        Restrict the problem to these jobs.  Defaults to the keys of
-        ``remaining`` when that mapping is provided, and to all jobs of the
-        instance otherwise.  Jobs listed here but absent from ``remaining``
-        keep their full size.
-    flow_factors:
-        Optional per-job override of :math:`1/w_j`.  By default the stretch
-        convention is used: the flow factor is the job's ideal time on its
-        eligible machines.
-    resources, eligibility:
-        Precomputed resource tuple and ``databank -> eligible resource
-        indices`` mapping, as cached by
-        :class:`~repro.lp.incremental.ReplanContext`.  The platform never
-        changes during a simulation, so on-line replans can skip the
-        capability-class decomposition; the values must describe exactly
-        ``instance.platform`` (callers other than the cache should leave the
-        defaults).
-    job_table:
-        Precomputed :class:`JobTable` (see :func:`build_job_table`).  When
-        provided together with ``resources`` and a ``remaining`` mapping --
-        the replan shape, with no ``job_ids``/``flow_factors`` overrides --
-        the array-backed fast path builds the problem straight from the
-        table, skipping the per-job weight and eligibility lookups; the
-        table must describe exactly ``instance`` (same order, same
-        weights).  Any override falls back to the general path.
-    """
-    if (
-        job_table is not None
-        and resources is not None
-        and remaining is not None
-        and job_ids is None
-        and flow_factors is None
-    ):
-        return _problem_from_job_table(job_table, resources, now, remaining)
-    if resources is None:
-        resources = build_resources(instance)
-    if eligibility is None:
-        eligibility = build_eligibility(instance, resources)
-
-    if job_ids is not None:
-        wanted = set(job_ids)
-    elif remaining is not None:
-        wanted = set(remaining)
-    else:
-        wanted = set(instance.jobs.ids())
-    lp_jobs: list[LPJob] = []
-    for job in instance.jobs:
-        if job.job_id not in wanted:
-            continue
-        rem = job.size if remaining is None else remaining.get(job.job_id, job.size)
-        if rem is None or rem <= 0:
-            continue
-        eligible = eligibility[job.databank]
-        if not eligible:
-            raise ModelError(f"job {job.job_id} has no eligible capability class")
-        if flow_factors is not None and job.job_id in flow_factors:
-            factor = flow_factors[job.job_id]
-        else:
-            factor = 1.0 / instance.weight(job.job_id)
-        earliest = job.release if now is None else max(job.release, now)
-        lp_jobs.append(
-            LPJob(
-                job_id=job.job_id,
-                earliest_start=earliest,
-                remaining_work=float(rem),
-                release=job.release,
-                flow_factor=float(factor),
-                resources=eligible,
-            )
-        )
-    return MaxStretchProblem(resources=resources, jobs=tuple(lp_jobs))

@@ -29,20 +29,19 @@ from typing import MutableMapping
 import numpy as np
 
 from repro.core.errors import InfeasibleError, SolverError
-from repro.lp.backends import SolverBackend
+from repro.lp.backends import SolverBackend, make_backend
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
     LiveProbe,
     MaxStretchSolution,
-    _assemble_constraints,
     _assembly_arrays,
     _extract_allocations,
+    _lp_spec,
     build_skeleton,
     warm_hint,
 )
 from repro.lp.problem import MaxStretchProblem
-from repro.lp.solver import LinearProgramBuilder
 
 __all__ = ["reoptimize_allocation"]
 
@@ -102,6 +101,7 @@ def reoptimize_allocation(
             allocations={},
         )
 
+    backend = make_backend(backend)
     slack = inflation
     last_error: str | None = None
     while slack <= 1e-3:
@@ -117,9 +117,9 @@ def reoptimize_allocation(
 def _solve_fixed_objective(
     problem: MaxStretchProblem,
     objective: float,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
-    backend: SolverBackend | None = None,
-    live: LiveProbe | None = None,
+    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None,
+    backend: SolverBackend,
+    live: LiveProbe | None,
 ) -> MaxStretchSolution | None:
     structure = build_interval_structure(problem, objective)
     skeleton = build_skeleton(problem, structure, skeleton_cache)
@@ -146,15 +146,11 @@ def _solve_fixed_objective(
         except SolverError:
             pass  # build the program afresh below
     if result is None:
-        builder = LinearProgramBuilder()
-        builder.add_variables(len(skeleton.keys), objective=costs)
-        _assemble_constraints(
-            builder, problem, skeleton, offset=0, f_var=None, objective_value=objective
-        )
+        spec = _lp_spec(problem, skeleton, fixed_objective=objective, costs=costs)
         warm = None
-        if backend is not None and backend.persistent:
+        if backend.persistent:
             warm = warm_hint(problem, skeleton, with_objective_var=False)
-        result = builder.solve(backend=backend, warm=warm)
+        result = backend.solve(spec, warm=warm)
     if not result.feasible:
         return None
     offset = result.values.size - len(skeleton.keys)  # 1 on the live model: F leads

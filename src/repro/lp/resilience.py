@@ -84,19 +84,13 @@ class ResilientBackend(SolverBackend):
         """The primary's counters (the wrapper keeps none of its own)."""
         return self._primary.stats
 
-    def _solve(
-        self,
-        spec: LPSpec,
-        *,
-        method: str = "auto",
-        warm: WarmStartHint | None = None,
-    ) -> LPResult:
+    def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
         try:
-            return self._primary._solve(spec, method=method, warm=warm)
+            return self._primary._solve(spec, warm=warm)
         except SolverError as primary_exc:
-            annotate_solver_error(primary_exc, backend=self._primary.name, method=method)
+            annotate_solver_error(primary_exc, backend=self._primary.name)
             try:
-                result = self._fallback._solve(spec, method="auto", warm=None)
+                result = self._fallback._solve(spec, warm=None)
             except SolverError as fallback_exc:
                 annotate_solver_error(fallback_exc, backend=self._fallback.name)
                 raise fallback_exc from primary_exc

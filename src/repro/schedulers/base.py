@@ -174,10 +174,8 @@ class PriorityScheduler(Scheduler):
     def assign(self, state: SchedulerState) -> Assignment:
         runtimes = state.active_jobs()
         keys = np.asarray(self.priority_keys(state, runtimes), dtype=np.float64)
-        job_ids = np.fromiter(
-            (rt.job_id for rt in runtimes), np.int64, count=len(runtimes)
-        )
-        order = kernels.rank_by_priority(keys, job_ids)
+        ids = np.fromiter((rt.job_id for rt in runtimes), np.int64, count=len(runtimes))
+        order = kernels.rank_by_priority(keys, ids)
         return greedy_assignment(state, (runtimes[position] for position in order.tolist()))
 
 

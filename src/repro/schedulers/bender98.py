@@ -90,7 +90,9 @@ class Bender98Scheduler(PriorityScheduler):
             released = released[-self.max_jobs_per_resolution:]
         # Off-line problem over the jobs arrived so far, with their original
         # sizes and release dates (Bender et al. ignore the work already done).
-        problem = problem_from_instance(instance, job_ids=released)
+        problem = problem_from_instance(
+            instance, remaining={job_id: instance.job(job_id).size for job_id in released}
+        )
         solution = minimize_max_weighted_flow(problem, backend=self._backend)
         self.n_resolutions += 1
         optimal = solution.objective
@@ -100,14 +102,12 @@ class Bender98Scheduler(PriorityScheduler):
             np.float64,
             count=count,
         )
-        flow_factors = np.fromiter(
+        factors = np.fromiter(
             (1.0 / instance.weight(job_id) for job_id in released),
             np.float64,
             count=count,
         )
-        deadlines = kernels.expand_deadlines(
-            releases, flow_factors, self._expansion * optimal
-        )
+        deadlines = kernels.expand_deadlines(releases, factors, self._expansion * optimal)
         for job_id, deadline in zip(released, deadlines.tolist()):
             self._deadlines[job_id] = deadline
 

@@ -125,7 +125,7 @@ def plan_horizon_scan(starts: np.ndarray, ends: np.ndarray, time: float) -> floa
     return float(horizon)
 
 
-def rank_by_priority(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
+def rank_by_priority(priorities: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Rank jobs by ``(priority, job_id)`` ascending; returns int64 positions.
 
     The ranking of every list scheduler (Section 3's greedy rule): smaller
@@ -133,7 +133,7 @@ def rank_by_priority(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
     """
     # Job ids are unique, so the (priority, job_id) key is total and the
     # lexicographic sort matches the historical stable tuple sort exactly.
-    return np.lexsort((job_ids, priorities)).astype(np.int64, copy=False)
+    return np.lexsort((ids, priorities)).astype(np.int64, copy=False)
 
 
 def pseudo_stretch_priorities(
@@ -152,12 +152,10 @@ def pseudo_stretch_priorities(
     return -np.where(relative_sizes <= sqrt_delta, ages / sqrt_delta, ages / delta)
 
 
-def expand_deadlines(
-    releases: np.ndarray, flow_factors: np.ndarray, scale: float
-) -> np.ndarray:
-    """Bender98 deadline table: ``release + scale * flow_factor`` per job.
+def expand_deadlines(releases: np.ndarray, factors: np.ndarray, scale: float) -> np.ndarray:
+    """Bender98 deadline table: ``release + scale * factor`` per job (flow factors).
 
     ``scale`` is the caller's ``expansion * S*`` product, so each element
     reproduces the historical ``r_j + alpha * S* / w_j`` arithmetic exactly.
     """
-    return releases + float(scale) * flow_factors
+    return releases + float(scale) * factors

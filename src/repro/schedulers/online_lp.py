@@ -53,7 +53,7 @@ from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import MaxStretchSolution, MilestoneSearchReport
 from repro.lp.maxstretch import minimize_max_weighted_flow
-from repro.lp.problem import Resource, problem_from_instance
+from repro.lp.problem import build_resources, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.simulation.state import Assignment, SchedulerState
 from repro.schedulers.base import (
@@ -258,30 +258,8 @@ class OnlineLPScheduler(PlanBasedScheduler):
             self._egdf_rank = {}
             return
         platform = instance.platform.restrict_to(sorted(state.available_ids()))
-        resources = tuple(
-            Resource(
-                index=i,
-                speed=cls.aggregate_speed,
-                machine_ids=cls.machine_ids,
-                databanks=cls.databanks,
-            )
-            for i, cls in enumerate(platform.capability_classes())
-        )
-        eligibility: dict[str | None, tuple[int, ...]] = {}
-        for job_id in runnable:
-            databank = instance.job(job_id).databank
-            if databank not in eligibility:
-                eligibility[databank] = tuple(
-                    r.index
-                    for r in resources
-                    if databank is None or databank in r.databanks
-                )
         problem = problem_from_instance(
-            instance,
-            now=now,
-            remaining=runnable,
-            resources=resources,
-            eligibility=eligibility,
+            instance, now=now, remaining=runnable, resources=build_resources(platform)
         )
         backend = self._context.backend
         skeletons: dict = {}  # lets System (2) find the winning probe's model

@@ -436,18 +436,18 @@ class SimulationEngine:
         rates: Mapping[int, float], state: SchedulerState
     ) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Job ids receiving work, their rates and remaining works, as arrays."""
-        job_ids = list(rates)
-        n = len(job_ids)
-        rate = np.fromiter((rates[j] for j in job_ids), dtype=np.float64, count=n)
+        rated_ids = list(rates)
+        n = len(rated_ids)
+        rate = np.fromiter((rates[j] for j in rated_ids), dtype=np.float64, count=n)
         remaining = np.fromiter(
-            (state.active[j].remaining for j in job_ids), dtype=np.float64, count=n
+            (state.active[j].remaining for j in rated_ids), dtype=np.float64, count=n
         )
-        return job_ids, rate, remaining
+        return rated_ids, rate, remaining
 
     def _advance(
         self,
         assignment: Assignment,
-        job_ids: Sequence[int],
+        rated_ids: Sequence[int],
         rate: np.ndarray,
         remaining: np.ndarray,
         start: float,
@@ -455,7 +455,7 @@ class SimulationEngine:
     ) -> None:
         """Execute the assignment over ``[start, end]`` and record the runs.
 
-        ``job_ids``/``rate``/``remaining`` are the step's rate arrays as
+        ``rated_ids``/``rate``/``remaining`` are the step's rate arrays as
         returned by :meth:`_rate_arrays` (already used to compute the step
         horizon, so they are not rebuilt here).
         """
@@ -485,9 +485,9 @@ class SimulationEngine:
             else:
                 run = open_runs[machine_id] = [job_id, machine_id, start, end, work]
                 runs.append(run)
-        if len(job_ids):
+        if len(rated_ids):
             new_remaining = np.maximum(0.0, remaining - rate * duration)
-            for job_id, value in zip(job_ids, new_remaining):
+            for job_id, value in zip(rated_ids, new_remaining):
                 active[job_id].remaining = float(value)
 
     def _collect_completions(self) -> None:

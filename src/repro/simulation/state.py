@@ -55,9 +55,6 @@ class Assignment:
         """Machines currently assigned to ``job_id``."""
         return [m for m, j in self.mapping.items() if j == job_id]
 
-    def job_ids(self) -> set[int]:
-        return set(self.mapping.values())
-
     @classmethod
     def idle(cls, valid_until: float | None = None) -> "Assignment":
         """An assignment leaving every machine idle."""

@@ -9,11 +9,15 @@ known parent package").
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Platform
+from repro.lp.backends import LPSpec
 
-__all__ = ["make_uniform_instance"]
+__all__ = ["make_uniform_instance", "lp_spec"]
 
 
 def make_uniform_instance(
@@ -29,3 +33,42 @@ def make_uniform_instance(
         for i, (s, r) in enumerate(zip(sizes, releases))
     ]
     return Instance(jobs, platform)
+
+
+def _coo(rows: Sequence[Sequence[float]]) -> tuple[list[int], list[int], list[float]]:
+    entries = [(i, j, float(v)) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    return [e[0] for e in entries], [e[1] for e in entries], [e[2] for e in entries]
+
+
+def lp_spec(
+    objective: Sequence[float],
+    *,
+    lower: Sequence[float] | None = None,
+    upper: Sequence[float] | None = None,
+    a_ub: Sequence[Sequence[float]] = (),
+    b_ub: Sequence[float] = (),
+    a_eq: Sequence[Sequence[float]] = (),
+    b_eq: Sequence[float] = (),
+) -> LPSpec:
+    """``min c.x  s.t.  a_ub x <= b_ub, a_eq x = b_eq, lower <= x <= upper`` from dense rows.
+
+    Bounds default to ``0 <= x < inf``; zero coefficients are left out of
+    the COO triplets.
+    """
+    n = len(objective)
+    ub_rows, ub_cols, ub_vals = _coo(a_ub)
+    eq_rows, eq_cols, eq_vals = _coo(a_eq)
+    return LPSpec(
+        n_vars=n,
+        objective=[float(c) for c in objective],
+        lower=[0.0] * n if lower is None else [float(v) for v in lower],
+        upper=[math.inf] * n if upper is None else [float(v) for v in upper],
+        ub_rows=ub_rows,
+        ub_cols=ub_cols,
+        ub_vals=ub_vals,
+        ub_rhs=[float(v) for v in b_ub],
+        eq_rows=eq_rows,
+        eq_cols=eq_cols,
+        eq_vals=eq_vals,
+        eq_rhs=[float(v) for v in b_eq],
+    )

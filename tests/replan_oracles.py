@@ -1,7 +1,7 @@
 """Reference twins of the on-line replan path, kept as test oracles.
 
 Production has one replan path: :class:`~repro.lp.incremental.ReplanContext`
-with the certificate-guided milestone search.  The two slower twins it was
+with the certificate-guided milestone search.  The slower twins it was
 proven against live here, verbatim, so the equalities they proved stay
 checkable:
 
@@ -12,6 +12,11 @@ checkable:
 * :class:`FromScratchOnlineLP` -- the on-line LP heuristic rebuilding every
   System (1) / System (2) LP at each release date, without the context's
   caches, warm starts or carried basis.
+* :func:`problem_from_instance_general` -- the per-job loop that built a
+  :class:`~repro.lp.problem.MaxStretchProblem` without a
+  :class:`~repro.lp.problem.JobTable` (off-line solves, Bender98 and
+  degraded replans used it), the oracle of the one table-backed
+  ``problem_from_instance`` path (``tests/test_lp_problem.py``).
 
 On the stateless scipy backend both return results bit-identical to
 production (``tests/test_lp_incremental.py``,
@@ -22,8 +27,9 @@ System (2) vertex, so it is only a reference on scipy.
 
 from __future__ import annotations
 
-from typing import MutableMapping, Sequence
+from typing import Mapping, MutableMapping, Sequence
 
+from repro.core.errors import ModelError
 from repro.core.instance import Instance
 from repro.lp import maxstretch
 from repro.lp.backends import SolverBackend, make_backend
@@ -33,12 +39,71 @@ from repro.lp.maxstretch import (
     MilestoneSearchReport,
     minimize_max_weighted_flow,
 )
-from repro.lp.problem import MaxStretchProblem, problem_from_instance
+from repro.lp.problem import (
+    LPJob,
+    MaxStretchProblem,
+    Resource,
+    build_resources,
+    problem_from_instance,
+)
 from repro.lp.relaxation import reoptimize_allocation
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.state import SchedulerState
 
-__all__ = ["search_gallop", "FromScratchOnlineLP"]
+__all__ = ["search_gallop", "FromScratchOnlineLP", "problem_from_instance_general"]
+
+
+def problem_from_instance_general(
+    instance: Instance,
+    *,
+    now: float | None = None,
+    remaining: Mapping[int, float] | None = None,
+    resources: tuple[Resource, ...] | None = None,
+) -> MaxStretchProblem:
+    """The general (table-free) ``problem_from_instance`` path, verbatim.
+
+    Restricted to the keys of ``remaining`` when given (all jobs at full
+    size otherwise); jobs mapped to a non-positive value are dropped.  The
+    per-databank eligibility is the former ``build_eligibility``.
+    """
+    if resources is None:
+        resources = build_resources(instance.platform)
+    eligibility: dict[str | None, tuple[int, ...]] = {}
+    for job in instance.jobs:
+        if job.databank not in eligibility:
+            eligibility[job.databank] = tuple(
+                r.index
+                for r in resources
+                if job.databank is None or job.databank in r.databanks
+            )
+
+    if remaining is not None:
+        wanted = set(remaining)
+    else:
+        wanted = set(instance.jobs.ids())
+    lp_jobs: list[LPJob] = []
+    for job in instance.jobs:
+        if job.job_id not in wanted:
+            continue
+        rem = job.size if remaining is None else remaining.get(job.job_id, job.size)
+        if rem is None or rem <= 0:
+            continue
+        eligible = eligibility[job.databank]
+        if not eligible:
+            raise ModelError(f"job {job.job_id} has no eligible capability class")
+        factor = 1.0 / instance.weight(job.job_id)
+        earliest = job.release if now is None else max(job.release, now)
+        lp_jobs.append(
+            LPJob(
+                job_id=job.job_id,
+                earliest_start=earliest,
+                remaining_work=float(rem),
+                release=job.release,
+                flow_factor=float(factor),
+                resources=eligible,
+            )
+        )
+    return MaxStretchProblem(resources=resources, jobs=tuple(lp_jobs))
 
 
 def search_gallop(

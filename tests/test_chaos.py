@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -226,3 +227,59 @@ class TestWorkerCrashRecovery:
         crashes = list(tmp_path.glob("poison-crash-*"))
         assert len(crashes) == runner_mod._MAX_UNIT_RETRIES + 1
         assert reached == {task.triple for task in tasks if task.seed != poisoned.seed}
+
+    def test_broken_pool_at_submit_is_a_lane_crash(self, monkeypatch):
+        """A worker that dies between a collection and its lane's next
+        submission makes ``pool.submit`` raise :class:`BrokenProcessPool`:
+        the group being submitted goes back on its lane, the lane is
+        rebuilt, and the records equal the serial run's."""
+        import dataclasses
+
+        config = dataclasses.replace(FAULT_CONFIG, fault_mtbf=None, fault_mttr=None)
+        keys = ("swrpt", "mct")
+        serial = run_campaign([config], scheduler_keys=keys, replicates=12, base_seed=SEED)
+        submits = []
+        # 12 groups on 2 lanes, 4 in flight per lane: the first 8 submissions
+        # fill the lanes, so the 10th follows a collection.
+        breaking_submit = 10
+
+        class BreaksOnce(runner_mod.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(self)
+                if len(submits) == breaking_submit:
+                    raise BrokenProcessPool("the worker died before this submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", BreaksOnce)
+        pooled = run_campaign(
+            [config], scheduler_keys=keys, replicates=12, base_seed=SEED, n_workers=2
+        )
+        assert len(submits) > breaking_submit
+        assert pooled.result_set() == serial.result_set()
+
+    def test_broken_pool_with_nothing_in_flight_charges_no_group(self, monkeypatch):
+        """A lane whose submission fails before any of its groups is in
+        flight charges no group: three such failures in a row, one more
+        than ``_MAX_UNIT_RETRIES``, still let the campaign finish."""
+        import dataclasses
+
+        config = dataclasses.replace(FAULT_CONFIG, fault_mtbf=None, fault_mttr=None)
+        keys = ("swrpt",)
+        serial = run_campaign([config], scheduler_keys=keys, replicates=4, base_seed=SEED)
+        failures = runner_mod._MAX_UNIT_RETRIES + 1
+        broken = []
+
+        class FirstSubmitBreaks(runner_mod.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if not getattr(self, "submitted", False) and len(broken) < failures:
+                    broken.append(self)
+                    raise BrokenProcessPool("the worker died before any submission")
+                self.submitted = True
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", FirstSubmitBreaks)
+        pooled = run_campaign(
+            [config], scheduler_keys=keys, replicates=4, base_seed=SEED, n_workers=2
+        )
+        assert len(broken) == failures
+        assert pooled.result_set() == serial.result_set()

@@ -82,7 +82,7 @@ class TestScheduleQueries:
         schedule = valid_schedule()
         assert len(schedule.slices_for_job(0)) == 2
         assert len(schedule.slices_on_machine(1)) == 2
-        assert schedule.job_ids() == frozenset({0, 1})
+        assert {s.job_id for s in schedule.slices} == {0, 1}
         assert schedule.machine_ids() == frozenset({0, 1})
 
     def test_preemption_count_zero_for_contiguous(self):

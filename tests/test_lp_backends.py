@@ -30,12 +30,13 @@ from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
 from repro.lp.problem import problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
-from repro.lp.solver import LinearProgramBuilder
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
+
+from helpers import lp_spec
 
 requires_highs = pytest.mark.skipif(
     not highs_available(),
@@ -70,56 +71,56 @@ def _small_instance(seed: int, *, max_jobs: int = 18, density: float = 1.5):
     return generate_instance(platform_spec, workload_spec, rng=seed)
 
 
-# -- builder-level behaviour ---------------------------------------------------------
+# -- spec-level behaviour ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-class TestBuilderWithBackend:
+class TestSpecWithBackend:
     def test_simple_minimization(self, backend_name):
-        builder = LinearProgramBuilder()
-        x = builder.add_variable(objective=1.0)
-        y = builder.add_variable(objective=1.0)
-        builder.add_leq([(x, -1.0), (y, -1.0)], -1.0)
-        result = builder.solve(backend=make_backend(backend_name))
+        # min x + y  s.t.  x + y >= 1
+        spec = lp_spec([1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        result = make_backend(backend_name).solve(spec)
         assert result.feasible
         assert result.objective == pytest.approx(1.0)
-        assert result.value(x) + result.value(y) == pytest.approx(1.0)
+        assert result.value(0) + result.value(1) == pytest.approx(1.0)
 
     def test_equality_and_bounds(self, backend_name):
-        builder = LinearProgramBuilder()
-        x = builder.add_variable(objective=1.0)
-        y = builder.add_variable(upper=1.0)
-        builder.add_eq([(x, 1.0), (y, 1.0)], 3.0)
-        result = builder.solve(backend=make_backend(backend_name))
+        # min x  s.t.  x + y == 3, y <= 1
+        spec = lp_spec([1.0, 0.0], upper=[np.inf, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0])
+        result = make_backend(backend_name).solve(spec)
         assert result.feasible
-        assert result.value(x) == pytest.approx(2.0)
+        assert result.value(0) == pytest.approx(2.0)
+
+    def test_variable_bounds_respected(self, backend_name):
+        spec = lp_spec([1.0], lower=[2.0], upper=[5.0])
+        result = make_backend(backend_name).solve(spec)
+        assert result.value(0) == pytest.approx(2.0)
 
     def test_infeasible_returns_flag_not_exception(self, backend_name):
-        builder = LinearProgramBuilder()
-        x = builder.add_variable(upper=1.0)
-        builder.add_eq([(x, 1.0)], 5.0)
-        result = builder.solve(backend=make_backend(backend_name))
+        spec = lp_spec([0.0], upper=[1.0], a_eq=[[1.0]], b_eq=[5.0])
+        result = make_backend(backend_name).solve(spec)
         assert not result.feasible
         assert np.isinf(result.objective)
 
     def test_unbounded_raises_solver_error(self, backend_name):
-        builder = LinearProgramBuilder()
-        builder.add_variable(objective=-1.0)  # min -x with x unbounded above
+        spec = lp_spec([-1.0])  # min -x with x unbounded above
         with pytest.raises(SolverError):
-            builder.solve(backend=make_backend(backend_name))
+            make_backend(backend_name).solve(spec)
 
     def test_transportation_problem(self, backend_name):
-        builder = LinearProgramBuilder()
-        x = {}
-        costs = {(0, 0): 1.0, (0, 1): 3.0, (1, 0): 3.0, (1, 1): 1.0}
-        for key, cost in costs.items():
-            x[key] = builder.add_variable(objective=cost)
-        builder.add_leq([(x[(0, 0)], 1.0), (x[(0, 1)], 1.0)], 3.0)
-        builder.add_leq([(x[(1, 0)], 1.0), (x[(1, 1)], 1.0)], 2.0)
-        builder.add_eq([(x[(0, 0)], 1.0), (x[(1, 0)], 1.0)], 2.0)
-        builder.add_eq([(x[(0, 1)], 1.0), (x[(1, 1)], 1.0)], 3.0)
-        result = builder.solve(backend=make_backend(backend_name))
+        # Two suppliers (capacities 3 and 2), two demands (2 and 3); cost
+        # favours supplier 0 for demand 0 and supplier 1 for demand 1.
+        # Variables: x00, x01, x10, x11.
+        spec = lp_spec(
+            [1.0, 3.0, 3.0, 1.0],
+            a_ub=[[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+            b_ub=[3.0, 2.0],
+            a_eq=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
+            b_eq=[2.0, 3.0],
+        )
+        result = make_backend(backend_name).solve(spec)
         assert result.feasible
+        # 2 from s0 to d0, 2 from s1 to d1, the last unit of d1 from s0.
         assert result.objective == pytest.approx(7.0)
 
     def test_same_matrix_new_rhs_and_costs_in_one_series(self, backend_name):
@@ -131,11 +132,8 @@ class TestBuilderWithBackend:
         )
 
         def solve(rhs: float, cost_y: float):
-            builder = LinearProgramBuilder()
-            x = builder.add_variable(objective=1.0)
-            y = builder.add_variable(objective=cost_y)
-            builder.add_eq([(x, 1.0), (y, 1.0)], rhs)
-            return builder.solve(backend=backend, warm=warm)
+            spec = lp_spec([1.0, cost_y], a_eq=[[1.0, 1.0]], b_eq=[rhs])
+            return backend.solve(spec, warm=warm)
 
         first = solve(3.0, 2.0)
         second = solve(5.0, 0.5)  # same matrix; RHS and cost changes only

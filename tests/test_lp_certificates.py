@@ -432,21 +432,18 @@ def test_dual_ray_sign_convention():
     """The normalized ray certifies min-over-box LHS > RHS on the raw arrays."""
     from scipy import sparse
 
-    from repro.lp.solver import LinearProgramBuilder
+    from helpers import lp_spec
 
-    builder = LinearProgramBuilder()
-    x = builder.add_variable(upper=1.0)
-    y = builder.add_variable(upper=1.0)
-    builder.add_eq([(x, 1.0), (y, 1.0)], 5.0)  # infeasible: x + y <= 2 < 5
+    # infeasible: x + y <= 2 < 5
+    spec = lp_spec([0.0, 0.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[5.0])
     backend = make_backend("highs")
     try:
-        result = builder.solve(backend=backend, warm=None)
+        result = backend.solve(spec, warm=None)
     finally:
         backend.close()
     assert not result.feasible
     if result.dual_ray is None:
         pytest.skip("bindings produced no dual ray for this solve")
-    spec = builder.spec()
     ray = result.dual_ray
     matrix = sparse.coo_matrix(
         (list(spec.eq_vals), (list(spec.eq_rows), list(spec.eq_cols))),

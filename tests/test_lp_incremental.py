@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch_module
+from repro.core.instance import LiveInstance
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
-from repro.lp.problem import problem_from_instance
+from repro.lp.problem import build_job_table, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
@@ -313,3 +314,18 @@ class TestReplanContextShortcuts:
             objectives.append(solution.objective)
             context.close()
         assert objectives[1] == pytest.approx(objectives[0], rel=1e-7)
+
+
+def test_ensure_jobs_grows_the_table_of_the_final_instance():
+    """Service mode: a table grown admission by admission equals the
+    table built from the final instance, so replans stay bit-identical."""
+    instance = _gripps_instance(5)
+    live = LiveInstance(instance.platform)
+    context = ReplanContext(live)
+    jobs = list(instance.jobs)
+    for start in range(0, len(jobs), 3):
+        batch = jobs[start:start + 3]
+        for job in batch:
+            live.admit(job)
+        context.ensure_jobs(batch + batch[:1])  # an announced job is never re-added
+    assert context.job_table == build_job_table(instance)

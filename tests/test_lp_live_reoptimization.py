@@ -201,11 +201,11 @@ class TestFallbacks:
             live_attempts += 1
             raise SolverError("injected live re-solve failure")
 
-        def system_2_fails(self, spec, *, method="auto", warm=None):
+        def system_2_fails(self, spec, *, warm=None):
             # Rebuilt System (2) programs carry no F column (identity -1).
             if warm is not None and warm.col_ids[:1].tolist() != [-1]:
                 raise SolverError("injected rebuild failure")
-            return real_solve(self, spec, method=method, warm=warm)
+            return real_solve(self, spec, warm=warm)
 
         monkeypatch.setattr(HighsPersistentBackend, "_resolve_fixed", broken_resolve)
         monkeypatch.setattr(HighsPersistentBackend, "_solve", system_2_fails)

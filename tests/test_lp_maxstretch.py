@@ -185,17 +185,6 @@ class TestOptimalityProperties:
         large = minimize_max_weighted_flow(single_resource_problem(base + [extra]))
         assert large.objective >= small.objective - 1e-9
 
-    def test_max_milestones_cap_gives_upper_bound(self):
-        jobs = [
-            LPJob(i, earliest_start=float(i) * 0.7, remaining_work=1.0 + (i % 3),
-                  release=float(i) * 0.7, flow_factor=1.0 + (i % 3), resources=(0,))
-            for i in range(6)
-        ]
-        problem = single_resource_problem(jobs)
-        exact = minimize_max_weighted_flow(problem)
-        capped = minimize_max_weighted_flow(problem, max_milestones=3)
-        assert capped.objective >= exact.objective - 1e-9
-
 
 class TestVectorizedAssembly:
     """The COO-block skeleton assembly reproduces the historical per-row loop."""
@@ -216,29 +205,38 @@ class TestVectorizedAssembly:
         return MaxStretchProblem(resources=resources, jobs=jobs)
 
     @staticmethod
-    def _reference_assemble(builder, problem, skeleton, *, offset, f_var, objective_value):
-        """The historical scalar assembly loop, kept verbatim as the oracle."""
+    def _reference_dense(problem, skeleton, *, fixed_objective):
+        """The historical per-row assembly loop, kept as the oracle.
+
+        Writes dense ``(A_ub, b_ub, A_eq, b_eq)``: ``F`` is column 0 unless
+        ``fixed_objective`` is given (System (2), x variables only).
+        """
         structure = skeleton.structure
-        for (t, c), positions in skeleton.capacity_groups:
+        offset = 0 if fixed_objective is not None else 1
+        n_vars = offset + len(skeleton.keys)
+        a_ub = np.zeros((len(skeleton.capacity_groups), n_vars))
+        b_ub = np.zeros(len(skeleton.capacity_groups))
+        for row, ((t, c), positions) in enumerate(skeleton.capacity_groups):
             length = structure.interval_length(t)
             speed = problem.resources[c].speed
-            terms = [(pos + offset, 1.0) for pos in positions]
-            if f_var is not None:
-                terms.append((f_var, -speed * length.coef))
-                rhs = speed * length.const
+            for pos in positions:
+                a_ub[row, pos + offset] = 1.0
+            if fixed_objective is None:
+                a_ub[row, 0] = -speed * length.coef
+                b_ub[row] = speed * length.const
             else:
-                rhs = speed * max(0.0, length.at(objective_value))
-            builder.add_leq(terms, rhs)
-        for pos_job, positions in skeleton.completeness_groups:
-            builder.add_eq(
-                [(pos + offset, 1.0) for pos in positions],
-                problem.jobs[pos_job].remaining_work,
-            )
+                b_ub[row] = speed * max(0.0, length.at(fixed_objective))
+        a_eq = np.zeros((len(skeleton.completeness_groups), n_vars))
+        b_eq = np.zeros(len(skeleton.completeness_groups))
+        for row, (pos_job, positions) in enumerate(skeleton.completeness_groups):
+            for pos in positions:
+                a_eq[row, pos + offset] = 1.0
+            b_eq[row] = problem.jobs[pos_job].remaining_work
+        return a_ub, b_ub, a_eq, b_eq
 
     @staticmethod
     def _dense(spec):
         """Dense (A_ub, b_ub, A_eq, b_eq) canonicalization of a spec."""
-        import numpy as np
         from scipy import sparse
 
         a_ub = sparse.coo_matrix(
@@ -251,62 +249,92 @@ class TestVectorizedAssembly:
         ).toarray()
         return a_ub, np.asarray(spec.ub_rhs), a_eq, np.asarray(spec.eq_rhs)
 
+    @staticmethod
+    def _skeleton(problem, probe):
+        from repro.lp.intervals import build_interval_structure
+        from repro.lp.maxstretch import build_skeleton
+
+        skeleton = build_skeleton(problem, build_interval_structure(problem, probe))
+        assert skeleton is not None
+        return skeleton
+
     @pytest.mark.parametrize("fixed_objective", [None, 2.75])
     def test_constraint_matrices_bit_identical(self, fixed_objective):
-        import numpy as np
-
-        from repro.lp.intervals import build_interval_structure
-        from repro.lp.maxstretch import _assemble_constraints, build_skeleton
-        from repro.lp.solver import LinearProgramBuilder
+        from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        probe = 2.75 if fixed_objective is None else fixed_objective
-        structure = build_interval_structure(problem, probe)
-        skeleton = build_skeleton(problem, structure)
-        assert skeleton is not None
-        offset = 1 if fixed_objective is None else 0
-
-        vec = LinearProgramBuilder()
-        ref = LinearProgramBuilder()
-        for builder in (vec, ref):
-            if fixed_objective is None:
-                builder.add_variable(objective=1.0, lower=1.0, upper=5.0, name="F")
-            for _ in range(len(skeleton.keys)):
-                builder.add_variable()
-        _assemble_constraints(
-            vec, problem, skeleton,
-            offset=offset,
-            f_var=0 if fixed_objective is None else None,
-            objective_value=fixed_objective,
-        )
-        self._reference_assemble(
-            ref, problem, skeleton,
-            offset=offset,
-            f_var=0 if fixed_objective is None else None,
-            objective_value=fixed_objective,
-        )
-        for got, want in zip(self._dense(vec.spec()), self._dense(ref.spec())):
-            assert np.array_equal(got, want)  # exact, not approx
+        skeleton = self._skeleton(problem, 2.75)
+        n_x = len(skeleton.keys)
+        if fixed_objective is None:
+            spec = _lp_spec(problem, skeleton, f_range=(1.0, 5.0))
+            assert spec.n_vars == 1 + n_x
+            assert list(spec.objective) == [1.0] + [0.0] * n_x
+            assert list(spec.lower) == [1.0] + [0.0] * n_x
+            assert list(spec.upper) == [5.0] + [np.inf] * n_x
+        else:
+            costs = np.arange(1.0, n_x + 1.0)
+            spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
+            assert spec.n_vars == n_x
+            assert list(spec.objective) == costs.tolist()
+            assert list(spec.lower) == [0.0] * n_x
+            assert list(spec.upper) == [np.inf] * n_x
+        want = self._reference_dense(problem, skeleton, fixed_objective=fixed_objective)
+        for got, expected in zip(self._dense(spec), want):
+            assert np.array_equal(got, expected)  # exact, not approx
 
     def test_sparsity_pattern_drops_zero_f_coefficients(self):
         """Zero F-column coefficients are filtered exactly like the old loop."""
-        import numpy as np
-
-        from repro.lp.intervals import build_interval_structure
-        from repro.lp.maxstretch import _assemble_constraints, build_skeleton
-        from repro.lp.solver import LinearProgramBuilder
+        from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        structure = build_interval_structure(problem, 2.75)
-        skeleton = build_skeleton(problem, structure)
-        builder = LinearProgramBuilder()
-        builder.add_variable(objective=1.0, name="F")
-        for _ in range(len(skeleton.keys)):
-            builder.add_variable()
-        _assemble_constraints(
-            builder, problem, skeleton, offset=1, f_var=0, objective_value=None
-        )
-        spec = builder.spec()
+        skeleton = self._skeleton(problem, 2.75)
+        spec = _lp_spec(problem, skeleton, f_range=(0.0, np.inf))
         f_entries = np.asarray(spec.ub_vals)[np.asarray(spec.ub_cols) == 0]
         assert f_entries.size > 0
         assert np.all(f_entries != 0.0)
+
+    @pytest.mark.parametrize("fixed_objective", [None, 2.75])
+    def test_objective_and_bounds_are_python_float_lists(self, fixed_objective):
+        """The scipy goldens pin these as lists of Python floats, not arrays."""
+        from repro.lp.maxstretch import _lp_spec
+
+        problem = self.make_problem()
+        skeleton = self._skeleton(problem, 2.75)
+        if fixed_objective is None:
+            spec = _lp_spec(problem, skeleton, f_range=(1, 5))
+        else:
+            costs = np.arange(1.0, len(skeleton.keys) + 1.0)
+            spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
+        for field in (spec.objective, spec.lower, spec.upper):
+            assert type(field) is list
+            assert all(type(v) is float for v in field)
+
+    @pytest.mark.parametrize("fixed_objective", [None, 2.75])
+    def test_row_order(self, fixed_objective):
+        """Capacity rows by (interval, resource), then completeness rows in job order."""
+        from repro.lp.maxstretch import _lp_spec
+
+        problem = self.make_problem()
+        skeleton = self._skeleton(problem, 2.75)
+        if fixed_objective is None:
+            offset = 1
+            spec = _lp_spec(problem, skeleton, f_range=(0.0, np.inf))
+        else:
+            offset = 0
+            costs = np.ones(len(skeleton.keys))
+            spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
+        cap_keys = []
+        for row in range(len(spec.ub_rhs)):
+            cols = np.asarray(spec.ub_cols)[np.asarray(spec.ub_rows) == row]
+            keys = {skeleton.keys[col - offset][:2] for col in cols if col >= offset}
+            assert len(keys) == 1
+            cap_keys.append(keys.pop())
+        assert cap_keys == sorted(set(cap_keys))
+        job_order = []
+        for row in range(len(spec.eq_rhs)):
+            cols = np.asarray(spec.eq_cols)[np.asarray(spec.eq_rows) == row]
+            jobs = {skeleton.keys[col - offset][2] for col in cols}
+            assert len(jobs) == 1
+            job_order.append(jobs.pop())
+        assert job_order == [job.job_id for job in problem.jobs]
+        assert list(spec.eq_rhs) == [job.remaining_work for job in problem.jobs]

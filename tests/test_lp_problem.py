@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ModelError
 from repro.core.instance import Instance
@@ -14,8 +17,13 @@ from repro.lp.problem import (
     MaxStretchProblem,
     Resource,
     build_job_table,
+    build_resources,
+    eligible_resources,
+    job_rows,
     problem_from_instance,
 )
+
+from replan_oracles import problem_from_instance_general
 
 
 class TestAffine:
@@ -202,18 +210,14 @@ class TestProblemFromInstance:
         assert job0.earliest_start == 2.0
         assert job0.release == 0.0  # deadline still anchored at the true release
 
+    def test_offline_at_a_later_time_keeps_every_job_whole(self, instance):
+        problem = problem_from_instance(instance, now=0.5)
+        assert [(j.job_id, j.remaining_work) for j in problem.jobs] == [(0, 4.0), (1, 2.0)]
+        assert [j.earliest_start for j in problem.jobs] == [0.5, 1.0]
+
     def test_completed_jobs_dropped(self, instance):
         problem = problem_from_instance(instance, now=2.0, remaining={0: 0.0, 1: 1.0})
         assert [j.job_id for j in problem.jobs] == [1]
-
-    def test_explicit_job_ids_keep_full_size(self, instance):
-        problem = problem_from_instance(instance, job_ids=[0])
-        assert problem.n_jobs == 1
-        assert problem.job_by_id(0).remaining_work == 4.0
-
-    def test_flow_factor_override(self, instance):
-        problem = problem_from_instance(instance, flow_factors={0: 10.0})
-        assert problem.job_by_id(0).flow_factor == 10.0
 
 
 class TestJobTableFastPath:
@@ -234,34 +238,37 @@ class TestJobTableFastPath:
         return Instance(jobs, platform)
 
     def test_replan_shape_bit_identical_to_general_path(self, instance):
-        from repro.lp.problem import build_eligibility, build_resources
-
-        resources = build_resources(instance)
-        eligibility = build_eligibility(instance, resources)
-        table = build_job_table(instance, resources, eligibility)
+        resources = build_resources(instance.platform)
+        table = build_job_table(instance, resources)
         remaining = {0: 1.5, 1: 2.0, 2: 0.0}  # job 2 completed
-        general = problem_from_instance(
-            instance, now=2.5, remaining=remaining,
-            resources=resources, eligibility=eligibility,
+        general = problem_from_instance_general(
+            instance, now=2.5, remaining=remaining, resources=resources
         )
         fast = problem_from_instance(
-            instance, now=2.5, remaining=remaining,
-            resources=resources, eligibility=eligibility, job_table=table,
+            instance, now=2.5, remaining=remaining, resources=resources, job_table=table
         )
         assert fast == general  # dataclass equality: same jobs, same order
 
-    def test_overrides_fall_back_to_general_path(self, instance):
-        from repro.lp.problem import build_eligibility, build_resources
+    def test_eligibility_rule(self, instance):
+        resources = build_resources(instance.platform)
+        assert eligible_resources(resources, None) == (0, 1)
+        assert eligible_resources(resources, "a") == (0, 1)
+        assert eligible_resources(resources, "b") == (1,)
+        assert eligible_resources(resources, "zzz") == ()
 
-        resources = build_resources(instance)
-        eligibility = build_eligibility(instance, resources)
-        table = build_job_table(instance, resources, eligibility)
-        # flow_factors overrides bypass the table (general path handles them).
+    def test_degraded_table_tolerates_inactive_jobs_without_resources(self, instance):
+        # Machine 2 (the only host of "b") is down: job 1 has no resource left.
+        resources = build_resources(instance.platform.restrict_to([0, 1]))
+        table = build_job_table(instance, resources)
+        assert table.rows[1][4] == ()
         problem = problem_from_instance(
-            instance, now=0.0, remaining={0: 1.0}, flow_factors={0: 7.0},
-            resources=resources, eligibility=eligibility, job_table=table,
+            instance, now=3.0, remaining={0: 1.0, 2: 3.0}, resources=resources
         )
-        assert problem.job_by_id(0).flow_factor == 7.0
+        assert [job.job_id for job in problem.jobs] == [0, 2]
+        with pytest.raises(ModelError, match="no eligible resource"):
+            problem_from_instance(
+                instance, now=3.0, remaining={0: 1.0, 1: 1.0}, resources=resources
+            )
 
     def test_table_carries_instance_invariants(self, instance):
         table = build_job_table(instance)
@@ -269,3 +276,79 @@ class TestJobTableFastPath:
         job0 = table.rows[0]
         assert job0[1] == 0.0 and job0[2] == 4.0
         assert job0[3] == pytest.approx(instance.ideal_time(0))
+
+    def test_resources_of_a_restricted_platform(self, instance):
+        survivors = build_resources(instance.platform.restrict_to([0, 1]))
+        assert [(r.index, r.speed, r.machine_ids) for r in survivors] == [(0, 2.0, (0, 1))]
+        resources = build_resources(instance.platform.restrict_to([1, 2]))
+        assert [r.index for r in resources] == [0, 1]
+        assert sorted((r.machine_ids, r.speed) for r in resources) == [((1,), 1.0), ((2,), 2.0)]
+
+    def test_job_rows_follow_the_given_order(self, instance):
+        resources = build_resources(instance.platform)
+        rows = job_rows(instance, reversed(instance.jobs), resources)
+        assert rows == tuple(reversed(build_job_table(instance, resources).rows))
+        for job_id, _release, _size, _factor, eligible in rows:
+            databank = instance.job(job_id).databank
+            assert eligible == eligible_resources(resources, databank)
+
+
+@st.composite
+def problem_cases(draw):
+    """A random instance with ``now``, ``remaining`` and a machine subset.
+
+    ``remaining`` covers a random subset of the jobs, zeros included; jobs
+    whose databank no surviving machine hosts are never active.
+    """
+    banks = ["a", "b", "c"]
+    n_machines = draw(st.integers(min_value=1, max_value=5))
+    machines = [
+        Machine(
+            m,
+            draw(st.sampled_from([0.5, 1.0, 2.0])),
+            m % 2,
+            frozenset(draw(st.sets(st.sampled_from(banks), min_size=1))),
+        )
+        for m in range(n_machines)
+    ]
+    hosted = sorted(set().union(*(m.databanks for m in machines)))
+    n_jobs = draw(st.integers(min_value=1, max_value=8))
+    jobs = [
+        Job(
+            j,
+            release=draw(st.floats(min_value=0.0, max_value=10.0)),
+            size=draw(st.floats(min_value=0.1, max_value=20.0)),
+            databank=draw(st.sampled_from(hosted + [None])),
+        )
+        for j in range(n_jobs)
+    ]
+    instance = Instance(jobs, Platform(machines))
+    up = draw(st.sets(st.integers(min_value=0, max_value=n_machines - 1), min_size=1))
+    resources = None
+    if len(up) < n_machines:
+        resources = build_resources(instance.platform.restrict_to(up))
+    now = draw(st.none() | st.floats(min_value=0.0, max_value=15.0))
+    remaining = None
+    if draw(st.booleans()) or resources is not None:
+        remaining = {}
+        for job in jobs:
+            runnable = resources is None or eligible_resources(resources, job.databank)
+            if draw(st.booleans()):
+                work = draw(st.sampled_from([0.0, job.size]) | st.floats(0.0, job.size))
+                remaining[job.job_id] = work if runnable else 0.0
+    return instance, now, remaining, resources
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_cases())
+def test_one_path_equals_the_general_oracle(case):
+    instance, now, remaining, resources = case
+    got = problem_from_instance(instance, now=now, remaining=remaining, resources=resources)
+    want = problem_from_instance_general(
+        instance, now=now, remaining=remaining, resources=resources
+    )
+    assert got == want
+    # The seeded caches equal what the dataclasses would give.
+    assert np.array_equal(got.remaining_works(), want.remaining_works())
+    for seeded, computed in zip(got.job_vectors(), want.job_vectors()):
+        assert np.array_equal(seeded, computed)

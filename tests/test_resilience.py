@@ -31,12 +31,12 @@ from repro.lp.backends import highs_available, make_backend
 from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint
 from repro.lp.backends.scipy_backend import ScipyBackend
 from repro.lp.resilience import ResilientBackend, annotate_solver_error, make_resilient
-from repro.lp.solver import LinearProgramBuilder
 from repro.schedulers.offline import OfflineScheduler
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
+from helpers import lp_spec
 from test_engine_golden import wide_instance
 from test_lp_backends import _small_instance
 
@@ -70,21 +70,9 @@ class TestSolverErrorContext:
 
 def trivial_spec(infeasible: bool = False) -> LPSpec:
     """min 2x with 1 <= x <= 10; optionally x <= 0.5 to make it infeasible."""
-    has_row = bool(infeasible)
-    return LPSpec(
-        n_vars=1,
-        objective=[2.0],
-        lower=[1.0],
-        upper=[10.0],
-        ub_rows=[0] if has_row else [],
-        ub_cols=[0] if has_row else [],
-        ub_vals=[1.0] if has_row else [],
-        ub_rhs=[0.5] if has_row else [],
-        eq_rows=[],
-        eq_cols=[],
-        eq_vals=[],
-        eq_rhs=[],
-    )
+    if infeasible:
+        return lp_spec([2.0], lower=[1.0], upper=[10.0], a_ub=[[1.0]], b_ub=[0.5])
+    return lp_spec([2.0], lower=[1.0], upper=[10.0])
 
 
 class FailingBackend(SolverBackend):
@@ -96,7 +84,7 @@ class FailingBackend(SolverBackend):
         self.closed = False
         self.imported: list[object] = []
 
-    def _solve(self, spec, *, method="auto", warm=None):
+    def _solve(self, spec, *, warm=None):
         raise SolverError("persistent model corrupted")
 
     def close(self):
@@ -148,7 +136,9 @@ class TestScipyBackendRetry:
 
     def test_numerical_failure_on_ipm_retries_with_dual_simplex(self, monkeypatch):
         linprog = self.scripted(monkeypatch, 4, 0)
-        result = ScipyBackend().solve(trivial_spec(), method="highs-ipm")
+        # Above 8000 variables the backend starts with the interior-point
+        # method; linprog is scripted, so the size costs nothing.
+        result = ScipyBackend().solve(lp_spec([1.0] * 8001))
         assert result.status == 0
         assert linprog.methods == ["highs-ipm", "highs-ds"]
 
@@ -264,11 +254,7 @@ class TestResilientBackend:
         """The primary solve after a downgraded one equals a cold solve."""
 
         def spec(rhs: float) -> LPSpec:  # min x + 2y  s.t.  x + y = rhs, x <= 2
-            builder = LinearProgramBuilder()
-            x = builder.add_variable(objective=1.0, upper=2.0)
-            y = builder.add_variable(objective=2.0)
-            builder.add_eq([(x, 1.0), (y, 1.0)], rhs)
-            return builder.spec()
+            return lp_spec([1.0, 2.0], upper=[2.0, np.inf], a_eq=[[1.0, 1.0]], b_eq=[rhs])
 
         warm = WarmStartHint(
             series="s",
@@ -304,7 +290,7 @@ class TestPoisonedProbeRegression:
     def test_poisoned_probe_becomes_failed_record_not_a_crash(self, monkeypatch):
         """A terminal SolverError fails one run, never the campaign."""
 
-        def poisoned_solve(self, spec, *, method="auto", warm=None):
+        def poisoned_solve(self, spec, *, warm=None):
             raise SolverError(
                 "poisoned probe", backend=self.name, status=4, attempts=2
             )
