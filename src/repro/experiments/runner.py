@@ -48,6 +48,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -367,10 +370,32 @@ class _WorkerState:
 _WORKER: _WorkerState | None = None
 
 
+#: How often a pool worker checks that the campaign process is still alive.
+_PARENT_POLL_SECONDS = 0.25
+
+
 def _init_worker() -> None:
-    """Pool initializer: give the worker its long-lived state up front."""
+    """Pool initializer: give the worker its long-lived state up front.
+
+    The worker also exits once the campaign process that started it is
+    gone.  A campaign killed by SIGKILL cannot shut its pools down, and its
+    workers would otherwise sleep on their call queues forever (their
+    siblings keep the queues' pipes open, so no read ever ends).
+    """
     global _WORKER
     _WORKER = _WorkerState()
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.pid,), name="exit-with-parent", daemon=True
+        ).start()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this process as soon as ``parent_pid`` is no longer its parent."""
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def _run_one(

@@ -91,9 +91,9 @@ class LPSpec:
     """The arrays of one ``min c.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub``.
 
     The inequality/equality matrices are in COO triplet form; fields may be
-    lists or numpy arrays (the System (1)/(2) assembly passes python-float
-    lists for the objective and bounds, and the skeleton's index arrays
-    as they are).  Backends read the arrays and never write to them.
+    lists or numpy arrays (the System (1)/(2) assembly passes float64 /
+    int64 numpy arrays throughout, some of them the skeleton's own index
+    arrays).  Backends read the arrays and never write to them.
     """
 
     n_vars: int
@@ -252,11 +252,11 @@ class SolverBackend(ABC):
 class LPProbeStats:
     """The LP counters of one run, kept on the run's :attr:`SolverBackend.stats`.
 
-    The backend counts its solves and their solver time (model build +
-    factorization + simplex/IPM, excluding the python-side assembly); the
-    milestone search, the replan context and the scheduler add what they
-    see of the same run: the *probe-elimination histogram* of the
-    certificate-guided search (:mod:`repro.lp.maxstretch`) -- probes solved,
+    The backend counts its solves and their solver time
+    (:attr:`solve_seconds`); the milestone search, the replan context and
+    the scheduler add what they see of the same run: the
+    *probe-elimination histogram* of the certificate-guided search
+    (:mod:`repro.lp.maxstretch`) -- probes solved,
     probes skipped by a dual-ray bound or the interior-optimum re-check,
     solves served warm from a transplanted basis --, the solver-state bank
     lookups and reuses, and the replan latencies.  The engine hands the
@@ -266,6 +266,11 @@ class LPProbeStats:
     """
 
     n_probes: int = 0
+    #: Wall-clock seconds inside :meth:`SolverBackend.solve` /
+    #: :meth:`~SolverBackend.resolve_fixed`: the model build (on HiGHS the
+    #: CSC arrays and ``passModel``), the basis transplant -- including the
+    #: conversion of the series' captured basis it reads --, the solver run
+    #: and the basis capture.  The ``LPSpec`` assembly is not included.
     solve_seconds: float = 0.0
     by_backend: dict[str, int] = field(default_factory=dict)
     #: Milestone probes eliminated without an LP solve (certificate jumps
@@ -294,9 +299,9 @@ class LPProbeStats:
     #: banked System (1)/(2) optimum for an exactly-matching problem
     #: signature, or the feasible-side shrink-only carry within a run.
     n_primal_reuses: int = 0
-    #: Wall-clock seconds spent assembling LPs before handing them to the
-    #: backend (interval structure + skeleton + ``LPSpec``): the python-side
-    #: cost the replan kernels of :mod:`repro.lp.kernels` attack.
+    #: Wall-clock seconds spent assembling System (1) probes before handing
+    #: them to the backend: interval structure, skeleton arrays (cached per
+    #: signature), ``LPSpec`` and warm-start hint.
     assembly_seconds: float = 0.0
     #: Wall-clock seconds inside whole milestone searches (bounds, milestone
     #: enumeration, probe loop -- solves included).

@@ -20,9 +20,14 @@ keeps the one piece of solver state that does carry over: the *basis*.
   (1) probe, so :meth:`~HighsPersistentBackend.resolve_fixed` fixes ``F`` on
   the probe's model, swaps the costs and runs *primal* simplex from its basis.
 
-The series bases (four small numpy arrays per series) are the only state
-the backend keeps; a ``Highs`` object dies with the call or, when its
-result's handle is taken, with the handle (dropped within the replan).
+The series bases are the only state the backend keeps.  A solve leaves its
+basis behind as the bindings' ``HighsBasis`` copy (no ``Highs`` object);
+its statuses become four small sorted numpy arrays only when the series is
+read -- by the next transplant or by :meth:`~HighsPersistentBackend.
+export_series_state` -- because reading them from the bindings costs one
+Python object per row and column, and a basis the next solve of the series
+overwrites is never read.  A ``Highs`` object dies with the call or, when
+its result's handle is taken, with the handle (dropped within the replan).
 
 Bindings are resolved at import time from, in order of preference:
 
@@ -38,12 +43,12 @@ constructing :class:`HighsPersistentBackend` raises
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.errors import SolverError
 from repro.lp.backends.base import (
@@ -155,9 +160,13 @@ def highs_unavailable_reason() -> str | None:
     return f"{highspy_reason}, and {vendored_reason}"
 
 
+#: The integer code of a ``HighsBasisStatus`` member (``int()`` costs more).
+_status_code = operator.attrgetter("value")
+
+
 def _sorted_side(ids: np.ndarray, statuses) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, statuses)`` sorted by id, statuses down-converted to int8."""
-    values = np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
+    values = np.fromiter(map(_status_code, statuses), dtype=np.int8, count=len(statuses))
     order = np.argsort(ids, kind="stable")
     return ids[order], values[order]
 
@@ -177,6 +186,35 @@ def _map_statuses(
     return out
 
 
+def _csc(spec: LPSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, index, value)`` of ``spec``'s constraint matrix, column-wise.
+
+    Inequality rows first, then equality rows.  Entries are sorted by
+    (column, row), stably, and duplicate ``(row, column)`` entries summed --
+    what ``scipy.sparse.coo_matrix(...).tocsc()`` yields.
+    """
+    n_ub = len(spec.ub_rhs)
+    rows = np.concatenate(
+        [np.asarray(spec.ub_rows, dtype=np.int64), np.asarray(spec.eq_rows, dtype=np.int64) + n_ub]
+    )
+    cols = np.concatenate(
+        [np.asarray(spec.ub_cols, dtype=np.int64), np.asarray(spec.eq_cols, dtype=np.int64)]
+    )
+    vals = np.concatenate(
+        [np.asarray(spec.ub_vals, dtype=np.float64), np.asarray(spec.eq_vals, dtype=np.float64)]
+    )
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=first[1:])
+    if not first.all():
+        heads = np.nonzero(first)[0]
+        rows, cols, vals = rows[heads], cols[heads], np.add.reduceat(vals, heads)
+    start = np.zeros(spec.n_vars + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=spec.n_vars), out=start[1:])
+    return start, rows, vals
+
+
 @dataclass
 class _SeriesBasis:
     """The latest basis observed in a warm-start series.
@@ -189,6 +227,20 @@ class _SeriesBasis:
     col_status: np.ndarray  # int8, aligned with col_ids
     row_ids: np.ndarray
     row_status: np.ndarray
+
+
+class _CapturedBasis(NamedTuple):
+    """A solve's basis as the bindings returned it, with the solve's identities."""
+
+    basis: object  # HighsBasis, an independent copy of the solver's
+    warm: WarmStartHint
+
+    def convert(self) -> _SeriesBasis:
+        """The statuses as a :class:`_SeriesBasis` (the costly read)."""
+        return _SeriesBasis(
+            *_sorted_side(self.warm.col_ids, self.basis.col_status),
+            *_sorted_side(self.warm.row_ids, self.basis.row_status),
+        )
 
 
 class HighsPersistentBackend(SolverBackend):
@@ -216,14 +268,15 @@ class HighsPersistentBackend(SolverBackend):
             )
         super().__init__()
         self._api = api
-        self._series: dict[Hashable, _SeriesBasis] = {}
-        # int <-> HighsBasisStatus tables for the vectorized basis mapping.
-        self._status_by_int = {
-            int(member): member
-            for member in api.HighsBasisStatus.__members__.values()
-        }
-        self._int_basic = int(api.HighsBasisStatus.kBasic)
-        self._int_lower = int(api.HighsBasisStatus.kLower)
+        self._series: dict[Hashable, _SeriesBasis | _CapturedBasis] = {}
+        # The HighsBasisStatus members indexed by their integer code, so a
+        # transplant turns its int8 statuses into members by one indexing.
+        members = api.HighsBasisStatus.__members__.values()
+        self._status_members = np.empty(max(map(_status_code, members)) + 1, dtype=object)
+        for member in members:
+            self._status_members[_status_code(member)] = member
+        self._int_basic = _status_code(api.HighsBasisStatus.kBasic)
+        self._int_lower = _status_code(api.HighsBasisStatus.kLower)
 
     # -- SolverBackend interface ---------------------------------------------------
     def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
@@ -265,15 +318,16 @@ class HighsPersistentBackend(SolverBackend):
         """
         if not self._series:
             return None
-        return {
-            series: (
+        payload = {}
+        for series in self._series:
+            basis = self._series_basis(series)
+            payload[series] = (
                 basis.col_ids.copy(),
                 basis.col_status.copy(),
                 basis.row_ids.copy(),
                 basis.row_status.copy(),
             )
-            for series, basis in self._series.items()
-        }
+        return payload
 
     def import_series_state(self, payload: "dict | None") -> None:
         """Seed the series bases from an :meth:`export_series_state` payload.
@@ -317,28 +371,7 @@ class HighsPersistentBackend(SolverBackend):
         """Pass ``spec`` wholesale into ``highs`` (cold model, no basis)."""
         api = self._api
         costs, col_lower, col_upper, row_lower, row_upper = self._arrays(spec)
-        n_ub = len(spec.ub_rhs)
-        rows = np.concatenate(
-            [
-                np.asarray(spec.ub_rows, dtype=np.int64),
-                np.asarray(spec.eq_rows, dtype=np.int64) + n_ub,
-            ]
-        )
-        cols = np.concatenate(
-            [
-                np.asarray(spec.ub_cols, dtype=np.int64),
-                np.asarray(spec.eq_cols, dtype=np.int64),
-            ]
-        )
-        vals = np.concatenate(
-            [
-                np.asarray(spec.ub_vals, dtype=np.float64),
-                np.asarray(spec.eq_vals, dtype=np.float64),
-            ]
-        )
-        matrix = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(spec.n_rows, spec.n_vars)
-        ).tocsc()
+        start, index, value = _csc(spec)
 
         lp = api.HighsLp()
         lp.num_col_ = spec.n_vars
@@ -352,9 +385,11 @@ class HighsPersistentBackend(SolverBackend):
         lp.a_matrix_.format_ = api.MatrixFormat.kColwise
         lp.a_matrix_.num_col_ = spec.n_vars
         lp.a_matrix_.num_row_ = spec.n_rows
-        lp.a_matrix_.start_ = matrix.indptr.astype(np.int32)
-        lp.a_matrix_.index_ = matrix.indices.astype(np.int32)
-        lp.a_matrix_.value_ = matrix.data.astype(np.float64)
+        # The bindings copy int vectors from a list about twice as fast as
+        # from a numpy array (float vectors take numpy arrays directly).
+        lp.a_matrix_.start_ = start.tolist()
+        lp.a_matrix_.index_ = index.tolist()
+        lp.a_matrix_.value_ = value
         status = highs.passModel(lp)
         if status == api.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
@@ -369,7 +404,7 @@ class HighsPersistentBackend(SolverBackend):
         deficiencies -- so a partial overlap (e.g. after an arrival changed
         the job set) still short-circuits most simplex iterations.
         """
-        prev = self._series.get(warm.series)
+        prev = self._series_basis(warm.series)
         if prev is None:
             return
         api = self._api
@@ -398,26 +433,33 @@ class HighsPersistentBackend(SolverBackend):
             idx = np.nonzero(row_status != basic)[0][:-excess]
             row_status[idx] = basic
 
-        lookup = self._status_by_int
+        members = self._status_members
         basis = api.HighsBasis()
-        basis.col_status = [lookup[v] for v in col_status.tolist()]
-        basis.row_status = [lookup[v] for v in row_status.tolist()]
+        basis.col_status = members[col_status].tolist()
+        basis.row_status = members[row_status].tolist()
         basis.valid = True
         if highs.setBasis(basis) != api.HighsStatus.kError:
             self.stats.n_basis_reused += 1
 
-    def _capture_basis(self, highs, warm: WarmStartHint) -> None:
+    def _capture_basis(self, highs, spec: LPSpec, warm: WarmStartHint) -> None:
+        """Keep the solve's basis as the series' latest, unconverted.
+
+        ``getBasis`` returns a copy, so later solves on ``highs`` (a live
+        re-solve) leave it alone.  A valid basis has one status per column
+        and row of the model, which must match the hint's identities.
+        """
+        if spec.n_vars != warm.col_ids.size or spec.n_rows != warm.row_ids.size:
+            return
         basis = highs.getBasis()
-        if not getattr(basis, "valid", True):
-            return
-        col_status = basis.col_status
-        row_status = basis.row_status
-        if len(col_status) != warm.col_ids.size or len(row_status) != warm.row_ids.size:
-            return
-        self._series[warm.series] = _SeriesBasis(
-            *_sorted_side(warm.col_ids, col_status),
-            *_sorted_side(warm.row_ids, row_status),
-        )
+        if getattr(basis, "valid", True):
+            self._series[warm.series] = _CapturedBasis(basis, warm)
+
+    def _series_basis(self, series: Hashable) -> _SeriesBasis | None:
+        """The series' latest basis, its statuses converted on this first read."""
+        basis = self._series.get(series)
+        if isinstance(basis, _CapturedBasis):
+            basis = self._series[series] = basis.convert()
+        return basis
 
     # -- infeasibility certificates --------------------------------------------------
     def _extract_dual_ray(self, highs, spec: LPSpec) -> "np.ndarray | None":
@@ -471,7 +513,7 @@ class HighsPersistentBackend(SolverBackend):
                 highs.setOptionValue("presolve", previous)
         if model_status == api.HighsModelStatus.kOptimal:
             if warm is not None:
-                self._capture_basis(highs, warm)
+                self._capture_basis(highs, spec, warm)
             values = np.asarray(highs.getSolution().col_value, dtype=np.float64)
             return LPResult(
                 status=0,
@@ -485,7 +527,7 @@ class HighsPersistentBackend(SolverBackend):
             # The dual-ray basis of an infeasible probe is as good a warm
             # start for the neighbouring probes as an optimal one.
             if warm is not None:
-                self._capture_basis(highs, warm)
+                self._capture_basis(highs, spec, warm)
             result = self.infeasible_result(spec, "Infeasible (HiGHS persistent)")
             result.dual_ray = self._extract_dual_ray(highs, spec)
             return result

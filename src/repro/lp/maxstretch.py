@@ -31,8 +31,8 @@ processed on resource ``c`` during elementary interval ``t``, plus the
 objective ``F`` itself.  Constraints are exactly (1a)-(1e) of the paper:
 interval/resource capacities (affine in ``F``), structural zeros outside the
 [earliest start, deadline] window, and per-job completeness -- assembled into
-one :class:`~repro.lp.backends.LPSpec` from index arrays cached on the
-skeleton.
+one :class:`~repro.lp.backends.LPSpec` from the index arrays of a
+:class:`ConstraintSkeleton`.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ class MaxStretchSolution:
         return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSkeleton:
-    """The structural part of a System (1)/(2) linear program.
+    """The structural part of a System (1)/(2) linear program, as index arrays.
 
     Everything here depends only on the interval structure and the jobs'
     eligible resources -- not on the objective bounds, the remaining works or
@@ -203,51 +203,68 @@ class ConstraintSkeleton:
     ReplanContext` caches skeletons keyed by :attr:`signature` so that
     successive solves on the same milestone interval (e.g. the winning System
     (1) probe and the System (2) re-optimization that follows it) skip the
-    variable-indexing and constraint-grouping work.
+    indexing work.
+
+    The work variables ``x[t, c, j]`` (the columns) come in the canonical
+    order: job order of the problem, then interval, then resource in
+    ``job.resources`` order.  The order pins the LP column order, keeping
+    solver output bit-identical between the cached and the from-scratch
+    paths.  The rows are one capacity row (1d) per (interval, resource) pair
+    some column uses, sorted by (interval, resource), then one completeness
+    row (1e) per job in job order, whose entries are the job's columns
+    (:attr:`key_jpos` names each column's row).  Index arrays are int64,
+    lengths and boundaries float64; nothing here is ever written to.
 
     Attributes
     ----------
     structure:
         The interval structure the skeleton was built on.
-    keys:
-        ``(interval, resource, job_id)`` for every variable, in the canonical
-        order (job order of the problem, then interval, then resource).  The
-        order matters: it pins the LP column order, keeping solver output
-        bit-identical between the cached and the from-scratch paths.
-    capacity_groups:
-        ``((interval, resource), variable positions)`` sorted by (interval,
-        resource) -- one capacity row (1d) each.
-    completeness_groups:
-        ``(job position in problem.jobs, variable positions)`` in job order --
-        one completeness row (1e) each.
     signature:
         Hashable cache key: the boundary affines plus every job's
         (id, window, resources) tuple.
+    key_t, key_c, key_j, key_jpos:
+        Per column: its interval, resource, job id and the job's position
+        in ``problem.jobs``.
+    cap_entry_rows, cap_entry_cols:
+        The capacity block's unit entries, by row, columns ascending
+        inside a row.
+    cap_t, cap_c:
+        Per capacity row: its interval and resource.
+    cap_len_const, cap_len_coef:
+        Per capacity row: the length of its interval, ``const + coef * F``.
+    bnd_const, bnd_coef:
+        The structure's boundaries, ``const + coef * F``.
+    warm_col_ids, warm_row_ids:
+        The basis-transplant identities of :func:`warm_hint`: the objective
+        variable ``F`` first, then every column; the capacity rows, then
+        the completeness rows.
     """
 
     structure: IntervalStructure
-    keys: tuple[tuple[int, int, int], ...]
-    capacity_groups: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    completeness_groups: tuple[tuple[int, tuple[int, ...]], ...]
     signature: tuple
+    key_t: np.ndarray
+    key_c: np.ndarray
+    key_j: np.ndarray
+    key_jpos: np.ndarray
+    cap_entry_rows: np.ndarray
+    cap_entry_cols: np.ndarray
+    cap_t: np.ndarray
+    cap_c: np.ndarray
+    cap_len_const: np.ndarray
+    cap_len_coef: np.ndarray
+    bnd_const: np.ndarray
+    bnd_coef: np.ndarray
+    warm_col_ids: np.ndarray
+    warm_row_ids: np.ndarray
 
     @property
     def n_variables(self) -> int:
-        return len(self.keys)
+        return self.key_t.size
 
 
-def _skeleton_signature(problem: MaxStretchProblem, structure: IntervalStructure) -> tuple:
-    boundaries = tuple((b.const, b.coef) for b in structure.boundaries)
-    jobs = tuple(
-        (
-            job.job_id,
-            structure.job_start_index[job.job_id],
-            structure.job_deadline_index[job.job_id],
-            job.resources,
-        )
-        for job in problem.jobs
-    )
-    return (boundaries, jobs)
+#: Stable column identity of the objective variable F in warm-start hints
+#: (work-variable identities are non-negative bit-packed triples).
+_F_COL_ID = -1
 
 
 def build_skeleton(
@@ -259,57 +276,87 @@ def build_skeleton(
 
     Returns ``None`` when some job has no interval to run in, i.e. its
     deadline does not lie strictly after its earliest start -- the quick
-    structural infeasibility check of the milestone search.
+    structural infeasibility check of the milestone search.  Job ``j``'s
+    intervals are the range ``[job_start_index, job_deadline_index)``, so
+    every per-column array comes from one ``np.repeat`` over the jobs.
     """
-    for job in problem.jobs:
-        if len(structure.job_intervals(job.job_id)) == 0:
-            return None
+    jobs = tuple(
+        (
+            job.job_id,
+            structure.job_start_index[job.job_id],
+            structure.job_deadline_index[job.job_id],
+            job.resources,
+        )
+        for job in problem.jobs
+    )
+    if any(end <= start for _j, start, end, _r in jobs):
+        return None
 
-    signature = _skeleton_signature(problem, structure)
+    signature = (tuple((b.const, b.coef) for b in structure.boundaries), jobs)
     if cache is not None:
         cached = cache.get(signature)
         if cached is not None:
             return cached
 
-    keys: list[tuple[int, int, int]] = []
-    by_interval_resource: dict[tuple[int, int], list[int]] = {}
-    by_job: list[tuple[int, tuple[int, ...]]] = []
-    for pos_job, job in enumerate(problem.jobs):
-        job_positions: list[int] = []
-        for t in structure.job_intervals(job.job_id):
-            for c in job.resources:
-                position = len(keys)
-                keys.append((t, c, job.job_id))
-                by_interval_resource.setdefault((t, c), []).append(position)
-                job_positions.append(position)
-        by_job.append((pos_job, tuple(job_positions)))
+    table = np.array(
+        [(j, start, end, len(r)) for j, start, end, r in jobs], dtype=np.int64
+    ).reshape(-1, 4)
+    job_id, start, end, n_res = table.T
+    resources = np.fromiter(
+        (c for *_window, r in jobs for c in r), dtype=np.int64, count=int(n_res.sum())
+    )
+
+    # Column k of job p is interval start[p] + k // n_res[p] on resource
+    # number k % n_res[p] of the job.
+    n_cols = (end - start) * n_res
+    key_jpos = np.repeat(np.arange(len(jobs), dtype=np.int64), n_cols)
+    local = np.arange(key_jpos.size, dtype=np.int64) - (np.cumsum(n_cols) - n_cols)[key_jpos]
+    width = n_res[key_jpos]
+    key_t = start[key_jpos] + local // width
+    key_c = resources[(np.cumsum(n_res) - n_res)[key_jpos] + local % width]
+    key_j = job_id[key_jpos]
+
+    # Capacity rows: a stable sort by (interval, resource) keeps the columns
+    # of one row in ascending order.
+    cap_entry_cols = np.lexsort((key_c, key_t))
+    sorted_t = key_t[cap_entry_cols]
+    sorted_c = key_c[cap_entry_cols]
+    new_row = np.ones(cap_entry_cols.size, dtype=bool)
+    np.logical_or(sorted_t[1:] != sorted_t[:-1], sorted_c[1:] != sorted_c[:-1], out=new_row[1:])
+    cap_t = sorted_t[new_row]
+    cap_c = sorted_c[new_row]
+
+    bnd_const = np.array([b.const for b in structure.boundaries], dtype=np.float64)
+    bnd_coef = np.array([b.coef for b in structure.boundaries], dtype=np.float64)
+    warm_col_ids = np.empty(key_t.size + 1, dtype=np.int64)
+    warm_col_ids[0] = _F_COL_ID
+    warm_col_ids[1:] = (key_t << 36) | (key_c << 24) | key_j
 
     skeleton = ConstraintSkeleton(
         structure=structure,
-        keys=tuple(keys),
-        capacity_groups=tuple(
-            (tc, tuple(positions))
-            for tc, positions in sorted(by_interval_resource.items())
-        ),
-        completeness_groups=tuple(by_job),
         signature=signature,
+        key_t=key_t,
+        key_c=key_c,
+        key_j=key_j,
+        key_jpos=key_jpos,
+        cap_entry_rows=np.cumsum(new_row, dtype=np.int64) - 1,
+        cap_entry_cols=cap_entry_cols,
+        cap_t=cap_t,
+        cap_c=cap_c,
+        # The same single subtraction as ``IntervalStructure.interval_length``.
+        cap_len_const=bnd_const[cap_t + 1] - bnd_const[cap_t],
+        cap_len_coef=bnd_coef[cap_t + 1] - bnd_coef[cap_t],
+        bnd_const=bnd_const,
+        bnd_coef=bnd_coef,
+        warm_col_ids=warm_col_ids,
+        warm_row_ids=np.concatenate([(cap_t << 12) | cap_c, (1 << 60) | job_id]),
     )
     if cache is not None:
         cache[signature] = skeleton
     return skeleton
 
 
-#: Stable column identity of the objective variable F in warm-start hints
-#: (work-variable identities are non-negative bit-packed triples).
-_F_COL_ID = -1
-
-
-def warm_hint(
-    problem: MaxStretchProblem,
-    skeleton: ConstraintSkeleton,
-    *,
-    with_objective_var: bool,
-) -> WarmStartHint:
+def warm_hint(skeleton: ConstraintSkeleton, *, with_objective_var: bool) -> WarmStartHint:
     """Basis-transplant identities for the LP built from ``skeleton``.
 
     Work variables are identified by their ``(interval, resource, job)``
@@ -322,130 +369,15 @@ def warm_hint(
     All LPs of one search/replan sequence share a single series: the backend
     is per-context, so bases never leak across simulation runs.
 
-    The id arrays are cached on the skeleton (which the
-    :class:`~repro.lp.incremental.ReplanContext` skeleton cache already
-    shares between the winning System (1) probe and the System (2) solve).
+    The hint holds the skeleton's own :attr:`~ConstraintSkeleton.warm_col_ids`
+    / :attr:`~ConstraintSkeleton.warm_row_ids` (no copy).
     """
-    cache = skeleton.__dict__.get("_warm_ids")
-    if cache is None:
-        keys = skeleton.keys
-        col_ids = np.fromiter(
-            ((t << 36) | (c << 24) | j for t, c, j in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        n_caps = len(skeleton.capacity_groups)
-        row_ids = np.fromiter(
-            (
-                (t << 12) | c
-                for (t, c), _positions in skeleton.capacity_groups
-            ),
-            dtype=np.int64,
-            count=n_caps,
-        )
-        job_rows = np.fromiter(
-            (
-                (1 << 60) | problem.jobs[pos_job].job_id
-                for pos_job, _positions in skeleton.completeness_groups
-            ),
-            dtype=np.int64,
-            count=len(skeleton.completeness_groups),
-        )
-        cache = (
-            np.concatenate([np.array([_F_COL_ID], dtype=np.int64), col_ids]),
-            col_ids,
-            np.concatenate([row_ids, job_rows]),
-        )
-        # ConstraintSkeleton is frozen; stash the derived arrays directly in
-        # its instance dict (pure cache, invisible to equality/signature).
-        object.__setattr__(skeleton, "_warm_ids", cache)
-    col_with_f, col_plain, row_ids = cache
+    col_ids = skeleton.warm_col_ids
     return WarmStartHint(
         series="milestone-lps",
-        col_ids=col_with_f if with_objective_var else col_plain,
-        row_ids=row_ids,
+        col_ids=col_ids if with_objective_var else col_ids[1:],
+        row_ids=skeleton.warm_row_ids,
     )
-
-
-class _AssemblyArrays:
-    """Numpy index arrays deriving the COO constraint blocks from a skeleton.
-
-    Everything here is a pure re-indexing of the skeleton's group tuples --
-    problem-independent (speeds and remaining works are applied per solve),
-    built once per skeleton and stashed in its instance dict (pure cache,
-    like the warm-hint identities), so successive probes sharing a skeleton
-    assemble their constraint matrices without any per-entry Python loop.
-    """
-
-    __slots__ = (
-        "cap_entry_rows",
-        "cap_entry_cols",
-        "cap_c",
-        "cap_len_const",
-        "cap_len_coef",
-        "comp_entry_rows",
-        "comp_entry_cols",
-        "comp_job_pos",
-        "key_t",
-        "key_jpos",
-        "bnd_const",
-        "bnd_coef",
-    )
-
-    def __init__(self, skeleton: "ConstraintSkeleton"):
-        structure = skeleton.structure
-        cap_groups = skeleton.capacity_groups
-        n_cap = len(cap_groups)
-        sizes = np.fromiter((len(p) for _tc, p in cap_groups), dtype=np.int64, count=n_cap)
-        self.cap_entry_rows = np.repeat(np.arange(n_cap, dtype=np.int64), sizes)
-        self.cap_entry_cols = np.fromiter(
-            (p for _tc, ps in cap_groups for p in ps), dtype=np.int64, count=int(sizes.sum())
-        )
-        self.cap_c = np.fromiter((tc[1] for tc, _ps in cap_groups), dtype=np.int64, count=n_cap)
-        lengths = [structure.interval_length(tc[0]) for tc, _ps in cap_groups]
-        self.cap_len_const = np.fromiter(
-            (ln.const for ln in lengths), dtype=np.float64, count=n_cap
-        )
-        self.cap_len_coef = np.fromiter(
-            (ln.coef for ln in lengths), dtype=np.float64, count=n_cap
-        )
-
-        comp_groups = skeleton.completeness_groups
-        n_comp = len(comp_groups)
-        comp_sizes = np.fromiter(
-            (len(p) for _pj, p in comp_groups), dtype=np.int64, count=n_comp
-        )
-        self.comp_entry_rows = np.repeat(np.arange(n_comp, dtype=np.int64), comp_sizes)
-        self.comp_entry_cols = np.fromiter(
-            (p for _pj, ps in comp_groups for p in ps),
-            dtype=np.int64,
-            count=int(comp_sizes.sum()),
-        )
-        self.comp_job_pos = np.fromiter(
-            (pj for pj, _ps in comp_groups), dtype=np.int64, count=n_comp
-        )
-
-        n_keys = len(skeleton.keys)
-        self.key_t = np.fromiter((t for t, _c, _j in skeleton.keys), dtype=np.int64, count=n_keys)
-        self.key_jpos = np.empty(n_keys, dtype=np.int64)
-        self.key_jpos[self.comp_entry_cols] = self.comp_job_pos[self.comp_entry_rows]
-
-        boundaries = structure.boundaries
-        self.bnd_const = np.fromiter(
-            (b.const for b in boundaries), dtype=np.float64, count=len(boundaries)
-        )
-        self.bnd_coef = np.fromiter(
-            (b.coef for b in boundaries), dtype=np.float64, count=len(boundaries)
-        )
-
-
-def _assembly_arrays(skeleton: ConstraintSkeleton) -> _AssemblyArrays:
-    """The cached :class:`_AssemblyArrays` of ``skeleton`` (built on first use)."""
-    cache = skeleton.__dict__.get("_assembly")
-    if cache is None:
-        cache = _AssemblyArrays(skeleton)
-        object.__setattr__(skeleton, "_assembly", cache)
-    return cache
 
 
 def _lp_spec(
@@ -464,38 +396,37 @@ def _lp_spec(
     Otherwise it is System (2) at ``fixed_objective``: x variables only,
     costs ``costs`` and constant capacities.  Rows are the capacity rows
     (1d), sorted by (interval, resource), then the completeness rows (1e)
-    in job order; every coefficient comes from the skeleton's cached
-    :class:`_AssemblyArrays`, without a per-entry Python loop.
+    in job order; every array is derived from the skeleton's index arrays
+    by numpy operations, without a per-entry Python loop.
     """
-    arrays = _assembly_arrays(skeleton)
-    n_x = len(skeleton.keys)
-    speeds = problem.resource_speeds()[arrays.cap_c]
+    n_x = skeleton.n_variables
+    speeds = problem.resource_speeds()[skeleton.cap_c]
     if f_range is not None:
         offset = 1
         ub_rows, ub_cols, ub_vals, ub_rhs = kernels.scatter_capacity_sys1(
-            arrays.cap_entry_rows,
-            arrays.cap_entry_cols,
-            arrays.cap_len_const,
-            arrays.cap_len_coef,
+            skeleton.cap_entry_rows,
+            skeleton.cap_entry_cols,
+            skeleton.cap_len_const,
+            skeleton.cap_len_coef,
             speeds,
             offset,
             0,
         )
-        objective = [1.0] + [0.0] * n_x
-        lower = [float(f_range[0])] + [0.0] * n_x
-        upper = [float(f_range[1])] + [math.inf] * n_x
+        objective = np.concatenate(([1.0], np.zeros(n_x)))
+        lower = np.concatenate(([f_range[0]], np.zeros(n_x)))
+        upper = np.concatenate(([f_range[1]], np.full(n_x, math.inf)))
     else:
         assert fixed_objective is not None and costs is not None
         offset = 0
-        ub_rows = arrays.cap_entry_rows
-        ub_cols = arrays.cap_entry_cols
-        ub_vals = np.ones(arrays.cap_entry_cols.size, dtype=np.float64)
+        ub_rows = skeleton.cap_entry_rows
+        ub_cols = skeleton.cap_entry_cols
+        ub_vals = np.ones(n_x, dtype=np.float64)
         ub_rhs = speeds * np.maximum(
-            0.0, arrays.cap_len_const + arrays.cap_len_coef * fixed_objective
+            0.0, skeleton.cap_len_const + skeleton.cap_len_coef * fixed_objective
         )
-        objective = costs.tolist()
-        lower = [0.0] * n_x
-        upper = [math.inf] * n_x
+        objective = costs
+        lower = np.zeros(n_x)
+        upper = np.full(n_x, math.inf)
     return LPSpec(
         n_vars=offset + n_x,
         objective=objective,
@@ -505,10 +436,10 @@ def _lp_spec(
         ub_cols=ub_cols,
         ub_vals=ub_vals,
         ub_rhs=ub_rhs,
-        eq_rows=arrays.comp_entry_rows,
-        eq_cols=arrays.comp_entry_cols + offset,
-        eq_vals=np.ones(arrays.comp_entry_cols.size, dtype=np.float64),
-        eq_rhs=problem.remaining_works()[arrays.comp_job_pos],
+        eq_rows=skeleton.key_jpos,
+        eq_cols=np.arange(offset, offset + n_x, dtype=np.int64),
+        eq_vals=np.ones(n_x, dtype=np.float64),
+        eq_rhs=problem.remaining_works(),
     )
 
 
@@ -614,16 +545,15 @@ def _probe_certificate(
     outcome: "ProbeOutcome",
 ) -> None:
     """Evaluate a dual ray as an affine function of F and fill ``outcome``."""
-    n_cap = len(skeleton.capacity_groups)
-    if dual_ray.size != n_cap + len(skeleton.completeness_groups):
+    n_cap = skeleton.cap_c.size
+    if dual_ray.size != n_cap + len(problem.jobs):
         return
-    arrays = _assembly_arrays(skeleton)
     u = dual_ray[:n_cap]
     v = dual_ray[n_cap:]
-    cap_speed = problem.resource_speeds()[arrays.cap_c]
+    cap_speed = problem.resource_speeds()[skeleton.cap_c]
     certificate = SearchCertificate(
-        capacity_const=float(u @ (cap_speed * arrays.cap_len_const)),
-        capacity_coef=float(u @ (cap_speed * arrays.cap_len_coef)),
+        capacity_const=float(u @ (cap_speed * skeleton.cap_len_const)),
+        capacity_coef=float(u @ (cap_speed * skeleton.cap_len_coef)),
         v_by_job={
             job.job_id: float(v[pos]) for pos, job in enumerate(problem.jobs) if v[pos] != 0.0
         },
@@ -683,7 +613,7 @@ def solve_on_objective_range(
     spec = _lp_spec(problem, skeleton, f_range=(f_low, f_high))
     warm = None
     if backend.persistent:
-        warm = warm_hint(problem, skeleton, with_objective_var=True)
+        warm = warm_hint(skeleton, with_objective_var=True)
     backend.stats.assembly_seconds += time.perf_counter() - assembly_start
     result = backend.solve(spec, warm=warm)
     if not result.feasible:
@@ -962,12 +892,13 @@ def _extract_allocations(
     ``offset`` is the index of the first x variable (1 when the objective
     variable precedes them).  The per-variable threshold (relative to the
     job's remaining work, as the historical loop computed it) is evaluated
-    as one vectorized comparison; only the surviving entries pay a Python
-    dict insert.
+    as one vectorized comparison; only the surviving entries, in ascending
+    column order, become dict items.
     """
-    arrays = _assembly_arrays(skeleton)
-    vals = np.asarray(values)[offset:offset + len(skeleton.keys)]
+    vals = np.asarray(values)[offset:offset + skeleton.n_variables]
     works = problem.remaining_works()
-    threshold = _ALLOCATION_EPS * np.maximum(1.0, works[arrays.key_jpos])
-    keys = skeleton.keys
-    return {keys[i]: float(vals[i]) for i in np.nonzero(vals > threshold)[0]}
+    kept = np.nonzero(vals > _ALLOCATION_EPS * np.maximum(1.0, works[skeleton.key_jpos]))[0]
+    keys = zip(
+        skeleton.key_t[kept].tolist(), skeleton.key_c[kept].tolist(), skeleton.key_j[kept].tolist()
+    )
+    return dict(zip(keys, vals[kept].tolist()))

@@ -35,7 +35,6 @@ from repro.lp.maxstretch import (
     ConstraintSkeleton,
     LiveProbe,
     MaxStretchSolution,
-    _assembly_arrays,
     _extract_allocations,
     _lp_spec,
     build_skeleton,
@@ -129,14 +128,13 @@ def _solve_fixed_objective(
 
     # Objective coefficient per variable: fraction of the job processed in
     # the interval (work / remaining) times the interval midpoint --
-    # vectorized over the skeleton's cached per-variable interval/job index
-    # arrays (the boundary values at ``objective`` double as the solution's
+    # vectorized over the skeleton's per-column interval/job index arrays
+    # (the boundary values at ``objective`` double as the solution's
     # interval bounds below).
-    arrays = _assembly_arrays(skeleton)
-    boundary_values = arrays.bnd_const + arrays.bnd_coef * objective
+    boundary_values = skeleton.bnd_const + skeleton.bnd_coef * objective
     midpoints = 0.5 * (boundary_values[:-1] + boundary_values[1:])
     works = problem.remaining_works()
-    costs = midpoints[arrays.key_t] / works[arrays.key_jpos]
+    costs = midpoints[skeleton.key_t] / works[skeleton.key_jpos]
     result = None
     if live is not None and live.skeleton is skeleton and live.f_low <= objective <= live.f_high:
         try:
@@ -149,16 +147,14 @@ def _solve_fixed_objective(
         spec = _lp_spec(problem, skeleton, fixed_objective=objective, costs=costs)
         warm = None
         if backend.persistent:
-            warm = warm_hint(problem, skeleton, with_objective_var=False)
+            warm = warm_hint(skeleton, with_objective_var=False)
         result = backend.solve(spec, warm=warm)
     if not result.feasible:
         return None
-    offset = result.values.size - len(skeleton.keys)  # 1 on the live model: F leads
+    offset = result.values.size - skeleton.n_variables  # 1 on the live model: F leads
     allocations = _extract_allocations(problem, skeleton, offset, result.values)
-    bounds = tuple(
-        (float(boundary_values[t]), float(boundary_values[t + 1]))
-        for t in range(len(boundary_values) - 1)
-    )
+    values = boundary_values.tolist()
+    bounds = tuple(zip(values[:-1], values[1:]))
     return MaxStretchSolution(
         objective=objective,
         problem=problem,

@@ -17,6 +17,12 @@ checkable:
   :class:`~repro.lp.problem.JobTable` (off-line solves, Bender98 and
   degraded replans used it), the oracle of the one table-backed
   ``problem_from_instance`` path (``tests/test_lp_problem.py``).
+* :func:`build_skeleton_tuples`, :class:`AssemblyArraysOracle`,
+  :func:`warm_ids_oracle` and :func:`extract_allocations_oracle` -- the
+  tuple-loop constraint skeleton (one Python tuple per LP column, turned
+  back into numpy with ``np.fromiter``) that the array-native
+  ``maxstretch.build_skeleton`` replaced; ``tests/test_lp_maxstretch.py``
+  requires every array of the new skeleton to equal the one derived here.
 
 On the stateless scipy backend both return results bit-identical to
 production (``tests/test_lp_incremental.py``,
@@ -27,7 +33,10 @@ System (2) vertex, so it is only a reference on scipy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, MutableMapping, Sequence
+
+import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.instance import Instance
@@ -39,6 +48,7 @@ from repro.lp.maxstretch import (
     MilestoneSearchReport,
     minimize_max_weighted_flow,
 )
+from repro.lp.intervals import IntervalStructure
 from repro.lp.problem import (
     LPJob,
     MaxStretchProblem,
@@ -50,7 +60,16 @@ from repro.lp.relaxation import reoptimize_allocation
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.state import SchedulerState
 
-__all__ = ["search_gallop", "FromScratchOnlineLP", "problem_from_instance_general"]
+__all__ = [
+    "search_gallop",
+    "FromScratchOnlineLP",
+    "problem_from_instance_general",
+    "SkeletonTuples",
+    "build_skeleton_tuples",
+    "AssemblyArraysOracle",
+    "warm_ids_oracle",
+    "extract_allocations_oracle",
+]
 
 
 def problem_from_instance_general(
@@ -104,6 +123,173 @@ def problem_from_instance_general(
             )
         )
     return MaxStretchProblem(resources=resources, jobs=tuple(lp_jobs))
+
+
+@dataclass(frozen=True)
+class SkeletonTuples:
+    """The tuple-form constraint skeleton (the former ``ConstraintSkeleton``).
+
+    ``keys`` holds ``(interval, resource, job_id)`` for every variable in
+    the canonical column order, ``capacity_groups`` ``((interval,
+    resource), variable positions)`` sorted by (interval, resource), and
+    ``completeness_groups`` ``(job position, variable positions)`` in job
+    order.
+    """
+
+    structure: IntervalStructure
+    keys: tuple[tuple[int, int, int], ...]
+    capacity_groups: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    completeness_groups: tuple[tuple[int, tuple[int, ...]], ...]
+    signature: tuple
+
+
+def _skeleton_signature(problem: MaxStretchProblem, structure: IntervalStructure) -> tuple:
+    boundaries = tuple((b.const, b.coef) for b in structure.boundaries)
+    jobs = tuple(
+        (
+            job.job_id,
+            structure.job_start_index[job.job_id],
+            structure.job_deadline_index[job.job_id],
+            job.resources,
+        )
+        for job in problem.jobs
+    )
+    return (boundaries, jobs)
+
+
+def build_skeleton_tuples(
+    problem: MaxStretchProblem,
+    structure: IntervalStructure,
+    cache: MutableMapping[tuple, SkeletonTuples] | None = None,
+) -> SkeletonTuples | None:
+    """The tuple-loop ``build_skeleton``, verbatim."""
+    for job in problem.jobs:
+        if len(structure.job_intervals(job.job_id)) == 0:
+            return None
+
+    signature = _skeleton_signature(problem, structure)
+    if cache is not None:
+        cached = cache.get(signature)
+        if cached is not None:
+            return cached
+
+    keys: list[tuple[int, int, int]] = []
+    by_interval_resource: dict[tuple[int, int], list[int]] = {}
+    by_job: list[tuple[int, tuple[int, ...]]] = []
+    for pos_job, job in enumerate(problem.jobs):
+        job_positions: list[int] = []
+        for t in structure.job_intervals(job.job_id):
+            for c in job.resources:
+                position = len(keys)
+                keys.append((t, c, job.job_id))
+                by_interval_resource.setdefault((t, c), []).append(position)
+                job_positions.append(position)
+        by_job.append((pos_job, tuple(job_positions)))
+
+    skeleton = SkeletonTuples(
+        structure=structure,
+        keys=tuple(keys),
+        capacity_groups=tuple(
+            (tc, tuple(positions)) for tc, positions in sorted(by_interval_resource.items())
+        ),
+        completeness_groups=tuple(by_job),
+        signature=signature,
+    )
+    if cache is not None:
+        cache[signature] = skeleton
+    return skeleton
+
+
+def warm_ids_oracle(
+    problem: MaxStretchProblem, skeleton: SkeletonTuples
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(col ids with F, col ids without F, row ids)`` of the former ``warm_hint``."""
+    keys = skeleton.keys
+    col_ids = np.fromiter(
+        ((t << 36) | (c << 24) | j for t, c, j in keys),
+        dtype=np.int64,
+        count=len(keys),
+    )
+    n_caps = len(skeleton.capacity_groups)
+    row_ids = np.fromiter(
+        ((t << 12) | c for (t, c), _positions in skeleton.capacity_groups),
+        dtype=np.int64,
+        count=n_caps,
+    )
+    job_rows = np.fromiter(
+        (
+            (1 << 60) | problem.jobs[pos_job].job_id
+            for pos_job, _positions in skeleton.completeness_groups
+        ),
+        dtype=np.int64,
+        count=len(skeleton.completeness_groups),
+    )
+    return (
+        np.concatenate([np.array([maxstretch._F_COL_ID], dtype=np.int64), col_ids]),
+        col_ids,
+        np.concatenate([row_ids, job_rows]),
+    )
+
+
+class AssemblyArraysOracle:
+    """The former ``_AssemblyArrays``: numpy index arrays from the group tuples."""
+
+    def __init__(self, skeleton: SkeletonTuples):
+        structure = skeleton.structure
+        cap_groups = skeleton.capacity_groups
+        n_cap = len(cap_groups)
+        sizes = np.fromiter((len(p) for _tc, p in cap_groups), dtype=np.int64, count=n_cap)
+        self.cap_entry_rows = np.repeat(np.arange(n_cap, dtype=np.int64), sizes)
+        self.cap_entry_cols = np.fromiter(
+            (p for _tc, ps in cap_groups for p in ps), dtype=np.int64, count=int(sizes.sum())
+        )
+        self.cap_c = np.fromiter((tc[1] for tc, _ps in cap_groups), dtype=np.int64, count=n_cap)
+        lengths = [structure.interval_length(tc[0]) for tc, _ps in cap_groups]
+        self.cap_len_const = np.fromiter(
+            (ln.const for ln in lengths), dtype=np.float64, count=n_cap
+        )
+        self.cap_len_coef = np.fromiter((ln.coef for ln in lengths), dtype=np.float64, count=n_cap)
+
+        comp_groups = skeleton.completeness_groups
+        n_comp = len(comp_groups)
+        comp_sizes = np.fromiter((len(p) for _pj, p in comp_groups), dtype=np.int64, count=n_comp)
+        self.comp_entry_rows = np.repeat(np.arange(n_comp, dtype=np.int64), comp_sizes)
+        self.comp_entry_cols = np.fromiter(
+            (p for _pj, ps in comp_groups for p in ps),
+            dtype=np.int64,
+            count=int(comp_sizes.sum()),
+        )
+        self.comp_job_pos = np.fromiter(
+            (pj for pj, _ps in comp_groups), dtype=np.int64, count=n_comp
+        )
+
+        n_keys = len(skeleton.keys)
+        self.key_t = np.fromiter((t for t, _c, _j in skeleton.keys), dtype=np.int64, count=n_keys)
+        self.key_jpos = np.empty(n_keys, dtype=np.int64)
+        self.key_jpos[self.comp_entry_cols] = self.comp_job_pos[self.comp_entry_rows]
+
+        boundaries = structure.boundaries
+        self.bnd_const = np.fromiter(
+            (b.const for b in boundaries), dtype=np.float64, count=len(boundaries)
+        )
+        self.bnd_coef = np.fromiter(
+            (b.coef for b in boundaries), dtype=np.float64, count=len(boundaries)
+        )
+
+
+def extract_allocations_oracle(
+    problem: MaxStretchProblem,
+    skeleton: SkeletonTuples,
+    offset: int,
+    values: np.ndarray,
+) -> dict[tuple[int, int, int], float]:
+    """The former ``_extract_allocations``, keyed through the tuple skeleton."""
+    arrays = AssemblyArraysOracle(skeleton)
+    vals = np.asarray(values)[offset : offset + len(skeleton.keys)]
+    works = problem.remaining_works()
+    threshold = maxstretch._ALLOCATION_EPS * np.maximum(1.0, works[arrays.key_jpos])
+    keys = skeleton.keys
+    return {keys[i]: float(vals[i]) for i in np.nonzero(vals > threshold)[0]}
 
 
 def search_gallop(

@@ -283,3 +283,82 @@ class TestWorkerCrashRecovery:
         )
         assert len(broken) == failures
         assert pooled.result_set() == serial.result_set()
+
+
+def _children_of(pid: int) -> set[int]:
+    """The live processes whose parent is ``pid``, from the /proc table."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _parent_and_state(int(entry))[0] == pid:
+            children.add(int(entry))
+    return children
+
+
+def _parent_and_state(pid: int) -> tuple[int | None, str | None]:
+    """``(ppid, state)`` of ``pid`` from ``/proc/<pid>/stat`` (``None``s once gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return None, None
+    return int(fields[1]), fields[0]
+
+
+def _alive(pid: int) -> bool:
+    state = _parent_and_state(pid)[1]
+    return state is not None and state not in ("Z", "X")  # a zombie has exited
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc (Linux only)")
+def test_pool_workers_exit_when_the_campaign_is_killed(tmp_path):
+    """SIGKILL a 2-worker campaign once its journal holds a record: every
+    pool worker it started is gone within 5 s instead of sleeping on its
+    call queue for ever."""
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    import repro
+
+    journal = tmp_path / "orphans.jsonl"
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_campaign
+
+        config = ExperimentConfig(
+            name="orphans", n_clusters=2, n_databanks=2, availability=0.6,
+            density=1.0, processors_per_cluster=2, window=12.0, max_jobs=6,
+        )
+        run_campaign(
+            [config], scheduler_keys=("online", "swrpt", "offline"), replicates=500,
+            base_seed=23, n_workers=2, checkpoint=sys.argv[1],
+        )
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    campaign = subprocess.Popen([sys.executable, "-c", script, str(journal)], env=env)
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline and campaign.poll() is None:
+            workers |= _children_of(campaign.pid)
+            records = journal.read_text().count("\n") - 1 if journal.exists() else 0
+            if len(workers) >= 2 and records >= 1:
+                break
+            time.sleep(0.05)
+        assert campaign.poll() is None, "the campaign ended before it could be killed"
+        assert len(workers) >= 2 and records >= 1
+        campaign.kill()
+        campaign.wait(timeout=10)
+        gone_by = time.monotonic() + 5.0
+        while time.monotonic() < gone_by and any(_alive(pid) for pid in workers):
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        campaign.kill()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

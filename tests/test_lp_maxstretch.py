@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Machine, Platform
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
+from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
+
+from replan_oracles import (
+    AssemblyArraysOracle,
+    build_skeleton_tuples,
+    extract_allocations_oracle,
+    warm_ids_oracle,
+)
 
 
 def single_resource_problem(jobs) -> MaxStretchProblem:
@@ -187,7 +199,7 @@ class TestOptimalityProperties:
 
 
 class TestVectorizedAssembly:
-    """The COO-block skeleton assembly reproduces the historical per-row loop."""
+    """The array skeleton's ``LPSpec`` reproduces the historical per-row loop."""
 
     def make_problem(self) -> MaxStretchProblem:
         resources = (
@@ -205,18 +217,18 @@ class TestVectorizedAssembly:
         return MaxStretchProblem(resources=resources, jobs=jobs)
 
     @staticmethod
-    def _reference_dense(problem, skeleton, *, fixed_objective):
-        """The historical per-row assembly loop, kept as the oracle.
+    def _reference_dense(problem, oracle, *, fixed_objective):
+        """The historical per-row assembly loop over the tuple skeleton.
 
         Writes dense ``(A_ub, b_ub, A_eq, b_eq)``: ``F`` is column 0 unless
         ``fixed_objective`` is given (System (2), x variables only).
         """
-        structure = skeleton.structure
+        structure = oracle.structure
         offset = 0 if fixed_objective is not None else 1
-        n_vars = offset + len(skeleton.keys)
-        a_ub = np.zeros((len(skeleton.capacity_groups), n_vars))
-        b_ub = np.zeros(len(skeleton.capacity_groups))
-        for row, ((t, c), positions) in enumerate(skeleton.capacity_groups):
+        n_vars = offset + len(oracle.keys)
+        a_ub = np.zeros((len(oracle.capacity_groups), n_vars))
+        b_ub = np.zeros(len(oracle.capacity_groups))
+        for row, ((t, c), positions) in enumerate(oracle.capacity_groups):
             length = structure.interval_length(t)
             speed = problem.resources[c].speed
             for pos in positions:
@@ -226,9 +238,9 @@ class TestVectorizedAssembly:
                 b_ub[row] = speed * length.const
             else:
                 b_ub[row] = speed * max(0.0, length.at(fixed_objective))
-        a_eq = np.zeros((len(skeleton.completeness_groups), n_vars))
-        b_eq = np.zeros(len(skeleton.completeness_groups))
-        for row, (pos_job, positions) in enumerate(skeleton.completeness_groups):
+        a_eq = np.zeros((len(oracle.completeness_groups), n_vars))
+        b_eq = np.zeros(len(oracle.completeness_groups))
+        for row, (pos_job, positions) in enumerate(oracle.completeness_groups):
             for pos in positions:
                 a_eq[row, pos + offset] = 1.0
             b_eq[row] = problem.jobs[pos_job].remaining_work
@@ -250,35 +262,31 @@ class TestVectorizedAssembly:
         return a_ub, np.asarray(spec.ub_rhs), a_eq, np.asarray(spec.eq_rhs)
 
     @staticmethod
-    def _skeleton(problem, probe):
+    def _skeletons(problem, probe):
+        """The array skeleton and its tuple-loop oracle on one structure."""
         from repro.lp.intervals import build_interval_structure
         from repro.lp.maxstretch import build_skeleton
 
-        skeleton = build_skeleton(problem, build_interval_structure(problem, probe))
+        structure = build_interval_structure(problem, probe)
+        skeleton = build_skeleton(problem, structure)
         assert skeleton is not None
-        return skeleton
+        return skeleton, build_skeleton_tuples(problem, structure)
 
     @pytest.mark.parametrize("fixed_objective", [None, 2.75])
     def test_constraint_matrices_bit_identical(self, fixed_objective):
         from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        skeleton = self._skeleton(problem, 2.75)
-        n_x = len(skeleton.keys)
+        skeleton, oracle = self._skeletons(problem, 2.75)
+        n_x = len(oracle.keys)
         if fixed_objective is None:
             spec = _lp_spec(problem, skeleton, f_range=(1.0, 5.0))
             assert spec.n_vars == 1 + n_x
-            assert list(spec.objective) == [1.0] + [0.0] * n_x
-            assert list(spec.lower) == [1.0] + [0.0] * n_x
-            assert list(spec.upper) == [5.0] + [np.inf] * n_x
         else:
             costs = np.arange(1.0, n_x + 1.0)
             spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
             assert spec.n_vars == n_x
-            assert list(spec.objective) == costs.tolist()
-            assert list(spec.lower) == [0.0] * n_x
-            assert list(spec.upper) == [np.inf] * n_x
-        want = self._reference_dense(problem, skeleton, fixed_objective=fixed_objective)
+        want = self._reference_dense(problem, oracle, fixed_objective=fixed_objective)
         for got, expected in zip(self._dense(spec), want):
             assert np.array_equal(got, expected)  # exact, not approx
 
@@ -287,27 +295,36 @@ class TestVectorizedAssembly:
         from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        skeleton = self._skeleton(problem, 2.75)
+        skeleton, _oracle = self._skeletons(problem, 2.75)
         spec = _lp_spec(problem, skeleton, f_range=(0.0, np.inf))
         f_entries = np.asarray(spec.ub_vals)[np.asarray(spec.ub_cols) == 0]
         assert f_entries.size > 0
         assert np.all(f_entries != 0.0)
 
     @pytest.mark.parametrize("fixed_objective", [None, 2.75])
-    def test_objective_and_bounds_are_python_float_lists(self, fixed_objective):
-        """The scipy goldens pin these as lists of Python floats, not arrays."""
+    def test_objective_and_bounds_equal_the_former_float_lists(self, fixed_objective):
+        """Element-wise, bit for bit, the python-float lists the builder passed."""
         from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        skeleton = self._skeleton(problem, 2.75)
+        skeleton, oracle = self._skeletons(problem, 2.75)
+        n_x = len(oracle.keys)
         if fixed_objective is None:
             spec = _lp_spec(problem, skeleton, f_range=(1, 5))
+            former = (
+                [1.0] + [0.0] * n_x,
+                [float(1)] + [0.0] * n_x,
+                [float(5)] + [math.inf] * n_x,
+            )
         else:
-            costs = np.arange(1.0, len(skeleton.keys) + 1.0)
+            costs = np.arange(1.0, n_x + 1.0)
             spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
-        for field in (spec.objective, spec.lower, spec.upper):
-            assert type(field) is list
-            assert all(type(v) is float for v in field)
+            former = (costs.tolist(), [0.0] * n_x, [math.inf] * n_x)
+        for field, old in zip((spec.objective, spec.lower, spec.upper), former):
+            got = np.asarray(field)
+            assert got.dtype == np.float64
+            assert got.tolist() == old
+            assert np.array_equal(got.view(np.int64), np.array(old).view(np.int64))
 
     @pytest.mark.parametrize("fixed_objective", [None, 2.75])
     def test_row_order(self, fixed_objective):
@@ -315,26 +332,123 @@ class TestVectorizedAssembly:
         from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        skeleton = self._skeleton(problem, 2.75)
+        skeleton, oracle = self._skeletons(problem, 2.75)
         if fixed_objective is None:
             offset = 1
             spec = _lp_spec(problem, skeleton, f_range=(0.0, np.inf))
         else:
             offset = 0
-            costs = np.ones(len(skeleton.keys))
+            costs = np.ones(len(oracle.keys))
             spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
         cap_keys = []
         for row in range(len(spec.ub_rhs)):
             cols = np.asarray(spec.ub_cols)[np.asarray(spec.ub_rows) == row]
-            keys = {skeleton.keys[col - offset][:2] for col in cols if col >= offset}
+            keys = {oracle.keys[col - offset][:2] for col in cols if col >= offset}
             assert len(keys) == 1
             cap_keys.append(keys.pop())
         assert cap_keys == sorted(set(cap_keys))
         job_order = []
         for row in range(len(spec.eq_rhs)):
             cols = np.asarray(spec.eq_cols)[np.asarray(spec.eq_rows) == row]
-            jobs = {skeleton.keys[col - offset][2] for col in cols}
+            jobs = {oracle.keys[col - offset][2] for col in cols}
             assert len(jobs) == 1
             job_order.append(jobs.pop())
         assert job_order == [job.job_id for job in problem.jobs]
         assert list(spec.eq_rhs) == [job.remaining_work for job in problem.jobs]
+
+
+@st.composite
+def skeleton_cases(draw):
+    """A random problem and a probe inside (or on) one of its milestone intervals.
+
+    Integer-valued dates make starts coincide with deadlines at milestones,
+    so probes drawn *on* a milestone give zero-length intervals; earliest
+    starts after the release give the jobs with no interval (``None``).
+    """
+    n_res = draw(st.integers(1, 3))
+    resources = tuple(
+        Resource(c, speed=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), machine_ids=(c,))
+        for c in range(n_res)
+    )
+    jobs = []
+    for job_id in draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True)):
+        release = float(draw(st.integers(0, 4)))
+        eligible = draw(st.permutations(range(n_res)))[: draw(st.integers(1, n_res))]
+        jobs.append(
+            LPJob(
+                job_id,
+                earliest_start=release + draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])),
+                remaining_work=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                release=release,
+                flow_factor=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+                resources=tuple(eligible),
+            )
+        )
+    problem = MaxStretchProblem(resources=resources, jobs=tuple(jobs))
+    f_lb = problem.objective_lower_bound()
+    f_ub = problem.objective_upper_bound()
+    edges = [0.0, f_lb] + enumerate_milestones(problem, lower=f_lb, upper=f_ub) + [f_ub]
+    i = draw(st.integers(0, len(edges) - 2))
+    probe = draw(st.sampled_from([edges[i], 0.5 * (edges[i] + edges[i + 1]), edges[i + 1]]))
+    return problem, probe
+
+
+class TestSkeletonOracle:
+    """Every array of the array skeleton equals the tuple-loop oracle's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(skeleton_cases(), st.integers(0, 2**32 - 1))
+    def test_arrays_equal_the_tuple_loop(self, case, seed):
+        from repro.lp.intervals import build_interval_structure
+        from repro.lp.maxstretch import _extract_allocations, build_skeleton, warm_hint
+
+        problem, probe = case
+        structure = build_interval_structure(problem, probe)
+        skeleton = build_skeleton(problem, structure)
+        oracle = build_skeleton_tuples(problem, structure)
+        assert (skeleton is None) == (oracle is None)
+        if oracle is None:
+            return
+        arrays = AssemblyArraysOracle(oracle)
+        assert skeleton.signature == oracle.signature
+        assert skeleton.n_variables == len(oracle.keys)
+
+        def same(got, want):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bitwise
+
+        same(skeleton.cap_entry_rows, arrays.cap_entry_rows)
+        same(skeleton.cap_entry_cols, arrays.cap_entry_cols)
+        same(skeleton.cap_c, arrays.cap_c)
+        same(skeleton.cap_len_const, arrays.cap_len_const)
+        same(skeleton.cap_len_coef, arrays.cap_len_coef)
+        same(skeleton.key_t, arrays.key_t)
+        same(skeleton.key_jpos, arrays.key_jpos)
+        same(skeleton.bnd_const, arrays.bnd_const)
+        same(skeleton.bnd_coef, arrays.bnd_coef)
+        # The completeness rows are the job positions of the columns.
+        same(skeleton.key_jpos, arrays.comp_entry_rows)
+        same(np.arange(skeleton.n_variables, dtype=np.int64), arrays.comp_entry_cols)
+        same(np.arange(len(problem.jobs), dtype=np.int64), arrays.comp_job_pos)
+        keys = list(zip(skeleton.key_t.tolist(), skeleton.key_c.tolist(), skeleton.key_j.tolist()))
+        assert keys == list(oracle.keys)
+        assert list(zip(skeleton.cap_t.tolist(), skeleton.cap_c.tolist())) == [
+            tc for tc, _positions in oracle.capacity_groups
+        ]
+
+        col_with_f, col_plain, row_ids = warm_ids_oracle(problem, oracle)
+        with_f = warm_hint(skeleton, with_objective_var=True)
+        plain = warm_hint(skeleton, with_objective_var=False)
+        same(with_f.col_ids, col_with_f)
+        same(plain.col_ids, col_plain)
+        same(with_f.row_ids, row_ids)
+        same(plain.row_ids, row_ids)
+
+        # Allocations: zeros, tiny values below the threshold and real work.
+        rng = np.random.default_rng(seed)
+        for offset in (0, 1):
+            values = rng.choice([0.0, 1e-13, 1e-9, 0.25, 2.0], size=offset + len(oracle.keys))
+            got = _extract_allocations(problem, skeleton, offset, values)
+            want = extract_allocations_oracle(problem, oracle, offset, values)
+            assert list(got.items()) == list(want.items())  # insertion order too
