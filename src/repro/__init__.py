@@ -32,18 +32,19 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                assembly) + the certificate-guided parametric search
     |   |                (dual-ray bounds skip probes; interior-optimum exit)
     |   |-- relaxation * System (2): sum-stretch-like re-optimization
-    |   |-- incremental* ReplanContext: caches + S* warm start + carried
-    |   |                certificate bound across replans, feasible-side
-    |   |                cap on shrinking active sets, bank consume/publish
+    |   |-- incremental* ReplanContext: caches + the previous S* as the
+    |   |                one warm start across replans, bank consume/publish
     |   |-- bank       * content-addressed cross-run solver-state bank
     |   |                (System (1)/(2) solutions by problem signature,
-    |   |                certificates, series bases; per-worker, LRU)
+    |   |                last S*, series bases; per-worker, LRU)
     |   |-- aggregation  LP allocations -> plan lanes per class / work slices
     |   `-- backends/  * LP solver backends, each with its run's LP counters
-    |       |-- scipy_backend  one-shot scipy.optimize.linprog (default)
+    |       |-- scipy_backend  one-shot scipy.optimize.linprog (what
+    |       |                  make_backend(None) resolves to)
     |       `-- highs  *       HiGHS model per solve, series basis kept:
-    |                          warm starts + dual-ray certificates across
-    |                          milestone probes and replans
+    |                          warm starts across milestone probes and
+    |                          replans, dual-ray bounds within a search
+    |                          (RunOptions default "auto" picks it)
     |-- simulation/    the fluid discrete-event engine
     |   |-- clock      * heap-based event queue, batched simultaneous arrivals
     |   |-- engine     * the step loop: dispatch, assign, advance, complete

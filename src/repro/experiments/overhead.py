@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.lp.backends import LPProbeStats
+from repro.lp.backends.base import nearest_rank
 from repro.lp.bank import SolverStateBank
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
@@ -199,9 +199,6 @@ def scheduling_overhead(
     for key in scheduler_keys:
         if not times[key]:
             continue
-        # The percentile definition (nearest rank) lives on LPProbeStats;
-        # pooling the runs' latencies into one stats object reuses it.
-        pooled = LPProbeStats(replan_latencies=replan_latencies[key])
         records.append(
             OverheadRecord(
                 scheduler=names[key],
@@ -214,8 +211,8 @@ def scheduling_overhead(
                 mean_basis_reused=float(np.mean(lp_reused[key])),
                 mean_bank_hits=float(np.mean(bank_hits[key])),
                 mean_primal_reused=float(np.mean(primal_reused[key])),
-                p50_replan_latency=pooled.replan_percentile(50),
-                p95_replan_latency=pooled.replan_percentile(95),
+                p50_replan_latency=nearest_rank(replan_latencies[key], 50),
+                p95_replan_latency=nearest_rank(replan_latencies[key], 95),
             )
         )
     return records

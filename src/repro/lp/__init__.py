@@ -25,10 +25,11 @@ on-line heuristics:
   allocations into plan lanes (one timeline per capability class) or concrete
   per-machine :class:`~repro.core.schedule.WorkSlice` lists.
 * :mod:`repro.lp.backends` -- the solver backends: one-shot
-  :func:`scipy.optimize.linprog` (default) and the persistent HiGHS backend
-  that carries the dual-simplex basis across milestone probes and replans
-  (basis transplants onto each freshly built model); each backend carries
-  the LP counters of the run using it (``LPProbeStats``).
+  :func:`scipy.optimize.linprog` (what ``make_backend(None)`` resolves to)
+  and the persistent HiGHS backend, which the default ``"auto"`` run option
+  picks and which carries the dual-simplex basis across milestone probes
+  and replans (basis transplants onto each freshly built model); each
+  backend carries the LP counters of the run using it (``LPProbeStats``).
 """
 
 from repro.lp.problem import (

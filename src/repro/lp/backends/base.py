@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -41,7 +42,28 @@ __all__ = [
     "WarmStartHint",
     "SolverBackend",
     "LPProbeStats",
+    "REPLAN_LATENCY_WINDOW",
+    "nearest_rank",
 ]
+
+#: Replan latencies an :class:`LPProbeStats` keeps: the most recent ones
+#: only, so a long-lived daemon's memory and the sort behind its p99
+#: admission valve stay bounded.  A batch run replans once per arrival
+#: burst, far fewer times than this.
+REPLAN_LATENCY_WINDOW = 1024
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of ``values`` by nearest rank.
+
+    Returns 0 for no values.  The nearest-rank definition makes the value
+    always an actually-observed one.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
+    return ordered[rank]
 
 
 @dataclass
@@ -297,7 +319,8 @@ class LPProbeStats:
     n_bank_misses: int = 0
     #: Whole LP solves skipped by reusing a stored primal solution -- a
     #: banked System (1)/(2) optimum for an exactly-matching problem
-    #: signature, or the feasible-side shrink-only carry within a run.
+    #: signature, or the previous replan's System (1) optimum when the
+    #: problem is unchanged since.
     n_primal_reuses: int = 0
     #: Wall-clock seconds spent assembling System (1) probes before handing
     #: them to the backend: interval structure, skeleton arrays (cached per
@@ -306,10 +329,15 @@ class LPProbeStats:
     #: Wall-clock seconds inside whole milestone searches (bounds, milestone
     #: enumeration, probe loop -- solves included).
     search_seconds: float = 0.0
-    #: Per-replan wall-clock latencies (seconds), one entry per scheduler
-    #: replan in completion order; feeds the p50/p95 replan-latency columns
-    #: of the overhead tables and the daemon's ``/telemetry`` replan p50/p90/p99.
-    replan_latencies: list[float] = field(default_factory=list)
+    #: Scheduler replans recorded by :meth:`record_replan`.
+    n_replans: int = 0
+    #: Wall-clock latencies (seconds) of the last
+    #: :data:`REPLAN_LATENCY_WINDOW` replans, in completion order; feeds the
+    #: p50/p95 replan-latency columns of the overhead tables and the
+    #: daemon's ``/telemetry`` replan p50/p90/p99.
+    replan_latencies: deque[float] = field(
+        default_factory=lambda: deque(maxlen=REPLAN_LATENCY_WINDOW)
+    )
 
     @property
     def per_probe_seconds(self) -> float:
@@ -320,17 +348,14 @@ class LPProbeStats:
         """LP-solve share of ``total_seconds`` (e.g. the scheduler wall-clock)."""
         return self.solve_seconds / total_seconds if total_seconds > 0 else 0.0
 
-    def replan_percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) of the replan latencies, in seconds.
+    def record_replan(self, seconds: float) -> None:
+        """Count one replan and keep its latency in the recent window."""
+        self.n_replans += 1
+        self.replan_latencies.append(seconds)
 
-        Returns 0 when no replan was recorded.  Uses the nearest-rank
-        definition so the value is always an actually-observed latency.
-        """
-        if not self.replan_latencies:
-            return 0.0
-        ordered = sorted(self.replan_latencies)
-        rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+    def replan_percentile(self, q: float) -> float:
+        """The :func:`nearest_rank` ``q``-th percentile of the recent replan latencies."""
+        return nearest_rank(self.replan_latencies, q)
 
     def histogram(self) -> dict[str, int]:
         """The probe-count histogram: solved vs certificate-skipped vs basis-reused."""

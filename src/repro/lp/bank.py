@@ -23,9 +23,8 @@ A bucket holds three kinds of reusable state, all accelerators only:
   a content-identical System (1)/(2) problem has a content-identical
   optimum, so the whole milestone search (or re-optimization) is skipped
   and the stored solution is re-bound onto the consumer's problem object;
-* the **last accepted** ``S*`` and the strongest carried
-  :class:`~repro.lp.maxstretch.SearchCertificate`, used purely as
-  milestone-search warm hints (probe order, never acceptance);
+* the **last accepted** ``S*``, used purely as the first replan's
+  milestone-search warm start (probe order, never acceptance);
 * the publisher backend's **warm-start series bases** (dual-simplex basis
   snapshots exported through
   :meth:`~repro.lp.backends.base.SolverBackend.export_series_state`),
@@ -40,7 +39,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import Instance
-    from repro.lp.maxstretch import MaxStretchProblem, MaxStretchSolution, SearchCertificate
+    from repro.lp.maxstretch import MaxStretchProblem, MaxStretchSolution
 
 __all__ = [
     "BankBucket",
@@ -116,8 +115,8 @@ class BankBucket:
     Attributes
     ----------
     sys1:
-        ``problem_signature -> (MaxStretchSolution, SearchCertificate | None)``
-        for accepted System (1) searches (first publication wins).
+        ``problem_signature -> MaxStretchSolution`` for accepted System (1)
+        searches (first publication wins).
     sys2:
         ``(problem_signature, objective) -> MaxStretchSolution`` for System
         (2) re-optimizations (the stored solution's ``objective`` records
@@ -125,9 +124,9 @@ class BankBucket:
     series_state:
         The first publisher's exported warm-start series bases (backend
         serialization; ``None`` for stateless backends).
-    last_objective / certificate:
-        The most recent publisher's final ``S*`` and strongest carried
-        certificate -- consumed as first-replan warm hints only.
+    last_objective:
+        The most recent publisher's final ``S*`` -- consumed as the first
+        replan's warm start only.
     n_publications:
         Completed runs that published into this bucket.
     """
@@ -137,16 +136,14 @@ class BankBucket:
         "sys2",
         "series_state",
         "last_objective",
-        "certificate",
         "n_publications",
     )
 
     def __init__(self) -> None:
-        self.sys1: dict[tuple, tuple["MaxStretchSolution", "SearchCertificate | None"]] = {}
+        self.sys1: dict[tuple, "MaxStretchSolution"] = {}
         self.sys2: dict[tuple, "MaxStretchSolution"] = {}
         self.series_state: object | None = None
         self.last_objective: float | None = None
-        self.certificate: "SearchCertificate | None" = None
         self.n_publications: int = 0
 
     @property

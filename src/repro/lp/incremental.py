@@ -9,11 +9,8 @@ work is identical:
   the per-databank eligible resource sets are invariants of the run;
 * the per-job **flow factors** (ideal times) are invariants of the instance;
 * the optimal max-stretch :math:`S^*` moves little from one release date to
-  the next, so the milestone search can be **warm-started** at the previous
-  optimum -- and the previous search's strongest **infeasibility
-  certificate**, re-evaluated against the new remaining works, prunes the
-  next search further still (arrival ``k+1`` starts above every milestone
-  the carried dual ray refutes);
+  the next, so the milestone search is **warm-started** at the previous
+  optimum -- the only solution value carried from one replan to the next;
 * the winning System (1) probe and the System (2) re-optimization that
   follows share the same milestone interval, so their **constraint
   skeletons** (variable indexing and row grouping) are identical and cached;
@@ -34,26 +31,19 @@ bit-identical guarantee above; the persistent HiGHS backend
 between probes and replans, which changes results only within solver
 tolerance (equivalence is enforced by ``tests/test_lp_backends.py``).
 
-Two further accelerators stack on top of the per-run caches:
-
-* a **cross-run solver-state bank** (:mod:`repro.lp.bank`): when the
-  campaign runner hands the context a :class:`~repro.lp.bank.SolverStateBank`,
-  the bucket for the instance's content key supplies banked primal optima
-  (exact :func:`~repro.lp.bank.problem_signature` matches skip the whole
-  System (1) search or System (2) re-optimization), first-replan warm
-  hints, and the previous publisher's exported warm-start bases; the
-  context publishes its own final state back on run completion
-  (:meth:`ReplanContext.publish`);
-* a **feasible-side carry** within the run: when the active set only
-  *shrank* since the previous replan (a subset of the jobs, none with more
-  remaining work), the accepted :math:`S^*` stays feasible and is passed
-  as ``feasible_cap`` so the milestone search never gallops upward past
-  the known-feasible interval -- and an exactly-unchanged problem reuses
-  the previous solution outright.
-
-Both are accelerators only -- banked solutions are exact optima of
-content-identical LPs and hints/caps merely reorder a monotone search --
-so acceptance logic in :mod:`repro.lp.maxstretch` is untouched.
+Two exact-match shortcuts stack on top of the per-run caches: a problem
+content-identical to the previous replan's reuses its solution outright,
+and a **cross-run solver-state bank** (:mod:`repro.lp.bank`) -- when the
+campaign runner hands the context a :class:`~repro.lp.bank.SolverStateBank`
+-- supplies banked primal optima for exact
+:func:`~repro.lp.bank.problem_signature` matches (skipping the whole
+System (1) search or System (2) re-optimization), the previous publisher's
+final :math:`S^*` as the first replan's warm start, and its exported
+warm-start bases; the context publishes its own final state back on run
+completion (:meth:`ReplanContext.publish`).  Both are accelerators only --
+reused solutions are exact optima of content-identical LPs and a warm start
+merely reorders a monotone search -- so acceptance logic in
+:mod:`repro.lp.maxstretch` is untouched.
 """
 
 from __future__ import annotations
@@ -69,7 +59,6 @@ from repro.lp.maxstretch import (
     LiveProbe,
     MaxStretchSolution,
     MilestoneSearchReport,
-    SearchCertificate,
     minimize_max_weighted_flow,
 )
 from repro.lp.problem import (
@@ -117,8 +106,8 @@ class ReplanContext:
         runs of one campaign worker.  The context acquires the bucket for
         the instance's content key at construction (seeding the backend's
         warm-start series from the previous publisher's exported bases),
-        consumes banked primal solutions and first-replan hints during the
-        run, and publishes its own final state back through
+        consumes banked primal solutions and the first replan's warm start
+        during the run, and publishes its own final state back through
         :meth:`publish`.  ``None`` (the default, and every non-campaign
         path) keeps the historical per-run-isolated behavior.
 
@@ -126,13 +115,9 @@ class ReplanContext:
     ----------
     last_objective:
         The optimal max weighted flow of the previous replan (``None`` before
-        the first); used to warm-start the next milestone search.
-    last_certificate:
-        The strongest infeasibility certificate of the previous milestone
-        search (``None`` without certificate support).  Re-evaluated against
-        the next replan's remaining works, it raises the warm start above
-        every milestone the carried dual ray still refutes -- a pure
-        probe-order hint, so results are unaffected.
+        the first); the next milestone search starts from it.  This warm
+        start is the only solution value carried across replans, and it
+        only chooses the first probed milestone interval.
     n_replans:
         Number of System (1) resolutions performed through this context.
     backend:
@@ -160,14 +145,12 @@ class ReplanContext:
         # happens exclusively through the content-addressed bank.
         self.backend.close()
         self.last_objective: float | None = None
-        self.last_certificate: SearchCertificate | None = None
         self.n_replans: int = 0
         self._skeletons: dict[tuple, ConstraintSkeleton] = {}
         self._bucket: BankBucket | None = None
         self._last_sig: tuple | None = None
         self._last_problem: MaxStretchProblem | None = None
         self._last_solution: MaxStretchSolution | None = None
-        self._prev_active: dict[int, float] | None = None
         self._live: LiveProbe | None = None
         if state_bank is not None:
             self._bucket, hit = state_bank.acquire(instance_content_key(instance))
@@ -224,12 +207,10 @@ class ReplanContext:
 
     # -- solves --------------------------------------------------------------------
     def solve_max_stretch(self, problem: MaxStretchProblem) -> MaxStretchSolution:
-        """System (1), warm-started at the previous optimum and certificate.
+        """System (1), warm-started at the previous optimum.
 
-        The warm start is the previous replan's :math:`S^*`, raised to the
-        carried certificate's re-evaluated bound when that refutes more
-        (e.g. after a burst of arrivals increased the load).  Both only
-        choose the first probed milestone interval; the search stays exact.
+        The warm start (:meth:`_warm_hint`) only chooses the first probed
+        milestone interval; the search stays exact.
 
         Before searching at all, two exact-match shortcuts are tried: a
         problem content-identical to the previous replan's reuses its
@@ -247,8 +228,7 @@ class ReplanContext:
         try:
             solution = minimize_max_weighted_flow(
                 problem,
-                warm_start=self._warm_hint(problem),
-                feasible_cap=self._feasible_cap(problem),
+                warm_start=self._warm_hint(),
                 skeleton_cache=self._skeletons,
                 backend=self.backend,
                 report=report,
@@ -258,11 +238,11 @@ class ReplanContext:
             # say which LP content died without re-running the replan.
             annotate_solver_error(exc, backend=self.backend.name, probe_signature=sig)
             raise
-        self._note_solution(problem, sig, solution, report.certificate)
+        self._note_solution(problem, sig, solution)
         self._live = report.live
         self._trim_skeletons()
         if self._bucket is not None and sig not in self._bucket.sys1:
-            self._bucket.sys1[sig] = (solution, report.certificate)
+            self._bucket.sys1[sig] = solution
             self._bucket.trim()
         return solution
 
@@ -281,15 +261,14 @@ class ReplanContext:
         if sig == self._last_sig and self._last_solution is not None:
             self.backend.stats.n_primal_reuses += 1
             solution = self._rebind(self._last_solution, problem)
-            self._note_solution(problem, sig, solution, None)
+            self._note_solution(problem, sig, solution)
             return solution
         if self._bucket is not None:
-            stored = self._bucket.sys1.get(sig)
-            if stored is not None:
-                banked, certificate = stored
+            banked = self._bucket.sys1.get(sig)
+            if banked is not None:
                 self.backend.stats.n_primal_reuses += 1
                 solution = self._rebind(banked, problem)
-                self._note_solution(problem, sig, solution, certificate)
+                self._note_solution(problem, sig, solution)
                 return solution
         return None
 
@@ -297,11 +276,9 @@ class ReplanContext:
         """Forget everything carried from previous replans.
 
         Called on machine availability transitions.  The carried
-        :math:`S^*`, certificate and previous-solution shortcut are all
-        justified by the previous plan having been *followed* on a stable
-        platform -- an outage violates that (a downed machine
-        executes nothing its plan claimed, so the carried cap may refute the
-        new true optimum).  Structural caches (resources, job table,
+        :math:`S^*` and previous-solution shortcut describe the previous
+        plan on a stable platform -- an outage invalidates that (a downed
+        machine executes nothing its plan claimed).  Structural caches (resources, job table,
         skeletons) survive: they describe problem shapes, not solution
         values, and the full-platform problem returns unchanged once every
         machine is back up.  Bank entries also survive -- they are keyed by
@@ -309,29 +286,22 @@ class ReplanContext:
         optima.
         """
         self.last_objective = None
-        self.last_certificate = None
         self._last_sig = None
         self._last_problem = None
         self._last_solution = None
-        self._prev_active = None
 
     def _note_solution(
         self,
         problem: MaxStretchProblem,
         sig: tuple,
         solution: MaxStretchSolution,
-        certificate: SearchCertificate | None,
     ) -> None:
         """Per-replan bookkeeping shared by the solved and reused paths."""
         self.last_objective = solution.objective
-        self.last_certificate = certificate or self.last_certificate
         self.n_replans += 1
         self._last_sig = sig
         self._last_problem = problem
         self._last_solution = solution
-        self._prev_active = {
-            job.job_id: job.remaining_work for job in problem.jobs
-        }
 
     @staticmethod
     def _rebind(
@@ -356,43 +326,15 @@ class ReplanContext:
             allocations=dict(solution.allocations),
         )
 
-    def _warm_hint(self, problem: MaxStretchProblem) -> float | None:
-        """The milestone-search warm start for ``problem``.
+    def _warm_hint(self) -> float | None:
+        """The milestone-search warm start: the previous replan's :math:`S^*`.
 
         ``None`` on a cold first replan; with a warm bank bucket the first
-        replan starts from the previous publisher's final :math:`S^*` and
-        strongest certificate instead (probe order only, like every hint).
+        replan starts from the previous publisher's final :math:`S^*`
+        instead (probe order only, never the answer).
         """
-        hint = self.last_objective
-        certificate = self.last_certificate
-        if hint is None and self._bucket is not None:
-            hint = self._bucket.last_objective
-            certificate = certificate or self._bucket.certificate
-        if certificate is not None:
-            works = {job.job_id: job.remaining_work for job in problem.jobs}
-            bound = certificate.bound_for(works)
-            if bound is not None and (hint is None or bound > hint):
-                hint = bound
-        return hint
-
-    def _feasible_cap(self, problem: MaxStretchProblem) -> float | None:
-        """The previous :math:`S^*` when it is provably still feasible.
-
-        Feasibility survives when the active set only shrank: every job of
-        ``problem`` already existed at the previous replan with at least as
-        much remaining work, so the previous accepted allocation (restricted
-        to the survivors) still meets every deadline at the previous
-        objective.  Under the default replan-on-arrival policy the set only
-        ever grows, so this fires for batched/threshold replan policies and
-        degenerate same-set replans -- never changing existing probe counts.
-        """
-        if self.last_objective is None or self._prev_active is None:
-            return None
-        prev = self._prev_active
-        for job in problem.jobs:
-            before = prev.get(job.job_id)
-            if before is None or job.remaining_work > before + 1e-12:
-                return None
+        if self.last_objective is None and self._bucket is not None:
+            return self._bucket.last_objective
         return self.last_objective
 
     def reoptimize(
@@ -433,9 +375,9 @@ class ReplanContext:
         """Publish the run's final solver state into the bank bucket.
 
         Called on run completion (the scheduler's ``finalize`` hook).  The
-        final :math:`S^*`/certificate overwrite the bucket's hint state
-        (latest publisher wins -- any content-identical state is an equally
-        good hint); the exported warm-start bases are kept first-publisher
+        final :math:`S^*` overwrites the bucket's warm start (latest
+        publisher wins -- any content-identical run's is an equally good
+        hint); the exported warm-start bases are kept first-publisher
         wins, since later runs consumed them and re-deriving adds nothing.
         Drops the live model either way.
         """
@@ -445,8 +387,6 @@ class ReplanContext:
             return
         if self.last_objective is not None:
             bucket.last_objective = self.last_objective
-            if self.last_certificate is not None:
-                bucket.certificate = self.last_certificate
         if bucket.series_state is None:
             bucket.series_state = self.backend.export_series_state()
         bucket.n_publications += 1

@@ -41,7 +41,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, NamedTuple, Sequence
+from typing import MutableMapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.lp.problem import MaxStretchProblem
 __all__ = [
     "MaxStretchSolution",
     "ConstraintSkeleton",
-    "SearchCertificate",
     "LiveProbe",
     "MilestoneSearchReport",
     "build_skeleton",
@@ -443,45 +442,6 @@ def _lp_spec(
     )
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
-    """A Farkas certificate of a milestone probe, in re-evaluable form.
-
-    The aggregated constraint of an infeasible System (1) probe reads
-
-    .. math:: g(F) = A + B F
-              = \\Big(\\underbrace{\\sum u\\, s\\, \\ell^{const}}_{capacity\\_const}
-                + \\sum_j v_j W_j\\Big)
-                + \\underbrace{\\sum u\\, s\\, \\ell^{coef}}_{capacity\\_coef}\\, F
-
-    and every feasible objective satisfies ``g(F) >= 0``, so ``F >= -A/B``
-    (for ``B > 0``) is a closed-form lower bound derived without solving any
-    further LP.  Keeping the completeness multipliers ``v`` keyed by job id
-    lets the :class:`~repro.lp.incremental.ReplanContext` *re-evaluate* the
-    combination against the next replan's remaining works: the resulting
-    bound is only a probe-order hint there (the interval structure moved
-    with the clock), but it starts the next search already pruned.
-    """
-
-    capacity_const: float
-    capacity_coef: float
-    v_by_job: Mapping[int, float]
-
-    def bound_for(self, works: Mapping[int, float]) -> float | None:
-        """The certificate's objective lower bound for updated remaining works.
-
-        Jobs absent from ``works`` (completed since the certificate was
-        collected) drop out of the combination; returns ``None`` when the
-        coefficient of ``F`` is too small to divide by.
-        """
-        if self.capacity_coef <= _RAY_COEF_EPS:
-            return None
-        load = sum(
-            v * works[job_id] for job_id, v in self.v_by_job.items() if job_id in works
-        )
-        return -(self.capacity_const + load) / self.capacity_coef
-
-
 class LiveProbe(NamedTuple):
     """A feasible probe's ``LPResult.model`` (``F`` is column 0), skeleton, F bounds."""
 
@@ -495,13 +455,12 @@ class LiveProbe(NamedTuple):
 class ProbeOutcome:
     """Mutable side channel filled by :func:`solve_on_objective_range`.
 
-    ``certificate_bound``/``certificate`` are populated on infeasible probes
-    whose backend produced a dual ray (persistent HiGHS), ``live`` on feasible
-    probes whose backend keeps models; all stay ``None`` otherwise.
+    ``certificate_bound`` is populated on infeasible probes whose backend
+    produced a usable dual ray (persistent HiGHS), ``live`` on feasible
+    probes whose backend keeps models; both stay ``None`` otherwise.
     """
 
     certificate_bound: float | None = None
-    certificate: SearchCertificate | None = None
     live: LiveProbe | None = None
 
 
@@ -514,14 +473,10 @@ class MilestoneSearchReport:
 
     Attributes
     ----------
-    certificate:
-        The strongest :class:`SearchCertificate` collected (highest bound),
-        for cross-replan carry; ``None`` without certificate support.
     live:
         The winning probe's :class:`LiveProbe`, for System (2) (or ``None``).
     """
 
-    certificate: SearchCertificate | None = None
     live: LiveProbe | None = None
 
 
@@ -544,27 +499,29 @@ def _probe_certificate(
     dual_ray: np.ndarray,
     outcome: "ProbeOutcome",
 ) -> None:
-    """Evaluate a dual ray as an affine function of F and fill ``outcome``."""
+    """Evaluate a dual ray as an affine function of F and fill ``outcome``.
+
+    The ray's aggregated constraint reads ``g(F) = A + v . W + B F`` with
+    ``A`` / ``B`` the capacity multipliers ``u`` against the constant /
+    ``F`` parts of the capacities and ``v . W`` the completeness
+    multipliers against the remaining works.  Every feasible objective
+    keeps ``g(F) >= 0``, so for ``B > 0`` the bound is ``-(A + v . W) / B``;
+    a ``B`` too small to divide by, or a non-finite bound, is discarded.
+    """
     n_cap = skeleton.cap_c.size
     if dual_ray.size != n_cap + len(problem.jobs):
         return
     u = dual_ray[:n_cap]
     v = dual_ray[n_cap:]
     cap_speed = problem.resource_speeds()[skeleton.cap_c]
-    certificate = SearchCertificate(
-        capacity_const=float(u @ (cap_speed * skeleton.cap_len_const)),
-        capacity_coef=float(u @ (cap_speed * skeleton.cap_len_coef)),
-        v_by_job={
-            job.job_id: float(v[pos]) for pos, job in enumerate(problem.jobs) if v[pos] != 0.0
-        },
-    )
-    bound = certificate.bound_for(
-        {job.job_id: job.remaining_work for job in problem.jobs}
-    )
-    if bound is None or not math.isfinite(bound):
+    capacity_coef = float(u @ (cap_speed * skeleton.cap_len_coef))
+    if capacity_coef <= _RAY_COEF_EPS:
         return
-    outcome.certificate_bound = bound
-    outcome.certificate = certificate
+    capacity_const = float(u @ (cap_speed * skeleton.cap_len_const))
+    load = sum((v * problem.remaining_works())[v != 0.0].tolist())
+    bound = -(capacity_const + load) / capacity_coef
+    if math.isfinite(bound):
+        outcome.certificate_bound = bound
 
 
 def solve_on_objective_range(
@@ -587,7 +544,7 @@ def solve_on_objective_range(
     mapped through :func:`warm_hint`) and receives the assembly time in its
     :attr:`~repro.lp.backends.SolverBackend.stats`; ``None`` means a fresh
     one-shot scipy backend.  ``outcome``, when provided,
-    receives the infeasibility certificate of a refused probe (backends
+    receives the dual-ray objective bound of a refused probe (backends
     without dual-ray support leave it empty).
     """
     if not problem.jobs:
@@ -639,7 +596,6 @@ def minimize_max_weighted_flow(
     problem: MaxStretchProblem,
     *,
     warm_start: float | None = None,
-    feasible_cap: float | None = None,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     report: MilestoneSearchReport | None = None,
@@ -652,22 +608,10 @@ def minimize_max_weighted_flow(
         The scheduling problem (off-line or an on-line re-optimization).
     warm_start:
         Optional objective value expected to be close to the optimum
-        (typically the previous replan's :math:`S^*`, possibly raised by a
-        carried certificate bound, in the on-line heuristics).  The milestone
-        search starts at the interval containing it.  Because feasibility is
-        monotone in the objective, the result is *identical* to a cold
-        search -- only the probe order changes.
-    feasible_cap:
-        Optional objective value the caller *knows* to be feasible for
-        ``problem`` -- the feasible-side counterpart of the certificate
-        lower bounds.  The on-line heuristics pass the previous replan's
-        accepted :math:`S^*` when the active set only shrank since (less
-        remaining work over a subset of the jobs keeps every feasible
-        allocation feasible).  The search start is clamped down to the
-        interval containing the cap, so the first probe is at worst the
-        known-feasible interval and the search never gallops upward past
-        it.  Like ``warm_start`` this changes probe order only, never the
-        accepted optimum.
+        (the previous replan's :math:`S^*` in the on-line heuristics).  The
+        milestone search starts at the interval containing it.  Because
+        feasibility is monotone in the objective, the result is *identical*
+        to a cold search -- only the probe order changes.
     skeleton_cache:
         Optional mapping reusing constraint skeletons across solves (see
         :class:`ConstraintSkeleton`).
@@ -680,8 +624,8 @@ def minimize_max_weighted_flow(
         The search records its probe economy and timings in the backend's
         :attr:`~repro.lp.backends.SolverBackend.stats`.
     report:
-        Optional :class:`MilestoneSearchReport` receiving the search's probe
-        economy and its strongest certificate (for cross-replan carry).
+        Optional :class:`MilestoneSearchReport` receiving the winning
+        probe's live model (for System (2)).
 
     Raises
     ------
@@ -700,11 +644,7 @@ def minimize_max_weighted_flow(
     boundaries = [f_lb] + milestones + [f_ub]
     last = len(boundaries) - 2
 
-    start_idx = 0
-    if warm_start is not None and last > 0:
-        start_idx = min(max(bisect.bisect_right(boundaries, warm_start) - 1, 0), last)
-    if feasible_cap is not None and last > 0:
-        start_idx = min(start_idx, _interval_of(boundaries, feasible_cap, 0, last))
+    start_idx = 0 if warm_start is None else _interval_of(boundaries, warm_start, 0, last)
 
     best = _search_certificate(
         problem,
@@ -785,12 +725,10 @@ def _search_certificate(
     solved = 0
     skipped = 0
     interior_exit = False
-    strongest_bound = -math.inf
-    strongest: SearchCertificate | None = None
     live: LiveProbe | None = None
 
     def probe(i: int) -> tuple[MaxStretchSolution | None, float | None]:
-        nonlocal solved, strongest, strongest_bound, live
+        nonlocal solved, live
         outcome = ProbeOutcome()
         solution = solve_on_objective_range(
             problem, boundaries[i], boundaries[i + 1],
@@ -800,14 +738,10 @@ def _search_certificate(
         if solution is not None:
             # Every feasible probe becomes ``best``: keep only its model.
             live = outcome.live
-        if outcome.certificate is not None and outcome.certificate_bound > strongest_bound:
-            strongest_bound = outcome.certificate_bound
-            strongest = outcome.certificate
         return solution, outcome.certificate_bound
 
     def finish(best: MaxStretchSolution | None) -> MaxStretchSolution | None:
         if report is not None:
-            report.certificate = strongest
             report.live = live
         stats = backend.stats
         stats.n_certificate_skipped += skipped

@@ -148,7 +148,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
     def on_availability(
         self, state: SchedulerState, downs: Sequence[int], ups: Sequence[int]
     ) -> None:
-        # Carried S*/certificates assume the previous plan was followed
+        # The carried S* and solution assume the previous plan was followed
         # on a stable platform; an outage breaks that premise, so the
         # context must restart cold.
         self._context.invalidate_carry()
@@ -186,7 +186,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
         try:
             self._replan(state)
         finally:
-            self.lp_stats.replan_latencies.append(_time.perf_counter() - start)
+            self.lp_stats.record_replan(_time.perf_counter() - start)
 
     def _replan(self, state: SchedulerState) -> None:
         instance = state.instance

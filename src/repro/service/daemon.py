@@ -375,7 +375,7 @@ class SchedulerDaemon:
                 "n_probes": stats.n_probes,
                 "solve_seconds": stats.solve_seconds,
                 "histogram": stats.histogram(),
-                "n_replans": len(stats.replan_latencies),
+                "n_replans": stats.n_replans,
                 "replan_latency_p50": stats.replan_percentile(50),
                 "replan_latency_p90": stats.replan_percentile(90),
                 "replan_latency_p99": stats.replan_percentile(99),

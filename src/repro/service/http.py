@@ -64,6 +64,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted connection: a keep-alive reply must
+    #: not wait for the client's delayed ACK of the previous one.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -81,8 +84,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # a reply without a head
+            self.wfile.write(body)
+            return
+        # ``end_headers()`` would write the head on its own; queue the blank
+        # line and the body behind it so the reply leaves in one write.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_body(self) -> bytes | None:
         length = int(self.headers.get("Content-Length") or 0)

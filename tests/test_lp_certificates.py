@@ -16,7 +16,8 @@ Three families of guarantees:
   :func:`replan_oracles.search_gallop`, swapped in for the production
   search), across seeds, backends and whole replan sequences (bit-identical
   on the stateless scipy backend, within solver tolerance on persistent
-  HiGHS).
+  HiGHS); a hypothesis property pins that any warm start returns the cold
+  search's answer bit for bit on scipy.
 * **Graceful degradation** -- backends without dual-ray support (scipy) run
   the same search without certificates: no bounds, no skips from jumps, and
   still-correct results.
@@ -26,18 +27,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch
 from repro.lp.backends import highs_available, make_backend
 from repro.lp.incremental import ReplanContext
+from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
-    MilestoneSearchReport,
     ProbeOutcome,
-    SearchCertificate,
+    _probe_certificate,
+    build_skeleton,
     minimize_max_weighted_flow,
     solve_on_objective_range,
 )
-from repro.lp.problem import problem_from_instance
+from repro.lp.milestones import enumerate_milestones
+from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from replan_oracles import search_gallop
@@ -89,8 +94,6 @@ def _gallop(monkeypatch, problem, **kwargs):
 
 
 def _milestone_boundaries(problem):
-    from repro.lp.milestones import enumerate_milestones
-
     f_lb = problem.objective_lower_bound()
     f_ub = problem.objective_upper_bound()
     return [f_lb] + enumerate_milestones(problem, lower=f_lb, upper=f_ub) + [f_ub]
@@ -142,10 +145,17 @@ class TestDualRayBoundSoundness:
             backend.close()
         assert probed > 0, "no infeasible milestone interval below the optimum"
 
-    def test_reevaluated_bound_matches_affine_form(self, seed):
-        """``bound_for`` reproduces ``-A/B`` from the carried components."""
+    def test_reevaluated_bound_matches_affine_form(self, seed, monkeypatch):
+        """A real HiGHS ray's bound is ``-(A + v . W) / B``, re-evaluated per job."""
         _instance, problem = _problem(seed)
         boundaries = _milestone_boundaries(problem)
+        rays = []
+
+        def recording(problem, skeleton, dual_ray, outcome):
+            rays.append((skeleton, np.array(dual_ray)))
+            _probe_certificate(problem, skeleton, dual_ray, outcome)
+
+        monkeypatch.setattr(maxstretch, "_probe_certificate", recording)
         backend = make_backend("highs")
         outcome = ProbeOutcome()
         try:
@@ -154,13 +164,78 @@ class TestDualRayBoundSoundness:
             )
         finally:
             backend.close()
-        if result is not None or outcome.certificate is None:
+        if result is not None or outcome.certificate_bound is None:
             pytest.skip("first milestone interval produced no certificate")
-        certificate = outcome.certificate
-        works = {job.job_id: job.remaining_work for job in problem.jobs}
-        assert certificate.bound_for(works) == pytest.approx(
-            outcome.certificate_bound, rel=1e-12
+        [(skeleton, ray)] = rays
+        n_cap = skeleton.cap_c.size
+        speeds = problem.resource_speeds()[skeleton.cap_c]
+        a = sum(
+            float(u) * float(c)
+            for u, c in zip(ray[:n_cap], speeds * skeleton.cap_len_const)
         )
+        b = sum(
+            float(u) * float(c)
+            for u, c in zip(ray[:n_cap], speeds * skeleton.cap_len_coef)
+        )
+        load = sum(
+            float(v) * job.remaining_work for v, job in zip(ray[n_cap:], problem.jobs)
+        )
+        assert outcome.certificate_bound == pytest.approx(-(a + load) / b, rel=1e-9)
+
+
+def _skeleton_at_lower_bound():
+    """A two-job problem and its skeleton at the objective lower bound."""
+    resources = (Resource(0, speed=1.0, machine_ids=(0,)),)
+    problem = MaxStretchProblem(
+        resources=resources,
+        jobs=(
+            LPJob(0, earliest_start=0.0, remaining_work=2.0, release=0.0,
+                  flow_factor=1.0, resources=(0,)),
+            LPJob(1, earliest_start=0.0, remaining_work=3.0, release=0.0,
+                  flow_factor=1.0, resources=(0,)),
+        ),
+    )
+    structure = build_interval_structure(problem, problem.objective_lower_bound())
+    return problem, build_skeleton(problem, structure)
+
+
+class TestProbeCertificate:
+    """``_probe_certificate`` turns a ray into ``-(A + v . W) / B`` or nothing."""
+
+    def test_bound_is_the_zero_of_the_affine_combination(self):
+        problem, skeleton = _skeleton_at_lower_bound()
+        n_cap = skeleton.cap_c.size
+        ray = np.concatenate([np.ones(n_cap), [-1.0, -1.0]])
+        outcome = ProbeOutcome()
+        _probe_certificate(problem, skeleton, ray, outcome)
+        speeds = problem.resource_speeds()[skeleton.cap_c]
+        a = float(np.sum(speeds * skeleton.cap_len_const))
+        b = float(np.sum(speeds * skeleton.cap_len_coef))
+        assert b > 0
+        assert outcome.certificate_bound == pytest.approx(-(a - 2.0 - 3.0) / b, rel=1e-12)
+
+    def test_degenerate_coefficient_discards_the_ray(self):
+        problem, skeleton = _skeleton_at_lower_bound()
+        n_cap = skeleton.cap_c.size
+        # No capacity multiplier: the F coefficient B is zero.
+        outcome = ProbeOutcome()
+        no_capacity = np.concatenate([np.zeros(n_cap), [-1.0, -1.0]])
+        _probe_certificate(problem, skeleton, no_capacity, outcome)
+        assert outcome.certificate_bound is None
+        # A B below the threshold is discarded as well.
+        tiny = np.concatenate([np.full(n_cap, 1e-15), [-1.0, -1.0]])
+        _probe_certificate(problem, skeleton, tiny, outcome)
+        assert outcome.certificate_bound is None
+
+    def test_non_finite_bound_and_foreign_ray_are_discarded(self):
+        problem, skeleton = _skeleton_at_lower_bound()
+        n_cap = skeleton.cap_c.size
+        outcome = ProbeOutcome()
+        infinite = np.concatenate([np.ones(n_cap), [np.inf, 0.0]])
+        _probe_certificate(problem, skeleton, infinite, outcome)
+        assert outcome.certificate_bound is None
+        _probe_certificate(problem, skeleton, np.ones(n_cap + 3), outcome)
+        assert outcome.certificate_bound is None
 
 
 # -- certificate-vs-gallop equality ----------------------------------------------------
@@ -199,6 +274,60 @@ class TestSearchEquivalence:
         for warm in (None, 1.0, reference.objective, 10.0 * reference.objective):
             warmed = minimize_max_weighted_flow(problem, warm_start=warm)
             assert warmed.objective == reference.objective
+
+
+@st.composite
+def warm_started_problems(draw):
+    """A small problem and a warm start anywhere relative to its milestones.
+
+    1-3 resources, at most 12 jobs; the warm start is ``None``, below the
+    lower bound, on a milestone, inside a milestone interval, or above the
+    upper bound.
+    """
+    n_res = draw(st.integers(1, 3))
+    resources = tuple(
+        Resource(c, speed=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), machine_ids=(c,))
+        for c in range(n_res)
+    )
+    jobs = []
+    for job_id in range(draw(st.integers(1, 12))):
+        release = draw(st.floats(0.0, 10.0))
+        eligible = draw(st.permutations(range(n_res)))[: draw(st.integers(1, n_res))]
+        jobs.append(
+            LPJob(
+                job_id,
+                earliest_start=release + draw(st.sampled_from([0.0, 0.0, 0.5, 2.0])),
+                remaining_work=draw(st.floats(0.1, 10.0)),
+                release=release,
+                flow_factor=draw(st.floats(0.2, 5.0)),
+                resources=tuple(eligible),
+            )
+        )
+    problem = MaxStretchProblem(resources=resources, jobs=tuple(jobs))
+    boundaries = _milestone_boundaries(problem)
+    f_lb, f_ub = boundaries[0], boundaries[-1]
+    kind = draw(st.sampled_from(["none", "below", "milestone", "inside", "above"]))
+    i = draw(st.integers(0, len(boundaries) - 2))
+    fraction = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    warm = {
+        "none": None,
+        "below": f_lb * fraction,
+        "milestone": boundaries[i],
+        "inside": boundaries[i] + fraction * (boundaries[i + 1] - boundaries[i]),
+        "above": f_ub * (1.0 + fraction) + 1.0,
+    }[kind]
+    return problem, warm
+
+
+@settings(max_examples=60, deadline=None)
+@given(warm_started_problems())
+def test_warm_start_never_changes_the_answer(case):
+    """Property: on scipy a warm-started search is bit-identical to a cold one."""
+    problem, warm = case
+    cold = minimize_max_weighted_flow(problem)
+    warmed = minimize_max_weighted_flow(problem, warm_start=warm)
+    assert warmed.objective == cold.objective
+    assert warmed.allocations == cold.allocations
 
 
 @requires_highs
@@ -288,17 +417,7 @@ class TestScipyFallback:
         outcome = ProbeOutcome()
         probe = solve_on_objective_range(problem, lo, target, outcome=outcome)
         assert probe is None
-        assert outcome.certificate is None
         assert outcome.certificate_bound is None
-
-    def test_search_report_has_no_certificate_carry(self):
-        _instance, problem = _problem(3)
-        report = MilestoneSearchReport()
-        backend = make_backend(None)
-        minimize_max_weighted_flow(problem, backend=backend, report=report)
-        assert report.certificate is None
-        [(solved, _skipped)] = backend.stats.searches
-        assert solved > 0
 
     def test_interior_exit_still_prunes_on_scipy(self, monkeypatch):
         """The interior-optimum re-check needs no certificate support."""
@@ -315,46 +434,6 @@ class TestScipyFallback:
         if stats.n_interior_exits:
             # The winning probe proved itself optimal.
             assert [solved for solved, _skipped in stats.searches] == [1]
-
-
-# -- cross-replan certificate carry ---------------------------------------------------
-
-
-class TestSearchCertificateCarry:
-    def test_bound_for_drops_missing_jobs(self):
-        certificate = SearchCertificate(
-            capacity_const=-10.0, capacity_coef=2.0, v_by_job={1: 1.0, 2: 3.0}
-        )
-        full = certificate.bound_for({1: 2.0, 2: 1.0})
-        assert full == pytest.approx(-(-10.0 + 2.0 + 3.0) / 2.0)
-        partial = certificate.bound_for({1: 2.0})
-        assert partial == pytest.approx(-(-10.0 + 2.0) / 2.0)
-
-    def test_bound_for_degenerate_coefficient(self):
-        certificate = SearchCertificate(
-            capacity_const=-10.0, capacity_coef=0.0, v_by_job={}
-        )
-        assert certificate.bound_for({}) is None
-
-    @requires_highs
-    def test_context_carries_certificates_across_replans(self):
-        instance, _problem_unused = _problem(5, max_jobs=20, density=2.0)
-        context = ReplanContext(instance, solver_backend="highs")
-        remaining = {job.job_id: job.size for job in instance.jobs}
-        try:
-            context.solve_max_stretch(context.build_problem(0.0, remaining))
-            carried = context.last_certificate
-            if carried is not None:
-                # The next replan's warm hint folds the re-evaluated bound in.
-                problem = context.build_problem(1.0, remaining)
-                hint = context._warm_hint(problem)
-                assert hint is not None
-                assert hint >= context.last_objective - 1e-12
-            second = context.solve_max_stretch(context.build_problem(1.0, remaining))
-            reference = minimize_max_weighted_flow(problem_from_instance(instance, now=1.0))
-            assert second.objective == pytest.approx(reference.objective, rel=1e-8)
-        finally:
-            context.close()
 
 
 # -- probe accounting -----------------------------------------------------------------

@@ -12,6 +12,7 @@ The headline contracts:
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -35,6 +36,8 @@ from repro.service import (
     replay_trace,
     verify_replay,
 )
+from repro.lp.backends.base import REPLAN_LATENCY_WINDOW, LPProbeStats
+from repro.service.http import _Handler
 from repro.service.trace import TraceWriter
 
 
@@ -508,6 +511,29 @@ class TestAdmissionControl:
         daemon.start()
         assert sorted(drain(daemon).completions) == [0, 1]
 
+    def test_replan_window_is_bounded_and_the_valve_reads_recent_replans(self):
+        stats = LPProbeStats()
+        for _ in range(100_000):
+            stats.record_replan(0.001)
+        assert stats.n_replans == 100_000
+        assert len(stats.replan_latencies) == REPLAN_LATENCY_WINDOW
+        daemon = SchedulerDaemon(
+            small_platform(), ServiceConfig(shed_replan_p99=0.01)
+        )
+        daemon.engine.lp_stats = stats
+        daemon.submit(SubmissionRequest(size=1.0, databank="sp"))
+        # 2 % slow replans: over the p99 of the recent window, though a
+        # vanishing share of all 10^5 recorded ones.
+        for _ in range(REPLAN_LATENCY_WINDOW // 50):
+            stats.record_replan(5.0)
+        with pytest.raises(AdmissionError, match="replan latency"):
+            daemon.submit(SubmissionRequest(size=1.0, databank="sp"))
+        telemetry = daemon.telemetry()["lp"]
+        assert telemetry["n_replans"] == 100_000 + REPLAN_LATENCY_WINDOW // 50
+        assert telemetry["replan_latency_p99"] == 5.0
+        daemon.start()
+        assert sorted(drain(daemon).completions) == [0]
+
     def test_draining_outranks_shedding(self):
         # Once the stream is closed, even an over-full queue must answer
         # with the permanent condition (409), not the transient 503.
@@ -605,7 +631,49 @@ def http_raw(url: str, data: bytes | None = None, method: str | None = None):
         return exc.code, json.loads(exc.read().decode()), exc.headers
 
 
+class _RecordingWriter:
+    """A ``wfile`` stand-in keeping every write."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
 class TestHttpHardening:
+    def test_reply_is_one_write_holding_head_and_body(self):
+        # Two writes on a keep-alive socket meet Nagle and delayed ACK.
+        handler = _Handler.__new__(_Handler)
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "POST /submit HTTP/1.1"
+        handler.wfile = _RecordingWriter()
+        handler._reply(503, {"error": "shed"}, headers={"Retry-After": "2.5"})
+        [data] = handler.wfile.writes
+        head, body = data.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 503")
+        assert b"\r\nRetry-After: 2.5" in head
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert json.loads(body) == {"error": "shed"}
+
+    def test_accepted_connections_disable_nagle(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with socket.create_connection(listener.getsockname()) as client:
+                connection, _ = listener.accept()
+                handler = _Handler.__new__(_Handler)
+                handler.request = connection
+                handler.setup()
+                try:
+                    assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                finally:
+                    handler.finish()
+                    connection.close()
+                client.close()
+
     def test_shed_maps_to_503_with_retry_after_header(self):
         daemon = SchedulerDaemon(small_platform(), ServiceConfig())
 

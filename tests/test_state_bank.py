@@ -352,6 +352,36 @@ class TestReplanContextBank:
         assert reused.objective == solution.objective
         assert reused.problem is problem2  # rebound onto the consumer's problem
 
+    def test_first_searched_replan_starts_at_the_banked_objective(self, monkeypatch):
+        import repro.lp.incremental as incremental
+
+        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0])
+        bank = SolverStateBank()
+        publisher = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
+        published = publisher.solve_max_stretch(
+            publisher.build_problem(1.0, {0: 5.0, 1: 3.0})
+        )
+        publisher.publish()
+        publisher.close()
+
+        warm_starts = []
+
+        def spy(problem, **kwargs):
+            warm_starts.append(kwargs["warm_start"])
+            return minimize_max_weighted_flow(problem, **kwargs)
+
+        monkeypatch.setattr(incremental, "minimize_max_weighted_flow", spy)
+        consumer = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
+        bucket, _hit = bank.acquire(instance_content_key(instance))
+        assert bucket.last_objective == published.objective
+        # A problem the bucket holds no solution for, so the search runs.
+        first = consumer.solve_max_stretch(
+            consumer.build_problem(2.0, {0: 4.0, 1: 3.0, 2: 2.0})
+        )
+        consumer.solve_max_stretch(consumer.build_problem(2.5, {0: 3.5, 1: 3.0, 2: 2.0}))
+        consumer.close()
+        assert warm_starts == [bucket.last_objective, first.objective]
+
     def test_publish_without_bank_is_a_noop(self):
         instance = make_uniform_instance([4.0, 2.0], [0.0, 1.0])
         context = ReplanContext(instance, solver_backend="scipy")
@@ -367,41 +397,6 @@ class TestReplanContextBank:
         simulate(instance, make_scheduler("online", **options))
         bucket, hit = bank.acquire(instance_content_key(instance))
         assert hit and bucket.n_publications == 1
-
-
-class TestFeasibleSideCarry:
-    def test_feasible_cap_preserves_the_optimum(self):
-        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0])
-        problem = problem_from_instance(instance, now=2.0)
-        cold = minimize_max_weighted_flow(problem)
-        capped = minimize_max_weighted_flow(problem, feasible_cap=cold.objective)
-        assert capped.objective == cold.objective
-        loose = minimize_max_weighted_flow(problem, feasible_cap=cold.objective * 4)
-        assert loose.objective == cold.objective
-
-    def test_shrinking_active_set_skips_the_winning_resolve(self):
-        # Replanning with the same jobs but strictly less remaining work:
-        # the previous S* stays feasible and caps the milestone search.
-        instance = make_uniform_instance([6.0, 4.0], [0.0, 0.0])
-        context = ReplanContext(instance, solver_backend="scipy")
-        first = context.build_problem(0.0, {0: 6.0, 1: 4.0})
-        cold = context.solve_max_stretch(first)
-        shrunk = context.build_problem(1.0, {0: 5.0, 1: 3.0})
-        assert context._feasible_cap(shrunk) == cold.objective
-        grown = context.build_problem(1.0, {0: 5.0, 1: 4.5})
-        assert context._feasible_cap(grown) is None
-        context.close()
-
-    def test_on_arrival_growth_never_caps(self):
-        # The default policy only replans when new jobs arrive, so the
-        # carried cap must never fire there (protects the probe-count gates).
-        instance = make_uniform_instance([6.0, 4.0], [0.0, 1.0])
-        context = ReplanContext(instance, solver_backend="scipy")
-        first = context.build_problem(0.0, {0: 6.0})
-        context.solve_max_stretch(first)
-        second = context.build_problem(1.0, {0: 5.0, 1: 4.0})
-        assert context._feasible_cap(second) is None
-        context.close()
 
 
 @requires_highs
