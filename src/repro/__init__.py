@@ -33,16 +33,17 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                (dual-ray bounds skip probes; interior-optimum exit)
     |   |-- relaxation * System (2): sum-stretch-like re-optimization
     |   |-- incremental* ReplanContext: caches + the previous S* as the
-    |   |                one warm start across replans, bank consume/publish
-    |   |-- bank       * content-addressed cross-run solver-state bank
-    |   |                (System (1)/(2) solutions by problem signature,
-    |   |                last S*, series bases; per-worker, LRU)
+    |   |                one warm start across replans, banked optima reuse
+    |   |-- bank       * content-addressed cross-run memo of exact System
+    |   |                (1)/(2) optima by problem signature (per-worker, LRU)
     |   |-- aggregation  LP allocations -> plan lanes per class / work slices
-    |   `-- backends/  * LP solver backends, each with its run's LP counters
+    |   `-- backends/  * LP solver backends, one per run, each with its
+    |       |                run's LP counters; base: the highs -> scipy
+    |       |                downgrade of a failed persistent solve
     |       |-- scipy_backend  one-shot scipy.optimize.linprog (what
     |       |                  make_backend(None) resolves to)
-    |       `-- highs  *       HiGHS model per solve, series basis kept:
-    |                          warm starts across milestone probes and
+    |       `-- highs  *       HiGHS model per solve, the run's series basis
+    |                          kept: warm starts across milestone probes and
     |                          replans, dual-ray bounds within a search
     |                          (RunOptions default "auto" picks it)
     |-- simulation/    the fluid discrete-event engine
@@ -61,8 +62,8 @@ the *incremental replanning pipeline* spanning the starred modules::
     |-- workload/      GriPPS-like synthetic platform/workload generation
     |-- experiments/   the paper's campaign (configs inherit RunOptions)
     |   |-- runner     * campaign engine: whole (config, replicate) groups
-    |   |                over long-lived worker lanes (resident solver
-    |   |                backend + solver-state bank, replicate-affinity
+    |   |                over long-lived worker lanes (per-worker
+    |   |                solver-state bank, replicate-affinity
     |   |                placement, crash recovery), bit-identical at any
     |   |                worker count, progress/ETA
     |   |-- ab           scipy-vs-HiGHS campaign A/B equivalence harness

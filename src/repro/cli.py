@@ -58,7 +58,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.experiments.config import figure3_configurations, paper_configurations
 from repro import api
@@ -74,9 +74,10 @@ from repro.lp.backends import (
     highs_unavailable_reason,
     resolve_backend_name,
 )
-from repro.options import OnOff, enum_option
 from repro.schedulers.registry import (
     SERVICE_SCHEDULERS,
+    OnOff,
+    OptionEnum,
     RunOptions,
     available_schedulers,
     paper_schedulers,
@@ -428,6 +429,34 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
             default=option.default,
             **option.metadata,
         )
+
+
+def enum_option(
+    enum_cls: "type[OptionEnum]",
+    default: Any,
+    *,
+    param: str | None = None,
+) -> dict[str, Any]:
+    """``argparse.add_argument`` keywords for an enum-valued option.
+
+    Input goes through :meth:`OptionEnum.coerce` (canonical spellings,
+    case-insensitively), the ``choices`` list shows them, and the parsed
+    value is always an enum member.
+    """
+
+    def parse(text: str) -> OptionEnum:
+        try:
+            return enum_cls.coerce(text, param=param)
+        except ValueError as exc:
+            # argparse reports the type error with its own framing; keep ours.
+            raise ValueError(str(exc)) from None
+
+    return {
+        "type": parse,
+        "choices": tuple(enum_cls),
+        "default": enum_cls.coerce(default, param=param),
+        "metavar": "|".join(m.value for m in enum_cls),
+    }
 
 
 def _run_option_type(name: str):

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ModelError
-from repro.options import OnOff
-from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, RunOptions
+from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, OnOff, RunOptions
 from repro.workload.faults import FaultSpec
 from repro.workload.generator import PlatformSpec, WorkloadSpec
 from repro.workload.gripps import DEFAULT_PROCESSORS_PER_CLUSTER, SUBMISSION_WINDOW_SECONDS

@@ -55,6 +55,7 @@ OVERHEAD_TABLE_HEADERS: tuple[str, ...] = (
     "LP solved",
     "LP skipped",
     "basis reused",
+    "downgrades",
     "bank hits",
     "primal reused",
     "p50 replan (s)",
@@ -71,7 +72,9 @@ class OverheadRecord:
     the per-run probe-elimination histogram of the certificate-guided
     milestone search (all zero for LP-free strategies): LP probes actually
     solved, milestone candidates eliminated without a solve, and solved
-    probes served from warm persistent-solver state.  ``mean_bank_hits`` /
+    probes served from warm persistent-solver state.  ``mean_downgrades``
+    counts probes the persistent backend failed and scipy answered
+    (:attr:`~repro.lp.backends.LPProbeStats.n_downgrades`).  ``mean_bank_hits`` /
     ``mean_primal_reused`` count warm lookups in the cross-run solver-state
     bank and whole LP solutions answered from a carried primal (both zero
     unless a bank is threaded in via ``state_bank=True``).
@@ -88,6 +91,7 @@ class OverheadRecord:
     mean_lp_solved: float = 0.0
     mean_lp_skipped: float = 0.0
     mean_basis_reused: float = 0.0
+    mean_downgrades: float = 0.0
     mean_bank_hits: float = 0.0
     mean_primal_reused: float = 0.0
     p50_replan_latency: float = 0.0
@@ -102,6 +106,7 @@ class OverheadRecord:
             self.mean_lp_solved,
             self.mean_lp_skipped,
             self.mean_basis_reused,
+            self.mean_downgrades,
             self.mean_bank_hits,
             self.mean_primal_reused,
             self.p50_replan_latency,
@@ -165,6 +170,7 @@ def scheduling_overhead(
     lp_solved: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     lp_skipped: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     lp_reused: dict[str, list[int]] = {key: [] for key in scheduler_keys}
+    downgrades: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     bank_hits: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     primal_reused: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     replan_latencies: dict[str, list[float]] = {key: [] for key in scheduler_keys}
@@ -191,6 +197,7 @@ def scheduling_overhead(
             lp_solved[key].append(result.lp_probes.n_probes)
             lp_skipped[key].append(result.lp_probes.n_certificate_skipped)
             lp_reused[key].append(result.lp_probes.n_basis_reused)
+            downgrades[key].append(result.lp_probes.n_downgrades)
             bank_hits[key].append(result.lp_probes.n_bank_hits)
             primal_reused[key].append(result.lp_probes.n_primal_reuses)
             replan_latencies[key].extend(result.lp_probes.replan_latencies)
@@ -209,6 +216,7 @@ def scheduling_overhead(
                 mean_lp_solved=float(np.mean(lp_solved[key])),
                 mean_lp_skipped=float(np.mean(lp_skipped[key])),
                 mean_basis_reused=float(np.mean(lp_reused[key])),
+                mean_downgrades=float(np.mean(downgrades[key])),
                 mean_bank_hits=float(np.mean(bank_hits[key])),
                 mean_primal_reused=float(np.mean(primal_reused[key])),
                 p50_replan_latency=nearest_rank(replan_latencies[key], 50),

@@ -13,27 +13,24 @@ workers:
   schedulers back to back in canonical order, and returns the group's
   records as a plain ``list[RunRecord]``; their journal lines are written
   in one batch with a single flush at the group boundary.
-* **Worker-resident solver backend.**  Each worker owns one long-lived
-  :class:`~repro.lp.backends.SolverBackend` per backend name, resolved once
-  (bindings import, option tables) and injected into every LP scheduler the
-  worker runs.  Per-run solver state (the warm-start series bases) is
-  still scoped to the run -- :class:`~repro.lp.incremental.ReplanContext`
-  empties the backend at run start -- which is exactly what keeps a sharded
-  campaign *bit-identical* to the serial one: results can never depend on
-  which tasks previously shared a worker.
+* **One solver backend per run.**  Every LP scheduler gets its backend
+  from :func:`~repro.lp.backends.make_backend` at run start, like any
+  ``simulate()`` call, so per-run solver state (the warm-start series
+  bases, the LP counters) never outlives its run -- which is what keeps a
+  sharded campaign *bit-identical* to the serial one: results can never
+  depend on which tasks previously shared a worker.
 * **Replicate-affinity placement + cross-run solver-state bank.**  Each
-  worker also holds one :class:`~repro.lp.bank.SolverStateBank`, and groups
+  worker holds one :class:`~repro.lp.bank.SolverStateBank`, and groups
   are dealt to fixed per-worker *lanes* by first appearance (exactly like
   the :class:`~repro.experiments.sharding.ShardPlan` deals instance groups
   across shard legs).  All four on-line LP variants of one replicate thus
-  colocate on one worker and share banked solver state keyed by the
+  colocate on one worker and share banked exact optima keyed by the
   instance's *content* -- and because each content key's bucket history is
   the group's canonical prefix at any worker count, the bank preserves the
   serial/sharded bit-identity invariant instead of breaking it.
-* **Serial runs own their state.**  With ``n_workers=1`` the groups run in
-  the calling process on a worker state built for that run and closed when
-  it ends, so concurrent serial campaigns in one process never share a
-  backend or a bank.
+* **Serial runs own their bank.**  With ``n_workers=1`` the groups run in
+  the calling process on a bank built for that run, so concurrent serial
+  campaigns in one process never share one.
 * **Streaming collection + crash recovery.**  Each lane holds a few groups
   in flight at a time; completed groups are collected as they finish on
   any lane and appended to an optional
@@ -61,9 +58,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.core.errors import ReproError
 from repro.core.instance import Instance
 from repro.experiments.config import ExperimentConfig
-from repro.lp.backends import SolverBackend, make_backend, resolve_backend_name
+from repro.lp.backends import resolve_backend_name
 from repro.lp.bank import SolverStateBank
-from repro.lp.resilience import make_resilient
 from repro.schedulers.registry import make_scheduler, paper_schedulers
 from repro.simulation.engine import simulate
 from repro.utils.seeding import derive_seed
@@ -322,52 +318,11 @@ def campaign_meta(
 # -- per-worker state ---------------------------------------------------------------
 
 
-class _WorkerState:
-    """Long-lived state owned by one worker process (or one serial run).
-
-    Holds one resolved solver backend per backend name and the cross-run
-    solver-state bank.  The backend *handle* (imported bindings, model cache
-    object, counters) survives across tasks; per-run solver state is emptied
-    by the schedulers at run start, so sharing a worker never changes a
-    task's result.
-    """
-
-    def __init__(self):
-        self._backends: dict[str, SolverBackend] = {}
-        #: The worker's cross-run solver-state bank (content-addressed, see
-        #: :mod:`repro.lp.bank`); handed to schedulers whose configuration
-        #: enables ``state_bank``.
-        self.bank = SolverStateBank()
-
-    def backend_for(self, spec: object) -> object:
-        """Resolve a backend spec to this worker's resident instance.
-
-        Names are resolved through :func:`~repro.lp.backends.make_backend`
-        once and cached, so every LP scheduler this worker runs shares the
-        same live backend handle.  Persistent backends are wrapped in the
-        scipy-downgrade :func:`~repro.lp.resilience.make_resilient` shell,
-        so one pathological probe degrades that probe, not the worker.
-        Non-string specs (``None`` or an explicit
-        :class:`~repro.lp.backends.SolverBackend`) pass through untouched.
-        """
-        if not isinstance(spec, str):
-            return spec
-        backend = self._backends.get(spec)
-        if backend is None:
-            backend = make_resilient(make_backend(spec))
-            self._backends[spec] = backend
-        return backend
-
-    def close(self) -> None:
-        for backend in self._backends.values():
-            backend.close()
-        self._backends.clear()
-        self.bank.clear()
-
-
-#: The pool process's worker state, set by :func:`_init_worker`.  Only pool
-#: processes have one: a serial run builds its own :class:`_WorkerState`.
-_WORKER: _WorkerState | None = None
+#: The pool process's cross-run solver-state bank (content-addressed, see
+#: :mod:`repro.lp.bank`), set by :func:`_init_worker` and handed to the
+#: schedulers whose configuration enables ``state_bank``.  Only pool
+#: processes have one: a serial run builds its own bank.
+_WORKER_BANK: SolverStateBank | None = None
 
 
 #: How often a pool worker checks that the campaign process is still alive.
@@ -375,15 +330,15 @@ _PARENT_POLL_SECONDS = 0.25
 
 
 def _init_worker() -> None:
-    """Pool initializer: give the worker its long-lived state up front.
+    """Pool initializer: give the worker its long-lived bank up front.
 
     The worker also exits once the campaign process that started it is
     gone.  A campaign killed by SIGKILL cannot shut its pools down, and its
     workers would otherwise sleep on their call queues forever (their
     siblings keep the queues' pipes open, so no read ever ends).
     """
-    global _WORKER
-    _WORKER = _WorkerState()
+    global _WORKER_BANK
+    _WORKER_BANK = SolverStateBank()
     parent = multiprocessing.parent_process()
     if parent is not None:
         threading.Thread(
@@ -399,7 +354,7 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _run_one(
-    state: _WorkerState,
+    bank: SolverStateBank,
     config: ExperimentConfig,
     instance: Instance,
     replicate: int,
@@ -412,13 +367,11 @@ def _run_one(
     # options so callers can still override them.
     options = config.scheduler_options_for(scheduler_key)
     options.update((scheduler_options or {}).get(scheduler_key, {}))
-    if "solver_backend" in options:
-        options["solver_backend"] = state.backend_for(options["solver_backend"])
     # The configuration carries the bank toggle as a plain bool; the worker
     # is the only place a live bank exists, so translate it here.
     bank_flag = options.get("state_bank")
     if isinstance(bank_flag, bool):
-        options["state_bank"] = state.bank if bank_flag else None
+        options["state_bank"] = bank if bank_flag else None
     scheduler = make_scheduler(scheduler_key, **options)
     # The availability axis: a seeded fault timeline derived from the
     # replicate seed, regenerated identically wherever the task runs.  With
@@ -464,14 +417,14 @@ def _run_one(
 
 
 def _run_task_group(
-    state: _WorkerState,
+    bank: SolverStateBank,
     config: ExperimentConfig,
     replicate: int,
     seed: int,
     scheduler_keys: Sequence[str],
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> tuple[list[RunRecord], float]:
-    """Run the schedulers of one (configuration, replicate) group on ``state``.
+    """Run the schedulers of one (configuration, replicate) group with ``bank``.
 
     The instance is realized once, each scheduler runs back to back in the
     canonical order, and the call returns ``(records, compute_seconds)``.
@@ -479,16 +432,16 @@ def _run_task_group(
     t_compute = time.perf_counter()
     instance = generate_instance(config.platform_spec(), config.workload_spec(), rng=seed)
     records = [
-        _run_one(state, config, instance, replicate, key, seed, scheduler_options)
+        _run_one(bank, config, instance, replicate, key, seed, scheduler_options)
         for key in scheduler_keys
     ]
     return records, time.perf_counter() - t_compute
 
 
 def _run_in_worker(*args: object) -> tuple[list[RunRecord], float]:
-    """Pool entry point: :func:`_run_task_group` on the pool process's state."""
-    assert _WORKER is not None, "pool worker started without _init_worker"
-    return _run_task_group(_WORKER, *args)
+    """Pool entry point: :func:`_run_task_group` with the pool process's bank."""
+    assert _WORKER_BANK is not None, "pool worker started without _init_worker"
+    return _run_task_group(_WORKER_BANK, *args)
 
 
 class _CampaignRun:
@@ -602,12 +555,12 @@ def run_campaign(
         always sees the same instance.
     n_workers:
         Number of worker processes.  ``1`` (default) runs everything in the
-        calling process, on a solver backend and bank owned by this call
+        calling process, with a solver-state bank owned by this call
         alone; larger values run whole ``(configuration, replicate)``
         groups on per-worker *lanes* (one single-process pool each), each
         group dealt to a fixed lane by first appearance -- so every worker
-        keeps its solver backend and cross-run solver-state bank effective
-        across the schedulers of its replicates.  The returned record set
+        keeps its cross-run solver-state bank effective across the
+        schedulers of its replicates.  The returned record set
         is bit-identical (up to the ``scheduler_time`` measurement) for
         every worker count, bank on or off.
     scheduler_options:
@@ -712,17 +665,14 @@ def run_campaign(
 
     try:
         if n_workers <= 1:
-            # This run's own state: another serial run in this process (a
-            # second thread) must neither share its bank nor close its backend.
-            state = _WorkerState()
-            try:
-                for unit in _group_pending(tasks, pending):
-                    records, compute_seconds = _run_task_group(
-                        state, *_group_args(tasks, unit, scheduler_options)
-                    )
-                    run.finish_group(unit, records, compute_seconds)
-            finally:
-                state.close()
+            # This run's own bank: another serial run in this process (a
+            # second thread) must not share it.
+            bank = SolverStateBank()
+            for unit in _group_pending(tasks, pending):
+                records, compute_seconds = _run_task_group(
+                    bank, *_group_args(tasks, unit, scheduler_options)
+                )
+                run.finish_group(unit, records, compute_seconds)
         elif pending:  # a fully-restored resume never pays for a pool
             _run_pooled(run, pending, n_workers, scheduler_options)
     finally:
@@ -762,7 +712,7 @@ def _lane_assignments(tasks: Sequence[CampaignTask], n_workers: int) -> list[int
     :class:`~repro.experiments.sharding.ShardPlan` uses across shard legs,
     so placement is resume-stable: restored tasks still consume their
     group's position).  Keeping a group whole on one lane is what gives the
-    worker's backend state and solver bank their hit rate, and what makes
+    worker's solver bank its hit rate, and what makes
     every bank bucket's history independent of the worker count.
     """
     lanes: list[int] = []
@@ -782,7 +732,7 @@ def _group_args(
     unit: Sequence[int],
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> tuple:
-    """The :func:`_run_task_group` arguments (after ``state``) of one group."""
+    """The :func:`_run_task_group` arguments (after ``bank``) of one group."""
     first = tasks[unit[0]]
     return (
         first.config,

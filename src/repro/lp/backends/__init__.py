@@ -5,19 +5,23 @@
 :meth:`SolverBackend.solve` of one of two backends:
 
 * :class:`ScipyBackend` -- the historical one-shot
-  :func:`scipy.optimize.linprog` path (default; always available).
+  :func:`scipy.optimize.linprog` path (always available; what
+  ``make_backend(None)`` returns).
 * :class:`HighsPersistentBackend` -- builds a HiGHS model per solve and
   warm-starts dual simplex from the basis the previous solve of the same
-  series left, across milestone probes and replans.
+  series left, across the milestone probes and replans of one run; a probe
+  it fails is re-solved on a fresh :class:`ScipyBackend`.
   Backed by ``highspy`` when installed, falling back to the bindings vendored
   by scipy >= 1.15.
 
 Backends are selected by name through :func:`make_backend` (``"scipy"``,
 ``"highs"``, ``"auto"``) -- the same names exposed by the
-``--solver-backend`` CLI flag and :attr:`ExperimentConfig.solver_backend`.
-Every name builds a fresh backend: a backend carries the LP counters of the
-run using it (:attr:`SolverBackend.stats`, an :class:`LPProbeStats`), so no
-two runs share one.
+``--solver-backend`` CLI flag and :attr:`RunOptions.solver_backend
+<repro.schedulers.registry.RunOptions.solver_backend>`, whose default is
+``"auto"`` (persistent HiGHS when bindings exist).  Every name builds a
+fresh backend, and every run gets its own: a backend carries the LP counters
+and warm-start bases of the run using it (:attr:`SolverBackend.stats`, an
+:class:`LPProbeStats`), so no two runs share one.
 """
 
 from __future__ import annotations

@@ -5,11 +5,13 @@ A :class:`SolverBackend` turns an :class:`LPSpec` -- the arrays of System
 skeleton -- into an :class:`LPResult`.  Two implementations exist:
 
 * :class:`~repro.lp.backends.scipy_backend.ScipyBackend` -- the historical
-  one-shot :func:`scipy.optimize.linprog` path (default);
+  one-shot :func:`scipy.optimize.linprog` path;
 * :class:`~repro.lp.backends.highs.HighsPersistentBackend` -- builds a HiGHS
   model per solve and keeps the latest basis of each warm-start series,
   warm-starting dual simplex on the next model of the series from it, and
   returns an optimal model for :meth:`SolverBackend.resolve_fixed` to re-solve.
+  A probe it fails is re-solved once on a fresh scipy backend
+  (:meth:`SolverBackend.solve`).
 
 Persistent backends relate successive solves through the ``warm`` argument of
 :meth:`SolverBackend.solve`: a :class:`WarmStartHint` names the series and
@@ -35,8 +37,10 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.core.errors import SolverError
 
 __all__ = [
+    "annotate_solver_error",
     "LPResult",
     "LPSpec",
     "WarmStartHint",
@@ -51,6 +55,19 @@ __all__ = [
 #: admission valve stay bounded.  A batch run replans once per arrival
 #: burst, far fewer times than this.
 REPLAN_LATENCY_WINDOW = 1024
+
+
+def annotate_solver_error(exc: SolverError, **context: object) -> SolverError:
+    """Fill unset structured-context fields of ``exc`` in place.
+
+    Outer layers (the scipy downgrade, the replan context) use this to add
+    what they know -- backend name, probe signature -- without clobbering
+    details the raising layer already recorded.
+    """
+    for key, value in context.items():
+        if value is not None and getattr(exc, key, None) is None:
+            setattr(exc, key, value)
+    return exc
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
@@ -177,11 +194,12 @@ class SolverBackend(ABC):
     timing, so every backend feeds the same LP-fraction accounting into
     :attr:`stats`.
 
-    A backend serves one run at a time.  The run starts by calling
+    A backend serves one run: every run gets its own from
+    :func:`~repro.lp.backends.make_backend` and starts by calling
     :meth:`close`, which also replaces :attr:`stats` by a fresh
-    :class:`LPProbeStats`; whoever reports the run keeps a reference to that
-    object, since the next run (a campaign worker reuses its backend) starts
-    another.
+    :class:`LPProbeStats` (so a caller-supplied instance that served an
+    earlier run starts clean); whoever reports the run keeps a reference to
+    that object.
     """
 
     #: Registry/display name of the backend ("scipy", "highs", ...).
@@ -210,12 +228,51 @@ class SolverBackend(ABC):
         unexpected solver failures (numerical breakdown, unboundedness,
         ...), but *not* for plain infeasibility, which is an expected
         outcome during the milestone search.
+
+        A failing solve meets three layers of defence:
+
+        1. inside the scipy backend, a solve that reports status 1
+           (iteration limit) or 4 (numerical difficulties) is retried once
+           with the other HiGHS method (see
+           :class:`~repro.lp.backends.scipy_backend.ScipyBackend`);
+        2. here, a *persistent* backend whose solve raises
+           :class:`SolverError` re-solves the same spec once on a fresh
+           scipy backend, cold (no warm hint), counted in
+           :attr:`LPProbeStats.n_downgrades` (the highs -> scipy
+           downgrade).  The failed solve leaves the series basis as it was
+           (a basis is recorded only on an optimal or infeasible outcome),
+           so the next solve starts where this one did.  When the fallback
+           fails too, its error is raised, chained from the primary's;
+        3. in a campaign, a :class:`SolverError` that survives both layers
+           aborts only its own run, which the runner records as a
+           NaN-metrics ``failed`` record (``experiments/runner.py``).
+
+        Every retry preserves exactness: a retried probe either returns the
+        optimum of the same LP or fails again.  The solve is timed and
+        counted once, under this backend's name, whichever layer answers.
         """
         start = time.perf_counter()
         try:
             return self._solve(spec, warm=warm)
+        except SolverError as exc:
+            if not self.persistent:
+                raise
+            return self._downgrade(spec, exc)
         finally:
             self._count_solve(time.perf_counter() - start)
+
+    def _downgrade(self, spec: LPSpec, primary_exc: SolverError) -> LPResult:
+        """Re-solve ``spec`` on a fresh scipy backend after ``primary_exc``."""
+        from repro.lp.backends.scipy_backend import ScipyBackend  # imports this module
+
+        annotate_solver_error(primary_exc, backend=self.name)
+        try:
+            result = ScipyBackend()._solve(spec)
+        except SolverError as fallback_exc:
+            annotate_solver_error(fallback_exc, backend=ScipyBackend.name)
+            raise fallback_exc from primary_exc
+        self.stats.n_downgrades += 1
+        return result
 
     @abstractmethod
     def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
@@ -237,26 +294,6 @@ class SolverBackend(ABC):
     def close(self) -> None:
         """Release any persistent solver state and start a fresh :attr:`stats`."""
         self.stats = LPProbeStats()
-
-    def export_series_state(self) -> object | None:
-        """A process-local snapshot of the warm-start series bases.
-
-        Persistent backends return a serializable payload capturing the
-        retained per-series dual-simplex bases, suitable for
-        :meth:`import_series_state` on a *fresh* backend of the same class
-        (the cross-run solver-state bank of :mod:`repro.lp.bank` stores
-        these per instance content key).  Stateless backends return
-        ``None`` -- there is nothing to carry.
-        """
-        return None
-
-    def import_series_state(self, payload: object | None) -> None:
-        """Seed the warm-start series bases from an exported snapshot.
-
-        Accepts the payload of :meth:`export_series_state` (``None`` is a
-        no-op).  Purely an accelerator: imported bases only change where
-        dual simplex *starts*, never which optimum it reports.
-        """
 
     @staticmethod
     def infeasible_result(spec: LPSpec, message: str = "") -> LPResult:
@@ -311,16 +348,17 @@ class LPProbeStats:
     #: search, in completion order (feeds the per-replan medians of
     #: ``benchmarks/bench_lp_scaling.py``).
     searches: list[tuple[int, int]] = field(default_factory=list)
+    #: Probes a persistent backend failed and a fresh scipy backend answered
+    #: (the highs -> scipy downgrade of :meth:`SolverBackend.solve`).
+    n_downgrades: int = 0
     #: Cross-run solver-state bank lookups that found a warm bucket for the
     #: run's instance content key (:mod:`repro.lp.bank`).
     n_bank_hits: int = 0
-    #: Bank lookups that started a cold bucket (first run of a content group
-    #: on its worker, or the bank disabled upstream never counts here).
+    #: Bank lookups that found a cold bucket: the first run of a content
+    #: group on its worker.  A run without a bank makes no lookup.
     n_bank_misses: int = 0
-    #: Whole LP solves skipped by reusing a stored primal solution -- a
-    #: banked System (1)/(2) optimum for an exactly-matching problem
-    #: signature, or the previous replan's System (1) optimum when the
-    #: problem is unchanged since.
+    #: Whole LP solves skipped by reusing a banked System (1)/(2) optimum
+    #: for an exactly-matching problem signature.
     n_primal_reuses: int = 0
     #: Wall-clock seconds spent assembling System (1) probes before handing
     #: them to the backend: interval structure, skeleton arrays (cached per
@@ -358,13 +396,14 @@ class LPProbeStats:
         return nearest_rank(self.replan_latencies, q)
 
     def histogram(self) -> dict[str, int]:
-        """The probe-count histogram: solved vs certificate-skipped vs basis-reused."""
+        """The probe-count histogram: solved vs skipped vs basis-reused vs downgraded."""
         return {
             "solved": self.n_probes,
             "certificate_skipped": self.n_certificate_skipped,
             "basis_reused": self.n_basis_reused,
             "live_reoptimizations": self.n_live_reoptimizations,
             "interior_exits": self.n_interior_exits,
+            "downgrades": self.n_downgrades,
             "bank_hits": self.n_bank_hits,
             "bank_misses": self.n_bank_misses,
             "primal_reuses": self.n_primal_reuses,

@@ -20,13 +20,13 @@ keeps the one piece of solver state that does carry over: the *basis*.
   (1) probe, so :meth:`~HighsPersistentBackend.resolve_fixed` fixes ``F`` on
   the probe's model, swaps the costs and runs *primal* simplex from its basis.
 
-The series bases are the only state the backend keeps.  A solve leaves its
-basis behind as the bindings' ``HighsBasis`` copy (no ``Highs`` object);
-its statuses become four small sorted numpy arrays only when the series is
-read -- by the next transplant or by :meth:`~HighsPersistentBackend.
-export_series_state` -- because reading them from the bindings costs one
-Python object per row and column, and a basis the next solve of the series
-overwrites is never read.  A ``Highs`` object dies with the call or, when
+The series bases are the only state the backend keeps, and only for the
+run that owns the backend.  A solve leaves its basis behind as the
+bindings' ``HighsBasis`` copy (no ``Highs`` object); its statuses become
+four small sorted numpy arrays only when the next transplant of the series
+reads them, because reading them from the bindings costs one Python object
+per row and column, and a basis the next solve of the series overwrites is
+never read.  A ``Highs`` object dies with the call or, when
 its result's handle is taken, with the handle (dropped within the replan).
 
 Bindings are resolved at import time from, in order of preference:
@@ -306,46 +306,6 @@ class HighsPersistentBackend(SolverBackend):
         """Drop every series basis and start a fresh :attr:`stats`."""
         super().close()
         self._series.clear()
-
-    # -- series-state serialization (cross-run solver-state bank) -------------------
-    def export_series_state(self) -> "dict | None":
-        """Snapshot the retained warm-start series bases (see the bank).
-
-        The payload holds plain numpy arrays only -- no live ``Highs``
-        objects -- so it survives in the per-worker
-        :class:`~repro.lp.bank.SolverStateBank` long after this backend is
-        closed, and seeding a fresh backend from it is just array copies.
-        """
-        if not self._series:
-            return None
-        payload = {}
-        for series in self._series:
-            basis = self._series_basis(series)
-            payload[series] = (
-                basis.col_ids.copy(),
-                basis.col_status.copy(),
-                basis.row_ids.copy(),
-                basis.row_status.copy(),
-            )
-        return payload
-
-    def import_series_state(self, payload: "dict | None") -> None:
-        """Seed the series bases from an :meth:`export_series_state` payload.
-
-        Imported bases are transplanted exactly like bases captured by this
-        backend's own solves: through the caller's stable identities, with
-        HiGHS repairing any rank deficiency -- so a stale snapshot can only
-        cost simplex iterations, never change an optimum.
-        """
-        if not payload:
-            return
-        for series, (col_ids, col_status, row_ids, row_status) in payload.items():
-            self._series[series] = _SeriesBasis(
-                np.array(col_ids, dtype=np.int64),
-                np.array(col_status, dtype=np.int8),
-                np.array(row_ids, dtype=np.int64),
-                np.array(row_status, dtype=np.int8),
-            )
 
     # -- model lifecycle -----------------------------------------------------------
     def _new_solver(self):

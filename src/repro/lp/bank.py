@@ -1,34 +1,26 @@
-"""Content-addressed cross-run solver-state bank.
+"""Content-addressed cross-run memo of exact System (1)/(2) optima.
 
 Within one replicate of the campaign, the four on-line LP schedulers (and
-both legs of a backend A/B) solve near-identical sequences of milestone
-LPs; per-run solver state is deliberately wiped between tasks to preserve
-the sharding bit-identity invariant.  The bank recovers that locality
-*deterministically*: state is keyed by the **content** of the realized
-instance -- a hash over the jobs (ids, releases, sizes, databanks) and the
-platform (machine ids, cycle times, hosted databanks) -- never by run
-order, so what a consumer finds in its bucket is a function of which
-content-identical runs completed before it, not of where they ran.
+both legs of a backend A/B) solve near-identical sequences of LPs -- every
+variant's first replan, before any executed work diverges, is the same
+problem.  A run's solver backend lives for that run only, so the bank is
+the one thing that crosses runs, and it holds one kind of state: **exact
+optima** keyed by the exact :func:`problem_signature`.  A content-identical
+System (1)/(2) problem has a content-identical optimum, so the whole
+milestone search (or re-optimization) is skipped and the stored solution
+is re-bound onto the consumer's problem object.
 
-Combined with the replicate-affinity task placement of
-:mod:`repro.experiments.runner` (every task of one ``(config, replicate)``
-group executes on the same worker lane, in canonical order), each bucket's
-history is exactly the group's canonical prefix at any worker count --
-which is what keeps sharded campaign records bit-identical to serial runs
-with the bank enabled.
-
-A bucket holds three kinds of reusable state, all accelerators only:
-
-* **Primal solutions** keyed by the exact :func:`problem_signature` --
-  a content-identical System (1)/(2) problem has a content-identical
-  optimum, so the whole milestone search (or re-optimization) is skipped
-  and the stored solution is re-bound onto the consumer's problem object;
-* the **last accepted** ``S*``, used purely as the first replan's
-  milestone-search warm start (probe order, never acceptance);
-* the publisher backend's **warm-start series bases** (dual-simplex basis
-  snapshots exported through
-  :meth:`~repro.lp.backends.base.SolverBackend.export_series_state`),
-  seeding the consumer's persistent backend before its first solve.
+Buckets are keyed by the **content** of the realized instance -- a hash
+over the jobs (ids, releases, sizes, databanks) and the platform (machine
+ids, cycle times, hosted databanks) -- never by run order, so what a
+consumer finds in its bucket is a function of which content-identical runs
+completed before it, not of where they ran.  Combined with the
+replicate-affinity task placement of :mod:`repro.experiments.runner`
+(every task of one ``(config, replicate)`` group executes on the same
+worker lane, in canonical order), each bucket's history is exactly the
+group's canonical prefix at any worker count -- which is what keeps
+sharded campaign records bit-identical to serial runs with the bank
+enabled.
 """
 
 from __future__ import annotations
@@ -110,46 +102,29 @@ def problem_signature(problem: "MaxStretchProblem") -> tuple:
 
 
 class BankBucket:
-    """Reusable solver state for one instance content key.
+    """The stored optima of one instance content key.
 
     Attributes
     ----------
     sys1:
         ``problem_signature -> MaxStretchSolution`` for accepted System (1)
-        searches (first publication wins).
+        searches (first solve wins).
     sys2:
         ``(problem_signature, objective) -> MaxStretchSolution`` for System
         (2) re-optimizations (the stored solution's ``objective`` records
         the inflated deadline bound actually used).
-    series_state:
-        The first publisher's exported warm-start series bases (backend
-        serialization; ``None`` for stateless backends).
-    last_objective:
-        The most recent publisher's final ``S*`` -- consumed as the first
-        replan's warm start only.
-    n_publications:
-        Completed runs that published into this bucket.
     """
 
-    __slots__ = (
-        "sys1",
-        "sys2",
-        "series_state",
-        "last_objective",
-        "n_publications",
-    )
+    __slots__ = ("sys1", "sys2")
 
     def __init__(self) -> None:
         self.sys1: dict[tuple, "MaxStretchSolution"] = {}
         self.sys2: dict[tuple, "MaxStretchSolution"] = {}
-        self.series_state: object | None = None
-        self.last_objective: float | None = None
-        self.n_publications: int = 0
 
     @property
     def warm(self) -> bool:
-        """Whether any state has been published into this bucket."""
-        return self.n_publications > 0 or bool(self.sys1) or bool(self.sys2)
+        """Whether this bucket holds a stored optimum."""
+        return bool(self.sys1) or bool(self.sys2)
 
     def trim(self) -> None:
         """Bound the primal stores (drop oldest, dicts are insertion-ordered)."""
@@ -164,10 +139,10 @@ class SolverStateBank:
 
     One bank lives in each campaign worker (and one in the in-process
     serial runner); :class:`~repro.lp.incremental.ReplanContext` acquires
-    the bucket for its instance at construction and publishes back on run
-    completion.  Eviction is deterministic and harmless: tasks of one
-    content group are consecutive on their lane, so an evicted bucket's
-    key never recurs.
+    the bucket for its instance at construction, reads stored optima from
+    it and stores its own as it solves them.  Eviction is deterministic and
+    harmless: tasks of one content group are consecutive on their lane, so
+    an evicted bucket's key never recurs.
     """
 
     def __init__(self, *, max_buckets: int = _MAX_BUCKETS):

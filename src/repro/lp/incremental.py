@@ -24,26 +24,22 @@ every LP, the context returns *bit-identical* objectives and
 allocations to rebuilding every LP from scratch -- the from-scratch
 scheduler survives only as the test oracle in ``tests/replan_oracles.py``.
 
-The LP solves themselves go through a pluggable :mod:`repro.lp.backends`
-backend owned by the context.  The default (one-shot scipy) preserves the
+The LP solves themselves go through a :mod:`repro.lp.backends` backend
+that lives for the context's run.  The one-shot scipy backend preserves the
 bit-identical guarantee above; the persistent HiGHS backend
-(``solver_backend="highs"``) additionally carries the simplex basis
-between probes and replans, which changes results only within solver
-tolerance (equivalence is enforced by ``tests/test_lp_backends.py``).
+(``solver_backend="highs"``, or the ``"auto"`` run option) additionally
+carries the simplex basis between the probes and replans of the run, which
+changes results only within solver tolerance (equivalence is enforced by
+``tests/test_lp_backends.py``).
 
-Two exact-match shortcuts stack on top of the per-run caches: a problem
-content-identical to the previous replan's reuses its solution outright,
-and a **cross-run solver-state bank** (:mod:`repro.lp.bank`) -- when the
-campaign runner hands the context a :class:`~repro.lp.bank.SolverStateBank`
--- supplies banked primal optima for exact
-:func:`~repro.lp.bank.problem_signature` matches (skipping the whole
-System (1) search or System (2) re-optimization), the previous publisher's
-final :math:`S^*` as the first replan's warm start, and its exported
-warm-start bases; the context publishes its own final state back on run
-completion (:meth:`ReplanContext.publish`).  Both are accelerators only --
-reused solutions are exact optima of content-identical LPs and a warm start
-merely reorders a monotone search -- so acceptance logic in
-:mod:`repro.lp.maxstretch` is untouched.
+Across runs, the only carry is the **cross-run solver-state bank**
+(:mod:`repro.lp.bank`): when the campaign runner hands the context a
+:class:`~repro.lp.bank.SolverStateBank`, a System (1) or (2) problem whose
+:func:`~repro.lp.bank.problem_signature` matches a stored one is answered
+by the stored exact optimum (skipping the whole search or
+re-optimization), and the context stores its own optima as it solves them.
+A reused solution is an exact optimum of a content-identical LP, so
+acceptance logic in :mod:`repro.lp.maxstretch` is untouched.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.errors import SolverError
 from repro.core.instance import Instance
 from repro.lp.backends import SolverBackend, make_backend
+from repro.lp.backends.base import annotate_solver_error
 from repro.lp.bank import BankBucket, SolverStateBank, instance_content_key, problem_signature
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
@@ -71,7 +68,6 @@ from repro.lp.problem import (
     problem_from_instance,
 )
 from repro.lp.relaxation import reoptimize_allocation
-from repro.lp.resilience import annotate_solver_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import Job
@@ -93,23 +89,19 @@ class ReplanContext:
         The instance being simulated.  The platform-derived caches (resource
         tuple and :class:`~repro.lp.problem.JobTable`) are computed once here.
     solver_backend:
-        LP solver backend carried across the context's solves: a name
-        (``"scipy"`` | ``"highs"`` | ``"auto"``), a ready
-        :class:`~repro.lp.backends.SolverBackend` instance, or ``None`` for
-        the one-shot scipy default.  With the persistent HiGHS backend the
-        context owns the warm-start series bases alongside its
-        constraint-skeleton cache, so consecutive milestone probes and
-        System (2) solves start dual simplex from the previous basis instead
-        of from a cold one.
+        The run's LP solver backend: a name (``"scipy"`` | ``"highs"`` |
+        ``"auto"``), a ready :class:`~repro.lp.backends.SolverBackend`
+        instance, or ``None`` for one-shot scipy, resolved through
+        :func:`~repro.lp.backends.make_backend`.  With the persistent HiGHS
+        backend, consecutive milestone probes and System (2) solves of the
+        run start dual simplex from the previous basis instead of a cold one.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across the
         runs of one campaign worker.  The context acquires the bucket for
-        the instance's content key at construction (seeding the backend's
-        warm-start series from the previous publisher's exported bases),
-        consumes banked primal solutions and the first replan's warm start
-        during the run, and publishes its own final state back through
-        :meth:`publish`.  ``None`` (the default, and every non-campaign
-        path) keeps the historical per-run-isolated behavior.
+        the instance's content key at construction, answers exact
+        problem-signature matches from its stored optima and stores its own
+        optima into it as it solves them.  ``None`` (the default, and every
+        non-campaign path) keeps the run isolated.
 
     Attributes
     ----------
@@ -140,24 +132,18 @@ class ReplanContext:
         self._table_ids: set[int] = {row[0] for row in self.job_table.rows}
         self.backend: SolverBackend = make_backend(solver_backend)
         # A caller-supplied backend instance may have served a previous run;
-        # drop its series bases so warm starts never cross simulations, and
-        # its counters so they describe this run only.  Cross-run carry
-        # happens exclusively through the content-addressed bank.
+        # drop its series bases and its counters, so both describe this run.
         self.backend.close()
         self.last_objective: float | None = None
         self.n_replans: int = 0
         self._skeletons: dict[tuple, ConstraintSkeleton] = {}
         self._bucket: BankBucket | None = None
-        self._last_sig: tuple | None = None
         self._last_problem: MaxStretchProblem | None = None
-        self._last_solution: MaxStretchSolution | None = None
         self._live: LiveProbe | None = None
         if state_bank is not None:
             self._bucket, hit = state_bank.acquire(instance_content_key(instance))
             if hit:
                 self.backend.stats.n_bank_hits += 1
-                if self._bucket.series_state is not None:
-                    self.backend.import_series_state(self._bucket.series_state)
             else:
                 self.backend.stats.n_bank_misses += 1
 
@@ -209,26 +195,26 @@ class ReplanContext:
     def solve_max_stretch(self, problem: MaxStretchProblem) -> MaxStretchSolution:
         """System (1), warm-started at the previous optimum.
 
-        The warm start (:meth:`_warm_hint`) only chooses the first probed
-        milestone interval; the search stays exact.
-
-        Before searching at all, two exact-match shortcuts are tried: a
-        problem content-identical to the previous replan's reuses its
-        solution outright, and a banked solution stored for the same
-        :func:`~repro.lp.bank.problem_signature` by an earlier run of the
-        same instance is re-bound and returned without solving.
+        The warm start only chooses the first probed milestone interval;
+        the search stays exact.  With a bank bucket, a solution stored for
+        the same :func:`~repro.lp.bank.problem_signature` by an earlier run
+        of the same instance is re-bound and returned without solving.
         """
         self._live = None
-        sig = problem_signature(problem)
-        reused = self._reuse_sys1(problem, sig)
-        if reused is not None:
-            return reused
+        bucket = self._bucket
+        sig = None
+        if bucket is not None:
+            sig = problem_signature(problem)
+            banked = bucket.sys1.get(sig)
+            if banked is not None:
+                self.backend.stats.n_primal_reuses += 1
+                return self._note_solution(problem, self._rebind(banked, problem))
 
         report = MilestoneSearchReport()
         try:
             solution = minimize_max_weighted_flow(
                 problem,
-                warm_start=self._warm_hint(),
+                warm_start=self.last_objective,
                 skeleton_cache=self._skeletons,
                 backend=self.backend,
                 report=report,
@@ -236,72 +222,41 @@ class ReplanContext:
         except SolverError as exc:
             # Attach the probe identity so a campaign `failed` record can
             # say which LP content died without re-running the replan.
-            annotate_solver_error(exc, backend=self.backend.name, probe_signature=sig)
+            annotate_solver_error(
+                exc,
+                backend=self.backend.name,
+                probe_signature=sig if sig is not None else problem_signature(problem),
+            )
             raise
-        self._note_solution(problem, sig, solution)
         self._live = report.live
         self._trim_skeletons()
-        if self._bucket is not None and sig not in self._bucket.sys1:
-            self._bucket.sys1[sig] = solution
-            self._bucket.trim()
-        return solution
-
-    def _reuse_sys1(
-        self, problem: MaxStretchProblem, sig: tuple
-    ) -> MaxStretchSolution | None:
-        """A stored System (1) optimum for ``sig``, or ``None`` to solve.
-
-        Checks the previous replan of *this* run first (the active set can
-        be unchanged when a replan fires without progress), then the bank
-        bucket (an earlier run of the content-identical instance solved the
-        exact same problem -- e.g. every variant's first replan, before any
-        executed work diverges).  A reused solution is an exact optimum of
-        this problem, so downstream acceptance is unchanged.
-        """
-        if sig == self._last_sig and self._last_solution is not None:
-            self.backend.stats.n_primal_reuses += 1
-            solution = self._rebind(self._last_solution, problem)
-            self._note_solution(problem, sig, solution)
-            return solution
-        if self._bucket is not None:
-            banked = self._bucket.sys1.get(sig)
-            if banked is not None:
-                self.backend.stats.n_primal_reuses += 1
-                solution = self._rebind(banked, problem)
-                self._note_solution(problem, sig, solution)
-                return solution
-        return None
+        if bucket is not None:
+            bucket.sys1[sig] = solution
+            bucket.trim()
+        return self._note_solution(problem, solution)
 
     def invalidate_carry(self) -> None:
-        """Forget everything carried from previous replans.
+        """Forget the :math:`S^*` carried from the previous replan.
 
-        Called on machine availability transitions.  The carried
-        :math:`S^*` and previous-solution shortcut describe the previous
-        plan on a stable platform -- an outage invalidates that (a downed
-        machine executes nothing its plan claimed).  Structural caches (resources, job table,
-        skeletons) survive: they describe problem shapes, not solution
-        values, and the full-platform problem returns unchanged once every
-        machine is back up.  Bank entries also survive -- they are keyed by
-        the full problem content, so they can only ever re-bind exact
-        optima.
+        Called on machine availability transitions: the carried warm start
+        describes the previous plan on a stable platform, and an outage
+        invalidates that (a downed machine executes nothing its plan
+        claimed).  Structural caches (resources, job table, skeletons)
+        survive: they describe problem shapes, not solution values, and the
+        full-platform problem returns unchanged once every machine is back
+        up.  Bank entries also survive -- they are keyed by the full problem
+        content, so they can only ever re-bind exact optima.
         """
         self.last_objective = None
-        self._last_sig = None
-        self._last_problem = None
-        self._last_solution = None
 
     def _note_solution(
-        self,
-        problem: MaxStretchProblem,
-        sig: tuple,
-        solution: MaxStretchSolution,
-    ) -> None:
+        self, problem: MaxStretchProblem, solution: MaxStretchSolution
+    ) -> MaxStretchSolution:
         """Per-replan bookkeeping shared by the solved and reused paths."""
         self.last_objective = solution.objective
         self.n_replans += 1
-        self._last_sig = sig
         self._last_problem = problem
-        self._last_solution = solution
+        return solution
 
     @staticmethod
     def _rebind(
@@ -309,7 +264,8 @@ class ReplanContext:
     ) -> MaxStretchSolution:
         """``solution`` re-anchored on ``problem`` (same content, new object).
 
-        Banked solutions keep a reference to the publisher run's problem;
+        Banked solutions keep a reference to the problem of the run that
+        solved them;
         consumers swap in their own so every derived accessor
         (``deadline``, per-resource allocation views, ...) resolves against
         the live run's job objects.  The interval structure and allocation
@@ -326,70 +282,42 @@ class ReplanContext:
             allocations=dict(solution.allocations),
         )
 
-    def _warm_hint(self) -> float | None:
-        """The milestone-search warm start: the previous replan's :math:`S^*`.
-
-        ``None`` on a cold first replan; with a warm bank bucket the first
-        replan starts from the previous publisher's final :math:`S^*`
-        instead (probe order only, never the answer).
-        """
-        if self.last_objective is None and self._bucket is not None:
-            return self._bucket.last_objective
-        return self.last_objective
-
     def reoptimize(
         self, problem: MaxStretchProblem, objective: float
     ) -> MaxStretchSolution:
         """System (2) at fixed ``objective``, sharing the skeleton cache.
 
-        With a bank bucket, a re-optimization already published for the
+        With a bank bucket, a re-optimization already stored for the
         exact ``(problem signature, objective)`` pair is re-bound and
         returned without solving (the deterministic inflation loop makes
         the stored solution the one this call would compute).
         """
         live = self._live if problem is self._last_problem else None
         self._live = None
-        if self._bucket is None:
+        bucket = self._bucket
+        if bucket is None:
             return reoptimize_allocation(
                 problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live
             )
-        sig = (
-            self._last_sig
-            if problem is self._last_problem
-            else problem_signature(problem)
-        )
-        key = (sig, objective)
-        banked = self._bucket.sys2.get(key)
+        key = (problem_signature(problem), objective)
+        banked = bucket.sys2.get(key)
         if banked is not None:
             self.backend.stats.n_primal_reuses += 1
             return self._rebind(banked, problem)
         solution = reoptimize_allocation(
             problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live
         )
-        self._bucket.sys2[key] = solution
-        self._bucket.trim()
+        bucket.sys2[key] = solution
+        bucket.trim()
         return solution
 
-    # -- bank publication ----------------------------------------------------------
     def publish(self) -> None:
-        """Publish the run's final solver state into the bank bucket.
+        """End the run: drop the live model (the scheduler's ``finalize`` hook).
 
-        Called on run completion (the scheduler's ``finalize`` hook).  The
-        final :math:`S^*` overwrites the bucket's warm start (latest
-        publisher wins -- any content-identical run's is an equally good
-        hint); the exported warm-start bases are kept first-publisher
-        wins, since later runs consumed them and re-deriving adds nothing.
-        Drops the live model either way.
+        Nothing is left to publish: the bank's optima are stored as they
+        are solved.
         """
         self._live = None
-        bucket = self._bucket
-        if bucket is None:
-            return
-        if self.last_objective is not None:
-            bucket.last_objective = self.last_objective
-        if bucket.series_state is None:
-            bucket.series_state = self.backend.export_series_state()
-        bucket.n_publications += 1
 
     def close(self) -> None:
         """Release the backend's persistent solver state (the series bases)."""

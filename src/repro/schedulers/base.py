@@ -134,10 +134,10 @@ class Scheduler(ABC):
     def finalize(self, state: SchedulerState) -> None:
         """Called once after the last job completed (the run is over).
 
-        Strategies holding reusable solver state publish it here (e.g. the
-        LP heuristics pushing warm-start state into the cross-run solver
-        bank).  Must not alter the schedule -- the engine has already
-        stopped executing assignments when this fires.
+        Strategies holding per-run solver state release it here (e.g. the
+        LP heuristics dropping their live LP model).  Must not alter the
+        schedule -- the engine has already stopped executing assignments
+        when this fires.
         """
 
     @abstractmethod

@@ -168,7 +168,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
         self._do_replan(state)
 
     def finalize(self, state: SchedulerState) -> None:
-        """Publish the run's final solver state into the cross-run bank."""
+        """Drop the run's live LP model (:meth:`ReplanContext.publish`)."""
         self._context.publish()
 
     def on_idle(self, state: SchedulerState, until: float) -> None:

@@ -14,15 +14,16 @@ directly or through the decorator form::
 
 :class:`RunOptions` declares the run options of the LP schedulers once, and
 :meth:`RunOptions.scheduler_options_for` is the one rule mapping them onto
-the registered keys.
+the registered keys.  The string-valued option enums (:class:`OnOff`,
+:class:`SolverBackendChoice`) live next to it, sharing one coercion rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from enum import Enum
+from typing import Any, Callable
 
-from repro.options import SolverBackendChoice
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bender02 import Bender02Scheduler
 from repro.schedulers.bender98 import Bender98Scheduler
@@ -45,6 +46,9 @@ __all__ = [
     "available_schedulers",
     "paper_schedulers",
     "RunOptions",
+    "OptionEnum",
+    "OnOff",
+    "SolverBackendChoice",
     "PAPER_TABLE1_ORDER",
     "ONLINE_LP_SCHEDULERS",
     "LP_SOLVER_SCHEDULERS",
@@ -88,6 +92,70 @@ SERVICE_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + (
 )
 
 
+class OptionEnum(str, Enum):
+    """Base class for the string-valued option enums.
+
+    Members *are* their canonical spelling (``str(OnOff.ON) == "on"``), so
+    they compare equal to it, serialize to JSON as plain strings and pass
+    through ``== "auto"``-style checks unchanged.
+    """
+
+    # str's __str__/__format__, not Enum's: f"{OnOff.ON}" must be "on" on
+    # every supported Python (3.11's StrEnum does this, 3.10 has no StrEnum).
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+    @classmethod
+    def coerce(cls, value: Any, *, param: str | None = None) -> "OptionEnum":
+        """Normalize ``value`` into a member of this enum.
+
+        Members pass through; canonical spellings map case-insensitively;
+        anything else raises :class:`ValueError` naming the valid choices.
+        """
+        if isinstance(value, cls):
+            return value
+        label = param or cls.__name__
+        text = str(value).strip().lower()
+        try:
+            return cls(text)
+        except ValueError:
+            pass
+        valid = ", ".join(repr(m.value) for m in cls)
+        raise ValueError(f"{label} must be one of {valid} (got {value!r})")
+
+
+class OnOff(OptionEnum):
+    """A boolean toggle spelled ``on``/``off`` (``--state-bank``).
+
+    Truthiness follows the toggle (``bool(OnOff.OFF) is False``), so the
+    member can replace a plain bool anywhere.
+    """
+
+    ON = "on"
+    OFF = "off"
+
+    def __bool__(self) -> bool:
+        return self is OnOff.ON
+
+    @classmethod
+    def coerce(cls, value: Any, *, param: str | None = None) -> "OnOff":
+        if isinstance(value, bool):
+            return cls.ON if value else cls.OFF
+        return super().coerce(value, param=param)  # type: ignore[return-value]
+
+
+class SolverBackendChoice(OptionEnum):
+    """LP solver backend selector (``scipy`` | ``highs`` | ``auto``).
+
+    Values mirror :data:`repro.lp.backends.BACKEND_CHOICES`; the member is a
+    ``str`` and is handed to :func:`repro.lp.backends.make_backend` as-is.
+    """
+
+    SCIPY = "scipy"
+    HIGHS = "highs"
+    AUTO = "auto"
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunOptions:
     """The run options of the LP schedulers, declared once.
@@ -99,7 +167,7 @@ class RunOptions:
     maps them onto the LP schedulers' constructor options.
 
     Values are validated on construction: the policy must parse, and the
-    backend is coerced into a :class:`~repro.options.SolverBackendChoice`
+    backend is coerced into a :class:`SolverBackendChoice`
     member (canonical spellings, case-insensitively).  An invalid value
     raises :class:`ValueError`.
     """

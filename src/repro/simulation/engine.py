@@ -300,7 +300,7 @@ class SimulationEngine:
             self._collect_completions()
 
         # Every job completed (or parked under a fault timeline): let the
-        # scheduler publish reusable state (cross-run solver bank).  Counted
+        # scheduler release its per-run solver state.  Counted
         # into the scheduler wall-clock, like every other callback.
         self._timed(self.scheduler.finalize, state)
 

@@ -1,0 +1,155 @@
+"""A solver-free certificate for System (1) answers.
+
+``certify(problem, solution)`` checks a System (1) optimum without a second
+LP solver, in plain numpy:
+
+* **Feasibility.**  The allocation meets the capacities (1d) and the
+  completeness rows (1e) within :data:`FEASIBILITY_TOL` relative, and puts
+  work only where System (1) allows it: on an eligible resource, in an
+  interval inside the job's window ``[earliest start, deadline at S*]``
+  (within :data:`REL`).  The rows get the looser tolerance because the LP
+  solvers accept a primal infeasibility of 1e-7 (HiGHS's default, also
+  behind ``linprog``): scipy answers to the warm-start property cases of
+  ``test_lp_certificates.py`` overrun a capacity by up to 1.0e-7.
+* **Optimality.**  System (1) at a fixed ``F`` is a transportation problem
+  (capacities, completeness, no per-job parallelism bound), so by Hall's
+  theorem it is infeasible iff some job set ``S`` has more work than the
+  capacity its windows reach::
+
+      work(S) > sum_c speed_c * |union of [e_j, d_j(F)] over j in S eligible on c|
+
+  ``certify`` finds such a violated cut at ``S*(1 - 1e-9)``:
+
+  - on an *on-line* problem (every job starts at the same ``now``) with at
+    most three resources, the reach of a job set on resource ``c`` is one
+    horizon ``[now, h_c]``; enumerating the horizon vectors over ``now``
+    and the deadlines, with ``S(h) = {j : d_j <= h_c for every eligible
+    c}``, finds the most violated cut ((n+1)^R vectors);
+  - on any problem with at most :data:`MAX_SUBSET_JOBS` jobs, every job
+    set is enumerated.
+
+A failed check raises :class:`AssertionError`; a problem neither
+optimality check applies to raises :class:`ValueError`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from repro.lp.maxstretch import MaxStretchSolution
+from repro.lp.problem import MaxStretchProblem
+
+__all__ = ["certify", "MAX_HORIZON_RESOURCES", "MAX_SUBSET_JOBS"]
+
+#: Relative tolerance of the window checks and of the optimality cut.
+REL = 1e-9
+#: Relative tolerance of the (1d)/(1e) rows: ten times the LP solvers'
+#: primal feasibility tolerance.
+FEASIBILITY_TOL = 1e-6
+#: Largest resource count the horizon enumeration accepts: its grid has
+#: (n+1)^R horizon vectors.
+MAX_HORIZON_RESOURCES = 3
+#: Largest job count the job-set enumeration accepts (2^n sets).
+MAX_SUBSET_JOBS = 12
+
+
+def certify(problem: MaxStretchProblem, solution: MaxStretchSolution) -> str:
+    """Certify ``solution`` as a System (1) optimum of ``problem``.
+
+    Returns the optimality check that applied (``"horizons"`` or
+    ``"subsets"``).
+    """
+    _check_feasible(problem, solution)
+    below = solution.objective * (1.0 - REL)
+    starts = np.array([job.earliest_start for job in problem.jobs])
+    if np.all(starts == starts[0]) and len(problem.resources) <= MAX_HORIZON_RESOURCES:
+        found, method = _horizon_cut(problem, below), "horizons"
+    elif problem.n_jobs <= MAX_SUBSET_JOBS:
+        found, method = _subset_cut(problem, below), "subsets"
+    else:
+        raise ValueError(
+            f"no optimality check for {problem.n_jobs} jobs with distinct starts "
+            f"on {len(problem.resources)} resources"
+        )
+    assert found, f"no violated Hall cut at S*(1 - {REL}) = {below!r}: S* is not optimal"
+    return method
+
+
+def _check_feasible(problem: MaxStretchProblem, solution: MaxStretchSolution) -> None:
+    """(1d) and (1e) within :data:`FEASIBILITY_TOL`, the windows within :data:`REL`."""
+    objective = solution.objective
+    bounds = solution.interval_bounds
+    speeds = problem.resource_speeds()
+    done: dict[int, float] = {}
+    used: dict[tuple[int, int], float] = {}
+    for (t, c, j), work in solution.allocations.items():
+        job = problem.job_by_id(j)
+        assert work >= -FEASIBILITY_TOL * max(1.0, job.remaining_work), (t, c, j, work)
+        if work <= 0:
+            continue
+        start, end = bounds[t]
+        assert c in job.resources, f"job {j} works on ineligible resource {c}"
+        deadline = job.deadline(objective)
+        assert start >= job.earliest_start - REL * max(1.0, abs(start)), (t, j, "early")
+        assert end <= deadline + REL * max(1.0, abs(deadline)), (t, j, "late")
+        done[j] = done.get(j, 0.0) + work
+        used[t, c] = used.get((t, c), 0.0) + work
+    for job in problem.jobs:
+        got = done.get(job.job_id, 0.0)
+        assert abs(got - job.remaining_work) <= FEASIBILITY_TOL * max(1.0, job.remaining_work), (
+            f"job {job.job_id} gets {got!r} of {job.remaining_work!r}"
+        )
+    for (t, c), work in used.items():
+        start, end = bounds[t]
+        capacity = speeds[c] * max(0.0, end - start)
+        assert work <= capacity + FEASIBILITY_TOL * max(1.0, capacity), (
+            f"interval {t} resource {c} holds {work!r} > {capacity!r}"
+        )
+
+
+def _windows(problem: MaxStretchProblem, objective: float):
+    """Per-job works, windows at ``objective`` and eligibility matrix."""
+    works = np.array([job.remaining_work for job in problem.jobs])
+    starts = np.array([job.earliest_start for job in problem.jobs])
+    deadlines = np.array([job.deadline(objective) for job in problem.jobs])
+    eligible = np.zeros((problem.n_jobs, len(problem.resources)), dtype=bool)
+    for row, job in enumerate(problem.jobs):
+        eligible[row, list(job.resources)] = True
+    return works, starts, deadlines, eligible
+
+
+def _horizon_cut(problem: MaxStretchProblem, objective: float) -> bool:
+    """Whether a horizon vector gives a violated cut (on-line problems)."""
+    works, starts, deadlines, eligible = _windows(problem, objective)
+    now = starts[0]
+    reach = np.maximum(deadlines, now)
+    speeds = problem.resource_speeds()
+    candidates = [
+        np.unique(np.concatenate(([now], reach[eligible[:, c]])))
+        for c in range(len(problem.resources))
+    ]
+    for first in candidates[0]:  # one slice of the (n+1)^R grid at a time
+        grid = np.array(list(itertools.product([first], *candidates[1:])))
+        # A job is inside S(h) when every eligible resource's horizon covers it.
+        inside = np.all((reach[None, :, None] <= grid[:, None, :]) | ~eligible[None], axis=2)
+        capacity = (grid - now) @ speeds
+        if np.any(inside.astype(float) @ works > capacity):
+            return True
+    return False
+
+
+def _subset_cut(problem: MaxStretchProblem, objective: float) -> bool:
+    """Whether some job set gives a violated cut (small problems)."""
+    works, starts, deadlines, eligible = _windows(problem, objective)
+    points = np.unique(np.concatenate((starts, deadlines)))
+    left, right = points[:-1], points[1:]
+    # covers[j, k]: job j's window contains elementary segment k.
+    covers = (starts[:, None] <= left[None]) & (right[None] <= deadlines[:, None])
+    members = (np.arange(1, 2**problem.n_jobs)[:, None] >> np.arange(problem.n_jobs)) & 1
+    capacity = np.zeros(len(members))
+    for c, resource in enumerate(problem.resources):
+        reached = (members @ (covers & eligible[:, [c]])) > 0
+        capacity += resource.speed * (reached @ (right - left))
+    return bool(np.any(members @ works > capacity))

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.core.errors import SolverError
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Platform
-from repro.lp.backends import LPSpec
+from repro.lp.backends import HighsPersistentBackend, LPSpec
 
-__all__ = ["make_uniform_instance", "lp_spec"]
+__all__ = ["make_uniform_instance", "lp_spec", "fail_first_highs_run"]
 
 
 def make_uniform_instance(
@@ -72,3 +73,22 @@ def lp_spec(
         eq_vals=eq_vals,
         eq_rhs=[float(v) for v in b_eq],
     )
+
+
+def fail_first_highs_run(monkeypatch) -> list[int]:
+    """Make the next HiGHS ``_run`` raise :class:`SolverError`, once.
+
+    Returns the list the patch appends to on each call, so a test can check
+    the failure was actually injected.
+    """
+    real_run = HighsPersistentBackend._run
+    calls: list[int] = []
+
+    def run(self, highs, spec, warm):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise SolverError("injected HiGHS failure")
+        return real_run(self, highs, spec, warm)
+
+    monkeypatch.setattr(HighsPersistentBackend, "_run", run)
+    return calls

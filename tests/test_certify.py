@@ -1,0 +1,114 @@
+"""``certify``: System (1) answers checked by Hall cuts, without a second solver."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro import api
+from repro.core.instance import Instance
+from repro.lp.incremental import ReplanContext
+from repro.lp.maxstretch import minimize_max_weighted_flow
+from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
+from repro.utils.seeding import spawn_children
+from repro.workload.generator import (
+    PlatformSpec,
+    WorkloadSpec,
+    generate_platform,
+    generate_workload,
+)
+
+from certify import MAX_SUBSET_JOBS, certify
+from helpers import make_uniform_instance
+from test_lp_backends import requires_highs
+
+
+def _online_dense_instances(seed: int, count: int) -> list[Instance]:
+    """Request streams shaped like the ``online_dense`` benchmark workload.
+
+    3 clusters x 10 processors, 3 databanks, availability 0.6, density 3.0
+    over a 45 s window, 60 jobs.
+    """
+    spec = PlatformSpec(n_clusters=3, processors_per_cluster=10, n_databanks=3, availability=0.6)
+    platform, catalog = generate_platform(spec, rng=2006)
+    workload = WorkloadSpec(density=3.0, window=45.0, max_jobs=60)
+    return [
+        Instance(generate_workload(platform, catalog, workload, rng=child), platform)
+        for child in spawn_children(seed, count)
+    ]
+
+
+def _solved(problem: MaxStretchProblem):
+    return minimize_max_weighted_flow(problem)
+
+
+class TestCertify:
+    def test_accepts_an_online_optimum_by_horizons(self):
+        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0], cycle_times=[1.0, 2.0])
+        problem = problem_from_instance(instance, now=2.0, remaining={0: 3.0, 1: 3.0, 2: 2.0})
+        assert certify(problem, _solved(problem)) == "horizons"
+
+    def test_accepts_an_offline_optimum_by_subsets(self):
+        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0])
+        problem = problem_from_instance(instance)
+        assert certify(problem, _solved(problem)) == "subsets"
+
+    @pytest.mark.parametrize("online", [{}, {"now": 2.0}], ids=["offline", "online"])
+    def test_rejects_an_objective_above_the_optimum(self, online):
+        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0])
+        problem = problem_from_instance(instance, **online)
+        solution = _solved(problem)
+        # Still feasible (wider windows), but no longer tight.
+        loose = replace(solution, objective=solution.objective * (1 + 1e-6))
+        with pytest.raises(AssertionError, match="not optimal"):
+            certify(problem, loose)
+
+    def test_rejects_missing_work(self):
+        instance = make_uniform_instance([5.0, 3.0], [0.0, 1.0])
+        problem = problem_from_instance(instance)
+        solution = _solved(problem)
+        key = next(iter(solution.allocations))
+        allocations = dict(solution.allocations)
+        allocations[key] *= 0.99
+        with pytest.raises(AssertionError, match="gets"):
+            certify(problem, replace(solution, allocations=allocations))
+
+    def test_rejects_an_overfull_interval(self):
+        instance = make_uniform_instance([5.0, 3.0], [0.0, 1.0])
+        problem = problem_from_instance(instance)
+        solution = _solved(problem)
+        slower = replace(
+            problem, resources=tuple(replace(r, speed=0.9 * r.speed) for r in problem.resources)
+        )
+        with pytest.raises(AssertionError, match="holds"):
+            certify(slower, replace(solution, problem=slower))
+
+    def test_refuses_problems_no_check_covers(self):
+        resources = tuple(Resource(c, speed=1.0, machine_ids=(c,)) for c in range(4))
+        jobs = tuple(
+            LPJob(j, earliest_start=float(j), remaining_work=1.0, release=float(j),
+                  flow_factor=1.0, resources=(j % 4,))
+            for j in range(MAX_SUBSET_JOBS + 1)
+        )
+        problem = MaxStretchProblem(resources=resources, jobs=jobs)
+        with pytest.raises(ValueError, match="no optimality check"):
+            certify(problem, _solved(problem))
+
+
+@requires_highs
+def test_every_online_replan_on_highs_is_certified(monkeypatch):
+    """HiGHS answers of a whole ``online`` run, replan by replan."""
+    seen = []
+    solve = ReplanContext.solve_max_stretch
+
+    def spy(self, problem):
+        solution = solve(self, problem)
+        seen.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(ReplanContext, "solve_max_stretch", spy)
+    for instance in _online_dense_instances(2006, 2):
+        api.simulate(instance, "online", scheduler_options={"solver_backend": "highs"})
+    assert len(seen) > 100
+    assert {certify(problem, solution) for problem, solution in seen} == {"horizons"}

@@ -198,9 +198,9 @@ class TestLazyBasis:
         backend.solve(spec, warm=warm)  # transplants the re-solve's basis
         assert len(conversions) == 1
         assert backend.stats.n_basis_reused == 2  # the re-solve and the transplant
-        backend.export_series_state()  # reads the last solve's capture
+        backend._series_basis("toy")  # reads the last solve's capture
         assert len(conversions) == 2
-        backend.export_series_state()  # already converted
+        backend._series_basis("toy")  # already converted
         backend.solve(spec, warm=warm)  # transplants the converted basis
         assert len(conversions) == 2
         backend.close()
@@ -239,14 +239,15 @@ class TestLazyBasis:
         assert stats.n_probes == len(conversions) + stats.n_live_reoptimizations + 1
         backend.close()
 
-    def test_export_equals_the_eager_conversion(self):
+    def test_lazy_conversion_equals_the_eager_one(self):
         problem, skeleton, _probe = _problem_and_skeleton()
         backend = make_backend("highs")
         warm = warm_hint(skeleton, with_objective_var=True)
         backend.solve(_system1(problem, skeleton), warm=warm)
         eager = _eager(warm, backend._series[warm.series].basis)
-        (exported,) = backend.export_series_state().values()
-        for got, want in zip(exported, eager):
+        basis = backend._series_basis(warm.series)
+        converted = (basis.col_ids, basis.col_status, basis.row_ids, basis.row_status)
+        for got, want in zip(converted, eager):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         backend.close()

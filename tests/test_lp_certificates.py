@@ -45,6 +45,7 @@ from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
+from certify import certify
 from replan_oracles import search_gallop
 
 requires_highs = pytest.mark.skipif(
@@ -322,12 +323,16 @@ def warm_started_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(warm_started_problems())
 def test_warm_start_never_changes_the_answer(case):
-    """Property: on scipy a warm-started search is bit-identical to a cold one."""
+    """Property: on scipy a warm-started search is bit-identical to a cold one.
+
+    And the answer is a certified optimum (``certify``: no second solver).
+    """
     problem, warm = case
     cold = minimize_max_weighted_flow(problem)
     warmed = minimize_max_weighted_flow(problem, warm_start=warm)
     assert warmed.objective == cold.objective
     assert warmed.allocations == cold.allocations
+    certify(problem, cold)
 
 
 @requires_highs
@@ -457,6 +462,7 @@ class TestProbeHistogram:
             "basis_reused",
             "live_reoptimizations",
             "interior_exits",
+            "downgrades",
             "bank_hits",
             "bank_misses",
             "primal_reuses",

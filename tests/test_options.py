@@ -9,14 +9,15 @@ import json
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, enum_option
 from repro.core.errors import ModelError
 from repro.experiments.config import ExperimentConfig
-from repro.options import OnOff, SolverBackendChoice, enum_option
 from repro.schedulers.registry import (
     LP_SOLVER_SCHEDULERS,
     ONLINE_LP_SCHEDULERS,
+    OnOff,
     RunOptions,
+    SolverBackendChoice,
     available_schedulers,
 )
 
@@ -124,9 +125,9 @@ def test_removed_keyword_is_rejected(call, keyword):
 
 
 def test_dispatch_mode_enum_is_gone():
-    import repro.options
+    import repro.schedulers.registry
 
-    assert not hasattr(repro.options, "DispatchMode")
+    assert not hasattr(repro.schedulers.registry, "DispatchMode")
 
 
 class TestEnumOption:

@@ -1,12 +1,13 @@
 """Solver robustness: the scipy retry, backend downgrade, failed records.
 
-The defence-in-depth contract of :mod:`repro.lp.resilience`:
+The defence-in-depth contract of :meth:`SolverBackend.solve
+<repro.lp.backends.base.SolverBackend.solve>`:
 
 1. inside the scipy backend, status 1 (iteration limit) or 4 (numerical
    difficulties) is retried once with the other HiGHS method -- which is
    what lets ``offline`` finish the 40-job golden slice;
-2. across backends, a probe whose persistent primary raises is re-solved
-   once on the stateless scipy fallback (highs -> scipy downgrade);
+2. a probe a persistent backend fails is re-solved once on a fresh scipy
+   backend (highs -> scipy downgrade), counted in ``n_downgrades``;
 3. a :class:`SolverError` that survives both layers carries enough context
    (backend, method, attempts, probe signature) to diagnose the probe
    post-mortem, and aborts only its own campaign run -- the runner converts
@@ -28,15 +29,14 @@ from repro.core.errors import SolverError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_campaign
 from repro.lp.backends import highs_available, make_backend
-from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint
+from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint, annotate_solver_error
 from repro.lp.backends.scipy_backend import ScipyBackend
-from repro.lp.resilience import ResilientBackend, annotate_solver_error, make_resilient
 from repro.schedulers.offline import OfflineScheduler
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
-from helpers import lp_spec
+from helpers import fail_first_highs_run, lp_spec
 from test_engine_golden import wide_instance
 from test_lp_backends import _small_instance
 
@@ -79,22 +79,8 @@ class FailingBackend(SolverBackend):
     name = "failing"
     persistent = True
 
-    def __init__(self):
-        super().__init__()
-        self.closed = False
-        self.imported: list[object] = []
-
     def _solve(self, spec, *, warm=None):
         raise SolverError("persistent model corrupted")
-
-    def close(self):
-        self.closed = True
-
-    def export_series_state(self):
-        return {"series": "state"}
-
-    def import_series_state(self, payload):
-        self.imported.append(payload)
 
 
 class ScriptedLinprog:
@@ -190,10 +176,10 @@ class TestDegradedReplanBackend:
     def test_degraded_replan_never_closes_a_supplied_backend(self, monkeypatch):
         """A fault replan solves on the run's backend and leaves it open.
 
-        The backend is the one a campaign worker hands every run; closing it
+        A caller-supplied backend serves the whole run; closing it mid-run
         would wipe the series bases the run's replan context warm-starts from.
         """
-        backend = make_resilient(make_backend("auto"))
+        backend = make_backend("auto")
         closes: list[str] = []
         monkeypatch.setattr(backend, "close", lambda: closes.append("close"))
         replan_degraded = OnlineLPScheduler._replan_degraded
@@ -215,39 +201,48 @@ class TestDegradedReplanBackend:
         assert closes == ["close"]  # the replan context's, at run start
 
 
-class TestResilientBackend:
-    def test_downgrades_to_fallback_and_counts(self):
-        backend = ResilientBackend(FailingBackend())
-        assert backend.name == "failing"  # telemetry/bank keying unchanged
-        assert backend.persistent is True
+class TestScipyDowngrade:
+    def test_downgrades_to_scipy_and_counts_once(self):
+        backend = FailingBackend()
         result = backend.solve(trivial_spec())
         assert result.status == 0
         assert result.objective == pytest.approx(2.0)
-        assert backend.n_downgrades == 1
+        stats = backend.stats
+        assert stats.n_downgrades == 1
+        assert stats.histogram()["downgrades"] == 1
+        # One solve, under the backend's own name.
+        assert (stats.n_probes, stats.by_backend) == (1, {"failing": 1})
 
-    def test_both_layers_failing_chains_the_errors(self):
-        primary = FailingBackend()
-        backend = ResilientBackend(primary, fallback=FailingBackend())
-        with pytest.raises(SolverError, match="corrupted") as info:
+    def test_both_layers_failing_chains_the_errors(self, monkeypatch):
+        def broken(self, spec, *, warm=None):
+            raise SolverError("fallback broken too")
+
+        monkeypatch.setattr(ScipyBackend, "_solve", broken)
+        backend = FailingBackend()
+        with pytest.raises(SolverError, match="fallback broken") as info:
             backend.solve(trivial_spec())
-        assert isinstance(info.value.__cause__, SolverError)
-        assert info.value.backend == "failing"
+        assert info.value.backend == "scipy"
+        cause = info.value.__cause__
+        assert isinstance(cause, SolverError) and cause.backend == "failing"
+        assert backend.stats.n_downgrades == 0
+        assert backend.stats.n_probes == 1
 
-    def test_series_state_and_close_delegate_to_primary(self):
-        primary = FailingBackend()
-        backend = ResilientBackend(primary)
-        assert backend.export_series_state() == {"series": "state"}
-        backend.import_series_state({"x": 1})
-        assert primary.imported == [{"x": 1}]
-        backend.close()
-        assert primary.closed
+    def test_stateless_backend_failure_is_not_downgraded(self, monkeypatch):
+        # scipy is the floor of the chain: re-running it would repeat the
+        # identical failing solve.
+        calls = []
 
-    def test_make_resilient_wraps_only_persistent_backends(self):
-        scipy_backend = make_backend("scipy")
-        assert make_resilient(scipy_backend) is scipy_backend  # already the floor
-        wrapped = make_resilient(FailingBackend())
-        assert isinstance(wrapped, ResilientBackend)
-        assert make_resilient(wrapped) is wrapped  # never double-wrapped
+        def broken(self, spec, *, warm=None):
+            calls.append(spec)
+            raise SolverError("scipy failed")
+
+        monkeypatch.setattr(ScipyBackend, "_solve", broken)
+        backend = ScipyBackend()
+        with pytest.raises(SolverError, match="scipy failed") as info:
+            backend.solve(trivial_spec())
+        assert info.value.__cause__ is None
+        assert len(calls) == 1
+        assert backend.stats.n_downgrades == 0
 
     @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
     def test_failed_primary_solve_leaves_the_series_basis_alone(self, monkeypatch):
@@ -261,29 +256,37 @@ class TestResilientBackend:
             col_ids=np.array([0, 1], dtype=np.int64),
             row_ids=np.array([0], dtype=np.int64),
         )
-        primary = make_backend("highs")
-        backend = ResilientBackend(primary)
+        backend = make_backend("highs")
         backend.solve(spec(3.0), warm=warm)
-        before = primary.export_series_state()
+        before = backend._series_basis("s")
 
         def poisoned_run(highs, spec, warm):
             raise SolverError("HiGHS solve failed")
 
         with monkeypatch.context() as patch:
-            patch.setattr(primary, "_run", poisoned_run)
+            patch.setattr(backend, "_run", poisoned_run)
             downgraded = backend.solve(spec(4.0), warm=warm)
-        assert backend.n_downgrades == 1
+        assert backend.stats.n_downgrades == 1
         assert downgraded.objective == pytest.approx(6.0)
-        after = primary.export_series_state()
-        assert before.keys() == after.keys()
-        for a, b in zip(before["s"], after["s"]):
-            assert np.array_equal(a, b)
+        assert backend._series_basis("s") is before
 
         result = backend.solve(spec(5.0), warm=warm)
         cold = make_backend("highs").solve(spec(5.0), warm=warm)
-        assert backend.n_downgrades == 1  # served by the primary again
+        assert backend.stats.n_downgrades == 1  # served by HiGHS again
         assert result.objective == cold.objective == pytest.approx(8.0)
         assert np.array_equal(result.values, cold.values)
+
+    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
+    def test_simulate_survives_a_failing_highs_probe(self, monkeypatch):
+        """Every run gets the downgrade, not only campaign runs."""
+        instance = _small_instance(13, max_jobs=20)
+        reference = api.simulate(instance, "online", scheduler_options={"solver_backend": "scipy"})
+        calls = fail_first_highs_run(monkeypatch)
+        result = api.simulate(instance, "online", scheduler_options={"solver_backend": "auto"})
+        assert len(calls) > 1
+        assert result.lp_probes.n_downgrades == 1
+        assert result.lp_probes.histogram()["downgrades"] == 1
+        assert result.max_stretch == pytest.approx(reference.max_stretch, rel=1e-6)
 
 
 class TestPoisonedProbeRegression:

@@ -36,9 +36,12 @@ from repro.service import (
     replay_trace,
     verify_replay,
 )
+from repro.lp.backends import highs_available
 from repro.lp.backends.base import REPLAN_LATENCY_WINDOW, LPProbeStats
 from repro.service.http import _Handler
 from repro.service.trace import TraceWriter
+
+from helpers import fail_first_highs_run
 
 
 def small_platform() -> Platform:
@@ -594,6 +597,43 @@ class TestTelemetryIsolationHardening:
         drain(idle)
         assert self.lp_counts(idle) == lone_single
         assert self.lp_counts(busy) == lone
+
+
+class TestSolverDowngradeHardening:
+    """A failing HiGHS probe degrades that probe to scipy, not the daemon."""
+
+    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
+    def test_daemon_survives_a_failing_highs_probe(self, tmp_path, monkeypatch):
+        calls = fail_first_highs_run(monkeypatch)
+        journal = tmp_path / "run.jsonl"
+        daemon = SchedulerDaemon(
+            small_platform(),
+            ServiceConfig(scheduler="online", solver_backend="auto", journal=str(journal)),
+        )
+        with ServiceServer(daemon) as server:
+            status, _ = http_json(
+                f"{server.url}/submit", json.dumps({"size": 4.0, "databank": "sp"}).encode()
+            )
+            assert status == 200
+            deadline = time.monotonic() + 30.0
+            while http_json(f"{server.url}/telemetry")[1]["lp"]["n_replans"] < 1:
+                assert time.monotonic() < deadline, "the daemon never replanned"
+                time.sleep(0.01)
+            assert calls  # the first replan met the injected failure
+            for size, bank in [(2.0, "pdb"), (1.0, "nt"), (3.0, "sp")]:
+                status, _ = http_json(
+                    f"{server.url}/submit",
+                    json.dumps({"size": size, "databank": bank}).encode(),
+                )
+                assert status == 200
+            status, drained = http_json(f"{server.url}/drain", b"", method="POST")
+            assert status == 200
+            assert drained["status"] == "drained" and drained["n_jobs"] == 4
+            status, telemetry = http_json(f"{server.url}/telemetry")
+        assert telemetry["lp"]["histogram"]["downgrades"] == 1
+        assert len(calls) > 1
+        check = verify_replay(read_trace(journal))
+        assert check.identical, check.detail
 
 
 class TestHealthz:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.experiments.ab import compare_record_sets
@@ -26,7 +25,6 @@ from repro.experiments.runner import (
     campaign_tasks,
     run_campaign,
 )
-from repro.lp.backends import highs_available, make_backend
 from repro.lp.bank import (
     BankBucket,
     SolverStateBank,
@@ -34,18 +32,12 @@ from repro.lp.bank import (
     problem_signature,
 )
 from repro.lp.incremental import ReplanContext
-from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import generate_instance
 
 from helpers import make_uniform_instance
-
-requires_highs = pytest.mark.skipif(
-    not highs_available(),
-    reason="neither highspy nor scipy-vendored HiGHS bindings are available",
-)
 
 ONLINE_KEYS = ("online", "online-edf", "online-egdf", "online-nonopt")
 
@@ -93,8 +85,8 @@ class TestSolverStateBank:
         assert not hit  # first sight: cold bucket
         bucket2, hit2 = bank.acquire("k1")
         assert bucket2 is bucket
-        assert not hit2  # still cold: nothing was published yet
-        bucket.n_publications += 1
+        assert not hit2  # still cold: nothing was stored yet
+        bucket.sys1[("sig",)] = object()
         _, hit3 = bank.acquire("k1")
         assert hit3
         assert bank.stats() == {"n_buckets": 1, "n_hits": 1, "n_misses": 2}
@@ -111,7 +103,7 @@ class TestSolverStateBank:
     def test_clear_drops_buckets_and_counters(self):
         bank = SolverStateBank()
         bucket, _ = bank.acquire("k")
-        bucket.n_publications = 1
+        bucket.sys2[("sig", 1.0)] = object()
         bank.acquire("k")
         bank.clear()
         assert len(bank) == 0
@@ -324,7 +316,7 @@ class TestLaneAssignments:
 
 
 class TestReplanContextBank:
-    def test_publish_populates_bucket_and_consumer_reuses(self):
+    def test_solves_populate_bucket_and_consumer_reuses(self):
         instance = make_uniform_instance([6.0, 3.0, 2.0], [0.0, 0.5, 1.0])
         bank = SolverStateBank()
 
@@ -337,9 +329,8 @@ class TestReplanContextBank:
 
         bucket, hit = bank.acquire(instance_content_key(instance))
         assert hit and bucket.warm
-        assert bucket.n_publications == 1
-        assert bucket.last_objective == solution.objective
-        assert bucket.sys1 and bucket.sys2
+        assert list(bucket.sys1.values()) == [solution]
+        assert len(bucket.sys2) == 1
 
         consumer = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
         problem2 = consumer.build_problem(1.0, {0: 5.0, 1: 3.0, 2: 2.0})
@@ -352,43 +343,13 @@ class TestReplanContextBank:
         assert reused.objective == solution.objective
         assert reused.problem is problem2  # rebound onto the consumer's problem
 
-    def test_first_searched_replan_starts_at_the_banked_objective(self, monkeypatch):
-        import repro.lp.incremental as incremental
-
-        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0])
-        bank = SolverStateBank()
-        publisher = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
-        published = publisher.solve_max_stretch(
-            publisher.build_problem(1.0, {0: 5.0, 1: 3.0})
-        )
-        publisher.publish()
-        publisher.close()
-
-        warm_starts = []
-
-        def spy(problem, **kwargs):
-            warm_starts.append(kwargs["warm_start"])
-            return minimize_max_weighted_flow(problem, **kwargs)
-
-        monkeypatch.setattr(incremental, "minimize_max_weighted_flow", spy)
-        consumer = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
-        bucket, _hit = bank.acquire(instance_content_key(instance))
-        assert bucket.last_objective == published.objective
-        # A problem the bucket holds no solution for, so the search runs.
-        first = consumer.solve_max_stretch(
-            consumer.build_problem(2.0, {0: 4.0, 1: 3.0, 2: 2.0})
-        )
-        consumer.solve_max_stretch(consumer.build_problem(2.5, {0: 3.5, 1: 3.0, 2: 2.0}))
-        consumer.close()
-        assert warm_starts == [bucket.last_objective, first.objective]
-
     def test_publish_without_bank_is_a_noop(self):
         instance = make_uniform_instance([4.0, 2.0], [0.0, 1.0])
         context = ReplanContext(instance, solver_backend="scipy")
         context.publish()  # must not raise
         context.close()
 
-    def test_finalize_hook_publishes_through_the_engine(self):
+    def test_a_simulated_run_warms_its_bucket(self):
         config = CONFIGS[0]
         instance = _instance(config)
         bank = SolverStateBank()
@@ -396,40 +357,7 @@ class TestReplanContextBank:
         options.update(solver_backend="scipy", state_bank=bank)
         simulate(instance, make_scheduler("online", **options))
         bucket, hit = bank.acquire(instance_content_key(instance))
-        assert hit and bucket.n_publications == 1
-
-
-@requires_highs
-class TestSeriesStateRoundTrip:
-    def test_export_import_round_trip(self):
-        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0])
-        backend = make_backend("highs")
-        problem = problem_from_instance(instance, now=2.0)
-        solution = minimize_max_weighted_flow(problem, backend=backend)
-        # Export before close: closing resets the per-run series state
-        # (publish() in ReplanContext exports at finalize, pre-close).
-        payload = backend.export_series_state()
-        backend.close()
-        assert payload  # the solve left at least one warm series
-
-        warmed = make_backend("highs")
-        warmed.import_series_state(payload)
-        reexported = warmed.export_series_state()
-        assert set(reexported) == set(payload)
-        for series, arrays in payload.items():
-            assert all(
-                np.array_equal(a, b) for a, b in zip(reexported[series], arrays)
-            )
-        resolved = minimize_max_weighted_flow(problem, backend=warmed)
-        assert resolved.objective == pytest.approx(solution.objective, rel=1e-9)
-        warmed.close()
-
-    def test_import_tolerates_empty_payload(self):
-        backend = make_backend("highs")
-        backend.import_series_state(None)
-        backend.import_series_state({})
-        assert backend.export_series_state() is None
-        backend.close()
+        assert hit and bucket.sys1 and bucket.sys2
 
 
 # -- overhead surface ----------------------------------------------------------------
