@@ -28,10 +28,13 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                F), built one way: from a per-instance JobTable
     |   |-- milestones   objective values where the interval structure changes
     |   |-- intervals    epochal times -> elementary interval structures
-    |   |-- maxstretch * System (1): skeleton-built LPSpecs (vectorized COO
-    |   |                assembly) + the certificate-guided parametric search
-    |   |                (dual-ray bounds skip probes; interior-optimum exit)
-    |   |-- relaxation * System (2): sum-stretch-like re-optimization
+    |   |-- maxstretch * System (1): LPSpecs on a class skeleton (one column
+    |   |                set per job class on a slack chain, split FIFO
+    |   |                back into per-job work) + the certificate-guided
+    |   |                parametric search (dual-ray bounds skip probes;
+    |   |                interior-optimum exit)
+    |   |-- relaxation * System (2): sum-stretch-like re-optimization on
+    |   |                the same class skeleton
     |   |-- incremental* ReplanContext: caches + the previous S* as the
     |   |                one warm start across replans, banked optima reuse
     |   |-- bank       * content-addressed cross-run memo of exact System

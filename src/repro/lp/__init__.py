@@ -12,11 +12,13 @@ on-line heuristics:
   the relative order of release dates and deadlines changes.
 * :mod:`repro.lp.maxstretch` -- System (1): the parametric LP on one
   milestone interval, assembled as an ``LPSpec`` from a constraint
-  skeleton, and the milestone search producing the optimal maximum
-  weighted flow (max-stretch).
+  skeleton with one column set per job class (equal resources, flow
+  factor and remaining work) whose optimum is split first-in first-out
+  into per-job work, and the milestone search producing the optimal
+  maximum weighted flow (max-stretch).
 * :mod:`repro.lp.relaxation` -- System (2): re-optimization of a
   sum-stretch-like objective under the constraint that the optimal
-  max-stretch is preserved.
+  max-stretch is preserved, on the same class skeleton.
 * :mod:`repro.lp.incremental` -- the :class:`~repro.lp.incremental.
   ReplanContext` carried across on-line replans: cached capability classes
   and job table, warm-started milestone search and constraint-skeleton

@@ -109,7 +109,8 @@ class LPResult:
         (:mod:`repro.lp.maxstretch`).
     model:
         Opaque handle on the live model of an optimal, hinted solve for
-        :meth:`SolverBackend.resolve_fixed` (persistent HiGHS only, else ``None``).
+        :meth:`SolverBackend.resolve_fixed` (persistent HiGHS only, else
+        ``None``); its ``spec`` attribute is the :class:`LPSpec` it solved.
     """
 
     status: int
@@ -213,10 +214,12 @@ class SolverBackend(ABC):
         #: The LP counters of the current run.
         self.stats = LPProbeStats()
 
-    def _count_solve(self, seconds: float) -> None:
+    def _count_solve(self, seconds: float, spec: LPSpec) -> None:
         stats = self.stats
         stats.n_probes += 1
         stats.solve_seconds += seconds
+        stats.n_columns += spec.n_vars
+        stats.n_rows += spec.n_rows
         stats.by_backend[self.name] = stats.by_backend.get(self.name, 0) + 1
 
     def solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
@@ -259,18 +262,21 @@ class SolverBackend(ABC):
                 raise
             return self._downgrade(spec, exc)
         finally:
-            self._count_solve(time.perf_counter() - start)
+            self._count_solve(time.perf_counter() - start, spec)
 
     def _downgrade(self, spec: LPSpec, primary_exc: SolverError) -> LPResult:
         """Re-solve ``spec`` on a fresh scipy backend after ``primary_exc``."""
         from repro.lp.backends.scipy_backend import ScipyBackend  # imports this module
 
         annotate_solver_error(primary_exc, backend=self.name)
+        fallback = ScipyBackend()
         try:
-            result = ScipyBackend()._solve(spec)
+            result = fallback._solve(spec)
         except SolverError as fallback_exc:
             annotate_solver_error(fallback_exc, backend=ScipyBackend.name)
             raise fallback_exc from primary_exc
+        finally:
+            self.stats.run_seconds += fallback.stats.run_seconds
         self.stats.n_downgrades += 1
         return result
 
@@ -286,7 +292,7 @@ class SolverBackend(ABC):
         try:
             result = self._resolve_fixed(model, column=column, value=value, costs=costs)
         finally:
-            self._count_solve(time.perf_counter() - start)
+            self._count_solve(time.perf_counter() - start, model.spec)
         self.stats.n_basis_reused += 1
         self.stats.n_live_reoptimizations += 1
         return result
@@ -331,6 +337,14 @@ class LPProbeStats:
     #: conversion of the series' captured basis it reads --, the solver run
     #: and the basis capture.  The ``LPSpec`` assembly is not included.
     solve_seconds: float = 0.0
+    #: The part of :attr:`solve_seconds` inside the solver itself:
+    #: ``Highs.run`` on HiGHS, ``linprog`` on scipy.  The rest of
+    #: :attr:`solve_seconds` is the Python around the solver.
+    run_seconds: float = 0.0
+    #: Columns and rows of the programs solved, summed over the solves
+    #: (a live re-solve counts its model's).
+    n_columns: int = 0
+    n_rows: int = 0
     by_backend: dict[str, int] = field(default_factory=dict)
     #: Milestone probes eliminated without an LP solve (certificate jumps
     #: plus downward probes pruned by the interior-optimum re-check).

@@ -44,6 +44,7 @@ constructing :class:`HighsPersistentBackend` raises
 from __future__ import annotations
 
 import operator
+import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Hashable, NamedTuple
@@ -241,6 +242,14 @@ class _CapturedBasis(NamedTuple):
             *_sorted_side(self.warm.col_ids, self.basis.col_status),
             *_sorted_side(self.warm.row_ids, self.basis.row_status),
         )
+
+
+class _LiveModel(NamedTuple):
+    """The :attr:`LPResult.model` handle: the solved ``Highs`` object and its inputs."""
+
+    highs: object
+    spec: LPSpec
+    warm: WarmStartHint
 
 
 class HighsPersistentBackend(SolverBackend):
@@ -455,9 +464,17 @@ class HighsPersistentBackend(SolverBackend):
         return ray
 
     # -- solve + status mapping --------------------------------------------------------
+    def _timed_run(self, highs):
+        """``highs.run()``, its time added to :attr:`LPProbeStats.run_seconds`."""
+        start = time.perf_counter()
+        try:
+            return highs.run()
+        finally:
+            self.stats.run_seconds += time.perf_counter() - start
+
     def _run(self, highs, spec: LPSpec, warm: WarmStartHint | None) -> LPResult:
         api = self._api
-        run_status = highs.run()
+        run_status = self._timed_run(highs)
         model_status = highs.getModelStatus()
         if model_status == api.HighsModelStatus.kUnboundedOrInfeasible:
             # Presolve could not tell the two apart; disambiguate without it,
@@ -467,7 +484,7 @@ class HighsPersistentBackend(SolverBackend):
             previous = option[1] if isinstance(option, tuple) else option
             highs.setOptionValue("presolve", "off")
             try:
-                highs.run()
+                self._timed_run(highs)
                 model_status = highs.getModelStatus()
             finally:
                 highs.setOptionValue("presolve", previous)
@@ -481,7 +498,7 @@ class HighsPersistentBackend(SolverBackend):
                 objective=float(highs.getObjectiveValue()),
                 values=values,
                 message="Optimal (HiGHS persistent)",
-                model=(highs, spec, warm) if warm is not None else None,
+                model=_LiveModel(highs, spec, warm) if warm is not None else None,
             )
         if model_status == api.HighsModelStatus.kInfeasible:
             # The dual-ray basis of an infeasible probe is as good a warm

@@ -8,6 +8,8 @@ results are the reference the persistent backends are tested against.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
@@ -64,15 +66,19 @@ class ScipyBackend(SolverBackend):
             b_eq = np.asarray(spec.eq_rhs)
 
         def run(chosen_method: str):
-            return linprog(
-                c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method=chosen_method,
-            )
+            start = time.perf_counter()
+            try:
+                return linprog(
+                    c,
+                    A_ub=a_ub,
+                    b_ub=b_ub,
+                    A_eq=a_eq,
+                    b_eq=b_eq,
+                    bounds=bounds,
+                    method=chosen_method,
+                )
+            finally:
+                self.stats.run_seconds += time.perf_counter() - start
 
         # scipy status codes: 0 success, 1 iteration limit, 2 infeasible,
         # 3 unbounded, 4 numerical difficulties.  1 and 4 get one retry with

@@ -13,7 +13,8 @@ work is identical:
   optimum -- the only solution value carried from one replan to the next;
 * the winning System (1) probe and the System (2) re-optimization that
   follows share the same milestone interval, so their **constraint
-  skeletons** (variable indexing and row grouping) are identical and cached;
+  skeletons** (one column set per job class, its variable indexing and row
+  grouping) are identical and cached;
   on persistent HiGHS, System (2) even re-solves the winning probe's model.
 
 :class:`ReplanContext` bundles these caches behind the same three calls a

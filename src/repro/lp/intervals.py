@@ -22,32 +22,73 @@ from repro.lp.problem import Affine, MaxStretchProblem
 __all__ = ["IntervalStructure", "build_interval_structure"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalStructure:
     """The ordered epochal boundaries for one milestone interval.
 
+    Everything is held as arrays (what the LP assembly reads); the
+    :class:`~repro.lp.problem.Affine` and per-job-id views are built on
+    first use.
+
     Attributes
     ----------
-    boundaries:
-        Distinct affine epochal times, sorted by their value at :attr:`probe`.
+    bnd_const, bnd_coef:
+        The distinct affine epochal times ``const + coef * F``, sorted by
+        their value at :attr:`probe` (float64).
     probe:
         The objective value used to fix the ordering (any value strictly
         inside the milestone interval under consideration).
-    job_start_index:
-        For each job, the index of the boundary equal to its earliest start.
-    job_deadline_index:
-        For each job, the index of the boundary equal to its deadline.
+    job_ids:
+        The problem's job ids, in job order.
+    start_index, deadline_index:
+        Per job, in job order: the index of the boundary equal to its
+        earliest start / its deadline (int64).
     """
 
-    boundaries: tuple[Affine, ...]
+    bnd_const: np.ndarray
+    bnd_coef: np.ndarray
     probe: float
-    job_start_index: dict[int, int]
-    job_deadline_index: dict[int, int]
+    job_ids: tuple[int, ...]
+    start_index: np.ndarray
+    deadline_index: np.ndarray
+
+    def _cached(self, name: str, build):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = build()
+            # Frozen dataclass: a pure cache in the instance dict.
+            object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def boundaries(self) -> tuple[Affine, ...]:
+        """The boundaries as :class:`~repro.lp.problem.Affine` functions."""
+        return self._cached(
+            "_boundaries",
+            lambda: tuple(
+                Affine(const, coef)
+                for const, coef in zip(self.bnd_const.tolist(), self.bnd_coef.tolist())
+            ),
+        )
+
+    @property
+    def job_start_index(self) -> dict[int, int]:
+        """For each job id, the index of the boundary equal to its earliest start."""
+        return self._cached(
+            "_job_start_index", lambda: dict(zip(self.job_ids, self.start_index.tolist()))
+        )
+
+    @property
+    def job_deadline_index(self) -> dict[int, int]:
+        """For each job id, the index of the boundary equal to its deadline."""
+        return self._cached(
+            "_job_deadline_index", lambda: dict(zip(self.job_ids, self.deadline_index.tolist()))
+        )
 
     @property
     def n_intervals(self) -> int:
         """Number of elementary intervals (= number of boundaries - 1)."""
-        return max(0, len(self.boundaries) - 1)
+        return max(0, self.bnd_const.size - 1)
 
     def interval(self, index: int) -> tuple[Affine, Affine]:
         """The (lower, upper) affine bounds of interval ``index``."""
@@ -60,8 +101,8 @@ class IntervalStructure:
 
     def bounds_at(self, objective: float) -> list[tuple[float, float]]:
         """All interval bounds evaluated at ``objective``."""
-        values = [b.at(objective) for b in self.boundaries]
-        return [(values[i], values[i + 1]) for i in range(self.n_intervals)]
+        values = (self.bnd_const + self.bnd_coef * objective).tolist()
+        return list(zip(values[:-1], values[1:]))
 
     def job_intervals(self, job_id: int) -> range:
         """Indices of the intervals in which the job may be processed.
@@ -94,23 +135,17 @@ def build_interval_structure(problem: MaxStretchProblem, probe: float) -> Interv
     coefs = np.concatenate([np.zeros(n, dtype=np.float64), factors])
     b_consts, b_coefs = kernels.order_affine_boundaries(consts, coefs, probe)
 
-    sorted_boundaries = tuple(
-        Affine(const, coef) for const, coef in zip(b_consts.tolist(), b_coefs.tolist())
+    index_of = dict(zip(zip(b_consts.tolist(), b_coefs.tolist()), range(b_consts.size)))
+    ranks = np.fromiter(
+        map(index_of.__getitem__, zip(consts.tolist(), coefs.tolist())),
+        dtype=np.int64,
+        count=2 * n,
     )
-    index_of = {
-        (fn.const, fn.coef): idx for idx, fn in enumerate(sorted_boundaries)
-    }
-
-    job_start_index = {
-        job.job_id: index_of[(job.earliest_start, 0.0)] for job in problem.jobs
-    }
-    job_deadline_index = {
-        job.job_id: index_of[(job.release, job.flow_factor)] for job in problem.jobs
-    }
-
     return IntervalStructure(
-        boundaries=sorted_boundaries,
+        bnd_const=b_consts,
+        bnd_coef=b_coefs,
         probe=probe,
-        job_start_index=job_start_index,
-        job_deadline_index=job_deadline_index,
+        job_ids=tuple(job.job_id for job in problem.jobs),
+        start_index=ranks[:n],
+        deadline_index=ranks[n:],
     )

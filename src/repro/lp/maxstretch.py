@@ -26,13 +26,19 @@ are identical either way, only the number of LPs actually solved changes
 ``tests/replan_oracles.py``).
 
 The LP works on *resources* (capability classes) rather than individual
-machines; variables are the amounts of work ``x[t, c, j]`` of job ``j``
-processed on resource ``c`` during elementary interval ``t``, plus the
-objective ``F`` itself.  Constraints are exactly (1a)-(1e) of the paper:
-interval/resource capacities (affine in ``F``), structural zeros outside the
-[earliest start, deadline] window, and per-job completeness -- assembled into
-one :class:`~repro.lp.backends.LPSpec` from the index arrays of a
-:class:`ConstraintSkeleton`.
+machines, and on *job classes* rather than individual jobs: the jobs of one
+class share eligible resources, flow factor and remaining work (in the
+GriPPS model, the unstarted requests of one databank).  Variables are the
+amounts of work ``x[t, c, k]`` of class ``k`` processed on resource ``c``
+during elementary interval ``t``, one slack per (class, member deadline),
+and the objective ``F`` itself.  Constraints are (1a)-(1e) of the paper
+written for classes: interval/resource capacities (affine in ``F``),
+structural zeros outside the class's window, and per-class slack chains
+that make every member's deadline and completeness hold once the class's
+work is served first-in first-out -- assembled into one
+:class:`~repro.lp.backends.LPSpec` from the index arrays of a
+:class:`ConstraintSkeleton`.  :class:`MaxStretchSolution` carries the
+per-job ``(t, c, j) -> work`` allocation that split yields.
 """
 
 from __future__ import annotations
@@ -194,76 +200,203 @@ class MaxStretchSolution:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSkeleton:
-    """The structural part of a System (1)/(2) linear program, as index arrays.
+    """The structural part of a System (1)/(2) linear program, one column per job class.
 
-    Everything here depends only on the interval structure and the jobs'
-    eligible resources -- not on the objective bounds, the remaining works or
-    the LP objective coefficients.  The on-line :class:`~repro.lp.incremental.
-    ReplanContext` caches skeletons keyed by :attr:`signature` so that
-    successive solves on the same milestone interval (e.g. the winning System
-    (1) probe and the System (2) re-optimization that follows it) skip the
-    indexing work.
+    A *class* (:func:`_job_classes`) is a set of jobs with equal eligible
+    resources, flow factor and remaining work -- in the GriPPS model, the
+    unstarted requests of one databank.  Ordered by release, the members'
+    windows are ordered the same way at both ends, so serving a class
+    first-in first-out is optimal (an exchange argument), and System (2)'s
+    cost per unit of work, ``midpoint[t] / work``, is the same for every
+    member.  So a class gets one column ``x[t, c, k]`` per interval and
+    eligible resource, and :func:`_extract_allocations` splits the optimum
+    back into the per-job ``(t, c, j) -> work`` allocation.
 
-    The work variables ``x[t, c, j]`` (the columns) come in the canonical
-    order: job order of the problem, then interval, then resource in
-    ``job.resources`` order.  The order pins the LP column order, keeping
-    solver output bit-identical between the cached and the from-scratch
-    paths.  The rows are one capacity row (1d) per (interval, resource) pair
-    some column uses, sorted by (interval, resource), then one completeness
-    row (1e) per job in job order, whose entries are the job's columns
-    (:attr:`key_jpos` names each column's row).  Index arrays are int64,
-    lengths and boundaries float64; nothing here is ever written to.
+    Nothing here depends on the objective bounds, the works or the costs
+    (right-hand sides are member counts, scaled by the class work in
+    :func:`_lp_spec`), so the :class:`~repro.lp.incremental.ReplanContext`
+    caches skeletons by :attr:`signature`: the winning System (1) probe and
+    the System (2) solve after it share one.
+
+    Columns come class by class (classes in the release order of their
+    first member): the class's ``x`` by interval, then resource, from its
+    first member's start to its last member's deadline; then one slack per
+    (class, member deadline boundary ``b``) but the class's last -- the
+    class's work done by ``b`` minus the work of the members due by ``b``.
+    Rows:
+
+    * capacity rows (1d), one per (interval, resource) some column uses,
+      sorted by (interval, resource);
+    * release rows, off-line only, one per later member release date
+      ``e`` of a class: ``slack(b) + the class's x from b to e <= (members
+      released before e - members due by b) * work``, ``b`` the class's
+      last deadline boundary at or before ``e``;
+    * chain rows, one per (class, member deadline boundary ``b``), class
+      by class: ``the class's x in the block ending at b + slack(previous)
+      - slack(b) = (members due at b) * work``.
+
+    Every constraint but ``x, slack >= 0`` and the objective's range is a
+    row with a constant right-hand side, so an infeasible probe's dual ray
+    evaluates to an affine bound on ``F`` (:func:`_probe_certificate`).
+    Index arrays are int64, lengths float64; nothing here is ever written
+    to.
 
     Attributes
     ----------
-    structure:
-        The interval structure the skeleton was built on.
-    signature:
-        Hashable cache key: the boundary affines plus every job's
-        (id, window, resources) tuple.
-    key_t, key_c, key_j, key_jpos:
-        Per column: its interval, resource, job id and the job's position
-        in ``problem.jobs``.
-    cap_entry_rows, cap_entry_cols:
-        The capacity block's unit entries, by row, columns ascending
-        inside a row.
-    cap_t, cap_c:
-        Per capacity row: its interval and resource.
-    cap_len_const, cap_len_coef:
-        Per capacity row: the length of its interval, ``const + coef * F``.
-    bnd_const, bnd_coef:
-        The structure's boundaries, ``const + coef * F``.
+    structure, signature:
+        The interval structure the skeleton was built on; the cache key
+        (boundaries, job windows, job ids, class labels and resources).
+    key_t, key_c, key_k:
+        Per ``x`` column: its interval, resource and class.
+    n_slacks:
+        Number of slack columns (after the ``x`` columns).
+    cap_entry_rows, cap_entry_cols, cap_t, cap_c, cap_len_const, cap_len_coef:
+        The capacity block's unit entries (columns ascending inside a
+        row); per capacity row its interval, resource and length
+        ``const + coef * F``.
+    rel_entry_rows, rel_entry_cols, rel_class, rel_count:
+        The release rows' unit entries (rows numbered after the capacity
+        rows); per release row its class and right-hand side in works.
+    chain_entry_rows, chain_entry_cols, chain_entry_vals, chain_class, chain_count:
+        The chain rows' entries; per chain row its class and the number
+        of members due at it.
+    class_pos, col_start, member_start:
+        Per class: its first member's position in ``problem.jobs``; its
+        first ``x`` column and first member index (both then the totals).
+    member_pos, member_id, member_class, member_lo, member_hi:
+        Per member (class by class, in release order): position in
+        ``problem.jobs``, job id, class, and window as ``x`` columns.
     warm_col_ids, warm_row_ids:
-        The basis-transplant identities of :func:`warm_hint`: the objective
-        variable ``F`` first, then every column; the capacity rows, then
-        the completeness rows.
+        The identities of :func:`warm_hint`: ``F``, then every column; the
+        capacity, release, then chain rows.
     """
 
     structure: IntervalStructure
     signature: tuple
     key_t: np.ndarray
     key_c: np.ndarray
-    key_j: np.ndarray
-    key_jpos: np.ndarray
+    key_k: np.ndarray
+    n_slacks: int
     cap_entry_rows: np.ndarray
     cap_entry_cols: np.ndarray
     cap_t: np.ndarray
     cap_c: np.ndarray
     cap_len_const: np.ndarray
     cap_len_coef: np.ndarray
-    bnd_const: np.ndarray
-    bnd_coef: np.ndarray
+    rel_entry_rows: np.ndarray
+    rel_entry_cols: np.ndarray
+    rel_class: np.ndarray
+    rel_count: np.ndarray
+    chain_entry_rows: np.ndarray
+    chain_entry_cols: np.ndarray
+    chain_entry_vals: np.ndarray
+    chain_class: np.ndarray
+    chain_count: np.ndarray
+    class_pos: np.ndarray
+    member_start: np.ndarray
+    member_pos: np.ndarray
+    member_id: np.ndarray
+    member_class: np.ndarray
+    member_lo: np.ndarray
+    member_hi: np.ndarray
+    col_start: np.ndarray
     warm_col_ids: np.ndarray
     warm_row_ids: np.ndarray
 
     @property
     def n_variables(self) -> int:
-        return self.key_t.size
+        """Columns besides ``F``: the ``x`` columns, then the slacks."""
+        return self.key_t.size + self.n_slacks
 
 
 #: Stable column identity of the objective variable F in warm-start hints
 #: (work-variable identities are non-negative bit-packed triples).
 _F_COL_ID = -1
+#: Tags of the warm-start identities that are not (interval, resource[, class]).
+_SLACK_TAG = 1 << 61
+_CHAIN_TAG = 1 << 60
+_RELEASE_TAG = 1 << 59
+_F_WARM_ID = np.array([_F_COL_ID], dtype=np.int64)
+#: The row block of a problem without release rows (read-only).
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+class _JobClasses(NamedTuple):
+    """A problem's job classes (:func:`_job_classes`), with their per-class arrays."""
+
+    #: Cache-key part of the skeleton signature: job ids, class labels (in
+    #: job order) and class resources.
+    key: tuple
+    #: Job positions class by class, in release order inside a class.
+    member_pos: np.ndarray
+    #: Job ids and class index of the members (in ``member_pos`` order).
+    member_id: np.ndarray
+    member_class: np.ndarray
+    #: Offsets of the classes in the member arrays (length ``classes + 1``).
+    member_start: np.ndarray
+    #: Per class: its resource count and the offset of its resources in
+    #: ``resources``, the classes' eligible resources back to back.
+    n_res: np.ndarray
+    res_start: np.ndarray
+    resources: np.ndarray
+
+
+def _job_classes(problem: MaxStretchProblem) -> _JobClasses:
+    """The job classes of ``problem``, computed once per problem.
+
+    Jobs of equal ``(resources, flow factor, remaining work)`` taken in
+    release order have nondecreasing deadlines; a class also needs
+    nondecreasing earliest starts, which every problem built from an
+    instance has (``max(release, now)``), so a job starting before the
+    previous member of its group opens a new class.  Classes are numbered
+    in the release order of their first member.  A started job's remaining
+    work differs from its databank's size, so it forms a class of its own.
+    """
+    classes = problem.__dict__.get("_job_classes")
+    if classes is None:
+        jobs = problem.jobs
+        starts, releases, factors = problem.job_vectors()
+        eligible = [job.resources for job in jobs]
+        keys = list(zip(eligible, factors.tolist(), problem.remaining_works().tolist()))
+        start_of = starts.tolist()
+        open_class: dict[tuple, int] = {}
+        last_start: list[float] = []
+        members: list[list[int]] = []
+        resources: list[tuple[int, ...]] = []
+        labels = [0] * len(jobs)
+        # Release order, then start order, then job order (lexsort is stable).
+        for pos in np.lexsort((starts, releases)).tolist():
+            start = start_of[pos]
+            label = open_class.get(keys[pos])
+            if label is None or start < last_start[label]:
+                label = open_class[keys[pos]] = len(members)
+                last_start.append(start)
+                members.append([])
+                resources.append(eligible[pos])
+            last_start[label] = start
+            members[label].append(pos)
+            labels[pos] = label
+        sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+        n_res = np.fromiter(map(len, resources), dtype=np.int64, count=len(members))
+        member_pos = np.fromiter(
+            (pos for m in members for pos in m), dtype=np.int64, count=len(jobs)
+        )
+        ids = tuple(job.job_id for job in jobs)
+        classes = _JobClasses(
+            key=(ids, tuple(labels), tuple(resources)),
+            member_pos=member_pos,
+            member_id=np.array(ids, dtype=np.int64)[member_pos],
+            member_class=np.repeat(np.arange(len(members), dtype=np.int64), sizes),
+            member_start=np.concatenate(([0], np.cumsum(sizes))),
+            n_res=n_res,
+            res_start=np.cumsum(n_res) - n_res,
+            resources=np.fromiter(
+                (c for r in resources for c in r), dtype=np.int64, count=int(n_res.sum())
+            ),
+        )
+        # Frozen dataclass: a pure cache, like the problem's own arrays.
+        object.__setattr__(problem, "_job_classes", classes)
+    return classes
 
 
 def build_skeleton(
@@ -275,45 +408,48 @@ def build_skeleton(
 
     Returns ``None`` when some job has no interval to run in, i.e. its
     deadline does not lie strictly after its earliest start -- the quick
-    structural infeasibility check of the milestone search.  Job ``j``'s
-    intervals are the range ``[job_start_index, job_deadline_index)``, so
-    every per-column array comes from one ``np.repeat`` over the jobs.
+    structural infeasibility check of the milestone search.  Class ``k``'s
+    columns cover the intervals ``[first member's start, last member's
+    deadline)``, so every per-column array comes from one ``np.repeat``
+    over the classes, and every row block from array operations over the
+    members.
     """
-    jobs = tuple(
-        (
-            job.job_id,
-            structure.job_start_index[job.job_id],
-            structure.job_deadline_index[job.job_id],
-            job.resources,
-        )
-        for job in problem.jobs
-    )
-    if any(end <= start for _j, start, end, _r in jobs):
+    starts = structure.start_index
+    ends = structure.deadline_index
+    if (ends <= starts).any():
         return None
 
-    signature = (tuple((b.const, b.coef) for b in structure.boundaries), jobs)
+    classes = _job_classes(problem)
+    bnd_const = structure.bnd_const
+    bnd_coef = structure.bnd_coef
+    signature = (
+        bnd_const.tobytes(), bnd_coef.tobytes(), starts.tobytes(), ends.tobytes(), classes.key
+    )
     if cache is not None:
         cached = cache.get(signature)
         if cached is not None:
             return cached
 
-    table = np.array(
-        [(j, start, end, len(r)) for j, start, end, r in jobs], dtype=np.int64
-    ).reshape(-1, 4)
-    job_id, start, end, n_res = table.T
-    resources = np.fromiter(
-        (c for *_window, r in jobs for c in r), dtype=np.int64, count=int(n_res.sum())
-    )
+    member_start = classes.member_start
+    member_class = classes.member_class
+    member_id = classes.member_id
+    n_res = classes.n_res
+    first = member_start[:-1]
+    start = starts[classes.member_pos]
+    end = ends[classes.member_pos]
+    # Release order is start and deadline order inside a class.
+    class_start = start[first]
 
-    # Column k of job p is interval start[p] + k // n_res[p] on resource
-    # number k % n_res[p] of the job.
-    n_cols = (end - start) * n_res
-    key_jpos = np.repeat(np.arange(len(jobs), dtype=np.int64), n_cols)
-    local = np.arange(key_jpos.size, dtype=np.int64) - (np.cumsum(n_cols) - n_cols)[key_jpos]
-    width = n_res[key_jpos]
-    key_t = start[key_jpos] + local // width
-    key_c = resources[(np.cumsum(n_res) - n_res)[key_jpos] + local % width]
-    key_j = job_id[key_jpos]
+    # Column k of class p is interval class_start[p] + k // n_res[p] on
+    # resource number k % n_res[p] of the class.
+    col_start = np.zeros(first.size + 1, dtype=np.int64)
+    np.cumsum((end[member_start[1:] - 1] - class_start) * n_res, out=col_start[1:])
+    key_k = np.repeat(np.arange(first.size, dtype=np.int64), np.diff(col_start))
+    local = np.arange(key_k.size, dtype=np.int64) - col_start[key_k]
+    width = n_res[key_k]
+    key_t = class_start[key_k] + local // width
+    key_c = classes.resources[classes.res_start[key_k] + local % width]
+    n_x = key_t.size
 
     # Capacity rows: a stable sort by (interval, resource) keeps the columns
     # of one row in ascending order.
@@ -325,19 +461,56 @@ def build_skeleton(
     cap_t = sorted_t[new_row]
     cap_c = sorted_c[new_row]
 
-    bnd_const = np.array([b.const for b in structure.boundaries], dtype=np.float64)
-    bnd_coef = np.array([b.coef for b in structure.boundaries], dtype=np.float64)
-    warm_col_ids = np.empty(key_t.size + 1, dtype=np.int64)
-    warm_col_ids[0] = _F_COL_ID
-    warm_col_ids[1:] = (key_t << 36) | (key_c << 24) | key_j
+    # Chain rows: one per run of members with equal (class, deadline).  An x
+    # column belongs to the first chain row of its class whose deadline
+    # boundary lies after its interval.
+    span = bnd_const.size
+    new_due = np.ones(member_id.size, dtype=bool)
+    np.logical_or(member_class[1:] != member_class[:-1], end[1:] != end[:-1], out=new_due[1:])
+    chain_first = np.nonzero(new_due)[0]
+    chain_class = member_class[chain_first]
+    chain_key = chain_class * span + end[chain_first]
+    has_slack = np.zeros(chain_first.size, dtype=bool)
+    has_slack[:-1] = chain_class[1:] == chain_class[:-1]
+    slack_row = np.nonzero(has_slack)[0]
+    slack_col = np.arange(n_x, n_x + slack_row.size, dtype=np.int64)
+    chain_end = np.append(chain_first[1:], member_id.size)
 
+    # Release rows (off-line problems only): one per run of members with
+    # equal (class, start) after the class's first start, written on the
+    # slack of the class's last deadline boundary at or before that start.
+    later = start != class_start[member_class]
+    if later.any():
+        new_start = np.ones(member_id.size, dtype=bool)
+        new_start[1:] = start[1:] != start[:-1]
+        rel_first = np.nonzero(new_start & later)[0]
+        rel_class = member_class[rel_first]
+        rel_start = start[rel_first]
+        prev = np.searchsorted(chain_key, rel_class * span + rel_start, side="right") - 1
+        has_prev = (prev >= 0) & (chain_class[prev] == rel_class)
+        col0 = col_start[rel_class] - class_start[rel_class] * n_res[rel_class]
+        from_t = np.where(has_prev, end[chain_first[prev]], class_start[rel_class])
+        lengths = (rel_start - from_t) * n_res[rel_class]
+        rel_x_rows = np.repeat(np.arange(rel_first.size, dtype=np.int64), lengths)
+        rel_x_cols = np.arange(rel_x_rows.size, dtype=np.int64) + (
+            col0 + from_t * n_res[rel_class] - (np.cumsum(lengths) - lengths)
+        )[rel_x_rows]
+        rel_entry_rows = cap_t.size + np.concatenate([rel_x_rows, np.nonzero(has_prev)[0]])
+        rel_entry_cols = np.concatenate(
+            [rel_x_cols, slack_col[(np.cumsum(has_slack) - 1)[prev[has_prev]]]]
+        )
+        rel_count = rel_first - np.where(has_prev, chain_end[prev], first[rel_class])
+    else:
+        rel_first = rel_class = rel_count = rel_entry_rows = rel_entry_cols = _NO_ROWS
+
+    member_col0 = col_start[member_class] - class_start[member_class] * n_res[member_class]
     skeleton = ConstraintSkeleton(
         structure=structure,
         signature=signature,
         key_t=key_t,
         key_c=key_c,
-        key_j=key_j,
-        key_jpos=key_jpos,
+        key_k=key_k,
+        n_slacks=slack_row.size,
         cap_entry_rows=np.cumsum(new_row, dtype=np.int64) - 1,
         cap_entry_cols=cap_entry_cols,
         cap_t=cap_t,
@@ -345,10 +518,45 @@ def build_skeleton(
         # The same single subtraction as ``IntervalStructure.interval_length``.
         cap_len_const=bnd_const[cap_t + 1] - bnd_const[cap_t],
         cap_len_coef=bnd_coef[cap_t + 1] - bnd_coef[cap_t],
-        bnd_const=bnd_const,
-        bnd_coef=bnd_coef,
-        warm_col_ids=warm_col_ids,
-        warm_row_ids=np.concatenate([(cap_t << 12) | cap_c, (1 << 60) | job_id]),
+        rel_entry_rows=rel_entry_rows,
+        rel_entry_cols=rel_entry_cols,
+        rel_class=rel_class,
+        rel_count=rel_count,
+        chain_entry_rows=np.concatenate(
+            [
+                np.searchsorted(chain_key, key_k * span + key_t, side="right"),
+                slack_row,
+                slack_row + 1,
+            ]
+        ),
+        chain_entry_cols=np.concatenate([np.arange(n_x, dtype=np.int64), slack_col, slack_col]),
+        chain_entry_vals=np.concatenate(
+            [np.ones(n_x), np.full(slack_row.size, -1.0), np.ones(slack_row.size)]
+        ),
+        chain_class=chain_class,
+        chain_count=chain_end - chain_first,
+        class_pos=classes.member_pos[first],
+        member_start=member_start,
+        member_pos=classes.member_pos,
+        member_id=member_id,
+        member_class=member_class,
+        member_lo=member_col0 + start * n_res[member_class],
+        member_hi=member_col0 + end * n_res[member_class],
+        col_start=col_start,
+        warm_col_ids=np.concatenate(
+            [
+                _F_WARM_ID,
+                (key_t << 36) | (key_c << 24) | member_id[first][key_k],
+                _SLACK_TAG | member_id[chain_first[slack_row]],
+            ]
+        ),
+        warm_row_ids=np.concatenate(
+            [
+                (cap_t << 12) | cap_c,
+                _RELEASE_TAG | member_id[rel_first],
+                _CHAIN_TAG | member_id[chain_first],
+            ]
+        ),
     )
     if cache is not None:
         cache[signature] = skeleton
@@ -358,15 +566,19 @@ def build_skeleton(
 def warm_hint(skeleton: ConstraintSkeleton, *, with_objective_var: bool) -> WarmStartHint:
     """Basis-transplant identities for the LP built from ``skeleton``.
 
-    Work variables are identified by their ``(interval, resource, job)``
-    triple, capacity rows by ``(interval, resource)`` and completeness rows
-    by job id -- bit-packed into int64 so the backend's basis mapping stays
-    vectorized.  Consecutive milestone probes (and the System (2) solve
-    after the winning probe -- ``with_objective_var=False`` drops the F
-    column) overlap on most identities, so the previous basis mapped through
-    them is a near-optimal starting basis even though the matrices differ.
-    All LPs of one search/replan sequence share a single series: the backend
-    is per-context, so bases never leak across simulation runs.
+    Work columns are identified by their ``(interval, resource, class)``
+    triple -- a class by the job id of its first member --, slacks and
+    chain rows by the job id of the first member due at their deadline,
+    release rows by that of the first member released at their date, and
+    capacity rows by ``(interval, resource)``, all bit-packed into int64 so
+    the backend's basis mapping stays vectorized.  When every member has a
+    deadline of its own, a chain row's identity is the completeness-row
+    identity of that job.  Consecutive milestone probes (and the System (2)
+    solve after the winning probe -- ``with_objective_var=False`` drops the
+    F column) overlap on most identities, so the previous basis mapped
+    through them is a near-optimal starting basis even though the matrices
+    differ.  All LPs of one search/replan sequence share a single series:
+    the backend is per-context, so bases never leak across simulation runs.
 
     The hint holds the skeleton's own :attr:`~ConstraintSkeleton.warm_col_ids`
     / :attr:`~ConstraintSkeleton.warm_row_ids` (no copy).
@@ -376,6 +588,21 @@ def warm_hint(skeleton: ConstraintSkeleton, *, with_objective_var: bool) -> Warm
         series="milestone-lps",
         col_ids=col_ids if with_objective_var else col_ids[1:],
         row_ids=skeleton.warm_row_ids,
+    )
+
+
+def _row_rhs(
+    problem: MaxStretchProblem, skeleton: ConstraintSkeleton
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides of the release rows and of the chain rows.
+
+    Member counts times the class's remaining work, read at the class's
+    first member.
+    """
+    work = problem.remaining_works()[skeleton.class_pos]
+    return (
+        skeleton.rel_count * work[skeleton.rel_class],
+        skeleton.chain_count * work[skeleton.chain_class],
     )
 
 
@@ -390,19 +617,21 @@ def _lp_spec(
     """The System (1) or System (2) program on ``skeleton``, as one :class:`LPSpec`.
 
     With ``f_range = (f_low, f_high)`` this is System (1): ``min F`` over
-    ``f_low <= F <= f_high``, ``F`` in column 0 and the x variables after
-    it, capacities affine in ``F`` (zero ``F`` coefficients dropped).
-    Otherwise it is System (2) at ``fixed_objective``: x variables only,
-    costs ``costs`` and constant capacities.  Rows are the capacity rows
-    (1d), sorted by (interval, resource), then the completeness rows (1e)
-    in job order; every array is derived from the skeleton's index arrays
-    by numpy operations, without a per-entry Python loop.
+    ``f_low <= F <= f_high``, ``F`` in column 0 and the skeleton's columns
+    after it, capacities affine in ``F`` (zero ``F`` coefficients dropped).
+    Otherwise it is System (2) at ``fixed_objective``: the skeleton's
+    columns only, costs ``costs`` and constant capacities.  Inequality rows
+    are the capacity rows (1d), sorted by (interval, resource), then the
+    release rows; the equality rows are the chain rows.  Every array is
+    derived from the skeleton's index arrays by numpy operations, without a
+    per-entry Python loop.
     """
-    n_x = skeleton.n_variables
+    n_cols = skeleton.n_variables
+    n_x = skeleton.key_t.size
     speeds = problem.resource_speeds()[skeleton.cap_c]
     if f_range is not None:
         offset = 1
-        ub_rows, ub_cols, ub_vals, ub_rhs = kernels.scatter_capacity_sys1(
+        cap_rows, cap_cols, cap_vals, cap_rhs = kernels.scatter_capacity_sys1(
             skeleton.cap_entry_rows,
             skeleton.cap_entry_cols,
             skeleton.cap_len_const,
@@ -411,34 +640,35 @@ def _lp_spec(
             offset,
             0,
         )
-        objective = np.concatenate(([1.0], np.zeros(n_x)))
-        lower = np.concatenate(([f_range[0]], np.zeros(n_x)))
-        upper = np.concatenate(([f_range[1]], np.full(n_x, math.inf)))
+        objective = np.concatenate(([1.0], np.zeros(n_cols)))
+        lower = np.concatenate(([f_range[0]], np.zeros(n_cols)))
+        upper = np.concatenate(([f_range[1]], np.full(n_cols, math.inf)))
     else:
         assert fixed_objective is not None and costs is not None
         offset = 0
-        ub_rows = skeleton.cap_entry_rows
-        ub_cols = skeleton.cap_entry_cols
-        ub_vals = np.ones(n_x, dtype=np.float64)
-        ub_rhs = speeds * np.maximum(
+        cap_rows = skeleton.cap_entry_rows
+        cap_cols = skeleton.cap_entry_cols
+        cap_vals = np.ones(n_x, dtype=np.float64)
+        cap_rhs = speeds * np.maximum(
             0.0, skeleton.cap_len_const + skeleton.cap_len_coef * fixed_objective
         )
         objective = costs
-        lower = np.zeros(n_x)
-        upper = np.full(n_x, math.inf)
+        lower = np.zeros(n_cols)
+        upper = np.full(n_cols, math.inf)
+    rel_rhs, chain_rhs = _row_rhs(problem, skeleton)
     return LPSpec(
-        n_vars=offset + n_x,
+        n_vars=offset + n_cols,
         objective=objective,
         lower=lower,
         upper=upper,
-        ub_rows=ub_rows,
-        ub_cols=ub_cols,
-        ub_vals=ub_vals,
-        ub_rhs=ub_rhs,
-        eq_rows=skeleton.key_jpos,
-        eq_cols=np.arange(offset, offset + n_x, dtype=np.int64),
-        eq_vals=np.ones(n_x, dtype=np.float64),
-        eq_rhs=problem.remaining_works(),
+        ub_rows=np.concatenate([cap_rows, skeleton.rel_entry_rows]),
+        ub_cols=np.concatenate([cap_cols, skeleton.rel_entry_cols + offset]),
+        ub_vals=np.concatenate([cap_vals, np.ones(skeleton.rel_entry_rows.size)]),
+        ub_rhs=np.concatenate([cap_rhs, rel_rhs]),
+        eq_rows=skeleton.chain_entry_rows,
+        eq_cols=skeleton.chain_entry_cols + offset,
+        eq_vals=skeleton.chain_entry_vals,
+        eq_rhs=chain_rhs,
     )
 
 
@@ -501,15 +731,17 @@ def _probe_certificate(
 ) -> None:
     """Evaluate a dual ray as an affine function of F and fill ``outcome``.
 
-    The ray's aggregated constraint reads ``g(F) = A + v . W + B F`` with
+    The ray's aggregated constraint reads ``g(F) = A + v . b + B F`` with
     ``A`` / ``B`` the capacity multipliers ``u`` against the constant /
-    ``F`` parts of the capacities and ``v . W`` the completeness
-    multipliers against the remaining works.  Every feasible objective
-    keeps ``g(F) >= 0``, so for ``B > 0`` the bound is ``-(A + v . W) / B``;
-    a ``B`` too small to divide by, or a non-finite bound, is discarded.
+    ``F`` parts of the capacities and ``v . b`` the other multipliers
+    against the right-hand sides of the release and chain rows.  Every
+    feasible objective keeps ``g(F) >= 0``, so for ``B > 0`` the bound is
+    ``-(A + v . b) / B``; a ``B`` too small to divide by, or a non-finite
+    bound, is discarded.
     """
     n_cap = skeleton.cap_c.size
-    if dual_ray.size != n_cap + len(problem.jobs):
+    rel_rhs, chain_rhs = _row_rhs(problem, skeleton)
+    if dual_ray.size != n_cap + rel_rhs.size + chain_rhs.size:
         return
     u = dual_ray[:n_cap]
     v = dual_ray[n_cap:]
@@ -518,7 +750,7 @@ def _probe_certificate(
     if capacity_coef <= _RAY_COEF_EPS:
         return
     capacity_const = float(u @ (cap_speed * skeleton.cap_len_const))
-    load = sum((v * problem.remaining_works())[v != 0.0].tolist())
+    load = sum((v * np.concatenate([rel_rhs, chain_rhs]))[v != 0.0].tolist())
     bound = -(capacity_const + load) / capacity_coef
     if math.isfinite(bound):
         outcome.certificate_bound = bound
@@ -821,18 +1053,54 @@ def _extract_allocations(
     offset: int,
     values: np.ndarray,
 ) -> dict[tuple[int, int, int], float]:
-    """Read the x variables back, dropping numerically-zero allocations.
+    """Split the class columns first-in first-out into the per-job allocation.
 
-    ``offset`` is the index of the first x variable (1 when the objective
-    variable precedes them).  The per-variable threshold (relative to the
-    job's remaining work, as the historical loop computed it) is evaluated
-    as one vectorized comparison; only the surviving entries, in ascending
-    column order, become dict items.
+    ``offset`` is the index of the first ``x`` column (1 when the objective
+    variable precedes them).  One cumulative sum runs over the ``x`` columns
+    in column order; member ``r`` (0-based, release order) of a class
+    receives the stretch of it from ``r * work`` to ``(r + 1) * work`` past
+    the class's start, clipped to the work done inside its own window, so
+    no piece ever lands outside a member's window even where the LP meets
+    a chain row only within its feasibility tolerance (the last member also
+    takes any excess).  Pieces below :data:`_ALLOCATION_EPS` relative to
+    the job's remaining work are dropped; the rest become dict items in
+    job order, then column order.
     """
-    vals = np.asarray(values)[offset:offset + skeleton.n_variables]
-    works = problem.remaining_works()
-    kept = np.nonzero(vals > _ALLOCATION_EPS * np.maximum(1.0, works[skeleton.key_jpos]))[0]
+    n_x = skeleton.key_t.size
+    vals = np.maximum(np.asarray(values)[offset:offset + n_x], 0.0)
+    done = np.zeros(n_x + 1)
+    np.cumsum(vals, out=done[1:])
+    member_class = skeleton.member_class
+    work = problem.remaining_works()[skeleton.class_pos][member_class]
+    rank = np.arange(member_class.size) - skeleton.member_start[member_class]
+    base = done[skeleton.col_start[member_class]]
+    due = base + (rank + 1) * work
+    due[skeleton.member_start[1:] - 1] = math.inf
+    # Member r owns [breaks[2r], breaks[2r + 1]] of the cumulative work.
+    breaks = np.empty(2 * member_class.size)
+    window_end = done[skeleton.member_hi]
+    breaks[0::2] = np.minimum(np.maximum(base + rank * work, done[skeleton.member_lo]), window_end)
+    breaks[1::2] = np.maximum(breaks[0::2], np.minimum(due, window_end))
+    points = np.sort(np.concatenate([done, breaks]))
+    seg_lo = points[:-1]
+    seg_hi = points[1:]
+    owner = np.searchsorted(breaks, seg_lo, side="right")
+    col = np.minimum(np.searchsorted(done, seg_lo, side="right") - 1, n_x - 1)
+    piece = seg_hi - seg_lo
+    # A column one member owns whole keeps the LP's value.
+    whole = (seg_lo == done[col]) & (seg_hi == done[col + 1])
+    piece[whole] = vals[col[whole]]
+    inside = np.nonzero(owner & 1)[0]
+    member = (owner[inside] - 1) >> 1
+    kept = piece[inside] > _ALLOCATION_EPS * np.maximum(1.0, work[member])
+    member = member[kept]
+    col = col[inside][kept]
+    order = np.lexsort((col, skeleton.member_pos[member]))
+    member = member[order]
+    col = col[order]
     keys = zip(
-        skeleton.key_t[kept].tolist(), skeleton.key_c[kept].tolist(), skeleton.key_j[kept].tolist()
+        skeleton.key_t[col].tolist(),
+        skeleton.key_c[col].tolist(),
+        skeleton.member_id[member].tolist(),
     )
-    return dict(zip(keys, vals[kept].tolist()))
+    return dict(zip(keys, piece[inside][kept][order].tolist()))

@@ -18,8 +18,13 @@ with the objective fixed at :math:`\\mathcal{S}^*`.
 
 System (2) is degenerate: its costs ignore the resource, so every split of
 a job's interval work across its eligible resources is optimal.  The paper
-leaves the choice among these optima open; the one HiGHS returns depends on
-its starting basis (a re-solve and a rebuild may differ at equal objective).
+leaves the choice among these optima open.  The split *inside* a job class
+is fixed: the LP has one column set per class and its work is served
+first-in first-out (:func:`~repro.lp.maxstretch._extract_allocations`),
+which costs nothing because the cost per unit of work, ``midpoint /
+work``, is the same for every member.  Only the split across resources
+stays open, and the one HiGHS returns depends on its starting basis (a
+re-solve and a rebuild may differ at equal objective).
 """
 
 from __future__ import annotations
@@ -126,15 +131,17 @@ def _solve_fixed_objective(
         return None
     structure = skeleton.structure
 
-    # Objective coefficient per variable: fraction of the job processed in
-    # the interval (work / remaining) times the interval midpoint --
-    # vectorized over the skeleton's per-column interval/job index arrays
-    # (the boundary values at ``objective`` double as the solution's
-    # interval bounds below).
-    boundary_values = skeleton.bnd_const + skeleton.bnd_coef * objective
+    # Objective coefficient per work column: fraction of a member's work
+    # processed in the interval (work / remaining, equal across the class)
+    # times the interval midpoint -- vectorized over the skeleton's
+    # per-column interval/class index arrays; slacks cost nothing (the
+    # boundary values at ``objective`` double as the solution's interval
+    # bounds below).
+    boundary_values = structure.bnd_const + structure.bnd_coef * objective
     midpoints = 0.5 * (boundary_values[:-1] + boundary_values[1:])
-    works = problem.remaining_works()
-    costs = midpoints[skeleton.key_t] / works[skeleton.key_jpos]
+    works = problem.remaining_works()[skeleton.class_pos]
+    costs = np.zeros(skeleton.n_variables)
+    costs[: skeleton.key_t.size] = midpoints[skeleton.key_t] / works[skeleton.key_k]
     result = None
     if live is not None and live.skeleton is skeleton and live.f_low <= objective <= live.f_high:
         try:

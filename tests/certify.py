@@ -1,4 +1,4 @@
-"""A solver-free certificate for System (1) answers.
+"""A solver-free certificate for System (1) and System (2) answers.
 
 ``certify(problem, solution)`` checks a System (1) optimum without a second
 LP solver, in plain numpy:
@@ -28,6 +28,13 @@ LP solver, in plain numpy:
   - on any problem with at most :data:`MAX_SUBSET_JOBS` jobs, every job
     set is enumerated.
 
+``certify_system2(problem, solution)`` checks a System (2) answer: the
+feasibility part above at the answer's (inflated) objective.  System (2)
+keeps the max-stretch and only moves work earlier, so feasibility against
+the per-job problem is the whole contract; the allocations are checked
+job by job, which is what the class LP's first-in first-out split must
+deliver.
+
 A failed check raises :class:`AssertionError`; a problem neither
 optimality check applies to raises :class:`ValueError`.
 """
@@ -41,7 +48,7 @@ import numpy as np
 from repro.lp.maxstretch import MaxStretchSolution
 from repro.lp.problem import MaxStretchProblem
 
-__all__ = ["certify", "MAX_HORIZON_RESOURCES", "MAX_SUBSET_JOBS"]
+__all__ = ["certify", "certify_system2", "MAX_HORIZON_RESOURCES", "MAX_SUBSET_JOBS"]
 
 #: Relative tolerance of the window checks and of the optimality cut.
 REL = 1e-9
@@ -75,6 +82,15 @@ def certify(problem: MaxStretchProblem, solution: MaxStretchSolution) -> str:
         )
     assert found, f"no violated Hall cut at S*(1 - {REL}) = {below!r}: S* is not optimal"
     return method
+
+
+def certify_system2(problem: MaxStretchProblem, solution: MaxStretchSolution) -> None:
+    """Certify ``solution`` as a feasible System (2) answer for ``problem``.
+
+    Capacities (1d), completeness (1e) and every job's window at
+    ``solution.objective`` (the inflated deadline bound System (2) used).
+    """
+    _check_feasible(problem, solution)
 
 
 def _check_feasible(problem: MaxStretchProblem, solution: MaxStretchSolution) -> None:

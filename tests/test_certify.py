@@ -11,6 +11,7 @@ from repro.core.instance import Instance
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
+from repro.lp.relaxation import reoptimize_allocation
 from repro.utils.seeding import spawn_children
 from repro.workload.generator import (
     PlatformSpec,
@@ -19,7 +20,7 @@ from repro.workload.generator import (
     generate_workload,
 )
 
-from certify import MAX_SUBSET_JOBS, certify
+from certify import MAX_SUBSET_JOBS, certify, certify_system2
 from helpers import make_uniform_instance
 from test_lp_backends import requires_highs
 
@@ -98,17 +99,46 @@ class TestCertify:
 
 @requires_highs
 def test_every_online_replan_on_highs_is_certified(monkeypatch):
-    """HiGHS answers of a whole ``online`` run, replan by replan."""
+    """HiGHS answers of a whole ``online`` run, replan by replan, both systems."""
     seen = []
+    reoptimized = []
     solve = ReplanContext.solve_max_stretch
+    reoptimize = ReplanContext.reoptimize
 
     def spy(self, problem):
         solution = solve(self, problem)
         seen.append((problem, solution))
         return solution
 
+    def spy_system2(self, problem, objective):
+        solution = reoptimize(self, problem, objective)
+        reoptimized.append((problem, solution))
+        return solution
+
     monkeypatch.setattr(ReplanContext, "solve_max_stretch", spy)
+    monkeypatch.setattr(ReplanContext, "reoptimize", spy_system2)
     for instance in _online_dense_instances(2006, 2):
         api.simulate(instance, "online", scheduler_options={"solver_backend": "highs"})
     assert len(seen) > 100
+    assert len(reoptimized) == len(seen)
     assert {certify(problem, solution) for problem, solution in seen} == {"horizons"}
+    for problem, solution in reoptimized:
+        certify_system2(problem, solution)
+
+
+class TestCertifySystem2:
+    def _reoptimized(self):
+        instance = make_uniform_instance([5.0, 3.0, 2.0], [0.0, 1.0, 2.0], cycle_times=[1.0, 2.0])
+        problem = problem_from_instance(instance, now=2.0, remaining={0: 3.0, 1: 3.0, 2: 2.0})
+        best = _solved(problem)
+        return problem, reoptimize_allocation(problem, best.objective)
+
+    def test_accepts_a_system_2_answer(self):
+        certify_system2(*self._reoptimized())
+
+    def test_rejects_work_after_a_deadline(self):
+        problem, solution = self._reoptimized()
+        # The same allocation read at a tighter objective puts work late.
+        tight = replace(solution, objective=0.5 * solution.objective)
+        with pytest.raises(AssertionError, match="late"):
+            certify_system2(problem, tight)

@@ -5,7 +5,10 @@
 rule was keyed by databank; the plan-following LP schedulers were added from
 the commit before plans became lanes per capability class, and ``bender98``
 from the commit before the kernel tiers were deleted (``PYTHONPATH=<that
-checkout>/src python tests/test_engine_golden.py`` rewrites it).  Each digest
+checkout>/src python tests/test_engine_golden.py`` rewrites it).  The LP
+schedulers' digests were re-frozen once when Systems (1)/(2) moved to one
+column set per job class (a different LP, so a different vertex); the
+heuristic and ``bender98`` digests did not move.  Each digest
 covers every slice of the realized schedule -- ``job_id, machine_id, start,
 end, work``, floats in hex -- so a change in any bit of any slice, or in the
 number or order of slices, fails the test.
@@ -55,9 +58,9 @@ SCHEDULERS: dict[str, dict] = {
 #: The on-line LP schedulers solve one LP search per arrival (43 s at 120
 #: jobs), so they run on the first 40 jobs of the instance: same platform.
 #: ``offline`` takes 39: with the 40th, one probe of its whole-run search
-#: fails ``highs-ipm`` with status 4 and is cleared only by the scipy
-#: backend's retry with ``highs-ds`` (``tests/test_resilience.py`` runs that
-#: slice); the fixture predates the retry and keeps the 39-job slice.
+#: on the per-job LP failed ``highs-ipm`` with status 4 and was cleared only
+#: by the scipy backend's retry with ``highs-ds`` (``tests/test_resilience.py``
+#: runs that slice); the fixture predates the retry and keeps the 39-job slice.
 #: ``bender98`` shares the slice, and the scipy pin, of the LP schedulers.
 LP_JOBS = {key: 40 for key in (*LP_SCHEDULERS, "bender98")} | {"offline": 39}
 

@@ -374,6 +374,43 @@ class TestRunOwnsItsCounters:
                 assert not thread.is_alive()
             assert [counts(result.lp_probes) for result in results] == [lone, lone]
 
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_solver_run_time_and_lp_sizes(self, backend_name, monkeypatch):
+        """``run_seconds`` is part of ``solve_seconds``; sizes sum the solved specs.
+
+        On HiGHS every run -- milestone probes, rebuilt and live System (2)
+        solves -- goes through ``_run``; on scipy every solve through
+        ``_solve``.
+        """
+        from repro.lp.backends.highs import HighsPersistentBackend
+
+        shapes = []
+        if backend_name == "highs":
+            run = HighsPersistentBackend._run
+
+            def spy(self, highs, spec, warm):
+                shapes.append((spec.n_vars, spec.n_rows))
+                return run(self, highs, spec, warm)
+
+            monkeypatch.setattr(HighsPersistentBackend, "_run", spy)
+        else:
+            solve = ScipyBackend._solve
+
+            def spy(self, spec, *, warm=None):
+                shapes.append((spec.n_vars, spec.n_rows))
+                return solve(self, spec, warm=warm)
+
+            monkeypatch.setattr(ScipyBackend, "_solve", spy)
+        instance = _small_instance(3, max_jobs=14)
+        stats = api.simulate(
+            instance, "online", scheduler_options={"solver_backend": backend_name}
+        ).lp_probes
+        assert stats.n_downgrades == 0
+        assert len(shapes) == stats.n_probes > 0
+        assert 0 < stats.run_seconds <= stats.solve_seconds
+        assert stats.n_columns == sum(n_vars for n_vars, _rows in shapes)
+        assert stats.n_rows == sum(rows for _n_vars, rows in shapes)
+
     def test_close_starts_a_fresh_stats_object(self):
         backend = make_backend("scipy")
         minimize_max_weighted_flow(

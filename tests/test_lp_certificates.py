@@ -36,6 +36,7 @@ from repro.lp.incremental import ReplanContext
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
     ProbeOutcome,
+    _lp_spec,
     _probe_certificate,
     build_skeleton,
     minimize_max_weighted_flow,
@@ -147,7 +148,7 @@ class TestDualRayBoundSoundness:
         assert probed > 0, "no infeasible milestone interval below the optimum"
 
     def test_reevaluated_bound_matches_affine_form(self, seed, monkeypatch):
-        """A real HiGHS ray's bound is ``-(A + v . W) / B``, re-evaluated per job."""
+        """A real HiGHS ray's bound is ``-(A + v . b) / B``, re-evaluated per row."""
         _instance, problem = _problem(seed)
         boundaries = _milestone_boundaries(problem)
         rays = []
@@ -178,9 +179,11 @@ class TestDualRayBoundSoundness:
             float(u) * float(c)
             for u, c in zip(ray[:n_cap], speeds * skeleton.cap_len_coef)
         )
-        load = sum(
-            float(v) * job.remaining_work for v, job in zip(ray[n_cap:], problem.jobs)
-        )
+        # The release and chain rows' right-hand sides, as the LP got them.
+        spec = _lp_spec(problem, skeleton, f_range=(boundaries[0], boundaries[1]))
+        rhs = list(spec.ub_rhs[n_cap:]) + list(spec.eq_rhs)
+        assert len(rhs) == ray.size - n_cap
+        load = sum(float(v) * float(b) for v, b in zip(ray[n_cap:], rhs))
         assert outcome.certificate_bound == pytest.approx(-(a + load) / b, rel=1e-9)
 
 
@@ -201,7 +204,7 @@ def _skeleton_at_lower_bound():
 
 
 class TestProbeCertificate:
-    """``_probe_certificate`` turns a ray into ``-(A + v . W) / B`` or nothing."""
+    """``_probe_certificate`` turns a ray into ``-(A + v . b) / B`` or nothing."""
 
     def test_bound_is_the_zero_of_the_affine_combination(self):
         problem, skeleton = _skeleton_at_lower_bound()

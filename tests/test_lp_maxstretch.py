@@ -16,12 +16,7 @@ from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_r
 from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
 
-from replan_oracles import (
-    AssemblyArraysOracle,
-    build_skeleton_tuples,
-    extract_allocations_oracle,
-    warm_ids_oracle,
-)
+from replan_oracles import build_per_job_skeleton
 
 
 def single_resource_problem(jobs) -> MaxStretchProblem:
@@ -198,10 +193,96 @@ class TestOptimalityProperties:
         assert large.objective >= small.objective - 1e-9
 
 
+def _classes_by_loop(problem):
+    """``[(work, resources, members)]``: the job classes, members in release order."""
+    classes: dict[tuple, list] = {}
+    for job in problem.jobs:
+        classes.setdefault((job.resources, job.flow_factor, job.remaining_work), []).append(job)
+    return [
+        (key[2], key[0], sorted(members, key=lambda job: job.release))
+        for key, members in classes.items()
+    ]
+
+
+def _reference_class_lp(problem, structure, *, fixed_objective):
+    """The class LP written row by row from its definition, as dense arrays.
+
+    Returns ``(A_ub, b_ub, A_eq, b_eq, columns)``: ``F`` is column 0 unless
+    ``fixed_objective`` is given (System (2)); ``columns`` names every other
+    column, ``("x", t, c, class)`` or ``("s", class, deadline boundary)``.
+    """
+    start = structure.job_start_index
+    deadline = structure.job_deadline_index
+    classes = _classes_by_loop(problem)
+    columns = []
+    for k, (_work, resources, members) in enumerate(classes):
+        for t in range(start[members[0].job_id], deadline[members[-1].job_id]):
+            columns.extend(("x", t, c, k) for c in resources)
+    for k, (_work, _resources, members) in enumerate(classes):
+        ends = sorted({deadline[job.job_id] for job in members})
+        columns.extend(("s", k, b) for b in ends[:-1])
+    offset = 0 if fixed_objective is not None else 1
+    position = {col: offset + i for i, col in enumerate(columns)}
+    n_vars = offset + len(columns)
+
+    ub_rows, ub_rhs = [], []
+    for t, c in sorted({(col[1], col[2]) for col in columns if col[0] == "x"}):
+        row = np.zeros(n_vars)
+        for col in columns:
+            if col[0] == "x" and (col[1], col[2]) == (t, c):
+                row[position[col]] = 1.0
+        length = structure.interval_length(t)
+        speed = problem.resources[c].speed
+        if fixed_objective is None:
+            row[0] = -speed * length.coef
+            ub_rhs.append(speed * length.const)
+        else:
+            ub_rhs.append(speed * max(0.0, length.at(fixed_objective)))
+        ub_rows.append(row)
+    eq_rows, eq_rhs = [], []
+    for k, (work, _resources, members) in enumerate(classes):
+        first = start[members[0].job_id]
+        ends = sorted({deadline[job.job_id] for job in members})
+        for e in sorted({start[job.job_id] for job in members} - {first}):
+            before = [b for b in ends if b <= e]
+            lo = before[-1] if before else first
+            row = np.zeros(n_vars)
+            for col in columns:
+                if col[0] == "x" and col[3] == k and lo <= col[1] < e:
+                    row[position[col]] = 1.0
+            if before:
+                row[position["s", k, lo]] = 1.0
+            released = sum(start[job.job_id] < e for job in members)
+            due = sum(deadline[job.job_id] <= lo for job in members) if before else 0
+            ub_rows.append(row)
+            ub_rhs.append((released - due) * work)
+        for i, b in enumerate(ends):
+            lo = ends[i - 1] if i else first
+            row = np.zeros(n_vars)
+            for col in columns:
+                if col[0] == "x" and col[3] == k and lo <= col[1] < b:
+                    row[position[col]] = 1.0
+            if i:
+                row[position["s", k, lo]] = 1.0
+            if i < len(ends) - 1:
+                row[position["s", k, b]] = -1.0
+            eq_rows.append(row)
+            eq_rhs.append(sum(deadline[job.job_id] == b for job in members) * work)
+    return (
+        np.array(ub_rows).reshape(-1, n_vars),
+        np.array(ub_rhs),
+        np.array(eq_rows).reshape(-1, n_vars),
+        np.array(eq_rhs),
+        columns,
+    )
+
+
 class TestVectorizedAssembly:
-    """The array skeleton's ``LPSpec`` reproduces the historical per-row loop."""
+    """The array skeleton's ``LPSpec`` is the class LP written row by row."""
 
     def make_problem(self) -> MaxStretchProblem:
+        # Jobs 0/1 and 2/3 form two classes with a later release each (one
+        # release row per class); job 4 is a class of its own.
         resources = (
             Resource(0, speed=2.0, machine_ids=(0, 1)),
             Resource(1, speed=1.5, machine_ids=(2,)),
@@ -209,42 +290,26 @@ class TestVectorizedAssembly:
         jobs = (
             LPJob(0, earliest_start=0.0, remaining_work=4.0, release=0.0,
                   flow_factor=2.0, resources=(0,)),
-            LPJob(1, earliest_start=1.0, remaining_work=3.0, release=1.0,
-                  flow_factor=1.0, resources=(0, 1)),
-            LPJob(2, earliest_start=1.5, remaining_work=2.0, release=1.5,
-                  flow_factor=1.5, resources=(1,)),
+            LPJob(4, earliest_start=0.5, remaining_work=1.0, release=0.5,
+                  flow_factor=0.5, resources=(1,)),
+            LPJob(1, earliest_start=1.0, remaining_work=4.0, release=1.0,
+                  flow_factor=2.0, resources=(0,)),
+            LPJob(2, earliest_start=1.0, remaining_work=3.0, release=1.0,
+                  flow_factor=1.5, resources=(0, 1)),
+            LPJob(3, earliest_start=1.5, remaining_work=3.0, release=1.5,
+                  flow_factor=1.5, resources=(0, 1)),
         )
         return MaxStretchProblem(resources=resources, jobs=jobs)
 
-    @staticmethod
-    def _reference_dense(problem, oracle, *, fixed_objective):
-        """The historical per-row assembly loop over the tuple skeleton.
+    PROBE = 2.75
 
-        Writes dense ``(A_ub, b_ub, A_eq, b_eq)``: ``F`` is column 0 unless
-        ``fixed_objective`` is given (System (2), x variables only).
-        """
-        structure = oracle.structure
-        offset = 0 if fixed_objective is not None else 1
-        n_vars = offset + len(oracle.keys)
-        a_ub = np.zeros((len(oracle.capacity_groups), n_vars))
-        b_ub = np.zeros(len(oracle.capacity_groups))
-        for row, ((t, c), positions) in enumerate(oracle.capacity_groups):
-            length = structure.interval_length(t)
-            speed = problem.resources[c].speed
-            for pos in positions:
-                a_ub[row, pos + offset] = 1.0
-            if fixed_objective is None:
-                a_ub[row, 0] = -speed * length.coef
-                b_ub[row] = speed * length.const
-            else:
-                b_ub[row] = speed * max(0.0, length.at(fixed_objective))
-        a_eq = np.zeros((len(oracle.completeness_groups), n_vars))
-        b_eq = np.zeros(len(oracle.completeness_groups))
-        for row, (pos_job, positions) in enumerate(oracle.completeness_groups):
-            for pos in positions:
-                a_eq[row, pos + offset] = 1.0
-            b_eq[row] = problem.jobs[pos_job].remaining_work
-        return a_ub, b_ub, a_eq, b_eq
+    def _skeleton(self, problem):
+        from repro.lp.intervals import build_interval_structure
+        from repro.lp.maxstretch import build_skeleton
+
+        skeleton = build_skeleton(problem, build_interval_structure(problem, self.PROBE))
+        assert skeleton is not None
+        return skeleton
 
     @staticmethod
     def _dense(spec):
@@ -261,42 +326,46 @@ class TestVectorizedAssembly:
         ).toarray()
         return a_ub, np.asarray(spec.ub_rhs), a_eq, np.asarray(spec.eq_rhs)
 
-    @staticmethod
-    def _skeletons(problem, probe):
-        """The array skeleton and its tuple-loop oracle on one structure."""
-        from repro.lp.intervals import build_interval_structure
-        from repro.lp.maxstretch import build_skeleton
+    def _spec(self, problem, skeleton, fixed_objective):
+        from repro.lp.maxstretch import _lp_spec
 
-        structure = build_interval_structure(problem, probe)
-        skeleton = build_skeleton(problem, structure)
-        assert skeleton is not None
-        return skeleton, build_skeleton_tuples(problem, structure)
+        if fixed_objective is None:
+            return _lp_spec(problem, skeleton, f_range=(1.0, 5.0))
+        costs = np.arange(1.0, skeleton.n_variables + 1.0)
+        return _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
 
     @pytest.mark.parametrize("fixed_objective", [None, 2.75])
     def test_constraint_matrices_bit_identical(self, fixed_objective):
-        from repro.lp.maxstretch import _lp_spec
-
         problem = self.make_problem()
-        skeleton, oracle = self._skeletons(problem, 2.75)
-        n_x = len(oracle.keys)
-        if fixed_objective is None:
-            spec = _lp_spec(problem, skeleton, f_range=(1.0, 5.0))
-            assert spec.n_vars == 1 + n_x
-        else:
-            costs = np.arange(1.0, n_x + 1.0)
-            spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
-            assert spec.n_vars == n_x
-        want = self._reference_dense(problem, oracle, fixed_objective=fixed_objective)
+        skeleton = self._skeleton(problem)
+        spec = self._spec(problem, skeleton, fixed_objective)
+        *want, columns = _reference_class_lp(
+            problem, skeleton.structure, fixed_objective=fixed_objective
+        )
+        assert spec.n_vars == (fixed_objective is None) + len(columns)
+        # Three classes, two of them with a later release; five chain rows.
+        assert want[0].shape[0] == skeleton.cap_c.size + 2
+        assert want[2].shape[0] == 5
         for got, expected in zip(self._dense(spec), want):
             assert np.array_equal(got, expected)  # exact, not approx
+
+    def test_columns_come_class_by_class(self):
+        problem = self.make_problem()
+        skeleton = self._skeleton(problem)
+        *_arrays, columns = _reference_class_lp(
+            problem, skeleton.structure, fixed_objective=None
+        )
+        x_cols = [col[1:] for col in columns if col[0] == "x"]
+        got = list(zip(skeleton.key_t.tolist(), skeleton.key_c.tolist(), skeleton.key_k.tolist()))
+        assert got == x_cols
+        assert skeleton.n_slacks == len(columns) - len(x_cols)
 
     def test_sparsity_pattern_drops_zero_f_coefficients(self):
         """Zero F-column coefficients are filtered exactly like the old loop."""
         from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        skeleton, _oracle = self._skeletons(problem, 2.75)
-        spec = _lp_spec(problem, skeleton, f_range=(0.0, np.inf))
+        spec = _lp_spec(problem, self._skeleton(problem), f_range=(0.0, np.inf))
         f_entries = np.asarray(spec.ub_vals)[np.asarray(spec.ub_cols) == 0]
         assert f_entries.size > 0
         assert np.all(f_entries != 0.0)
@@ -307,19 +376,19 @@ class TestVectorizedAssembly:
         from repro.lp.maxstretch import _lp_spec
 
         problem = self.make_problem()
-        skeleton, oracle = self._skeletons(problem, 2.75)
-        n_x = len(oracle.keys)
+        skeleton = self._skeleton(problem)
+        n_cols = skeleton.n_variables
         if fixed_objective is None:
             spec = _lp_spec(problem, skeleton, f_range=(1, 5))
             former = (
-                [1.0] + [0.0] * n_x,
-                [float(1)] + [0.0] * n_x,
-                [float(5)] + [math.inf] * n_x,
+                [1.0] + [0.0] * n_cols,
+                [float(1)] + [0.0] * n_cols,
+                [float(5)] + [math.inf] * n_cols,
             )
         else:
-            costs = np.arange(1.0, n_x + 1.0)
+            costs = np.arange(1.0, n_cols + 1.0)
             spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
-            former = (costs.tolist(), [0.0] * n_x, [math.inf] * n_x)
+            former = (costs.tolist(), [0.0] * n_cols, [math.inf] * n_cols)
         for field, old in zip((spec.objective, spec.lower, spec.upper), former):
             got = np.asarray(field)
             assert got.dtype == np.float64
@@ -327,34 +396,56 @@ class TestVectorizedAssembly:
             assert np.array_equal(got.view(np.int64), np.array(old).view(np.int64))
 
     @pytest.mark.parametrize("fixed_objective", [None, 2.75])
-    def test_row_order(self, fixed_objective):
-        """Capacity rows by (interval, resource), then completeness rows in job order."""
-        from repro.lp.maxstretch import _lp_spec
+    def test_row_ids(self, fixed_objective):
+        """Capacity rows by (interval, resource), release rows, then chain rows."""
+        from repro.lp.maxstretch import warm_hint
 
         problem = self.make_problem()
-        skeleton, oracle = self._skeletons(problem, 2.75)
-        if fixed_objective is None:
-            offset = 1
-            spec = _lp_spec(problem, skeleton, f_range=(0.0, np.inf))
-        else:
-            offset = 0
-            costs = np.ones(len(oracle.keys))
-            spec = _lp_spec(problem, skeleton, fixed_objective=fixed_objective, costs=costs)
-        cap_keys = []
-        for row in range(len(spec.ub_rhs)):
-            cols = np.asarray(spec.ub_cols)[np.asarray(spec.ub_rows) == row]
-            keys = {oracle.keys[col - offset][:2] for col in cols if col >= offset}
-            assert len(keys) == 1
-            cap_keys.append(keys.pop())
-        assert cap_keys == sorted(set(cap_keys))
-        job_order = []
-        for row in range(len(spec.eq_rhs)):
-            cols = np.asarray(spec.eq_cols)[np.asarray(spec.eq_rows) == row]
-            jobs = {oracle.keys[col - offset][2] for col in cols}
-            assert len(jobs) == 1
-            job_order.append(jobs.pop())
-        assert job_order == [job.job_id for job in problem.jobs]
-        assert list(spec.eq_rhs) == [job.remaining_work for job in problem.jobs]
+        skeleton = self._skeleton(problem)
+        spec = self._spec(problem, skeleton, fixed_objective)
+        hint = warm_hint(skeleton, with_objective_var=fixed_objective is None)
+        assert hint.row_ids.size == spec.n_rows
+        assert hint.col_ids.size == spec.n_vars
+        caps = [(int(i) >> 12, int(i) & 0xFFF) for i in hint.row_ids[: skeleton.cap_c.size]]
+        assert caps == sorted(set(caps))
+        rest = [(int(i) >> 59, int(i) & 0xFFFFFF) for i in hint.row_ids[skeleton.cap_c.size:]]
+        # Release rows name the later member (jobs 1 and 3), chain rows the
+        # first member due at their deadline, class by class.
+        assert rest == [(1, 1), (1, 3), (2, 0), (2, 1), (2, 4), (2, 2), (2, 3)]
+
+
+def _fifo_by_loop(problem, skeleton, offset, values):
+    """Split the class columns member by member, one column at a time."""
+    from repro.lp.maxstretch import _ALLOCATION_EPS
+
+    works = problem.remaining_works()
+    out = {}
+    for k in range(skeleton.col_start.size - 1):
+        lo, hi = skeleton.col_start[k], skeleton.col_start[k + 1]
+        members = range(skeleton.member_start[k], skeleton.member_start[k + 1])
+        done = [0.0]
+        for v in values[offset + lo:offset + hi]:
+            done.append(done[-1] + max(float(v), 0.0))
+        work = float(works[skeleton.class_pos[k]])
+        for r, m in enumerate(members):
+            own_lo = max(r * work, done[skeleton.member_lo[m] - lo])
+            due = math.inf if m == members[-1] else (r + 1) * work
+            own_hi = max(own_lo, min(due, done[skeleton.member_hi[m] - lo]))
+            for i in range(hi - lo):
+                piece = min(done[i + 1], own_hi) - max(done[i], own_lo)
+                if piece <= 0:
+                    continue
+                if done[i] >= own_lo and done[i + 1] <= own_hi:
+                    piece = max(float(values[offset + lo + i]), 0.0)
+                if piece > _ALLOCATION_EPS * max(1.0, work):
+                    key = (
+                        int(skeleton.key_t[lo + i]),
+                        int(skeleton.key_c[lo + i]),
+                        int(skeleton.member_id[m]),
+                    )
+                    out[key] = piece
+    job_order = {job.job_id: pos for pos, job in enumerate(problem.jobs)}
+    return dict(sorted(out.items(), key=lambda item: job_order[item[0][2]]))
 
 
 @st.composite
@@ -364,20 +455,26 @@ def skeleton_cases(draw):
     Integer-valued dates make starts coincide with deadlines at milestones,
     so probes drawn *on* a milestone give zero-length intervals; earliest
     starts after the release give the jobs with no interval (``None``).
+    Works and flow factors come from small sets, so classes have several
+    members.
     """
     n_res = draw(st.integers(1, 3))
     resources = tuple(
         Resource(c, speed=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), machine_ids=(c,))
         for c in range(n_res)
     )
+    online = draw(st.booleans())
+    now = 4.0
     jobs = []
-    for job_id in draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True)):
+    for job_id in draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)):
         release = float(draw(st.integers(0, 4)))
         eligible = draw(st.permutations(range(n_res)))[: draw(st.integers(1, n_res))]
         jobs.append(
             LPJob(
                 job_id,
-                earliest_start=release + draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])),
+                earliest_start=(
+                    now if online else release + draw(st.sampled_from([0.0, 0.0, 1.0, 2.5]))
+                ),
                 remaining_work=draw(st.sampled_from([0.5, 1.0, 3.0])),
                 release=release,
                 flow_factor=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
@@ -393,62 +490,46 @@ def skeleton_cases(draw):
     return problem, probe
 
 
-class TestSkeletonOracle:
-    """Every array of the array skeleton equals the tuple-loop oracle's."""
+class TestClassSkeleton:
+    """The class skeleton against the per-job one and a loop-written FIFO split."""
 
     @settings(max_examples=150, deadline=None)
     @given(skeleton_cases(), st.integers(0, 2**32 - 1))
-    def test_arrays_equal_the_tuple_loop(self, case, seed):
+    def test_structure_and_fifo_split(self, case, seed):
         from repro.lp.intervals import build_interval_structure
         from repro.lp.maxstretch import _extract_allocations, build_skeleton, warm_hint
 
         problem, probe = case
         structure = build_interval_structure(problem, probe)
         skeleton = build_skeleton(problem, structure)
-        oracle = build_skeleton_tuples(problem, structure)
-        assert (skeleton is None) == (oracle is None)
-        if oracle is None:
+        per_job = build_per_job_skeleton(problem, structure)
+        assert (skeleton is None) == (per_job is None)
+        if skeleton is None:
             return
-        arrays = AssemblyArraysOracle(oracle)
-        assert skeleton.signature == oracle.signature
-        assert skeleton.n_variables == len(oracle.keys)
+        # Never more chain rows than the per-job LP has completeness rows;
+        # on-line (one start for all) never more columns either.
+        n_jobs = len(problem.jobs)
+        assert skeleton.chain_count.size <= n_jobs
+        assert skeleton.chain_count.sum() == n_jobs
+        if len({job.earliest_start for job in problem.jobs}) == 1:
+            assert skeleton.key_t.size <= per_job.n_variables
+            assert skeleton.rel_count.size == 0
+        hint = warm_hint(skeleton, with_objective_var=False)
+        assert np.unique(hint.col_ids).size == hint.col_ids.size
+        assert np.unique(hint.row_ids).size == hint.row_ids.size
+        if skeleton.chain_count.size == n_jobs:
+            # Every job due alone: the chain rows carry the completeness ids.
+            chain_ids = hint.row_ids[hint.row_ids.size - n_jobs:]
+            assert set(chain_ids.tolist()) == set(per_job.warm_row_ids[-n_jobs:].tolist())
 
-        def same(got, want):
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bitwise
-
-        same(skeleton.cap_entry_rows, arrays.cap_entry_rows)
-        same(skeleton.cap_entry_cols, arrays.cap_entry_cols)
-        same(skeleton.cap_c, arrays.cap_c)
-        same(skeleton.cap_len_const, arrays.cap_len_const)
-        same(skeleton.cap_len_coef, arrays.cap_len_coef)
-        same(skeleton.key_t, arrays.key_t)
-        same(skeleton.key_jpos, arrays.key_jpos)
-        same(skeleton.bnd_const, arrays.bnd_const)
-        same(skeleton.bnd_coef, arrays.bnd_coef)
-        # The completeness rows are the job positions of the columns.
-        same(skeleton.key_jpos, arrays.comp_entry_rows)
-        same(np.arange(skeleton.n_variables, dtype=np.int64), arrays.comp_entry_cols)
-        same(np.arange(len(problem.jobs), dtype=np.int64), arrays.comp_job_pos)
-        keys = list(zip(skeleton.key_t.tolist(), skeleton.key_c.tolist(), skeleton.key_j.tolist()))
-        assert keys == list(oracle.keys)
-        assert list(zip(skeleton.cap_t.tolist(), skeleton.cap_c.tolist())) == [
-            tc for tc, _positions in oracle.capacity_groups
-        ]
-
-        col_with_f, col_plain, row_ids = warm_ids_oracle(problem, oracle)
-        with_f = warm_hint(skeleton, with_objective_var=True)
-        plain = warm_hint(skeleton, with_objective_var=False)
-        same(with_f.col_ids, col_with_f)
-        same(plain.col_ids, col_plain)
-        same(with_f.row_ids, row_ids)
-        same(plain.row_ids, row_ids)
-
-        # Allocations: zeros, tiny values below the threshold and real work.
         rng = np.random.default_rng(seed)
         for offset in (0, 1):
-            values = rng.choice([0.0, 1e-13, 1e-9, 0.25, 2.0], size=offset + len(oracle.keys))
+            values = rng.choice(
+                [0.0, -1e-12, 1e-13, 1e-9, 0.25, 2.0], size=offset + skeleton.n_variables
+            )
             got = _extract_allocations(problem, skeleton, offset, values)
-            want = extract_allocations_oracle(problem, oracle, offset, values)
-            assert list(got.items()) == list(want.items())  # insertion order too
+            want = _fifo_by_loop(problem, skeleton, offset, values)
+            assert list(got) == list(want)  # same keys, same order
+            assert np.allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=1e-12)
+            for (t, _c, j), _work in got.items():
+                assert structure.job_start_index[j] <= t < structure.job_deadline_index[j]

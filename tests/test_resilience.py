@@ -5,7 +5,7 @@ The defence-in-depth contract of :meth:`SolverBackend.solve
 
 1. inside the scipy backend, status 1 (iteration limit) or 4 (numerical
    difficulties) is retried once with the other HiGHS method -- which is
-   what lets ``offline`` finish the 40-job golden slice;
+   what let ``offline`` finish the 40-job golden slice on the per-job LP;
 2. a probe a persistent backend fails is re-solved once on a fresh scipy
    backend (highs -> scipy downgrade), counted in ``n_downgrades``;
 3. a :class:`SolverError` that survives both layers carries enough context
@@ -157,10 +157,14 @@ class TestScipyBackendRetry:
 
     @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
     def test_offline_finishes_the_40_job_golden_slice(self):
-        """One ``offline`` probe fails ``highs-ipm`` with status 4 here.
+        """The optimum on scipy is the one the persistent HiGHS backend finds.
 
-        The retry with ``highs-ds`` clears it, and the optimum is the one the
-        persistent HiGHS backend finds.
+        On the per-job LP one probe of this slice had 9 901 columns, went to
+        ``highs-ipm`` and failed it with status 4, and the retry with
+        ``highs-ds`` cleared it.  The class LP's largest probe here has
+        7 076 columns, under the ``highs-ipm`` threshold, so the slice no
+        longer reaches the retry; the retry's own tests above patch
+        ``linprog``.
         """
         instance = wide_instance()
         instance = instance.restrict_jobs(job.job_id for job in instance.jobs[:40])
