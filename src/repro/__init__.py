@@ -34,7 +34,9 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                parametric search (dual-ray bounds skip probes;
     |   |                interior-optimum exit)
     |   |-- relaxation * System (2): sum-stretch-like re-optimization on
-    |   |                the same class skeleton
+    |   |                the same class skeleton, the split across
+    |   |                resources fixed by a rule; with generic costs, the
+    |   |                off-line schedule's pick among System (1)'s optima
     |   |-- incremental* ReplanContext: caches + the previous S* as the
     |   |                one warm start across replans, banked optima reuse
     |   |-- bank       * content-addressed cross-run memo of exact System

@@ -20,10 +20,12 @@ therefore two-tiered, matching what the campaign actually reports:
   wobble with the tie-breaking, but the per-scheduler campaign *means* --
   the numbers Tables 1-16 are built from -- must agree within
   ``tie_tolerance`` (default 10 %, sized for mini-campaign sample counts).
-  The wobble concentrates in the off-line schedulers (one huge LP per
-  instance has the most degenerate solution space; the on-line variants
-  replan incrementally and their means agree within ~1 %) and shrinks as
-  replicates accumulate.
+  The off-line schedule picks its optimum with a generic cost and System
+  (2)'s split across resources follows a fixed rule, so the off-line and
+  System (2) schedulers mostly agree record by record (within 2e-7
+  relative on the CI mini-campaign at base seeds 2006-2015).  What still
+  wobbles is a raw System (1) vertex (``online-nonopt``) and System (2)'s
+  exchanges between classes of equal work.
 
 This wobble is why ``--solver-backend scipy`` remains the bit-stable escape
 hatch for reproducing historical numbers exactly.  Schedulers that never

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.lp import kernels
-from repro.lp.problem import Affine, MaxStretchProblem
+from repro.lp.problem import MaxStretchProblem
 
 __all__ = ["IntervalStructure", "build_interval_structure"]
 
@@ -26,9 +26,10 @@ __all__ = ["IntervalStructure", "build_interval_structure"]
 class IntervalStructure:
     """The ordered epochal boundaries for one milestone interval.
 
-    Everything is held as arrays (what the LP assembly reads); the
-    :class:`~repro.lp.problem.Affine` and per-job-id views are built on
-    first use.
+    Everything is held as arrays, what the LP assembly reads.  Interval
+    ``t`` spans boundaries ``t`` and ``t + 1``; a job may be processed in
+    the intervals ``[start_index, deadline_index)`` of its position
+    (constraints (1b)/(1c)).
 
     Attributes
     ----------
@@ -38,8 +39,6 @@ class IntervalStructure:
     probe:
         The objective value used to fix the ordering (any value strictly
         inside the milestone interval under consideration).
-    job_ids:
-        The problem's job ids, in job order.
     start_index, deadline_index:
         Per job, in job order: the index of the boundary equal to its
         earliest start / its deadline (int64).
@@ -48,70 +47,18 @@ class IntervalStructure:
     bnd_const: np.ndarray
     bnd_coef: np.ndarray
     probe: float
-    job_ids: tuple[int, ...]
     start_index: np.ndarray
     deadline_index: np.ndarray
-
-    def _cached(self, name: str, build):
-        value = self.__dict__.get(name)
-        if value is None:
-            value = build()
-            # Frozen dataclass: a pure cache in the instance dict.
-            object.__setattr__(self, name, value)
-        return value
-
-    @property
-    def boundaries(self) -> tuple[Affine, ...]:
-        """The boundaries as :class:`~repro.lp.problem.Affine` functions."""
-        return self._cached(
-            "_boundaries",
-            lambda: tuple(
-                Affine(const, coef)
-                for const, coef in zip(self.bnd_const.tolist(), self.bnd_coef.tolist())
-            ),
-        )
-
-    @property
-    def job_start_index(self) -> dict[int, int]:
-        """For each job id, the index of the boundary equal to its earliest start."""
-        return self._cached(
-            "_job_start_index", lambda: dict(zip(self.job_ids, self.start_index.tolist()))
-        )
-
-    @property
-    def job_deadline_index(self) -> dict[int, int]:
-        """For each job id, the index of the boundary equal to its deadline."""
-        return self._cached(
-            "_job_deadline_index", lambda: dict(zip(self.job_ids, self.deadline_index.tolist()))
-        )
 
     @property
     def n_intervals(self) -> int:
         """Number of elementary intervals (= number of boundaries - 1)."""
         return max(0, self.bnd_const.size - 1)
 
-    def interval(self, index: int) -> tuple[Affine, Affine]:
-        """The (lower, upper) affine bounds of interval ``index``."""
-        return self.boundaries[index], self.boundaries[index + 1]
-
-    def interval_length(self, index: int) -> Affine:
-        """The length of interval ``index`` as an affine function of the objective."""
-        lower, upper = self.interval(index)
-        return upper - lower
-
     def bounds_at(self, objective: float) -> list[tuple[float, float]]:
         """All interval bounds evaluated at ``objective``."""
         values = (self.bnd_const + self.bnd_coef * objective).tolist()
         return list(zip(values[:-1], values[1:]))
-
-    def job_intervals(self, job_id: int) -> range:
-        """Indices of the intervals in which the job may be processed.
-
-        Interval ``t`` spans boundaries ``t`` and ``t+1``; the job may be
-        processed there when the interval starts no earlier than its earliest
-        start and ends no later than its deadline (constraints (1b)/(1c)).
-        """
-        return range(self.job_start_index[job_id], self.job_deadline_index[job_id])
 
 
 def build_interval_structure(problem: MaxStretchProblem, probe: float) -> IntervalStructure:
@@ -145,7 +92,6 @@ def build_interval_structure(problem: MaxStretchProblem, probe: float) -> Interv
         bnd_const=b_consts,
         bnd_coef=b_coefs,
         probe=probe,
-        job_ids=tuple(job.job_id for job in problem.jobs),
         start_index=ranks[:n],
         deadline_index=ranks[n:],
     )

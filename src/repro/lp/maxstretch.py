@@ -515,7 +515,7 @@ def build_skeleton(
         cap_entry_cols=cap_entry_cols,
         cap_t=cap_t,
         cap_c=cap_c,
-        # The same single subtraction as ``IntervalStructure.interval_length``.
+        # Interval lengths as affines in F: one subtraction of boundaries.
         cap_len_const=bnd_const[cap_t + 1] - bnd_const[cap_t],
         cap_len_coef=bnd_coef[cap_t + 1] - bnd_coef[cap_t],
         rel_entry_rows=rel_entry_rows,
@@ -1047,6 +1047,154 @@ def _probe_value(f_low: float, f_high: float) -> float:
     return 0.5 * (f_low + f_high)
 
 
+def _split_across_resources(
+    problem: MaxStretchProblem,
+    skeleton: ConstraintSkeleton,
+    offset: int,
+    values: np.ndarray,
+    objective: float,
+) -> np.ndarray:
+    """The ``x`` columns of an optimum, split across resources by a fixed rule.
+
+    Systems (1) and (2) leave open how a class's work in an interval is
+    split across its eligible resources: every split with the same
+    per-(interval, class) totals is optimal, and the one a solver returns
+    depends on its pivoting.  This keeps the LP's totals and derives the
+    split from them and the capacities alone, so two solvers that agree on
+    the totals install the same plan.  Inside each interval the classes
+    with several resources take, in class order, what their resources have
+    left in resource order; a class that finds them full moves earlier
+    classes' work to other resources along a shortest augmenting path (a
+    max-flow, so a split exists whenever the LP's does).  Capacities are
+    ``speed * length`` at ``objective``, raised to the LP's own use where
+    the solver overshot them within its tolerance; classes with one
+    resource keep their columns.  ``offset`` is the index of the first
+    ``x`` column in ``values``; the result holds the ``x`` columns only.
+    """
+    n_x = skeleton.key_t.size
+    x = np.maximum(np.asarray(values)[offset:offset + n_x], 0.0)
+    key_t = skeleton.key_t
+    key_k = skeleton.key_k
+    # Groups: runs of columns with equal (class, interval), one column per
+    # eligible resource of the class.
+    new_group = np.ones(n_x, dtype=bool)
+    np.logical_or(key_t[1:] != key_t[:-1], key_k[1:] != key_k[:-1], out=new_group[1:])
+    first = np.nonzero(new_group)[0]
+    size = np.diff(np.append(first, n_x))
+    totals = np.add.reduceat(x, first) if n_x else x
+    flexible = (size > 1) & (totals > 0.0)
+    if not flexible.any():
+        return x
+
+    row_of = np.empty(n_x, dtype=np.int64)
+    row_of[skeleton.cap_entry_cols] = skeleton.cap_entry_rows
+    n_rows = skeleton.cap_t.size
+    speeds = problem.resource_speeds()[skeleton.cap_c]
+    cap = speeds * np.maximum(0.0, skeleton.cap_len_const + skeleton.cap_len_coef * objective)
+    cap = np.maximum(cap, np.bincount(row_of, x, minlength=n_rows))
+    x = np.where(np.repeat(flexible, size), 0.0, x)
+    residual = (cap - np.bincount(row_of, x, minlength=n_rows)).tolist()
+
+    # Flexible groups interval by interval, in class order inside one.  A
+    # group is named by its first column ``g``; its columns are ``range(g,
+    # g + width)``, one per eligible resource, and a resource of an
+    # interval by its capacity row.
+    starts = first[flexible]
+    order = np.argsort(key_t[starts], kind="stable")
+    row_of_col = row_of.tolist()
+    out = x.tolist()
+    interval = -1
+    done: list[tuple[int, int]] = []  # (g, width) of the interval's groups so far
+    for g, width, t, total in zip(
+        starts[order].tolist(),
+        size[flexible][order].tolist(),
+        key_t[starts[order]].tolist(),
+        totals[flexible][order].tolist(),
+    ):
+        if t != interval:
+            interval = t
+            done = []
+        demand = total
+        for col in range(g, g + width):
+            row = row_of_col[col]
+            room = residual[row]
+            if room >= demand:
+                out[col] += demand
+                residual[row] = room - demand
+                demand = 0.0
+                break
+            if room > 0.0:
+                out[col] += room
+                residual[row] = 0.0
+                demand -= room
+        done.append((g, width))
+        if demand <= 0.0:
+            continue
+        eps = 1e-12 * max(1.0, total)
+        while demand > eps:
+            end, via = _augmenting_path(done, row_of_col, out, residual, eps)
+            if end < 0:
+                break  # rounding dust only: the LP's own split is a flow
+            amount = min(demand, residual[end])
+            row = end
+            while via[row][0] >= 0:
+                col_in = via[row][0]
+                amount = min(amount, out[col_in])
+                row = row_of_col[col_in]
+            row = end
+            while True:
+                col_in, col_out = via[row]
+                out[col_out] += amount
+                if col_in < 0:
+                    break
+                out[col_in] = max(0.0, out[col_in] - amount)
+                row = row_of_col[col_in]
+            residual[end] -= amount
+            demand -= amount
+        if demand > 0.0:
+            out[g] += demand  # what rounding left over
+    return np.array(out)
+
+
+def _augmenting_path(
+    done: list[tuple[int, int]],
+    row_of_col: list[int],
+    out: list[float],
+    residual: list[float],
+    eps: float,
+) -> tuple[int, dict[int, tuple[int, int]]]:
+    """A shortest path from the last group's (full) rows to a row with room left.
+
+    ``done`` holds the interval's groups as ``(first column, width)``, the
+    group to serve last.  Breadth first over capacity rows: from a row to
+    the other rows of any earlier group with work on it.  Returns the row
+    with room (-1 when there is none) and, per reached row, the ``(column
+    in, column out)`` that reached it -- work moves off ``column in`` onto
+    ``column out``; ``column in`` is -1 on the served group's own rows.
+    """
+    g, width = done[-1]
+    via: dict[int, tuple[int, int]] = {}
+    queue = []
+    for col in range(g, g + width):
+        via[row_of_col[col]] = (-1, col)
+        queue.append(row_of_col[col])
+    for row in queue:
+        for h, h_width in done[:-1]:
+            cols = range(h, h + h_width)
+            col_in = next((col for col in cols if row_of_col[col] == row), -1)
+            if col_in < 0 or out[col_in] <= eps:
+                continue
+            for col_out in cols:
+                nxt = row_of_col[col_out]
+                if nxt in via:
+                    continue
+                via[nxt] = (col_in, col_out)
+                if residual[nxt] > eps:
+                    return nxt, via
+                queue.append(nxt)
+    return -1, via
+
+
 def _extract_allocations(
     problem: MaxStretchProblem,
     skeleton: ConstraintSkeleton,
@@ -1064,10 +1212,22 @@ def _extract_allocations(
     a chain row only within its feasibility tolerance (the last member also
     takes any excess).  Pieces below :data:`_ALLOCATION_EPS` relative to
     the job's remaining work are dropped; the rest become dict items in
-    job order, then column order.
+    job order, then column order.  When every class has one member, each
+    column is one piece of its class's job.
     """
     n_x = skeleton.key_t.size
     vals = np.maximum(np.asarray(values)[offset:offset + n_x], 0.0)
+    if skeleton.member_id.size == skeleton.class_pos.size:
+        key_k = skeleton.key_k
+        work = problem.remaining_works()[skeleton.class_pos]
+        kept = np.nonzero(vals > _ALLOCATION_EPS * np.maximum(1.0, work[key_k]))[0]
+        kept = kept[np.argsort(skeleton.member_pos[key_k[kept]], kind="stable")]
+        keys = zip(
+            skeleton.key_t[kept].tolist(),
+            skeleton.key_c[kept].tolist(),
+            skeleton.member_id[key_k[kept]].tolist(),
+        )
+        return dict(zip(keys, vals[kept].tolist()))
     done = np.zeros(n_x + 1)
     np.cumsum(vals, out=done[1:])
     member_class = skeleton.member_class

@@ -22,9 +22,17 @@ leaves the choice among these optima open.  The split *inside* a job class
 is fixed: the LP has one column set per class and its work is served
 first-in first-out (:func:`~repro.lp.maxstretch._extract_allocations`),
 which costs nothing because the cost per unit of work, ``midpoint /
-work``, is the same for every member.  Only the split across resources
-stays open, and the one HiGHS returns depends on its starting basis (a
-re-solve and a rebuild may differ at equal objective).
+work``, is the same for every member.  The split across resources is fixed
+after the solve: :func:`~repro.lp.maxstretch._split_across_resources`
+derives it from the per-(interval, class) totals and the capacities alone,
+so it no longer depends on the solver's starting basis.  What stays open
+are exchanges between classes of equal work, whose costs tie too.
+
+System (1) is more degenerate still: every schedule meeting the deadlines
+at :math:`\\mathcal{S}^*` is optimal.  ``generic=True`` picks one of them
+with a hashed cost per column (:func:`_generic_costs`) instead of System
+(2)'s, which the off-line schedule uses: its answer is then a function of
+the problem, and it favours neither early nor late completions.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from repro.lp.maxstretch import (
     MaxStretchSolution,
     _extract_allocations,
     _lp_spec,
+    _split_across_resources,
     build_skeleton,
     warm_hint,
 )
@@ -58,6 +67,7 @@ def reoptimize_allocation(
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     live: LiveProbe | None = None,
+    generic: bool = False,
 ) -> MaxStretchSolution:
     """Solve System (2) for ``problem`` at max weighted flow ``objective``.
 
@@ -89,6 +99,12 @@ def reoptimize_allocation(
         floating-point roundoff (the paper reports the same phenomenon).
         If the LP is still infeasible the inflation is increased tenfold
         at a time up to ``1e-3`` before giving up.
+    generic:
+        Replace System (2)'s costs by a fixed generic cost per column
+        (:func:`_generic_costs`).  The program then only picks *one* of
+        System (1)'s optima at ``objective``, as a function of the problem
+        rather than of the solver's pivoting, without favouring early
+        completions: the off-line schedule's tie-break.
 
     Returns
     -------
@@ -110,7 +126,9 @@ def reoptimize_allocation(
     last_error: str | None = None
     while slack <= 1e-3:
         target = objective * (1.0 + slack)
-        solution = _solve_fixed_objective(problem, target, skeleton_cache, backend, live)
+        solution = _solve_fixed_objective(
+            problem, target, skeleton_cache, backend, live, generic
+        )
         if solution is not None:
             return solution
         last_error = f"System (2) infeasible at objective {target!r}"
@@ -124,6 +142,7 @@ def _solve_fixed_objective(
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None,
     backend: SolverBackend,
     live: LiveProbe | None,
+    generic: bool,
 ) -> MaxStretchSolution | None:
     structure = build_interval_structure(problem, objective)
     skeleton = build_skeleton(problem, structure, skeleton_cache)
@@ -139,9 +158,12 @@ def _solve_fixed_objective(
     # bounds below).
     boundary_values = structure.bnd_const + structure.bnd_coef * objective
     midpoints = 0.5 * (boundary_values[:-1] + boundary_values[1:])
-    works = problem.remaining_works()[skeleton.class_pos]
     costs = np.zeros(skeleton.n_variables)
-    costs[: skeleton.key_t.size] = midpoints[skeleton.key_t] / works[skeleton.key_k]
+    if generic:
+        costs[: skeleton.key_t.size] = _generic_costs(skeleton)
+    else:
+        works = problem.remaining_works()[skeleton.class_pos]
+        costs[: skeleton.key_t.size] = midpoints[skeleton.key_t] / works[skeleton.key_k]
     result = None
     if live is not None and live.skeleton is skeleton and live.f_low <= objective <= live.f_high:
         try:
@@ -159,7 +181,8 @@ def _solve_fixed_objective(
     if not result.feasible:
         return None
     offset = result.values.size - skeleton.n_variables  # 1 on the live model: F leads
-    allocations = _extract_allocations(problem, skeleton, offset, result.values)
+    x = _split_across_resources(problem, skeleton, offset, result.values, objective)
+    allocations = _extract_allocations(problem, skeleton, 0, x)
     values = boundary_values.tolist()
     bounds = tuple(zip(values[:-1], values[1:]))
     return MaxStretchSolution(
@@ -169,3 +192,22 @@ def _solve_fixed_objective(
         interval_bounds=bounds,
         allocations=allocations,
     )
+
+
+def _generic_costs(skeleton: ConstraintSkeleton) -> np.ndarray:
+    """A cost in ``[1, 2)`` per ``x`` column, hashed from its warm-start identity.
+
+    The identity is ``(interval, resource, class)`` with a class named by
+    its first member's job id, so the costs are a function of the problem
+    alone.  The SplitMix64 finalizer mixes every bit of the identity into
+    every bit of the cost: a cost that were affine in the interval (a plain
+    multiplicative hash) would make every exchange of work between two
+    classes and two intervals cost nothing, the very ties this breaks.
+    Unrelated to time, the chosen optimum favours neither early nor late
+    completions.
+    """
+    z = skeleton.warm_col_ids[1 : 1 + skeleton.key_t.size].astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return 1.0 + (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)

@@ -7,12 +7,18 @@ At initialization it:
 2. runs the milestone binary search of :mod:`repro.lp.maxstretch` to obtain
    the optimal max-stretch :math:`S^*` and an interval/resource allocation
    achieving it,
-3. materializes the allocation into a plan, one lane per capability class
+3. picks one allocation among the many achieving :math:`S^*` -- System (1)
+   is indifferent among them, and the one a solver returns depends on its
+   pivoting -- by re-solving at :math:`S^*` with a hashed generic cost per
+   column (``reoptimize_allocation(..., generic=True)``), so the plan is a
+   function of the instance, not of the LP backend,
+4. materializes the allocation into a plan, one lane per capability class
    (earliest deadline first inside each interval, which is always feasible),
    and then simply follows the plan.
 
-The achieved max-stretch is optimal; the sum-stretch is whatever falls out
-(Table 1 of the paper reports ~1.67x the best observed sum-stretch).  Passing
+The achieved max-stretch is optimal; the sum-stretch is whatever falls out,
+since the generic cost favours neither early nor late completions (Table 1
+of the paper reports ~1.67x the best observed sum-stretch).  Passing
 ``reoptimize_sum=True`` applies the System (2) re-optimization to the
 off-line plan as well, which is a natural extension the paper discusses but
 does not evaluate under the name "Offline".
@@ -86,13 +92,20 @@ class OfflineScheduler(PlanBasedScheduler):
             problem, backend=backend, skeleton_cache=skeletons, report=report
         )
         self.optimal_max_stretch = solution.objective
-        order_rule = edf_order
         if self.reoptimize_sum:
             solution = reoptimize_allocation(
                 problem, solution.objective, backend=backend,
                 skeleton_cache=skeletons, live=report.live,
             )
             order_rule = swrpt_terminal_order
+        else:
+            # One of System (1)'s optima, picked by the problem alone; the
+            # deadlines stay at S* to 1e-12, so the plan's max-stretch is S*.
+            solution = reoptimize_allocation(
+                problem, solution.objective, backend=backend, skeleton_cache=skeletons,
+                live=report.live, generic=True, inflation=1e-12,
+            )
+            order_rule = edf_order
         self.set_lanes(
             materialize_solution(solution, instance, order_rule=order_rule, per_machine=False)
         )

@@ -17,8 +17,17 @@ from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Platform
 from repro.lp.backends import HighsPersistentBackend, LPSpec
+from repro.lp.intervals import IntervalStructure
+from repro.lp.problem import Affine, MaxStretchProblem
 
-__all__ = ["make_uniform_instance", "lp_spec", "fail_first_highs_run"]
+__all__ = [
+    "make_uniform_instance",
+    "lp_spec",
+    "fail_first_highs_run",
+    "boundaries",
+    "interval_length",
+    "job_windows",
+]
 
 
 def make_uniform_instance(
@@ -92,3 +101,27 @@ def fail_first_highs_run(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(HighsPersistentBackend, "_run", run)
     return calls
+
+
+def boundaries(structure: IntervalStructure) -> tuple[Affine, ...]:
+    """The boundaries of ``structure`` as affine functions of the objective."""
+    return tuple(
+        Affine(const, coef)
+        for const, coef in zip(structure.bnd_const.tolist(), structure.bnd_coef.tolist())
+    )
+
+
+def interval_length(structure: IntervalStructure, t: int) -> Affine:
+    """The length of interval ``t`` as an affine function of the objective."""
+    bounds = boundaries(structure)
+    return bounds[t + 1] - bounds[t]
+
+
+def job_windows(problem: MaxStretchProblem, structure: IntervalStructure) -> dict[int, range]:
+    """Per job id, the intervals the job may be processed in (constraints (1b)/(1c))."""
+    return {
+        job.job_id: range(start, end)
+        for job, start, end in zip(
+            problem.jobs, structure.start_index.tolist(), structure.deadline_index.tolist()
+        )
+    }

@@ -368,18 +368,15 @@ def build_per_job_skeleton(
     every per-column array comes from one ``np.repeat`` over the jobs.
     """
     jobs = tuple(
-        (
-            job.job_id,
-            structure.job_start_index[job.job_id],
-            structure.job_deadline_index[job.job_id],
-            job.resources,
+        (job.job_id, start, end, job.resources)
+        for job, start, end in zip(
+            problem.jobs, structure.start_index.tolist(), structure.deadline_index.tolist()
         )
-        for job in problem.jobs
     )
     if any(end <= start for _j, start, end, _r in jobs):
         return None
 
-    signature = (tuple((b.const, b.coef) for b in structure.boundaries), jobs)
+    signature = (structure.bnd_const.tobytes(), structure.bnd_coef.tobytes(), jobs)
     if cache is not None:
         cached = cache.get(signature)
         if cached is not None:
@@ -413,8 +410,8 @@ def build_per_job_skeleton(
     cap_t = sorted_t[new_row]
     cap_c = sorted_c[new_row]
 
-    bnd_const = np.array([b.const for b in structure.boundaries], dtype=np.float64)
-    bnd_coef = np.array([b.coef for b in structure.boundaries], dtype=np.float64)
+    bnd_const = structure.bnd_const
+    bnd_coef = structure.bnd_coef
     warm_col_ids = np.empty(key_t.size + 1, dtype=np.int64)
     warm_col_ids[0] = _F_COL_ID
     warm_col_ids[1:] = (key_t << 36) | (key_c << 24) | key_j
@@ -430,7 +427,7 @@ def build_per_job_skeleton(
         cap_entry_cols=cap_entry_cols,
         cap_t=cap_t,
         cap_c=cap_c,
-        # The same single subtraction as ``IntervalStructure.interval_length``.
+        # Interval lengths as affines in F: one subtraction of boundaries.
         cap_len_const=bnd_const[cap_t + 1] - bnd_const[cap_t],
         cap_len_coef=bnd_coef[cap_t + 1] - bnd_coef[cap_t],
         bnd_const=bnd_const,

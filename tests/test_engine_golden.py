@@ -7,8 +7,10 @@ the commit before plans became lanes per capability class, and ``bender98``
 from the commit before the kernel tiers were deleted (``PYTHONPATH=<that
 checkout>/src python tests/test_engine_golden.py`` rewrites it).  The LP
 schedulers' digests were re-frozen once when Systems (1)/(2) moved to one
-column set per job class (a different LP, so a different vertex); the
-heuristic and ``bender98`` digests did not move.  Each digest
+column set per job class (a different LP, so a different vertex), System
+(2)'s split across resources became a fixed rule and ``offline`` began to
+pick its optimum with a generic cost; the heuristic and ``bender98``
+digests did not move.  Each digest
 covers every slice of the realized schedule -- ``job_id, machine_id, start,
 end, work``, floats in hex -- so a change in any bit of any slice, or in the
 number or order of slices, fails the test.

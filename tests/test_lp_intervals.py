@@ -9,6 +9,8 @@ from repro.lp.intervals import build_interval_structure
 from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource
 
+from helpers import boundaries, interval_length, job_windows
+
 
 def two_job_problem() -> MaxStretchProblem:
     """Two unit-weight jobs on a single unit-speed resource."""
@@ -26,18 +28,19 @@ class TestIntervalStructure:
     def test_boundaries_sorted_at_probe(self):
         problem = two_job_problem()
         structure = build_interval_structure(problem, probe=1.0)
-        values = [b.at(1.0) for b in structure.boundaries]
+        values = [b.at(1.0) for b in boundaries(structure)]
         assert values == sorted(values)
         # Boundaries: starts at 0 and 2, deadlines at 0 + 4F and 2 + F.
-        assert len(structure.boundaries) == 4
+        assert len(boundaries(structure)) == 4
         assert structure.n_intervals == 3
 
     def test_job_windows(self):
         problem = two_job_problem()
         structure = build_interval_structure(problem, probe=1.0)
         # At F=1: job 0 window is [0, 4], job 1 window is [2, 3].
-        intervals_0 = list(structure.job_intervals(0))
-        intervals_1 = list(structure.job_intervals(1))
+        windows = job_windows(problem, structure)
+        intervals_0 = list(windows[0])
+        intervals_1 = list(windows[1])
         bounds = structure.bounds_at(1.0)
         assert bounds[intervals_0[0]][0] == pytest.approx(0.0)
         assert bounds[intervals_0[-1]][1] == pytest.approx(4.0)
@@ -48,17 +51,17 @@ class TestIntervalStructure:
         problem = two_job_problem()
         structure = build_interval_structure(problem, probe=1.0)
         for t in range(structure.n_intervals):
-            length = structure.interval_length(t)
-            lo, hi = structure.interval(t)
-            assert length.at(1.0) == pytest.approx(hi.at(1.0) - lo.at(1.0))
+            length = interval_length(structure, t)
+            lo, hi = structure.bounds_at(1.0)[t]
+            assert length.at(1.0) == pytest.approx(hi - lo)
 
     def test_ordering_changes_across_milestone(self):
         problem = two_job_problem()
         # d_1(F) = 2 + F and d_0(F) = 4F cross at F = 2/3.
         low = build_interval_structure(problem, probe=0.5)
         high = build_interval_structure(problem, probe=1.0)
-        order_low = [(b.const, b.coef) for b in low.boundaries]
-        order_high = [(b.const, b.coef) for b in high.boundaries]
+        order_low = [(b.const, b.coef) for b in boundaries(low)]
+        order_high = [(b.const, b.coef) for b in boundaries(high)]
         assert order_low != order_high
 
     def test_duplicate_boundaries_merged(self):
@@ -72,7 +75,7 @@ class TestIntervalStructure:
         problem = MaxStretchProblem(resources=resources, jobs=jobs)
         structure = build_interval_structure(problem, probe=1.0)
         # Both starts coincide and both deadlines coincide -> 2 boundaries.
-        assert len(structure.boundaries) == 2
+        assert len(boundaries(structure)) == 2
 
     def test_negative_probe_rejected(self):
         with pytest.raises(ModelError):

@@ -16,6 +16,7 @@ from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_r
 from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
 
+from helpers import interval_length, job_windows
 from replan_oracles import build_per_job_skeleton
 
 
@@ -211,8 +212,9 @@ def _reference_class_lp(problem, structure, *, fixed_objective):
     ``fixed_objective`` is given (System (2)); ``columns`` names every other
     column, ``("x", t, c, class)`` or ``("s", class, deadline boundary)``.
     """
-    start = structure.job_start_index
-    deadline = structure.job_deadline_index
+    windows = job_windows(problem, structure)
+    start = {j: w.start for j, w in windows.items()}
+    deadline = {j: w.stop for j, w in windows.items()}
     classes = _classes_by_loop(problem)
     columns = []
     for k, (_work, resources, members) in enumerate(classes):
@@ -231,7 +233,7 @@ def _reference_class_lp(problem, structure, *, fixed_objective):
         for col in columns:
             if col[0] == "x" and (col[1], col[2]) == (t, c):
                 row[position[col]] = 1.0
-        length = structure.interval_length(t)
+        length = interval_length(structure, t)
         speed = problem.resources[c].speed
         if fixed_objective is None:
             row[0] = -speed * length.coef
@@ -531,5 +533,6 @@ class TestClassSkeleton:
             want = _fifo_by_loop(problem, skeleton, offset, values)
             assert list(got) == list(want)  # same keys, same order
             assert np.allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=1e-12)
+            windows = job_windows(problem, structure)
             for (t, _c, j), _work in got.items():
-                assert structure.job_start_index[j] <= t < structure.job_deadline_index[j]
+                assert t in windows[j]
