@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import api
 from repro.lp.backends import make_backend
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
@@ -24,6 +25,7 @@ from repro.lp.maxstretch import (
 )
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource
 from repro.lp.relaxation import reoptimize_allocation
+from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from certify import certify_system2
 from test_class_lp import class_problems
@@ -101,3 +103,18 @@ def test_the_offline_tie_break_is_the_same_on_both_backends(problem):
         a = scipy_answer.allocations.get(key, 0.0)
         b = highs_answer.allocations.get(key, 0.0)
         assert a == pytest.approx(b, rel=1e-6, abs=1e-6), key
+
+
+@requires_highs
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_offline_schedule_is_the_same_on_both_backends(seed):
+    """The whole off-line schedule, not only its LP answer, is backend-free."""
+    platform = PlatformSpec(n_clusters=3, processors_per_cluster=5, n_databanks=3, availability=0.6)
+    workload = WorkloadSpec(density=2.0, window=30.0, max_jobs=20)
+    instance = generate_instance(platform, workload, rng=seed)
+    rows = [
+        api.simulate(instance, "offline", scheduler_options={"solver_backend": name}).metrics_row()
+        for name in ("scipy", "highs")
+    ]
+    for metric in ("max_stretch", "sum_stretch", "max_flow", "sum_flow", "makespan"):
+        assert rows[0][metric] == pytest.approx(rows[1][metric], rel=1e-9), metric
