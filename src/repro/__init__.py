@@ -30,7 +30,7 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- intervals    epochal times -> elementary interval structures
     |   |-- maxstretch * System (1): LPSpecs on a class skeleton (one column
     |   |                set per job class on a slack chain, split FIFO
-    |   |                back into per-job work) + the certificate-guided
+    |   |                into per-job Shares arrays) + the certificate-guided
     |   |                parametric search (dual-ray bounds skip probes;
     |   |                interior-optimum exit)
     |   |-- relaxation * System (2): sum-stretch-like re-optimization on
@@ -41,7 +41,8 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                one warm start across replans, banked optima reuse
     |   |-- bank       * content-addressed cross-run memo of exact System
     |   |                (1)/(2) optima by problem signature (per-worker, LRU)
-    |   |-- aggregation  LP allocations -> plan lanes per class / work slices
+    |   |-- aggregation  Shares arrays -> per-job totals, rows sorted by one
+    |   |                lexsort on order keys, plan lanes per class
     |   `-- backends/  * LP solver backends, one per run, each with its
     |       |                run's LP counters; base: the highs -> scipy
     |       |                downgrade of a failed persistent solve

@@ -24,8 +24,8 @@ on-line heuristics:
   and job table, warm-started milestone search and constraint-skeleton
   reuse.
 * :mod:`repro.lp.aggregation` -- materialization of interval/resource work
-  allocations into plan lanes (one timeline per capability class) or concrete
-  per-machine :class:`~repro.core.schedule.WorkSlice` lists.
+  allocations (the :class:`~repro.lp.maxstretch.Shares` arrays) into plan
+  lanes, one timeline per capability class.
 * :mod:`repro.lp.backends` -- the solver backends: one-shot
   :func:`scipy.optimize.linprog` (what ``make_backend(None)`` resolves to)
   and the persistent HiGHS backend, which the default ``"auto"`` run option

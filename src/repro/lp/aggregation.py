@@ -1,37 +1,45 @@
-"""Materialization of LP allocations into plans and work slices.
+"""Materialization of LP allocations into plan lanes.
 
 The LPs of Systems (1) and (2) allocate *work amounts* per (interval,
-resource, job); a resource is a capability class, i.e. a group of machines
-hosting the same databanks, which act as one equivalent processor.  This
-module turns those allocations into something executable:
+resource, job) -- the :class:`~repro.lp.maxstretch.Shares` arrays of a
+:class:`~repro.lp.maxstretch.MaxStretchSolution`; a resource is a
+capability class, i.e. a group of machines hosting the same databanks,
+which act as one equivalent processor.  This module turns those arrays into
+something executable:
 
+* :func:`share_totals` derives, once per solution, what the plans read:
+  each job's last interval with work on each resource (hence its last
+  interval overall) and its work total per resource;
 * inside an interval, the jobs allocated to a resource are serialized in a
   chosen order (any order is feasible because constraint (1c) guarantees that
-  every allocated job's deadline is at or after the end of the interval);
-  :func:`allocation_rows` yields the resulting ``(resource, job, start,
-  end)`` rows;
+  every allocated job's deadline is at or after the end of the interval).
+  An order is a *key builder* (:func:`edf_order`,
+  :func:`swrpt_terminal_order`): per-share key arrays, so one ``np.lexsort``
+  orders every share; :func:`allocation_rows` yields the resulting
+  ``(resource, job, start, end)`` rows;
 * a row dedicates every machine of the class to the job, each processing
-  work proportional to its speed.  The plan-following schedulers install the
-  rows as they are, one lane per class (``per_machine=False``); the
-  :class:`~repro.core.schedule.Schedule` of :func:`materialize_solution`
-  spreads each row into one validated slice per physical machine, so the
-  per-machine slices neither overlap nor exceed capacity.
+  work proportional to its speed.  :func:`materialize_solution` returns
+  the rows as lanes, one timeline per class, which is what the
+  plan-following schedulers install.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
-from repro.core.schedule import Schedule, WorkSlice
+from repro.core.schedule import WorkSlice
 from repro.lp.maxstretch import MaxStretchSolution
-from repro.lp.problem import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.base import Lane, Row
 
 __all__ = [
+    "ShareTotals",
+    "share_totals",
     "allocation_rows",
     "materialize_solution",
     "split_work_across_machines",
@@ -46,59 +54,66 @@ _WORK_EPS = 1e-9
 _OVERFLOW_TOL = 1e-6
 
 
-OrderRule = Callable[
-    [MaxStretchSolution, int, int, Sequence[tuple[int, float]]], list[tuple[int, float]]
-]
+class ShareTotals(NamedTuple):
+    """Per-job views of a solution's shares.
+
+    Jobs are numbered by their position in ``problem.jobs``.
+    """
+
+    #: Per share, the position of its job.
+    pos: np.ndarray
+    #: ``(job, resource)``: last interval with positive work there, -1 if none.
+    last: np.ndarray
+    #: ``(job, resource)``: work total there, summed in share order.
+    work: np.ndarray
 
 
-def edf_order(
-    solution: MaxStretchSolution,
-    interval: int,
-    resource: int,
-    allocations: Sequence[tuple[int, float]],
-) -> list[tuple[int, float]]:
-    """Order jobs inside an interval by earliest deadline first (ties by id)."""
-    return sorted(allocations, key=lambda item: (solution.deadline(item[0]), item[0]))
+def share_totals(solution: MaxStretchSolution) -> ShareTotals:
+    """The per-job views of ``solution.shares``, in one pass over the arrays."""
+    problem = solution.problem
+    shares = solution.shares
+    ids = np.fromiter((job.job_id for job in problem.jobs), np.int64, problem.n_jobs)
+    by_id = np.argsort(ids)
+    pos = by_id[np.searchsorted(ids, shares.job_id, sorter=by_id)]
+    n_resources = problem.n_resources
+    size = problem.n_jobs * n_resources
+    cell = pos * n_resources + shares.c
+    last = np.full(size, -1, dtype=np.int64)
+    positive = shares.work > 0
+    np.maximum.at(last, cell[positive], shares.t[positive])
+    work = np.bincount(cell, weights=shares.work, minlength=size)
+    shape = (problem.n_jobs, n_resources)
+    return ShareTotals(pos, last.reshape(shape), work.reshape(shape))
+
+
+#: An order inside each (interval, resource): per-share sort keys, most
+#: significant first; job ids break the remaining ties.
+OrderKeys = Callable[[MaxStretchSolution, ShareTotals], tuple[np.ndarray, ...]]
+
+
+def edf_order(solution: MaxStretchSolution, totals: ShareTotals) -> tuple[np.ndarray, ...]:
+    """Earliest deadline first (ties by id): the key is the job's deadline."""
+    _, releases, factors = solution.problem.job_vectors()
+    return ((releases + solution.objective * factors)[totals.pos],)
 
 
 def swrpt_terminal_order(
-    solution: MaxStretchSolution,
-    interval: int,
-    resource: int,
-    allocations: Sequence[tuple[int, float]],
-) -> list[tuple[int, float]]:
+    solution: MaxStretchSolution, totals: ShareTotals
+) -> tuple[np.ndarray, ...]:
     """The ordering of the plain *Online* variant (Section 4.3.2, step 4).
 
     Jobs completing their share on this resource during this interval
     ("terminal jobs") come first, ordered by the SWRPT key (flow factor times
     remaining work, i.e. :math:`p_j\\,\\rho_t(j)` for stretch weights);
     non-terminal jobs follow, ordered by the interval in which their share on
-    the resource completes.
+    the resource completes, then by the SWRPT key.  One key pair does both:
+    a terminal share's last interval on the resource is its own, the
+    earliest any share of the interval can have.
     """
-    terminal: list[tuple[int, float]] = []
-    non_terminal: list[tuple[int, float]] = []
-    for job_id, work in allocations:
-        last = solution.completion_interval_on_resource(job_id, resource)
-        if last is not None and last <= interval:
-            terminal.append((job_id, work))
-        else:
-            non_terminal.append((job_id, work))
-
-    def swrpt_key(item: tuple[int, float]) -> tuple[float, int]:
-        job = solution.problem.job_by_id(item[0])
-        return (job.flow_factor * job.remaining_work, item[0])
-
-    def completion_key(item: tuple[int, float]) -> tuple[int, float, int]:
-        job_id, _ = item
-        last = solution.completion_interval_on_resource(job_id, resource)
-        job = solution.problem.job_by_id(job_id)
-        return (
-            last if last is not None else len(solution.interval_bounds),
-            job.flow_factor * job.remaining_work,
-            job_id,
-        )
-
-    return sorted(terminal, key=swrpt_key) + sorted(non_terminal, key=completion_key)
+    problem = solution.problem
+    _, _, factors = problem.job_vectors()
+    swrpt = factors * problem.remaining_works()
+    return totals.last[totals.pos, solution.shares.c], swrpt[totals.pos]
 
 
 def split_work_across_machines(
@@ -129,94 +144,78 @@ def split_work_across_machines(
 
 
 def allocation_rows(
-    solution: MaxStretchSolution, order_rule: OrderRule = edf_order
+    solution: MaxStretchSolution, order_rule: OrderKeys = edf_order
 ) -> Iterator[tuple[int, int, float, float]]:
     """Serialize the allocation into ``(resource, job_id, start, end)`` rows.
 
-    One row per share, interval by interval and resource by resource; the
-    rows of a resource never overlap and come out in increasing start order.
+    One row per share above ``_WORK_EPS`` in an interval of positive
+    length, interval by interval and resource by resource, each group in
+    ``order_rule``'s order; the rows of a resource never overlap and come
+    out in increasing start order.
     """
-    for t, (lo, hi) in enumerate(solution.interval_bounds):
+    shares = solution.shares
+    bounds = solution.interval_bounds
+    lengths = np.array([hi - lo for lo, hi in bounds])
+    # Zero-length intervals can only carry zero work.
+    (kept,) = np.nonzero((shares.work > _WORK_EPS) & (lengths[shares.t] > 0))
+    keys = order_rule(solution, share_totals(solution))
+    # ``np.lexsort`` sorts by its last key first: (t, c, rule keys..., job id).
+    columns = (shares.t, shares.c, *keys, shares.job_id)
+    kept = kept[np.lexsort([column[kept] for column in reversed(columns)])]
+    ts = shares.t[kept]
+    cs = shares.c[kept]
+    opens = np.ones(kept.size, dtype=bool)  # the first row of each (t, c) group
+    opens[1:] = (ts[1:] != ts[:-1]) | (cs[1:] != cs[:-1])
+    firsts = np.flatnonzero(opens).tolist()
+    ends = firsts[1:] + [kept.size]
+    ts = ts.tolist()
+    cs = cs.tolist()
+    job_ids = shares.job_id[kept].tolist()
+    works = shares.work[kept].tolist()
+    resources = solution.problem.resources
+    for first, end in zip(firsts, ends):
+        t, resource_idx = ts[first], cs[first]
+        lo, hi = bounds[t]
         length = hi - lo
-        if length <= 0:
-            # Zero-length intervals can only carry zero work.
-            continue
-        for resource_idx, shares in sorted(solution.shares_in_interval(t).items()):
-            allocations = [(job_id, work) for job_id, work in shares if work > _WORK_EPS]
-            if not allocations:
+        speed = resources[resource_idx].speed
+        total_duration = sum(works[first:end]) / speed
+        scale = 1.0
+        if total_duration > length:
+            if total_duration > length * (1.0 + _OVERFLOW_TOL) + _OVERFLOW_TOL:
+                raise ScheduleError(
+                    f"interval {t} on resource {resource_idx} overflows: "
+                    f"needs {total_duration:.9f}s but only {length:.9f}s available"
+                )
+            scale = length / total_duration
+        cursor = lo
+        for job_id, work in zip(job_ids[first:end], works[first:end]):
+            duration = (work / speed) * scale
+            if duration <= 0:
                 continue
-            speed = solution.problem.resources[resource_idx].speed
-            ordered = order_rule(solution, t, resource_idx, allocations)
-            total_duration = sum(work for _, work in ordered) / speed
-            scale = 1.0
-            if total_duration > length:
-                if total_duration > length * (1.0 + _OVERFLOW_TOL) + _OVERFLOW_TOL:
-                    raise ScheduleError(
-                        f"interval {t} on resource {resource_idx} overflows: "
-                        f"needs {total_duration:.9f}s but only {length:.9f}s available"
-                    )
-                scale = length / total_duration
-            cursor = lo
-            for job_id, work in ordered:
-                duration = (work / speed) * scale
-                if duration <= 0:
-                    continue
-                end = min(cursor + duration, hi)
-                yield resource_idx, job_id, cursor, end
-                cursor = end
+            stop = min(cursor + duration, hi)
+            yield resource_idx, job_id, cursor, stop
+            cursor = stop
 
 
 def materialize_solution(
     solution: MaxStretchSolution,
     instance: Instance,
     *,
-    order_rule: OrderRule = edf_order,
-    per_machine: bool = True,
-) -> Schedule | list[Lane]:
-    """Turn an LP allocation into a concrete schedule.
-
-    Parameters
-    ----------
-    solution:
-        The allocation to materialize.
-    instance:
-        The instance providing the physical machines behind each resource.
-    order_rule:
-        Serialization order of the jobs inside each (interval, resource);
-        defaults to earliest deadline first, which is always feasible.
-    per_machine:
-        ``True`` spreads every row over the machines of its class and returns
-        the validated :class:`Schedule`.  ``False`` returns the same plan as
-        lanes, one per capability class, which is what the plan-following
-        schedulers install: the machines of a class all follow one timeline.
-    """
-    resources = solution.problem.resources
-    rows = allocation_rows(solution, order_rule)
-    if not per_machine:
-        return _class_lanes(resources, instance, rows)
-    return Schedule(
-        piece
-        for resource_idx, job_id, start, end in rows
-        for piece in split_work_across_machines(
-            instance, resources[resource_idx].machine_ids, job_id, start, end
-        )
-    )
-
-
-def _class_lanes(
-    resources: Sequence[Resource],
-    instance: Instance,
-    rows: Iterable[tuple[int, int, float, float]],
+    order_rule: OrderKeys = edf_order,
 ) -> list[Lane]:
-    """Group ``rows`` into one lane per resource, shared by all its machines.
+    """Turn an LP allocation into plan lanes, one timeline per capability class.
+
+    ``order_rule`` serializes the jobs inside each (interval, resource);
+    it defaults to earliest deadline first, which is always feasible.
 
     :func:`split_work_across_machines` drops a machine from a row in which it
     would do no more than ``_WORK_EPS`` work.  A class whose slowest machine
     keeps every row shares one timeline; any other class gets one lane per
     machine, holding exactly the rows that function keeps for it.
     """
+    resources = solution.problem.resources
     timelines: dict[int, list[Row]] = {}
-    for resource_idx, job_id, start, end in rows:
+    for resource_idx, job_id, start, end in allocation_rows(solution, order_rule):
         timelines.setdefault(resource_idx, []).append((start, end, job_id))
     lanes: list[Lane] = []
     for resource_idx, timeline in timelines.items():

@@ -45,6 +45,7 @@ acceptance logic in :mod:`repro.lp.maxstretch` is untouched.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.errors import SolverError
@@ -266,22 +267,14 @@ class ReplanContext:
         """``solution`` re-anchored on ``problem`` (same content, new object).
 
         Banked solutions keep a reference to the problem of the run that
-        solved them;
-        consumers swap in their own so every derived accessor
-        (``deadline``, per-resource allocation views, ...) resolves against
-        the live run's job objects.  The interval structure and allocation
-        payload are shared -- both are immutable in practice (the structure
-        is frozen, the allocation dict is copied).
+        solved them; consumers swap in their own so every derived lookup
+        (``deadline``, the plans' per-job totals, ...) resolves against the
+        live run's job objects.  The interval structure and the read-only
+        :class:`~repro.lp.maxstretch.Shares` arrays are shared.
         """
         if solution.problem is problem:
             return solution
-        return MaxStretchSolution(
-            objective=solution.objective,
-            problem=problem,
-            structure=solution.structure,
-            interval_bounds=solution.interval_bounds,
-            allocations=dict(solution.allocations),
-        )
+        return replace(solution, problem=problem)
 
     def reoptimize(
         self, problem: MaxStretchProblem, objective: float

@@ -38,7 +38,7 @@ that make every member's deadline and completeness hold once the class's
 work is served first-in first-out -- assembled into one
 :class:`~repro.lp.backends.LPSpec` from the index arrays of a
 :class:`ConstraintSkeleton`.  :class:`MaxStretchSolution` carries the
-per-job ``(t, c, j) -> work`` allocation that split yields.
+per-job allocation that split yields as flat :class:`Shares` arrays.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from repro.lp.problem import MaxStretchProblem
 
 __all__ = [
     "MaxStretchSolution",
+    "Shares",
     "ConstraintSkeleton",
     "LiveProbe",
     "MilestoneSearchReport",
@@ -74,35 +75,35 @@ __all__ = [
 _ALLOCATION_EPS = 1e-10
 
 
-class _AllocationIndex:
-    """Everything the :class:`MaxStretchSolution` accessors answer, from one pass.
+class Shares(NamedTuple):
+    """An LP allocation as parallel read-only arrays, one entry per piece of work.
 
-    Totals are ``sum()`` over the works in allocation order, exactly what a
-    full scan of the dict adds up.
+    Entry ``i`` is ``work[i]`` units of job ``job_id[i]`` on resource
+    ``c[i]`` during elementary interval ``t[i]``.  Entries come in job
+    order, then column order, and no ``(t, c, job_id)`` repeats.
     """
 
-    __slots__ = ("shares", "share_last", "job_last", "share_work", "job_work")
+    t: np.ndarray
+    c: np.ndarray
+    job_id: np.ndarray
+    work: np.ndarray
 
-    def __init__(self, allocations: dict[tuple[int, int, int], float]):
-        #: ``interval -> resource -> [(job, work), ...]`` in allocation order.
-        self.shares: dict[int, dict[int, list[tuple[int, float]]]] = {}
-        #: Last interval with positive work, per ``(job, resource)`` and per job.
-        self.share_last: dict[tuple[int, int], int] = {}
-        self.job_last: dict[int, int] = {}
-        share_works: dict[tuple[int, int], list[float]] = {}
-        job_works: dict[int, list[float]] = {}
-        for (t, c, j), w in allocations.items():
-            self.shares.setdefault(t, {}).setdefault(c, []).append((j, w))
-            share_works.setdefault((j, c), []).append(w)
-            job_works.setdefault(j, []).append(w)
-            if w > 0:
-                self.share_last[j, c] = max(t, self.share_last.get((j, c), t))
-                self.job_last[j] = max(t, self.job_last.get(j, t))
-        self.share_work = {key: float(sum(works)) for key, works in share_works.items()}
-        self.job_work = {key: float(sum(works)) for key, works in job_works.items()}
+    @classmethod
+    def frozen(cls, t, c, job_id, work) -> "Shares":
+        """Copies of the four columns (int64, int64, int64, float64), read-only."""
+        columns = []
+        for values, dtype in zip((t, c, job_id, work), (np.int64, np.int64, np.int64, np.float64)):
+            column = np.array(values, dtype=dtype)
+            column.flags.writeable = False
+            columns.append(column)
+        return cls(*columns)
 
 
-@dataclass(frozen=True)
+#: The allocation of a problem without jobs.
+NO_SHARES = Shares.frozen((), (), (), ())
+
+
+@dataclass(frozen=True, eq=False)
 class MaxStretchSolution:
     """A feasible (usually optimal) allocation achieving a given max weighted flow.
 
@@ -118,84 +119,21 @@ class MaxStretchSolution:
     interval_bounds:
         The elementary intervals, evaluated at :attr:`objective`, as
         ``(start, end)`` pairs.
-    allocations:
-        Mapping ``(interval index, resource index, job id) -> work``.
+    shares:
+        The allocation, ``(interval, resource, job id, work)`` as
+        :class:`Shares` arrays; :mod:`repro.lp.aggregation` derives the
+        per-job totals the plans read from them.
     """
 
     objective: float
     problem: MaxStretchProblem
     structure: IntervalStructure
     interval_bounds: tuple[tuple[float, float], ...]
-    allocations: dict[tuple[int, int, int], float]
+    shares: Shares
 
-    # -- lookups ---------------------------------------------------------------
     def deadline(self, job_id: int) -> float:
         """Deadline of the job at the achieved objective."""
         return self.problem.job_by_id(job_id).deadline(self.objective)
-
-    def _index(self) -> _AllocationIndex:
-        """The one-pass index over :attr:`allocations` behind every accessor."""
-        index = self.__dict__.get("_allocation_index")
-        if index is None:
-            index = _AllocationIndex(self.allocations)
-            # Frozen dataclass: a pure cache stashed in the instance dict,
-            # invisible to equality (see ``MaxStretchProblem.job_by_id``).
-            object.__setattr__(self, "_allocation_index", index)
-        return index
-
-    def shares_in_interval(self, interval: int) -> dict[int, list[tuple[int, float]]]:
-        """``resource -> [(job, work), ...]`` inside one interval, in allocation order."""
-        return self._index().shares.get(interval, {})
-
-    def allocations_in_interval(self, interval: int) -> dict[tuple[int, int], float]:
-        """``(resource, job) -> work`` allocations inside one interval."""
-        return {
-            (c, j): w
-            for c, shares in self.shares_in_interval(interval).items()
-            for j, w in shares
-            if w > 0
-        }
-
-    def work_for_job(self, job_id: int) -> float:
-        """Total work allocated to the job across intervals and resources."""
-        return self._index().job_work.get(job_id, 0.0)
-
-    def work_for_job_on_resource(self, job_id: int, resource: int) -> float:
-        """Total work of the job allocated to one resource."""
-        return self._index().share_work.get((job_id, resource), 0.0)
-
-    def completion_interval(self, job_id: int) -> int:
-        """Index of the last interval in which the job receives work.
-
-        Used by the Online-EGDF variant to build its global priority list.
-        Raises :class:`KeyError` when the job receives no allocation.
-        """
-        return self._index().job_last[job_id]
-
-    def completion_interval_on_resource(self, job_id: int, resource: int) -> int | None:
-        """Last interval in which the job receives work on ``resource`` (None if never)."""
-        return self._index().share_last.get((job_id, resource))
-
-    def jobs_on_resource(self, resource: int) -> list[int]:
-        """Job ids receiving any work on ``resource``."""
-        return sorted(j for j, c in self._index().share_last if c == resource)
-
-    def max_weighted_flow_of_allocation(self) -> float:
-        """The max weighted flow actually implied by the allocation.
-
-        Every job completes no later than the end of its last allocation
-        interval, so this is a (possibly pessimistic) certificate that the
-        allocation achieves :attr:`objective`.
-        """
-        worst = 0.0
-        for job in self.problem.jobs:
-            try:
-                t = self.completion_interval(job.job_id)
-            except KeyError:
-                continue
-            completion = self.interval_bounds[t][1]
-            worst = max(worst, (completion - job.release) / job.flow_factor)
-        return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +148,7 @@ class ConstraintSkeleton:
     cost per unit of work, ``midpoint[t] / work``, is the same for every
     member.  So a class gets one column ``x[t, c, k]`` per interval and
     eligible resource, and :func:`_extract_allocations` splits the optimum
-    back into the per-job ``(t, c, j) -> work`` allocation.
+    back into the per-job :class:`Shares`.
 
     Nothing here depends on the objective bounds, the works or the costs
     (right-hand sides are member counts, scaled by the class work in
@@ -785,7 +723,7 @@ def solve_on_objective_range(
             problem=problem,
             structure=build_interval_structure(problem, 0.0),
             interval_bounds=(),
-            allocations={},
+            shares=NO_SHARES,
         )
     if f_high < f_low:
         raise ValueError(f"invalid objective range [{f_low}, {f_high}]")
@@ -813,14 +751,13 @@ def solve_on_objective_range(
     if outcome is not None and result.model is not None:
         outcome.live = LiveProbe(result.model, skeleton, f_low, f_high)
     objective = result.value(0)
-    allocations = _extract_allocations(problem, skeleton, 1, result.values)
     bounds = tuple(structure.bounds_at(objective))
     return MaxStretchSolution(
         objective=objective,
         problem=problem,
         structure=structure,
         interval_bounds=bounds,
-        allocations=allocations,
+        shares=_extract_allocations(problem, skeleton, 1, result.values),
     )
 
 
@@ -1200,7 +1137,7 @@ def _extract_allocations(
     skeleton: ConstraintSkeleton,
     offset: int,
     values: np.ndarray,
-) -> dict[tuple[int, int, int], float]:
+) -> Shares:
     """Split the class columns first-in first-out into the per-job allocation.
 
     ``offset`` is the index of the first ``x`` column (1 when the objective
@@ -1211,8 +1148,8 @@ def _extract_allocations(
     no piece ever lands outside a member's window even where the LP meets
     a chain row only within its feasibility tolerance (the last member also
     takes any excess).  Pieces below :data:`_ALLOCATION_EPS` relative to
-    the job's remaining work are dropped; the rest become dict items in
-    job order, then column order.  When every class has one member, each
+    the job's remaining work are dropped; the rest become the
+    :class:`Shares` entries in job order, then column order.  When every class has one member, each
     column is one piece of its class's job.
     """
     n_x = skeleton.key_t.size
@@ -1222,12 +1159,9 @@ def _extract_allocations(
         work = problem.remaining_works()[skeleton.class_pos]
         kept = np.nonzero(vals > _ALLOCATION_EPS * np.maximum(1.0, work[key_k]))[0]
         kept = kept[np.argsort(skeleton.member_pos[key_k[kept]], kind="stable")]
-        keys = zip(
-            skeleton.key_t[kept].tolist(),
-            skeleton.key_c[kept].tolist(),
-            skeleton.member_id[key_k[kept]].tolist(),
+        return Shares.frozen(
+            skeleton.key_t[kept], skeleton.key_c[kept], skeleton.member_id[key_k[kept]], vals[kept]
         )
-        return dict(zip(keys, vals[kept].tolist()))
     done = np.zeros(n_x + 1)
     np.cumsum(vals, out=done[1:])
     member_class = skeleton.member_class
@@ -1256,11 +1190,10 @@ def _extract_allocations(
     member = member[kept]
     col = col[inside][kept]
     order = np.lexsort((col, skeleton.member_pos[member]))
-    member = member[order]
     col = col[order]
-    keys = zip(
-        skeleton.key_t[col].tolist(),
-        skeleton.key_c[col].tolist(),
-        skeleton.member_id[member].tolist(),
+    return Shares.frozen(
+        skeleton.key_t[col],
+        skeleton.key_c[col],
+        skeleton.member_id[member[order]],
+        piece[inside][kept][order],
     )
-    return dict(zip(keys, piece[inside][kept][order].tolist()))

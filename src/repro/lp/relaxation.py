@@ -47,6 +47,7 @@ from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
     LiveProbe,
+    NO_SHARES,
     MaxStretchSolution,
     _extract_allocations,
     _lp_spec,
@@ -118,7 +119,7 @@ def reoptimize_allocation(
             problem=problem,
             structure=build_interval_structure(problem, max(objective, 0.0)),
             interval_bounds=(),
-            allocations={},
+            shares=NO_SHARES,
         )
 
     backend = make_backend(backend)
@@ -182,7 +183,6 @@ def _solve_fixed_objective(
         return None
     offset = result.values.size - skeleton.n_variables  # 1 on the live model: F leads
     x = _split_across_resources(problem, skeleton, offset, result.values, objective)
-    allocations = _extract_allocations(problem, skeleton, 0, x)
     values = boundary_values.tolist()
     bounds = tuple(zip(values[:-1], values[1:]))
     return MaxStretchSolution(
@@ -190,7 +190,7 @@ def _solve_fixed_objective(
         problem=problem,
         structure=structure,
         interval_bounds=bounds,
-        allocations=allocations,
+        shares=_extract_allocations(problem, skeleton, 0, x),
     )
 
 

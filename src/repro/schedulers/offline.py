@@ -106,6 +106,4 @@ class OfflineScheduler(PlanBasedScheduler):
                 live=report.live, generic=True, inflation=1e-12,
             )
             order_rule = edf_order
-        self.set_lanes(
-            materialize_solution(solution, instance, order_rule=order_rule, per_machine=False)
-        )
+        self.set_lanes(materialize_solution(solution, instance, order_rule=order_rule))

@@ -46,6 +46,7 @@ from repro.core.job import Job
 from repro.lp.aggregation import (
     edf_order,
     materialize_solution,
+    share_totals,
     swrpt_terminal_order,
 )
 from repro.lp.backends import SolverBackend
@@ -225,11 +226,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
             self.set_lanes(self._per_processor_list_plan(solution, now))
         else:
             order_rule = edf_order if self.variant == "online-nonopt" else swrpt_terminal_order
-            self.set_lanes(
-                materialize_solution(
-                    solution, instance, order_rule=order_rule, per_machine=False
-                )
-            )
+            self.set_lanes(materialize_solution(solution, instance, order_rule=order_rule))
 
     # -- degraded replans (machine outages) --------------------------------------------
     def _replan_degraded(
@@ -282,42 +279,41 @@ class OnlineLPScheduler(PlanBasedScheduler):
     @staticmethod
     def _global_priorities(solution: MaxStretchSolution) -> dict[int, tuple[float, ...]]:
         """Rank jobs by the interval in which their total work completes."""
-        ranks: dict[int, tuple[float, ...]] = {}
-        for lp_job in solution.problem.jobs:
-            try:
-                completion_interval = float(solution.completion_interval(lp_job.job_id))
-            except KeyError:
-                completion_interval = float(len(solution.interval_bounds))
-            swrpt_key = lp_job.flow_factor * lp_job.remaining_work
-            ranks[lp_job.job_id] = (completion_interval, swrpt_key, float(lp_job.job_id))
-        return ranks
+        job_last = share_totals(solution).last.max(axis=1).tolist()
+        never = len(solution.interval_bounds)
+        return {
+            lp_job.job_id: (
+                float(last if last >= 0 else never),
+                lp_job.flow_factor * lp_job.remaining_work,
+                float(lp_job.job_id),
+            )
+            for lp_job, last in zip(solution.problem.jobs, job_last)
+        }
 
     # -- Online-EDF: per-processor list scheduling ------------------------------------
     @staticmethod
     def _per_processor_list_plan(solution: MaxStretchSolution, now: float) -> list[Lane]:
+        """Per resource, list-schedule each job's total share from ``now`` on.
+
+        Jobs go in the order of the interval in which their share there
+        completes, ties broken by the SWRPT key, then by id.
+        """
+        totals = share_totals(solution)
+        jobs = solution.problem.jobs
+        swrpt = [job.flow_factor * job.remaining_work for job in jobs]
         lanes: list[Lane] = []
         for resource in solution.problem.resources:
-            jobs_here = solution.jobs_on_resource(resource.index)
-            if not jobs_here:
+            last = totals.last[:, resource.index].tolist()
+            work = totals.work[:, resource.index].tolist()
+            here = [p for p, t in enumerate(last) if t >= 0]
+            if not here:
                 continue
-
-            def order_key(job_id: int) -> tuple[float, float, int]:
-                completion = solution.completion_interval_on_resource(job_id, resource.index)
-                lp_job = solution.problem.job_by_id(job_id)
-                return (
-                    float(completion if completion is not None else math.inf),
-                    lp_job.flow_factor * lp_job.remaining_work,
-                    job_id,
-                )
-
+            here.sort(key=lambda p: (last[p], swrpt[p], jobs[p].job_id))
             cursor = now
             rows: list[Row] = []
-            for job_id in sorted(jobs_here, key=order_key):
-                work = solution.work_for_job_on_resource(job_id, resource.index)
-                if work <= 0:
-                    continue
-                end = cursor + work / resource.speed
-                rows.append((cursor, end, job_id))
+            for p in here:
+                end = cursor + work[p] / resource.speed
+                rows.append((cursor, end, jobs[p].job_id))
                 cursor = end
             lanes.append((resource.machine_ids, rows))
         return lanes

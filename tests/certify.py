@@ -95,33 +95,33 @@ def certify_system2(problem: MaxStretchProblem, solution: MaxStretchSolution) ->
 
 def _check_feasible(problem: MaxStretchProblem, solution: MaxStretchSolution) -> None:
     """(1d) and (1e) within :data:`FEASIBILITY_TOL`, the windows within :data:`REL`."""
-    objective = solution.objective
-    bounds = solution.interval_bounds
+    works, starts, deadlines, eligible = _windows(problem, solution.objective)
+    position = {job.job_id: p for p, job in enumerate(problem.jobs)}
+    t, c, job_id, work = solution.shares
+    pos = np.array([position[j] for j in job_id.tolist()], dtype=np.int64)
+    bounds = np.array(solution.interval_bounds, dtype=float).reshape(-1, 2)
+    start, end = bounds[t, 0], bounds[t, 1]
+    positive = work > 0
+    due = deadlines[pos]
+    for bad, what in (
+        (work < -FEASIBILITY_TOL * np.maximum(1.0, works[pos]), "negative work"),
+        (positive & ~eligible[pos, c], "ineligible resource"),
+        (positive & (start < starts[pos] - REL * np.maximum(1.0, np.abs(start))), "early"),
+        (positive & (end > due + REL * np.maximum(1.0, np.abs(due))), "late"),
+    ):
+        assert not bad.any(), f"{what}: (t, c, job, work) = {[x[bad][0] for x in solution.shares]}"
+    work = np.where(positive, work, 0.0)
+    done = np.bincount(pos, weights=work, minlength=problem.n_jobs)
+    for p in np.flatnonzero(np.abs(done - works) > FEASIBILITY_TOL * np.maximum(1.0, works)):
+        raise AssertionError(f"job {problem.jobs[p].job_id} gets {done[p]!r} of {works[p]!r}")
     speeds = problem.resource_speeds()
-    done: dict[int, float] = {}
-    used: dict[tuple[int, int], float] = {}
-    for (t, c, j), work in solution.allocations.items():
-        job = problem.job_by_id(j)
-        assert work >= -FEASIBILITY_TOL * max(1.0, job.remaining_work), (t, c, j, work)
-        if work <= 0:
-            continue
-        start, end = bounds[t]
-        assert c in job.resources, f"job {j} works on ineligible resource {c}"
-        deadline = job.deadline(objective)
-        assert start >= job.earliest_start - REL * max(1.0, abs(start)), (t, j, "early")
-        assert end <= deadline + REL * max(1.0, abs(deadline)), (t, j, "late")
-        done[j] = done.get(j, 0.0) + work
-        used[t, c] = used.get((t, c), 0.0) + work
-    for job in problem.jobs:
-        got = done.get(job.job_id, 0.0)
-        assert abs(got - job.remaining_work) <= FEASIBILITY_TOL * max(1.0, job.remaining_work), (
-            f"job {job.job_id} gets {got!r} of {job.remaining_work!r}"
-        )
-    for (t, c), work in used.items():
-        start, end = bounds[t]
-        capacity = speeds[c] * max(0.0, end - start)
-        assert work <= capacity + FEASIBILITY_TOL * max(1.0, capacity), (
-            f"interval {t} resource {c} holds {work!r} > {capacity!r}"
+    used = np.zeros((len(bounds), len(speeds)))
+    np.add.at(used, (t, c), work)
+    capacity = np.maximum(0.0, bounds[:, 1] - bounds[:, 0])[:, None] * speeds[None, :]
+    over = used > capacity + FEASIBILITY_TOL * np.maximum(1.0, capacity)
+    for row, col in zip(*np.nonzero(over)):
+        raise AssertionError(
+            f"interval {row} resource {col} holds {used[row, col]!r} > {capacity[row, col]!r}"
         )
 
 

@@ -12,12 +12,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.errors import SolverError
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Platform
+from repro.core.schedule import Schedule
+from repro.lp.aggregation import split_work_across_machines
 from repro.lp.backends import HighsPersistentBackend, LPSpec
 from repro.lp.intervals import IntervalStructure
+from repro.lp.maxstretch import MaxStretchSolution, Shares
 from repro.lp.problem import Affine, MaxStretchProblem
 
 __all__ = [
@@ -27,6 +32,13 @@ __all__ = [
     "boundaries",
     "interval_length",
     "job_windows",
+    "share_dict",
+    "allocations",
+    "shares_of",
+    "assert_same_shares",
+    "work_for_job",
+    "max_weighted_flow_of_allocation",
+    "schedule_of",
 ]
 
 
@@ -125,3 +137,68 @@ def job_windows(problem: MaxStretchProblem, structure: IntervalStructure) -> dic
             problem.jobs, structure.start_index.tolist(), structure.deadline_index.tolist()
         )
     }
+
+
+# -- LP allocations: the Shares arrays read the way tests want them -----------------------
+def share_dict(shares: Shares) -> dict[tuple[int, int, int], float]:
+    """``shares`` as a ``(interval, resource, job id) -> work`` dict, in share order."""
+    keys = zip(shares.t.tolist(), shares.c.tolist(), shares.job_id.tolist())
+    return dict(zip(keys, shares.work.tolist()))
+
+
+def allocations(solution: MaxStretchSolution) -> dict[tuple[int, int, int], float]:
+    """The solution's allocation as a ``(interval, resource, job id) -> work`` dict."""
+    return share_dict(solution.shares)
+
+
+def shares_of(allocation: dict[tuple[int, int, int], float]) -> Shares:
+    """:class:`Shares` arrays holding a ``(interval, resource, job id) -> work`` dict."""
+    columns = list(zip(*allocation)) or [(), (), ()]
+    return Shares.frozen(*columns, list(allocation.values()))
+
+
+def assert_same_shares(got: MaxStretchSolution, want: MaxStretchSolution) -> None:
+    """Both allocations hold the same entries, in the same order, bit for bit."""
+    for name, a, b in zip(Shares._fields, got.shares, want.shares):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def work_for_job(solution: MaxStretchSolution, job_id: int) -> float:
+    """Total work allocated to the job, summed in share order."""
+    shares = solution.shares
+    return float(
+        sum(w for j, w in zip(shares.job_id.tolist(), shares.work.tolist()) if j == job_id)
+    )
+
+
+def max_weighted_flow_of_allocation(solution: MaxStretchSolution) -> float:
+    """The max weighted flow the allocation implies.
+
+    Every job completes no later than the end of its last interval with
+    work, so this is a (possibly pessimistic) certificate that the
+    allocation achieves ``solution.objective``.
+    """
+    last: dict[int, int] = {}
+    for (t, _c, j), w in allocations(solution).items():
+        if w > 0:
+            last[j] = max(t, last.get(j, t))
+    worst = 0.0
+    for job in solution.problem.jobs:
+        if job.job_id in last:
+            completion = solution.interval_bounds[last[job.job_id]][1]
+            worst = max(worst, (completion - job.release) / job.flow_factor)
+    return worst
+
+
+def schedule_of(lanes, instance: Instance) -> Schedule:
+    """The per-machine :class:`Schedule` of plan lanes.
+
+    Each row spreads over the machines of its lane, each machine doing work
+    proportional to its speed (``split_work_across_machines``).
+    """
+    return Schedule(
+        piece
+        for machine_ids, rows in lanes
+        for start, end, job_id in rows
+        for piece in split_work_across_machines(instance, machine_ids, job_id, start, end)
+    )

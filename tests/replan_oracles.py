@@ -54,9 +54,11 @@ from repro.lp.maxstretch import (
     _RAY_COEF_EPS,
     ConstraintSkeleton,
     LiveProbe,
+    NO_SHARES,
     MaxStretchSolution,
     MilestoneSearchReport,
     ProbeOutcome,
+    Shares,
     _probe_value,
     minimize_max_weighted_flow,
 )
@@ -591,7 +593,7 @@ def per_job_solve_on_objective_range(
             problem=problem,
             structure=build_interval_structure(problem, 0.0),
             interval_bounds=(),
-            allocations={},
+            shares=NO_SHARES,
         )
     if f_high < f_low:
         raise ValueError(f"invalid objective range [{f_low}, {f_high}]")
@@ -619,14 +621,13 @@ def per_job_solve_on_objective_range(
     if outcome is not None and result.model is not None:
         outcome.live = LiveProbe(result.model, skeleton, f_low, f_high)
     objective = result.value(0)
-    allocations = per_job_extract_allocations(problem, skeleton, 1, result.values)
     bounds = tuple(structure.bounds_at(objective))
     return MaxStretchSolution(
         objective=objective,
         problem=problem,
         structure=structure,
         interval_bounds=bounds,
-        allocations=allocations,
+        shares=per_job_extract_allocations(problem, skeleton, 1, result.values),
     )
 
 
@@ -636,22 +637,21 @@ def per_job_extract_allocations(
     skeleton: PerJobSkeleton,
     offset: int,
     values: np.ndarray,
-) -> dict[tuple[int, int, int], float]:
+) -> Shares:
     """Read the x variables back, dropping numerically-zero allocations.
 
     ``offset`` is the index of the first x variable (1 when the objective
     variable precedes them).  The per-variable threshold (relative to the
     job's remaining work, as the historical loop computed it) is evaluated
     as one vectorized comparison; only the surviving entries, in ascending
-    column order, become dict items.
+    column order, become shares.
     """
     vals = np.asarray(values)[offset:offset + skeleton.n_variables]
     works = problem.remaining_works()
     kept = np.nonzero(vals > _ALLOCATION_EPS * np.maximum(1.0, works[skeleton.key_jpos]))[0]
-    keys = zip(
-        skeleton.key_t[kept].tolist(), skeleton.key_c[kept].tolist(), skeleton.key_j[kept].tolist()
+    return Shares.frozen(
+        skeleton.key_t[kept], skeleton.key_c[kept], skeleton.key_j[kept], vals[kept]
     )
-    return dict(zip(keys, vals[kept].tolist()))
 
 def per_job_reoptimize_allocation(
     problem: MaxStretchProblem,
@@ -705,7 +705,7 @@ def per_job_reoptimize_allocation(
             problem=problem,
             structure=build_interval_structure(problem, max(objective, 0.0)),
             interval_bounds=(),
-            allocations={},
+            shares=NO_SHARES,
         )
 
     backend = make_backend(backend)
@@ -761,7 +761,6 @@ def per_job_solve_fixed_objective(
     if not result.feasible:
         return None
     offset = result.values.size - skeleton.n_variables  # 1 on the live model: F leads
-    allocations = per_job_extract_allocations(problem, skeleton, offset, result.values)
     values = boundary_values.tolist()
     bounds = tuple(zip(values[:-1], values[1:]))
     return MaxStretchSolution(
@@ -769,7 +768,7 @@ def per_job_solve_fixed_objective(
         problem=problem,
         structure=structure,
         interval_bounds=bounds,
-        allocations=allocations,
+        shares=per_job_extract_allocations(problem, skeleton, offset, result.values),
     )
 
 

@@ -28,6 +28,7 @@ from repro.lp.relaxation import reoptimize_allocation
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from certify import certify_system2
+from helpers import allocations
 from test_class_lp import class_problems
 from test_lp_backends import requires_highs
 
@@ -81,7 +82,7 @@ def test_the_split_keeps_totals_and_capacities_of_a_real_optimum():
     certify_system2(problem, answer)
     # Capacities are 1 + 1e-7 at the inflated S* = 1: C takes that 1e-7 on
     # resource 0, the rest where the fixed rule puts it.
-    big = {key: work for key, work in answer.allocations.items() if work > 1e-6}
+    big = {key: work for key, work in allocations(answer).items() if work > 1e-6}
     assert big == pytest.approx({(0, 0, 0): 0.5, (0, 1, 1): 1.0, (0, 0, 2): 0.5}, abs=1e-6)
 
 
@@ -98,10 +99,10 @@ def test_the_offline_tie_break_is_the_same_on_both_backends(problem):
         answers.append(answer)
     scipy_answer, highs_answer = answers
     assert scipy_answer.objective == pytest.approx(highs_answer.objective, rel=1e-9)
-    keys = set(scipy_answer.allocations) | set(highs_answer.allocations)
-    for key in keys:
-        a = scipy_answer.allocations.get(key, 0.0)
-        b = highs_answer.allocations.get(key, 0.0)
+    scipy_shares, highs_shares = allocations(scipy_answer), allocations(highs_answer)
+    for key in set(scipy_shares) | set(highs_shares):
+        a = scipy_shares.get(key, 0.0)
+        b = highs_shares.get(key, 0.0)
         assert a == pytest.approx(b, rel=1e-6, abs=1e-6), key
 
 

@@ -69,11 +69,10 @@ class TestCertify:
         instance = make_uniform_instance([5.0, 3.0], [0.0, 1.0])
         problem = problem_from_instance(instance)
         solution = _solved(problem)
-        key = next(iter(solution.allocations))
-        allocations = dict(solution.allocations)
-        allocations[key] *= 0.99
+        work = solution.shares.work.copy()
+        work[0] *= 0.99
         with pytest.raises(AssertionError, match="gets"):
-            certify(problem, replace(solution, allocations=allocations))
+            certify(problem, replace(solution, shares=solution.shares._replace(work=work)))
 
     def test_rejects_an_overfull_interval(self):
         instance = make_uniform_instance([5.0, 3.0], [0.0, 1.0])

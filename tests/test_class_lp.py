@@ -23,6 +23,7 @@ from repro.lp.problem import LPJob, MaxStretchProblem, Resource
 from repro.lp.relaxation import reoptimize_allocation
 
 from certify import certify, certify_system2
+from helpers import allocations
 from replan_oracles import per_job_reoptimize_allocation, per_job_search
 from test_certify import _online_dense_instances
 from test_lp_backends import BACKENDS, requires_highs
@@ -33,7 +34,7 @@ REL = 1e-9
 def system2_objective(solution: MaxStretchSolution) -> float:
     """``sum over (t, c, j) of work * midpoint(t) / remaining(j)`` of an allocation."""
     total = 0.0
-    for (t, _c, j), work in solution.allocations.items():
+    for (t, _c, j), work in allocations(solution).items():
         start, end = solution.interval_bounds[t]
         total += work * 0.5 * (start + end) / solution.problem.job_by_id(j).remaining_work
     return total

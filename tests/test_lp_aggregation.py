@@ -11,12 +11,15 @@ from repro.core import metrics
 from repro.lp.aggregation import (
     edf_order,
     materialize_solution,
+    share_totals,
     split_work_across_machines,
     swrpt_terminal_order,
 )
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
+
+from helpers import schedule_of
 
 
 @pytest.fixture
@@ -56,7 +59,8 @@ class TestMaterializeSolution:
     def test_materialized_schedule_is_valid_and_optimal(self, restricted_instance):
         problem = problem_from_instance(restricted_instance)
         solution = minimize_max_weighted_flow(problem)
-        schedule = materialize_solution(solution, restricted_instance)
+        lanes = materialize_solution(solution, restricted_instance)
+        schedule = schedule_of(lanes, restricted_instance)
         schedule.validate(restricted_instance)
         achieved = metrics.max_stretch(restricted_instance, schedule.completion_times())
         assert achieved <= solution.objective + 1e-6
@@ -65,9 +69,8 @@ class TestMaterializeSolution:
         problem = problem_from_instance(restricted_instance)
         best = minimize_max_weighted_flow(problem)
         reopt = reoptimize_allocation(problem, best.objective)
-        schedule = materialize_solution(
-            reopt, restricted_instance, order_rule=swrpt_terminal_order
-        )
+        lanes = materialize_solution(reopt, restricted_instance, order_rule=swrpt_terminal_order)
+        schedule = schedule_of(lanes, restricted_instance)
         schedule.validate(restricted_instance)
         achieved = metrics.max_stretch(restricted_instance, schedule.completion_times())
         assert achieved <= reopt.objective + 1e-6
@@ -75,7 +78,8 @@ class TestMaterializeSolution:
     def test_slices_stay_inside_their_intervals(self, restricted_instance):
         problem = problem_from_instance(restricted_instance)
         solution = minimize_max_weighted_flow(problem)
-        schedule = materialize_solution(solution, restricted_instance)
+        lanes = materialize_solution(solution, restricted_instance)
+        schedule = schedule_of(lanes, restricted_instance)
         boundaries = [b for pair in solution.interval_bounds for b in pair]
         horizon = max(boundaries)
         for s in schedule:
@@ -86,31 +90,31 @@ class TestMaterializeSolution:
         problem = problem_from_instance(restricted_instance)
         solution = minimize_max_weighted_flow(problem)
         for rule in (edf_order, swrpt_terminal_order):
-            schedule = materialize_solution(solution, restricted_instance, order_rule=rule)
+            lanes = materialize_solution(solution, restricted_instance, order_rule=rule)
+            schedule = schedule_of(lanes, restricted_instance)
             for job in restricted_instance.jobs:
                 assert schedule.work_done(job.job_id) == pytest.approx(job.size, rel=1e-5)
 
 
 class TestOrderRules:
-    def test_edf_order_sorts_by_deadline(self, restricted_instance):
+    def test_edf_keys_are_the_deadlines(self, restricted_instance):
         problem = problem_from_instance(restricted_instance)
         solution = minimize_max_weighted_flow(problem)
-        allocations = [(0, 1.0), (2, 1.0)]
-        ordered = edf_order(solution, 0, 0, allocations)
-        deadlines = [solution.deadline(job_id) for job_id, _ in ordered]
-        assert deadlines == sorted(deadlines)
+        (deadlines,) = edf_order(solution, share_totals(solution))
+        want = [solution.deadline(j) for j in solution.shares.job_id.tolist()]
+        assert deadlines.tolist() == want
 
-    def test_swrpt_terminal_order_puts_terminal_jobs_first(self, restricted_instance):
+    def test_swrpt_terminal_keys_put_terminal_jobs_first(self, restricted_instance):
         problem = problem_from_instance(restricted_instance)
-        solution = minimize_max_weighted_flow(problem)
-        # Use the real allocation of the last interval: every job allocated
-        # there is terminal for that resource, so the order must follow the
-        # SWRPT key (flow_factor * remaining).
-        last = max(t for (t, _, _) in solution.allocations)
-        per_resource: dict[int, list[tuple[int, float]]] = {}
-        for (t, c, j), w in solution.allocations.items():
-            if t == last:
-                per_resource.setdefault(c, []).append((j, w))
-        for resource, allocations in per_resource.items():
-            ordered = swrpt_terminal_order(solution, last, resource, allocations)
-            assert sorted(j for j, _ in ordered) == sorted(j for j, _ in allocations)
+        best = minimize_max_weighted_flow(problem)
+        solution = reoptimize_allocation(problem, best.objective)
+        shares = solution.shares
+        last, swrpt = swrpt_terminal_order(solution, share_totals(solution))
+        for i, (t, c, j) in enumerate(zip(*(x.tolist() for x in shares[:3]))):
+            job = problem.job_by_id(j)
+            assert swrpt[i] == job.flow_factor * job.remaining_work
+            # The first key is the share's last interval on its resource: its
+            # own interval exactly when the share is terminal, later otherwise.
+            on_resource = (shares.job_id == j) & (shares.c == c) & (shares.work > 0)
+            assert last[i] == shares.t[on_resource].max() >= t
+        assert (last > shares.t).any()  # the case has a non-terminal share

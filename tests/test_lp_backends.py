@@ -36,7 +36,7 @@ from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
-from helpers import lp_spec
+from helpers import allocations, lp_spec, max_weighted_flow_of_allocation, work_for_job
 
 requires_highs = pytest.mark.skipif(
     not highs_available(),
@@ -162,10 +162,10 @@ class TestMilestoneSearchEquivalence:
         # Allocations may differ between alternate optima, but both must be
         # complete and certify (close to) the same max weighted flow.
         for job in problem.jobs:
-            assert solution.work_for_job(job.job_id) == pytest.approx(
+            assert work_for_job(solution, job.job_id) == pytest.approx(
                 job.remaining_work, rel=1e-6
             )
-        certificate = solution.max_weighted_flow_of_allocation()
+        certificate = max_weighted_flow_of_allocation(solution)
         assert certificate <= solution.objective * (1 + 1e-6) + 1e-9
 
     def test_system2_allocations_complete_and_bounded(self, seed):
@@ -179,7 +179,7 @@ class TestMilestoneSearchEquivalence:
         )
         assert reopt.objective == pytest.approx(reopt_ref.objective, rel=1e-9)
         for job in problem.jobs:
-            assert reopt.work_for_job(job.job_id) == pytest.approx(
+            assert work_for_job(reopt, job.job_id) == pytest.approx(
                 job.remaining_work, rel=1e-6
             )
         # Same System (2) objective value (mean-completion relaxation cost).
@@ -205,7 +205,7 @@ def _relaxation_cost(solution) -> float:
     """The System (2) objective of a solution (sum of weighted midpoints)."""
     remaining = {job.job_id: job.remaining_work for job in solution.problem.jobs}
     total = 0.0
-    for (t, _c, j), work in solution.allocations.items():
+    for (t, _c, j), work in allocations(solution).items():
         lo, hi = solution.interval_bounds[t]
         total += 0.5 * (lo + hi) * work / remaining[j]
     return total

@@ -47,6 +47,7 @@ from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_in
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from certify import certify
+from helpers import assert_same_shares, work_for_job
 from replan_oracles import search_gallop
 
 requires_highs = pytest.mark.skipif(
@@ -252,7 +253,7 @@ class TestSearchEquivalence:
         gallop = _gallop(monkeypatch, problem)
         certificate = minimize_max_weighted_flow(problem)
         assert certificate.objective == gallop.objective
-        assert certificate.allocations == gallop.allocations
+        assert_same_shares(certificate, gallop)
 
     @requires_highs
     def test_highs_results_within_solver_tolerance(self, seed, monkeypatch):
@@ -267,7 +268,7 @@ class TestSearchEquivalence:
             backend_c.close()
         assert certificate.objective == pytest.approx(gallop.objective, rel=1e-9)
         for job in problem.jobs:
-            assert certificate.work_for_job(job.job_id) == pytest.approx(
+            assert work_for_job(certificate, job.job_id) == pytest.approx(
                 job.remaining_work, rel=1e-6
             )
 
@@ -334,7 +335,7 @@ def test_warm_start_never_changes_the_answer(case):
     cold = minimize_max_weighted_flow(problem)
     warmed = minimize_max_weighted_flow(problem, warm_start=warm)
     assert warmed.objective == cold.objective
-    assert warmed.allocations == cold.allocations
+    assert_same_shares(warmed, cold)
     certify(problem, cold)
 
 

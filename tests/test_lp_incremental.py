@@ -25,6 +25,7 @@ from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
+from helpers import assert_same_shares
 from replan_oracles import FromScratchOnlineLP
 from test_sched_offline_online import random_restricted_instance
 
@@ -88,7 +89,7 @@ class TestWarmStartEquivalence:
                 problem, warm_start=warm, skeleton_cache={}
             )
             assert warmed.objective == cold.objective
-            assert warmed.allocations == cold.allocations
+            assert_same_shares(warmed, cold)
 
     def test_warm_start_reduces_probe_count(self, monkeypatch):
         instance = _gripps_instance(11, max_jobs=20, density=2.0)
@@ -255,12 +256,12 @@ class TestReplanContextShortcuts:
         solution = context.solve_max_stretch(live)
         fresh = minimize_max_weighted_flow(context.build_problem(now, remaining))
         assert solution.objective == fresh.objective
-        assert solution.allocations == fresh.allocations
+        assert_same_shares(solution, fresh)
         sys2 = context.reoptimize(live, solution.objective)
         reference = reoptimize_allocation(
             context.build_problem(now, remaining), fresh.objective
         )
-        assert sys2.allocations == reference.allocations
+        assert_same_shares(sys2, reference)
         context.close()
 
     def test_changed_problem_is_solved_afresh(self):
@@ -274,7 +275,7 @@ class TestReplanContextShortcuts:
         assert _probes_solved(context) > before
         fresh = minimize_max_weighted_flow(context.build_problem(now, changed))
         assert solution.objective == fresh.objective
-        assert solution.allocations == fresh.allocations
+        assert_same_shares(solution, fresh)
         context.close()
 
     def test_invalidate_carry_forgets_the_last_solution(self):

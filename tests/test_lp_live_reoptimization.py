@@ -30,6 +30,7 @@ from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
+from helpers import allocations, work_for_job
 from test_lp_backends import _small_instance, count_degraded_replans, requires_highs
 
 pytestmark = requires_highs
@@ -41,7 +42,7 @@ def _sys2_objective(solution) -> float:
     bounds = solution.interval_bounds
     return sum(
         w * 0.5 * (bounds[t][0] + bounds[t][1]) / works[j]
-        for (t, _c, j), w in solution.allocations.items()
+        for (t, _c, j), w in allocations(solution).items()
     )
 
 
@@ -49,14 +50,16 @@ def _assert_feasible(solution, rel: float = 1e-9) -> None:
     """Completeness and the capacities at the solution's target, within ``rel``."""
     problem = solution.problem
     for job in problem.jobs:
-        assert solution.work_for_job(job.job_id) == pytest.approx(
+        assert work_for_job(solution, job.job_id) == pytest.approx(
             job.remaining_work, rel=rel, abs=rel
         )
     speeds = problem.resource_speeds()
-    for t, (start, end) in enumerate(solution.interval_bounds):
-        capacity_of = speeds * max(0.0, end - start)
-        for c, shares in solution.shares_in_interval(t).items():
-            assert sum(w for _j, w in shares) <= capacity_of[c] * (1 + rel) + rel
+    used: dict[tuple[int, int], float] = {}
+    for (t, c, _j), w in allocations(solution).items():
+        used[t, c] = used.get((t, c), 0.0) + w
+    for (t, c), work in used.items():
+        start, end = solution.interval_bounds[t]
+        assert work <= speeds[c] * max(0.0, end - start) * (1 + rel) + rel
 
 
 class _ExactHighs(HighsPersistentBackend):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,18 @@ from hypothesis import strategies as st
 from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Machine, Platform
+from repro.lp.aggregation import share_totals
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
 from repro.lp.milestones import enumerate_milestones
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
 
-from helpers import interval_length, job_windows
+from helpers import (
+    interval_length,
+    job_windows,
+    max_weighted_flow_of_allocation,
+    share_dict,
+    work_for_job,
+)
 from replan_oracles import build_per_job_skeleton
 
 
@@ -35,13 +43,13 @@ class TestSingleJob:
         solution = minimize_max_weighted_flow(problem)
         # The job alone needs 5 seconds and its flow factor is 5 -> stretch 1.
         assert solution.objective == pytest.approx(1.0)
-        assert solution.work_for_job(0) == pytest.approx(5.0)
+        assert work_for_job(solution, 0) == pytest.approx(5.0)
 
     def test_empty_problem(self):
         problem = MaxStretchProblem(resources=(), jobs=())
         solution = minimize_max_weighted_flow(problem)
         assert solution.objective == 0.0
-        assert solution.allocations == {}
+        assert solution.shares.work.size == 0
 
 
 class TestTwoJobs:
@@ -106,13 +114,13 @@ class TestTwoJobs:
     def test_allocation_respects_deadlines(self):
         problem = self.make_problem()
         solution = minimize_max_weighted_flow(problem)
-        assert solution.max_weighted_flow_of_allocation() <= solution.objective + 1e-6
+        assert max_weighted_flow_of_allocation(solution) <= solution.objective + 1e-6
 
     def test_allocation_is_complete(self):
         problem = self.make_problem()
         solution = minimize_max_weighted_flow(problem)
         for job in problem.jobs:
-            assert solution.work_for_job(job.job_id) == pytest.approx(
+            assert work_for_job(solution, job.job_id) == pytest.approx(
                 job.remaining_work, rel=1e-6
             )
 
@@ -120,11 +128,27 @@ class TestTwoJobs:
         problem = self.make_problem()
         solution = minimize_max_weighted_flow(problem)
         assert solution.deadline(0) == pytest.approx(solution.objective * 4.0)
-        assert 0 in solution.jobs_on_resource(0)
-        first_resource = solution.completion_interval_on_resource(0, 0)
-        assert solution.completion_interval(0) >= first_resource or True
-        interval_allocs = solution.allocations_in_interval(solution.completion_interval(0))
-        assert any(job == 0 for (_, job) in interval_allocs)
+        assert share_totals(solution).last[0, 0] >= 0  # job 0 works on resource 0
+
+    @pytest.mark.parametrize("resources", [1, 2])
+    def test_last_interval_is_the_latest_per_resource(self, resources):
+        problem = self.make_problem()
+        if resources == 2:
+            # A second, slower resource that only job 0 may use.
+            problem = MaxStretchProblem(
+                resources=(*problem.resources, Resource(1, speed=0.5, machine_ids=(1,))),
+                jobs=(replace(problem.jobs[0], resources=(0, 1)), problem.jobs[1]),
+            )
+        solution = minimize_max_weighted_flow(problem)
+        shares = solution.shares
+        totals = share_totals(solution)
+        for p, job in enumerate(problem.jobs):
+            # A job's last interval is the latest of its last intervals per resource.
+            mine = (shares.job_id == job.job_id) & (shares.work > 0)
+            assert totals.last[p].max() == shares.t[mine].max()
+            for c in range(problem.n_resources):
+                here = mine & (shares.c == c)
+                assert totals.last[p, c] == (shares.t[here].max() if here.any() else -1)
 
 
 class TestObjectiveRange:
@@ -529,7 +553,7 @@ class TestClassSkeleton:
             values = rng.choice(
                 [0.0, -1e-12, 1e-13, 1e-9, 0.25, 2.0], size=offset + skeleton.n_variables
             )
-            got = _extract_allocations(problem, skeleton, offset, values)
+            got = share_dict(_extract_allocations(problem, skeleton, offset, values))
             want = _fifo_by_loop(problem, skeleton, offset, values)
             assert list(got) == list(want)  # same keys, same order
             assert np.allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=1e-12)

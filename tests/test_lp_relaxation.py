@@ -8,6 +8,8 @@ from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource
 from repro.lp.relaxation import reoptimize_allocation
 
+from helpers import allocations, max_weighted_flow_of_allocation, work_for_job
+
 
 def make_problem() -> MaxStretchProblem:
     resources = (Resource(0, speed=1.0, machine_ids=(0,)),)
@@ -28,10 +30,10 @@ class TestReoptimization:
         best = minimize_max_weighted_flow(problem)
         reopt = reoptimize_allocation(problem, best.objective)
         for job in problem.jobs:
-            assert reopt.work_for_job(job.job_id) == pytest.approx(job.remaining_work, rel=1e-6)
+            assert work_for_job(reopt, job.job_id) == pytest.approx(job.remaining_work, rel=1e-6)
         # The certificate of the re-optimized allocation must stay within the
         # (slightly inflated) objective bound.
-        assert reopt.max_weighted_flow_of_allocation() <= reopt.objective + 1e-6
+        assert max_weighted_flow_of_allocation(reopt) <= reopt.objective + 1e-6
 
     def test_objective_is_inflated_bound(self):
         problem = make_problem()
@@ -48,7 +50,7 @@ class TestReoptimization:
 
         def mean_completion_interval(solution, job_id):
             intervals = [
-                t for (t, c, j), w in solution.allocations.items() if j == job_id and w > 1e-9
+                t for (t, c, j), w in allocations(solution).items() if j == job_id and w > 1e-9
             ]
             return max(intervals) if intervals else -1
 
@@ -62,7 +64,7 @@ class TestReoptimization:
         # as early (the objective explicitly minimizes it).
         def weighted_midpoint(solution, job_id):
             total, acc = 0.0, 0.0
-            for (t, c, j), w in solution.allocations.items():
+            for (t, c, j), w in allocations(solution).items():
                 if j != job_id:
                     continue
                 lo, hi = solution.interval_bounds[t]
@@ -78,9 +80,9 @@ class TestReoptimization:
     def test_generous_objective_allows_reoptimization(self):
         problem = make_problem()
         reopt = reoptimize_allocation(problem, 10.0)
-        assert reopt.max_weighted_flow_of_allocation() <= 10.0 * (1 + 1e-3)
+        assert max_weighted_flow_of_allocation(reopt) <= 10.0 * (1 + 1e-3)
 
     def test_empty_problem(self):
         problem = MaxStretchProblem(resources=(), jobs=())
         solution = reoptimize_allocation(problem, 1.0)
-        assert solution.allocations == {}
+        assert solution.shares.work.size == 0

@@ -4,11 +4,13 @@ Until plans became lanes (one timeline per capability class), an LP
 allocation was expanded into one ``WorkSlice`` and one ``PlanSegment`` per
 physical machine (``materialize_solution`` -> ``segments_from_schedule`` ->
 ``set_plan``), ``plan_assignment`` scanned every machine's list from its
-start, and every ``MaxStretchSolution`` accessor scanned the whole allocation
-dict.  All of that lives on here, verbatim, as the oracle: for any
-allocation, platform and run state, reading the lanes must give the same
-mapping (key order included) and the same ``valid_until`` as reading the
-per-machine plan, and every accessor must equal its full scan.
+start, every ``MaxStretchSolution`` accessor scanned the whole allocation
+dict, and an order rule sorted each (interval, resource) group on its own.
+All of that lives on here, verbatim but for reading the allocation through
+``helpers.allocations``, as the oracle: for any allocation, platform and
+run state, reading the lanes must give the same mapping (key order
+included) and the same ``valid_until`` as reading the per-machine plan, and
+every per-job total of ``share_totals`` must equal its full scan.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.core.schedule import Schedule, WorkSlice
 from repro.lp.aggregation import (
     edf_order,
     materialize_solution,
+    share_totals,
     split_work_across_machines,
     swrpt_terminal_order,
 )
@@ -37,35 +40,30 @@ from repro.schedulers.base import PlanBasedScheduler, PlanSegment
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.state import Assignment, SchedulerState
 
+from helpers import allocations, schedule_of, shares_of
+
 _WORK_EPS = 1e-9
 _OVERFLOW_TOL = 1e-6
 
 
 # -- the oracle: code removed from src/, verbatim --------------------------------------
-def _scan_allocations_in_interval(solution, interval):
-    return {
-        (c, j): w
-        for (t, c, j), w in solution.allocations.items()
-        if t == interval and w > 0
-    }
-
-
-def _scan_work_for_job(solution, job_id):
-    return float(sum(w for (t, c, j), w in solution.allocations.items() if j == job_id))
+def _items(solution):
+    """The allocation as the items of the old ``(t, c, j) -> work`` dict."""
+    return allocations(solution).items()
 
 
 def _scan_work_for_job_on_resource(solution, job_id, resource):
     return float(
         sum(
             w
-            for (t, c, j), w in solution.allocations.items()
+            for (t, c, j), w in _items(solution)
             if j == job_id and c == resource
         )
     )
 
 
 def _scan_completion_interval(solution, job_id):
-    indices = [t for (t, c, j), w in solution.allocations.items() if j == job_id and w > 0]
+    indices = [t for (t, c, j), w in _items(solution) if j == job_id and w > 0]
     if not indices:
         raise KeyError(job_id)
     return max(indices)
@@ -74,7 +72,7 @@ def _scan_completion_interval(solution, job_id):
 def _scan_completion_interval_on_resource(solution, job_id, resource):
     indices = [
         t
-        for (t, c, j), w in solution.allocations.items()
+        for (t, c, j), w in _items(solution)
         if j == job_id and c == resource and w > 0
     ]
     return max(indices) if indices else None
@@ -82,11 +80,46 @@ def _scan_completion_interval_on_resource(solution, job_id, resource):
 
 def _scan_jobs_on_resource(solution, resource):
     return sorted(
-        {j for (t, c, j), w in solution.allocations.items() if c == resource and w > 0}
+        {j for (t, c, j), w in _items(solution) if c == resource and w > 0}
     )
 
 
-def _materialize_solution_per_machine(solution, instance, *, order_rule=edf_order):
+def _edf_group_order(solution, interval, resource, allocations):
+    return sorted(allocations, key=lambda item: (solution.deadline(item[0]), item[0]))
+
+
+def _swrpt_terminal_group_order(solution, interval, resource, allocations):
+    terminal = []
+    non_terminal = []
+    for job_id, work in allocations:
+        last = _scan_completion_interval_on_resource(solution, job_id, resource)
+        if last is not None and last <= interval:
+            terminal.append((job_id, work))
+        else:
+            non_terminal.append((job_id, work))
+
+    def swrpt_key(item):
+        job = solution.problem.job_by_id(item[0])
+        return (job.flow_factor * job.remaining_work, item[0])
+
+    def completion_key(item):
+        job_id, _ = item
+        last = _scan_completion_interval_on_resource(solution, job_id, resource)
+        job = solution.problem.job_by_id(job_id)
+        return (
+            last if last is not None else len(solution.interval_bounds),
+            job.flow_factor * job.remaining_work,
+            job_id,
+        )
+
+    return sorted(terminal, key=swrpt_key) + sorted(non_terminal, key=completion_key)
+
+
+#: The per-group rule each key builder replaced.
+GROUP_ORDER = {edf_order: _edf_group_order, swrpt_terminal_order: _swrpt_terminal_group_order}
+
+
+def _materialize_solution_per_machine(solution, instance, *, order_rule=_edf_group_order):
     slices: list[WorkSlice] = []
     for t, (lo, hi) in enumerate(solution.interval_bounds):
         length = hi - lo
@@ -94,7 +127,7 @@ def _materialize_solution_per_machine(solution, instance, *, order_rule=edf_orde
             # Zero-length intervals can only carry zero work.
             continue
         per_resource: dict[int, list[tuple[int, float]]] = {}
-        for (interval, resource, job_id), work in solution.allocations.items():
+        for (interval, resource, job_id), work in _items(solution):
             if interval != t or work <= _WORK_EPS:
                 continue
             per_resource.setdefault(resource, []).append((job_id, work))
@@ -294,15 +327,15 @@ def cases(draw):
     for length in lengths:
         bounds.append((cursor, cursor + length))
         cursor += length
-    allocations: dict[tuple[int, int, int], float] = {}
+    allocation: dict[tuple[int, int, int], float] = {}
     # Built job-major like ``_extract_allocations``, so one interval's
-    # entries are scattered over the dict.
+    # entries are scattered over the arrays.
     for lp_job in problem.jobs:
         for t, (lo, hi) in enumerate(bounds):
             for c in lp_job.resources:
                 if draw(st.booleans()):
                     share = draw(fractions) / problem.n_jobs
-                    allocations[t, c, lp_job.job_id] = (
+                    allocation[t, c, lp_job.job_id] = (
                         share * problem.resources[c].speed * (hi - lo)
                     )
     solution = MaxStretchSolution(
@@ -310,7 +343,7 @@ def cases(draw):
         problem=problem,
         structure=build_interval_structure(problem, objective),
         interval_bounds=tuple(bounds),
-        allocations=allocations,
+        shares=shares_of(allocation),
     )
     return instance, solution
 
@@ -370,12 +403,12 @@ def test_lanes_read_like_the_per_machine_plan(data):
         scheduler.set_lanes(OnlineLPScheduler._per_processor_list_plan(solution, 0.25))
     else:
         order_rule = edf_order if rule == "edf" else swrpt_terminal_order
-        scheduler.set_lanes(
-            materialize_solution(solution, instance, order_rule=order_rule, per_machine=False)
-        )
+        scheduler.set_lanes(materialize_solution(solution, instance, order_rule=order_rule))
         oracle.extend_plan(
             _segments_from_schedule(
-                _materialize_solution_per_machine(solution, instance, order_rule=order_rule)
+                _materialize_solution_per_machine(
+                    solution, instance, order_rule=GROUP_ORDER[order_rule]
+                )
             )
         )
     assert_same_plan(scheduler, oracle, instance, 0.0)
@@ -413,7 +446,7 @@ def test_editing_a_class_lane_equals_editing_each_machine(data):
     scheduler = Follower()
     scheduler.reset(instance)
     oracle = PerMachinePlan(instance)
-    scheduler.set_lanes(materialize_solution(solution, instance, per_machine=False))
+    scheduler.set_lanes(materialize_solution(solution, instance))
     oracle.extend_plan(
         _segments_from_schedule(_materialize_solution_per_machine(solution, instance))
     )
@@ -449,42 +482,35 @@ def test_editing_a_class_lane_equals_editing_each_machine(data):
 
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
-def test_solution_accessors_equal_their_full_scans(case):
+def test_share_totals_equal_their_full_scans(case):
     _, solution = case
     problem = solution.problem
-    job_ids = [job.job_id for job in problem.jobs] + [99]
-    for t in range(len(solution.interval_bounds) + 1):
-        assert solution.allocations_in_interval(t) == _scan_allocations_in_interval(solution, t)
-    for job_id in job_ids:
-        assert solution.work_for_job(job_id).hex() == _scan_work_for_job(solution, job_id).hex()
+    totals = share_totals(solution)
+    job_last = totals.last.max(axis=1).tolist()
+    for p, job in enumerate(problem.jobs):
         try:
-            want = _scan_completion_interval(solution, job_id)
+            want = _scan_completion_interval(solution, job.job_id)
         except KeyError:
-            want = None
-        try:
-            got = solution.completion_interval(job_id)
-        except KeyError as exc:
-            assert exc.args == (job_id,)
-            got = None
-        assert got == want
-        for resource in range(problem.n_resources + 1):
+            want = -1
+        assert job_last[p] == want
+        for resource in range(problem.n_resources):
             assert (
-                solution.work_for_job_on_resource(job_id, resource).hex()
-                == _scan_work_for_job_on_resource(solution, job_id, resource).hex()
+                float(totals.work[p, resource]).hex()
+                == _scan_work_for_job_on_resource(solution, job.job_id, resource).hex()
             )
-            assert solution.completion_interval_on_resource(
-                job_id, resource
-            ) == _scan_completion_interval_on_resource(solution, job_id, resource)
-    for resource in range(problem.n_resources + 1):
-        assert solution.jobs_on_resource(resource) == _scan_jobs_on_resource(solution, resource)
+            want = _scan_completion_interval_on_resource(solution, job.job_id, resource)
+            assert totals.last[p, resource] == (-1 if want is None else want)
+    for resource in range(problem.n_resources):
+        here = [job.job_id for job, t in zip(problem.jobs, totals.last[:, resource]) if t >= 0]
+        assert sorted(here) == _scan_jobs_on_resource(solution, resource)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=cases(), rule=st.sampled_from([edf_order, swrpt_terminal_order]))
 def test_materialized_schedule_equals_the_full_scan_version(case, rule):
     instance, solution = case
-    got = materialize_solution(solution, instance, order_rule=rule)
-    want = _materialize_solution_per_machine(solution, instance, order_rule=rule)
+    got = schedule_of(materialize_solution(solution, instance, order_rule=rule), instance)
+    want = _materialize_solution_per_machine(solution, instance, order_rule=GROUP_ORDER[rule])
     assert got.slices == want.slices
 
 
@@ -501,11 +527,11 @@ def test_a_slow_machine_drops_out_of_short_rows_only():
         problem=problem,
         structure=build_interval_structure(problem, 2.0),
         interval_bounds=((0.0, 0.5), (0.5, 3.0)),
-        allocations={(0, 0, 0): 0.5 * speed, (1, 0, 0): 2.5 * speed},
+        shares=shares_of({(0, 0, 0): 0.5 * speed, (1, 0, 0): 2.5 * speed}),
     )
     scheduler = Follower()
     scheduler.reset(instance)
-    scheduler.set_lanes(materialize_solution(solution, instance, per_machine=False))
+    scheduler.set_lanes(materialize_solution(solution, instance))
     assert [(s.start, s.end) for s in scheduler.plan_segments(0)] == [(0.0, 0.5), (0.5, 3.0)]
     assert [(s.start, s.end) for s in scheduler.plan_segments(1)] == [(0.5, 3.0)]
     assert sorted(scheduler.plan_segments(), key=lambda s: (s.start, s.machine_id)) == (

@@ -34,6 +34,8 @@ from repro.lp.problem import problem_from_instance
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 
+from helpers import work_for_job
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -148,7 +150,7 @@ class TestLPInvariants:
         problem = problem_from_instance(instance)
         solution = minimize_max_weighted_flow(problem)
         for job in problem.jobs:
-            assert solution.work_for_job(job.job_id) == pytest.approx(
+            assert work_for_job(solution, job.job_id) == pytest.approx(
                 job.remaining_work, rel=1e-5
             )
 
