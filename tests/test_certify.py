@@ -22,6 +22,7 @@ from repro.workload.generator import (
 
 from certify import MAX_SUBSET_JOBS, certify, certify_system2
 from helpers import make_uniform_instance
+from test_engine_golden import LP_JOBS, SCHEDULERS, wide_instance
 from test_lp_backends import requires_highs
 
 
@@ -141,3 +142,41 @@ class TestCertifySystem2:
         tight = replace(solution, objective=0.5 * solution.objective)
         with pytest.raises(AssertionError, match="late"):
             certify_system2(problem, tight)
+
+
+@pytest.mark.parametrize("variant", ["online", "online-edf", "online-egdf"])
+def test_every_golden_slice_replan_is_certified(variant, monkeypatch):
+    """Every LP answer behind the golden slices of ``tests/test_engine_golden.py``.
+
+    Each System (2) answer passes ``certify_system2``; each System (1)
+    answer passes ``certify`` where a Hall enumeration applies (on-line
+    problems on at most three resources, or at most twelve jobs).
+    """
+    answers = {"sys1": [], "sys2": []}
+    solve = ReplanContext.solve_max_stretch
+    reoptimize = ReplanContext.reoptimize
+
+    def spy(self, problem):
+        answers["sys1"].append((problem, solve(self, problem)))
+        return answers["sys1"][-1][1]
+
+    def spy_system2(self, problem, objective):
+        answers["sys2"].append((problem, reoptimize(self, problem, objective)))
+        return answers["sys2"][-1][1]
+
+    monkeypatch.setattr(ReplanContext, "solve_max_stretch", spy)
+    monkeypatch.setattr(ReplanContext, "reoptimize", spy_system2)
+    instance = wide_instance()
+    ids = [job.job_id for job in instance.jobs[: LP_JOBS[variant]]]
+    api.simulate(instance.restrict_jobs(ids), variant, scheduler_options=SCHEDULERS[variant])
+    assert len(answers["sys2"]) == len(answers["sys1"]) > 0
+    for problem, solution in answers["sys2"]:
+        certify_system2(problem, solution)
+    certified = 0
+    for problem, solution in answers["sys1"]:
+        try:
+            certify(problem, solution)
+        except ValueError:
+            continue  # no Hall enumeration applies; feasibility was checked first
+        certified += 1
+    assert certified > 0
