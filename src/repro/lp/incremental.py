@@ -286,24 +286,19 @@ class ReplanContext:
         returned without solving (the deterministic inflation loop makes
         the stored solution the one this call would compute).
         """
-        live = self._live if problem is self._last_problem else None
-        self._live = None
-        bucket = self._bucket
-        if bucket is None:
-            return reoptimize_allocation(
-                problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live
-            )
-        key = (problem_signature(problem), objective)
-        banked = bucket.sys2.get(key)
-        if banked is not None:
-            self.backend.stats.n_primal_reuses += 1
-            return self._rebind(banked, problem)
-        solution = reoptimize_allocation(
-            problem, objective, skeleton_cache=self._skeletons, backend=self.backend, live=live
-        )
-        bucket.sys2[key] = solution
-        bucket.trim()
-        return solution
+        return self._at_fixed_objective(problem, objective, generic=False)
+
+    def pick_optimum(
+        self, problem: MaxStretchProblem, objective: float
+    ) -> MaxStretchSolution:
+        """One of System (1)'s optima at ``objective``, picked by the problem alone.
+
+        :func:`~repro.lp.relaxation.reoptimize_allocation` with generic
+        costs, as plain ``offline`` installs, so the plan does not depend on
+        the solver's pivoting; banked like :meth:`reoptimize`, under its
+        own key.
+        """
+        return self._at_fixed_objective(problem, objective, generic=True)
 
     def publish(self) -> None:
         """End the run: drop the live model (the scheduler's ``finalize`` hook).
@@ -318,6 +313,28 @@ class ReplanContext:
         self.backend.close()
 
     # -- internals ----------------------------------------------------------------
+    def _at_fixed_objective(
+        self, problem: MaxStretchProblem, objective: float, generic: bool
+    ) -> MaxStretchSolution:
+        live = self._live if problem is self._last_problem else None
+        self._live = None
+        bucket = self._bucket
+        key = None
+        if bucket is not None:
+            key = (problem_signature(problem), objective, generic)
+            banked = bucket.sys2.get(key)
+            if banked is not None:
+                self.backend.stats.n_primal_reuses += 1
+                return self._rebind(banked, problem)
+        solution = reoptimize_allocation(
+            problem, objective, skeleton_cache=self._skeletons, backend=self.backend,
+            live=live, generic=generic,
+        )
+        if bucket is not None:
+            bucket.sys2[key] = solution
+            bucket.trim()
+        return solution
+
     def _trim_skeletons(self) -> None:
         """Bound the skeleton cache (drop oldest entries, dict is insertion-ordered)."""
         while len(self._skeletons) > _MAX_SKELETONS:

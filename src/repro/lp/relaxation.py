@@ -64,7 +64,7 @@ def reoptimize_allocation(
     problem: MaxStretchProblem,
     objective: float,
     *,
-    inflation: float = 1e-7,
+    inflation: float | None = None,
     skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     live: LiveProbe | None = None,
@@ -99,7 +99,9 @@ def reoptimize_allocation(
         re-optimization LP can come out marginally infeasible because of
         floating-point roundoff (the paper reports the same phenomenon).
         If the LP is still infeasible the inflation is increased tenfold
-        at a time up to ``1e-3`` before giving up.
+        at a time up to ``1e-3`` before giving up.  Defaults to ``1e-7``,
+        and to ``1e-12`` with ``generic``, whose answer is installed as a
+        System (1) optimum: its deadlines stay at the optimum to 1e-12.
     generic:
         Replace System (2)'s costs by a fixed generic cost per column
         (:func:`_generic_costs`).  The program then only picks *one* of
@@ -123,7 +125,7 @@ def reoptimize_allocation(
         )
 
     backend = make_backend(backend)
-    slack = inflation
+    slack = inflation if inflation is not None else 1e-12 if generic else 1e-7
     last_error: str | None = None
     while slack <= 1e-3:
         target = objective * (1.0 + slack)

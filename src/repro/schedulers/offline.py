@@ -103,7 +103,7 @@ class OfflineScheduler(PlanBasedScheduler):
             # deadlines stay at S* to 1e-12, so the plan's max-stretch is S*.
             solution = reoptimize_allocation(
                 problem, solution.objective, backend=backend, skeleton_cache=skeletons,
-                live=report.live, generic=True, inflation=1e-12,
+                live=report.live, generic=True,
             )
             order_rule = edf_order
         self.set_lanes(materialize_solution(solution, instance, order_rule=order_rule))

@@ -22,8 +22,10 @@ At every release date the scheduler
      is used with the greedy restricted-availability rule of Section 3.
 
 The *non-optimized* variant (``variant="online-nonopt"``) skips step 3 and
-directly materializes the System (1) allocation; Figure 3 of the paper
-compares it against the optimized version.
+directly materializes a System (1) optimum -- the one generic costs pick
+(:meth:`~repro.lp.incremental.ReplanContext.pick_optimum`), so its plan
+does not depend on the solver's pivoting; Figure 3 of the paper compares
+it against the optimized version.
 
 A :mod:`~repro.schedulers.policies` replan policy decides *when* the LP
 resolutions run (``"on-arrival"``, the paper's behaviour, by default).
@@ -207,7 +209,8 @@ class OnlineLPScheduler(PlanBasedScheduler):
         self.n_resolutions += 1
 
         if self.variant == "online-nonopt":
-            solution = best
+            # No step 3: one of System (1)'s optima, picked by the problem alone.
+            solution = self._context.pick_optimum(problem, best.objective)
         else:
             # Step 3: System (2) re-optimization at fixed max-stretch.
             solution = self._context.reoptimize(problem, best.objective)
@@ -266,13 +269,10 @@ class OnlineLPScheduler(PlanBasedScheduler):
         )
         self.last_objective = best.objective
         self.n_resolutions += 1
-        if self.variant == "online-nonopt":
-            solution = best
-        else:
-            solution = reoptimize_allocation(
-                problem, best.objective, backend=backend,
-                skeleton_cache=skeletons, live=report.live,
-            )
+        solution = reoptimize_allocation(
+            problem, best.objective, backend=backend, skeleton_cache=skeletons,
+            live=report.live, generic=self.variant == "online-nonopt",
+        )
         self._install_plan(solution, instance, now)
 
     # -- EGDF: global priority list -------------------------------------------------

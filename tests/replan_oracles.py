@@ -270,11 +270,12 @@ class FromScratchOnlineLP(OnlineLPScheduler):
         self.last_objective = best.objective
         self.n_resolutions += 1
 
-        if self.variant == "online-nonopt":
-            solution = best
-        else:
-            # Step 3: System (2) re-optimization at fixed max-stretch.
-            solution = reoptimize_allocation(problem, best.objective, backend=self._backend)
+        # Step 3: System (2) re-optimization at fixed max-stretch, or, for the
+        # non-optimized variant, System (1)'s optimum picked by generic costs.
+        solution = reoptimize_allocation(
+            problem, best.objective, backend=self._backend,
+            generic=self.variant == "online-nonopt",
+        )
 
         # Step 4: build the executable plan.
         self._install_plan(solution, instance, now)

@@ -108,13 +108,16 @@ def test_the_offline_tie_break_is_the_same_on_both_backends(problem):
 
 @requires_highs
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_the_offline_schedule_is_the_same_on_both_backends(seed):
-    """The whole off-line schedule, not only its LP answer, is backend-free."""
+@pytest.mark.parametrize("key", ["offline", "online-nonopt"])
+def test_the_installed_schedule_is_the_same_on_both_backends(key, seed):
+    """Whole schedules, not only LP answers, are backend-free where a System
+    (1) optimum is installed: ``offline`` once, ``online-nonopt`` at every
+    release."""
     platform = PlatformSpec(n_clusters=3, processors_per_cluster=5, n_databanks=3, availability=0.6)
     workload = WorkloadSpec(density=2.0, window=30.0, max_jobs=20)
     instance = generate_instance(platform, workload, rng=seed)
     rows = [
-        api.simulate(instance, "offline", scheduler_options={"solver_backend": name}).metrics_row()
+        api.simulate(instance, key, scheduler_options={"solver_backend": name}).metrics_row()
         for name in ("scipy", "highs")
     ]
     for metric in ("max_stretch", "sum_stretch", "max_flow", "sum_flow", "makespan"):

@@ -9,8 +9,9 @@ checkout>/src python tests/test_engine_golden.py`` rewrites it).  The LP
 schedulers' digests were re-frozen once when Systems (1)/(2) moved to one
 column set per job class (a different LP, so a different vertex), System
 (2)'s split across resources became a fixed rule and ``offline`` began to
-pick its optimum with a generic cost; the heuristic and ``bender98``
-digests did not move.  Each digest
+pick its optimum with a generic cost; ``online-nonopt`` alone was re-frozen
+once more when it began to install that pick instead of a raw System (1)
+vertex.  The heuristic and ``bender98`` digests did not move.  Each digest
 covers every slice of the realized schedule -- ``job_id, machine_id, start,
 end, work``, floats in hex -- so a change in any bit of any slice, or in the
 number or order of slices, fails the test.
