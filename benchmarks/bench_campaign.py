@@ -314,11 +314,12 @@ def bench_state_bank_reuse(benchmark):
     # Tolerance gate on the shipping default backend, sharded bank-on vs
     # bank-off, over the standard mini-campaign schedulers (the surface
     # ``campaign --state-bank`` actually exposes).  ``online-nonopt`` stays
-    # out of this leg on purpose: it materializes the System (1) allocation
-    # directly, so a banked-vs-cold HiGHS vertex shifts its tie metrics the
-    # most -- at mini-campaign sample counts that wobble can exceed the
-    # per-scheduler tie tolerance without any objective drift (the bitwise
-    # scipy assertion above already proves the bank exact for it).
+    # out of this leg on purpose: it installs a System (1) optimum with its
+    # deadlines at S* itself, so a banked-vs-cold HiGHS S* at solver
+    # tolerance can shift its tie metrics the most -- at mini-campaign
+    # sample counts beyond the per-scheduler tie tolerance without any
+    # objective drift (the bitwise scipy assertion above already proves the
+    # bank exact for it).
     ab_configs = _mini_campaign(scale)
     campaign_kwargs = dict(
         scheduler_keys=_SCHEDULERS, replicates=int(scale["replicates"]),

@@ -125,7 +125,9 @@ def reoptimize_allocation(
         )
 
     backend = make_backend(backend)
-    slack = inflation if inflation is not None else 1e-12 if generic else 1e-7
+    if inflation is None:
+        inflation = 1e-12 if generic else 1e-7
+    slack = inflation
     last_error: str | None = None
     while slack <= 1e-3:
         target = objective * (1.0 + slack)
