@@ -97,26 +97,29 @@ class TestCertify:
             certify(problem, _solved(problem))
 
 
-@requires_highs
-def test_every_online_replan_on_highs_is_certified(monkeypatch):
-    """HiGHS answers of a whole ``online`` run, replan by replan, both systems."""
-    seen = []
-    reoptimized = []
+def _record_answers(monkeypatch) -> tuple[list, list]:
+    """``(problem, solution)`` of every System (1) and System (2) solve of a replan."""
+    seen, reoptimized = [], []
     solve = ReplanContext.solve_max_stretch
     reoptimize = ReplanContext.reoptimize
 
     def spy(self, problem):
-        solution = solve(self, problem)
-        seen.append((problem, solution))
-        return solution
+        seen.append((problem, solve(self, problem)))
+        return seen[-1][1]
 
     def spy_system2(self, problem, objective):
-        solution = reoptimize(self, problem, objective)
-        reoptimized.append((problem, solution))
-        return solution
+        reoptimized.append((problem, reoptimize(self, problem, objective)))
+        return reoptimized[-1][1]
 
     monkeypatch.setattr(ReplanContext, "solve_max_stretch", spy)
     monkeypatch.setattr(ReplanContext, "reoptimize", spy_system2)
+    return seen, reoptimized
+
+
+@requires_highs
+def test_every_online_replan_on_highs_is_certified(monkeypatch):
+    """HiGHS answers of a whole ``online`` run, replan by replan, both systems."""
+    seen, reoptimized = _record_answers(monkeypatch)
     for instance in _online_dense_instances(2006, 2):
         api.simulate(instance, "online", scheduler_options={"solver_backend": "highs"})
     assert len(seen) > 100
@@ -152,28 +155,15 @@ def test_every_golden_slice_replan_is_certified(variant, monkeypatch):
     answer passes ``certify`` where a Hall enumeration applies (on-line
     problems on at most three resources, or at most twelve jobs).
     """
-    answers = {"sys1": [], "sys2": []}
-    solve = ReplanContext.solve_max_stretch
-    reoptimize = ReplanContext.reoptimize
-
-    def spy(self, problem):
-        answers["sys1"].append((problem, solve(self, problem)))
-        return answers["sys1"][-1][1]
-
-    def spy_system2(self, problem, objective):
-        answers["sys2"].append((problem, reoptimize(self, problem, objective)))
-        return answers["sys2"][-1][1]
-
-    monkeypatch.setattr(ReplanContext, "solve_max_stretch", spy)
-    monkeypatch.setattr(ReplanContext, "reoptimize", spy_system2)
+    seen, reoptimized = _record_answers(monkeypatch)
     instance = wide_instance()
     ids = [job.job_id for job in instance.jobs[: LP_JOBS[variant]]]
     api.simulate(instance.restrict_jobs(ids), variant, scheduler_options=SCHEDULERS[variant])
-    assert len(answers["sys2"]) == len(answers["sys1"]) > 0
-    for problem, solution in answers["sys2"]:
+    assert len(reoptimized) == len(seen) > 0
+    for problem, solution in reoptimized:
         certify_system2(problem, solution)
     certified = 0
-    for problem, solution in answers["sys1"]:
+    for problem, solution in seen:
         try:
             certify(problem, solution)
         except ValueError:
