@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+import repro.schedulers.online_lp as online_lp_module
 from repro.core.errors import SolverError
 from repro.core.instance import Instance
 from repro.core.job import Job
@@ -21,14 +22,19 @@ from repro.core.platform import Platform
 from repro.core.schedule import Schedule
 from repro.lp.aggregation import split_work_across_machines
 from repro.lp.backends import HighsPersistentBackend, LPSpec
+from repro.lp.incremental import ReplanContext
 from repro.lp.intervals import IntervalStructure
 from repro.lp.maxstretch import MaxStretchSolution, Shares
 from repro.lp.problem import Affine, MaxStretchProblem
+
+from certify import certify, certify_system2
 
 __all__ = [
     "make_uniform_instance",
     "lp_spec",
     "fail_first_highs_run",
+    "record_answers",
+    "certify_answers",
     "boundaries",
     "interval_length",
     "job_windows",
@@ -113,6 +119,55 @@ def fail_first_highs_run(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(HighsPersistentBackend, "_run", run)
     return calls
+
+
+def record_answers(monkeypatch) -> tuple[list, list]:
+    """``(problem, solution)`` of every System (1) and System (2) solve of a replan.
+
+    Returns ``(seen, reoptimized)``, filled as the patched run goes: System
+    (1) answers in ``seen``; System (2) answers -- and ``online-nonopt``'s
+    generic-cost pick, which is the same program -- in ``reoptimized``.
+    Context replans and degraded (machine-outage) replans are both recorded.
+    """
+    seen, reoptimized = [], []
+
+    def spy(record, solve):
+        def wrapped(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            problem = args[1] if isinstance(args[0], ReplanContext) else args[0]
+            record.append((problem, solution))
+            return solution
+
+        return wrapped
+
+    for owner, name, record in (
+        (ReplanContext, "solve_max_stretch", seen),
+        (ReplanContext, "_at_fixed_objective", reoptimized),
+        (online_lp_module, "minimize_max_weighted_flow", seen),
+        (online_lp_module, "reoptimize_allocation", reoptimized),
+    ):
+        monkeypatch.setattr(owner, name, spy(record, getattr(owner, name)))
+    return seen, reoptimized
+
+
+def certify_answers(seen: list, reoptimized: list) -> int:
+    """Certify recorded answers; returns how many System (1) answers got a Hall check.
+
+    Every System (2) answer passes ``certify_system2``; every System (1)
+    answer passes ``certify`` where a Hall enumeration applies (on-line
+    problems on at most three resources, or at most twelve jobs) -- the
+    others still pass its feasibility check.
+    """
+    for problem, solution in reoptimized:
+        certify_system2(problem, solution)
+    certified = 0
+    for problem, solution in seen:
+        try:
+            certify(problem, solution)
+        except ValueError:
+            continue  # no Hall enumeration applies; feasibility was checked first
+        certified += 1
+    return certified
 
 
 def boundaries(structure: IntervalStructure) -> tuple[Affine, ...]:

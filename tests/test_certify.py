@@ -8,7 +8,6 @@ import pytest
 
 from repro import api
 from repro.core.instance import Instance
-from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import LPJob, MaxStretchProblem, Resource, problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
@@ -21,7 +20,7 @@ from repro.workload.generator import (
 )
 
 from certify import MAX_SUBSET_JOBS, certify, certify_system2
-from helpers import make_uniform_instance
+from helpers import certify_answers, make_uniform_instance, record_answers
 from test_engine_golden import LP_JOBS, SCHEDULERS, wide_instance
 from test_lp_backends import requires_highs
 
@@ -97,29 +96,10 @@ class TestCertify:
             certify(problem, _solved(problem))
 
 
-def _record_answers(monkeypatch) -> tuple[list, list]:
-    """``(problem, solution)`` of every System (1) and System (2) solve of a replan."""
-    seen, reoptimized = [], []
-    solve = ReplanContext.solve_max_stretch
-    reoptimize = ReplanContext.reoptimize
-
-    def spy(self, problem):
-        seen.append((problem, solve(self, problem)))
-        return seen[-1][1]
-
-    def spy_system2(self, problem, objective):
-        reoptimized.append((problem, reoptimize(self, problem, objective)))
-        return reoptimized[-1][1]
-
-    monkeypatch.setattr(ReplanContext, "solve_max_stretch", spy)
-    monkeypatch.setattr(ReplanContext, "reoptimize", spy_system2)
-    return seen, reoptimized
-
-
 @requires_highs
 def test_every_online_replan_on_highs_is_certified(monkeypatch):
     """HiGHS answers of a whole ``online`` run, replan by replan, both systems."""
-    seen, reoptimized = _record_answers(monkeypatch)
+    seen, reoptimized = record_answers(monkeypatch)
     for instance in _online_dense_instances(2006, 2):
         api.simulate(instance, "online", scheduler_options={"solver_backend": "highs"})
     assert len(seen) > 100
@@ -155,18 +135,9 @@ def test_every_golden_slice_replan_is_certified(variant, monkeypatch):
     answer passes ``certify`` where a Hall enumeration applies (on-line
     problems on at most three resources, or at most twelve jobs).
     """
-    seen, reoptimized = _record_answers(monkeypatch)
+    seen, reoptimized = record_answers(monkeypatch)
     instance = wide_instance()
     ids = [job.job_id for job in instance.jobs[: LP_JOBS[variant]]]
     api.simulate(instance.restrict_jobs(ids), variant, scheduler_options=SCHEDULERS[variant])
     assert len(reoptimized) == len(seen) > 0
-    for problem, solution in reoptimized:
-        certify_system2(problem, solution)
-    certified = 0
-    for problem, solution in seen:
-        try:
-            certify(problem, solution)
-        except ValueError:
-            continue  # no Hall enumeration applies; feasibility was checked first
-        certified += 1
-    assert certified > 0
+    assert certify_answers(seen, reoptimized) > 0

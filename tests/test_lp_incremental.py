@@ -25,7 +25,7 @@ from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
-from helpers import assert_same_shares
+from helpers import assert_same_shares, certify_answers, record_answers
 from replan_oracles import FromScratchOnlineLP
 from test_sched_offline_online import random_restricted_instance
 
@@ -112,7 +112,12 @@ class TestIncrementalSchedulerEquivalence:
         with_faults=st.booleans(),
     )
     def test_identical_to_from_scratch_oracle(self, seed, variant, policy, with_faults):
-        """On scipy the context path equals the from-scratch oracle exactly."""
+        """On scipy the context path equals the from-scratch oracle exactly.
+
+        Every answer of the context run is also certified: System (2) (or
+        ``online-nonopt``'s pick) by ``certify_system2``, System (1) by
+        ``certify`` where a Hall enumeration applies.
+        """
         instance = _gripps_instance(seed, max_jobs=14)
         faults = None
         if with_faults:
@@ -123,7 +128,11 @@ class TestIncrementalSchedulerEquivalence:
         oracle = simulate(instance, oracle_sched, faults=faults)
         assert oracle_sched._context.n_replans == 0  # no replan went through it
         context_sched = OnlineLPScheduler(**options)
-        result = simulate(instance, context_sched, faults=faults)
+        with pytest.MonkeyPatch.context() as patch:
+            seen, reoptimized = record_answers(patch)
+            result = simulate(instance, context_sched, faults=faults)
+        assert len(reoptimized) == len(seen) == context_sched.n_resolutions
+        certify_answers(seen, reoptimized)
         assert result.completions == oracle.completions
         assert result.schedule.slices == oracle.schedule.slices
         assert context_sched.last_objective == oracle_sched.last_objective

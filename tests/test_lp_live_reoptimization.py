@@ -30,7 +30,7 @@ from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
-from helpers import allocations, work_for_job
+from helpers import allocations, certify_answers, record_answers, work_for_job
 from test_lp_backends import _small_instance, count_degraded_replans, requires_highs
 
 pytestmark = requires_highs
@@ -96,7 +96,12 @@ class TestLiveEqualsRebuild:
         policy=st.sampled_from(["on-arrival", "batched:2"]),
     )
     def test_every_replan_matches_a_rebuilt_system_2(self, seed, variant, policy):
-        """Live or not (some runs never replan), System (2) is the exact optimum."""
+        """Live or not (some runs never replan), System (2) is the exact optimum.
+
+        Every answer of the run is also certified: System (2) by
+        ``certify_system2``, System (1) by ``certify`` where a Hall
+        enumeration applies.
+        """
         real = incremental_module.reoptimize_allocation
 
         def checked(problem, objective, **kwargs):
@@ -113,7 +118,10 @@ class TestLiveEqualsRebuild:
         scheduler = OnlineLPScheduler(variant, policy=policy, solver_backend="highs")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(incremental_module, "reoptimize_allocation", checked)
+            seen, reoptimized = record_answers(patch)
             simulate(instance, scheduler)
+        assert len(reoptimized) == len(seen)
+        certify_answers(seen, reoptimized)
 
     def test_online_replans_ride_the_live_model(self):
         shares = {}
