@@ -43,15 +43,13 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                (1)/(2) optima by problem signature (per-worker, LRU)
     |   |-- aggregation  Shares arrays -> per-job totals, rows sorted by one
     |   |                lexsort on order keys, plan lanes per class
-    |   `-- backends/  * LP solver backends, one per run, each with its
-    |       |                run's LP counters; base: the highs -> scipy
-    |       |                downgrade of a failed persistent solve
-    |       |-- scipy_backend  one-shot scipy.optimize.linprog (what
-    |       |                  make_backend(None) resolves to)
-    |       `-- highs  *       HiGHS model per solve, the run's series basis
-    |                          kept: warm starts across milestone probes and
-    |                          replans, dual-ray bounds within a search
-    |                          (RunOptions default "auto" picks it)
+    |   `-- backends/  * the LP solver backend, one per run, with its run's
+    |       |                LP counters; base: the cold re-solve of a
+    |       |                failed warm solve
+    |       `-- highs  *       the one engine (scipy's vendored HiGHS): a
+    |                          model per solve, the run's series basis
+    |                          kept -- warm starts across milestone probes
+    |                          and replans, dual-ray bounds within a search
     |-- simulation/    the fluid discrete-event engine
     |   |-- clock      * heap-based event queue, batched simultaneous arrivals
     |   |-- engine     * the step loop: dispatch, assign, advance, complete
@@ -61,9 +59,9 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- base       * Scheduler / PriorityScheduler / PlanBasedScheduler
     |   |-- policies   * ReplanPolicy: on-arrival | batched:D | threshold:K
     |   |-- online_lp  * the four on-line LP variants (policy + ReplanContext)
-    |   |-- registry   * key -> factory, and RunOptions: the run options
-    |   |                (replan policy, solver backend) declared once, with
-    |   |                the one rule handing them to the LP keys
+    |   |-- registry   * key -> factory, and RunOptions: the run option
+    |   |                (replan policy) declared once, with the one rule
+    |   |                handing it to the LP keys
     |   `-- ...          offline, bender98/02, mct, priority heuristics
     |-- workload/      GriPPS-like synthetic platform/workload generation
     |-- experiments/   the paper's campaign (configs inherit RunOptions)
@@ -72,7 +70,6 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                solver-state bank, replicate-affinity
     |   |                placement, crash recovery), bit-identical at any
     |   |                worker count, progress/ETA
-    |   |-- ab           scipy-vs-HiGHS campaign A/B equivalence harness
     |   |-- io           CSV/JSON persistence + JSONL campaign checkpoints
     |   |                (kill-tolerant --checkpoint/--resume)
     |   |-- sharding   * ShardPlan: deterministic --shard i/N slices of the

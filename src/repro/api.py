@@ -223,7 +223,7 @@ def serve(
     **config:
         The :class:`~repro.service.daemon.ServiceConfig` fields, which
         declare their defaults: the service-safe ``scheduler`` key, the run
-        options ``replan_policy`` / ``solver_backend``, ``time_scale``,
+        option ``replan_policy``, ``time_scale``,
         ``journal`` (the replayable submission trace), ``record_events`` and
         the admission valve ``max_pending`` / ``shed_replan_p99`` /
         ``retry_after``.

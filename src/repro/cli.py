@@ -13,12 +13,10 @@ Sub-commands
     be saved to CSV.  The campaign execution engine streams (configuration,
     replicate, scheduler) tasks over ``--workers`` long-lived processes,
     journals completed records to ``--checkpoint FILE`` (JSONL) and resumes
-    a killed run with ``--resume``; ``--ab-backends`` runs the campaign once
-    per solver backend and prints the equivalence report instead::
+    a killed run with ``--resume``::
 
         repro-stretch campaign --workers 4 --checkpoint campaign.jsonl
         repro-stretch campaign --workers 4 --checkpoint campaign.jsonl --resume
-        repro-stretch campaign --workers 4 --ab-backends
 
     ``--shard i/N`` restricts the run to one deterministic slice of the
     design (whole instances, dealt round-robin), so N independent jobs --
@@ -63,17 +61,11 @@ from typing import Any, Sequence
 from repro.experiments.config import figure3_configurations, paper_configurations
 from repro import api
 from repro.core.errors import ReproError
-from repro.experiments.ab import run_backend_ab
 from repro.experiments.figures import run_figure3_sweep
 from repro.experiments.io import save_records_csv
 from repro.experiments.overhead import OVERHEAD_TABLE_HEADERS, scheduling_overhead
 from repro.experiments.sharding import parse_shard_spec
 from repro.experiments.tables import breakdown_tables, table1
-from repro.lp.backends import (
-    available_backends,
-    highs_unavailable_reason,
-    resolve_backend_name,
-)
 from repro.schedulers.registry import (
     SERVICE_SCHEDULERS,
     OnOff,
@@ -177,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-run solver-state bank: share warm solver state across "
         "the on-line LP schedulers of each (config, replicate) group "
         "(content-addressed, so records stay bit-identical at any worker "
-        "count); 'off' re-pays every cold solve and is the escape hatch "
-        "mirroring --solver-backend scipy (default: on)",
+        "count); 'off' re-pays every cold solve (default: on)",
     )
     camp.add_argument("--sites", type=int, nargs="+", default=[3, 10, 20])
     camp.add_argument("--databanks", type=int, nargs="+", default=[3, 10, 20])
@@ -233,29 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(config, replicate) instances, dealt round-robin over the N "
         "shards); combine with --checkpoint so the N legs' journals can "
         "be reunited with the 'merge' subcommand",
-    )
-    camp.add_argument(
-        "--ab-backends",
-        action="store_true",
-        help="run the campaign once with the scipy backend and once with "
-        "the persistent HiGHS backend, and print the record-set "
-        "equivalence report (exit code 1 on mismatch) instead of Table 1",
-    )
-    camp.add_argument(
-        "--ab-tolerance",
-        type=float,
-        default=1e-6,
-        help="relative tolerance on the tie-free optimized metric "
-        "(max_stretch) in the --ab-backends comparison",
-    )
-    camp.add_argument(
-        "--ab-tie-tolerance",
-        type=float,
-        default=0.10,
-        help="relative tolerance on the per-scheduler means of the "
-        "tie-broken metrics (sum_stretch, sum_flow, max_flow, makespan), "
-        "which degenerate-vertex tie-breaking legitimately perturbs "
-        "across solver backends",
     )
     _add_run_options(camp)
 
@@ -462,9 +430,8 @@ def enum_option(
 def _run_option_type(name: str):
     """argparse type: validate one run option through :class:`RunOptions`.
 
-    The parsed value is the one the library stores (e.g. a
-    ``SolverBackendChoice`` member), so the flag and the library share one
-    validation rule.
+    The parsed value is the one the library stores, so the flag and the
+    library share one validation rule.
     """
 
     def parse(text: str):
@@ -480,25 +447,6 @@ def _run_options(args: argparse.Namespace) -> dict[str, object]:
     """The parsed :class:`RunOptions` flags, as keyword arguments."""
     names = (option.name for option in dataclasses.fields(RunOptions))
     return {name: getattr(args, name) for name in names}
-
-
-def _check_backend(args: argparse.Namespace) -> str | None:
-    """An error message when the requested solver backend is unusable.
-
-    Reports *why* the bindings are unavailable when the probe can tell
-    (highspy missing vs importable-but-incompatible vs scipy too old), so
-    the operator knows which of the two install routes to take.
-    """
-    backend = getattr(args, "solver_backend", "scipy")
-    if backend == "highs" and "highs" not in available_backends():
-        reason = highs_unavailable_reason()
-        detail = f": {reason}" if reason else ""
-        return (
-            "error: --solver-backend highs requires HiGHS bindings "
-            f"(pip install highspy, or scipy >= 1.15){detail}; "
-            "use --solver-backend auto to fall back to scipy"
-        )
-    return None
 
 
 def _simulate_faults(args: argparse.Namespace, instance) -> "FaultTimeline | None":
@@ -610,23 +558,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint FILE", file=sys.stderr)
         return 2
-    if args.ab_backends and (args.checkpoint or args.save_csv or args.breakdowns or args.profile):
-        # The A/B path runs two campaigns and prints a comparison; wiring a
-        # single journal/CSV/table/profile set to it would silently drop one
-        # side.
-        print(
-            "error: --ab-backends is incompatible with --checkpoint, "
-            "--save-csv, --breakdowns and --profile",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shard and (args.ab_backends or args.breakdowns):
+    if args.shard and args.breakdowns:
         # A shard leg computes a deliberately partial record set; aggregate
-        # tables (and the A/B gate) over it would be silently misleading --
-        # they belong after the 'merge' step, in the 'report' stage.
+        # tables over it would be silently misleading -- they belong after
+        # the 'merge' step, in the 'report' stage.
         print(
-            "error: --shard is incompatible with --ab-backends and "
-            "--breakdowns (merge the shard journals, then use 'report')",
+            "error: --shard is incompatible with --breakdowns "
+            "(merge the shard journals, then use 'report')",
             file=sys.stderr,
         )
         return 2
@@ -670,40 +608,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         computed += 1
         print(f"  {msg}", file=sys.stderr)
 
-    if args.ab_backends:
-        # The requested backend is side B of the comparison (the 'auto'
-        # default compares scipy against whatever auto resolves to here).
-        backend_b = resolve_backend_name(args.solver_backend)
-        if backend_b == "scipy":
-            print(
-                "warning: side B resolves to scipy (no HiGHS bindings, or "
-                "--solver-backend scipy was passed) -- this compares scipy "
-                "against itself and does NOT exercise the persistent backend",
-                file=sys.stderr,
-            )
-        print(
-            f"Backend A/B over {len(configs)} configurations x {args.replicates} "
-            f"replicates x {len(scheduler_keys)} schedulers "
-            f"(scipy vs {backend_b}, {args.workers} workers) ..."
-        )
-        try:
-            report, _, _ = run_backend_ab(
-                configs,
-                scheduler_keys=scheduler_keys,
-                replicates=args.replicates,
-                base_seed=args.seed,
-                n_workers=args.workers,
-                backend_b=args.solver_backend,
-                objective_tolerance=args.ab_tolerance,
-                tie_tolerance=args.ab_tie_tolerance,
-                progress=progress,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print()
-        print(report.render())
-        return 0 if report.equivalent else 1
     shard_note = f" (shard {args.shard})" if args.shard else ""
     print(
         f"Running {len(configs)} configurations x {args.replicates} replicates "
@@ -961,10 +865,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``repro-stretch`` command."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend_error = _check_backend(args)
-    if backend_error is not None:
-        print(backend_error, file=sys.stderr)
-        return 2
     handlers = {
         "simulate": _cmd_simulate,
         "campaign": _cmd_campaign,

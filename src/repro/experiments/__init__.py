@@ -6,8 +6,6 @@
   whole (configuration, replicate) groups over long-lived worker processes
   (a solver-state bank per worker, a solver backend per run; a serial run
   owns its own bank), with progress/ETA reporting and checkpoint/resume.
-* :mod:`repro.experiments.ab` -- the campaign-scale solver-backend A/B
-  harness (the equivalence gate behind the ``auto`` backend default).
 * :mod:`repro.experiments.statistics` -- per-instance normalization
   (degradation w.r.t. the best heuristic) and mean/SD/max aggregation.
 * :mod:`repro.experiments.tables` -- regenerates Tables 1-16.
@@ -47,7 +45,6 @@ from repro.experiments.merge import (
     merge_journals,
     write_merged_journal,
 )
-from repro.experiments.ab import BackendABReport, compare_record_sets, run_backend_ab
 from repro.experiments.statistics import (
     AggregateRow,
     DegradationRecord,
@@ -91,9 +88,6 @@ __all__ = [
     "merge_journals",
     "write_merged_journal",
     "generate_campaign_report",
-    "BackendABReport",
-    "compare_record_sets",
-    "run_backend_ab",
     "DegradationRecord",
     "AggregateRow",
     "compute_degradations",

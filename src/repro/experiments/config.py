@@ -55,12 +55,7 @@ class ExperimentConfig(RunOptions):
     campaign to the available compute budget without changing its design),
     plus the :class:`~repro.schedulers.registry.RunOptions` it inherits
     (keyword-only): the replan policy driving the on-line LP heuristics (a
-    new scenario axis the paper only discusses qualitatively) and the LP
-    solver backend.  The backend defaults to ``"auto"`` (the persistent
-    HiGHS backend with basis warm starts when bindings are available,
-    validated at campaign scale by the A/B gate in
-    ``benchmarks/bench_campaign.py``); ``"scipy"`` remains the bit-stable
-    escape hatch reproducing the historical one-shot-linprog numbers.
+    new scenario axis the paper only discusses qualitatively).
 
     ``state_bank`` toggles the content-addressed cross-run solver-state
     bank (:mod:`repro.lp.bank`) for the on-line LP heuristics.  The flag is
@@ -68,8 +63,7 @@ class ExperimentConfig(RunOptions):
     per-worker bank (direct ``simulate()`` paths stay bank-less), and with
     replicate-affinity placement the results are bit-identical at any
     worker count either way -- ``state_bank=False`` simply re-pays the
-    cold solves and is kept as the escape hatch mirroring
-    ``solver_backend="scipy"``.
+    cold solves.
 
     The ``fault_*`` fields add a machine-availability axis (another scenario
     the paper discusses only qualitatively): when ``fault_mtbf`` and
@@ -190,9 +184,12 @@ class ExperimentConfig(RunOptions):
             # (including the ones campaign-full.yml caches across attempts)
             # must still resume.  merge drops it when rebuilding configs.
             "incremental_lp": True,
-            # The journal/checkpoint schema predates the typed toggles: keep
-            # emitting the historical primitives (str / bool).
-            "solver_backend": str(self.solver_backend),
+            # Every LP runs on HiGHS now; the key stays, constant, for the
+            # same --resume reason: default journals recorded "auto".
+            # merge drops it and rejects any other value.
+            "solver_backend": "auto",
+            # The journal/checkpoint schema predates the typed toggle: keep
+            # emitting the historical primitive (bool).
             "state_bank": bool(self.state_bank),
             # Speculative replan pre-solving is gone; the key stays,
             # constant, for the same --resume header-equality reason as

@@ -71,7 +71,9 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
     :meth:`ExperimentConfig.as_dict`); it is dropped here.  A journal
     recorded with ``False`` ran that removed path and is rejected.  The
     constant ``speculation`` key is dropped whatever its value: the removed
-    speculative pre-solves never changed a record.
+    speculative pre-solves never changed a record.  So is the constant
+    ``solver_backend`` key, but only as ``"auto"`` or ``"highs"``: a
+    journal that pinned the removed scipy backend is rejected.
     """
     try:
         configs = []
@@ -84,6 +86,11 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
                     "its journals cannot be merged"
                 )
             values.pop("speculation", None)
+            if values.pop("solver_backend", "auto") not in ("auto", "highs"):
+                raise ReproError(
+                    f"configuration {values.get('name')!r} was run on a solver "
+                    "backend that no longer exists; its journals cannot be merged"
+                )
             configs.append(ExperimentConfig(**values))
         return campaign_tasks(
             configs,

@@ -7,7 +7,7 @@ heuristics, 0.54 s for the off-line algorithm, 0.23 s for Bender02 and
 release date).  This module reproduces the comparison: it runs each strategy
 on the same instances and reports the average scheduler time and the number
 of scheduling decisions.  Absolute times differ from the paper (pure Python
-and scipy's LP solver versus the authors' C implementation) but the ordering
+and the HiGHS LP solver versus the authors' C implementation) but the ordering
 and the orders of magnitude between strategies are preserved.
 """
 
@@ -73,7 +73,7 @@ class OverheadRecord:
     milestone search (all zero for LP-free strategies): LP probes actually
     solved, milestone candidates eliminated without a solve, and solved
     probes served from warm persistent-solver state.  ``mean_downgrades``
-    counts probes the persistent backend failed and scipy answered
+    counts probes the warm solve failed and a cold HiGHS model answered
     (:attr:`~repro.lp.backends.LPProbeStats.n_downgrades`).  ``mean_bank_hits`` /
     ``mean_primal_reused`` count warm lookups in the cross-run solver-state
     bank and whole LP solutions answered from a carried primal (both zero
@@ -128,24 +128,15 @@ def scheduling_overhead(
     replicates: int = 3,
     base_seed: int = 53,
     replan_policy: str = "on-arrival",
-    solver_backend: str = "scipy",
     state_bank: bool = False,
 ) -> list[OverheadRecord]:
     """Measure the scheduler-side wall-clock cost of each strategy.
 
     Defaults mirror the paper's setup (3-cluster platforms) with a reduced
     submission window so that Bender98 remains tractable; the window and job
-    cap are configurable for larger runs.  ``replan_policy`` and
-    ``solver_backend`` select the replanning pipeline of the on-line LP
-    heuristics, so the overhead tables can compare cadences and the scipy
-    vs persistent-HiGHS solver backends.
-
-    ``solver_backend`` stays pinned to ``"scipy"`` here even though the
-    campaign surface defaults to ``"auto"``: the overhead regression gates
-    in ``benchmarks/bench_overhead.py`` track the historical one-shot-scipy
-    reference path so their trajectory stays comparable across PRs and
-    environments with/without HiGHS bindings (the CLI threads the session's
-    ``--solver-backend`` through explicitly).
+    cap are configurable for larger runs.  ``replan_policy`` selects the
+    replan cadence of the on-line LP heuristics, so the overhead tables can
+    compare cadences.
 
     ``state_bank=True`` threads one live :class:`SolverStateBank` per
     replicate across all strategies of that replicate -- the same
@@ -163,7 +154,6 @@ def scheduling_overhead(
         window=window,
         max_jobs=max_jobs,
         replan_policy=replan_policy,
-        solver_backend=solver_backend,
     )
     times: dict[str, list[float]] = {key: [] for key in scheduler_keys}
     decisions: dict[str, list[int]] = {key: [] for key in scheduler_keys}

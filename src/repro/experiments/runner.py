@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.core.errors import ReproError
 from repro.core.instance import Instance
 from repro.experiments.config import ExperimentConfig
-from repro.lp.backends import resolve_backend_name
 from repro.lp.bank import SolverStateBank
 from repro.schedulers.registry import make_scheduler, paper_schedulers
 from repro.simulation.engine import simulate
@@ -285,10 +284,10 @@ def campaign_meta(
 
     The full design, not just names: two campaigns sharing config names but
     differing in window/max_jobs/replan knobs produce different records, and
-    resuming (or merging) across them must be rejected.  Backends are
-    recorded *resolved* ("auto" -> what actually runs here), so a journal
-    started without HiGHS bindings cannot be silently continued with them
-    (or vice versa).  The result is normalized through JSON so a comparison
+    resuming (or merging) across them must be rejected.  The
+    ``resolved_backends`` entry is the constant ``["highs"]``, the one LP
+    engine, so a journal recorded on the removed scipy backend is never
+    continued with it.  The result is normalized through JSON so a comparison
     against a reloaded header cannot reject its own campaign (e.g. tuples
     becoming lists).
     """
@@ -297,9 +296,7 @@ def campaign_meta(
         "replicates": int(replicates),
         "scheduler_keys": list(scheduler_keys),
         "configs": [config.as_dict() for config in configs],
-        "resolved_backends": sorted(
-            {resolve_backend_name(config.solver_backend) for config in configs}
-        ),
+        "resolved_backends": ["highs"],
         "scheduler_options": (
             {key: dict(value) for key, value in scheduler_options.items()}
             if scheduler_options

@@ -26,12 +26,11 @@ on-line heuristics:
 * :mod:`repro.lp.aggregation` -- materialization of interval/resource work
   allocations (the :class:`~repro.lp.maxstretch.Shares` arrays) into plan
   lanes, one timeline per capability class.
-* :mod:`repro.lp.backends` -- the solver backends: one-shot
-  :func:`scipy.optimize.linprog` (what ``make_backend(None)`` resolves to)
-  and the persistent HiGHS backend, which the default ``"auto"`` run option
-  picks and which carries the dual-simplex basis across milestone probes
-  and replans (basis transplants onto each freshly built model); each
-  backend carries the LP counters of the run using it (``LPProbeStats``).
+* :mod:`repro.lp.backends` -- the solver backend: persistent HiGHS, over
+  the bindings scipy vendors, which carries the dual-simplex basis across
+  milestone probes and replans (basis transplants onto each freshly built
+  model); each backend carries the LP counters of the run using it
+  (``LPProbeStats``).
 """
 
 from repro.lp.problem import (
@@ -51,13 +50,9 @@ from repro.lp.relaxation import reoptimize_allocation
 from repro.lp.incremental import ReplanContext
 from repro.lp.aggregation import materialize_solution
 from repro.lp.backends import (
-    BACKEND_CHOICES,
     HighsPersistentBackend,
     LPResult,
-    ScipyBackend,
     SolverBackend,
-    available_backends,
-    highs_available,
     make_backend,
 )
 
@@ -76,10 +71,6 @@ __all__ = [
     "materialize_solution",
     "LPResult",
     "SolverBackend",
-    "ScipyBackend",
     "HighsPersistentBackend",
-    "BACKEND_CHOICES",
-    "available_backends",
-    "highs_available",
     "make_backend",
 ]

@@ -2,16 +2,14 @@
 
 A :class:`SolverBackend` turns an :class:`LPSpec` -- the arrays of System
 (1) or (2), assembled by :mod:`repro.lp.maxstretch` from a constraint
-skeleton -- into an :class:`LPResult`.  Two implementations exist:
-
-* :class:`~repro.lp.backends.scipy_backend.ScipyBackend` -- the historical
-  one-shot :func:`scipy.optimize.linprog` path;
-* :class:`~repro.lp.backends.highs.HighsPersistentBackend` -- builds a HiGHS
-  model per solve and keeps the latest basis of each warm-start series,
-  warm-starting dual simplex on the next model of the series from it, and
-  returns an optimal model for :meth:`SolverBackend.resolve_fixed` to re-solve.
-  A probe it fails is re-solved once on a fresh scipy backend
-  (:meth:`SolverBackend.solve`).
+skeleton -- into an :class:`LPResult`.  The package's one implementation is
+:class:`~repro.lp.backends.highs.HighsPersistentBackend`: it builds a HiGHS
+model per solve and keeps the latest basis of each warm-start series,
+warm-starting dual simplex on the next model of the series from it, and
+returns an optimal model for :meth:`SolverBackend.resolve_fixed` to
+re-solve.  A probe it fails is re-solved once on a fresh, cold HiGHS model
+(:meth:`SolverBackend.solve`).  The abstract class is also the seam through
+which tests inject a reference solver or a fake.
 
 Persistent backends relate successive solves through the ``warm`` argument of
 :meth:`SolverBackend.solve`: a :class:`WarmStartHint` names the series and
@@ -60,7 +58,7 @@ REPLAN_LATENCY_WINDOW = 1024
 def annotate_solver_error(exc: SolverError, **context: object) -> SolverError:
     """Fill unset structured-context fields of ``exc`` in place.
 
-    Outer layers (the scipy downgrade, the replan context) use this to add
+    Outer layers (the cold downgrade, the replan context) use this to add
     what they know -- backend name, probe signature -- without clobbering
     details the raising layer already recorded.
     """
@@ -92,8 +90,8 @@ class LPResult:
     dual_ray:
         Optional infeasibility certificate (Farkas / dual ray) reported by
         backends that can produce one (the persistent HiGHS backend); always
-        ``None`` on feasible solves and on backends without certificate
-        support (the one-shot scipy path), in which case callers degrade
+        ``None`` on feasible solves, on solves that presolve settled and on
+        backends without certificate support, in which case callers degrade
         gracefully.  The array holds one multiplier per constraint row
         (inequality rows first, then equality rows, matching
         :class:`LPSpec`), sign-normalized so that the multipliers of the
@@ -203,7 +201,7 @@ class SolverBackend(ABC):
     that object.
     """
 
-    #: Registry/display name of the backend ("scipy", "highs", ...).
+    #: Display name of the backend ("highs", ...).
     name: str = "abstract"
     #: Whether the backend exploits the ``warm`` argument to reuse bases
     #: across solves.  Callers skip building warm hints for non-persistent
@@ -232,25 +230,21 @@ class SolverBackend(ABC):
         ...), but *not* for plain infeasibility, which is an expected
         outcome during the milestone search.
 
-        A failing solve meets three layers of defence:
+        A failing solve meets two layers of defence:
 
-        1. inside the scipy backend, a solve that reports status 1
-           (iteration limit) or 4 (numerical difficulties) is retried once
-           with the other HiGHS method (see
-           :class:`~repro.lp.backends.scipy_backend.ScipyBackend`);
-        2. here, a *persistent* backend whose solve raises
-           :class:`SolverError` re-solves the same spec once on a fresh
-           scipy backend, cold (no warm hint), counted in
-           :attr:`LPProbeStats.n_downgrades` (the highs -> scipy
-           downgrade).  The failed solve leaves the series basis as it was
-           (a basis is recorded only on an optimal or infeasible outcome),
-           so the next solve starts where this one did.  When the fallback
-           fails too, its error is raised, chained from the primary's;
-        3. in a campaign, a :class:`SolverError` that survives both layers
-           aborts only its own run, which the runner records as a
-           NaN-metrics ``failed`` record (``experiments/runner.py``).
+        1. here, a *persistent* backend whose solve raises
+           :class:`SolverError` re-solves the same spec once on a fresh,
+           cold HiGHS model -- no basis, primal instead of dual simplex --
+           counted in :attr:`LPProbeStats.n_downgrades` (the downgrade).
+           The failed solve leaves the series basis as it was (a basis is
+           recorded only on an optimal or infeasible outcome), so the next
+           solve starts where this one did.  When the cold re-solve fails
+           too, its error is raised, chained from the primary's;
+        2. in a campaign, a :class:`SolverError` that survives it aborts
+           only its own run, which the runner records as a NaN-metrics
+           ``failed`` record (``experiments/runner.py``).
 
-        Every retry preserves exactness: a retried probe either returns the
+        The retry preserves exactness: a retried probe either returns the
         optimum of the same LP or fails again.  The solve is timed and
         counted once, under this backend's name, whichever layer answers.
         """
@@ -265,15 +259,15 @@ class SolverBackend(ABC):
             self._count_solve(time.perf_counter() - start, spec)
 
     def _downgrade(self, spec: LPSpec, primary_exc: SolverError) -> LPResult:
-        """Re-solve ``spec`` on a fresh scipy backend after ``primary_exc``."""
-        from repro.lp.backends.scipy_backend import ScipyBackend  # imports this module
+        """Re-solve ``spec`` on a fresh, cold HiGHS model after ``primary_exc``."""
+        from repro.lp.backends.highs import HighsPersistentBackend  # imports this module
 
         annotate_solver_error(primary_exc, backend=self.name)
-        fallback = ScipyBackend()
+        fallback = HighsPersistentBackend()
         try:
-            result = fallback._solve(spec)
+            result = fallback._solve_cold(spec)
         except SolverError as fallback_exc:
-            annotate_solver_error(fallback_exc, backend=ScipyBackend.name)
+            annotate_solver_error(fallback_exc, backend=fallback.name, attempts=2)
             raise fallback_exc from primary_exc
         finally:
             self.stats.run_seconds += fallback.stats.run_seconds
@@ -337,8 +331,8 @@ class LPProbeStats:
     #: conversion of the series' captured basis it reads --, the solver run
     #: and the basis capture.  The ``LPSpec`` assembly is not included.
     solve_seconds: float = 0.0
-    #: The part of :attr:`solve_seconds` inside the solver itself:
-    #: ``Highs.run`` on HiGHS, ``linprog`` on scipy.  The rest of
+    #: The part of :attr:`solve_seconds` inside the solver itself
+    #: (``Highs.run``).  The rest of
     #: :attr:`solve_seconds` is the Python around the solver.
     run_seconds: float = 0.0
     #: Columns and rows of the programs solved, summed over the solves
@@ -362,8 +356,8 @@ class LPProbeStats:
     #: search, in completion order (feeds the per-replan medians of
     #: ``benchmarks/bench_lp_scaling.py``).
     searches: list[tuple[int, int]] = field(default_factory=list)
-    #: Probes a persistent backend failed and a fresh scipy backend answered
-    #: (the highs -> scipy downgrade of :meth:`SolverBackend.solve`).
+    #: Probes a persistent backend failed and a fresh, cold HiGHS model
+    #: answered (the downgrade of :meth:`SolverBackend.solve`).
     n_downgrades: int = 0
     #: Cross-run solver-state bank lookups that found a warm bucket for the
     #: run's instance content key (:mod:`repro.lp.bank`).

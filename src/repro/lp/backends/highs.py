@@ -1,11 +1,10 @@
 """Persistent HiGHS backend: basis warm starts across related solves.
 
 The milestone search and the System (2) re-optimization submit long runs of
-closely-related LPs.  The one-shot scipy path rebuilds COO -> CSR ->
-presolve -> factorize for every probe.  This backend also builds a new
-``Highs`` model for every solve -- the on-line heuristics replan at every
-arrival, so consecutive solves carry different job sets and matrices -- but
-keeps the one piece of solver state that does carry over: the *basis*.
+closely-related LPs.  This backend builds a new ``Highs`` model for every
+solve -- the on-line heuristics replan at every arrival, so consecutive
+solves carry different job sets and matrices -- but keeps the one piece of
+solver state that does carry over: the *basis*.
 
 * **Basis transplants.**  Consecutive probes whose matrices differ (the
   milestone gallop walks a lattice of interval structures; arrivals change
@@ -29,16 +28,8 @@ per row and column, and a basis the next solve of the series overwrites is
 never read.  A ``Highs`` object dies with the call or, when
 its result's handle is taken, with the handle (dropped within the replan).
 
-Bindings are resolved at import time from, in order of preference:
-
-1. the optional ``highspy`` package (``pip install repro-stretch[highs]``),
-2. the HiGHS bindings vendored by scipy >= 1.15
-   (``scipy.optimize._highspy``), which expose the same pybind11 API.
-
-When neither is importable, :func:`highs_available` returns False and
-constructing :class:`HighsPersistentBackend` raises
-:class:`~repro.core.errors.SolverError`; callers requesting backend
-``"auto"`` fall back to the scipy backend instead.
+The bindings are the ones scipy >= 1.15 vendors
+(``scipy.optimize._highspy``).
 """
 
 from __future__ import annotations
@@ -46,10 +37,19 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Hashable, NamedTuple
 
 import numpy as np
+from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsBasisStatus,
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    ObjSense,
+)
+from scipy.optimize._highspy._core import _Highs as Highs
 
 from repro.core.errors import SolverError
 from repro.lp.backends.base import (
@@ -59,106 +59,16 @@ from repro.lp.backends.base import (
     WarmStartHint,
 )
 
-__all__ = [
-    "HighsPersistentBackend",
-    "highs_available",
-    "highs_source",
-    "highs_unavailable_reason",
-]
+__all__ = ["HighsPersistentBackend", "highs_source"]
 
-_API: SimpleNamespace | None = None
-_API_RESOLVED = False
-
-#: Names the backend needs from the bindings.
-_API_NAMES = (
-    "HighsLp",
-    "MatrixFormat",
-    "ObjSense",
-    "HighsModelStatus",
-    "HighsStatus",
-    "HighsBasis",
-    "HighsBasisStatus",
-)
+#: The ``simplex_strategy`` of primal simplex, which live re-solves and the
+#: cold re-solve of a failed probe run; warm solves run the default, dual.
+_PRIMAL_SIMPLEX = 4
 
 
-def _namespace_from(module, highs_cls) -> SimpleNamespace | None:
-    values = {}
-    for name in _API_NAMES:
-        value = getattr(module, name, None)
-        if value is None:
-            return None
-        values[name] = value
-    return SimpleNamespace(Highs=highs_cls, **values)
-
-
-def _load_api() -> SimpleNamespace | None:
-    """Resolve the HiGHS bindings once (highspy, then scipy's vendored copy)."""
-    global _API, _API_RESOLVED
-    if _API_RESOLVED:
-        return _API
-    _API_RESOLVED = True
-    try:
-        import highspy  # type: ignore[import-not-found]
-
-        _API = _namespace_from(highspy, highspy.Highs)
-        if _API is not None:
-            _API.source = "highspy"
-            return _API
-    except ImportError:
-        pass
-    try:
-        from scipy.optimize._highspy import _core  # type: ignore[import-not-found]
-
-        _API = _namespace_from(_core, _core._Highs)
-        if _API is not None:
-            _API.source = "scipy-vendored"
-    except ImportError:
-        _API = None
-    return _API
-
-
-def highs_available() -> bool:
-    """True when HiGHS bindings (highspy or scipy-vendored) are importable."""
-    return _load_api() is not None
-
-
-def highs_source() -> str | None:
-    """Which bindings back the persistent backend ('highspy'/'scipy-vendored')."""
-    api = _load_api()
-    return api.source if api is not None else None
-
-
-def highs_unavailable_reason() -> str | None:
-    """Why no HiGHS bindings could be resolved (``None`` when they could).
-
-    Distinguishes the two failure modes an operator can actually act on:
-    ``highspy`` missing on an old scipy (install either), versus bindings
-    that import but expose an incompatible API (upgrade them).  Mirrors the
-    resolution order of :func:`_load_api`.
-    """
-    if _load_api() is not None:
-        return None
-    try:
-        import highspy  # type: ignore[import-not-found]  # noqa: F401
-    except ImportError:
-        highspy_reason = "highspy is not installed"
-    else:
-        highspy_reason = (
-            "highspy is installed but exposes an incompatible API"
-            " (needs highspy >= 1.5)"
-        )
-    try:
-        from scipy.optimize._highspy import _core  # type: ignore[import-not-found]  # noqa: F401
-    except ImportError:
-        import scipy
-
-        vendored_reason = (
-            f"scipy {scipy.__version__} does not vendor the HiGHS bindings"
-            " (needs scipy >= 1.15)"
-        )
-    else:
-        vendored_reason = "scipy's vendored HiGHS bindings expose an incompatible API"
-    return f"{highspy_reason}, and {vendored_reason}"
+def highs_source() -> str:
+    """Which bindings back the backend: always scipy's vendored copy."""
+    return "scipy-vendored"
 
 
 #: The integer code of a ``HighsBasisStatus`` member (``int()`` costs more).
@@ -266,26 +176,16 @@ class HighsPersistentBackend(SolverBackend):
     persistent = True
 
     def __init__(self):
-        api = _load_api()
-        if api is None:
-            raise SolverError(
-                "HiGHS backend requested but no bindings are available "
-                f"({highs_unavailable_reason()}); "
-                "install the optional dependency with "
-                "`pip install repro-stretch[highs]` (or any highspy >= 1.5), "
-                "or use --solver-backend scipy"
-            )
         super().__init__()
-        self._api = api
         self._series: dict[Hashable, _SeriesBasis | _CapturedBasis] = {}
         # The HighsBasisStatus members indexed by their integer code, so a
         # transplant turns its int8 statuses into members by one indexing.
-        members = api.HighsBasisStatus.__members__.values()
+        members = HighsBasisStatus.__members__.values()
         self._status_members = np.empty(max(map(_status_code, members)) + 1, dtype=object)
         for member in members:
             self._status_members[_status_code(member)] = member
-        self._int_basic = _status_code(api.HighsBasisStatus.kBasic)
-        self._int_lower = _status_code(api.HighsBasisStatus.kLower)
+        self._int_basic = _status_code(HighsBasisStatus.kBasic)
+        self._int_lower = _status_code(HighsBasisStatus.kLower)
 
     # -- SolverBackend interface ---------------------------------------------------
     def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
@@ -306,10 +206,21 @@ class HighsPersistentBackend(SolverBackend):
         highs, spec, warm = model
         highs.changeColBounds(column, value, value)
         highs.changeColsCost(costs.size, np.arange(costs.size, dtype=np.int32), costs)
-        highs.setOptionValue("simplex_strategy", 4)  # primal simplex
+        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
         # At the default 1e-7, System (2) optima stop up to ~2e-7 (relative) short.
         highs.setOptionValue("dual_feasibility_tolerance", 1e-9)
         return self._run(highs, spec, warm=warm)
+
+    def _solve_cold(self, spec: LPSpec) -> LPResult:
+        """``spec`` on a fresh model with no basis, by primal simplex.
+
+        The downgrade of a failed solve (:meth:`SolverBackend.solve`): the
+        failed one ran dual simplex, warm or not.  Leaves no basis behind.
+        """
+        highs = self._new_solver()
+        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        self._build_model(highs, spec)
+        return self._run(highs, spec, warm=None)
 
     def close(self) -> None:
         """Drop every series basis and start a fresh :attr:`stats`."""
@@ -318,7 +229,7 @@ class HighsPersistentBackend(SolverBackend):
 
     # -- model lifecycle -----------------------------------------------------------
     def _new_solver(self):
-        highs = self._api.Highs()
+        highs = Highs()
         highs.setOptionValue("output_flag", False)
         return highs
 
@@ -338,11 +249,10 @@ class HighsPersistentBackend(SolverBackend):
 
     def _build_model(self, highs, spec: LPSpec) -> None:
         """Pass ``spec`` wholesale into ``highs`` (cold model, no basis)."""
-        api = self._api
         costs, col_lower, col_upper, row_lower, row_upper = self._arrays(spec)
         start, index, value = _csc(spec)
 
-        lp = api.HighsLp()
+        lp = HighsLp()
         lp.num_col_ = spec.n_vars
         lp.num_row_ = spec.n_rows
         lp.col_cost_ = costs
@@ -350,8 +260,8 @@ class HighsPersistentBackend(SolverBackend):
         lp.col_upper_ = col_upper
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
-        lp.sense_ = api.ObjSense.kMinimize
-        lp.a_matrix_.format_ = api.MatrixFormat.kColwise
+        lp.sense_ = ObjSense.kMinimize
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
         lp.a_matrix_.num_col_ = spec.n_vars
         lp.a_matrix_.num_row_ = spec.n_rows
         # The bindings copy int vectors from a list about twice as fast as
@@ -360,7 +270,7 @@ class HighsPersistentBackend(SolverBackend):
         lp.a_matrix_.index_ = index.tolist()
         lp.a_matrix_.value_ = value
         status = highs.passModel(lp)
-        if status == api.HighsStatus.kError:
+        if status == HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
 
     # -- basis transplants ---------------------------------------------------------
@@ -376,7 +286,6 @@ class HighsPersistentBackend(SolverBackend):
         prev = self._series_basis(warm.series)
         if prev is None:
             return
-        api = self._api
         basic = self._int_basic
         lower = self._int_lower
         col_status = _map_statuses(prev.col_ids, prev.col_status, warm.col_ids, lower)
@@ -403,11 +312,11 @@ class HighsPersistentBackend(SolverBackend):
             row_status[idx] = basic
 
         members = self._status_members
-        basis = api.HighsBasis()
+        basis = HighsBasis()
         basis.col_status = members[col_status].tolist()
         basis.row_status = members[row_status].tolist()
         basis.valid = True
-        if highs.setBasis(basis) != api.HighsStatus.kError:
+        if highs.setBasis(basis) != HighsStatus.kError:
             self.stats.n_basis_reused += 1
 
     def _capture_basis(self, highs, spec: LPSpec, warm: WarmStartHint) -> None:
@@ -473,10 +382,9 @@ class HighsPersistentBackend(SolverBackend):
             self.stats.run_seconds += time.perf_counter() - start
 
     def _run(self, highs, spec: LPSpec, warm: WarmStartHint | None) -> LPResult:
-        api = self._api
         run_status = self._timed_run(highs)
         model_status = highs.getModelStatus()
-        if model_status == api.HighsModelStatus.kUnboundedOrInfeasible:
+        if model_status == HighsModelStatus.kUnboundedOrInfeasible:
             # Presolve could not tell the two apart; disambiguate without it,
             # then restore whatever mode this model runs under (warm-series
             # models are deliberately created with presolve off).
@@ -488,7 +396,7 @@ class HighsPersistentBackend(SolverBackend):
                 model_status = highs.getModelStatus()
             finally:
                 highs.setOptionValue("presolve", previous)
-        if model_status == api.HighsModelStatus.kOptimal:
+        if model_status == HighsModelStatus.kOptimal:
             if warm is not None:
                 self._capture_basis(highs, spec, warm)
             values = np.asarray(highs.getSolution().col_value, dtype=np.float64)
@@ -500,7 +408,7 @@ class HighsPersistentBackend(SolverBackend):
                 message="Optimal (HiGHS persistent)",
                 model=_LiveModel(highs, spec, warm) if warm is not None else None,
             )
-        if model_status == api.HighsModelStatus.kInfeasible:
+        if model_status == HighsModelStatus.kInfeasible:
             # The dual-ray basis of an infeasible probe is as good a warm
             # start for the neighbouring probes as an optimal one.
             if warm is not None:

@@ -1,7 +1,7 @@
 """Content-addressed cross-run memo of exact System (1)/(2) optima.
 
 Within one replicate of the campaign, the four on-line LP schedulers (and
-both legs of a backend A/B) solve near-identical sequences of LPs -- every
+both legs of a bank on/off comparison) solve near-identical sequences of LPs -- every
 variant's first replan, before any executed work diverges, is the same
 problem.  A run's solver backend lives for that run only, so the bank is
 the one thing that crosses runs, and it holds one kind of state: **exact
@@ -61,8 +61,8 @@ def instance_content_key(instance: "Instance") -> str:
     (id, release, size, databank, explicit weight).  Two
     :class:`~repro.core.instance.Instance` objects with equal content --
     e.g. the same ``(config, replicate)`` realized in different campaign
-    legs, or under different solver backends -- map to the same key, which
-    is what lets A/B legs share a bucket while unrelated runs never do.
+    legs -- map to the same key, which is what lets the schedulers of one
+    group share a bucket while unrelated runs never do.
     """
     machines = tuple(
         (m.machine_id, m.cycle_time, tuple(sorted(m.databanks)))

@@ -26,12 +26,11 @@ allocations to rebuilding every LP from scratch -- the from-scratch
 scheduler survives only as the test oracle in ``tests/replan_oracles.py``.
 
 The LP solves themselves go through a :mod:`repro.lp.backends` backend
-that lives for the context's run.  The one-shot scipy backend preserves the
-bit-identical guarantee above; the persistent HiGHS backend
-(``solver_backend="highs"``, or the ``"auto"`` run option) additionally
-carries the simplex basis between the probes and replans of the run, which
-changes results only within solver tolerance (equivalence is enforced by
-``tests/test_lp_backends.py``).
+that lives for the context's run.  The bit-identical guarantee above holds
+on a stateless solver (the tests' one-shot ``linprog`` reference); the
+persistent HiGHS backend additionally carries the simplex basis between the
+probes and replans of the run, which changes results only within solver
+tolerance (``tests/test_lp_backends.py`` compares the two).
 
 Across runs, the only carry is the **cross-run solver-state bank**
 (:mod:`repro.lp.bank`): when the campaign runner hands the context a
@@ -91,12 +90,12 @@ class ReplanContext:
         The instance being simulated.  The platform-derived caches (resource
         tuple and :class:`~repro.lp.problem.JobTable`) are computed once here.
     solver_backend:
-        The run's LP solver backend: a name (``"scipy"`` | ``"highs"`` |
-        ``"auto"``), a ready :class:`~repro.lp.backends.SolverBackend`
-        instance, or ``None`` for one-shot scipy, resolved through
-        :func:`~repro.lp.backends.make_backend`.  With the persistent HiGHS
-        backend, consecutive milestone probes and System (2) solves of the
-        run start dual simplex from the previous basis instead of a cold one.
+        The run's LP solver backend, resolved through
+        :func:`~repro.lp.backends.make_backend`: ``None``, ``"auto"`` or
+        ``"highs"`` for a fresh persistent HiGHS backend, or a ready
+        :class:`~repro.lp.backends.SolverBackend` instance.  Consecutive
+        milestone probes and System (2) solves of the run start dual
+        simplex from the previous basis instead of a cold one.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across the
         runs of one campaign worker.  The context acquires the bucket for

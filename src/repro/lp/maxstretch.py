@@ -20,9 +20,9 @@ search jumps straight past them.  Symmetrically, a feasible probe whose LP
 optimum lands *strictly inside* its milestone interval is already the global
 optimum (monotone feasibility), so the downward confirmation probes of the
 classical gallop are skipped outright.  Backends without certificate support
-(the one-shot scipy path) degrade to the uncertified probe order; results
-are identical either way, only the number of LPs actually solved changes
-(the legacy gallop + bisection is the test oracle in
+(the tests' one-shot ``linprog`` reference) degrade to the uncertified probe
+order; results are identical either way, only the number of LPs actually
+solved changes (the legacy gallop + bisection is the test oracle in
 ``tests/replan_oracles.py``).
 
 The LP works on *resources* (capability classes) rather than individual
@@ -713,7 +713,7 @@ def solve_on_objective_range(
     additionally start each probe from the basis of the previous one,
     mapped through :func:`warm_hint`) and receives the assembly time in its
     :attr:`~repro.lp.backends.SolverBackend.stats`; ``None`` means a fresh
-    one-shot scipy backend.  ``outcome``, when provided,
+    persistent HiGHS backend.  ``outcome``, when provided,
     receives the dual-ray objective bound of a refused probe (backends
     without dual-ray support leave it empty).
     """
@@ -785,11 +785,10 @@ def minimize_max_weighted_flow(
         Optional mapping reusing constraint skeletons across solves (see
         :class:`ConstraintSkeleton`).
     backend:
-        LP solver backend; ``None`` means one fresh one-shot scipy backend
-        for the whole search.  A persistent backend
-        (``HighsPersistentBackend``) additionally warm-starts dual simplex
-        from the previous basis and produces the dual-ray certificates the
-        search prunes with; results are equivalent within solver tolerance.
+        LP solver backend; ``None`` means one fresh
+        :class:`~repro.lp.backends.HighsPersistentBackend` for the whole
+        search, which warm-starts dual simplex from the previous basis and
+        produces the dual-ray certificates the search prunes with.
         The search records its probe economy and timings in the backend's
         :attr:`~repro.lp.backends.SolverBackend.stats`.
     report:

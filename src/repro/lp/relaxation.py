@@ -86,7 +86,7 @@ def reoptimize_allocation(
         same mapping was passed to
         :func:`~repro.lp.maxstretch.minimize_max_weighted_flow`.
     backend:
-        LP solver backend (``None`` -> one-shot scipy default).
+        LP solver backend (``None`` -> a fresh persistent HiGHS backend).
     live:
         The winning probe of ``problem``'s milestone search.  A target with
         its skeleton and inside its ``F`` bounds -- each geometric inflation

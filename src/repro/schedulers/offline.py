@@ -11,7 +11,7 @@ At initialization it:
    is indifferent among them, and the one a solver returns depends on its
    pivoting -- by re-solving at :math:`S^*` with a hashed generic cost per
    column (``reoptimize_allocation(..., generic=True)``), so the plan is a
-   function of the instance, not of the LP backend,
+   function of the instance, not of the solver's pivoting,
 4. materializes the allocation into a plan, one lane per capability class
    (earliest deadline first inside each interval, which is always feasible),
    and then simply follows the plan.
@@ -47,10 +47,11 @@ class OfflineScheduler(PlanBasedScheduler):
         max-stretch before materializing the plan (off-line analogue of the
         on-line heuristic's step 3).
     solver_backend:
-        LP solver backend (``"scipy"`` | ``"highs"`` | ``"auto"``, a backend
-        instance, or ``None`` for the scipy default).  The off-line solve is
-        a single milestone search, so the persistent backend mostly saves the
-        per-probe scipy overhead here (no cross-replan reuse to exploit).
+        LP solver backend: ``None``, ``"auto"`` or ``"highs"`` for a fresh
+        persistent HiGHS backend per run, or a
+        :class:`~repro.lp.backends.SolverBackend` instance (how tests inject
+        a reference solver).  Anything else raises
+        :class:`~repro.core.errors.SolverError` at reset.
     """
 
     name = "Offline"

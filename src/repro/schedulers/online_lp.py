@@ -92,10 +92,13 @@ class OnlineLPScheduler(PlanBasedScheduler):
         Replan policy (textual spec or :class:`ReplanPolicy` instance); the
         default ``"on-arrival"`` reproduces the paper exactly.
     solver_backend:
-        LP solver backend (``"scipy"`` | ``"highs"`` | ``"auto"``, a
-        :class:`~repro.lp.backends.SolverBackend` instance, or ``None`` for
-        the scipy default).  The backend lives at the solver layer: one
-        instance per run, owned by the ReplanContext.
+        LP solver backend: ``None``, ``"auto"`` or ``"highs"`` for a fresh
+        persistent HiGHS backend per run, or a
+        :class:`~repro.lp.backends.SolverBackend` instance (how tests inject
+        a reference solver); anything else raises
+        :class:`~repro.core.errors.SolverError` at reset.  The backend lives
+        at the solver layer: one instance per run, owned by the
+        ReplanContext.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across runs
         (the campaign workers hold one each), or ``None``.  Any other value

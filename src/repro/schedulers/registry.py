@@ -14,8 +14,8 @@ directly or through the decorator form::
 
 :class:`RunOptions` declares the run options of the LP schedulers once, and
 :meth:`RunOptions.scheduler_options_for` is the one rule mapping them onto
-the registered keys.  The string-valued option enums (:class:`OnOff`,
-:class:`SolverBackendChoice`) live next to it, sharing one coercion rule.
+the registered keys.  The string-valued option enum :class:`OnOff` lives
+next to it, on the coercion rule of :class:`OptionEnum`.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ __all__ = [
     "RunOptions",
     "OptionEnum",
     "OnOff",
-    "SolverBackendChoice",
     "PAPER_TABLE1_ORDER",
     "ONLINE_LP_SCHEDULERS",
-    "LP_SOLVER_SCHEDULERS",
     "SERVICE_SCHEDULERS",
 ]
 
@@ -64,15 +62,6 @@ ONLINE_LP_SCHEDULERS: tuple[str, ...] = (
     "online-edf",
     "online-egdf",
     "online-nonopt",
-)
-
-#: Keys of every scheduler that solves Systems (1)/(2) and therefore accepts
-#: the ``solver_backend=...`` knob (the on-line heuristics plus the off-line
-#: optimal variants).  :meth:`RunOptions.scheduler_options_for` consults
-#: this tuple so a new LP consumer cannot drift out of sync with it.
-LP_SOLVER_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + (
-    "offline",
-    "offline-sum",
 )
 
 #: Keys of the schedulers usable in *service mode* (streaming arrivals): any
@@ -144,32 +133,18 @@ class OnOff(OptionEnum):
         return super().coerce(value, param=param)  # type: ignore[return-value]
 
 
-class SolverBackendChoice(OptionEnum):
-    """LP solver backend selector (``scipy`` | ``highs`` | ``auto``).
-
-    Values mirror :data:`repro.lp.backends.BACKEND_CHOICES`; the member is a
-    ``str`` and is handed to :func:`repro.lp.backends.make_backend` as-is.
-    """
-
-    SCIPY = "scipy"
-    HIGHS = "highs"
-    AUTO = "auto"
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunOptions:
     """The run options of the LP schedulers, declared once.
 
     :class:`~repro.experiments.config.ExperimentConfig` and
     :class:`~repro.service.daemon.ServiceConfig` inherit these fields, the
-    CLI derives its ``--replan-policy`` / ``--solver-backend`` flags from
-    their metadata, and :meth:`scheduler_options_for` is the one rule that
-    maps them onto the LP schedulers' constructor options.
+    CLI derives its ``--replan-policy`` flag from their metadata, and
+    :meth:`scheduler_options_for` is the one rule that maps them onto the
+    LP schedulers' constructor options.
 
-    Values are validated on construction: the policy must parse, and the
-    backend is coerced into a :class:`SolverBackendChoice`
-    member (canonical spellings, case-insensitively).  An invalid value
-    raises :class:`ValueError`.
+    Values are validated on construction: the policy must parse, or
+    :class:`ValueError` is raised.
     """
 
     replan_policy: str = field(
@@ -181,44 +156,21 @@ class RunOptions:
             "'threshold[:<factor>]'",
         },
     )
-    solver_backend: "SolverBackendChoice | str" = field(
-        default=SolverBackendChoice.AUTO,
-        metadata={
-            "metavar": "|".join(member.value for member in SolverBackendChoice),
-            "help": "LP solver backend for the LP-based schedulers: 'auto' "
-            "(default: the persistent HiGHS backend -- dual-simplex basis "
-            "warm starts across milestone probes and replans -- when highspy "
-            "or scipy >= 1.15 provides bindings, one-shot scipy otherwise), "
-            "'highs' (require the persistent backend), or 'scipy' (force the "
-            "one-shot linprog path: the bit-stable escape hatch reproducing "
-            "the historical campaign numbers exactly)",
-        },
-    )
 
     def __post_init__(self) -> None:
         parse_policy(self.replan_policy)
-        # Frozen (and so are the subclasses), hence the explicit __setattr__.
-        object.__setattr__(
-            self,
-            "solver_backend",
-            SolverBackendChoice.coerce(self.solver_backend, param="solver_backend"),
-        )
 
     def scheduler_options_for(self, key: str) -> dict[str, object]:
         """Constructor options these run options imply for scheduler ``key``.
 
-        The solver backend goes to every LP consumer
-        (``LP_SOLVER_SCHEDULERS``), the replan policy only to the on-line LP
-        heuristics (``ONLINE_LP_SCHEDULERS``); every other scheduler gets no
-        options.  The values are plain strings, so the result can go into a
-        trace header as it is.
+        The replan policy goes to the on-line LP heuristics
+        (``ONLINE_LP_SCHEDULERS``); every other scheduler gets no options.
+        The values are plain strings, so the result can go into a trace
+        header as it is.
         """
-        options: dict[str, object] = {}
-        if key in LP_SOLVER_SCHEDULERS:
-            options["solver_backend"] = str(self.solver_backend)
         if key in ONLINE_LP_SCHEDULERS:
-            options["policy"] = self.replan_policy
-        return options
+            return {"policy": self.replan_policy}
+        return {}
 
 
 SchedulerFactory = Callable[[], Scheduler]

@@ -54,8 +54,8 @@ _SHED_MIN_REPLANS = 5
 class ServiceConfig(RunOptions):
     """Configuration of one daemon run.
 
-    The replan policy and solver backend are the inherited
-    :class:`~repro.schedulers.registry.RunOptions` (keyword-only).  The
+    The replan policy is the inherited
+    :class:`~repro.schedulers.registry.RunOptions` field (keyword-only).  The
     cross-run solver-state bank is deliberately absent: it is a
     campaign-layer accelerator with no meaning for a single resident daemon.
 

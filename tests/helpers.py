@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+import repro.lp.incremental as incremental_module
+import repro.schedulers.offline as offline_module
 import repro.schedulers.online_lp as online_lp_module
 from repro.core.errors import SolverError
 from repro.core.instance import Instance
@@ -28,11 +30,13 @@ from repro.lp.maxstretch import MaxStretchSolution, Shares
 from repro.lp.problem import Affine, MaxStretchProblem
 
 from certify import certify, certify_system2
+from scipy_backend import ScipyBackend
 
 __all__ = [
     "make_uniform_instance",
     "lp_spec",
     "fail_first_highs_run",
+    "run_lp_on_scipy",
     "record_answers",
     "certify_answers",
     "boundaries",
@@ -119,6 +123,18 @@ def fail_first_highs_run(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(HighsPersistentBackend, "_run", run)
     return calls
+
+
+def run_lp_on_scipy(monkeypatch) -> None:
+    """Solve every on-line and off-line LP run on a fresh linprog reference.
+
+    Patches the ``make_backend`` the replan context and ``OfflineScheduler``
+    call at run start, so it reaches whole campaigns too: pool workers are
+    forked and inherit the patch.  Where a campaign cannot name a backend,
+    this is how a test runs it on the stateless, bit-stable solver.
+    """
+    for module in (incremental_module, offline_module):
+        monkeypatch.setattr(module, "make_backend", lambda spec=None: ScipyBackend())
 
 
 def record_answers(monkeypatch) -> tuple[list, list]:

@@ -1,13 +1,8 @@
-"""Campaign-scale solver-backend A/B harness.
+"""Two-tier comparison of two campaign record sets (bank on vs off, ...).
 
-``tests/test_lp_backends.py`` proves scipy/HiGHS equivalence probe by probe;
-this module produces the *campaign-scale* evidence the ROADMAP required
-before the persistent backend could become the default: the same campaign is
-run once per backend and the two record sets are compared triple by triple.
-
-The two backends solve the same LPs to the same objectives (machine
-precision) but may return *different optimal vertices* when System (2) is
-degenerate -- and a different optimal allocation materializes into a
+The two legs of a comparison may return *different optimal vertices* when
+System (2) is degenerate (e.g. a banked optimum vs a warm HiGHS basis that
+lands elsewhere), and a different optimal allocation materializes into a
 different discrete schedule, which on small instances shifts the secondary
 metrics of an individual run by 10 % or more.  The equivalence claim is
 therefore two-tiered, matching what the campaign actually reports:
@@ -20,38 +15,17 @@ therefore two-tiered, matching what the campaign actually reports:
   wobble with the tie-breaking, but the per-scheduler campaign *means* --
   the numbers Tables 1-16 are built from -- must agree within
   ``tie_tolerance`` (default 10 %, sized for mini-campaign sample counts).
-  The off-line schedule picks its optimum with a generic cost and System
-  (2)'s split across resources follows a fixed rule, so the off-line and
-  System (2) schedulers mostly agree record by record (within 2e-7
-  relative on the CI mini-campaign at base seeds 2006-2015).  What still
-  wobbles is a raw System (1) vertex (``online-nonopt``) and System (2)'s
-  exchanges between classes of equal work.
 
-This wobble is why ``--solver-backend scipy`` remains the bit-stable escape
-hatch for reproducing historical numbers exactly.  Schedulers that never
-touch an LP must come back *bitwise* identical under both backends (the
-backend knob cannot leak into them); their records make the objective-tier
-check and the aggregate check trivially exact.
-
-Exposed on the CLI as ``repro-stretch campaign --ab-backends`` and gated in
-``benchmarks/bench_campaign.py`` (the gate behind the ``--solver-backend``
-default flip from ``scipy`` to ``auto``).
+Used by the bank on/off gates of ``tests/test_state_bank.py`` and
+``benchmarks/bench_campaign.py::bench_state_bank_reuse``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    DEFAULT_SCHEDULERS,
-    CampaignProgress,
-    ExperimentResults,
-    run_campaign,
-)
-from repro.lp.backends import resolve_backend_name
+from repro.experiments.runner import ExperimentResults
 from repro.utils.textable import TextTable
 
 __all__ = [
@@ -59,7 +33,6 @@ __all__ = [
     "TIE_METRICS",
     "BackendABReport",
     "compare_record_sets",
-    "run_backend_ab",
 ]
 
 #: Tie-free optimized metrics: every record must agree within solver tolerance.
@@ -72,7 +45,7 @@ TIE_METRICS: tuple[str, ...] = ("sum_stretch", "sum_flow", "max_flow", "makespan
 
 @dataclass
 class BackendABReport:
-    """Outcome of one backend A/B campaign comparison.
+    """Outcome of one two-tier campaign comparison (legs ``a`` and ``b``).
 
     ``equivalent`` is the gate: failed flags agree on every triple, every
     record agrees on the objective-tier metrics within
@@ -121,7 +94,7 @@ class BackendABReport:
         return worst_scheduler, worst
 
     def render(self) -> str:
-        """Human-readable summary (printed by ``campaign --ab-backends``)."""
+        """Human-readable summary (printed when a gate fails)."""
         per_record = TextTable(
             headers=["Objective metric (per record)", "max rel. diff", "tolerance", "ok"]
         )
@@ -249,51 +222,3 @@ def compare_record_sets(
         if diff > tie_tolerance:
             report.aggregate_mismatches.append((scheduler, metric, mean_a, mean_b))
     return report
-
-
-def run_backend_ab(
-    configs: Sequence[ExperimentConfig],
-    *,
-    scheduler_keys: Sequence[str] = DEFAULT_SCHEDULERS,
-    replicates: int = 2,
-    base_seed: int = 2006,
-    n_workers: int = 1,
-    scheduler_options: Mapping[str, Mapping[str, object]] | None = None,
-    backend_a: str = "scipy",
-    backend_b: str = "auto",
-    objective_tolerance: float = 1e-6,
-    tie_tolerance: float = 0.10,
-    progress: Callable[[CampaignProgress], None] | None = None,
-) -> tuple[BackendABReport, ExperimentResults, ExperimentResults]:
-    """Run the campaign once per backend and compare the record sets.
-
-    Returns ``(report, results_a, results_b)``; ``results_a`` (the reference
-    backend, scipy by default) is what callers should aggregate into tables.
-    ``backend_b="auto"`` compares against whatever the environment resolves
-    it to -- when no HiGHS bindings are available the comparison degenerates
-    to scipy-vs-scipy and the report says so through its backend names.
-    """
-    name_a = resolve_backend_name(backend_a)
-    name_b = resolve_backend_name(backend_b)
-    sides: list[ExperimentResults] = []
-    for backend in (backend_a, backend_b):
-        sides.append(
-            run_campaign(
-                [replace(config, solver_backend=backend) for config in configs],
-                scheduler_keys=scheduler_keys,
-                replicates=replicates,
-                base_seed=base_seed,
-                n_workers=n_workers,
-                scheduler_options=scheduler_options,
-                progress=progress,
-            )
-        )
-    report = compare_record_sets(
-        sides[0],
-        sides[1],
-        backend_a=name_a,
-        backend_b=name_b,
-        objective_tolerance=objective_tolerance,
-        tie_tolerance=tie_tolerance,
-    )
-    return report, sides[0], sides[1]

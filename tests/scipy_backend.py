@@ -1,9 +1,13 @@
-"""One-shot :func:`scipy.optimize.linprog` backend (the historical path).
+"""One-shot :func:`scipy.optimize.linprog` backend: the tests' reference solver.
 
 Every solve converts the spec's COO triplets to CSR and hands the whole
-program to scipy, which re-presolves and re-factorizes from scratch.  This is
-the default backend: it has no persistent state, is always available, and its
-results are the reference the persistent backends are tested against.
+program to scipy, which re-presolves and re-factorizes from scratch.  It
+has no persistent state, so its answers are a function of the LP alone:
+the LP goldens of ``tests/test_engine_golden.py`` and the bit-identity
+properties (context vs from-scratch oracle, certificate vs gallop search)
+run on it, a fresh instance per run, passed as ``solver_backend=``.
+``linprog(method="highs")`` is the same HiGHS library the package runs,
+so agreement with it is no second-solver check; ``tests/certify.py`` is.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the campaign execution engine: sharding, checkpoint/resume, A/B.
+"""Tests for the campaign execution engine: sharding, checkpoint/resume.
 
 The hard invariant of the engine is that the record set is *bit-identical*
 (order-independent, timing measurements excluded) regardless of the number
@@ -18,7 +18,6 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.core.errors import ReproError
-from repro.experiments.ab import compare_record_sets, run_backend_ab
 from repro.experiments.config import ExperimentConfig, paper_configurations
 from repro.experiments.io import (
     CampaignCheckpoint,
@@ -32,7 +31,8 @@ from repro.experiments.runner import (
     campaign_tasks,
     run_campaign,
 )
-from repro.lp.backends import resolve_backend_name
+
+from record_sets import compare_record_sets
 
 #: A design small enough for CI but crossing configs, replicates and both
 #: LP and list schedulers (so the worker-resident backend path is exercised).
@@ -473,22 +473,8 @@ class TestJsonNaN:
         assert record.failed and math.isnan(record.sum_stretch)
 
 
-class TestBackendAB:
-    def test_ab_gate_on_mini_campaign(self):
-        report, results_a, results_b = run_backend_ab(
-            CONFIGS, scheduler_keys=KEYS, replicates=REPLICATES,
-            base_seed=SEED, n_workers=2,
-        )
-        assert report.backend_a == "scipy"
-        assert report.backend_b == resolve_backend_name("auto")
-        assert report.n_records == len(results_a) == len(results_b)
-        # The tie-free optimized metric agrees per record; the scheduler
-        # means of the tie-broken metrics agree within the documented 10%.
-        assert report.equivalent, report.render()
-        assert "VERDICT: equivalent" in report.render()
-        # Non-LP schedulers cannot see the backend knob: their records are
-        # bitwise identical, so at least half the record set is.
-        assert report.n_identical >= report.n_records // 2
+class TestCompareRecordSets:
+    """The two-tier comparison the bank on/off gates use (``record_sets.py``)."""
 
     def test_compare_flags_objective_mismatch(self, serial_results):
         mutated = ExperimentResults(

@@ -30,7 +30,7 @@ from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instan
 from certify import certify_system2
 from helpers import allocations
 from test_class_lp import class_problems
-from test_lp_backends import requires_highs
+from test_lp_backends import backend_of
 
 
 def one_interval_problem(eligible: list[tuple[int, ...]], works: list[float], n_res: int):
@@ -77,8 +77,8 @@ def test_a_full_class_moves_earlier_work_along_an_augmenting_path():
 
 def test_the_split_keeps_totals_and_capacities_of_a_real_optimum():
     problem, _ = one_interval_problem([(0, 1), (0, 1), (0,)], [0.5, 1.0, 0.5], 2)
-    best = minimize_max_weighted_flow(problem, backend=make_backend("scipy"))
-    answer = reoptimize_allocation(problem, best.objective, backend=make_backend("scipy"))
+    best = minimize_max_weighted_flow(problem, backend=make_backend())
+    answer = reoptimize_allocation(problem, best.objective, backend=make_backend())
     certify_system2(problem, answer)
     # Capacities are 1 + 1e-7 at the inflated S* = 1: C takes that 1e-7 on
     # resource 0, the rest where the fixed rule puts it.
@@ -86,13 +86,12 @@ def test_the_split_keeps_totals_and_capacities_of_a_real_optimum():
     assert big == pytest.approx({(0, 0, 0): 0.5, (0, 1, 1): 1.0, (0, 0, 2): 0.5}, abs=1e-6)
 
 
-@requires_highs
 @settings(max_examples=40, deadline=None)
 @given(problem=class_problems(online=False))
 def test_the_offline_tie_break_is_the_same_on_both_backends(problem):
     answers = []
     for name in ("scipy", "highs"):
-        backend = make_backend(name)
+        backend = backend_of(name)
         best = minimize_max_weighted_flow(problem, backend=backend)
         answer = reoptimize_allocation(problem, best.objective, backend=backend, generic=True)
         certify_system2(problem, answer)
@@ -106,7 +105,6 @@ def test_the_offline_tie_break_is_the_same_on_both_backends(problem):
         assert a == pytest.approx(b, rel=1e-6, abs=1e-6), key
 
 
-@requires_highs
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("key", ["offline", "online-nonopt"])
 def test_the_installed_schedule_is_the_same_on_both_backends(key, seed):
@@ -117,7 +115,9 @@ def test_the_installed_schedule_is_the_same_on_both_backends(key, seed):
     workload = WorkloadSpec(density=2.0, window=30.0, max_jobs=20)
     instance = generate_instance(platform, workload, rng=seed)
     rows = [
-        api.simulate(instance, key, scheduler_options={"solver_backend": name}).metrics_row()
+        api.simulate(
+            instance, key, scheduler_options={"solver_backend": backend_of(name)}
+        ).metrics_row()
         for name in ("scipy", "highs")
     ]
     for metric in ("max_stretch", "sum_stretch", "max_flow", "sum_flow", "makespan"):

@@ -21,8 +21,7 @@ from repro.workload.generator import (
 
 from certify import MAX_SUBSET_JOBS, certify, certify_system2
 from helpers import certify_answers, make_uniform_instance, record_answers
-from test_engine_golden import LP_JOBS, SCHEDULERS, wide_instance
-from test_lp_backends import requires_highs
+from test_engine_golden import LP_JOBS, scheduler_options, wide_instance
 
 
 def _online_dense_instances(seed: int, count: int) -> list[Instance]:
@@ -96,7 +95,6 @@ class TestCertify:
             certify(problem, _solved(problem))
 
 
-@requires_highs
 def test_every_online_replan_on_highs_is_certified(monkeypatch):
     """HiGHS answers of a whole ``online`` run, replan by replan, both systems."""
     seen, reoptimized = record_answers(monkeypatch)
@@ -138,6 +136,8 @@ def test_every_golden_slice_replan_is_certified(variant, monkeypatch):
     seen, reoptimized = record_answers(monkeypatch)
     instance = wide_instance()
     ids = [job.job_id for job in instance.jobs[: LP_JOBS[variant]]]
-    api.simulate(instance.restrict_jobs(ids), variant, scheduler_options=SCHEDULERS[variant])
+    api.simulate(
+        instance.restrict_jobs(ids), variant, scheduler_options=scheduler_options(variant)
+    )
     assert len(reoptimized) == len(seen) > 0
     assert certify_answers(seen, reoptimized) > 0

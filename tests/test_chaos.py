@@ -31,6 +31,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.io import CampaignCheckpoint
 from repro.experiments.runner import campaign_tasks, run_campaign
 
+from helpers import run_lp_on_scipy
+
 FAULT_CONFIG = ExperimentConfig(
     name="chaos", n_clusters=2, n_databanks=2, availability=0.6,
     density=1.0, processors_per_cluster=2, window=12.0, max_jobs=6,
@@ -77,13 +79,13 @@ class TestFaultAxisCampaigns:
         "bank,backend", [(True, "auto"), (False, "auto"), (True, "scipy")]
     )
     def test_bit_identical_across_workers_bank_backend(
-        self, fault_serial, n_workers, bank, backend
+        self, fault_serial, n_workers, bank, backend, monkeypatch
     ):
         import dataclasses
 
-        config = dataclasses.replace(
-            FAULT_CONFIG, state_bank=bank, solver_backend=backend
-        )
+        if backend == "scipy":
+            run_lp_on_scipy(monkeypatch)
+        config = dataclasses.replace(FAULT_CONFIG, state_bank=bank)
         serial = run_campaign(
             [config], scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED
         )
@@ -107,13 +109,14 @@ class TestEmptyTimelineIdentity:
         "bank,backend", [(True, "auto"), (False, "auto"), (True, "scipy")]
     )
     def test_fault_free_campaign_identical_at_any_worker_count(
-        self, n_workers, bank, backend
+        self, n_workers, bank, backend, monkeypatch
     ):
         import dataclasses
 
+        if backend == "scipy":
+            run_lp_on_scipy(monkeypatch)
         config = dataclasses.replace(
-            FAULT_CONFIG, fault_mtbf=None, fault_mttr=None, state_bank=bank,
-            solver_backend=backend,
+            FAULT_CONFIG, fault_mtbf=None, fault_mttr=None, state_bank=bank
         )
         assert config.fault_spec() is None
         serial = run_campaign(

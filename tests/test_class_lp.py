@@ -26,7 +26,7 @@ from certify import certify, certify_system2
 from helpers import allocations
 from replan_oracles import per_job_reoptimize_allocation, per_job_search
 from test_certify import _online_dense_instances
-from test_lp_backends import BACKENDS, requires_highs
+from test_lp_backends import BACKENDS, backend_of
 
 REL = 1e-9
 
@@ -85,14 +85,14 @@ def class_problems(draw, online: bool):
 
 
 def assert_same_optima(problem: MaxStretchProblem, backend_name: str) -> None:
-    best = minimize_max_weighted_flow(problem, backend=make_backend(backend_name))
+    best = minimize_max_weighted_flow(problem, backend=backend_of(backend_name))
     with per_job_search():
-        oracle = minimize_max_weighted_flow(problem, backend=make_backend(backend_name))
+        oracle = minimize_max_weighted_flow(problem, backend=backend_of(backend_name))
     assert best.objective == pytest.approx(oracle.objective, rel=REL)
     certify(problem, best)
-    system2 = reoptimize_allocation(problem, best.objective, backend=make_backend(backend_name))
+    system2 = reoptimize_allocation(problem, best.objective, backend=backend_of(backend_name))
     oracle2 = per_job_reoptimize_allocation(
-        problem, best.objective, backend=make_backend(backend_name)
+        problem, best.objective, backend=backend_of(backend_name)
     )
     assert system2.objective == oracle2.objective
     assert system2_objective(system2) == pytest.approx(system2_objective(oracle2), rel=REL)
@@ -107,7 +107,6 @@ def test_class_lp_reaches_the_per_job_optima(backend_name, online, data):
     assert_same_optima(data.draw(class_problems(online)), backend_name)
 
 
-@requires_highs
 def test_every_online_dense_replan_matches_the_per_job_optima(monkeypatch):
     """The context's answers, replan by replan, against the per-job LP."""
     seen = []

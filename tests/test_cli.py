@@ -30,16 +30,22 @@ class TestParser:
         assert args.sites == [3]
         assert args.densities == [1.0, 2.0]
 
-    def test_solver_backend_flag(self):
-        for sub in ("simulate", "campaign", "overhead"):
-            # 'auto' is the default since the campaign-scale A/B gate passed;
-            # 'scipy' stays available as the bit-stable escape hatch.
-            args = build_parser().parse_args([sub])
-            assert args.solver_backend == "auto"
-            args = build_parser().parse_args([sub, "--solver-backend", "scipy"])
-            assert args.solver_backend == "scipy"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([sub, "--solver-backend", "scipy"]
+              for sub in ("simulate", "campaign", "serve", "overhead")),
+            ["campaign", "--ab-backends"],
+            ["campaign", "--ab-tolerance", "1e-6"],
+            ["campaign", "--ab-tie-tolerance", "0.1"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_backend_flags_are_gone(self, argv, capsys):
+        # Every LP runs on HiGHS: there is no backend to choose or compare.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--solver-backend", "cplex"])
+            build_parser().parse_args(argv)
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_state_bank_flag(self):
         # The cross-run solver-state bank is on by default; 'off' is the
@@ -63,10 +69,6 @@ class TestParser:
         assert args.checkpoint == "ck.jsonl"
         assert args.resume
         assert args.workers == 4
-        args = build_parser().parse_args(["campaign", "--ab-backends"])
-        assert args.ab_backends
-        assert args.ab_tolerance == 1e-6
-        assert args.ab_tie_tolerance == 0.10
 
     def test_campaign_max_jobs_cap(self):
         # 0 is the documented "uncapped" spelling; negatives are typos and
@@ -115,11 +117,7 @@ class TestCommands:
         assert "SWRPT" in out and "MCT" in out
         assert "max-stretch" in out
 
-    def test_simulate_with_highs_backend(self, capsys):
-        from repro.lp.backends import highs_available
-
-        if not highs_available():
-            pytest.skip("HiGHS bindings unavailable")
+    def test_simulate_lp_schedulers(self, capsys):
         code = main(
             [
                 "simulate",
@@ -129,44 +127,12 @@ class TestCommands:
                 "--window", "12",
                 "--max-jobs", "5",
                 "--schedulers", "online", "offline",
-                "--solver-backend", "highs",
                 "--seed", "3",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "Online" in out and "Offline" in out
-
-    def test_highs_backend_unavailable_is_reported(self, capsys, monkeypatch):
-        import repro.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "available_backends", lambda: ("scipy",))
-        code = main(["simulate", "--max-jobs", "3", "--solver-backend", "highs"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "highspy" in err
-
-    def test_highs_unavailable_error_carries_the_probed_reason(
-        self, capsys, monkeypatch
-    ):
-        # When the availability probe can tell *why* the bindings are out
-        # (highspy missing vs scipy too old vs incompatible APIs), the
-        # error must surface that diagnosis, not just the install hint.
-        import repro.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "available_backends", lambda: ("scipy",))
-        monkeypatch.setattr(
-            cli_mod,
-            "highs_unavailable_reason",
-            lambda: "highspy is not installed, and scipy 1.10 does not vendor "
-            "the HiGHS bindings (needs scipy >= 1.15)",
-        )
-        code = main(["simulate", "--max-jobs", "3", "--solver-backend", "highs"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "highspy is not installed" in err
-        assert "scipy 1.10 does not vendor" in err
-        assert "--solver-backend auto" in err
 
     def test_simulate_with_trace_and_gantt(self, capsys):
         code = main(
@@ -319,41 +285,11 @@ class TestCommands:
         code = main(["campaign", "--shard", "1/2", "--breakdowns", "--max-jobs", "3"])
         assert code == 2
         assert "incompatible" in capsys.readouterr().err
-        code = main(["campaign", "--shard", "1/2", "--ab-backends", "--max-jobs", "3"])
-        assert code == 2
-        assert "incompatible" in capsys.readouterr().err
 
     def test_merge_of_missing_journal_is_clean_error(self, capsys, tmp_path):
         code = main(["merge", str(tmp_path / "nope.jsonl")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_campaign_ab_backends_rejects_record_sinks(self, capsys):
-        code = main(
-            ["campaign", "--ab-backends", "--checkpoint", "x.jsonl", "--max-jobs", "3"]
-        )
-        assert code == 2
-        assert "incompatible" in capsys.readouterr().err
-
-    def test_campaign_ab_backends(self, capsys):
-        code = main(
-            [
-                "campaign",
-                "--ab-backends",
-                "--replicates", "1",
-                "--sites", "2",
-                "--databanks", "2",
-                "--availabilities", "0.6",
-                "--densities", "1.0",
-                "--window", "12",
-                "--max-jobs", "5",
-                "--schedulers", "online", "swrpt",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Backend A/B" in out
-        assert "VERDICT: equivalent" in out
 
     def test_theorem1_command(self, capsys):
         code = main(["theorem1", "--delta", "4", "--unit-jobs", "12",

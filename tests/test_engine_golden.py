@@ -11,7 +11,9 @@ column set per job class (a different LP, so a different vertex), System
 (2)'s split across resources became a fixed rule and ``offline`` began to
 pick its optimum with a generic cost; ``online-nonopt`` alone was re-frozen
 once more when it began to install that pick instead of a raw System (1)
-vertex.  The heuristic and ``bender98`` digests did not move.  Each digest
+vertex.  The heuristic and ``bender98`` digests did not move, not even when
+``bender98`` moved from the one-shot ``linprog`` path to the persistent
+HiGHS backend (its S* probes end on the same optima).  Each digest
 covers every slice of the realized schedule -- ``job_id, machine_id, start,
 end, work``, floats in hex -- so a change in any bit of any slice, or in the
 number or order of slices, fails the test.
@@ -35,13 +37,16 @@ from repro.workload.generator import (
     generate_workload,
 )
 
+from scipy_backend import ScipyBackend
+
 FIXTURE = Path(__file__).parent / "golden" / "engine_slices_120x200.json"
 
-#: The LP schedulers derive ranks and plans from LP optima; the one-shot
-#: scipy backend is the bit-stable one, but only for a given scipy release.
-#: The plan followers (``online``, ``online-edf``, ``online-nonopt``,
-#: ``offline``) were added from the commit before plans became lanes per
-#: capability class.
+#: The LP schedulers derive ranks and plans from LP optima; they run on the
+#: tests' stateless one-shot ``linprog`` reference (``scipy_backend.py``, a
+#: fresh instance per run, see :func:`scheduler_options`), bit-stable for a
+#: given scipy release.  The plan followers (``online``, ``online-edf``,
+#: ``online-nonopt``, ``offline``) were added from the commit before plans
+#: became lanes per capability class.
 LP_SCHEDULERS = ("online-egdf", "online", "online-edf", "online-nonopt", "offline")
 SCHEDULERS: dict[str, dict] = {
     "swrpt": {},
@@ -50,10 +55,10 @@ SCHEDULERS: dict[str, dict] = {
     "bender02": {},
     "mct": {},
     "mct-div": {},
-    **{key: {"solver_backend": "scipy"} for key in LP_SCHEDULERS},
-    # Re-solves the off-line problem at every release, always on the one-shot
-    # scipy default (it takes no backend option), capped to the 8 latest jobs
-    # per resolution.  The one registry scheduler behind the
+    **{key: {} for key in LP_SCHEDULERS},
+    # Re-solves the off-line problem at every release, on the package's
+    # persistent HiGHS backend (it takes no backend option), capped to the 8
+    # latest jobs per resolution.  The one registry scheduler behind the
     # ``expand_deadlines`` kernel; cut from the commit before the kernel tiers
     # were deleted.
     "bender98": {"max_jobs_per_resolution": 8},
@@ -66,6 +71,14 @@ SCHEDULERS: dict[str, dict] = {
 #: runs that slice); the fixture predates the retry and keeps the 39-job slice.
 #: ``bender98`` shares the slice, and the scipy pin, of the LP schedulers.
 LP_JOBS = {key: 40 for key in (*LP_SCHEDULERS, "bender98")} | {"offline": 39}
+
+
+def scheduler_options(key: str) -> dict:
+    """The options of ``key``'s golden run: LP keys get a fresh linprog reference."""
+    options = dict(SCHEDULERS[key])
+    if key in LP_SCHEDULERS:
+        options["solver_backend"] = ScipyBackend()
+    return options
 
 
 def wide_instance() -> Instance:
@@ -83,7 +96,7 @@ def wide_instance() -> Instance:
 def slice_digest(key: str, instance: Instance) -> dict:
     if key in LP_JOBS:
         instance = instance.restrict_jobs(job.job_id for job in instance.jobs[: LP_JOBS[key]])
-    result = api.simulate(instance, key, scheduler_options=SCHEDULERS[key])
+    result = api.simulate(instance, key, scheduler_options=scheduler_options(key))
     sha = hashlib.sha256()
     for s in result.schedule:
         sha.update(

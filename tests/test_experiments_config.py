@@ -61,24 +61,17 @@ class TestExperimentConfig:
         with pytest.raises(ModelError):
             self.make(density=0.0)
 
-    def test_solver_backend_default_and_validation(self):
-        # 'auto' became the default once the campaign-scale A/B gate
-        # (benchmarks/bench_campaign.py) confirmed the equivalence margins;
-        # 'scipy' remains the bit-stable escape hatch.
-        config = self.make()
-        assert config.solver_backend == "auto"
-        assert config.as_dict()["solver_backend"] == "auto"
-        assert self.make(solver_backend="highs").solver_backend == "highs"
-        assert self.make(solver_backend="scipy").solver_backend == "scipy"
-        with pytest.raises(ModelError):
-            self.make(solver_backend="cplex")
+    def test_solver_backend_is_a_journal_constant(self):
+        # Every LP runs on HiGHS; the key stays, constant, so journals that
+        # recorded the old default still resume.
+        assert self.make().as_dict()["solver_backend"] == "auto"
+        assert not hasattr(self.make(), "solver_backend")
 
-    def test_solver_backend_reaches_lp_schedulers(self):
-        config = self.make(solver_backend="auto")
+    def test_run_options_reach_lp_schedulers(self):
+        config = self.make()
         online = config.scheduler_options_for("online")
-        assert online["solver_backend"] == "auto"
-        assert online["policy"] == "on-arrival"
-        assert config.scheduler_options_for("offline") == {"solver_backend": "auto"}
+        assert online == {"policy": "on-arrival", "state_bank": True}
+        assert config.scheduler_options_for("offline") == {}
         assert config.scheduler_options_for("swrpt") == {}
 
 

@@ -38,6 +38,7 @@ from repro.workload.faults import FaultSpec, generate_fault_timeline
 
 from helpers import make_uniform_instance
 from replan_oracles import FromScratchOnlineLP
+from scipy_backend import ScipyBackend
 
 
 class TestApplyLoss:
@@ -242,14 +243,16 @@ class TestEligibilityEdgeCases:
             [2.0, 1.0, 3.0], [0.0, 0.0, 10.0], cycle_times=(1.0, 1.0)
         )
         faults = FaultTimeline.from_intervals([(1, 0.5, 7.0)])
-        options = {"solver_backend": "scipy"} if scheduler_key == "online" else {}
-        result = simulate(instance, make_scheduler(scheduler_key, **options), faults=faults)
+        def options():  # a fresh linprog reference per run: exact equality
+            return {"solver_backend": ScipyBackend()} if scheduler_key == "online" else {}
+
+        result = simulate(instance, make_scheduler(scheduler_key, **options()), faults=faults)
         assert not result.parked
         assert sorted(result.completions) == [0, 1, 2]
         assert result.completions[2] > 10.0
         assert outage_free(result.schedule, faults)
         if scheduler_key == "online":
-            oracle = simulate(instance, FromScratchOnlineLP(**options), faults=faults)
+            oracle = simulate(instance, FromScratchOnlineLP(**options()), faults=faults)
             assert result.completions == oracle.completions
             assert result.schedule.slices == oracle.schedule.slices
 

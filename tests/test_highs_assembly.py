@@ -17,19 +17,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.lp.backends import LPSpec, WarmStartHint, highs_available, make_backend
+import repro.lp.backends.highs as highs_module
+from repro.lp.backends import LPSpec, WarmStartHint, make_backend
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import _lp_spec, build_skeleton, warm_hint
 from repro.lp.problem import problem_from_instance
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from helpers import lp_spec
-
-pytestmark = pytest.mark.skipif(
-    not highs_available(),
-    reason="neither highspy nor scipy-vendored HiGHS bindings are available",
-)
-
 
 def _problem_and_skeleton(seed: int = 7):
     platform_spec = PlatformSpec(
@@ -93,14 +88,14 @@ class TestCSCAssembly:
         """Every ``HighsLp`` the backend fills, in creation order."""
         backend = make_backend("highs")
         made = []
-        make_lp = backend._api.HighsLp
+        make_lp = highs_module.HighsLp
 
         def recording_lp():
             lp = make_lp()
             made.append(lp)
             return lp
 
-        monkeypatch.setattr(backend._api, "HighsLp", recording_lp)
+        monkeypatch.setattr(highs_module, "HighsLp", recording_lp)
         return backend, made
 
     @pytest.mark.parametrize("system", [1, 2, "hand-made"])

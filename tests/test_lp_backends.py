@@ -1,11 +1,10 @@
-"""Backend-equivalence tests for the pluggable LP solver layer.
+"""The LP solver layer: the persistent HiGHS backend against the linprog reference.
 
-The persistent HiGHS backend must be a drop-in replacement for the one-shot
-scipy path: same feasibility verdicts at every milestone probe, same System
-(1) objective, and System (2) allocations of the same quality -- all within
-solver tolerance.  The suite is parametrized over the available backends and
-skips the HiGHS legs gracefully when neither ``highspy`` nor scipy's
-vendored bindings are importable.
+The persistent HiGHS backend -- the package's one engine -- must answer
+like the stateless one-shot ``linprog`` reference of
+``tests/scipy_backend.py`` (a fresh instance per use): same feasibility
+verdicts at every milestone probe, same System (1) objective, and System
+(2) allocations of the same quality -- all within solver tolerance.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import pytest
 from repro import api
 from repro.core.errors import SolverError
 from repro.lp.backends import (
-    BACKEND_CHOICES,
-    ScipyBackend,
+    HighsPersistentBackend,
     WarmStartHint,
-    highs_available,
     make_backend,
+    resolve_backend_name,
 )
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
@@ -37,17 +35,15 @@ from repro.workload.faults import FaultSpec, generate_fault_timeline
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from helpers import allocations, lp_spec, max_weighted_flow_of_allocation, work_for_job
+from scipy_backend import ScipyBackend
 
-requires_highs = pytest.mark.skipif(
-    not highs_available(),
-    reason="neither highspy nor scipy-vendored HiGHS bindings are available",
-)
+#: Backends exercised by the equivalence tests: the linprog reference and HiGHS.
+BACKENDS = ["scipy", "highs"]
 
-#: Backend names exercised by the equivalence tests.
-BACKENDS = [
-    pytest.param("scipy"),
-    pytest.param("highs", marks=requires_highs),
-]
+
+def backend_of(name: str):
+    """A fresh backend: the tests' linprog reference for ``"scipy"``, else HiGHS."""
+    return ScipyBackend() if name == "scipy" else make_backend(name)
 
 
 def count_degraded_replans(monkeypatch) -> list:
@@ -79,7 +75,7 @@ class TestSpecWithBackend:
     def test_simple_minimization(self, backend_name):
         # min x + y  s.t.  x + y >= 1
         spec = lp_spec([1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-        result = make_backend(backend_name).solve(spec)
+        result = backend_of(backend_name).solve(spec)
         assert result.feasible
         assert result.objective == pytest.approx(1.0)
         assert result.value(0) + result.value(1) == pytest.approx(1.0)
@@ -87,25 +83,25 @@ class TestSpecWithBackend:
     def test_equality_and_bounds(self, backend_name):
         # min x  s.t.  x + y == 3, y <= 1
         spec = lp_spec([1.0, 0.0], upper=[np.inf, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0])
-        result = make_backend(backend_name).solve(spec)
+        result = backend_of(backend_name).solve(spec)
         assert result.feasible
         assert result.value(0) == pytest.approx(2.0)
 
     def test_variable_bounds_respected(self, backend_name):
         spec = lp_spec([1.0], lower=[2.0], upper=[5.0])
-        result = make_backend(backend_name).solve(spec)
+        result = backend_of(backend_name).solve(spec)
         assert result.value(0) == pytest.approx(2.0)
 
     def test_infeasible_returns_flag_not_exception(self, backend_name):
         spec = lp_spec([0.0], upper=[1.0], a_eq=[[1.0]], b_eq=[5.0])
-        result = make_backend(backend_name).solve(spec)
+        result = backend_of(backend_name).solve(spec)
         assert not result.feasible
         assert np.isinf(result.objective)
 
     def test_unbounded_raises_solver_error(self, backend_name):
         spec = lp_spec([-1.0])  # min -x with x unbounded above
         with pytest.raises(SolverError):
-            make_backend(backend_name).solve(spec)
+            backend_of(backend_name).solve(spec)
 
     def test_transportation_problem(self, backend_name):
         # Two suppliers (capacities 3 and 2), two demands (2 and 3); cost
@@ -118,13 +114,13 @@ class TestSpecWithBackend:
             a_eq=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
             b_eq=[2.0, 3.0],
         )
-        result = make_backend(backend_name).solve(spec)
+        result = backend_of(backend_name).solve(spec)
         assert result.feasible
         # 2 from s0 to d0, 2 from s1 to d1, the last unit of d1 from s0.
         assert result.objective == pytest.approx(7.0)
 
     def test_same_matrix_new_rhs_and_costs_in_one_series(self, backend_name):
-        backend = make_backend(backend_name)
+        backend = backend_of(backend_name)
         warm = WarmStartHint(
             series="shared",
             col_ids=np.array([0, 1], dtype=np.int64),
@@ -148,13 +144,12 @@ class TestSpecWithBackend:
 # -- milestone search / System (2) equivalence ---------------------------------------
 
 
-@requires_highs
 @pytest.mark.parametrize("seed", [0, 7, 2006])
 class TestMilestoneSearchEquivalence:
     def test_objectives_and_allocation_quality_agree(self, seed):
         instance = _small_instance(seed)
         problem = problem_from_instance(instance)
-        reference = minimize_max_weighted_flow(problem)
+        reference = minimize_max_weighted_flow(problem, backend=ScipyBackend())
         backend = make_backend("highs")
         solution = minimize_max_weighted_flow(problem, backend=backend)
 
@@ -171,9 +166,11 @@ class TestMilestoneSearchEquivalence:
     def test_system2_allocations_complete_and_bounded(self, seed):
         instance = _small_instance(seed)
         problem = problem_from_instance(instance)
-        reference = minimize_max_weighted_flow(problem)
+        reference = minimize_max_weighted_flow(problem, backend=ScipyBackend())
         backend = make_backend("highs")
-        reopt_ref = reoptimize_allocation(problem, reference.objective)
+        reopt_ref = reoptimize_allocation(
+            problem, reference.objective, backend=ScipyBackend()
+        )
         reopt = reoptimize_allocation(
             problem, reference.objective, backend=backend
         )
@@ -190,13 +187,13 @@ class TestMilestoneSearchEquivalence:
     def test_feasibility_verdicts_agree_below_optimum(self, seed):
         instance = _small_instance(seed)
         problem = problem_from_instance(instance)
-        reference = minimize_max_weighted_flow(problem)
+        reference = minimize_max_weighted_flow(problem, backend=ScipyBackend())
         backend = make_backend("highs")
         lo = problem.objective_lower_bound()
         target = lo + 0.5 * (reference.objective - lo)
         if target <= lo:  # optimum == lower bound: nothing below to probe
             pytest.skip("degenerate instance: optimum equals the lower bound")
-        scipy_probe = solve_on_objective_range(problem, lo, target)
+        scipy_probe = solve_on_objective_range(problem, lo, target, backend=ScipyBackend())
         highs_probe = solve_on_objective_range(problem, lo, target, backend=backend)
         assert (scipy_probe is None) == (highs_probe is None)
 
@@ -214,7 +211,6 @@ def _relaxation_cost(solution) -> float:
 # -- replanning pipeline equivalence -------------------------------------------------
 
 
-@requires_highs
 class TestReplanContextWithHighsBackend:
     def test_context_owns_persistent_backend(self):
         instance = _small_instance(3)
@@ -222,8 +218,9 @@ class TestReplanContextWithHighsBackend:
         assert context.backend.persistent
         remaining = {job.job_id: job.size for job in instance.jobs}
         first = context.solve_max_stretch(context.build_problem(0.0, remaining))
-        reference = ReplanContext(instance).solve_max_stretch(
-            ReplanContext(instance).build_problem(0.0, remaining)
+        reference_ctx = ReplanContext(instance, solver_backend=ScipyBackend())
+        reference = reference_ctx.solve_max_stretch(
+            reference_ctx.build_problem(0.0, remaining)
         )
         assert first.objective == pytest.approx(reference.objective, rel=1e-8)
         context.close()
@@ -231,7 +228,7 @@ class TestReplanContextWithHighsBackend:
 
     def test_two_replan_sequence_matches_scipy(self):
         instance = _small_instance(11)
-        scipy_ctx = ReplanContext(instance)
+        scipy_ctx = ReplanContext(instance, solver_backend=ScipyBackend())
         highs_ctx = ReplanContext(instance, solver_backend="highs")
         remaining = {job.job_id: job.size for job in instance.jobs}
         for now in (0.0, 5.0):
@@ -248,7 +245,7 @@ class TestReplanContextWithHighsBackend:
     def _assert_simulations_equivalent(instance, scheduler_key, faults=None):
         results = {}
         for backend_name in ("scipy", "highs"):
-            scheduler = make_scheduler(scheduler_key, solver_backend=backend_name)
+            scheduler = make_scheduler(scheduler_key, solver_backend=backend_of(backend_name))
             results[backend_name] = (
                 simulate(instance, scheduler, faults=faults),
                 scheduler,
@@ -291,13 +288,10 @@ class TestReplanContextWithHighsBackend:
 # -- persistence mechanics -----------------------------------------------------------
 
 
-@requires_highs
 class TestPersistentMechanics:
     @pytest.mark.parametrize("with_faults", [False, True])
     def test_no_solver_object_outlives_a_solve(self, monkeypatch, with_faults):
         """The bindings' ``Highs`` objects are not gc-tracked but weakref-able."""
-        from repro.lp.backends.highs import HighsPersistentBackend
-
         created = []
         new_solver = HighsPersistentBackend._new_solver
 
@@ -335,7 +329,7 @@ class TestPersistentMechanics:
     def test_each_backend_counts_its_own_probes(self):
         instance = _small_instance(1, max_jobs=8)
         problem = problem_from_instance(instance)
-        backends = [make_backend("scipy"), make_backend("highs")]
+        backends = [ScipyBackend(), make_backend("highs")]
         for backend in backends:
             minimize_max_weighted_flow(problem, backend=backend)
         for backend in backends:
@@ -382,8 +376,6 @@ class TestRunOwnsItsCounters:
         solves -- goes through ``_run``; on scipy every solve through
         ``_solve``.
         """
-        from repro.lp.backends.highs import HighsPersistentBackend
-
         shapes = []
         if backend_name == "highs":
             run = HighsPersistentBackend._run
@@ -403,7 +395,7 @@ class TestRunOwnsItsCounters:
             monkeypatch.setattr(ScipyBackend, "_solve", spy)
         instance = _small_instance(3, max_jobs=14)
         stats = api.simulate(
-            instance, "online", scheduler_options={"solver_backend": backend_name}
+            instance, "online", scheduler_options={"solver_backend": backend_of(backend_name)}
         ).lp_probes
         assert stats.n_downgrades == 0
         assert len(shapes) == stats.n_probes > 0
@@ -412,7 +404,7 @@ class TestRunOwnsItsCounters:
         assert stats.n_rows == sum(rows for _n_vars, rows in shapes)
 
     def test_close_starts_a_fresh_stats_object(self):
-        backend = make_backend("scipy")
+        backend = make_backend()
         minimize_max_weighted_flow(
             problem_from_instance(_small_instance(1, max_jobs=8)), backend=backend
         )
@@ -426,41 +418,28 @@ class TestRunOwnsItsCounters:
 
 
 class TestMakeBackend:
-    def test_default_is_a_fresh_scipy_backend(self):
-        for spec in (None, "scipy"):
-            backend = make_backend(spec)
-            assert isinstance(backend, ScipyBackend)
-            assert not backend.persistent
-            assert make_backend(spec) is not backend
+    @pytest.mark.parametrize("spec", [None, "auto", "highs", "AUTO"])
+    def test_every_name_is_a_fresh_highs_backend(self, spec):
+        backend = make_backend(spec)
+        assert isinstance(backend, HighsPersistentBackend) and backend.persistent
+        assert make_backend(spec) is not backend  # each run owns its series bases
+        assert resolve_backend_name(spec) == "highs"
 
     def test_instance_passthrough(self):
         backend = ScipyBackend()
         assert make_backend(backend) is backend
+        assert resolve_backend_name(backend) == "scipy"
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SolverError):
-            make_backend("cplex")
+    @pytest.mark.parametrize("spec", ["scipy", "cplex"])
+    def test_other_names_are_rejected(self, spec):
+        with pytest.raises(SolverError, match="accepted: None, 'auto', 'highs'"):
+            make_backend(spec)
+        with pytest.raises(SolverError, match="accepted"):
+            resolve_backend_name(spec)
 
-    def test_choices_cover_known_names(self):
-        assert set(BACKEND_CHOICES) == {"scipy", "highs", "auto"}
-
-    @requires_highs
-    def test_highs_instances_are_fresh(self):
-        first = make_backend("highs")
-        second = make_backend("highs")
-        assert first is not second  # each context owns its series bases
-        assert first.persistent
-
-    @requires_highs
-    def test_auto_prefers_highs(self):
-        assert make_backend("auto").persistent
-
-    def test_graceful_fallback_without_bindings(self, monkeypatch):
-        import repro.lp.backends.highs as highs_mod
-
-        monkeypatch.setattr(highs_mod, "_load_api", lambda: None)
-        assert not highs_mod.highs_available()
-        with pytest.raises(SolverError, match="highspy"):
-            make_backend("highs")
-        fallback = make_backend("auto")
-        assert isinstance(fallback, ScipyBackend)
+    def test_scheduler_rejects_the_scipy_name(self):
+        with pytest.raises(SolverError, match="'scipy'"):
+            api.simulate(
+                _small_instance(1, max_jobs=4), "online",
+                scheduler_options={"solver_backend": "scipy"},
+            )

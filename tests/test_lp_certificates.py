@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch
-from repro.lp.backends import highs_available, make_backend
+from repro.lp.backends import make_backend
 from repro.lp.incremental import ReplanContext
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
@@ -49,11 +49,8 @@ from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instan
 from certify import certify
 from helpers import assert_same_shares, work_for_job
 from replan_oracles import search_gallop
-
-requires_highs = pytest.mark.skipif(
-    not highs_available(),
-    reason="neither highspy nor scipy-vendored HiGHS bindings are available",
-)
+from scipy_backend import ScipyBackend
+from test_lp_backends import backend_of
 
 SEEDS = [0, 7, 11, 2006]
 
@@ -102,7 +99,6 @@ def _milestone_boundaries(problem):
     return [f_lb] + enumerate_milestones(problem, lower=f_lb, upper=f_ub) + [f_ub]
 
 
-@requires_highs
 @pytest.mark.parametrize("seed", SEEDS)
 class TestDualRayBoundSoundness:
     def test_bound_refutes_its_own_milestone_interval(self, seed):
@@ -250,12 +246,11 @@ class TestProbeCertificate:
 class TestSearchEquivalence:
     def test_scipy_results_bit_identical(self, seed, monkeypatch):
         _instance, problem = _problem(seed)
-        gallop = _gallop(monkeypatch, problem)
-        certificate = minimize_max_weighted_flow(problem)
+        gallop = _gallop(monkeypatch, problem, backend=ScipyBackend())
+        certificate = minimize_max_weighted_flow(problem, backend=ScipyBackend())
         assert certificate.objective == gallop.objective
         assert_same_shares(certificate, gallop)
 
-    @requires_highs
     def test_highs_results_within_solver_tolerance(self, seed, monkeypatch):
         _instance, problem = _problem(seed)
         backend_g = make_backend("highs")
@@ -275,9 +270,11 @@ class TestSearchEquivalence:
     def test_warm_started_searches_agree(self, seed, monkeypatch):
         """Warm starts (any index) only reorder probes, never change results."""
         _instance, problem = _problem(seed)
-        reference = _gallop(monkeypatch, problem)
+        reference = _gallop(monkeypatch, problem, backend=ScipyBackend())
         for warm in (None, 1.0, reference.objective, 10.0 * reference.objective):
-            warmed = minimize_max_weighted_flow(problem, warm_start=warm)
+            warmed = minimize_max_weighted_flow(
+                problem, warm_start=warm, backend=ScipyBackend()
+            )
             assert warmed.objective == reference.objective
 
 
@@ -332,14 +329,13 @@ def test_warm_start_never_changes_the_answer(case):
     And the answer is a certified optimum (``certify``: no second solver).
     """
     problem, warm = case
-    cold = minimize_max_weighted_flow(problem)
-    warmed = minimize_max_weighted_flow(problem, warm_start=warm)
+    cold = minimize_max_weighted_flow(problem, backend=ScipyBackend())
+    warmed = minimize_max_weighted_flow(problem, warm_start=warm, backend=ScipyBackend())
     assert warmed.objective == cold.objective
     assert_same_shares(warmed, cold)
     certify(problem, cold)
 
 
-@requires_highs
 def test_overshooting_certificates_regression(monkeypatch):
     """Rays whose bounds overshoot F* must not mislead the search.
 
@@ -365,7 +361,7 @@ def test_overshooting_certificates_regression(monkeypatch):
     seed = derive_seed(2006, "bench-low", 3)
     instance = generate_instance(config.platform_spec(), config.workload_spec(), rng=seed)
     problem = problem_from_instance(instance)
-    reference = _gallop(monkeypatch, problem)
+    reference = _gallop(monkeypatch, problem, backend=ScipyBackend())
     backend = make_backend("highs")
     try:
         certified = minimize_max_weighted_flow(problem, backend=backend)
@@ -374,7 +370,7 @@ def test_overshooting_certificates_regression(monkeypatch):
     assert certified.objective == pytest.approx(reference.objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("backend_name", ["scipy", pytest.param("highs", marks=requires_highs)])
+@pytest.mark.parametrize("backend_name", ["scipy", "highs"])
 def test_replan_sequence_equivalence(backend_name, monkeypatch):
     """Certificate-guided contexts track gallop contexts over whole replan runs.
 
@@ -395,13 +391,13 @@ def test_replan_sequence_equivalence(backend_name, monkeypatch):
             context.close()
         return objectives
 
-    ctx_gallop = ReplanContext(instance, solver_backend=backend_name)
+    ctx_gallop = ReplanContext(instance, solver_backend=backend_of(backend_name))
     gallop_stats = ctx_gallop.backend.stats  # closing the context starts new ones
     with monkeypatch.context() as patch:
         calls = _patch_gallop(patch)
         gallop_objectives = replan_sequence(ctx_gallop)
     assert len(calls) == 3, "the gallop oracle did not run every replan"
-    ctx_cert = ReplanContext(instance, solver_backend=backend_name)
+    ctx_cert = ReplanContext(instance, solver_backend=backend_of(backend_name))
     cert_stats = ctx_cert.backend.stats
     cert_objectives = replan_sequence(ctx_cert)
     assert cert_objectives == pytest.approx(gallop_objectives, rel=1e-9)
@@ -424,15 +420,17 @@ class TestScipyFallback:
         if target <= lo:
             pytest.skip("degenerate instance: optimum equals the lower bound")
         outcome = ProbeOutcome()
-        probe = solve_on_objective_range(problem, lo, target, outcome=outcome)
+        probe = solve_on_objective_range(
+            problem, lo, target, outcome=outcome, backend=ScipyBackend()
+        )
         assert probe is None
         assert outcome.certificate_bound is None
 
     def test_interior_exit_still_prunes_on_scipy(self, monkeypatch):
         """The interior-optimum re-check needs no certificate support."""
         _instance, problem = _problem(7)
-        reference = _gallop(monkeypatch, problem)
-        backend = make_backend(None)
+        reference = _gallop(monkeypatch, problem, backend=ScipyBackend())
+        backend = ScipyBackend()
         warmed = minimize_max_weighted_flow(
             problem,
             warm_start=reference.objective,
@@ -475,7 +473,6 @@ class TestProbeHistogram:
         assert stats.assembly_seconds > 0.0
         assert stats.search_seconds >= stats.assembly_seconds
 
-    @requires_highs
     def test_certificate_search_solves_fewer_lps(self, monkeypatch):
         _instance, problem = _problem(7, max_jobs=24, density=2.0)
         counts = {}
@@ -491,7 +488,6 @@ class TestProbeHistogram:
                 backend.close()
         assert counts["certificate"] < counts["gallop"]
 
-    @requires_highs
     def test_basis_reuse_counted(self):
         _instance, problem = _problem(7, max_jobs=20, density=2.0)
         backend = make_backend("highs")
@@ -516,7 +512,6 @@ class TestProbeHistogram:
 # -- dual-ray sanity against raw numpy ------------------------------------------------
 
 
-@requires_highs
 def test_dual_ray_sign_convention():
     """The normalized ray certifies min-over-box LHS > RHS on the raw arrays."""
     from scipy import sparse

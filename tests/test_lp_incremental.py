@@ -27,6 +27,7 @@ from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instan
 
 from helpers import assert_same_shares, certify_answers, record_answers
 from replan_oracles import FromScratchOnlineLP
+from scipy_backend import ScipyBackend
 from test_sched_offline_online import random_restricted_instance
 
 
@@ -75,9 +76,10 @@ class TestReplanContextProblems:
 class TestWarmStartEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_same_objective_and_allocations(self, seed):
+        """Bit for bit on the stateless linprog reference."""
         instance = random_restricted_instance(seed, n_jobs=8)
         problem = problem_from_instance(instance)
-        cold = minimize_max_weighted_flow(problem)
+        cold = minimize_max_weighted_flow(problem, backend=ScipyBackend())
         for warm in (
             cold.objective,            # exact
             cold.objective * 0.5,      # undershoot
@@ -86,7 +88,7 @@ class TestWarmStartEquivalence:
             1e9,                       # far above the bracket
         ):
             warmed = minimize_max_weighted_flow(
-                problem, warm_start=warm, skeleton_cache={}
+                problem, warm_start=warm, skeleton_cache={}, backend=ScipyBackend()
             )
             assert warmed.objective == cold.objective
             assert_same_shares(warmed, cold)
@@ -123,11 +125,11 @@ class TestIncrementalSchedulerEquivalence:
         if with_faults:
             spec = FaultSpec(mtbf=20.0, mttr=3.0, horizon=30.0)
             faults = generate_fault_timeline(instance.platform, spec, rng=seed)
-        options = dict(variant=variant, policy=policy, solver_backend="scipy")
-        oracle_sched = FromScratchOnlineLP(**options)
+        options = dict(variant=variant, policy=policy)
+        oracle_sched = FromScratchOnlineLP(solver_backend=ScipyBackend(), **options)
         oracle = simulate(instance, oracle_sched, faults=faults)
         assert oracle_sched._context.n_replans == 0  # no replan went through it
-        context_sched = OnlineLPScheduler(**options)
+        context_sched = OnlineLPScheduler(solver_backend=ScipyBackend(), **options)
         with pytest.MonkeyPatch.context() as patch:
             seen, reoptimized = record_answers(patch)
             result = simulate(instance, context_sched, faults=faults)
@@ -189,10 +191,9 @@ def _dense_instance(seed: int, max_jobs: int = 14):
 
 
 def _assert_matches_oracle(instance, **options):
-    options.setdefault("solver_backend", "scipy")
-    oracle_sched = FromScratchOnlineLP(**options)
+    oracle_sched = FromScratchOnlineLP(solver_backend=ScipyBackend(), **options)
     oracle = simulate(instance, oracle_sched)
-    context_sched = OnlineLPScheduler(**options)
+    context_sched = OnlineLPScheduler(solver_backend=ScipyBackend(), **options)
     result = simulate(instance, context_sched)
     assert result.completions == oracle.completions
     assert result.schedule.slices == oracle.schedule.slices
@@ -253,7 +254,7 @@ class TestReplanContextShortcuts:
 
     def _context_and_problem(self):
         instance = _dense_instance(13)
-        context = ReplanContext(instance, solver_backend="scipy")
+        context = ReplanContext(instance, solver_backend=ScipyBackend())
         releases = sorted({job.release for job in instance.jobs})
         now = releases[2]
         remaining = {j.job_id: j.size for j in instance.jobs if j.release <= now}
@@ -263,12 +264,14 @@ class TestReplanContextShortcuts:
         context, now, remaining = self._context_and_problem()
         live = context.build_problem(now, dict(remaining))
         solution = context.solve_max_stretch(live)
-        fresh = minimize_max_weighted_flow(context.build_problem(now, remaining))
+        fresh = minimize_max_weighted_flow(
+            context.build_problem(now, remaining), backend=ScipyBackend()
+        )
         assert solution.objective == fresh.objective
         assert_same_shares(solution, fresh)
         sys2 = context.reoptimize(live, solution.objective)
         reference = reoptimize_allocation(
-            context.build_problem(now, remaining), fresh.objective
+            context.build_problem(now, remaining), fresh.objective, backend=ScipyBackend()
         )
         assert_same_shares(sys2, reference)
         context.close()
@@ -282,7 +285,9 @@ class TestReplanContextShortcuts:
         before = _probes_solved(context)
         solution = context.solve_max_stretch(context.build_problem(now, changed))
         assert _probes_solved(context) > before
-        fresh = minimize_max_weighted_flow(context.build_problem(now, changed))
+        fresh = minimize_max_weighted_flow(
+            context.build_problem(now, changed), backend=ScipyBackend()
+        )
         assert solution.objective == fresh.objective
         assert_same_shares(solution, fresh)
         context.close()
@@ -303,7 +308,7 @@ class TestReplanContextShortcuts:
         now = sorted({job.release for job in instance.jobs})[2]
         remaining = {j.job_id: j.size for j in instance.jobs if j.release <= now}
         objectives = []
-        for backend in ("scipy", "auto"):
+        for backend in (ScipyBackend(), "auto"):
             context = ReplanContext(instance, solver_backend=backend)
             solution = context.solve_max_stretch(context.build_problem(now, remaining))
             objectives.append(solution.objective)

@@ -31,9 +31,8 @@ from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
 from helpers import allocations, certify_answers, record_answers, work_for_job
-from test_lp_backends import _small_instance, count_degraded_replans, requires_highs
-
-pytestmark = requires_highs
+from scipy_backend import ScipyBackend
+from test_lp_backends import _small_instance, count_degraded_replans
 
 
 def _sys2_objective(solution) -> float:
@@ -125,12 +124,12 @@ class TestLiveEqualsRebuild:
 
     def test_online_replans_ride_the_live_model(self):
         shares = {}
-        for backend in ("highs", "scipy"):
+        for name, backend in (("highs", "highs"), ("scipy", ScipyBackend())):
             instance = _small_instance(2006, max_jobs=60)
             scheduler = OnlineLPScheduler("online", solver_backend=backend)
             stats = simulate(instance, scheduler).lp_probes
             assert stats.histogram()["live_reoptimizations"] == stats.n_live_reoptimizations
-            shares[backend] = stats.n_live_reoptimizations / _sys2_solves(stats)
+            shares[name] = stats.n_live_reoptimizations / _sys2_solves(stats)
         assert shares["highs"] >= 0.95
         assert shares["scipy"] == 0.0
 
@@ -213,7 +212,9 @@ class TestFallbacks:
         assert stats.n_downgrades == scheduler.n_resolutions > 0
         assert live_attempts >= 0.9 * scheduler.n_resolutions
         assert _sys2_solves(stats) == live_attempts + stats.n_downgrades
-        reference = simulate(instance, OnlineLPScheduler("online", solver_backend="scipy"))
+        reference = simulate(
+            instance, OnlineLPScheduler("online", solver_backend=ScipyBackend())
+        )
         assert result.max_stretch == pytest.approx(reference.max_stretch, rel=1e-6)
 
 

@@ -1,12 +1,12 @@
 """Unit tests for the one LP solve call, ``backend.solve(spec)``.
 
 Every program of the package is an :class:`~repro.lp.backends.LPSpec` handed
-to :meth:`SolverBackend.solve`; ``make_backend(None)`` (a fresh
-:class:`~repro.lp.backends.ScipyBackend`) is the default.  The small
-textbook programs live in ``test_lp_backends.py::TestSpecWithBackend``; this
-module covers the rest of the contract: the scipy method choice and retry
-against the real ``linprog``, the array forms a spec may take, and the
-accounting of every call.
+to :meth:`SolverBackend.solve`; ``make_backend(None)`` (a fresh persistent
+HiGHS backend) is the default.  The small textbook programs live in
+``test_lp_backends.py::TestSpecWithBackend``; this module covers the rest of
+the contract: the method choice and retry of the tests' ``linprog``
+reference (``tests/scipy_backend.py``) against the real ``linprog``, the
+array forms a spec may take, and the accounting of every call.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.lp.backends.scipy_backend as scipy_backend_mod
 from repro.core.errors import SolverError
-from repro.lp.backends import LPSpec, highs_available, make_backend
+from repro.lp.backends import LPSpec
 
+import scipy_backend as scipy_backend_mod
 from helpers import lp_spec
-
-BACKENDS = [
-    pytest.param("scipy"),
-    pytest.param(
-        "highs",
-        marks=pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings"),
-    ),
-]
+from scipy_backend import ScipyBackend
+from test_lp_backends import BACKENDS, backend_of
 
 
 def spy_linprog(monkeypatch, *, limited_calls: int = 0) -> list[str]:
@@ -50,11 +44,11 @@ def spy_linprog(monkeypatch, *, limited_calls: int = 0) -> list[str]:
     return methods
 
 
-class TestDefaultBackendSolve:
+class TestScipyReferenceSolve:
     def test_iteration_limit_retried_with_ipm(self, monkeypatch):
         """scipy status 1 (iteration limit) retries once with highs-ipm."""
         methods = spy_linprog(monkeypatch, limited_calls=1)
-        result = make_backend(None).solve(lp_spec([1.0], lower=[2.0]))
+        result = ScipyBackend().solve(lp_spec([1.0], lower=[2.0]))
         assert result.feasible
         assert result.value(0) == pytest.approx(2.0, abs=1e-6)
         assert methods == ["highs", "highs-ipm"]
@@ -62,7 +56,7 @@ class TestDefaultBackendSolve:
     def test_iteration_limit_twice_raises(self, monkeypatch):
         methods = spy_linprog(monkeypatch, limited_calls=2)
         with pytest.raises(SolverError, match="status 1") as info:
-            make_backend(None).solve(lp_spec([1.0], lower=[2.0]))
+            ScipyBackend().solve(lp_spec([1.0], lower=[2.0]))
         assert methods == ["highs", "highs-ipm"]
         assert info.value.attempts == 2
         assert info.value.method == "highs-ipm"
@@ -70,14 +64,14 @@ class TestDefaultBackendSolve:
     @pytest.mark.parametrize(("n_vars", "method"), [(8000, "highs"), (8001, "highs-ipm")])
     def test_method_chosen_by_size(self, monkeypatch, n_vars, method):
         methods = spy_linprog(monkeypatch)
-        result = make_backend(None).solve(lp_spec([1.0] * n_vars, lower=[1.0] * n_vars))
+        result = ScipyBackend().solve(lp_spec([1.0] * n_vars, lower=[1.0] * n_vars))
         assert result.feasible
         assert result.objective == pytest.approx(float(n_vars))
         assert methods == [method]
 
     def test_infeasible_result_is_shaped_like_the_spec(self):
         spec = lp_spec([1.0, 1.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[5.0])
-        result = make_backend(None).solve(spec)
+        result = ScipyBackend().solve(spec)
         assert result.status == 2 and not result.feasible
         assert np.array_equal(result.values, np.zeros(2))
         assert result.dual_ray is None  # linprog exposes no Farkas certificate
@@ -109,14 +103,14 @@ class TestSpecForms:
             eq_vals=np.asarray(lists.eq_vals)[::-1],
             eq_rhs=np.asarray(lists.eq_rhs),
         )
-        want = make_backend(backend_name).solve(lists)
-        got = make_backend(backend_name).solve(arrays)
+        want = backend_of(backend_name).solve(lists)
+        got = backend_of(backend_name).solve(arrays)
         assert want.feasible and got.feasible
         assert got.objective == pytest.approx(want.objective)
         assert np.allclose(got.values, want.values)
 
     def test_failed_solve_is_still_counted(self, backend_name):
-        backend = make_backend(backend_name)
+        backend = backend_of(backend_name)
         with pytest.raises(SolverError):
             backend.solve(lp_spec([-1.0]))  # unbounded
         backend.solve(lp_spec([1.0], lower=[2.0]))

@@ -13,11 +13,9 @@ from repro.cli import build_parser, enum_option
 from repro.core.errors import ModelError
 from repro.experiments.config import ExperimentConfig
 from repro.schedulers.registry import (
-    LP_SOLVER_SCHEDULERS,
     ONLINE_LP_SCHEDULERS,
     OnOff,
     RunOptions,
-    SolverBackendChoice,
     available_schedulers,
 )
 
@@ -45,18 +43,10 @@ class TestOnOff:
             OnOff.coerce("maybe", param="--state-bank")
 
 
-class TestOtherEnums:
-    def test_solver_backend_choices(self):
-        assert SolverBackendChoice.coerce("auto") is SolverBackendChoice.AUTO
-        with pytest.raises(ValueError):
-            SolverBackendChoice.coerce("cplex")
-
-
 #: The spellings coerce() mapped with a DeprecationWarning before they were
 #: removed; each is now an invalid value like any other.
 REMOVED_SPELLINGS = {
     OnOff: ("true", "yes", "1", "enabled", "false", "no", "0", "disabled"),
-    SolverBackendChoice: ("linprog", "highspy", "default"),
 }
 
 
@@ -75,11 +65,12 @@ def _removed_keyword_calls():
     from repro.experiments import runner
     from repro.experiments.config import paper_configurations
     from repro.experiments.overhead import scheduling_overhead
-    from repro.lp.backends import ScipyBackend
     from repro.lp.relaxation import reoptimize_allocation
     from repro.schedulers.registry import make_scheduler
     from repro.service.daemon import SchedulerDaemon, ServiceConfig
     from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
+
+    from scipy_backend import ScipyBackend
 
     return [
         pytest.param(lambda: ExperimentConfig(
@@ -87,6 +78,18 @@ def _removed_keyword_calls():
             density=1.0, speculation=True), "speculation", id="ExperimentConfig"),
         pytest.param(lambda: ServiceConfig(speculation=True), "speculation",
                      id="ServiceConfig"),
+        pytest.param(lambda: ExperimentConfig(
+            name="t", n_clusters=2, n_databanks=2, availability=0.6,
+            density=1.0, solver_backend="auto"), "solver_backend",
+                     id="ExperimentConfig-solver_backend"),
+        pytest.param(lambda: ServiceConfig(solver_backend="auto"), "solver_backend",
+                     id="ServiceConfig-solver_backend"),
+        pytest.param(lambda: RunOptions(solver_backend="auto"), "solver_backend",
+                     id="RunOptions-solver_backend"),
+        pytest.param(lambda: paper_configurations(solver_backend="scipy"), "solver_backend",
+                     id="paper_configurations-solver_backend"),
+        pytest.param(lambda: scheduling_overhead(solver_backend="scipy"), "solver_backend",
+                     id="scheduling_overhead-solver_backend"),
         pytest.param(lambda: api.serve(None, speculation=True), "speculation",
                      id="api.serve"),
         pytest.param(lambda: api.run_campaign([], dispatch="task"), "dispatch",
@@ -115,9 +118,9 @@ def _removed_keyword_calls():
     ]
 
 
-#: The speculative pre-solve toggle, the campaign dispatch mode and the knobs
-#: no caller set are gone from every entry point: passing one is a plain
-#: TypeError, not a no-op.
+#: The speculative pre-solve toggle, the campaign dispatch mode, the solver
+#: backend run option and the knobs no caller set are gone from every entry
+#: point: passing one is a plain TypeError, not a no-op.
 @pytest.mark.parametrize("call,keyword", _removed_keyword_calls())
 def test_removed_keyword_is_rejected(call, keyword):
     with pytest.raises(TypeError, match=keyword):
@@ -157,27 +160,22 @@ class TestExperimentConfigNormalization:
         )
 
     def test_defaults_are_enum_members(self):
-        config = self.make()
-        assert config.solver_backend is SolverBackendChoice.AUTO
-        assert config.state_bank is OnOff.ON
+        assert self.make().state_bank is OnOff.ON
 
     def test_strings_and_bools_normalize(self):
-        config = self.make(solver_backend="scipy", state_bank=False)
-        assert config.solver_backend is SolverBackendChoice.SCIPY
-        assert config.state_bank is OnOff.OFF
+        assert self.make(state_bank=False).state_bank is OnOff.OFF
+        assert self.make(state_bank="off").state_bank is OnOff.OFF
 
     def test_invalid_toggle_is_a_model_error(self):
-        with pytest.raises(ModelError):
-            self.make(solver_backend="gurobi")
         with pytest.raises(ModelError):
             self.make(state_bank="sometimes")
 
     def test_as_dict_keeps_the_journal_schema_primitives(self):
         config = self.make(state_bank="off")
         data = config.as_dict()
-        assert data["solver_backend"] == "auto"
         assert data["state_bank"] is False
         # Retired toggles stay as constants so old headers still resume.
+        assert data["solver_backend"] == "auto"
         assert data["incremental_lp"] is True
         assert data["speculation"] is False
 
@@ -185,21 +183,17 @@ class TestExperimentConfigNormalization:
         options = self.make(state_bank="off").scheduler_options_for("online")
         assert options["state_bank"] is False
         assert "speculate" not in options
-        assert isinstance(options["solver_backend"], str)
+        assert "solver_backend" not in options
 
 
 class TestRunOptions:
     def test_defaults(self):
-        options = RunOptions()
-        assert options.replan_policy == "on-arrival"
-        assert options.solver_backend is SolverBackendChoice.AUTO
-
-    def test_backend_is_coerced_to_a_member(self):
-        assert RunOptions(solver_backend=" SciPy ").solver_backend is SolverBackendChoice.SCIPY
+        assert RunOptions().replan_policy == "on-arrival"
+        assert [option.name for option in dataclasses.fields(RunOptions)] == [
+            "replan_policy"
+        ]
 
     def test_invalid_values_name_the_choices(self):
-        with pytest.raises(ValueError, match="'scipy', 'highs', 'auto'"):
-            RunOptions(solver_backend="cplex")
         with pytest.raises(ValueError, match="unknown replan policy"):
             RunOptions(replan_policy="sometimes")
 
@@ -209,14 +203,12 @@ class TestRunOptions:
 
 
 class TestTheOneRule:
-    """``RunOptions.scheduler_options_for`` maps policy and backend onto the keys."""
+    """``RunOptions.scheduler_options_for`` maps the policy onto the keys."""
 
     def test_every_key_gets_exactly_its_options(self):
-        options = RunOptions(replan_policy="batched:2", solver_backend="scipy")
+        options = RunOptions(replan_policy="batched:2")
         for key in available_schedulers():
             expected: dict[str, object] = {}
-            if key in LP_SOLVER_SCHEDULERS:
-                expected["solver_backend"] = "scipy"
             if key in ONLINE_LP_SCHEDULERS:
                 expected["policy"] = "batched:2"
             got = options.scheduler_options_for(key)
@@ -228,10 +220,10 @@ class TestTheOneRule:
 
         config = ExperimentConfig(
             name="t", n_clusters=2, n_databanks=2, availability=0.6, density=1.0,
-            replan_policy="threshold:1.5", solver_backend="highs",
+            replan_policy="threshold:1.5",
         )
-        service = ServiceConfig(replan_policy="threshold:1.5", solver_backend="highs")
-        rule = RunOptions(replan_policy="threshold:1.5", solver_backend="highs")
+        service = ServiceConfig(replan_policy="threshold:1.5")
+        rule = RunOptions(replan_policy="threshold:1.5")
         for key in available_schedulers():
             expected = rule.scheduler_options_for(key)
             assert service.scheduler_options_for(key) == expected, key
@@ -253,13 +245,10 @@ class TestRunOptionFlags:
             assert getattr(args, option.name) == option.default
 
     def test_parses_to_the_stored_value(self):
-        args = build_parser().parse_args(["simulate", "--solver-backend", "SCIPY"])
-        assert args.solver_backend is SolverBackendChoice.SCIPY
+        args = build_parser().parse_args(["simulate", "--replan-policy", "batched:2"])
+        assert args.replan_policy == "batched:2"
 
     def test_invalid_value_errors_out_with_the_library_message(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--replan-policy", "sideways"])
         assert "unknown replan policy 'sideways'" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--solver-backend", "linprog"])
-        assert "solver_backend must be one of" in capsys.readouterr().err

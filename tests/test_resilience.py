@@ -1,17 +1,19 @@
-"""Solver robustness: the scipy retry, backend downgrade, failed records.
+"""Solver robustness: the cold downgrade, failed records, the reference's retry.
 
 The defence-in-depth contract of :meth:`SolverBackend.solve
 <repro.lp.backends.base.SolverBackend.solve>`:
 
-1. inside the scipy backend, status 1 (iteration limit) or 4 (numerical
-   difficulties) is retried once with the other HiGHS method -- which is
-   what let ``offline`` finish the 40-job golden slice on the per-job LP;
-2. a probe a persistent backend fails is re-solved once on a fresh scipy
-   backend (highs -> scipy downgrade), counted in ``n_downgrades``;
-3. a :class:`SolverError` that survives both layers carries enough context
+1. a probe a persistent backend fails is re-solved once on a fresh, cold
+   HiGHS model (no basis, primal simplex), counted in ``n_downgrades``;
+2. a :class:`SolverError` that survives it carries enough context
    (backend, method, attempts, probe signature) to diagnose the probe
    post-mortem, and aborts only its own campaign run -- the runner converts
    it into a NaN-metrics ``failed`` record.
+
+The tests' one-shot ``linprog`` reference (``tests/scipy_backend.py``) keeps
+its own retry: status 1 (iteration limit) or 4 (numerical difficulties) is
+retried once with the other HiGHS method -- which is what let ``offline``
+finish the 40-job golden slice on the per-job LP.
 """
 
 from __future__ import annotations
@@ -23,20 +25,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import repro.lp.backends.scipy_backend as scipy_backend_module
 from repro import api
 from repro.core.errors import SolverError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_campaign
-from repro.lp.backends import highs_available, make_backend
+from repro.lp.backends import HighsPersistentBackend, make_backend
 from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint, annotate_solver_error
-from repro.lp.backends.scipy_backend import ScipyBackend
 from repro.schedulers.offline import OfflineScheduler
 from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
+import scipy_backend as scipy_backend_module
 from helpers import fail_first_highs_run, lp_spec
+from scipy_backend import ScipyBackend
 from test_engine_golden import wide_instance
 from test_lp_backends import _small_instance
 
@@ -155,7 +157,6 @@ class TestScipyBackendRetry:
         assert result.status == 2 and not result.feasible
         assert math.isinf(result.objective)
 
-    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
     def test_offline_finishes_the_40_job_golden_slice(self):
         """The optimum on scipy is the one the persistent HiGHS backend finds.
 
@@ -169,10 +170,10 @@ class TestScipyBackendRetry:
         instance = wide_instance()
         instance = instance.restrict_jobs(job.job_id for job in instance.jobs[:40])
         optima = {}
-        for backend in ("scipy", "auto"):
+        for name, backend in (("scipy", ScipyBackend()), ("auto", "auto")):
             scheduler = OfflineScheduler(solver_backend=backend)
             api.simulate(instance, scheduler)
-            optima[backend] = scheduler.optimal_max_stretch
+            optima[name] = scheduler.optimal_max_stretch
         assert optima["scipy"] == pytest.approx(optima["auto"], rel=1e-9)
 
 
@@ -205,8 +206,8 @@ class TestDegradedReplanBackend:
         assert closes == ["close"]  # the replan context's, at run start
 
 
-class TestScipyDowngrade:
-    def test_downgrades_to_scipy_and_counts_once(self):
+class TestColdDowngrade:
+    def test_downgrades_to_a_cold_highs_model_and_counts_once(self):
         backend = FailingBackend()
         result = backend.solve(trivial_spec())
         assert result.status == 0
@@ -218,22 +219,22 @@ class TestScipyDowngrade:
         assert (stats.n_probes, stats.by_backend) == (1, {"failing": 1})
 
     def test_both_layers_failing_chains_the_errors(self, monkeypatch):
-        def broken(self, spec, *, warm=None):
+        def broken(self, spec):
             raise SolverError("fallback broken too")
 
-        monkeypatch.setattr(ScipyBackend, "_solve", broken)
+        monkeypatch.setattr(HighsPersistentBackend, "_solve_cold", broken)
         backend = FailingBackend()
         with pytest.raises(SolverError, match="fallback broken") as info:
             backend.solve(trivial_spec())
-        assert info.value.backend == "scipy"
+        assert (info.value.backend, info.value.attempts) == ("highs", 2)
         cause = info.value.__cause__
         assert isinstance(cause, SolverError) and cause.backend == "failing"
         assert backend.stats.n_downgrades == 0
         assert backend.stats.n_probes == 1
 
     def test_stateless_backend_failure_is_not_downgraded(self, monkeypatch):
-        # scipy is the floor of the chain: re-running it would repeat the
-        # identical failing solve.
+        # A stateless backend has no warm state to drop: re-running it would
+        # repeat the identical failing solve.
         calls = []
 
         def broken(self, spec, *, warm=None):
@@ -248,7 +249,6 @@ class TestScipyDowngrade:
         assert len(calls) == 1
         assert backend.stats.n_downgrades == 0
 
-    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
     def test_failed_primary_solve_leaves_the_series_basis_alone(self, monkeypatch):
         """The primary solve after a downgraded one equals a cold solve."""
 
@@ -280,11 +280,26 @@ class TestScipyDowngrade:
         assert result.objective == cold.objective == pytest.approx(8.0)
         assert np.array_equal(result.values, cold.values)
 
-    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
+    def test_cold_resolve_runs_primal_simplex_without_a_basis(self, monkeypatch):
+        """The downgrade's model: fresh, no basis, primal instead of dual simplex."""
+        runs = []
+        real_run = HighsPersistentBackend._run
+
+        def run(self, highs, spec, warm):
+            strategy = highs.getOptionValue("simplex_strategy")
+            strategy = strategy[1] if isinstance(strategy, tuple) else strategy
+            runs.append((strategy, highs.getBasis().valid, warm))
+            return real_run(self, highs, spec, warm)
+
+        monkeypatch.setattr(HighsPersistentBackend, "_run", run)
+        result = FailingBackend().solve(trivial_spec())
+        assert result.objective == pytest.approx(2.0)
+        assert runs == [(4, False, None)]
+
     def test_simulate_survives_a_failing_highs_probe(self, monkeypatch):
         """Every run gets the downgrade, not only campaign runs."""
         instance = _small_instance(13, max_jobs=20)
-        reference = api.simulate(instance, "online", scheduler_options={"solver_backend": "scipy"})
+        reference = api.simulate(instance, "online")
         calls = fail_first_highs_run(monkeypatch)
         result = api.simulate(instance, "online", scheduler_options={"solver_backend": "auto"})
         assert len(calls) > 1

@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.errors import SolverError
 from repro.core.job import Job
 from repro.core.platform import Machine, Platform
 from repro.service import (
@@ -36,7 +37,6 @@ from repro.service import (
     replay_trace,
     verify_replay,
 )
-from repro.lp.backends import highs_available
 from repro.lp.backends.base import REPLAN_LATENCY_WINDOW, LPProbeStats
 from repro.service.http import _Handler
 from repro.service.trace import TraceWriter
@@ -73,7 +73,7 @@ def make_trace(scheduler="online", options=None, jobs=None) -> SubmissionTrace:
 
 class TestTraceRoundTrip:
     def test_write_read_round_trip_is_exact(self, tmp_path):
-        trace = make_trace(options={"policy": "batched:1.5", "solver_backend": "scipy"})
+        trace = make_trace(options={"policy": "batched:1.5", "solver_backend": "auto"})
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, trace) as writer:
             for job in trace.jobs:
@@ -118,12 +118,13 @@ class TestTraceRoundTrip:
             read_trace(path)
 
 
-#: A trace as the daemon journaled it while the replan path and speculative
-#: pre-solving were still scheduler options: the header carries
-#: ``"incremental": true`` and ``"speculate": false``.
+#: A trace as the daemon journaled it while the replan path, speculative
+#: pre-solving and the solver backend were still scheduler options: the
+#: header carries ``"incremental": true``, ``"speculate": false`` and the
+#: default ``"solver_backend": "auto"``.
 LEGACY_TRACE_LINES = [
     '{"kind": "repro-service-trace", "version": 1, "scheduler": "online", '
-    '"scheduler_options": {"solver_backend": "scipy", "policy": "on-arrival", '
+    '"scheduler_options": {"solver_backend": "auto", "policy": "on-arrival", '
     '"incremental": true, "speculate": false}, "time_scale": 0.0, "platform": '
     '[{"id": 0, "cycle_time": 0.5, "cluster": 0, "databanks": ["nt", "sp"], '
     '"name": ""}, {"id": 1, "cycle_time": 1.0, "cluster": 1, "databanks": '
@@ -143,10 +144,18 @@ class TestLegacyReplanOption:
         path.write_text("\n".join(LEGACY_TRACE_LINES) + "\n")
         trace = read_trace(path)
         assert trace.scheduler_options == {
-            "solver_backend": "scipy", "policy": "on-arrival"
+            "solver_backend": "auto", "policy": "on-arrival"
         }
         check = verify_replay(trace)
         assert check.identical, check.detail
+
+    def test_scipy_trace_is_refused(self, tmp_path):
+        # The one-shot scipy backend is gone; its traces name it explicitly.
+        path = tmp_path / "legacy.jsonl"
+        header = LEGACY_TRACE_LINES[0].replace('"auto"', '"scipy"')
+        path.write_text("\n".join([header, *LEGACY_TRACE_LINES[1:]]) + "\n")
+        with pytest.raises(SolverError, match="unknown solver backend 'scipy'"):
+            verify_replay(read_trace(path))
 
     def test_speculate_true_trace_replays(self, tmp_path):
         # Speculation never changed a schedule, so either value replays.
@@ -158,19 +167,17 @@ class TestLegacyReplanOption:
         check = verify_replay(trace)
         assert check.identical, check.detail
 
-    def test_daemon_header_options_are_unchanged(self, tmp_path):
-        # The daemon's scheduler options now come from the registry rule;
-        # the header they journal keeps its keys, values and order.
+    def test_daemon_header_carries_the_run_options(self, tmp_path):
+        # The daemon's scheduler options come from the registry rule: the
+        # replan policy, now the only run option.
         path = tmp_path / "new.jsonl"
-        config = ServiceConfig(
-            solver_backend="SciPy", replan_policy="batched:2", journal=path
-        )
+        config = ServiceConfig(replan_policy="batched:2", journal=path)
         daemon = SchedulerDaemon(small_platform(), config)
         daemon._writer.close()
         header = path.read_text().splitlines()[0]
         assert (
-            '"scheduler": "online", "scheduler_options": {"solver_backend": '
-            '"scipy", "policy": "batched:2"}, "time_scale": 0.0'
+            '"scheduler": "online", "scheduler_options": {"policy": "batched:2"}, '
+            '"time_scale": 0.0'
         ) in header
 
     def test_incremental_false_trace_is_rejected(self, tmp_path):
@@ -377,11 +384,9 @@ class TestDaemon:
             with pytest.raises(ServiceError, match="not service-safe"):
                 ServiceConfig(scheduler=key)
 
-    def test_config_rejects_bad_policy_and_backend(self):
+    def test_config_rejects_bad_policy_and_time_scale(self):
         with pytest.raises(ServiceError):
             ServiceConfig(replan_policy="whenever")
-        with pytest.raises(ServiceError):
-            ServiceConfig(solver_backend="cplex")
         with pytest.raises(ServiceError):
             ServiceConfig(time_scale=-1.0)
 
@@ -600,15 +605,14 @@ class TestTelemetryIsolationHardening:
 
 
 class TestSolverDowngradeHardening:
-    """A failing HiGHS probe degrades that probe to scipy, not the daemon."""
+    """A failing HiGHS probe is re-solved on a cold model; the daemon lives on."""
 
-    @pytest.mark.skipif(not highs_available(), reason="no HiGHS bindings")
     def test_daemon_survives_a_failing_highs_probe(self, tmp_path, monkeypatch):
         calls = fail_first_highs_run(monkeypatch)
         journal = tmp_path / "run.jsonl"
         daemon = SchedulerDaemon(
             small_platform(),
-            ServiceConfig(scheduler="online", solver_backend="auto", journal=str(journal)),
+            ServiceConfig(scheduler="online", journal=str(journal)),
         )
         with ServiceServer(daemon) as server:
             status, _ = http_json(

@@ -364,23 +364,24 @@ class TestMergeValidation:
             design_tasks_from_meta({"base_seed": 1})
 
 
-#: A journal header as campaigns wrote it while the replan path and
-#: speculative pre-solving were configuration toggles (``incremental_lp``,
-#: ``speculation``), for LEGACY_CONFIG below.
+#: A journal header as campaigns wrote it while the replan path, speculative
+#: pre-solving and the solver backend were configuration toggles
+#: (``incremental_lp``, ``speculation``, ``solver_backend`` at its default
+#: ``"auto"``, resolved to ``["highs"]``), for LEGACY_CONFIG below.
 LEGACY_HEADER = (
     '{"kind": "repro-campaign-checkpoint", "version": 1, "meta": {"base_seed": 17, '
     '"replicates": 1, "scheduler_keys": ["online", "swrpt"], "configs": [{"name": '
     '"legacy", "n_clusters": 2, "n_databanks": 2, "availability": 0.6, "density": '
     '1.0, "processors_per_cluster": 3, "window": 12.0, "max_jobs": 5, '
     '"replan_policy": "on-arrival", "incremental_lp": true, "solver_backend": '
-    '"scipy", "state_bank": true, "speculation": false, "fault_mtbf": null, '
+    '"auto", "state_bank": true, "speculation": false, "fault_mtbf": null, '
     '"fault_mttr": null, "fault_horizon": null, "fault_machine_fraction": 1.0, '
     '"fault_loss_model": "resume", "fault_checkpoint_fraction": 0.0}], '
-    '"resolved_backends": ["scipy"], "scheduler_options": null}}'
+    '"resolved_backends": ["highs"], "scheduler_options": null}}'
 )
 LEGACY_CONFIG = ExperimentConfig(
     name="legacy", n_clusters=2, n_databanks=2, availability=0.6, density=1.0,
-    processors_per_cluster=3, window=12.0, max_jobs=5, solver_backend="scipy",
+    processors_per_cluster=3, window=12.0, max_jobs=5,
 )
 
 
@@ -403,7 +404,7 @@ class TestLegacyReplanKey:
             '{"name": "legacy", "n_clusters": 2, "n_databanks": 2, "availability": '
             '0.6, "density": 1.0, "processors_per_cluster": 3, "window": 12.0, '
             '"max_jobs": 5, "replan_policy": "batched:2", "incremental_lp": true, '
-            '"solver_backend": "scipy", "state_bank": false, "speculation": false, '
+            '"solver_backend": "auto", "state_bank": false, "speculation": false, '
         )
 
     def test_legacy_journal_resumes_and_merges(self, tmp_path):
@@ -424,6 +425,20 @@ class TestLegacyReplanKey:
         with pytest.raises(ReproError, match="different campaign"):
             self._resume(path)
         with pytest.raises(ReproError, match="from-scratch LP replan path"):
+            merge_journals([path])
+
+    def test_scipy_journal_is_rejected(self, tmp_path):
+        # A journal that pinned the removed one-shot scipy backend neither
+        # resumes (its header differs) nor merges.
+        path = tmp_path / "scipy.jsonl"
+        path.write_text(
+            LEGACY_HEADER.replace('"solver_backend": "auto"', '"solver_backend": "scipy"')
+            .replace('["highs"]', '["scipy"]')
+            + "\n"
+        )
+        with pytest.raises(ReproError, match="different campaign"):
+            self._resume(path)
+        with pytest.raises(ReproError, match="solver backend that no longer exists"):
             merge_journals([path])
 
     def test_speculation_true_journal_merges(self, tmp_path):

@@ -1,12 +1,13 @@
 """Tests for the content-addressed cross-run solver-state bank.
 
-The bank's contract is strictly *accelerator, not oracle*: with the scipy
-backend every banked answer is bitwise identical to the cold solve, so a
-whole campaign run with the bank on must produce the exact record set of
-the bank-off run -- and, through replicate-affinity lane placement, the
-exact record set of the serial run at any worker count.  Warm HiGHS bases
-shift results only at solver tolerance, which the two-tier A/B gate of
-``repro.experiments.ab`` covers.
+The bank's contract is strictly *accelerator, not oracle*: on the stateless
+linprog reference (``tests/scipy_backend.py``) every banked answer is
+bitwise identical to the cold solve, so a whole campaign run with the bank
+on must produce the exact record set of the bank-off run -- and, through
+replicate-affinity lane placement, the exact record set of the serial run
+at any worker count.  Warm HiGHS bases shift results only at solver
+tolerance, which the two-tier comparison of ``tests/record_sets.py``
+covers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ab import compare_record_sets
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.io import CampaignCheckpoint
 from repro.experiments.overhead import OVERHEAD_TABLE_HEADERS, scheduling_overhead
@@ -37,7 +37,9 @@ from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import generate_instance
 
-from helpers import make_uniform_instance
+from helpers import make_uniform_instance, run_lp_on_scipy
+from record_sets import compare_record_sets
+from scipy_backend import ScipyBackend
 
 ONLINE_KEYS = ("online", "online-edf", "online-egdf", "online-nonopt")
 
@@ -59,12 +61,9 @@ SEED = 31
 
 
 def _campaign(
-    configs=CONFIGS, *, n_workers=1, state_bank=True, solver_backend=None,
-    checkpoint=None, resume=False,
+    configs=CONFIGS, *, n_workers=1, state_bank=True, checkpoint=None, resume=False,
 ) -> ExperimentResults:
     cfgs = [replace(c, state_bank=state_bank) for c in configs]
-    if solver_backend is not None:
-        cfgs = [replace(c, solver_backend=solver_backend) for c in cfgs]
     return run_campaign(
         cfgs, scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
         n_workers=n_workers, checkpoint=checkpoint, resume=resume,
@@ -131,9 +130,9 @@ class TestContentKey:
         )
 
     def test_key_ignores_solver_knobs(self):
-        # Backend / bank flags shape the *run*, not the instance: both A/B
-        # legs of one triple share the key.
-        knobbed = replace(CONFIGS[0], solver_backend="scipy", state_bank=False)
+        # Bank and policy flags shape the *run*, not the instance: both legs
+        # of a bank on/off comparison share the key.
+        knobbed = replace(CONFIGS[0], replan_policy="batched:2", state_bank=False)
         assert instance_content_key(_instance(knobbed)) == instance_content_key(
             _instance(CONFIGS[0])
         )
@@ -179,11 +178,11 @@ class TestBankTransparency:
                 continue
             scheduler = make_scheduler(
                 publisher, **{**config.scheduler_options_for(publisher),
-                              "solver_backend": "scipy", "state_bank": bank})
+                              "solver_backend": ScipyBackend(), "state_bank": bank})
             simulate(instance, scheduler)
         for label, state_bank in (("banked", bank), ("cold", None)):
             options = config.scheduler_options_for(variant)
-            options.update(solver_backend="scipy", state_bank=state_bank)
+            options.update(solver_backend=ScipyBackend(), state_bank=state_bank)
             result = simulate(instance, make_scheduler(variant, **options))
             results[label] = result
             if label == "banked":
@@ -202,7 +201,7 @@ class TestBankTransparency:
         probes = {}
         for variant in ONLINE_KEYS:
             options = config.scheduler_options_for(variant)
-            options.update(solver_backend="scipy", state_bank=bank)
+            options.update(solver_backend=ScipyBackend(), state_bank=bank)
             probes[variant] = simulate(
                 instance, make_scheduler(variant, **options)
             ).lp_probes
@@ -252,9 +251,10 @@ class TestCampaignInvariants:
         off_sharded = _campaign(n_workers=2, state_bank=False)
         assert off_sharded.result_set() == off_serial.result_set()
 
-    def test_bank_bitwise_invisible_on_scipy_backend(self):
-        on = _campaign(n_workers=2, state_bank=True, solver_backend="scipy")
-        off = _campaign(n_workers=2, state_bank=False, solver_backend="scipy")
+    def test_bank_bitwise_invisible_on_scipy_backend(self, monkeypatch):
+        run_lp_on_scipy(monkeypatch)
+        on = _campaign(n_workers=2, state_bank=True)
+        off = _campaign(n_workers=2, state_bank=False)
         keep = ("config", "replicate", "scheduler", "max_stretch", "sum_stretch",
                 "sum_flow", "max_flow", "makespan")
 
@@ -272,22 +272,21 @@ class TestCampaignInvariants:
             report.objective_mismatches, report.aggregate_mismatches
         )
 
-    def test_kill_and_resume_with_warm_bank(self, tmp_path):
+    def test_kill_and_resume_with_warm_bank(self, tmp_path, monkeypatch):
         # An interrupted bank-on campaign resumed mid-replicate: restored
         # triples never republish, so resumed consumers may run cold -- the
         # records must still come back exactly once and (on scipy) bitwise
         # equal to the uninterrupted run.
-        uninterrupted = _campaign(n_workers=1, solver_backend="scipy")
+        run_lp_on_scipy(monkeypatch)
+        uninterrupted = _campaign(n_workers=1)
         full = tmp_path / "full.jsonl"
-        _campaign(n_workers=1, solver_backend="scipy", checkpoint=full)
+        _campaign(n_workers=1, checkpoint=full)
         lines = full.read_text().splitlines()
         partial = tmp_path / "partial.jsonl"
         # Keep the header, three whole records and a torn fourth line, so
         # the cut lands *inside* the first (config, replicate) group.
         partial.write_text("\n".join(lines[:4]) + "\n" + lines[4][: 10])
-        resumed = _campaign(
-            n_workers=2, solver_backend="scipy", checkpoint=partial, resume=True
-        )
+        resumed = _campaign(n_workers=2, checkpoint=partial, resume=True)
         assert resumed.result_set() == uninterrupted.result_set()
         done = CampaignCheckpoint(partial).load()
         assert len(done) == len(CONFIGS) * REPLICATES * len(KEYS)  # exactly once
@@ -320,7 +319,7 @@ class TestReplanContextBank:
         instance = make_uniform_instance([6.0, 3.0, 2.0], [0.0, 0.5, 1.0])
         bank = SolverStateBank()
 
-        publisher = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
+        publisher = ReplanContext(instance, solver_backend=ScipyBackend(), state_bank=bank)
         problem = publisher.build_problem(1.0, {0: 5.0, 1: 3.0, 2: 2.0})
         solution = publisher.solve_max_stretch(problem)
         publisher.reoptimize(problem, solution.objective)
@@ -332,7 +331,7 @@ class TestReplanContextBank:
         assert list(bucket.sys1.values()) == [solution]
         assert len(bucket.sys2) == 1
 
-        consumer = ReplanContext(instance, solver_backend="scipy", state_bank=bank)
+        consumer = ReplanContext(instance, solver_backend=ScipyBackend(), state_bank=bank)
         problem2 = consumer.build_problem(1.0, {0: 5.0, 1: 3.0, 2: 2.0})
         stats = consumer.backend.stats
         reused = consumer.solve_max_stretch(problem2)
@@ -345,7 +344,7 @@ class TestReplanContextBank:
 
     def test_publish_without_bank_is_a_noop(self):
         instance = make_uniform_instance([4.0, 2.0], [0.0, 1.0])
-        context = ReplanContext(instance, solver_backend="scipy")
+        context = ReplanContext(instance, solver_backend=ScipyBackend())
         context.publish()  # must not raise
         context.close()
 
@@ -354,7 +353,7 @@ class TestReplanContextBank:
         instance = _instance(config)
         bank = SolverStateBank()
         options = config.scheduler_options_for("online")
-        options.update(solver_backend="scipy", state_bank=bank)
+        options.update(solver_backend=ScipyBackend(), state_bank=bank)
         simulate(instance, make_scheduler("online", **options))
         bucket, hit = bank.acquire(instance_content_key(instance))
         assert hit and bucket.sys1 and bucket.sys2
@@ -364,10 +363,11 @@ class TestReplanContextBank:
 
 
 class TestOverheadColumns:
-    def test_bank_columns_populate_with_a_live_bank(self):
+    def test_bank_columns_populate_with_a_live_bank(self, monkeypatch):
+        run_lp_on_scipy(monkeypatch)
         kwargs = dict(
             scheduler_keys=("online", "online-edf"), n_clusters=2, n_databanks=2,
-            window=12.0, max_jobs=6, replicates=2, solver_backend="scipy",
+            window=12.0, max_jobs=6, replicates=2,
         )
         cold = scheduling_overhead(state_bank=False, **kwargs)
         warm = scheduling_overhead(state_bank=True, **kwargs)
