@@ -94,12 +94,11 @@ def write_json_artifact(name: str, payload: object) -> Path:
     """Persist a machine-readable baseline (e.g. ``BENCH_lp.json``).
 
     JSON artifacts are committed and uploaded by CI so the perf trajectory
-    (per-size LP probe counts, solve times, backend speedups, replan
-    latencies) can be compared across PRs instead of living only in
-    free-text benchmark logs.  Overwrites the whole file; benchmarks that
-    own one *section* of a shared baseline go through
-    :func:`update_json_artifact`, which requires the committed file to be
-    present.
+    (LP probe counts, replan latencies, campaign throughput) can be
+    compared across PRs instead of living only in free-text benchmark
+    logs.  Overwrites the whole file; benchmarks that own one *section* of
+    a shared baseline go through :func:`update_json_artifact`, which
+    requires the committed file to be present.
     """
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     path = ARTIFACT_DIR / name
@@ -113,8 +112,7 @@ def update_json_artifact(
     """Merge ``payload`` under ``section`` of a committed JSON baseline.
 
     Lets several benchmarks share one baseline file (``BENCH_lp.json`` holds
-    the backend comparison, the probe-elimination histogram and the replan
-    latencies) without clobbering each other regardless of execution order.
+    the probe-elimination histogram) without clobbering each other regardless of execution order.
     The committed baseline must exist (see :func:`read_json_baseline`);
     ``require_baseline=False`` is the bootstrap escape hatch for generating
     a brand-new baseline file.

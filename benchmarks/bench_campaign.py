@@ -1,6 +1,6 @@
-"""Campaign engine benchmarks: sharding speedup, backend A/B, merge throughput.
+"""Campaign engine benchmarks: sharding speedup, state bank, merge throughput.
 
-Two enforced properties of :func:`repro.experiments.runner.run_campaign`:
+An enforced property of :func:`repro.experiments.runner.run_campaign`:
 
 * **Sharding is free of result drift and actually scales.**  The sharded
   mini-campaign must produce a record set bit-identical (order-independent,
@@ -9,37 +9,29 @@ Two enforced properties of :func:`repro.experiments.runner.run_campaign`:
   be >= 2x whenever the machine has that many CPUs (the acceptance target;
   on smaller machines the measurement is still recorded, the gate is
   skipped).
-* **The backend A/B equivalence gate.**  The same mini-campaign run with the
-  one-shot scipy backend and with the persistent HiGHS backend must agree:
-  per-record on the tie-free optimized metric (max_stretch, solver
-  tolerance) and on the per-scheduler means of the tie-broken metrics
-  (within the documented 10 % -- System (2) degeneracy legitimately
-  perturbs individual runs, worst observed ~8 % on Offline at this sample
-  size).  This is the campaign-scale evidence behind the
-  ``--solver-backend`` default flip from ``scipy`` to ``auto``.
 
-A third gate covers the cross-run solver-state bank
+A second gate covers the cross-run solver-state bank
 (:func:`bench_state_bank_reuse`): on a slice where every replicate's four
 on-line LP variants share the realized instance, the banked leg must cut
 the median LP solves per record by >= 25 % while staying bitwise
-transparent on scipy, and the sharded bank-on/off comparison on the
-default backend must pass the same two-tier tolerance gate as the backend
-A/B.
+transparent on the tests' stateless linprog reference, and the sharded
+bank-on/off comparison on the default backend must pass the two-tier
+tolerance gate of ``tests/record_sets.py``.
 
-A fourth gate covers the group-batched dispatch of PR 8
+A third gate covers the group-batched dispatch of PR 8
 (:func:`bench_campaign_throughput`): on a heuristic-heavy mini-campaign
 (tiny per-task compute, so dispatch/transport overhead dominates) the
 grouped 4-worker run must reach >= 2x the serial records/sec whenever the
 machine has the CPUs; record sets must be bit-identical across both legs
 on every machine.
 
-A fifth measurement covers the distribution layer: merging N shard
+A fourth measurement covers the distribution layer: merging N shard
 journals of a paper-shaped design (162 configurations x 10 schedulers)
 back into one validated record set must stay cheap relative to computing
 the records -- the merge job is the serial tail of every sharded CI
 campaign, so its records/sec throughput is tracked alongside.
 
-All five write into ``benchmarks/_artifacts/BENCH_campaign.json``
+All four write into ``benchmarks/_artifacts/BENCH_campaign.json``
 (uploaded by CI) so the campaign throughput trajectory -- wall-clock,
 records/sec, worker count, merge rate -- is tracked across PRs.
 """
@@ -49,12 +41,13 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.ab import compare_record_sets, run_backend_ab
 from repro.experiments.config import ExperimentConfig, paper_configurations
 from repro.experiments.io import CampaignCheckpoint
 from repro.experiments.merge import merge_journals
@@ -65,13 +58,18 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.sharding import ShardPlan
-from repro.lp.backends import highs_available, resolve_backend_name
 from repro.lp.bank import SolverStateBank
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import generate_instance
 
 from _bench_utils import ARTIFACT_DIR, write_json_artifact
+
+# The bank gate's bitwise leg runs on the tests' one-shot linprog reference
+# and compares record sets with the tests' two-tier comparison.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from record_sets import compare_record_sets  # noqa: E402
+from scipy_backend import ScipyBackend  # noqa: E402
 
 _ARTIFACT = "BENCH_campaign.json"
 
@@ -192,79 +190,27 @@ def bench_campaign_sharded_speedup(benchmark):
     )
 
 
-def bench_campaign_backend_ab(benchmark):
-    """The equivalence gate behind the ``--solver-backend auto`` default."""
-    scale = _scale()
-    configs = _mini_campaign(scale)
-
-    report, results_a, _ = benchmark.pedantic(
-        lambda: run_backend_ab(
-            configs,
-            scheduler_keys=_SCHEDULERS,
-            replicates=int(scale["replicates"]),
-            base_seed=2006,
-            n_workers=int(scale["workers"]),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    _update_artifact(
-        "backend_ab",
-        {
-            "backend_a": report.backend_a,
-            "backend_b": report.backend_b,
-            "highs_available": highs_available(),
-            "n_records": report.n_records,
-            "n_identical": report.n_identical,
-            "objective_tolerance": report.objective_tolerance,
-            "tie_tolerance": report.tie_tolerance,
-            "max_rel_diff_per_record": {
-                metric: round(diff, 9)
-                for metric, diff in sorted(report.max_rel_diff.items())
-            },
-            "worst_aggregate_diff": {
-                metric: {
-                    "scheduler": report.worst_aggregate_diff(metric)[0],
-                    "rel_diff": round(report.worst_aggregate_diff(metric)[1], 9),
-                }
-                for metric in sorted({m for _, m in report.aggregate_diffs})
-            },
-            "equivalent": report.equivalent,
-        },
-    )
-    assert report.n_records == len(results_a) > 0
-    assert report.equivalent, f"backend A/B gate failed:\n{report.render()}"
-    if not highs_available():
-        pytest.skip(
-            "no HiGHS bindings; A/B degenerated to scipy-vs-scipy "
-            f"(recorded in {_ARTIFACT})"
-        )
-    assert report.backend_b == resolve_backend_name("auto") == "highs"
-
-
 def bench_state_bank_reuse(benchmark):
     """The reuse gate behind the ``--state-bank on`` default.
 
     A paper-shaped slice where the bank's affinity assumption is exact --
     the four on-line LP variants of every (configuration, replicate) group
     share each realized instance -- run once with a per-group
-    :class:`SolverStateBank` and once cold, serially on the scipy backend
-    (so per-record LP-solve counts are deterministic and the banked answers
-    are bitwise transparent).  Gates, in order:
+    :class:`SolverStateBank` and once cold, serially on the tests' one-shot
+    linprog reference, a fresh instance per run (so per-record LP-solve
+    counts are deterministic and the banked answers are bitwise
+    transparent).  Gates, in order:
 
     * the banked leg must cut the median LP solves per record by >= 25 %,
     * every record must be bitwise identical to its cold twin,
     * a sharded bank-on campaign on the *default* backend must pass the
-      same two-tier tolerance gate as the backend A/B when compared to the
-      bank-off run (warm HiGHS bases legitimately shift results at solver
-      tolerance).
+      two-tier tolerance gate of ``tests/record_sets.py`` when compared to
+      the bank-off run (warm HiGHS bases legitimately shift results at
+      solver tolerance).
     """
     scale = _scale()
     keys = ("online", "online-edf", "online-egdf", "online-nonopt")
-    configs = [
-        replace(config, solver_backend="scipy")
-        for config in _mini_campaign(scale)
-    ]
+    configs = _mini_campaign(scale)
     tasks = campaign_tasks(configs, keys, int(scale["replicates"]), base_seed=2006)
 
     def run_serial(with_bank: bool):
@@ -281,6 +227,7 @@ def bench_state_bank_reuse(benchmark):
                     rng=task.seed,
                 )
             options = task.config.scheduler_options_for(task.scheduler_key)
+            options["solver_backend"] = ScipyBackend()
             if with_bank:
                 options["state_bank"] = banks.setdefault(group, SolverStateBank())
             else:

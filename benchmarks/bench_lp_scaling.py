@@ -19,7 +19,6 @@ import pytest
 
 import repro.lp.maxstretch as maxstretch
 from repro.lp.aggregation import share_totals
-from repro.lp.backends import highs_available, highs_source, make_backend
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
@@ -30,10 +29,12 @@ from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instan
 
 from _bench_utils import update_json_artifact
 
-# Both gated comparisons below pin the gallop milestone search, which is no
-# longer in the package: it is the test oracle in tests/replan_oracles.py.
+# The probe-elimination gate below pins the gallop milestone search, which is
+# no longer in the package: it is the test oracle in tests/replan_oracles.py.
+# The warm-start bench runs on the tests' one-shot linprog reference.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from replan_oracles import search_gallop  # noqa: E402
+from scipy_backend import ScipyBackend  # noqa: E402
 
 
 def _instance(n_clusters: int, n_jobs: int, seed: int = 11):
@@ -94,11 +95,13 @@ def bench_system1_warm_start(benchmark):
     """
     instance = _instance(n_clusters=3, n_jobs=30)
     problem = problem_from_instance(instance)
-    cold = minimize_max_weighted_flow(problem)
+    # Bit for bit on the stateless linprog reference: warm HiGHS bases may
+    # land on another vertex of a degenerate optimum.
+    cold = minimize_max_weighted_flow(problem, backend=ScipyBackend())
 
     warm = benchmark.pedantic(
         lambda: minimize_max_weighted_flow(
-            problem, warm_start=cold.objective, skeleton_cache={}
+            problem, warm_start=cold.objective, skeleton_cache={}, backend=ScipyBackend()
         ),
         rounds=3,
         iterations=1,
@@ -107,127 +110,7 @@ def bench_system1_warm_start(benchmark):
     assert all(np.array_equal(a, b) for a, b in zip(warm.shares, cold.shares))
 
 
-#: Timing rounds per (size, backend); the best round is recorded, which
-#: symmetrically discards transient noise (GC, CPU migration) on shared CI
-#: runners without biasing the scipy/HiGHS ratio.
-_TIMING_ROUNDS = 3
-
-
-def _resolution_with_backend(problem, backend_name: str, monkeypatch):
-    """Best-of-N full resolutions (System (1) search + System (2)).
-
-    The milestone search is pinned to the legacy gallop (swapped in for the
-    certificate search through ``monkeypatch``) so both backends
-    walk the *same* probe sequence and the per-probe timing ratio isolates
-    the solver backend: the certificate search would prune different probes
-    on each backend (scipy produces no dual rays), skewing the per-probe
-    means.  Probe *elimination* is gated separately by
-    :func:`bench_certificate_probe_elimination`.
-    """
-    best = fastest = None
-    for _ in range(_TIMING_ROUNDS):
-        backend = make_backend(backend_name)
-        stats = backend.stats
-        try:
-            with monkeypatch.context() as patch:
-                patch.setattr(maxstretch, "_search_certificate", search_gallop)
-                best = minimize_max_weighted_flow(problem, backend=backend)
-                reoptimize_allocation(problem, best.objective, backend=backend)
-        finally:
-            backend.close()
-        if fastest is None or stats.solve_seconds < fastest.solve_seconds:
-            fastest = stats
-    return best, fastest
-
-
-def bench_solver_backend_comparison(benchmark, monkeypatch):
-    """Per-probe LP solve time: one-shot scipy vs persistent HiGHS backend.
-
-    Runs the complete milestone search plus the System (2) re-optimization
-    at increasing job counts with both backends, records the per-size probe
-    counts and solve times to ``BENCH_lp.json`` (uploaded by CI so the perf
-    trajectory is tracked across PRs), and enforces the acceptance target:
-    at the largest size (>= 60 jobs in the LP) the persistent backend --
-    which warm-starts dual simplex from the previous probe's transplanted
-    basis instead of re-factorizing from scratch -- must at least halve the
-    per-probe solve time while reproducing the scipy objective exactly
-    within tolerance.  Each (size, backend) cell is timed best-of-N
-    (symmetric for both backends) so a transient stall on a noisy CI runner
-    cannot flake the ratio; ~2.4x is the locally observed margin.
-    """
-    # Density/window chosen so the largest instance saturates its 60-job cap
-    # (the regime where the ROADMAP identifies the LP solve as the floor).
-    sizes = (15, 30, 60)
-    problems = {}
-    for n_jobs in sizes:
-        platform_spec = PlatformSpec(
-            n_clusters=3, processors_per_cluster=10, n_databanks=3, availability=0.6,
-        )
-        workload_spec = WorkloadSpec(density=3.0, window=45.0, max_jobs=n_jobs)
-        instance = generate_instance(platform_spec, workload_spec, rng=11)
-        problems[n_jobs] = problem_from_instance(instance)
-
-    backends = ["scipy"] + (["highs"] if highs_available() else [])
-
-    def run():
-        rows = []
-        for n_jobs in sizes:
-            problem = problems[n_jobs]
-            for backend_name in backends:
-                best, stats = _resolution_with_backend(problem, backend_name, monkeypatch)
-                rows.append(
-                    {
-                        "n_jobs": len(problem.jobs),
-                        "backend": backend_name,
-                        "probes": stats.n_probes,
-                        "solve_ms": round(stats.solve_seconds * 1e3, 3),
-                        "per_probe_ms": round(stats.per_probe_seconds * 1e3, 4),
-                        "objective": best.objective,
-                    }
-                )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    largest = max(r["n_jobs"] for r in rows)
-    speedup = None
-    if highs_available():
-        per_probe = {
-            r["backend"]: r["per_probe_ms"] for r in rows if r["n_jobs"] == largest
-        }
-        speedup = per_probe["scipy"] / per_probe["highs"]
-    update_json_artifact(
-        "BENCH_lp.json",
-        "backend_comparison",
-        {
-            "benchmark": "bench_solver_backend_comparison",
-            "highs_available": highs_available(),
-            "highs_source": highs_source(),
-            "timing_rounds": _TIMING_ROUNDS,
-            "per_size": rows,
-            "largest_n_jobs": largest,
-            "per_probe_speedup_at_largest": speedup,
-        },
-    )
-
-    # Both backends walk the same monotone feasibility lattice, so the probe
-    # counts and objectives must agree regardless of solver internals.
-    for n_jobs in sizes:
-        by_backend = {r["backend"]: r for r in rows if r["n_jobs"] == len(problems[n_jobs].jobs)}
-        if "highs" in by_backend:
-            assert by_backend["highs"]["objective"] == pytest.approx(
-                by_backend["scipy"]["objective"], rel=1e-9
-            )
-    if not highs_available():
-        pytest.skip("highspy (and scipy-vendored HiGHS) unavailable; scipy baseline recorded")
-    assert largest >= 60, f"largest LP only has {largest} jobs"
-    assert speedup >= 2.0, (
-        f"persistent HiGHS backend only {speedup:.2f}x faster per probe at "
-        f"{largest} jobs (target: >= 2x)"
-    )
-
-
-def _record_replan_problems(instance, backend_name: str):
+def _record_replan_problems(instance):
     """The System (1) problems of one online run (the replay inputs).
 
     Replaying a recorded problem stream -- instead of comparing two live
@@ -245,15 +128,15 @@ def _record_replan_problems(instance, backend_name: str):
 
     ReplanContext.solve_max_stretch = recording
     try:
-        simulate(instance, make_scheduler("online", solver_backend=backend_name))
+        simulate(instance, make_scheduler("online"))
     finally:
         ReplanContext.solve_max_stretch = original
     return problems
 
 
-def _replay_search(instance, problems, backend_name: str):
+def _replay_search(instance, problems):
     """Solve the recorded problems through a warm-carried context; per-replan stats."""
-    context = ReplanContext(instance, solver_backend=backend_name)
+    context = ReplanContext(instance)
     stats = context.backend.stats
     objectives = []
     try:
@@ -285,15 +168,14 @@ def bench_certificate_probe_elimination(benchmark, monkeypatch):
     workload_spec = WorkloadSpec(density=3.0, window=45.0, max_jobs=60)
     instance = generate_instance(platform_spec, workload_spec, rng=11)
     assert instance.n_jobs >= 50
-    backend_name = "highs" if highs_available() else "scipy"
-    problems = _record_replan_problems(instance, backend_name)
+    problems = _record_replan_problems(instance)
     assert len(problems) >= 30, f"only {len(problems)} replans recorded"
 
     def run():
         with monkeypatch.context() as patch:
             patch.setattr(maxstretch, "_search_certificate", search_gallop)
-            gallop = _replay_search(instance, problems, backend_name)
-        certificate = _replay_search(instance, problems, backend_name)
+            gallop = _replay_search(instance, problems)
+        certificate = _replay_search(instance, problems)
         return gallop, certificate
 
     (g_obj, g_stats), (c_obj, c_stats) = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -320,7 +202,7 @@ def bench_certificate_probe_elimination(benchmark, monkeypatch):
         "probe_elimination",
         {
             "benchmark": "bench_certificate_probe_elimination",
-            "backend": backend_name,
+            "backend": "highs",
             "n_jobs": instance.n_jobs,
             "n_replans": len(problems),
             "gallop": {
@@ -337,8 +219,6 @@ def bench_certificate_probe_elimination(benchmark, monkeypatch):
         },
     )
 
-    if backend_name != "highs":
-        pytest.skip("HiGHS bindings unavailable; scipy probe baseline recorded")
     # Hard gate 2: >= 30% median reduction in LP probes actually solved per
     # replan at 60 jobs on the highs backend.
     assert reduction >= 0.30, (

@@ -4,7 +4,7 @@ The paper reports, for 15-minute workloads on 3-cluster platforms, the time
 spent inside the scheduler: under 0.28 s for the on-line heuristics, 0.54 s
 for the off-line optimal algorithm, 0.23 s for Bender02 and 19.76 s for
 Bender98 (which re-solves a full off-line optimal problem at every release
-date).  Absolute values differ here (pure Python + scipy vs the authors' C
+date).  Absolute values differ here (pure Python + HiGHS vs the authors' C
 code) but the ordering -- list heuristics < Bender02 < on-line LP heuristics
 ~ off-line < Bender98 -- is reproduced, as is the reason for restricting
 Bender98 to the smallest platforms.
@@ -95,7 +95,7 @@ def bench_lp_solve_fraction(benchmark):
     fraction = stats.fraction_of(result.scheduler_time)
     write_artifact(
         "lp_fraction.txt",
-        f"workload: {instance.n_jobs} jobs, rho=3.0, 3 clusters (Online, scipy backend)\n"
+        f"workload: {instance.n_jobs} jobs, rho=3.0, 3 clusters (Online, HiGHS backend)\n"
         f"scheduler time: {result.scheduler_time:.3f} s\n"
         f"LP solve time:  {stats.solve_seconds:.3f} s over {stats.n_probes} probes "
         f"({stats.per_probe_seconds * 1e3:.2f} ms/probe)\n"
