@@ -185,8 +185,8 @@ class ExperimentConfig(RunOptions):
             # must still resume.  merge drops it when rebuilding configs.
             "incremental_lp": True,
             # Every LP runs on HiGHS now; the key stays, constant, for the
-            # same --resume reason: default journals recorded "auto".
-            # merge drops it and rejects any other value.
+            # same --resume reason: default journals recorded "auto".  merge
+            # drops it and rejects any value but "auto" / "highs".
             "solver_backend": "auto",
             # The journal/checkpoint schema predates the typed toggle: keep
             # emitting the historical primitive (bool).

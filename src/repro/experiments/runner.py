@@ -286,8 +286,8 @@ def campaign_meta(
     differing in window/max_jobs/replan knobs produce different records, and
     resuming (or merging) across them must be rejected.  The
     ``resolved_backends`` entry is the constant ``["highs"]``, the one LP
-    engine, so a journal recorded on the removed scipy backend is never
-    continued with it.  The result is normalized through JSON so a comparison
+    engine, so a journal the removed scipy backend recorded never resumes.
+    The result is normalized through JSON so a comparison
     against a reloaded header cannot reject its own campaign (e.g. tuples
     becoming lists).
     """

@@ -11,9 +11,9 @@ column set per job class (a different LP, so a different vertex), System
 (2)'s split across resources became a fixed rule and ``offline`` began to
 pick its optimum with a generic cost; ``online-nonopt`` alone was re-frozen
 once more when it began to install that pick instead of a raw System (1)
-vertex.  The heuristic and ``bender98`` digests did not move, not even when
-``bender98`` moved from the one-shot ``linprog`` path to the persistent
-HiGHS backend (its S* probes end on the same optima).  Each digest
+vertex.  The heuristic and ``bender98`` digests did not move, ``bender98``'s
+not even when it moved from the one-shot ``linprog`` path to the persistent
+HiGHS backend.  Each digest
 covers every slice of the realized schedule -- ``job_id, machine_id, start,
 end, work``, floats in hex -- so a change in any bit of any slice, or in the
 number or order of slices, fails the test.
