@@ -7,15 +7,15 @@ skeleton -- into an :class:`LPResult`.  The package's one implementation is
 model per solve and keeps the latest basis of each warm-start series,
 warm-starting dual simplex on the next model of the series from it, and
 returns an optimal model for :meth:`SolverBackend.resolve_fixed` to
-re-solve.  A probe it fails is re-solved once on a fresh, cold HiGHS model
-(:meth:`SolverBackend.solve`).  The abstract class is also the seam through
-which tests inject a reference solver or a fake.
+re-solve.  A probe it fails is re-solved once on a fresh, cold HiGHS model.
+The abstract class is also the seam through which tests inject a reference
+solver or a fake.
 
 Persistent backends relate successive solves through the ``warm`` argument of
 :meth:`SolverBackend.solve`: a :class:`WarmStartHint` names the series and
 gives every variable and row a stable identity, through which the previous
 basis of the series is mapped onto the new model -- the matrices of two
-solves need not match.
+solves need not match.  A :class:`LiveResolve` hands over the model itself.
 
 Each backend also carries the LP counters of the run using it,
 :attr:`SolverBackend.stats` (an :class:`LPProbeStats`): how many solves it
@@ -31,7 +31,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "LPResult",
     "LPSpec",
     "WarmStartHint",
+    "LiveResolve",
     "SolverBackend",
     "LPProbeStats",
     "REPLAN_LATENCY_WINDOW",
@@ -185,6 +186,20 @@ class WarmStartHint:
     row_ids: "np.ndarray"
 
 
+class LiveResolve(NamedTuple):
+    """The ``warm`` of a live re-solve (:meth:`SolverBackend.resolve_fixed`).
+
+    Not a basis to map onto a new model but the model itself: ``model``, an
+    :attr:`LPResult.model`, re-solved with column ``column`` fixed at
+    ``value`` and its costs replaced by ``costs``.
+    """
+
+    model: object
+    column: int
+    value: float
+    costs: "np.ndarray"
+
+
 class SolverBackend(ABC):
     """Strategy object solving one :class:`LPSpec` per :meth:`solve` call.
 
@@ -220,73 +235,50 @@ class SolverBackend(ABC):
         stats.n_rows += spec.n_rows
         stats.by_backend[self.name] = stats.by_backend.get(self.name, 0) + 1
 
-    def solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
+    def solve(
+        self, spec: LPSpec, *, warm: WarmStartHint | LiveResolve | None = None
+    ) -> LPResult:
         """Solve ``spec``; ``feasible`` is False on a plain infeasibility.
 
         ``warm`` optionally carries the stable identities used to transplant
-        the previous basis of the same series onto the freshly built model
-        (one-shot backends ignore it).  Raises :class:`SolverError` for
-        unexpected solver failures (numerical breakdown, unboundedness,
+        the previous basis of the same series onto the freshly built model,
+        or -- from :meth:`resolve_fixed` -- the live model to re-solve in
+        place (one-shot backends ignore it).  Raises :class:`SolverError`
+        for unexpected solver failures (numerical breakdown, unboundedness,
         ...), but *not* for plain infeasibility, which is an expected
         outcome during the milestone search.
 
-        A failing solve meets two layers of defence:
+        The persistent HiGHS backend re-solves a probe it fails once on a
+        fresh, cold model before it lets a :class:`SolverError` through; in
+        a campaign, one that survives aborts only its own run, which the
+        runner records as a NaN-metrics ``failed`` record
+        (``experiments/runner.py``).
 
-        1. here, a *persistent* backend whose solve raises
-           :class:`SolverError` re-solves the same spec once on a fresh,
-           cold HiGHS model -- no basis, primal instead of dual simplex --
-           counted in :attr:`LPProbeStats.n_downgrades` (the downgrade).
-           The failed solve leaves the series basis as it was (a basis is
-           recorded only on an optimal or infeasible outcome), so the next
-           solve starts where this one did.  When the cold re-solve fails
-           too, its error is raised, chained from the primary's;
-        2. in a campaign, a :class:`SolverError` that survives it aborts
-           only its own run, which the runner records as a NaN-metrics
-           ``failed`` record (``experiments/runner.py``).
-
-        The retry preserves exactness: a retried probe either returns the
-        optimum of the same LP or fails again.  The solve is timed and
-        counted once, under this backend's name, whichever layer answers.
+        Every solve of the package -- live re-solves included -- passes
+        here, and is timed and counted once, under this backend's name.
         """
         start = time.perf_counter()
         try:
             return self._solve(spec, warm=warm)
-        except SolverError as exc:
-            if not self.persistent:
-                raise
-            return self._downgrade(spec, exc)
         finally:
             self._count_solve(time.perf_counter() - start, spec)
 
-    def _downgrade(self, spec: LPSpec, primary_exc: SolverError) -> LPResult:
-        """Re-solve ``spec`` on a fresh, cold HiGHS model after ``primary_exc``."""
-        from repro.lp.backends.highs import HighsPersistentBackend  # imports this module
-
-        annotate_solver_error(primary_exc, backend=self.name)
-        fallback = HighsPersistentBackend()
-        try:
-            result = fallback._solve_cold(spec)
-        except SolverError as fallback_exc:
-            annotate_solver_error(fallback_exc, backend=fallback.name, attempts=2)
-            raise fallback_exc from primary_exc
-        finally:
-            self.stats.run_seconds += fallback.stats.run_seconds
-        self.stats.n_downgrades += 1
-        return result
-
     @abstractmethod
-    def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
+    def _solve(
+        self, spec: LPSpec, *, warm: WarmStartHint | LiveResolve | None = None
+    ) -> LPResult:
         """Backend-specific solve (timed and accounted by :meth:`solve`)."""
 
     def resolve_fixed(self, model, *, column: int, value: float, costs) -> LPResult:
         """Re-solve an :attr:`LPResult.model`: ``column`` fixed at ``value``, new
-        ``costs``.  Counted as a solve and a basis reuse; raises SolverError on
-        failure.  Backends that hand out models implement ``_resolve_fixed``."""
-        start = time.perf_counter()
-        try:
-            result = self._resolve_fixed(model, column=column, value=value, costs=costs)
-        finally:
-            self._count_solve(time.perf_counter() - start, model.spec)
+        ``costs``.
+
+        A :meth:`solve` of the model's spec with a :class:`LiveResolve` as its
+        ``warm``, counted as a solve and a basis reuse.  Raises SolverError on
+        failure, with no cold retry: the caller builds the program afresh.
+        Only backends that hand out models get here.
+        """
+        result = self.solve(model.spec, warm=LiveResolve(model, column, value, costs))
         self.stats.n_basis_reused += 1
         self.stats.n_live_reoptimizations += 1
         return result
@@ -356,8 +348,8 @@ class LPProbeStats:
     #: search, in completion order (feeds the per-replan medians of
     #: ``benchmarks/bench_lp_scaling.py``).
     searches: list[tuple[int, int]] = field(default_factory=list)
-    #: Probes a persistent backend failed and a fresh, cold HiGHS model
-    #: answered (the downgrade of :meth:`SolverBackend.solve`).
+    #: Probes the HiGHS backend failed and then answered on a fresh, cold
+    #: model (the downgrade of ``HighsPersistentBackend._solve``).
     n_downgrades: int = 0
     #: Cross-run solver-state bank lookups that found a warm bucket for the
     #: run's instance content key (:mod:`repro.lp.bank`).

@@ -19,6 +19,9 @@ solver state that does carry over: the *basis*.
   (1) probe, so :meth:`~HighsPersistentBackend.resolve_fixed` fixes ``F`` on
   the probe's model, swaps the costs and runs *primal* simplex from its basis.
 
+* **Cold retry.**  A probe whose solve fails is re-solved once on a fresh
+  model with no basis, by primal simplex (the downgrade).
+
 The series bases are the only state the backend keeps, and only for the
 run that owns the backend.  A solve leaves its basis behind as the
 bindings' ``HighsBasis`` copy (no ``Highs`` object); its statuses become
@@ -53,10 +56,12 @@ from scipy.optimize._highspy._core import _Highs as Highs
 
 from repro.core.errors import SolverError
 from repro.lp.backends.base import (
+    LiveResolve,
     LPResult,
     LPSpec,
     SolverBackend,
     WarmStartHint,
+    annotate_solver_error,
 )
 
 __all__ = ["HighsPersistentBackend", "highs_source"]
@@ -188,7 +193,38 @@ class HighsPersistentBackend(SolverBackend):
         self._int_lower = _status_code(HighsBasisStatus.kLower)
 
     # -- SolverBackend interface ---------------------------------------------------
-    def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
+    def _solve(
+        self, spec: LPSpec, *, warm: WarmStartHint | LiveResolve | None = None
+    ) -> LPResult:
+        """A live re-solve, or ``spec`` on a new model with a cold retry.
+
+        A failed live re-solve raises: its caller builds the program afresh.
+        A failed build-and-run is re-solved once on a fresh, cold model -- no
+        basis, primal instead of dual simplex --, counted in
+        :attr:`~repro.lp.backends.base.LPProbeStats.n_downgrades`.  It leaves
+        the series basis as it was (a basis is recorded only on an optimal or
+        infeasible outcome), so the next solve starts where this one did, and
+        it preserves exactness: the retried probe either returns the optimum
+        of the same LP or fails again, its error chained from the first.
+        """
+        if isinstance(warm, LiveResolve):
+            return self._resolve_fixed(
+                warm.model, column=warm.column, value=warm.value, costs=warm.costs
+            )
+        try:
+            return self._build_and_run(spec, warm)
+        except SolverError as exc:
+            annotate_solver_error(exc, backend=self.name)
+            try:
+                result = self._solve_cold(spec)
+            except SolverError as cold_exc:
+                annotate_solver_error(cold_exc, backend=self.name, attempts=2)
+                raise cold_exc from exc
+            self.stats.n_downgrades += 1
+            return result
+
+    def _build_and_run(self, spec: LPSpec, warm: WarmStartHint | None) -> LPResult:
+        """``spec`` on a new model, from the series' basis when hinted."""
         highs = self._new_solver()
         if warm is not None:
             # Hinted solves feed a warm-start series.  Presolve would prove
@@ -214,8 +250,8 @@ class HighsPersistentBackend(SolverBackend):
     def _solve_cold(self, spec: LPSpec) -> LPResult:
         """``spec`` on a fresh model with no basis, by primal simplex.
 
-        The downgrade of a failed solve (:meth:`SolverBackend.solve`): the
-        failed one ran dual simplex, warm or not.  Leaves no basis behind.
+        The downgrade of a failed solve (:meth:`_solve`): the failed one ran
+        dual simplex, warm or not.  Leaves no basis behind.
         """
         highs = self._new_solver()
         highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)

@@ -187,7 +187,7 @@ class TestFallbacks:
         _assert_feasible(solution)
 
     def test_failed_live_resolve_falls_back_to_a_downgraded_rebuild(self, monkeypatch):
-        real_solve = HighsPersistentBackend._solve
+        real_build = HighsPersistentBackend._build_and_run
         live_attempts = 0
 
         def broken_resolve(self, model, **kwargs):
@@ -195,14 +195,14 @@ class TestFallbacks:
             live_attempts += 1
             raise SolverError("injected live re-solve failure")
 
-        def system_2_fails(self, spec, *, warm=None):
+        def system_2_fails(self, spec, warm):
             # Rebuilt System (2) programs carry no F column (identity -1).
             if warm is not None and warm.col_ids[:1].tolist() != [-1]:
                 raise SolverError("injected rebuild failure")
-            return real_solve(self, spec, warm=warm)
+            return real_build(self, spec, warm)
 
         monkeypatch.setattr(HighsPersistentBackend, "_resolve_fixed", broken_resolve)
-        monkeypatch.setattr(HighsPersistentBackend, "_solve", system_2_fails)
+        monkeypatch.setattr(HighsPersistentBackend, "_build_and_run", system_2_fails)
         instance = _small_instance(2006, max_jobs=30)
         scheduler = OnlineLPScheduler("online", solver_backend="highs")
         result = simulate(instance, scheduler)

@@ -1,10 +1,9 @@
 """Solver robustness: the cold downgrade, failed records, the reference's retry.
 
-The defence-in-depth contract of :meth:`SolverBackend.solve
-<repro.lp.backends.base.SolverBackend.solve>`:
+The defence-in-depth contract of an LP solve:
 
-1. a probe a persistent backend fails is re-solved once on a fresh, cold
-   HiGHS model (no basis, primal simplex), counted in ``n_downgrades``;
+1. a probe the HiGHS backend fails is re-solved once on a fresh, cold
+   model (no basis, primal simplex), counted in ``n_downgrades``;
 2. a :class:`SolverError` that survives it carries enough context
    (backend, method, attempts, probe signature) to diagnose the probe
    post-mortem, and aborts only its own campaign run -- the runner converts
@@ -77,11 +76,12 @@ def trivial_spec(infeasible: bool = False) -> LPSpec:
     return lp_spec([2.0], lower=[1.0], upper=[10.0])
 
 
-class FailingBackend(SolverBackend):
-    name = "failing"
-    persistent = True
+class FailingBackend(HighsPersistentBackend):
+    """HiGHS whose warm build-and-run always fails; its cold retry works."""
 
-    def _solve(self, spec, *, warm=None):
+    name = "failing"
+
+    def _build_and_run(self, spec, warm):
         raise SolverError("persistent model corrupted")
 
 
@@ -226,7 +226,7 @@ class TestColdDowngrade:
         backend = FailingBackend()
         with pytest.raises(SolverError, match="fallback broken") as info:
             backend.solve(trivial_spec())
-        assert (info.value.backend, info.value.attempts) == ("highs", 2)
+        assert (info.value.backend, info.value.attempts) == ("failing", 2)
         cause = info.value.__cause__
         assert isinstance(cause, SolverError) and cause.backend == "failing"
         assert backend.stats.n_downgrades == 0
@@ -264,12 +264,18 @@ class TestColdDowngrade:
         backend.solve(spec(3.0), warm=warm)
         before = backend._series_basis("s")
 
-        def poisoned_run(highs, spec, warm):
-            raise SolverError("HiGHS solve failed")
+        real_run, runs = backend._run, []
+
+        def poisoned_run(highs, spec, warm):  # the warm run fails, the cold one not
+            runs.append(warm)
+            if len(runs) == 1:
+                raise SolverError("HiGHS solve failed")
+            return real_run(highs, spec, warm=warm)
 
         with monkeypatch.context() as patch:
             patch.setattr(backend, "_run", poisoned_run)
             downgraded = backend.solve(spec(4.0), warm=warm)
+        assert runs == [warm, None]
         assert backend.stats.n_downgrades == 1
         assert downgraded.objective == pytest.approx(6.0)
         assert backend._series_basis("s") is before
