@@ -147,6 +147,25 @@ _CHECKPOINT_KIND = "repro-campaign-checkpoint"
 _CHECKPOINT_VERSION = 1
 
 
+def _as_written_today(meta: dict[str, object]) -> dict[str, object]:
+    """A checkpoint header as a campaign of the same design writes it today.
+
+    A journal started with ``--solver-backend highs`` ran the one LP engine
+    every run uses now, but its configs recorded ``"highs"`` where today's
+    record ``"auto"``; it resumes like a default one.
+    """
+    configs = meta.get("configs")
+    if not isinstance(configs, list):
+        return meta
+    configs = [
+        {**values, "solver_backend": "auto"}
+        if isinstance(values, dict) and values.get("solver_backend") == "highs"
+        else values
+        for values in configs
+    ]
+    return {**meta, "configs": configs}
+
+
 class CampaignCheckpoint:
     """Append-only JSONL journal of completed campaign tasks.
 
@@ -216,7 +235,7 @@ class CampaignCheckpoint:
             # to restore, and open_append() starts the file over.
             return {}
         meta, entries = self.read_entries()
-        if expect_meta is not None and meta != expect_meta:
+        if expect_meta is not None and _as_written_today(meta) != expect_meta:
             raise ReproError(
                 f"checkpoint {self.path} was written for a different campaign "
                 f"(seed/schedulers/design mismatch): {meta!r} "

@@ -427,6 +427,21 @@ class TestLegacyReplanKey:
         with pytest.raises(ReproError, match="from-scratch LP replan path"):
             merge_journals([path])
 
+    def test_explicit_highs_journal_resumes_and_merges(self, tmp_path):
+        # A journal started with --solver-backend highs ran today's engine:
+        # it resumes, and merges, like a default one.
+        path = tmp_path / "highs.jsonl"
+        path.write_text(
+            LEGACY_HEADER.replace('"solver_backend": "auto"', '"solver_backend": "highs"')
+            + "\n"
+        )
+        results = self._resume(path)
+        assert len(results) == 2
+        assert path.read_text().count('"solver_backend": "highs"') == 1
+        merged = merge_journals([path])
+        assert merged.complete
+        assert merged.results.result_set() == results.result_set()
+
     def test_scipy_journal_is_rejected(self, tmp_path):
         # A journal that pinned the removed one-shot scipy backend neither
         # resumes (its header differs) nor merges.
