@@ -10,6 +10,7 @@ known parent package").
 from __future__ import annotations
 
 import math
+import multiprocessing
 from typing import Sequence
 
 import numpy as np
@@ -131,8 +132,13 @@ def run_lp_on_scipy(monkeypatch) -> None:
     Patches the ``make_backend`` the replan context and ``OfflineScheduler``
     call at run start, so it reaches whole campaigns too: pool workers are
     forked and inherit the patch.  Where a campaign cannot name a backend,
-    this is how a test runs it on the stateless, bit-stable solver.
+    this is how a test runs it on the stateless, bit-stable solver.  Under
+    another start method the workers would import the unpatched module and
+    run on HiGHS unnoticed, so any other one fails the test here.
     """
+    assert multiprocessing.get_start_method() == "fork", (
+        "pool workers inherit the scipy patch only when forked"
+    )
     for module in (incremental_module, offline_module):
         monkeypatch.setattr(module, "make_backend", lambda spec=None: ScipyBackend())
 
