@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.core.instance import LiveInstance
 from repro.core.job import Job
