@@ -83,7 +83,6 @@ the *incremental replanning pipeline* spanning the starred modules::
 """
 
 from repro._version import __version__
-from repro import analysis
 from repro.core import (
     CapabilityClass,
     Cluster,
@@ -123,7 +122,6 @@ from repro.api import (
 
 __all__ = [
     "__version__",
-    "analysis",
     "Job",
     "JobSet",
     "Machine",

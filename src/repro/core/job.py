@@ -97,7 +97,7 @@ class JobSet(Sequence[Job]):
     protocol so it can be used wherever a plain list of jobs is expected.
     """
 
-    __slots__ = ("_jobs", "_by_id")
+    __slots__ = ("_jobs", "_by_id", "_databank_keys")
 
     def __init__(self, jobs: Iterable[Job]):
         jobs = tuple(jobs)
@@ -110,6 +110,7 @@ class JobSet(Sequence[Job]):
             by_id[job.job_id] = job
         self._jobs: tuple[Job, ...] = jobs
         self._by_id: dict[int, Job] = by_id
+        self._databank_keys: frozenset[str | None] | None = None
 
     # -- Sequence protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -171,7 +172,13 @@ class JobSet(Sequence[Job]):
 
     def databanks(self) -> frozenset[str]:
         """The set of databanks referenced by at least one job."""
-        return frozenset(j.databank for j in self._jobs if j.databank is not None)
+        return self.databank_keys() - {None}
+
+    def databank_keys(self) -> frozenset[str | None]:
+        """Every ``databank`` value of the jobs, ``None`` included (cached)."""
+        if self._databank_keys is None:
+            self._databank_keys = frozenset(j.databank for j in self._jobs)
+        return self._databank_keys
 
 
 def jobs_sorted_by_release(jobs: Iterable[Job]) -> list[Job]:

@@ -15,13 +15,21 @@ directly.
   slice duration,
 * slices on the same machine do not overlap,
 * (optionally) each job's slices sum to exactly its size.
+
+The simulation engine records its runs as columns (job, machine, start, end,
+work) and hands them over through :meth:`Schedule.from_columns`; such a
+schedule answers :meth:`~Schedule.makespan`, :meth:`~Schedule.completion_times`
+and ``len`` from the columns and builds its sorted :class:`WorkSlice` tuple
+only when something first iterates it or reads :attr:`~Schedule.slices`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
@@ -74,47 +82,110 @@ class Schedule:
     """An immutable set of work slices with derived metrics.
 
     Instances are typically produced by the simulation engine
-    (:mod:`repro.simulation.engine`) or by the off-line LP scheduler.
+    (:mod:`repro.simulation.engine`, through :meth:`from_columns`) or by the
+    off-line LP scheduler.  Slices are ordered by ``(start, machine_id,
+    job_id)``.
     """
 
-    __slots__ = ("_slices", "_completion_cache")
+    __slots__ = ("_slices", "_columns", "_completion_cache")
 
     def __init__(self, slices: Iterable[WorkSlice]):
-        self._slices: tuple[WorkSlice, ...] = tuple(
+        self._slices: tuple[WorkSlice, ...] | None = tuple(
             sorted(slices, key=lambda s: (s.start, s.machine_id, s.job_id))
         )
+        #: ``(job_id, machine_id, start, end, work)`` arrays, one entry per
+        #: slice in recording order; set by :meth:`from_columns` only.
+        self._columns: tuple[np.ndarray, ...] | None = None
         self._completion_cache: dict[int, float] | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        job_id: Sequence[int],
+        machine_id: Sequence[int],
+        start: Sequence[float],
+        end: Sequence[float],
+        work: Sequence[float],
+    ) -> "Schedule":
+        """A schedule over slices given as equal-length columns.
+
+        The columns are checked as :class:`WorkSlice` checks one slice
+        (positive duration and work); the slice objects themselves are built
+        on the first iteration or :attr:`slices` read.
+        """
+        columns = (
+            np.asarray(job_id, dtype=np.int64),
+            np.asarray(machine_id, dtype=np.int64),
+            np.asarray(start, dtype=np.float64),
+            np.asarray(end, dtype=np.float64),
+            np.asarray(work, dtype=np.float64),
+        )
+        if len({column.shape for column in columns}) != 1 or columns[0].ndim != 1:
+            raise ScheduleError("schedule columns must be one-dimensional and of equal length")
+        bad = np.flatnonzero(~((columns[3] > columns[2]) & (columns[4] > 0)))
+        if bad.size:
+            i = int(bad[0])
+            # Raises the slice's own ScheduleError.
+            WorkSlice(*(column[i].item() for column in columns))
+        schedule = cls.__new__(cls)
+        schedule._slices = None
+        schedule._columns = columns
+        schedule._completion_cache = None
+        return schedule
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slices)
+        if self._columns is not None:
+            return len(self._columns[0])
+        return len(self.slices)
 
     def __iter__(self) -> Iterator[WorkSlice]:
-        return iter(self._slices)
+        return iter(self.slices)
 
     def __repr__(self) -> str:
-        return f"Schedule({len(self._slices)} slices)"
+        return f"Schedule({len(self)} slices)"
 
     @property
     def slices(self) -> tuple[WorkSlice, ...]:
+        if self._slices is None:
+            job, machine, start, end, work = self._columns  # type: ignore[misc]
+            # ``lexsort`` sorts by its last key first: (start, machine, job).
+            order = np.lexsort((job, machine, start))
+            self._slices = tuple(
+                map(
+                    WorkSlice,
+                    job[order].tolist(),
+                    machine[order].tolist(),
+                    start[order].tolist(),
+                    end[order].tolist(),
+                    work[order].tolist(),
+                )
+            )
         return self._slices
 
     def slices_for_job(self, job_id: int) -> tuple[WorkSlice, ...]:
-        return tuple(s for s in self._slices if s.job_id == job_id)
+        return tuple(s for s in self.slices if s.job_id == job_id)
 
     def slices_on_machine(self, machine_id: int) -> tuple[WorkSlice, ...]:
-        return tuple(s for s in self._slices if s.machine_id == machine_id)
+        return tuple(s for s in self.slices if s.machine_id == machine_id)
 
     def machine_ids(self) -> frozenset[int]:
-        return frozenset(s.machine_id for s in self._slices)
+        return frozenset(s.machine_id for s in self.slices)
 
     # -- derived quantities ------------------------------------------------------
     def completion_times(self) -> dict[int, float]:
         """Completion time of each job appearing in the schedule."""
         if self._completion_cache is None:
             completions: dict[int, float] = {}
-            for s in self._slices:
-                completions[s.job_id] = max(completions.get(s.job_id, -math.inf), s.end)
+            if self._columns is not None:
+                job, _, _, end, _ = self._columns
+                ids, inverse = np.unique(job, return_inverse=True)
+                last = np.full(ids.size, -math.inf)
+                np.maximum.at(last, inverse, end)
+                completions = dict(zip(ids.tolist(), last.tolist()))
+            else:
+                for s in self._slices:  # type: ignore[union-attr]
+                    completions[s.job_id] = max(completions.get(s.job_id, -math.inf), s.end)
             self._completion_cache = completions
         return dict(self._completion_cache)
 
@@ -124,6 +195,9 @@ class Schedule:
 
     def makespan(self) -> float:
         """Largest slice end time (0 for an empty schedule)."""
+        if self._columns is not None:
+            end = self._columns[3]
+            return float(end.max()) if end.size else 0.0
         if not self._slices:
             return 0.0
         return max(s.end for s in self._slices)
@@ -137,11 +211,11 @@ class Schedule:
 
     def work_done(self, job_id: int) -> float:
         """Total work executed for the job across all machines."""
-        return float(sum(s.work for s in self._slices if s.job_id == job_id))
+        return float(sum(s.work for s in self.slices if s.job_id == job_id))
 
     def busy_time(self, machine_id: int) -> float:
         """Total time the machine spends inside slices."""
-        return float(sum(s.duration for s in self._slices if s.machine_id == machine_id))
+        return float(sum(s.duration for s in self.slices if s.machine_id == machine_id))
 
     def machine_utilization(self, instance: Instance) -> dict[int, float]:
         """Per-machine busy-time fraction over the schedule makespan."""
@@ -162,7 +236,7 @@ class Schedule:
         """
         count = 0
         by_job: dict[int, list[WorkSlice]] = {}
-        for s in self._slices:
+        for s in self.slices:
             by_job.setdefault(s.job_id, []).append(s)
         for job_id, slices in by_job.items():
             slices = sorted(slices, key=lambda s: s.start)
@@ -216,7 +290,8 @@ class Schedule:
         known_jobs = set(instance.jobs.ids())
         known_machines = set(instance.platform.ids())
 
-        for s in self._slices:
+        ordered = self.slices
+        for s in ordered:
             if s.job_id not in known_jobs:
                 problems.append(f"slice references unknown job {s.job_id}")
                 continue
@@ -243,7 +318,7 @@ class Schedule:
 
         # Machine overlap check.
         by_machine: dict[int, list[WorkSlice]] = {}
-        for s in self._slices:
+        for s in ordered:
             by_machine.setdefault(s.machine_id, []).append(s)
         for machine_id, slices in by_machine.items():
             slices = sorted(slices, key=lambda s: s.start)
@@ -254,10 +329,14 @@ class Schedule:
                         f"{prev.end:.6f} vs job {nxt.job_id} from {nxt.start:.6f}"
                     )
 
-        # Completeness check.
+        # Completeness check: each job's work gathered in one pass, in slice
+        # order, so every sum is the float :meth:`work_done` returns.
         if require_complete:
+            works: dict[int, list[float]] = {}
+            for s in ordered:
+                works.setdefault(s.job_id, []).append(s.work)
             for job in instance.jobs:
-                done = self.work_done(job.job_id)
+                done = float(sum(works.get(job.job_id, ())))
                 if not math.isclose(done, job.size, rel_tol=tol, abs_tol=tol * max(1.0, job.size)):
                     problems.append(
                         f"job {job.job_id} executed {done:.6f} work out of {job.size:.6f}"
@@ -295,7 +374,7 @@ class Schedule:
     # -- composition ---------------------------------------------------------------------
     def merged_with(self, other: "Schedule") -> "Schedule":
         """Union of two schedules (no validity check)."""
-        return Schedule(list(self._slices) + list(other.slices))
+        return Schedule(list(self.slices) + list(other.slices))
 
 
 def _job_char(job_id: int) -> str:

@@ -55,10 +55,13 @@ def greedy_assignment(state: SchedulerState, runtimes: Iterable[JobRuntime]) -> 
     """The greedy rule of Section 3 over ``runtimes`` in priority order.
 
     The first job of a databank takes *all* its available hosts, so later
-    jobs of that databank can get nothing and are skipped without a scan.
+    jobs of that databank can get nothing and are skipped without a scan;
+    once every databank of the instance is served, every later job would
+    be skipped, so the scan stops.
     """
     instance = state.instance
     available = state.available_ids()
+    n_databanks = len(instance.jobs.databank_keys())
     mapping: dict[int, int] = {}
     served: set[str | None] = set()
     for runtime in runtimes:
@@ -68,10 +71,11 @@ def greedy_assignment(state: SchedulerState, runtimes: Iterable[JobRuntime]) -> 
         if job.databank in served:
             continue
         served.add(job.databank)
-        for machine_id in instance.eligible_machine_ids(job.job_id):
-            if machine_id in available:
-                mapping[machine_id] = job.job_id
-                available.discard(machine_id)
+        taken = [m for m in instance.eligible_machine_ids(job.job_id) if m in available]
+        available.difference_update(taken)
+        mapping.update(dict.fromkeys(taken, job.job_id))
+        if len(served) == n_databanks:
+            break
     return Assignment(mapping=mapping)
 
 
@@ -172,9 +176,11 @@ class PriorityScheduler(Scheduler):
         (smaller = more urgent); the ranking kernel consumes them verbatim."""
 
     def assign(self, state: SchedulerState) -> Assignment:
-        runtimes = state.active_jobs()
+        active = state.active
+        job_ids = sorted(active)
+        runtimes = [active[job_id] for job_id in job_ids]
         keys = np.asarray(self.priority_keys(state, runtimes), dtype=np.float64)
-        ids = np.fromiter((rt.job_id for rt in runtimes), np.int64, count=len(runtimes))
+        ids = np.array(job_ids, dtype=np.int64)
         order = kernels.rank_by_priority(keys, ids)
         return greedy_assignment(state, (runtimes[position] for position in order.tolist()))
 

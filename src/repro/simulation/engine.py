@@ -20,23 +20,31 @@ queued and never go stale.  The engine also records the wall-clock time
 spent inside scheduler callbacks, which reproduces the scheduling-overhead
 comparison of Section 5.3.
 
-The realized schedule is recorded run-length: a step extends a machine's open
-run in place when it keeps the same job there and starts where the run ended,
-and opens a new run otherwise, so it allocates only where the assignment
-changed and a run's ``work`` is summed step by step in execution order.
+The realized schedule is recorded run-length, as columns (job, machine,
+start, end, work): a step extends a machine's open run in place when it keeps
+the same job there and starts where the run ended, and opens a new run
+otherwise, so it allocates only where the assignment changed and a run's
+``work`` is summed step by step in execution order.  The result's
+:class:`~repro.core.schedule.Schedule` holds those columns and builds its
+slice objects only if something reads them.
+
+The cost of a step follows what changed in it: only the jobs that received
+work in the step, and those released since the last check, are tested for
+completion.  Remaining work falls only for a job that ran, and a fault's
+loss model only ever raises it, so no other active job can have finished.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
-from repro.core.schedule import Schedule, WorkSlice
+from repro.core.schedule import Schedule
 from repro.lp.backends import LPProbeStats
 from repro.simulation.clock import EventQueue, EventType, QueuedEvent, SimulationClock
 from repro.simulation.events import (
@@ -130,12 +138,27 @@ class SimulationEngine:
         #: Mapping of the most recent applied assignment (live telemetry).
         self.last_assignment: dict[int, int] = {}
         self._jobs_admitted = 0
-        #: Per-run machine tables (the platform is immutable).
-        self._speed = {m.machine_id: m.speed for m in instance.platform}
-        self._databanks = {m.machine_id: m.databanks for m in instance.platform}
-        #: Recorded runs ``[job_id, machine_id, start, end, work]`` and each machine's open one.
-        self._runs: list[list] = []
-        self._open_runs: dict[int, list] = {}
+        #: Per-run machine tables (the platform is immutable), one row per
+        #: machine in platform order.
+        platform = instance.platform
+        self._databanks = {m.machine_id: m.databanks for m in platform}
+        self._row = {machine_id: row for row, machine_id in enumerate(platform.ids())}
+        self._machine_id = np.array(platform.ids(), dtype=np.int64)
+        self._speed = np.array([m.speed for m in platform], dtype=np.float64)
+        banks = sorted(platform.databanks())
+        #: Databank -> column of ``_hosts``; ``None`` (any machine) is the last.
+        self._bank_column: dict[str | None, int] = {b: c for c, b in enumerate(banks)}
+        self._bank_column[None] = len(banks)
+        self._hosts = np.array(
+            [[b in m.databanks for b in banks] + [True] for m in platform], dtype=bool
+        ).reshape(len(platform), len(banks) + 1)
+        #: Each machine's open run (``end`` is ``-inf`` while it has none).
+        self._open_job = np.zeros(len(platform), dtype=np.int64)
+        self._open_start = np.zeros(len(platform), dtype=np.float64)
+        self._open_end = np.full(len(platform), -math.inf)
+        self._open_work = np.zeros(len(platform), dtype=np.float64)
+        #: Closed runs as columns (job, machine, start, end, work).
+        self._runs: tuple[list, ...] = ([], [], [], [], [])
         self._events: list[SimulationEvent] = []
         self._scheduler_time = 0.0
         self._n_decisions = 0
@@ -177,6 +200,8 @@ class SimulationEngine:
         state.time = self.clock.now
         stall_count = 0
         steps = 0
+        #: Jobs released since the last completion check.
+        released: list[int] = []
 
         while True:
             steps += 1
@@ -201,6 +226,7 @@ class SimulationEngine:
             if arrivals:
                 for job in arrivals:
                     state.release(job)
+                    released.append(job.job_id)
                     if self.record_events:
                         self._events.append(
                             ArrivalEvent(time=state.time, job_id=job.job_id,
@@ -226,7 +252,7 @@ class SimulationEngine:
             assignment = self._timed(self.scheduler.assign, state)
             if assignment is None:
                 assignment = Assignment.idle()
-            self._validate_assignment(assignment)
+            step = self._step_arrays(assignment)
             self._n_decisions += 1
             self.last_assignment = assignment.mapping
             if self.record_events:
@@ -238,23 +264,14 @@ class SimulationEngine:
                     )
                 )
 
-            # 4. Compute the processing rate of every active job, once per
-            # step (the arrays feed both the completion horizon and the
-            # advance below).
-            rates: dict[int, float] = {}
-            speeds = self._speed
-            for machine_id, job_id in assignment.mapping.items():
-                rates[job_id] = rates.get(job_id, 0.0) + speeds[machine_id]
-            rated_ids, rate_arr, remaining_arr = self._rate_arrays(rates, state)
-
-            # 5. Horizon of this step: next queued event, scheduler horizon,
+            # 4-5. Horizon of this step: next queued event, scheduler horizon,
             # or the earliest completion under the current rates.
             horizon = next_event
             if assignment.valid_until is not None:
                 horizon = min(horizon, max(assignment.valid_until, state.time))
             step_end = min(
                 horizon,
-                _earliest_completion(rate_arr, remaining_arr, state.time),
+                _earliest_completion(step.rates, step.remaining, state.time),
             )
 
             if not source.exhausted:
@@ -292,19 +309,20 @@ class SimulationEngine:
                 stall_count = 0
 
             # 6. Advance execution to ``step_end``.
-            self._advance(assignment, rated_ids, rate_arr, remaining_arr,
-                          state.time, step_end)
+            self._advance(step, state.time, step_end)
             state.time = self.clock.advance_to(step_end)
 
             # 7. Complete finished jobs.
-            self._collect_completions()
+            self._collect_completions(step.rated_ids, released)
+            released = []
 
         # Every job completed (or parked under a fault timeline): let the
         # scheduler release its per-run solver state.  Counted
         # into the scheduler wall-clock, like every other callback.
         self._timed(self.scheduler.finalize, state)
 
-        schedule = Schedule(WorkSlice(*run) for run in self._runs)
+        self._close_runs(np.flatnonzero(self._open_end > -math.inf))
+        schedule = Schedule.from_columns(*self._runs)
         return SimulationResult(
             instance=instance,
             scheduler_name=self.scheduler.name,
@@ -431,80 +449,110 @@ class SimulationEngine:
                     f"(databank {databank!r} not hosted)"
                 )
 
-    @staticmethod
-    def _rate_arrays(
-        rates: Mapping[int, float], state: SchedulerState
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Job ids receiving work, their rates and remaining works, as arrays."""
-        rated_ids = list(rates)
-        n = len(rated_ids)
-        rate = np.fromiter((rates[j] for j in rated_ids), dtype=np.float64, count=n)
-        remaining = np.fromiter(
-            (state.active[j].remaining for j in rated_ids), dtype=np.float64, count=n
+    def _step_arrays(self, assignment: Assignment) -> "_Step":
+        """Validate ``assignment`` and return the step's arrays.
+
+        The checks are those of :meth:`_validate_assignment`, made on whole
+        arrays; when one fails, that method runs to name the first offending
+        pair.  Each job's rate sums its machines' speeds in assignment
+        order, as ``np.bincount`` accumulates.
+        """
+        mapping = assignment.mapping
+        down = self.state.down
+        active = self.state.active
+        n = len(mapping)
+        rated_ids = sorted(set(mapping.values()))
+        try:
+            rows = np.fromiter(map(self._row.__getitem__, mapping), np.intp, count=n)
+            runtimes = [active[job_id] for job_id in rated_ids]
+            columns = [self._bank_column[rt.job.databank] for rt in runtimes]
+        except KeyError:  # an unknown machine, an inactive job or an unhosted databank
+            runtimes = None
+        jobs = np.fromiter(mapping.values(), np.int64, count=n)
+        inverse = np.searchsorted(np.array(rated_ids, dtype=np.int64), jobs)
+        if (
+            runtimes is None
+            or (down and not down.isdisjoint(mapping))
+            or not self._hosts[rows, np.array(columns, dtype=np.intp)[inverse]].all()
+        ):
+            self._validate_assignment(assignment)
+            raise AssertionError("the array checks and _validate_assignment disagree")
+        speeds = self._speed[rows]
+        return _Step(
+            rows=rows,
+            jobs=jobs,
+            speeds=speeds,
+            rated_ids=rated_ids,
+            rates=np.bincount(inverse, weights=speeds, minlength=len(rated_ids)),
+            remaining=np.array([rt.remaining for rt in runtimes], dtype=np.float64),
         )
-        return rated_ids, rate, remaining
 
-    def _advance(
-        self,
-        assignment: Assignment,
-        rated_ids: Sequence[int],
-        rate: np.ndarray,
-        remaining: np.ndarray,
-        start: float,
-        end: float,
-    ) -> None:
-        """Execute the assignment over ``[start, end]`` and record the runs.
+    def _advance(self, step: "_Step", start: float, end: float) -> None:
+        """Execute the step over ``[start, end]`` and record the runs.
 
-        ``rated_ids``/``rate``/``remaining`` are the step's rate arrays as
-        returned by :meth:`_rate_arrays` (already used to compute the step
-        horizon, so they are not rebuilt here).
+        A machine's open run continues when it keeps the same job and ended
+        within ``gap_tol`` of ``start``; every other assigned machine closes
+        its open run and opens a new one.
         """
         duration = end - start
         if duration <= 0:
             # A zero-length step executes nothing; past this point
             # ``end > start``, so every recorded piece has positive duration.
             return
-        active = self.state.active
-        speeds = self._speed
-        runs, open_runs = self._runs, self._open_runs
+        rows, jobs = step.rows, step.jobs
+        work = step.speeds * duration
+        if not (work > 0).all():
+            i = int(np.argmin(work > 0))
+            raise ScheduleError(
+                f"slice for job {int(jobs[i])} on machine {int(self._machine_id[rows[i]])} "
+                f"has non-positive work {float(work[i])}"
+            )
         gap_tol = 1e-12 * max(1.0, abs(start))  # a run ending within it of ``start`` continues
-        for machine_id, job_id in assignment.mapping.items():
-            work = speeds[machine_id] * duration
-            if work <= 0:
-                raise ScheduleError(
-                    f"slice for job {job_id} on machine {machine_id} has "
-                    f"non-positive work {work}"
-                )
+        opened = (self._open_job[rows] != jobs) | (np.abs(self._open_end[rows] - start) > gap_tol)
+        if opened.any():
+            fresh = rows[opened]
+            self._close_runs(fresh)
+            self._open_job[fresh] = jobs[opened]
+            self._open_start[fresh] = start
+            self._open_work[fresh] = 0.0
+        self._open_end[rows] = end
+        self._open_work[rows] += work
+        active = self.state.active
+        new_remaining = np.maximum(0.0, step.remaining - step.rates * duration)
+        for job_id, value in zip(step.rated_ids, new_remaining.tolist()):
             runtime = active[job_id]
+            runtime.remaining = value
             if runtime.first_service is None:
                 runtime.first_service = start
-            run = open_runs.get(machine_id)
-            if run is not None and run[0] == job_id and abs(run[3] - start) <= gap_tol:
-                run[3] = end
-                run[4] += work
-            else:
-                run = open_runs[machine_id] = [job_id, machine_id, start, end, work]
-                runs.append(run)
-        if len(rated_ids):
-            new_remaining = np.maximum(0.0, remaining - rate * duration)
-            for job_id, value in zip(rated_ids, new_remaining):
-                active[job_id].remaining = float(value)
 
-    def _collect_completions(self) -> None:
+    def _close_runs(self, rows: np.ndarray) -> None:
+        """Move the open runs of the machines at ``rows`` (if any) to the columns."""
+        rows = rows[self._open_end[rows] > -math.inf]
+        for column, values in zip(
+            self._runs,
+            (self._open_job, self._machine_id, self._open_start, self._open_end, self._open_work),
+        ):
+            column.extend(values[rows].tolist())
+
+    def _collect_completions(self, rated_ids: Sequence[int], released: Sequence[int]) -> None:
+        """Complete the finished jobs among those that ran or were just released.
+
+        No other active job can have finished since the last check: remaining
+        work falls only for a job that ran, and a fault's loss model only
+        raises it.  A freshly released job may be finished from the start
+        (a size within the tolerance).
+        """
         state = self.state
-        if not state.active:
-            return
-        n = len(state.active)
-        ids = np.fromiter(state.active.keys(), dtype=np.int64, count=n)
-        remaining = np.fromiter(
-            (rt.remaining for rt in state.active.values()), dtype=np.float64, count=n
-        )
-        sizes = np.fromiter(
-            (rt.job.size for rt in state.active.values()), dtype=np.float64, count=n
-        )
-        finished = ids[remaining <= _COMPLETION_TOL * np.maximum(1.0, sizes)]
-        for job_id in sorted(int(j) for j in finished):
-            runtime = state.active[job_id]
+        active = state.active
+        finished = set()
+        for job_id in (*rated_ids, *released):
+            runtime = active.get(job_id)
+            if runtime is not None and (
+                runtime.remaining <= _COMPLETION_TOL * max(1.0, runtime.job.size)
+            ):
+                finished.add(job_id)
+        for job_id in sorted(finished):
+            runtime = active[job_id]
             state.complete(job_id, state.time)
             if self.record_events:
                 flow = state.time - runtime.job.release
@@ -523,6 +571,20 @@ class SimulationEngine:
 
     def _call(self, fn, *args):
         return fn(*args)
+
+
+class _Step(NamedTuple):
+    """One decision's arrays: per assigned machine, then per assigned job."""
+
+    #: Machine-table row, job and speed of each assigned machine, in
+    #: assignment order.
+    rows: np.ndarray
+    jobs: np.ndarray
+    speeds: np.ndarray
+    #: The distinct assigned jobs (ascending), their rates and remaining works.
+    rated_ids: list[int]
+    rates: np.ndarray
+    remaining: np.ndarray
 
 
 def _earliest_completion(rate: np.ndarray, remaining: np.ndarray, now: float) -> float:

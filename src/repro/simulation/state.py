@@ -78,6 +78,7 @@ class SchedulerState:
         #: fault-free run -- every availability-aware query below keeps the
         #: empty-set fast path identical to the historical behaviour.
         self.down: set[int] = set()
+        self._machine_ids = frozenset(instance.platform.ids())
 
     # -- queries used by schedulers ------------------------------------------------
     def active_jobs(self) -> list[JobRuntime]:
@@ -116,8 +117,10 @@ class SchedulerState:
 
     def available_ids(self) -> set[int]:
         """Identifiers of the machines currently up."""
-        ids = set(self.instance.platform.ids())
-        return ids - self.down if self.down else ids
+        ids = set(self._machine_ids)
+        if self.down:
+            ids -= self.down
+        return ids
 
     def available_eligible(self, job_id: int):
         """``instance.eligible_machines`` filtered by current availability."""

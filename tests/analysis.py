@@ -13,6 +13,8 @@ view of a single run:
 
 These helpers only consume a :class:`~repro.simulation.result.SimulationResult`
 (or an instance plus completion times), so they work for any scheduler.
+Nothing in the package uses them, so they live beside their tests
+(``test_analysis.py``).
 """
 
 from __future__ import annotations

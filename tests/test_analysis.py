@@ -1,10 +1,10 @@
-"""Tests for :mod:`repro.analysis` (post-simulation analysis helpers)."""
+"""Tests for ``tests/analysis.py`` (post-simulation analysis helpers)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
+from analysis import (
     backlog_timeline,
     compare_results,
     jain_fairness_index,

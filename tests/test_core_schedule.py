@@ -109,6 +109,33 @@ class TestScheduleQueries:
         assert Schedule([]).gantt(instance) == "(empty schedule)"
 
 
+class TestFromColumns:
+    def test_columns_answer_like_the_slices(self):
+        expected = valid_schedule()
+        runs = list(reversed(expected.slices))
+        columns = [[getattr(s, field) for s in runs]
+                   for field in ("job_id", "machine_id", "start", "end", "work")]
+        schedule = Schedule.from_columns(*columns)
+        # Read from the columns, before any slice object exists.
+        assert len(schedule) == len(expected)
+        assert schedule.makespan() == expected.makespan()
+        assert schedule.completion_times() == expected.completion_times()
+        assert schedule.slices == expected.slices
+        assert Schedule.from_columns([], [], [], [], []).makespan() == 0.0
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            (([0], [0], [1.0], [1.0], [1.0]), "non-positive duration"),
+            (([0], [0], [0.0], [1.0], [0.0]), "non-positive work"),
+            (([0, 1], [0], [0.0], [1.0], [1.0]), "equal length"),
+        ],
+    )
+    def test_rejects_what_a_slice_rejects(self, columns, match):
+        with pytest.raises(ScheduleError, match=match):
+            Schedule.from_columns(*columns)
+
+
 class TestValidation:
     def test_valid_schedule_passes(self, instance):
         valid_schedule().validate(instance)

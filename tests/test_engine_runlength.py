@@ -1,16 +1,23 @@
-"""Run-length slice recording against the post-hoc merge it replaced.
+"""The engine's step bookkeeping against the simpler forms it replaced.
 
-Until the engine recorded runs as it went, ``_advance`` appended one
-``WorkSlice`` per machine per step and ``_merge_adjacent`` (below, verbatim)
-sorted and fused them after the run.  It lives on here as the oracle: for
-any sequence of steps the engine takes, the recorded schedule must equal the
-merge of the per-step slices, slice for slice, ``work`` bit for bit.
+Run-length recording: until the engine recorded runs as it went,
+``_advance`` appended one ``WorkSlice`` per machine per step and
+``_merge_adjacent`` (below, verbatim) sorted and fused them after the run.
+It lives on here as the oracle: for any sequence of steps the engine takes,
+the recorded schedule must equal the merge of the per-step slices, slice for
+slice, ``work`` bit for bit.
+
+Completion checks: the engine tests only the jobs that ran in a step and
+those released since the last check.  ``FullScanEngine`` keeps the check it
+replaced, over every active job, as the oracle: completion sets, order and
+dates must be equal, under outages that re-queue lost work too.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +26,9 @@ from repro.core.job import Job
 from repro.core.platform import Platform
 from repro.core.schedule import Schedule, WorkSlice
 from repro.schedulers.base import Scheduler
+from repro.simulation import engine as engine_module
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.events import CompletionEvent
 from repro.simulation.faults import FaultTimeline
 from repro.simulation.state import Assignment
 
@@ -57,12 +66,41 @@ class SteppingEngine(SimulationEngine):
         super().__init__(*args, **kwargs)
         self.pieces: list[WorkSlice] = []
 
-    def _advance(self, assignment, job_ids, rate, remaining, start, end):
+    def _advance(self, step, start, end):
         if end - start > 0:
-            for machine_id, job_id in assignment.mapping.items():
+            # ``last_assignment`` is the mapping the step's arrays came from.
+            for machine_id, job_id in self.last_assignment.items():
                 speed = self.instance.machine(machine_id).speed
                 self.pieces.append(WorkSlice(job_id, machine_id, start, end, speed * (end - start)))
-        super()._advance(assignment, job_ids, rate, remaining, start, end)
+        super()._advance(step, start, end)
+
+
+class FullScanEngine(SimulationEngine):
+    """Tests every active job for completion after each step (the old check)."""
+
+    def _collect_completions(self, rated_ids, released):
+        state = self.state
+        if not state.active:
+            return
+        n = len(state.active)
+        ids = np.fromiter(state.active.keys(), dtype=np.int64, count=n)
+        remaining = np.fromiter(
+            (rt.remaining for rt in state.active.values()), dtype=np.float64, count=n
+        )
+        sizes = np.fromiter(
+            (rt.job.size for rt in state.active.values()), dtype=np.float64, count=n
+        )
+        finished = ids[remaining <= engine_module._COMPLETION_TOL * np.maximum(1.0, sizes)]
+        for job_id in sorted(int(j) for j in finished):
+            runtime = state.active[job_id]
+            state.complete(job_id, state.time)
+            if self.record_events:
+                flow = state.time - runtime.job.release
+                stretch = flow / self.instance.ideal_time(job_id)
+                self._events.append(
+                    CompletionEvent(time=state.time, job_id=job_id, flow=flow, stretch=stretch)
+                )
+            self._timed(self.scheduler.on_completion, state, job_id)
 
 
 class ScriptedScheduler(Scheduler):
@@ -130,9 +168,58 @@ def test_recorded_runs_equal_merge_of_per_step_slices(moves, outages, cycle_time
     )
     result = engine.run()
     assert len(result.completions) == len(jobs)
+    # The column-backed schedule answers from its columns before any slice
+    # exists, then builds the slices ``Schedule`` builds from the same runs.
+    schedule = result.schedule
+    rebuilt = Schedule(WorkSlice(*run) for run in zip(*engine._runs))
+    assert len(schedule) == len(rebuilt)
+    assert schedule.makespan() == rebuilt.makespan()
+    assert schedule.completion_times() == rebuilt.completion_times()
+    assert schedule.slices == rebuilt.slices
+    assert [s.work.hex() for s in schedule] == [s.work.hex() for s in rebuilt]
     expected = Schedule(_merge_adjacent(engine.pieces)).slices
-    assert result.schedule.slices == expected
-    assert [s.work.hex() for s in result.schedule] == [s.work.hex() for s in expected]
+    assert schedule.slices == expected
+    assert [s.work.hex() for s in schedule] == [s.work.hex() for s in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    moves=moves,
+    outages=st.lists(
+        st.tuples(
+            st.integers(0, N_MACHINES - 1),
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+            st.floats(min_value=1e-3, max_value=2.0, allow_nan=False),
+        ),
+        max_size=4,
+    ),
+    loss=st.sampled_from([("resume", 0.0), ("restart", 0.0), ("restart", 0.5)]),
+    releases=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=4),
+    tiny_release=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_completions_equal_the_full_scan(moves, outages, loss, releases, tiny_release):
+    platform = Platform.uniform([1.0, 0.5, 2.0], databanks=["db"])
+    jobs = [Job(i, release=r, size=1.0 + i, databank="db") for i, r in enumerate(releases)]
+    # Finished on release: it must complete at the first check, run or not.
+    jobs.append(Job(len(jobs), release=tiny_release, size=1e-12, databank="db"))
+    # Outages per machine, each one after the last on that machine.
+    intervals, clocks = [], [0.0] * N_MACHINES
+    for machine_id, gap, length in outages:
+        down = clocks[machine_id] + gap
+        intervals.append((machine_id, down, down + length))
+        clocks[machine_id] = down + length + 1e-3
+    loss_model, checkpoint_fraction = loss
+    faults = FaultTimeline.from_intervals(
+        intervals, loss_model=loss_model, checkpoint_fraction=checkpoint_fraction
+    )
+    instance = Instance(jobs, platform)
+    got, want = (
+        engine_cls(instance, ScriptedScheduler(moves), faults=faults, record_events=True).run()
+        for engine_cls in (SimulationEngine, FullScanEngine)
+    )
+    assert list(got.completions.items()) == list(want.completions.items())
+    assert got.parked == want.parked
+    assert got.events == want.events
 
 
 def test_a_job_returning_to_a_machine_after_a_gap_opens_a_new_run():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.errors import ScheduleError
@@ -50,6 +52,17 @@ class TestBasicExecution:
         result = simulate(instance, SRPTScheduler())
         for job in instance.jobs:
             assert result.schedule.work_done(job.job_id) == pytest.approx(job.size, rel=1e-6)
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_result_round_trips_through_pickle(self, instance, read_first):
+        result = simulate(instance, SRPTScheduler())
+        if read_first:
+            assert len(result.schedule.slices) > 0
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.schedule.slices == result.schedule.slices
+        assert clone.schedule.completion_times() == result.schedule.completion_times()
+        assert clone.completions == result.completions
+        assert clone.max_stretch == result.max_stretch
 
     def test_scheduler_overhead_recorded(self, instance):
         result = simulate(instance, SRPTScheduler())
