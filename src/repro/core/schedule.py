@@ -18,9 +18,9 @@ directly.
 
 The simulation engine records its runs as columns (job, machine, start, end,
 work) and hands them over through :meth:`Schedule.from_columns`; such a
-schedule answers :meth:`~Schedule.makespan`, :meth:`~Schedule.completion_times`
-and ``len`` from the columns and builds its sorted :class:`WorkSlice` tuple
-only when something first iterates it or reads :attr:`~Schedule.slices`.
+schedule builds its sorted :class:`WorkSlice` tuple only when something first
+reads it (iteration, ``len``, :attr:`~Schedule.slices` or any derived
+quantity).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class Schedule:
 
         The columns are checked as :class:`WorkSlice` checks one slice
         (positive duration and work); the slice objects themselves are built
-        on the first iteration or :attr:`slices` read.
+        on the first read.
         """
         columns = (
             np.asarray(job_id, dtype=np.int64),
@@ -135,8 +135,6 @@ class Schedule:
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns[0])
         return len(self.slices)
 
     def __iter__(self) -> Iterator[WorkSlice]:
@@ -177,15 +175,8 @@ class Schedule:
         """Completion time of each job appearing in the schedule."""
         if self._completion_cache is None:
             completions: dict[int, float] = {}
-            if self._columns is not None:
-                job, _, _, end, _ = self._columns
-                ids, inverse = np.unique(job, return_inverse=True)
-                last = np.full(ids.size, -math.inf)
-                np.maximum.at(last, inverse, end)
-                completions = dict(zip(ids.tolist(), last.tolist()))
-            else:
-                for s in self._slices:  # type: ignore[union-attr]
-                    completions[s.job_id] = max(completions.get(s.job_id, -math.inf), s.end)
+            for s in self.slices:
+                completions[s.job_id] = max(completions.get(s.job_id, -math.inf), s.end)
             self._completion_cache = completions
         return dict(self._completion_cache)
 
@@ -195,12 +186,9 @@ class Schedule:
 
     def makespan(self) -> float:
         """Largest slice end time (0 for an empty schedule)."""
-        if self._columns is not None:
-            end = self._columns[3]
-            return float(end.max()) if end.size else 0.0
-        if not self._slices:
+        if not self.slices:
             return 0.0
-        return max(s.end for s in self._slices)
+        return max(s.end for s in self.slices)
 
     def start_time(self, job_id: int) -> float:
         """First time the job receives service."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -141,17 +142,18 @@ class SimulationEngine:
         #: Per-run machine tables (the platform is immutable), one row per
         #: machine in platform order.
         platform = instance.platform
-        self._databanks = {m.machine_id: m.databanks for m in platform}
         self._row = {machine_id: row for row, machine_id in enumerate(platform.ids())}
         self._machine_id = np.array(platform.ids(), dtype=np.int64)
         self._speed = np.array([m.speed for m in platform], dtype=np.float64)
         banks = sorted(platform.databanks())
-        #: Databank -> column of ``_hosts``; ``None`` (any machine) is the last.
+        #: Databank -> column of ``_hosts``; ``None`` (any machine) follows the
+        #: platform's databanks, and the last column (no machine) stands for
+        #: an inactive job.
         self._bank_column: dict[str | None, int] = {b: c for c, b in enumerate(banks)}
         self._bank_column[None] = len(banks)
         self._hosts = np.array(
-            [[b in m.databanks for b in banks] + [True] for m in platform], dtype=bool
-        ).reshape(len(platform), len(banks) + 1)
+            [[b in m.databanks for b in banks] + [True, False] for m in platform], dtype=bool
+        ).reshape(len(platform), len(banks) + 2)
         #: Each machine's open run (``end`` is ``-inf`` while it has none).
         self._open_job = np.zeros(len(platform), dtype=np.int64)
         self._open_start = np.zeros(len(platform), dtype=np.float64)
@@ -426,57 +428,51 @@ class SimulationEngine:
         state = self.state
         return all(not state.available_eligible(job_id) for job_id in state.active)
 
-    def _validate_assignment(self, assignment: Assignment) -> None:
+    def _step_arrays(self, assignment: Assignment) -> "_Step":
+        """Validate ``assignment`` and return the step's arrays.
+
+        Every assigned machine must exist, be up and host its job's
+        databank, and every assigned job must be active.  The checks run on
+        whole arrays; the first failing pair in assignment order names the
+        error, by the first check it fails in that order.  Each job's rate
+        sums its machines' speeds in assignment order, as ``np.bincount``
+        accumulates.
+        """
         state = self.state
+        mapping = assignment.mapping
+        n = len(mapping)
+        rows = np.fromiter(map(self._row.get, mapping, repeat(-1, n)), np.intp, count=n)
+        jobs = np.fromiter(mapping.values(), np.int64, count=n)
+        rated_ids = sorted(set(mapping.values()))
+        inverse = np.searchsorted(np.array(rated_ids, dtype=np.int64), jobs)
+        runtimes = list(map(state.active.get, rated_ids))
+        bank_column = self._bank_column
+        columns = np.array(
+            [-1 if rt is None else bank_column[rt.job.databank] for rt in runtimes],
+            dtype=np.intp,
+        )
+        valid = self._hosts[rows, columns[inverse]] & (rows >= 0)
         down = state.down
-        for machine_id, job_id in assignment.mapping.items():
-            hosted = self._databanks.get(machine_id)
-            if hosted is None:
+        if down and not down.isdisjoint(mapping):
+            valid &= ~np.fromiter(map(down.__contains__, mapping), bool, count=n)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            machine_id, job_id = list(mapping.items())[i]
+            runtime = state.active.get(job_id)
+            if rows[i] < 0:
                 raise ScheduleError(f"assignment references unknown machine {machine_id}")
-            if down and machine_id in down:
+            if machine_id in down:
                 raise ScheduleError(
                     f"assignment references machine {machine_id} which is down at t={state.time}"
                 )
-            runtime = state.active.get(job_id)
             if runtime is None:
                 raise ScheduleError(
                     f"assignment references job {job_id} which is not active at t={state.time}"
                 )
-            databank = runtime.job.databank
-            if databank is not None and databank not in hosted:
-                raise ScheduleError(
-                    f"machine {machine_id} cannot process job {job_id} "
-                    f"(databank {databank!r} not hosted)"
-                )
-
-    def _step_arrays(self, assignment: Assignment) -> "_Step":
-        """Validate ``assignment`` and return the step's arrays.
-
-        The checks are those of :meth:`_validate_assignment`, made on whole
-        arrays; when one fails, that method runs to name the first offending
-        pair.  Each job's rate sums its machines' speeds in assignment
-        order, as ``np.bincount`` accumulates.
-        """
-        mapping = assignment.mapping
-        down = self.state.down
-        active = self.state.active
-        n = len(mapping)
-        rated_ids = sorted(set(mapping.values()))
-        try:
-            rows = np.fromiter(map(self._row.__getitem__, mapping), np.intp, count=n)
-            runtimes = [active[job_id] for job_id in rated_ids]
-            columns = [self._bank_column[rt.job.databank] for rt in runtimes]
-        except KeyError:  # an unknown machine, an inactive job or an unhosted databank
-            runtimes = None
-        jobs = np.fromiter(mapping.values(), np.int64, count=n)
-        inverse = np.searchsorted(np.array(rated_ids, dtype=np.int64), jobs)
-        if (
-            runtimes is None
-            or (down and not down.isdisjoint(mapping))
-            or not self._hosts[rows, np.array(columns, dtype=np.intp)[inverse]].all()
-        ):
-            self._validate_assignment(assignment)
-            raise AssertionError("the array checks and _validate_assignment disagree")
+            raise ScheduleError(
+                f"machine {machine_id} cannot process job {job_id} "
+                f"(databank {runtime.job.databank!r} not hosted)"
+            )
         speeds = self._speed[rows]
         return _Step(
             rows=rows,

@@ -168,13 +168,15 @@ def test_recorded_runs_equal_merge_of_per_step_slices(moves, outages, cycle_time
     )
     result = engine.run()
     assert len(result.completions) == len(jobs)
-    # The column-backed schedule answers from its columns before any slice
-    # exists, then builds the slices ``Schedule`` builds from the same runs.
+    # The column-backed schedule builds the slices ``Schedule`` builds from
+    # the same runs.
     schedule = result.schedule
     rebuilt = Schedule(WorkSlice(*run) for run in zip(*engine._runs))
     assert len(schedule) == len(rebuilt)
     assert schedule.makespan() == rebuilt.makespan()
-    assert schedule.completion_times() == rebuilt.completion_times()
+    assert list(schedule.completion_times().items()) == list(
+        rebuilt.completion_times().items()
+    )
     assert schedule.slices == rebuilt.slices
     assert [s.work.hex() for s in schedule] == [s.work.hex() for s in rebuilt]
     expected = Schedule(_merge_adjacent(engine.pieces)).slices

@@ -140,6 +140,46 @@ class TestRestrictedAvailability:
         with pytest.raises(ScheduleError, match="job 2 which is not active"):
             simulate(instance, BadScheduler())
 
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({0: 0, 1: 0, 99: 0}, "machine 1 cannot process job 0"),
+            ({99: 0, 1: 0}, "unknown machine 99"),
+            ({0: 1, 99: 0}, "job 1 which is not active"),
+            ({2: 0, 0: 1}, "machine 2 which is down"),
+            ({0: 1, 2: 0}, "job 1 which is not active"),
+            ({2: 1}, "machine 2 which is down"),
+            ({1: 1}, "job 1 which is not active"),
+            ({1: 2, 0: 2}, "machine 0 cannot process job 2"),
+        ],
+    )
+    def test_the_first_failing_pair_names_the_error(self, mapping, message):
+        # Pairs are checked in assignment order; a pair fails on its first
+        # failing check: unknown machine, machine down, job inactive,
+        # databank not hosted.
+        platform = Platform(
+            [
+                Machine(0, 1.0, 0, frozenset({"a"})),
+                Machine(1, 1.0, 1, frozenset({"b"})),
+                Machine(2, 1.0, 1, frozenset({"b"})),
+            ]
+        )
+        jobs = [
+            Job(0, release=0.0, size=1.0, databank="a"),
+            Job(1, release=5.0, size=1.0, databank="a"),
+            Job(2, release=0.0, size=1.0, databank="b"),
+        ]
+
+        class BadScheduler(Scheduler):
+            name = "bad-pairs"
+
+            def assign(self, state):
+                return Assignment(mapping=dict(mapping))
+
+        faults = FaultTimeline.from_intervals([(2, 0.0, None)])
+        with pytest.raises(ScheduleError, match=message):
+            simulate(Instance(jobs, platform), BadScheduler(), faults=faults)
+
     def test_priority_scheduler_respects_databanks(self):
         platform = Platform(
             [Machine(0, 1.0, 0, frozenset({"a"})), Machine(1, 1.0, 1, frozenset({"b"}))]
