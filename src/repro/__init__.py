@@ -49,7 +49,10 @@ the *incremental replanning pipeline* spanning the starred modules::
     |       `-- highs  *       the one engine (scipy's vendored HiGHS): a
     |                          model per solve, the run's series basis
     |                          kept -- warm starts across milestone probes
-    |                          and replans, dual-ray bounds within a search
+    |                          and replans, dual-ray bounds within a search;
+    |                          imported, scipy with it, by the first
+    |                          make_backend() (or load_solver()), never by
+    |                          `import repro`
     |-- simulation/    the fluid discrete-event engine
     |   |-- clock      * heap-based event queue, batched simultaneous arrivals
     |   |-- engine     * the step loop: dispatch, assign, advance, complete
@@ -57,6 +60,9 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   `-- result       SimulationResult (metrics, trace, scheduler overhead)
     |-- schedulers/    all scheduling strategies and the registry
     |   |-- base       * Scheduler / PriorityScheduler / PlanBasedScheduler
+    |   |                (plan lanes: a lane is re-read only when its
+    |   |                reading can have changed; scans start after the
+    |   |                rows that ended by the last reading)
     |   |-- policies   * ReplanPolicy: on-arrival | batched:D | threshold:K
     |   |-- online_lp  * the four on-line LP variants (policy + ReplanContext)
     |   |-- registry   * key -> factory, and RunOptions: the run option

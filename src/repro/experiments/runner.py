@@ -58,8 +58,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.core.errors import ReproError
 from repro.core.instance import Instance
 from repro.experiments.config import ExperimentConfig
+from repro.lp.backends import load_solver
 from repro.lp.bank import SolverStateBank
-from repro.schedulers.registry import make_scheduler, paper_schedulers
+from repro.schedulers.registry import LP_SCHEDULERS, make_scheduler, paper_schedulers
 from repro.simulation.engine import simulate
 from repro.utils.seeding import derive_seed
 from repro.workload.faults import generate_fault_timeline
@@ -781,6 +782,9 @@ def _run_pooled(
     backlogs: dict[int, list[list[int]]] = {}
     for unit in reversed(_group_pending(tasks, pending)):
         backlogs.setdefault(lanes[unit[0]], []).append(unit)
+    if any(tasks[index].scheduler_key.lower() in LP_SCHEDULERS for index in pending):
+        # Forked workers inherit the loaded solver instead of each importing it.
+        load_solver()
 
     pools: dict[int, ProcessPoolExecutor] = {}
     unfinished: dict[Future, list[int]] = {}

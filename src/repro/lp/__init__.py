@@ -30,7 +30,8 @@ on-line heuristics:
   the bindings scipy vendors, which carries the dual-simplex basis across
   milestone probes and replans (basis transplants onto each freshly built
   model); each backend carries the LP counters of the run using it
-  (``LPProbeStats``).
+  (``LPProbeStats``).  The HiGHS module, and scipy with it, is imported by
+  the first ``make_backend`` call, not by importing this package.
 """
 
 from repro.lp.problem import (
@@ -49,12 +50,7 @@ from repro.lp.maxstretch import (
 from repro.lp.relaxation import reoptimize_allocation
 from repro.lp.incremental import ReplanContext
 from repro.lp.aggregation import materialize_solution
-from repro.lp.backends import (
-    HighsPersistentBackend,
-    LPResult,
-    SolverBackend,
-    make_backend,
-)
+from repro.lp.backends import LPResult, SolverBackend, make_backend
 
 __all__ = [
     "Affine",
@@ -71,6 +67,5 @@ __all__ = [
     "materialize_solution",
     "LPResult",
     "SolverBackend",
-    "HighsPersistentBackend",
     "make_backend",
 ]

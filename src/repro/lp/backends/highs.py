@@ -64,16 +64,11 @@ from repro.lp.backends.base import (
     annotate_solver_error,
 )
 
-__all__ = ["HighsPersistentBackend", "highs_source"]
+__all__ = ["HighsPersistentBackend"]
 
 #: The ``simplex_strategy`` of primal simplex, which live re-solves and the
 #: cold re-solve of a failed probe run; warm solves run the default, dual.
 _PRIMAL_SIMPLEX = 4
-
-
-def highs_source() -> str:
-    """Which bindings back the backend: always scipy's vendored copy."""
-    return "scipy-vendored"
 
 
 #: The integer code of a ``HighsBasisStatus`` member (``int()`` costs more).

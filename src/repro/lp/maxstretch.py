@@ -786,7 +786,7 @@ def minimize_max_weighted_flow(
         :class:`ConstraintSkeleton`).
     backend:
         LP solver backend; ``None`` means one fresh
-        :class:`~repro.lp.backends.HighsPersistentBackend` for the whole
+        :class:`~repro.lp.backends.highs.HighsPersistentBackend` for the whole
         search, which warm-starts dual simplex from the previous basis and
         produces the dual-ray certificates the search prunes with.
         The search records its probe economy and timings in the backend's

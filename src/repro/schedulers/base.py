@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -49,6 +51,8 @@ __all__ = [
 Row = tuple[float, float, int]
 #: Machine ids and the timeline of rows they all follow.
 Lane = tuple[Sequence[int], list[Row]]
+
+_START = itemgetter(0)
 
 
 def greedy_assignment(state: SchedulerState, runtimes: Iterable[JobRuntime]) -> Assignment:
@@ -207,24 +211,60 @@ class PlanSegment:
 
 
 class _Lane:
-    """One timeline of rows (sorted by start) and what is derived from it."""
+    """One timeline of rows (sorted by start) and its last reading."""
 
-    __slots__ = ("rows", "shared", "cursor", "arrays")
+    __slots__ = ("rows", "shared", "settled", "reading", "job", "waiting")
 
-    def __init__(self, rows: list[Row], shared: bool):
+    def __init__(self, rows: list[Row], shared: bool, settled: int = 0):
+        rows.sort(key=_START)
         self.rows = rows
         #: Whether several machines follow this timeline.
         self.shared = shared
+        #: Rows before this index end by the date of the last plan reading
+        #: (:attr:`PlanBasedScheduler._read_at`); scans start after them.
+        self.settled = settled
         self.changed()
 
     def changed(self) -> None:
-        """Re-establish the row order after any change to ``rows``."""
-        self.rows.sort(key=itemgetter(0))
-        #: Rows before this index had ``end <= time + 1e-12`` at the last
-        #: :meth:`PlanBasedScheduler.plan_assignment`; only they are skipped.
-        self.cursor = 0
-        #: (starts, ends) float64 views for the plan-horizon kernel, lazy.
-        self.arrays: tuple[np.ndarray, np.ndarray] | None = None
+        """Drop the cached reading after a change to ``rows``."""
+        #: ``(job to run now, next date the reading changes)``, or ``None``
+        #: until the lane is read again.
+        self.reading: tuple[int | None, float | None] | None = None
+        #: The job of the row the reading came from (``None``: no such row).
+        self.job: int | None = None
+        #: Unreleased jobs whose rows the reading skipped.
+        self.waiting: tuple[int, ...] = ()
+
+    def read(self, state: SchedulerState) -> tuple[int | None, float | None]:
+        """Read the lane at ``state.time``: cache and return the reading."""
+        time = state.time
+        expired = time + 1e-12
+        rows = self.rows
+        count = len(rows)
+        index = self.settled
+        while index < count and rows[index][1] <= time:
+            index += 1
+        self.settled = index
+        active = state.active
+        waiting: list[int] = []
+        self.job = None
+        self.reading = (None, None)
+        while index < count:
+            start, end, job_id = rows[index]
+            index += 1
+            if end <= expired:
+                continue
+            if job_id not in active:
+                # The job finished (slightly) earlier than planned, or is not
+                # released yet, in which case its release re-reads the lane.
+                if job_id not in state.completions:
+                    waiting.append(job_id)
+                continue
+            self.job = job_id
+            self.reading = (job_id, end) if start <= expired else (None, start)
+            break
+        self.waiting = tuple(waiting)
+        return self.reading
 
 
 class PlanBasedScheduler(Scheduler):
@@ -254,7 +294,7 @@ class PlanBasedScheduler(Scheduler):
         self.instance: Instance | None = None
         #: Machine id -> the lane it follows (machines without one are idle).
         self._lanes: dict[int, _Lane] = {}
-        #: Date of the last plan reading: lane cursors hold from there on.
+        #: Date of the last plan reading: settled prefixes hold from there on.
         self._read_at = -math.inf
         self.policy = policy
         self._recheck_at: float | None = None
@@ -262,6 +302,7 @@ class PlanBasedScheduler(Scheduler):
     def reset(self, instance: Instance) -> None:
         self.instance = instance
         self._lanes = {}
+        self._read_at = -math.inf
         self._recheck_at = None
         if self.policy is not None:
             self.policy.reset(instance)
@@ -269,13 +310,14 @@ class PlanBasedScheduler(Scheduler):
     # -- plan manipulation ---------------------------------------------------------
     def set_lanes(self, lanes: Iterable[Lane]) -> None:
         """Replace the whole plan by ``(machine ids, rows)`` lanes."""
-        self._lanes = {}
+        by_machine: dict[int, _Lane] = {}
         for machine_ids, rows in lanes:
             for start, end, job_id in rows:
                 PlanSegment(machine_ids[0], job_id, start, end)  # checks the duration
             lane = _Lane(rows, shared=len(machine_ids) > 1)
             for machine_id in machine_ids:
-                self._lanes[machine_id] = lane
+                by_machine[machine_id] = lane
+        self._lanes = by_machine
 
     def set_plan(self, segments: Iterable[PlanSegment]) -> None:
         """Replace the whole plan."""
@@ -283,35 +325,47 @@ class PlanBasedScheduler(Scheduler):
         self.extend_plan(segments)
 
     def extend_plan(self, segments: Iterable[PlanSegment]) -> None:
-        """Append segments to the plan (kept sorted by start time)."""
-        touched: dict[int, _Lane] = {}
+        """Insert segments into the plan (kept sorted by start time).
+
+        A segment lands after every row starting no later than it, so a lane
+        keeps its settled prefix unless a segment starts inside it.
+        """
         for segment in segments:
             lane = self._lanes.get(segment.machine_id)
             if lane is None or lane.shared:
                 # A machine of a class leaves the timeline the class shares.
-                lane = _Lane(list(lane.rows) if lane else [], shared=False)
+                lane = (
+                    _Lane(list(lane.rows), shared=False, settled=lane.settled)
+                    if lane
+                    else _Lane([], shared=False)
+                )
                 self._lanes[segment.machine_id] = lane
-            lane.rows.append((segment.start, segment.end, segment.job_id))
-            touched[segment.machine_id] = lane
-        for lane in touched.values():
+            index = bisect_right(lane.rows, segment.start, key=_START)
+            lane.rows.insert(index, (segment.start, segment.end, segment.job_id))
+            lane.settled = min(lane.settled, index)
             lane.changed()
 
     def clear_plan_from(self, time: float) -> None:
         """Drop every planned segment that starts at or after ``time``.
 
         Segments straddling ``time`` are truncated; used by on-line
-        strategies that re-plan at each release date.
+        strategies that re-plan at each release date.  Settled rows end by
+        the last reading, so from then on they are kept as they are.
         """
         for lane in set(self._lanes.values()):
-            kept: list[Row] = []
-            for row in lane.rows:
+            first = self._unsettled(lane, time)
+            rows = lane.rows
+            tail: list[Row] = []
+            for row in islice(rows, first, None):
                 if row[1] <= time + 1e-12:
-                    kept.append(row)
+                    tail.append(row)
                 elif row[0] < time - 1e-12:
-                    kept.append((row[0], time, row[2]))
+                    tail.append((row[0], time, row[2]))
                 # Segments starting after ``time`` are dropped.
-            lane.rows = kept
-            lane.changed()
+            if tail != rows[first:]:
+                lane.rows = rows[:first] + tail
+                lane.settled = first
+                lane.changed()
 
     def has_plan(self) -> bool:
         """Whether any machine has a planned segment."""
@@ -328,18 +382,27 @@ class PlanBasedScheduler(Scheduler):
             for start, end, job_id in self._lanes[m].rows
         ]
 
+    def _unsettled(self, lane: _Lane, time: float) -> int:
+        """Index of the first row a query at ``time`` must look at."""
+        return lane.settled if time >= self._read_at else 0
+
     def plan_horizon(self, machine_id: int, time: float) -> float:
-        """Earliest date >= ``time`` at which the machine becomes free in the plan."""
+        """Earliest date >= ``time`` at which the machine becomes free in the plan.
+
+        The scan chains through every row overlapping the running horizon
+        (1e-12 tolerance).
+        """
+        horizon = float(time)
         lane = self._lanes.get(machine_id)
         if lane is None:
-            return float(time)
-        if lane.arrays is None:
-            count = len(lane.rows)
-            lane.arrays = (
-                np.fromiter((row[0] for row in lane.rows), np.float64, count=count),
-                np.fromiter((row[1] for row in lane.rows), np.float64, count=count),
-            )
-        return kernels.plan_horizon_scan(lane.arrays[0], lane.arrays[1], time)
+            return horizon
+        for start, end, _ in islice(lane.rows, self._unsettled(lane, time), None):
+            if end <= horizon + 1e-12:
+                continue
+            if start > horizon + 1e-12:
+                break
+            horizon = end
+        return float(horizon)
 
     def plan_tail(self, machine_id: int, time: float) -> float:
         """Date at which the machine's *whole* plan is over (>= ``time``).
@@ -349,9 +412,10 @@ class PlanBasedScheduler(Scheduler):
         routinely leave gaps between milestone intervals).
         """
         lane = self._lanes.get(machine_id)
-        if lane is None or not lane.rows:
+        if lane is None:
             return time
-        return max(time, max(row[1] for row in lane.rows))
+        ends = (row[1] for row in islice(lane.rows, self._unsettled(lane, time), None))
+        return max(time, max(ends, default=time))
 
     # -- policy-driven replanning --------------------------------------------------------
     def replan(self, state: SchedulerState) -> None:
@@ -430,55 +494,46 @@ class PlanBasedScheduler(Scheduler):
         return assignment
 
     def plan_assignment(self, state: SchedulerState) -> Assignment:
-        """Read the current plan at ``state.time`` (overridable)."""
+        """Read the current plan at ``state.time`` (overridable).
+
+        A lane is read again only when its last reading can have changed:
+        the reading's date passed, the job of its row left ``state.active``,
+        a job whose rows it skipped was released, or the lane changed.
+        """
         assert self.instance is not None
         time = state.time
         if time < self._read_at:
             for lane in self._lanes.values():
-                lane.cursor = 0
+                lane.settled = 0
+                lane.changed()
         self._read_at = time
-        mapping: dict[int, int] = {}
-        breakpoints: list[float] = []
+        expired = time + 1e-12
+        active = state.active
         down = state.down
-        #: What each lane says at ``time``; its machines all read the same.
-        readings: dict[_Lane, tuple[int | None, float | None]] = {}
+        mapping: dict[int, int] = {}
+        valid_until: float | None = None
+        lanes = self._lanes
         for machine_id in self.instance.platform.ids():
-            lane = self._lanes.get(machine_id)
+            lane = lanes.get(machine_id)
             if lane is None or (down and machine_id in down):
                 # Defensive: a downed machine executes nothing, whatever a
                 # stale plan says (replans triggered by on_availability make
                 # this unreachable in practice).
                 continue
-            reading = readings.get(lane)
-            if reading is None:
-                reading = readings[lane] = self._read_lane(lane, state)
-                if reading[1] is not None:
-                    breakpoints.append(reading[1])
-            if reading[0] is not None:
-                mapping[machine_id] = reading[0]
-        valid_until = min(breakpoints) if breakpoints else None
+            # A shared lane is re-read for its first machine up at most: the
+            # checks then pass for its other machines, and the min ignores
+            # its date coming again.
+            reading = lane.reading
+            if (
+                reading is None
+                or (reading[1] is not None and reading[1] <= expired)
+                or (lane.job is not None and lane.job not in active)
+                or (lane.waiting and not active.keys().isdisjoint(lane.waiting))
+            ):
+                reading = lane.read(state)
+            job_id, until = reading
+            if job_id is not None:
+                mapping[machine_id] = job_id
+            if until is not None and (valid_until is None or until < valid_until):
+                valid_until = until
         return Assignment(mapping=mapping, valid_until=valid_until)
-
-    @staticmethod
-    def _read_lane(lane: _Lane, state: SchedulerState) -> tuple[int | None, float | None]:
-        """``(job to run now, next date the lane's reading changes)``."""
-        expired = state.time + 1e-12
-        rows = lane.rows
-        count = len(rows)
-        index = lane.cursor
-        while index < count and rows[index][1] <= expired:
-            index += 1
-        lane.cursor = index
-        while index < count:
-            start, end, job_id = rows[index]
-            index += 1
-            if end <= expired:
-                continue
-            if not state.is_active(job_id):
-                # The job finished (slightly) earlier than planned, or is not
-                # released yet; its segments are looked at again next time.
-                continue
-            if start <= expired:
-                return job_id, end
-            return None, start
-        return None, None

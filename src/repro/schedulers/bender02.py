@@ -21,16 +21,20 @@ shows, far from the LP-based heuristics in practice.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.instance import Instance
+from repro.core.job import JobSet
 from repro.simulation.state import JobRuntime, SchedulerState
 from repro.schedulers import kernels
 from repro.schedulers.base import PriorityScheduler
 
 __all__ = ["Bender02Scheduler"]
+
+_JOB_ID = attrgetter("job.job_id")
 
 
 class Bender02Scheduler(PriorityScheduler):
@@ -54,23 +58,38 @@ class Bender02Scheduler(PriorityScheduler):
             raise ValueError(f"unknown delta_mode {delta_mode!r}")
         self.delta_mode = delta_mode
         self._min_size = 1.0
+        self._max_size = -math.inf
         self._delta = 1.0
+        #: Release date and size by job id, over the first ``_indexed`` jobs.
+        self._releases = self._sizes = np.zeros(0)
+        self._indexed = -1
 
     def reset(self, instance: Instance) -> None:
         super().reset(instance)
-        if self.delta_mode == "instance" and len(instance.jobs) > 0:
+        self._index(instance.jobs)
+        self._min_size = 1.0
+        self._delta = 1.0
+        if self.delta_mode == "observed":
+            # Running extremes of the released sizes: the first arrival sets them.
+            self._min_size, self._max_size = math.inf, -math.inf
+        elif len(instance.jobs) > 0:
             sizes = [job.size for job in instance.jobs]
             self._min_size = min(sizes)
             self._delta = max(sizes) / min(sizes)
-        else:
-            self._min_size = 1.0
-            self._delta = 1.0
+
+    def _index(self, jobs: JobSet) -> None:
+        ids = [job.job_id for job in jobs]
+        self._releases = np.zeros(max(ids, default=-1) + 1)
+        self._sizes = np.zeros_like(self._releases)
+        self._releases[ids] = [job.release for job in jobs]
+        self._sizes[ids] = [job.size for job in jobs]
+        self._indexed = len(jobs)
 
     def on_arrival(self, state: SchedulerState, job) -> None:
         if self.delta_mode == "observed":
-            sizes = [state.instance.job(j).size for j in state.released_ids]
-            self._min_size = min(sizes)
-            self._delta = max(sizes) / min(sizes)
+            self._min_size = min(self._min_size, job.size)
+            self._max_size = max(self._max_size, job.size)
+            self._delta = self._max_size / self._min_size
 
     def pseudo_stretch(self, state: SchedulerState, runtime: JobRuntime) -> float:
         """:math:`\\hat S_j(t)` at the current simulation time."""
@@ -84,14 +103,12 @@ class Bender02Scheduler(PriorityScheduler):
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
     ) -> np.ndarray:
-        delta = max(self._delta, 1.0)
-        min_size = self._min_size
-        now = state.time
-        count = len(runtimes)
-        ages = np.fromiter(
-            (now - rt.job.release for rt in runtimes), np.float64, count=count
+        if len(state.instance.jobs) != self._indexed:
+            # A live instance grew since the reset.
+            self._index(state.instance.jobs)
+        ids = np.fromiter(map(_JOB_ID, runtimes), np.int64, count=len(runtimes))
+        return kernels.pseudo_stretch_priorities(
+            state.time - self._releases[ids],
+            self._sizes[ids] / self._min_size,
+            max(self._delta, 1.0),
         )
-        relative_sizes = np.fromiter(
-            (rt.job.size / min_size for rt in runtimes), np.float64, count=count
-        )
-        return kernels.pseudo_stretch_priorities(ages, relative_sizes, delta)

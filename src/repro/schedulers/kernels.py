@@ -3,12 +3,11 @@
 PRs 5-7 collapsed the LP/replan path, which leaves the *heuristic*
 schedulers (MCT/MCT-Div, the priority queues, the Bender heuristics) as the
 dominant per-event python at campaign scale: the eligible-machine argmin of
-MCT, the water-filling spread of MCT-Div, the plan-horizon scans behind
-both, the (priority, job_id) ranking of every list scheduler and the
-deadline/pseudo-stretch key computations.  This module holds those loops,
-one implementation per kernel: numpy array programs where the arithmetic
-is elementwise, the sequential loop where it is loop-carried (water
-filling, the plan-horizon scan).
+MCT, the water-filling spread of MCT-Div, the (priority, job_id) ranking of
+every list scheduler and the deadline/pseudo-stretch key computations.
+This module holds those loops, one implementation per kernel: numpy array
+programs where the arithmetic is elementwise, the sequential loop where it
+is loop-carried (water filling).
 
 Every kernel preserves the historical float arithmetic operation-for-
 operation (same IEEE ops per output element, no reordering), so replacing
@@ -27,7 +26,6 @@ import numpy as np
 __all__ = [
     "mct_argmin_completion",
     "water_filling_completion",
-    "plan_horizon_scan",
     "rank_by_priority",
     "pseudo_stretch_priorities",
     "expand_deadlines",
@@ -103,26 +101,6 @@ def water_filling_completion(
             current = max(current, availability[idx])
         active_speed += speeds[idx]
     return float(current + remaining / active_speed)
-
-
-def plan_horizon_scan(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
-    """Earliest date >= ``time`` at which a machine's plan leaves it free.
-
-    ``starts``/``ends`` are the machine's planned segments sorted by start;
-    the scan chains through every segment overlapping the running horizon
-    (1e-12 tolerance), exactly as ``PlanBasedScheduler.plan_horizon`` always
-    did.
-    """
-    # The horizon chains through the last absorbed segment end, a loop-carried
-    # control flow, so the scan stays sequential.
-    horizon = float(time)
-    for i in range(starts.size):
-        if ends[i] <= horizon + 1e-12:
-            continue
-        if starts[i] > horizon + 1e-12:
-            break
-        horizon = ends[i]
-    return float(horizon)
 
 
 def rank_by_priority(priorities: np.ndarray, ids: np.ndarray) -> np.ndarray:

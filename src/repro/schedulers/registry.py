@@ -50,6 +50,7 @@ __all__ = [
     "OnOff",
     "PAPER_TABLE1_ORDER",
     "ONLINE_LP_SCHEDULERS",
+    "LP_SCHEDULERS",
     "SERVICE_SCHEDULERS",
 ]
 
@@ -63,6 +64,10 @@ ONLINE_LP_SCHEDULERS: tuple[str, ...] = (
     "online-egdf",
     "online-nonopt",
 )
+
+#: Keys of every scheduler that solves linear programs: the processes that
+#: will run one load the HiGHS backend up front (``load_solver``).
+LP_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + ("offline", "offline-sum", "bender98")
 
 #: Keys of the schedulers usable in *service mode* (streaming arrivals): any
 #: strategy that requires no whole-instance knowledge before the first

@@ -27,7 +27,8 @@ from typing import Any, Iterable
 from repro.core.instance import LiveInstance
 from repro.core.job import Job
 from repro.core.platform import Platform
-from repro.schedulers.registry import SERVICE_SCHEDULERS, RunOptions, make_scheduler
+from repro.lp.backends import load_solver
+from repro.schedulers.registry import LP_SCHEDULERS, SERVICE_SCHEDULERS, RunOptions, make_scheduler
 from repro.service.ingest import IngestReport, SubmissionRequest, ingest_lines
 from repro.service.stream import StreamingSource
 from repro.service.trace import AdmissionError, ServiceError, SubmissionTrace, TraceWriter
@@ -139,6 +140,9 @@ class SchedulerDaemon:
         # Bank-less, so plain strings: these also go into the trace header.
         options = self.config.scheduler_options_for(self.config.scheduler)
         self.scheduler = make_scheduler(self.config.scheduler, **options)
+        if self.config.scheduler in LP_SCHEDULERS:
+            # At boot, so that no submission waits for the solver import.
+            load_solver()
         self.engine = SimulationEngine(
             self.instance,
             self.scheduler,

@@ -24,7 +24,8 @@ from repro.core.job import Job
 from repro.core.platform import Platform
 from repro.core.schedule import Schedule
 from repro.lp.aggregation import split_work_across_machines
-from repro.lp.backends import HighsPersistentBackend, LPSpec
+from repro.lp.backends import LPSpec
+from repro.lp.backends.highs import HighsPersistentBackend
 from repro.lp.incremental import ReplanContext
 from repro.lp.intervals import IntervalStructure
 from repro.lp.maxstretch import MaxStretchSolution, Shares

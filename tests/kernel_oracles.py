@@ -10,9 +10,9 @@ scan also survive inside their kernels as the sequential fallback; they are
 copied here all the same, so that the fast-path-plus-fallback composition
 has a reference that does not share its code.
 
-Water filling, the plan-horizon scan and the System (1) scatter have no
-oracle: their kernels *are* the historical loops, and the test files check
-them against properties instead.
+Water filling and the System (1) scatter have no oracle: their kernels
+*are* the historical loops, and the test files check them against
+properties instead.
 
 Not a test module (no ``test_`` prefix): imported by name, like
 ``helpers.py``.

@@ -18,12 +18,8 @@ import pytest
 
 from repro import api
 from repro.core.errors import SolverError
-from repro.lp.backends import (
-    HighsPersistentBackend,
-    WarmStartHint,
-    make_backend,
-    resolve_backend_name,
-)
+from repro.lp.backends import WarmStartHint, make_backend, resolve_backend_name
+from repro.lp.backends.highs import HighsPersistentBackend
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import minimize_max_weighted_flow, solve_on_objective_range
 from repro.lp.problem import problem_from_instance

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import repro.lp.incremental as incremental_module
 from repro.core.errors import SolverError
-from repro.lp.backends import HighsPersistentBackend, LPProbeStats, make_backend
+from repro.lp.backends import LPProbeStats, make_backend
+from repro.lp.backends.highs import HighsPersistentBackend
 from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
 from repro.lp.maxstretch import MilestoneSearchReport, minimize_max_weighted_flow

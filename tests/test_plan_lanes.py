@@ -480,6 +480,98 @@ def test_editing_a_class_lane_equals_editing_each_machine(data):
         assert_same_reading(scheduler, oracle, state)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_successive_readings_equal_a_full_scan(data):
+    """One lane set read decision after decision, as the engine reads it.
+
+    Between two readings time moves forward (to the last reading's
+    breakpoint, just around it, or on), and the plan or the run state
+    changes the way a run changes them: an MCT-style segment placed at the
+    machine's horizon (or one inserted among past rows), a job completing
+    before its planned end, a job released after its rows were first
+    skipped, a machine going down (its plan cleared from now, as
+    ``on_availability`` does) or back up.
+    Every reading must equal the per-machine full scan, and so must every
+    horizon and tail queried from the lanes' settled prefixes.
+    """
+    instance, solution = data.draw(cases())
+    scheduler = Follower()
+    scheduler.reset(instance)
+    oracle = PerMachinePlan(instance)
+    if data.draw(st.booleans()):
+        scheduler.set_lanes(materialize_solution(solution, instance))
+        oracle.extend_plan(
+            _segments_from_schedule(_materialize_solution_per_machine(solution, instance))
+        )
+    machine_ids = instance.platform.ids()
+    state = SchedulerState(instance)
+    waiting = []
+    for job in instance.jobs:
+        if data.draw(st.booleans()):
+            state.release(job)
+        else:
+            waiting.append(job)
+
+    last = scheduler.plan_assignment(state)
+    assert_same_reading(scheduler, oracle, state)
+    for _ in range(data.draw(st.integers(1, 25))):
+        step = data.draw(st.sampled_from(["breakpoint", "around", "stay", "on"]))
+        if step == "breakpoint" and last.valid_until is not None:
+            state.time = max(state.time, last.valid_until)
+        elif step == "around" and last.valid_until is not None:
+            nudge = data.draw(st.sampled_from([-2e-12, -1e-12, -5e-13, 5e-13, 1e-12, 2e-12]))
+            state.time = max(state.time, last.valid_until + nudge)
+        elif step == "on":
+            state.time += data.draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5]))
+        now = state.time
+
+        event = data.draw(st.sampled_from(["place", "insert", "complete", "release", "down", "up"]))
+        if event in ("place", "insert"):
+            machine_id = data.draw(st.sampled_from(machine_ids))
+            if event == "place":
+                start = max(oracle.plan_horizon(machine_id, now), now)
+            else:
+                # Among the machine's past rows, those that ended by the last
+                # reading included.
+                past = [seg.start for seg in oracle._plan[machine_id] if seg.start < now]
+                start = data.draw(st.sampled_from([0.0] + past))
+            segment = PlanSegment(
+                machine_id=machine_id,
+                job_id=data.draw(st.sampled_from([job.job_id for job in instance.jobs])),
+                start=start,
+                end=start + data.draw(st.sampled_from([1e-3, 0.5, 1.0, 4.0])),
+            )
+            scheduler.extend_plan([segment])
+            oracle.extend_plan([segment])
+        elif event == "complete" and state.active:
+            job_id = data.draw(st.sampled_from(sorted(state.active)))
+            state.active[job_id].remaining = 0.0
+            state.complete(job_id, time=now)
+        elif event == "release" and waiting:
+            state.release(waiting.pop(data.draw(st.integers(0, len(waiting) - 1))))
+        elif event == "down":
+            state.down.add(data.draw(st.sampled_from(machine_ids)))
+            if data.draw(st.booleans()):
+                scheduler.clear_plan_from(now)
+                oracle.clear_plan_from(now)
+        elif event == "up" and state.down:
+            state.down.discard(data.draw(st.sampled_from(sorted(state.down))))
+
+        last = scheduler.plan_assignment(state)
+        want = oracle.plan_assignment(state)
+        assert list(last.mapping.items()) == list(want.mapping.items())
+        assert last.valid_until == want.valid_until
+        later = now + data.draw(st.sampled_from([0.0, 1e-12, 0.7]))
+        for machine_id in machine_ids:
+            for date in (now, later):
+                assert scheduler.plan_horizon(machine_id, date) == oracle.plan_horizon(
+                    machine_id, date
+                )
+                assert scheduler.plan_tail(machine_id, date) == oracle.plan_tail(machine_id, date)
+        assert scheduler.plan_segments() == oracle.plan_segments()
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
 def test_share_totals_equal_their_full_scans(case):
@@ -537,3 +629,18 @@ def test_a_slow_machine_drops_out_of_short_rows_only():
     assert sorted(scheduler.plan_segments(), key=lambda s: (s.start, s.machine_id)) == (
         _segments_from_schedule(_materialize_solution_per_machine(solution, instance))
     )
+
+
+def test_a_segment_inserted_among_settled_rows_is_scanned():
+    """``extend_plan`` shrinks the settled prefix to where a segment lands."""
+    platform = Platform([Machine(0, 1.0, 0, frozenset({"a"}))])
+    instance = Instance([Job(0, release=0.0, size=1.0, databank="a")], platform)
+    scheduler = Follower()
+    scheduler.reset(instance)
+    scheduler.set_plan([PlanSegment(0, 0, 0.0, 1.0), PlanSegment(0, 0, 1.0, 2.0)])
+    state = SchedulerState(instance)
+    state.time = 3.0
+    scheduler.plan_assignment(state)  # both rows ended: they settle
+    scheduler.extend_plan([PlanSegment(0, 0, 0.5, 10.0)])
+    assert scheduler.plan_horizon(0, 3.0) == 10.0
+    assert scheduler.plan_tail(0, 3.0) == 10.0

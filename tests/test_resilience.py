@@ -28,7 +28,8 @@ from repro import api
 from repro.core.errors import SolverError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_campaign
-from repro.lp.backends import HighsPersistentBackend, make_backend
+from repro.lp.backends import make_backend
+from repro.lp.backends.highs import HighsPersistentBackend
 from repro.lp.backends.base import LPSpec, SolverBackend, WarmStartHint, annotate_solver_error
 from repro.schedulers.offline import OfflineScheduler
 from repro.schedulers.online_lp import OnlineLPScheduler

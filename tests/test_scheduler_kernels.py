@@ -6,8 +6,8 @@ kept verbatim in ``tests/kernel_oracles.py``, on randomized inputs drawn
 from hypothesis seeds -- with deliberate exact ties and tolerance-band
 near-ties injected so the fallback branch actually fires.  Equality is
 exact (``==`` on every element, same shapes, same tuple layout).  Water
-filling and the plan-horizon scan *are* their historical loops, so they are
-checked against the equations they must solve instead.  A last test checks
+filling *is* its historical loop, so it is checked against the equation it
+must solve instead.  A last test checks
 the contract at the integration level: whole runs of every heuristic
 scheduler with every oracle patched in reproduce the unpatched completions.
 """
@@ -93,31 +93,6 @@ def _case_water_filling_completion(rng):
     return (work, speeds, availability)
 
 
-def _case_plan_horizon_scan(rng):
-    n = int(rng.integers(0, 20))
-    starts = np.empty(n, dtype=np.float64)
-    ends = np.empty(n, dtype=np.float64)
-    cursor = float(rng.uniform(0.0, 5.0))
-    for i in range(n):
-        if i > 0 and rng.random() < 0.25:
-            # Nested in (or overhanging) the previous segment: starts stay
-            # sorted, ends do not.
-            starts[i] = starts[i - 1] + float(rng.uniform(0.0, 1.0)) * (
-                ends[i - 1] - starts[i - 1]
-            )
-            ends[i] = starts[i] + float(rng.uniform(0.01, 3.0))
-            cursor = max(cursor, ends[i])
-            continue
-        # Mix exact back-to-back segments, sub-tolerance slivers and real
-        # gaps, so the scan's continue/chain/break arms all fire.
-        gap = float(rng.choice([0.0, 5e-13, 1e-9, 0.8]))
-        starts[i] = cursor + gap
-        ends[i] = starts[i] + float(rng.uniform(0.05, 3.0))
-        cursor = ends[i]
-    time = float(rng.uniform(0.0, 10.0))
-    return (starts, ends, time)
-
-
 def _case_rank_by_priority(rng):
     n = int(rng.integers(0, 40))
     priorities = rng.uniform(0.0, 10.0, size=n)
@@ -156,7 +131,6 @@ def _case_expand_deadlines(rng):
 _CASE_BUILDERS = {
     "mct_argmin_completion": _case_mct_argmin_completion,
     "water_filling_completion": _case_water_filling_completion,
-    "plan_horizon_scan": _case_plan_horizon_scan,
     "rank_by_priority": _case_rank_by_priority,
     "pseudo_stretch_priorities": _case_pseudo_stretch_priorities,
     "expand_deadlines": _case_expand_deadlines,
@@ -167,10 +141,7 @@ def test_every_kernel_has_an_oracle_or_a_property():
     # A new kernel cannot land without its equality (or property) coverage.
     public = set(kernels.__all__)
     assert set(_CASE_BUILDERS) == public
-    assert set(SCHEDULER_ORACLES) == public - {
-        "water_filling_completion",
-        "plan_horizon_scan",
-    }
+    assert set(SCHEDULER_ORACLES) == public - {"water_filling_completion"}
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULER_ORACLES))
@@ -249,22 +220,6 @@ def test_empty_machine_set_rejected():
         kernels.water_filling_completion(
             1.0, np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
         )
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=seeds)
-def test_plan_horizon_is_the_first_uncovered_date(seed):
-    starts, ends, time = _case_plan_horizon_scan(_rng(seed))
-    assert np.all(np.diff(starts) >= 0.0)
-    horizon = kernels.plan_horizon_scan(starts, ends, time)
-    assert isinstance(horizon, float)
-    assert horizon == time or horizon in ends.tolist()
-    assert horizon >= time
-    # No segment still covers the horizon.
-    assert not np.any((starts <= horizon + 1e-12) & (ends > horizon + 1e-12))
-    # The horizon only moves off ``time`` when a segment covers ``time``.
-    if horizon > time:
-        assert np.any((starts <= time + 1e-12) & (ends > time + 1e-12))
 
 
 @pytest.mark.parametrize("key", list(HEURISTIC_KEYS))
