@@ -50,7 +50,8 @@ the *incremental replanning pipeline* spanning the starred modules::
     |                          model per solve, the run's series basis
     |                          kept -- warm starts across milestone probes
     |                          and replans, dual-ray bounds within a search;
-    |                          imported, scipy with it, by the first
+    |                          imported, with the HiGHS extension scipy
+    |                          vendors (not scipy.optimize), by the first
     |                          make_backend() (or load_solver()), never by
     |                          `import repro`
     |-- simulation/    the fluid discrete-event engine

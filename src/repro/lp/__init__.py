@@ -30,8 +30,9 @@ on-line heuristics:
   the bindings scipy vendors, which carries the dual-simplex basis across
   milestone probes and replans (basis transplants onto each freshly built
   model); each backend carries the LP counters of the run using it
-  (``LPProbeStats``).  The HiGHS module, and scipy with it, is imported by
-  the first ``make_backend`` call, not by importing this package.
+  (``LPProbeStats``).  The HiGHS module is imported by the first
+  ``make_backend`` call, not by importing this package; it loads scipy's
+  HiGHS extension module on its own, without ``scipy.optimize``.
 """
 
 from repro.lp.problem import (

@@ -16,9 +16,11 @@ share one.  The LP schedulers' ``solver_backend=`` parameter goes through
 it; a :class:`SolverBackend` instance passed there is used as it is, which
 is how tests inject a reference solver or a fake.
 
-Importing this package does not import scipy: the ``highs`` module, and
-scipy under it, load on the first :func:`make_backend` call (or an earlier
-:func:`load_solver`), so LP-free runs never pay for the solver stack.
+Importing this package does not import scipy: the ``highs`` module loads
+on the first :func:`make_backend` call (or an earlier :func:`load_solver`),
+so LP-free runs never pay for the solver stack.  It loads top-level
+``scipy`` and the HiGHS extension module scipy vendors, not
+``scipy.optimize`` and the ``scipy.linalg`` / ``scipy.sparse`` stack behind it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def resolve_backend_name(spec: "str | SolverBackend | None" = None) -> str:
 
 
 def load_solver() -> None:
-    """Import the HiGHS backend and the scipy bindings under it, if not yet done.
+    """Import the HiGHS backend and scipy's HiGHS bindings, if not yet done.
 
     :func:`make_backend` does this on its first call; a process about to
     fork workers that will solve LPs, or a daemon about to take

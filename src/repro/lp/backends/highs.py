@@ -39,27 +39,27 @@ stays valid until the next build.  Callers re-solve only the latest (the
 milestone search keeps its last feasible probe's).  :meth:`release` drops
 both objects at the end of a run.
 
-The bindings are the ones scipy >= 1.15 vendors
-(``scipy.optimize._highspy``).
+The bindings are the extension module scipy >= 1.15 vendors
+(``scipy.optimize._highspy._core``).  :func:`_load_bindings` loads it from
+the installed scipy's directory without running ``scipy.optimize``'s package
+``__init__``, which would pull in ``scipy.linalg``, ``scipy.sparse`` and the
+rest of ``scipy.optimize``, none of which a solve uses.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import operator
+import os
+import sys
 import time
 from dataclasses import dataclass
+from importlib._bootstrap import _ModuleLockManager
 from typing import Hashable, NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsBasis,
-    HighsBasisStatus,
-    HighsModelStatus,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-)
-from scipy.optimize._highspy._core import _Highs as Highs
+import scipy
 
 from repro.core.errors import SolverError
 from repro.lp.backends.base import (
@@ -72,6 +72,46 @@ from repro.lp.backends.base import (
 )
 
 __all__ = ["HighsPersistentBackend"]
+
+#: The bindings' extension module, under the name scipy imports it by.
+_BINDINGS = "scipy.optimize._highspy._core"
+
+
+def _load_bindings():
+    """scipy's HiGHS extension module, loaded without ``scipy.optimize``.
+
+    Importing ``scipy.optimize._highspy._core`` by name first runs
+    ``scipy/optimize/__init__.py``, which pulls in ``scipy.linalg``,
+    ``scipy.sparse`` and the rest of ``scipy.optimize``, none of which a
+    solve uses.  The extension is found in the installed scipy's
+    ``optimize/_highspy/`` directory instead and loaded under its own name,
+    holding that name's import lock, so a later ``import scipy.optimize``
+    shares the one module object; one already imported is reused.
+    """
+    # The per-name lock the import system itself takes: a concurrent
+    # ``import scipy.optimize`` waits for this load instead of starting its own.
+    with _ModuleLockManager(_BINDINGS):
+        module = sys.modules.get(_BINDINGS)
+        if module is not None:
+            return module
+        where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(_BINDINGS, [where])
+        if spec is None:
+            raise ImportError(f"no {_BINDINGS} extension in {where}", name=_BINDINGS, path=where)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_BINDINGS] = module
+        return module
+
+
+_core = _load_bindings()
+Highs = _core._Highs
+HighsBasis = _core.HighsBasis
+HighsBasisStatus = _core.HighsBasisStatus
+HighsModelStatus = _core.HighsModelStatus
+HighsStatus = _core.HighsStatus
+MatrixFormat = _core.MatrixFormat
+ObjSense = _core.ObjSense
 
 #: The ``simplex_strategy`` of primal simplex, which live re-solves and the
 #: cold re-solve of a failed probe run; warm solves run the default, dual.

@@ -84,7 +84,9 @@ def reoptimize_allocation(
         System (2) probe usually lands in the same milestone interval as the
         winning System (1) probe, so the skeleton is a cache hit when the
         same mapping was passed to
-        :func:`~repro.lp.maxstretch.minimize_max_weighted_flow`.
+        :func:`~repro.lp.maxstretch.minimize_max_weighted_flow`.  A target
+        strictly inside ``live``'s ``F`` bounds takes ``live``'s skeleton
+        without a lookup.
     backend:
         LP solver backend (``None`` -> a fresh persistent HiGHS backend).
     live:
@@ -149,8 +151,7 @@ def _solve_fixed_objective(
     live: LiveProbe | None,
     generic: bool,
 ) -> MaxStretchSolution | None:
-    structure = build_interval_structure(problem, objective)
-    skeleton = build_skeleton(problem, structure, skeleton_cache)
+    skeleton = _fixed_objective_skeleton(problem, objective, skeleton_cache, live)
     if skeleton is None:
         return None
     structure = skeleton.structure
@@ -196,6 +197,23 @@ def _solve_fixed_objective(
         interval_bounds=bounds,
         shares=_extract_allocations(problem, skeleton, 0, x),
     )
+
+
+def _fixed_objective_skeleton(
+    problem: MaxStretchProblem,
+    objective: float,
+    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None,
+    live: LiveProbe | None,
+) -> ConstraintSkeleton | None:
+    """The constraint skeleton of ``problem`` at ``objective``.
+
+    Strictly inside the live probe's ``F`` range the milestone order is the
+    probe's, so its skeleton is the one a rebuild would fetch from the
+    cache; anywhere else the interval structure is rebuilt at ``objective``.
+    """
+    if live is not None and live.f_low < objective < live.f_high:
+        return live.skeleton
+    return build_skeleton(problem, build_interval_structure(problem, objective), skeleton_cache)
 
 
 def _generic_costs(skeleton: ConstraintSkeleton) -> np.ndarray:

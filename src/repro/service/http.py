@@ -33,6 +33,8 @@ chosen port is on :attr:`ServiceServer.port`.
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -57,6 +59,32 @@ class _Server(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.scheduler_daemon = daemon
         self.drain_timeout = drain_timeout
+        # ``serve_forever`` would look for a stop request every 0.5 s;
+        # :meth:`serve` sleeps until a connection arrives or :meth:`stop`
+        # writes to this pair.
+        self._wake_read, self._wake_write = socket.socketpair()
+        self._stopping = False
+
+    def serve(self) -> None:
+        """Handle connections until :meth:`stop`."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_read, selectors.EVENT_READ)
+            while not self._stopping:
+                selector.select()
+                if not self._stopping:
+                    self._handle_request_noblock()
+
+    def stop(self) -> None:
+        """Make :meth:`serve` return now (a no-op after the first call)."""
+        if not self._stopping:
+            self._stopping = True
+            self._wake_write.send(b"\0")
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_read.close()
+        self._wake_write.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -219,7 +247,7 @@ class ServiceServer:
         self.daemon.start()
         if self._http_thread is None:
             self._http_thread = threading.Thread(
-                target=self._httpd.serve_forever,
+                target=self._httpd.serve,
                 name="repro-service-http",
                 daemon=True,
             )
@@ -227,11 +255,11 @@ class ServiceServer:
 
     def shutdown(self) -> None:
         """Stop the listener; the daemon is left to its owner (join/stop)."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._httpd.stop()
         if self._http_thread is not None:
             self._http_thread.join(timeout=5.0)
             self._http_thread = None
+        self._httpd.server_close()
 
     def __enter__(self) -> "ServiceServer":
         self.start()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
 
 import pytest
@@ -113,6 +114,16 @@ class TestCampaignPipeline:
         assert not outcome.merged.complete
 
 
+def _submit_one_and_drain(server) -> None:
+    body = json.dumps({"size": 2.0, "databank": "db"}).encode()
+    request = urllib.request.Request(f"{server.url}/submit", data=body, method="POST")
+    with urllib.request.urlopen(request, timeout=30) as response:
+        assert json.loads(response.read())["job_id"] == 0
+    request = urllib.request.Request(f"{server.url}/drain", data=b"", method="POST")
+    with urllib.request.urlopen(request, timeout=30) as response:
+        assert json.loads(response.read())["n_jobs"] == 1
+
+
 class TestServe:
     def test_serve_boots_and_drains(self, tmp_path):
         platform = Platform.uniform([1.0, 1.0], databanks=["db"])
@@ -121,22 +132,27 @@ class TestServe:
             platform, scheduler="srpt", journal=journal, time_scale=0.0
         )
         try:
-            body = json.dumps({"size": 2.0, "databank": "db"}).encode()
-            request = urllib.request.Request(
-                f"{server.url}/submit", data=body, method="POST"
-            )
-            with urllib.request.urlopen(request, timeout=30) as response:
-                assert json.loads(response.read())["job_id"] == 0
-            request = urllib.request.Request(
-                f"{server.url}/drain", data=b"", method="POST"
-            )
-            with urllib.request.urlopen(request, timeout=30) as response:
-                assert json.loads(response.read())["n_jobs"] == 1
+            _submit_one_and_drain(server)
         finally:
             server.shutdown()
         from repro.service import read_trace, verify_replay
 
         assert verify_replay(read_trace(journal)).identical
+
+    def test_shutdown_returns_once_the_listener_stops(self, tmp_path):
+        # ``serve_forever`` would notice the stop request at its next 0.5 s poll.
+        platform = Platform.uniform([1.0, 1.0], databanks=["db"])
+        server = api.serve(
+            platform, scheduler="srpt", journal=tmp_path / "svc.jsonl", time_scale=0.0
+        )
+        try:
+            _submit_one_and_drain(server)
+        finally:
+            start = time.perf_counter()
+            server.shutdown()
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.25
+        server.shutdown()  # a second call is a no-op
 
     def test_serve_rejects_clairvoyant_scheduler(self):
         platform = Platform.uniform([1.0], databanks=["db"])

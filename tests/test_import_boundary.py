@@ -2,10 +2,12 @@
 
 Each case runs in a fresh interpreter, since the test process itself has
 long since imported scipy.  ``repro.lp.backends`` imports its ``highs``
-module (and scipy under it) only when :func:`make_backend` builds the first
-backend, or when :func:`load_solver` is called: by a pooled campaign whose
-design solves LPs, before it forks its workers, and by a daemon serving an
-LP scheduler, at boot.
+module only when :func:`make_backend` builds the first backend, or when
+:func:`load_solver` is called: by a pooled campaign whose design solves
+LPs, before it forks its workers, and by a daemon serving an LP scheduler,
+at boot.  That module loads top-level ``scipy`` and the HiGHS extension
+module scipy vendors, never ``scipy.optimize``; imported in either order,
+the two share one extension module object.
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 _REPORT = """
 import json, sys
 print(json.dumps({"scipy": "scipy" in sys.modules,
+                  "optimize": "scipy.optimize" in sys.modules,
                   "highs": "repro.lp.backends.highs" in sys.modules}))
 """
+
+#: No solver loaded, and the solver alone: HiGHS without ``scipy.optimize``.
+_NOTHING = {"scipy": False, "optimize": False, "highs": False}
+_SOLVER = {"scipy": True, "optimize": False, "highs": True}
 
 #: A design small enough for a few seconds, on the campaign defaults otherwise.
 _CONFIG = """
@@ -40,8 +47,8 @@ CONFIG = ExperimentConfig(
 """
 
 
-def _loaded(*code: str) -> dict[str, bool]:
-    """Run the ``code`` blocks in a fresh interpreter; which solver modules it loaded."""
+def _run(*code: str) -> list[str]:
+    """Run the ``code`` blocks and the report in a fresh interpreter; its output lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -52,7 +59,12 @@ def _loaded(*code: str) -> dict[str, bool]:
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout.strip().splitlines()
+
+
+def _loaded(*code: str) -> dict[str, bool]:
+    """Run the ``code`` blocks in a fresh interpreter; which solver modules it loaded."""
+    return json.loads(_run(*code)[-1])
 
 
 def test_lp_free_work_never_imports_scipy():
@@ -75,7 +87,7 @@ def test_lp_free_work_never_imports_scipy():
         assert len(results.records) == 2 * len(heuristics)
         """,
     )
-    assert loaded == {"scipy": False, "highs": False}
+    assert loaded == _NOTHING
 
 
 def test_backend_names_need_no_solver_and_the_first_backend_loads_it():
@@ -90,7 +102,18 @@ def test_backend_names_need_no_solver_and_the_first_backend_loads_it():
         assert make_backend().name == "highs"
         """
     )
-    assert loaded == {"scipy": True, "highs": True}
+    assert loaded == _SOLVER
+
+
+def test_load_solver_loads_highs_without_scipy_optimize():
+    loaded = _loaded(
+        """
+        from repro.lp.backends import load_solver
+
+        load_solver()
+        """
+    )
+    assert loaded == _SOLVER
 
 
 @pytest.mark.parametrize(("scheduler", "loads"), [("online", True), ("swrpt", False)])
@@ -106,7 +129,7 @@ def test_a_daemon_loads_the_solver_at_boot_only_for_an_lp_scheduler(scheduler, l
         )
         """
     )
-    assert loaded == {"scipy": loads, "highs": loads}
+    assert loaded == (_SOLVER if loads else _NOTHING)
 
 
 @pytest.mark.parametrize(("keys", "loads"), [(("online", "swrpt"), True), (("swrpt",), False)])
@@ -122,4 +145,54 @@ def test_a_pooled_campaign_loads_the_solver_before_forking_only_for_lp_designs(k
         assert len(results.records) == 2 * {len(keys)}
         """,
     )
-    assert loaded == {"scipy": loads, "highs": loads}
+    assert loaded == (_SOLVER if loads else _NOTHING)
+
+
+#: Checks that the bindings are one module object, then prints an ``online``
+#: run's completions digest.
+_ONE_BINDINGS_MODULE = """
+import hashlib
+import numpy as np
+import scipy.optimize._highspy._highs_wrapper as wrapper
+import repro.lp.backends.highs as highs
+from repro import api
+from repro.workload.generator import generate_instance
+
+core = sys.modules["scipy.optimize._highspy._core"]
+assert core is highs._core is wrapper._h, (core, highs._core, wrapper._h)
+assert highs.Highs is core._Highs
+solved = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert solved.status == 0 and np.isclose(solved.fun, 1.0), solved
+
+instance = generate_instance(CONFIG.platform_spec(), CONFIG.workload_spec(), rng=3)
+completions = api.simulate(instance, "online").completions
+digest = hashlib.sha256(
+    "".join(f"{job},{time.hex()};" for job, time in sorted(completions.items())).encode()
+)
+print(digest.hexdigest())
+"""
+
+
+#: ``load_solver()`` and ``import scipy.optimize``, in both orders.
+_IMPORT_ORDERS = {
+    "solver first": """
+        from repro.lp.backends import load_solver
+        load_solver()
+        assert "scipy.optimize._highspy._core" in sys.modules
+        import scipy.optimize
+        """,
+    "optimize first": """
+        import scipy.optimize
+        from repro.lp.backends import load_solver
+        load_solver()
+        """,
+}
+
+
+def test_both_import_orders_share_one_bindings_module():
+    digests = {}
+    for order, imports in _IMPORT_ORDERS.items():
+        lines = _run("import sys", imports, _CONFIG, _ONE_BINDINGS_MODULE)
+        assert json.loads(lines[-1]) == {"scipy": True, "optimize": True, "highs": True}, order
+        digests[order] = lines[-2]
+    assert len(set(digests.values())) == 1, digests

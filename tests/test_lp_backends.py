@@ -10,6 +10,8 @@ verdicts at every milestone probe, same System (1) objective, and System
 from __future__ import annotations
 
 import gc
+import re
+import sys
 import threading
 import weakref
 
@@ -18,6 +20,7 @@ import pytest
 
 from repro import api
 from repro.core.errors import SolverError
+from repro.lp.backends import highs as highs_module
 from repro.lp.backends import WarmStartHint, make_backend, resolve_backend_name
 from repro.lp.backends.highs import HighsPersistentBackend
 from repro.lp.incremental import ReplanContext
@@ -500,3 +503,59 @@ class TestMakeBackend:
                 _small_instance(1, max_jobs=4), "online",
                 scheduler_options={"solver_backend": "scipy"},
             )
+
+
+#: Every ``_Highs`` method the backend calls.
+_HIGHS_METHODS = (
+    "changeColBounds", "changeColsCost", "clearModel", "getBasis", "getDualRay",
+    "getDualRayExist", "getModelStatus", "getObjectiveValue", "getOptionValue",
+    "getSolution", "modelStatusToString", "passModel", "run", "setBasis", "setOptionValue",
+)
+
+#: Every enum member the backend reads, by enum.
+_ENUM_MEMBERS = {
+    "HighsBasisStatus": ("kBasic", "kLower"),
+    "HighsModelStatus": ("kOptimal", "kInfeasible", "kUnboundedOrInfeasible"),
+    "HighsStatus": ("kError",),
+    "MatrixFormat": ("kColwise",),
+    "ObjSense": ("kMinimize",),
+}
+
+
+class TestBindingsSurface:
+    """The loaded extension module has everything the backend calls.
+
+    A scipy whose bindings move or change fails here, naming what is
+    missing, rather than in the middle of a solve.
+    """
+
+    def test_the_backend_finds_every_name_it_uses(self):
+        core = highs_module._core
+        assert highs_module.Highs is core._Highs
+        missing = [name for name in _HIGHS_METHODS if not hasattr(core._Highs, name)]
+        missing += [
+            f"{enum}.{member}"
+            for enum, members in _ENUM_MEMBERS.items()
+            for member in members
+            if not hasattr(getattr(core, enum, None), member)
+        ]
+        basis = core.HighsBasis()
+        missing += [f"HighsBasis.{name}" for name in ("col_status", "row_status", "valid")
+                    if not hasattr(basis, name)]
+        assert missing == []
+
+    def test_pass_model_takes_the_column_wise_arrays(self):
+        # ``_build_model`` passes 15 arguments: the sizes, format, sense and
+        # offset, then the cost, bound and CSC arrays and the integrality.
+        doc = highs_module.Highs.passModel.__doc__
+        overloads = re.findall(r"passModel\(self: [^,]*(.*)\) ->", doc)
+        arities = [len(re.findall(r"\barg\d+:", params)) for params in overloads]
+        assert 15 in arities, doc
+
+    def test_a_missing_extension_names_its_path(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, highs_module._BINDINGS)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize" / "_highspy"))):
+            highs_module._load_bindings()

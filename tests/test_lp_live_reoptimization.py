@@ -18,12 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.incremental as incremental_module
+import repro.lp.relaxation as relaxation_module
 from repro.core.errors import SolverError
 from repro.lp.backends import LPProbeStats, make_backend
 from repro.lp.backends.highs import HighsPersistentBackend
 from repro.lp.bank import SolverStateBank
 from repro.lp.incremental import ReplanContext
-from repro.lp.maxstretch import MilestoneSearchReport, minimize_max_weighted_flow
+from repro.lp.intervals import build_interval_structure
+from repro.lp.maxstretch import (
+    MilestoneSearchReport,
+    build_skeleton,
+    minimize_max_weighted_flow,
+)
 from repro.lp.problem import problem_from_instance
 from repro.lp.relaxation import reoptimize_allocation
 from repro.schedulers.offline import OfflineScheduler
@@ -31,7 +37,7 @@ from repro.schedulers.online_lp import OnlineLPScheduler
 from repro.simulation.engine import simulate
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
-from helpers import allocations, certify_answers, record_answers, work_for_job
+from helpers import allocations, certify_answers, record_answers, share_dict, work_for_job
 from scipy_backend import ScipyBackend
 from test_lp_backends import _small_instance, count_degraded_replans
 
@@ -139,6 +145,62 @@ class TestLiveEqualsRebuild:
         offline = OfflineScheduler(reoptimize_sum=True, solver_backend="highs")
         stats = simulate(instance, offline).lp_probes
         assert stats.n_live_reoptimizations == 1
+
+
+def _installed(reoptimized: list) -> list:
+    """System (2) answers, bit for bit: objective and every share's work."""
+    return [
+        (
+            solution.objective.hex(),
+            [(key, work.hex()) for key, work in share_dict(solution.shares).items()],
+        )
+        for _problem, solution in reoptimized
+    ]
+
+
+class TestLiveSkeleton:
+    @pytest.mark.parametrize(
+        ("variant", "with_faults"), [("online", False), ("online-nonopt", False), ("online", True)]
+    )
+    def test_system_2_takes_the_skeleton_a_rebuild_would_fetch(self, variant, with_faults):
+        """Inside the live probe's open ``F`` range System (2) builds no structure.
+
+        The rebuild it skips would have fetched the live probe's skeleton
+        from the cache, and a run that always rebuilds installs the same
+        System (2) answers, bit for bit.
+        """
+        taken = relaxation_module._fixed_objective_skeleton
+
+        def rebuilt(problem, objective, skeleton_cache, live):
+            structure = build_interval_structure(problem, objective)
+            return build_skeleton(problem, structure, skeleton_cache)
+
+        skipped = []
+
+        def checked(problem, objective, skeleton_cache, live):
+            skeleton = taken(problem, objective, skeleton_cache, live)
+            if live is not None and live.f_low < objective < live.f_high:
+                assert rebuilt(problem, objective, skeleton_cache, live) is skeleton
+                skipped.append(objective)
+            return skeleton
+
+        instance = _small_instance(2006, max_jobs=60, density=2.0)
+        faults = None
+        if with_faults:
+            faults = generate_fault_timeline(
+                instance.platform, FaultSpec(mtbf=20.0, mttr=3.0, horizon=30.0), rng=1
+            )
+        runs = {}
+        for name, skeleton_of in (("checked", checked), ("rebuilt", rebuilt)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(relaxation_module, "_fixed_objective_skeleton", skeleton_of)
+                _seen, reoptimized = record_answers(patch)
+                scheduler = OnlineLPScheduler(variant, solver_backend="highs")
+                result = simulate(instance, scheduler, faults=faults)
+            completions = {job: time.hex() for job, time in result.completions.items()}
+            runs[name] = (completions, _installed(reoptimized))
+        assert len(skipped) >= 0.9 * len(runs["checked"][1]) > 0
+        assert runs["checked"] == runs["rebuilt"]
 
 
 class TestFallbacks:
