@@ -56,7 +56,9 @@ the *incremental replanning pipeline* spanning the starred modules::
     |                          `import repro`
     |-- simulation/    the fluid discrete-event engine
     |   |-- clock      * heap-based event queue, batched simultaneous arrivals
-    |   |-- engine     * the step loop: dispatch, assign, advance, complete
+    |   |-- engine     * the step loop: dispatch, assign, advance, complete;
+    |   |                closed runs kept in typed buffers (32 bytes a run)
+    |   |                that the result's Schedule views without a copy
     |   |-- state        scheduler-visible execution state
     |   `-- result       SimulationResult (metrics, trace, scheduler overhead)
     |-- schedulers/    all scheduling strategies and the registry

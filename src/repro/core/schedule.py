@@ -93,8 +93,9 @@ class Schedule:
         self._slices: tuple[WorkSlice, ...] | None = tuple(
             sorted(slices, key=lambda s: (s.start, s.machine_id, s.job_id))
         )
-        #: ``(job_id, machine_id, start, end, work)`` arrays, one entry per
-        #: slice in recording order; set by :meth:`from_columns` only.
+        #: ``(job_id, machine_id, start, end, work)`` arrays (integer ids,
+        #: float64 dates and work), one entry per slice in recording order;
+        #: set by :meth:`from_columns` only.
         self._columns: tuple[np.ndarray, ...] | None = None
         self._completion_cache: dict[int, float] | None = None
 
@@ -111,11 +112,14 @@ class Schedule:
 
         The columns are checked as :class:`WorkSlice` checks one slice
         (positive duration and work); the slice objects themselves are built
-        on the first read.
+        on the first read.  Columns that already are integer (ids) or
+        float64 (dates, work) arrays or buffers -- the engine's typed run
+        buffers -- are held as views, not copied; other sequences are
+        converted to int64 / float64 arrays.
         """
         columns = (
-            np.asarray(job_id, dtype=np.int64),
-            np.asarray(machine_id, dtype=np.int64),
+            _int_column(job_id),
+            _int_column(machine_id),
             np.asarray(start, dtype=np.float64),
             np.asarray(end, dtype=np.float64),
             np.asarray(work, dtype=np.float64),
@@ -369,3 +373,9 @@ def _job_char(job_id: int) -> str:
     """Map a job id to a printable character for the ASCII Gantt chart."""
     alphabet = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
     return alphabet[job_id % len(alphabet)]
+
+
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """``values`` as an integer array: a view when it already is one."""
+    column = np.asarray(values)
+    return column if column.dtype.kind in "iu" else column.astype(np.int64)

@@ -24,9 +24,11 @@ The realized schedule is recorded run-length, as columns (job, machine,
 start, end, work): a step extends a machine's open run in place when it keeps
 the same job there and starts where the run ended, and opens a new run
 otherwise, so it allocates only where the assignment changed and a run's
-``work`` is summed step by step in execution order.  The result's
-:class:`~repro.core.schedule.Schedule` holds those columns and builds its
-slice objects only if something reads them.
+``work`` is summed step by step in execution order.  Closed runs go to typed
+buffers (C ``int`` ids, ``double`` dates and work; 32 bytes a run), so job
+and machine ids must fit 32 bits.  The result's
+:class:`~repro.core.schedule.Schedule` views those buffers without a copy and
+builds its slice objects only if something reads them.
 
 The cost of a step follows what changed in it: only the jobs that received
 work in the step, and those released since the last check, are tested for
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from array import array
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -143,7 +146,9 @@ class SimulationEngine:
         #: machine in platform order.
         platform = instance.platform
         self._row = {machine_id: row for row, machine_id in enumerate(platform.ids())}
-        self._machine_id = np.array(platform.ids(), dtype=np.int64)
+        for machine_id in platform.ids():
+            _check_id("machine", machine_id)
+        self._machine_id = np.array(platform.ids(), dtype=np.intc)
         self._speed = np.array([m.speed for m in platform], dtype=np.float64)
         banks = sorted(platform.databanks())
         #: Databank -> column of ``_hosts``; ``None`` (any machine) follows the
@@ -155,12 +160,13 @@ class SimulationEngine:
             [[b in m.databanks for b in banks] + [True, False] for m in platform], dtype=bool
         ).reshape(len(platform), len(banks) + 2)
         #: Each machine's open run (``end`` is ``-inf`` while it has none).
-        self._open_job = np.zeros(len(platform), dtype=np.int64)
+        self._open_job = np.zeros(len(platform), dtype=np.intc)
         self._open_start = np.zeros(len(platform), dtype=np.float64)
         self._open_end = np.full(len(platform), -math.inf)
         self._open_work = np.zeros(len(platform), dtype=np.float64)
-        #: Closed runs as columns (job, machine, start, end, work).
-        self._runs: tuple[list, ...] = ([], [], [], [], [])
+        #: Closed runs as columns (job, machine, start, end, work), typed
+        #: buffers laid out as the open-run tables above.
+        self._runs: tuple[array, ...] = (array("i"), array("i"), array("d"), array("d"), array("d"))
         self._events: list[SimulationEvent] = []
         self._scheduler_time = 0.0
         self._n_decisions = 0
@@ -227,6 +233,7 @@ class SimulationEngine:
             arrivals = [e.job for e in due if e.type is EventType.ARRIVAL and e.job]
             if arrivals:
                 for job in arrivals:
+                    _check_id("job", job.job_id)
                     state.release(job)
                     released.append(job.job_id)
                     if self.record_events:
@@ -522,13 +529,17 @@ class SimulationEngine:
                 runtime.first_service = start
 
     def _close_runs(self, rows: np.ndarray) -> None:
-        """Move the open runs of the machines at ``rows`` (if any) to the columns."""
+        """Move the open runs of the machines at ``rows`` (if any) to the columns.
+
+        Each table's entries are appended to its buffer as raw bytes (the
+        tables share the buffers' item types), so no value is boxed.
+        """
         rows = rows[self._open_end[rows] > -math.inf]
         for column, values in zip(
             self._runs,
             (self._open_job, self._machine_id, self._open_start, self._open_end, self._open_work),
         ):
-            column.extend(values[rows].tolist())
+            column.frombytes(values[rows].tobytes())
 
     def _collect_completions(self, rated_ids: Sequence[int], released: Sequence[int]) -> None:
         """Complete the finished jobs among those that ran or were just released.
@@ -581,6 +592,15 @@ class _Step(NamedTuple):
     rated_ids: list[int]
     rates: np.ndarray
     remaining: np.ndarray
+
+
+_ID_LIMITS = np.iinfo(np.intc)
+
+
+def _check_id(kind: str, value: int) -> None:
+    """Refuse an id that the 32-bit run columns could not hold."""
+    if not _ID_LIMITS.min <= value <= _ID_LIMITS.max:
+        raise ScheduleError(f"{kind} id {value} does not fit the engine's 32-bit run columns")
 
 
 def _earliest_completion(rate: np.ndarray, remaining: np.ndarray, now: float) -> float:

@@ -11,26 +11,37 @@ Completion checks: the engine tests only the jobs that ran in a step and
 those released since the last check.  ``FullScanEngine`` keeps the check it
 replaced, over every active job, as the oracle: completion sets, order and
 dates must be equal, under outages that re-queue lost work too.
+
+Storage: closed runs are held in typed buffers (32 bytes a run) that the
+result's schedule views without a copy, and an id those buffers cannot hold
+is refused rather than wrapped.
 """
 
 from __future__ import annotations
 
+import gc
+import inspect
+import tracemalloc
 from typing import Iterable
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
 from repro.core.job import Job
-from repro.core.platform import Platform
+from repro.core.platform import Machine, Platform
 from repro.core.schedule import Schedule, WorkSlice
 from repro.schedulers.base import Scheduler
+from repro.schedulers.registry import make_scheduler
 from repro.simulation import engine as engine_module
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import CompletionEvent
 from repro.simulation.faults import FaultTimeline
 from repro.simulation.state import Assignment
+from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 
 def _merge_adjacent(slices: Iterable[WorkSlice]) -> list[WorkSlice]:
@@ -231,3 +242,45 @@ def test_a_job_returning_to_a_machine_after_a_gap_opens_a_new_run():
     result = SimulationEngine(instance, ScriptedScheduler(script)).run()
     spans = [(s.job_id, s.start, s.end, s.work) for s in result.schedule]
     assert spans == [(0, 0.0, 2.0, 2.0), (0, 2.5, 3.5, 1.0), (1, 3.5, 4.5, 1.0)]
+
+
+def test_closed_runs_cost_32_bytes_and_reach_the_schedule_uncopied():
+    platform_spec = PlatformSpec(
+        n_clusters=20, processors_per_cluster=10, n_databanks=20, availability=0.6
+    )
+    instance = generate_instance(
+        platform_spec, WorkloadSpec(density=1.5, window=2.0, max_jobs=120), rng=7
+    )
+    assert len(instance.platform) == 200
+    lines, first = inspect.getsourcelines(SimulationEngine._close_runs)
+    close_runs = [
+        tracemalloc.Filter(True, engine_module.__file__, lineno=lineno)
+        for lineno in range(first, first + len(lines))
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = SimulationEngine(instance, make_scheduler("swrpt"))
+        result = engine.run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(stat.size for stat in snapshot.filter_traces(close_runs).statistics("filename"))
+    columns = result.schedule._columns
+    n_runs = len(columns[0])
+    assert n_runs > 10_000
+    assert retained <= 36 * n_runs
+    for column, buffer in zip(columns, engine._runs):
+        assert np.shares_memory(column, np.asarray(buffer))
+    assert len(result.schedule) == n_runs
+
+
+def test_an_id_beyond_32_bits_is_refused():
+    platform = Platform.uniform([1.0], databanks=["db"])
+    instance = Instance([Job(2**31, 0.0, 1.0, "db")], platform)
+    with pytest.raises(ScheduleError, match="job id 2147483648 does not fit"):
+        SimulationEngine(instance, make_scheduler("swrpt")).run()
+    platform = Platform([Machine(2**31, 1.0, 0, frozenset({"db"}))])
+    instance = Instance([Job(0, 0.0, 1.0, "db")], platform)
+    with pytest.raises(ScheduleError, match="machine id 2147483648 does not fit"):
+        SimulationEngine(instance, make_scheduler("swrpt"))

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.lp.maxstretch as maxstretch
-from repro.lp.backends import make_backend
+from repro.lp.backends import WarmStartHint, make_backend
 from repro.lp.incremental import ReplanContext
 from repro.lp.intervals import build_interval_structure
 from repro.lp.maxstretch import (
@@ -513,21 +513,28 @@ class TestProbeHistogram:
 
 
 def test_dual_ray_sign_convention():
-    """The normalized ray certifies min-over-box LHS > RHS on the raw arrays."""
+    """The normalized ray certifies min-over-box LHS > RHS on the raw arrays.
+
+    A cold solve runs HiGHS's presolve, which proves this toy infeasible
+    without a ray; a hinted solve runs with presolve off, as every milestone
+    probe does, so simplex proves it and a ray must come back.
+    """
     from scipy import sparse
 
     from helpers import lp_spec
 
     # infeasible: x + y <= 2 < 5
     spec = lp_spec([0.0, 0.0], upper=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[5.0])
+    hint = WarmStartHint(
+        series="toy", col_ids=np.arange(2, dtype=np.int64), row_ids=np.arange(1, dtype=np.int64)
+    )
     backend = make_backend("highs")
     try:
-        result = backend.solve(spec, warm=None)
+        result = backend.solve(spec, warm=hint)
     finally:
         backend.close()
     assert not result.feasible
-    if result.dual_ray is None:
-        pytest.skip("bindings produced no dual ray for this solve")
+    assert result.dual_ray is not None
     ray = result.dual_ray
     matrix = sparse.coo_matrix(
         (list(spec.eq_vals), (list(spec.eq_rows), list(spec.eq_cols))),

@@ -33,6 +33,7 @@ from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
+from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
 from helpers import work_for_job
 
@@ -153,6 +154,70 @@ class TestLPInvariants:
             assert work_for_job(solution, job.job_id) == pytest.approx(
                 job.remaining_work, rel=1e-5
             )
+
+
+
+#: The plan-following on-line LP variants (Online-EGDF's global list does not
+#: follow the LP's allocation, so its promise does not bind it).
+PLAN_FOLLOWING_LP_KEYS = ["online", "online-edf", "online-nonopt"]
+
+
+def _record_promises(scheduler) -> list[tuple[float, float]]:
+    """``(S*, deadline bound installed)`` of each of ``scheduler``'s LP replans.
+
+    Wraps the instance's ``_install_plan``, which ``_replan`` calls right
+    after setting ``last_objective`` (S*); the installed solution's
+    ``objective`` is S* x (1 + the inflation that replan's System (2) solve
+    used).
+    """
+    promises: list[tuple[float, float]] = []
+    install = scheduler._install_plan
+
+    def install_and_record(solution, instance, now):
+        promises.append((scheduler.last_objective, solution.objective))
+        install(solution, instance, now)
+
+    scheduler._install_plan = install_and_record
+    return promises
+
+
+def assert_run_keeps_its_lp_promise(instance: Instance, key: str) -> None:
+    """``offline`` ends at its S*; a plan-following on-line variant within its largest."""
+    scheduler = make_scheduler(key)
+    if key == "offline":
+        result = simulate(instance, scheduler)
+        optimum = scheduler.optimal_max_stretch
+        assert result.max_stretch == pytest.approx(optimum, rel=1e-9, abs=0.0)
+        return
+    promises = _record_promises(scheduler)
+    result = simulate(instance, scheduler)
+    assert promises
+    for optimum, bound in promises:
+        # System (2)'s inflation: 1e-7 (1e-12 generic), tenfold per retry up to 1e-3.
+        assert optimum < bound <= optimum * (1.0 + 1e-3)
+    assert result.max_stretch <= max(bound for _, bound in promises) + 1e-12
+
+
+class TestLPPromises:
+    """A plan-based LP run ends within the max-stretch its LPs promised."""
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        instance=restricted_instances(),
+        key=st.sampled_from(["offline", *PLAN_FOLLOWING_LP_KEYS]),
+    )
+    def test_run_keeps_its_lp_promise(self, instance, key):
+        assert_run_keeps_its_lp_promise(instance, key)
+
+    @pytest.mark.parametrize("key", ["offline", *PLAN_FOLLOWING_LP_KEYS])
+    def test_online_dense_shaped_run_keeps_its_lp_promise(self, key):
+        instance = generate_instance(
+            PlatformSpec(n_clusters=3, processors_per_cluster=10, n_databanks=3, availability=0.6),
+            WorkloadSpec(density=3.0, window=45.0, max_jobs=60),
+            rng=11,
+        )
+        assert len(instance.jobs) == 60
+        assert_run_keeps_its_lp_promise(instance, key)
 
 
 # ---------------------------------------------------------------------------
