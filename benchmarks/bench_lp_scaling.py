@@ -101,7 +101,7 @@ def bench_system1_warm_start(benchmark):
 
     warm = benchmark.pedantic(
         lambda: minimize_max_weighted_flow(
-            problem, warm_start=cold.objective, skeleton_cache={}, backend=ScipyBackend()
+            problem, warm_start=cold.objective, backend=ScipyBackend()
         ),
         rounds=3,
         iterations=1,

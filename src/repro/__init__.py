@@ -37,10 +37,12 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |                the same class skeleton, the split across
     |   |                resources fixed by a rule; with generic costs, the
     |   |                off-line schedule's pick among System (1)'s optima
-    |   |-- incremental* ReplanContext: caches + the previous S* as the
-    |   |                one warm start across replans, banked optima reuse
+    |   |-- incremental* ReplanContext: the live jobs' table + the previous
+    |   |                S* as the one warm start across replans, banked
+    |   |                optima reuse
     |   |-- bank       * content-addressed cross-run memo of exact System
-    |   |                (1)/(2) optima by problem signature (per-worker, LRU)
+    |   |                (1)/(2) optima by problem signature (one bucket,
+    |   |                per campaign task group)
     |   |-- aggregation  Shares arrays -> per-job totals, rows sorted by one
     |   |                lexsort on order keys, plan lanes per class
     |   `-- backends/  * the LP solver backend, one per run, with its run's
@@ -75,8 +77,8 @@ the *incremental replanning pipeline* spanning the starred modules::
     |-- workload/      GriPPS-like synthetic platform/workload generation
     |-- experiments/   the paper's campaign (configs inherit RunOptions)
     |   |-- runner     * campaign engine: whole (config, replicate) groups
-    |   |                over long-lived worker lanes (per-worker
-    |   |                solver-state bank, replicate-affinity
+    |   |                over long-lived worker lanes (a solver-state
+    |   |                bank per group, replicate-affinity
     |   |                placement, crash recovery), bit-identical at any
     |   |                worker count, progress/ETA
     |   |-- io           CSV/JSON persistence + JSONL campaign checkpoints

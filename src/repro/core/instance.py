@@ -209,16 +209,6 @@ class Instance:
         return Instance(self._jobs, platform)
 
     # -- summaries ---------------------------------------------------------------
-    def lower_bound_makespan(self) -> float:
-        """A trivial lower bound on the makespan (load / total speed, from last release)."""
-        if self.n_jobs == 0:
-            return 0.0
-        total_work = self._jobs.total_work()
-        return max(
-            total_work / self._platform.aggregate_speed(),
-            max(job.release + self.ideal_time(job.job_id) for job in self._jobs),
-        )
-
     def describe(self) -> str:
         """Human-readable description used by the CLI and examples."""
         lines = [repr(self), self._platform.describe(), "Jobs:"]

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.errors import ScheduleError
 from repro.core.instance import Instance
-from repro.utils.validation import ABS_TOL
 
 __all__ = ["WorkSlice", "Schedule"]
 
@@ -208,42 +207,6 @@ class Schedule:
     def busy_time(self, machine_id: int) -> float:
         """Total time the machine spends inside slices."""
         return float(sum(s.duration for s in self.slices if s.machine_id == machine_id))
-
-    def machine_utilization(self, instance: Instance) -> dict[int, float]:
-        """Per-machine busy-time fraction over the schedule makespan."""
-        horizon = self.makespan()
-        if horizon <= 0:
-            return {m.machine_id: 0.0 for m in instance.platform}
-        return {
-            m.machine_id: self.busy_time(m.machine_id) / horizon
-            for m in instance.platform
-        }
-
-    def preemption_count(self) -> int:
-        """Number of times a job is resumed after having been interrupted.
-
-        Computed per (job, machine) pair as the number of maximal service
-        intervals minus one, summed with cross-machine migrations ignored
-        (migration is free in this model).
-        """
-        count = 0
-        by_job: dict[int, list[WorkSlice]] = {}
-        for s in self.slices:
-            by_job.setdefault(s.job_id, []).append(s)
-        for job_id, slices in by_job.items():
-            slices = sorted(slices, key=lambda s: s.start)
-            # Merge slices that touch (possibly on different machines) into
-            # contiguous service periods.
-            periods = 0
-            current_end = -math.inf
-            for s in slices:
-                if s.start > current_end + ABS_TOL:
-                    periods += 1
-                    current_end = s.end
-                else:
-                    current_end = max(current_end, s.end)
-            count += max(0, periods - 1)
-        return count
 
     # -- validation -----------------------------------------------------------------
     def validate(

@@ -60,10 +60,10 @@ class ExperimentConfig(RunOptions):
     ``state_bank`` toggles the content-addressed cross-run solver-state
     bank (:mod:`repro.lp.bank`) for the on-line LP heuristics.  The flag is
     a plain bool here; only the campaign runner translates it into a live
-    per-worker bank (direct ``simulate()`` paths stay bank-less), and with
-    replicate-affinity placement the results are bit-identical at any
-    worker count either way -- ``state_bank=False`` simply re-pays the
-    cold solves.
+    bank, one per ``(configuration, replicate)`` group (direct
+    ``simulate()`` paths stay bank-less), so the results are bit-identical
+    at any worker count either way -- ``state_bank=False`` simply re-pays
+    the cold solves.
 
     The ``fault_*`` fields add a machine-availability axis (another scenario
     the paper discusses only qualitatively): when ``fault_mtbf`` and

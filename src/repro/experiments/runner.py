@@ -19,18 +19,18 @@ workers:
   bases, the LP counters) never outlives its run -- which is what keeps a
   sharded campaign *bit-identical* to the serial one: results can never
   depend on which tasks previously shared a worker.
-* **Replicate-affinity placement + cross-run solver-state bank.**  Each
-  worker holds one :class:`~repro.lp.bank.SolverStateBank`, and groups
-  are dealt to fixed per-worker *lanes* by first appearance (exactly like
-  the :class:`~repro.experiments.sharding.ShardPlan` deals instance groups
-  across shard legs).  All four on-line LP variants of one replicate thus
-  colocate on one worker and share banked exact optima keyed by the
-  instance's *content* -- and because each content key's bucket history is
-  the group's canonical prefix at any worker count, the bank preserves the
-  serial/sharded bit-identity invariant instead of breaking it.
-* **Serial runs own their bank.**  With ``n_workers=1`` the groups run in
-  the calling process on a bank built for that run, so concurrent serial
-  campaigns in one process never share one.
+* **One solver-state bank per group.**  :func:`_run_task_group` builds a
+  :class:`~repro.lp.bank.SolverStateBank` for its group and drops it when
+  the group returns, in pool workers and serial runs alike.  The group's
+  on-line LP variants -- the only runs on its instance -- share banked
+  exact optima keyed by the instance's *content*, and the bank's history
+  is the group's canonical prefix at any worker count, so the bank
+  preserves the serial/sharded bit-identity invariant instead of breaking
+  it, and a worker holds no LP state between groups.
+* **Deterministic placement.**  Groups are dealt to fixed per-worker
+  *lanes* by first appearance (exactly like the
+  :class:`~repro.experiments.sharding.ShardPlan` deals instance groups
+  across shard legs).
 * **Streaming collection + crash recovery.**  Each lane holds a few groups
   in flight at a time; completed groups are collected as they finish on
   any lane and appended to an optional
@@ -313,14 +313,7 @@ def campaign_meta(
         ) from None
 
 
-# -- per-worker state ---------------------------------------------------------------
-
-
-#: The pool process's cross-run solver-state bank (content-addressed, see
-#: :mod:`repro.lp.bank`), set by :func:`_init_worker` and handed to the
-#: schedulers whose configuration enables ``state_bank``.  Only pool
-#: processes have one: a serial run builds its own bank.
-_WORKER_BANK: SolverStateBank | None = None
+# -- pool workers -------------------------------------------------------------------
 
 
 #: How often a pool worker checks that the campaign process is still alive.
@@ -328,15 +321,12 @@ _PARENT_POLL_SECONDS = 0.25
 
 
 def _init_worker() -> None:
-    """Pool initializer: give the worker its long-lived bank up front.
+    """Pool initializer: exit once the campaign process that started us is gone.
 
-    The worker also exits once the campaign process that started it is
-    gone.  A campaign killed by SIGKILL cannot shut its pools down, and its
+    A campaign killed by SIGKILL cannot shut its pools down, and its
     workers would otherwise sleep on their call queues forever (their
     siblings keep the queues' pipes open, so no read ever ends).
     """
-    global _WORKER_BANK
-    _WORKER_BANK = SolverStateBank()
     parent = multiprocessing.parent_process()
     if parent is not None:
         threading.Thread(
@@ -365,7 +355,7 @@ def _run_one(
     # options so callers can still override them.
     options = config.scheduler_options_for(scheduler_key)
     options.update((scheduler_options or {}).get(scheduler_key, {}))
-    # The configuration carries the bank toggle as a plain bool; the worker
+    # The configuration carries the bank toggle as a plain bool; the group
     # is the only place a live bank exists, so translate it here.
     bank_flag = options.get("state_bank")
     if isinstance(bank_flag, bool):
@@ -415,31 +405,26 @@ def _run_one(
 
 
 def _run_task_group(
-    bank: SolverStateBank,
     config: ExperimentConfig,
     replicate: int,
     seed: int,
     scheduler_keys: Sequence[str],
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> tuple[list[RunRecord], float]:
-    """Run the schedulers of one (configuration, replicate) group with ``bank``.
+    """Run the schedulers of one (configuration, replicate) group.
 
     The instance is realized once, each scheduler runs back to back in the
-    canonical order, and the call returns ``(records, compute_seconds)``.
+    canonical order on the group's own solver-state bank, and the call
+    returns ``(records, compute_seconds)``.  It is also the pool entry point.
     """
     t_compute = time.perf_counter()
+    bank = SolverStateBank()
     instance = generate_instance(config.platform_spec(), config.workload_spec(), rng=seed)
     records = [
         _run_one(bank, config, instance, replicate, key, seed, scheduler_options)
         for key in scheduler_keys
     ]
     return records, time.perf_counter() - t_compute
-
-
-def _run_in_worker(*args: object) -> tuple[list[RunRecord], float]:
-    """Pool entry point: :func:`_run_task_group` with the pool process's bank."""
-    assert _WORKER_BANK is not None, "pool worker started without _init_worker"
-    return _run_task_group(_WORKER_BANK, *args)
 
 
 class _CampaignRun:
@@ -553,12 +538,11 @@ def run_campaign(
         always sees the same instance.
     n_workers:
         Number of worker processes.  ``1`` (default) runs everything in the
-        calling process, with a solver-state bank owned by this call
-        alone; larger values run whole ``(configuration, replicate)``
-        groups on per-worker *lanes* (one single-process pool each), each
-        group dealt to a fixed lane by first appearance -- so every worker
-        keeps its cross-run solver-state bank effective across the
-        schedulers of its replicates.  The returned record set
+        calling process; larger values run whole ``(configuration,
+        replicate)`` groups on per-worker *lanes* (one single-process pool
+        each), each group dealt to a fixed lane by first appearance.
+        Either way a group's schedulers share one solver-state bank, built
+        for the group.  The returned record set
         is bit-identical (up to the ``scheduler_time`` measurement) for
         every worker count, bank on or off.
     scheduler_options:
@@ -663,12 +647,9 @@ def run_campaign(
 
     try:
         if n_workers <= 1:
-            # This run's own bank: another serial run in this process (a
-            # second thread) must not share it.
-            bank = SolverStateBank()
             for unit in _group_pending(tasks, pending):
                 records, compute_seconds = _run_task_group(
-                    bank, *_group_args(tasks, unit, scheduler_options)
+                    *_group_args(tasks, unit, scheduler_options)
                 )
                 run.finish_group(unit, records, compute_seconds)
         elif pending:  # a fully-restored resume never pays for a pool
@@ -709,9 +690,7 @@ def _lane_assignments(tasks: Sequence[CampaignTask], n_workers: int) -> list[int
     and dealt modulo ``n_workers`` (the same rule
     :class:`~repro.experiments.sharding.ShardPlan` uses across shard legs,
     so placement is resume-stable: restored tasks still consume their
-    group's position).  Keeping a group whole on one lane is what gives the
-    worker's solver bank its hit rate, and what makes
-    every bank bucket's history independent of the worker count.
+    group's position).
     """
     lanes: list[int] = []
     group_lane: dict[tuple[str, int], int] = {}
@@ -730,7 +709,7 @@ def _group_args(
     unit: Sequence[int],
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> tuple:
-    """The :func:`_run_task_group` arguments (after ``bank``) of one group."""
+    """The :func:`_run_task_group` arguments of one group."""
     first = tasks[unit[0]]
     return (
         first.config,
@@ -802,7 +781,7 @@ def _run_pooled(
         unit = backlog.pop()
         t_submit = time.perf_counter()
         try:
-            future = pool.submit(_run_in_worker, *_group_args(tasks, unit, scheduler_options))
+            future = pool.submit(_run_task_group, *_group_args(tasks, unit, scheduler_options))
         except BrokenProcessPool:
             backlog.append(unit)
             recover_lane(lane)

@@ -49,10 +49,10 @@ __all__ = [
     "nearest_rank",
 ]
 
-#: Replan latencies an :class:`LPProbeStats` keeps: the most recent ones
-#: only, so a long-lived daemon's memory and the sort behind its p99
-#: admission valve stay bounded.  A batch run replans once per arrival
-#: burst, far fewer times than this.
+#: Replan latencies and per-search probe counts an :class:`LPProbeStats`
+#: keeps: the most recent ones only, so a long-lived daemon's memory and the
+#: sort behind its p99 admission valve stay bounded.  A batch run replans
+#: once per arrival burst, far fewer times than this.
 REPLAN_LATENCY_WINDOW = 1024
 
 
@@ -351,10 +351,16 @@ class LPProbeStats:
     #: winning probe's own optimum proved global optimality, so the
     #: downward confirmation probe was never solved).
     n_interior_exits: int = 0
-    #: Per-search ``(solved, skipped)`` probe counts, one entry per milestone
-    #: search, in completion order (feeds the per-replan medians of
-    #: ``benchmarks/bench_lp_scaling.py``).
-    searches: list[tuple[int, int]] = field(default_factory=list)
+    #: Per-search ``(solved, skipped)`` probe counts of the last
+    #: :data:`REPLAN_LATENCY_WINDOW` milestone searches, in completion order
+    #: (feeds the per-replan medians of ``benchmarks/bench_lp_scaling.py``).
+    searches: deque[tuple[int, int]] = field(
+        default_factory=lambda: deque(maxlen=REPLAN_LATENCY_WINDOW)
+    )
+    #: Milestone searches recorded by :meth:`record_search`, and the probes
+    #: they solved, over the whole run.
+    n_searches: int = 0
+    n_search_probes: int = 0
     #: Probes the HiGHS backend failed and then answered on a fresh, cold
     #: model (the downgrade of ``HighsPersistentBackend._solve``).
     n_downgrades: int = 0
@@ -368,8 +374,8 @@ class LPProbeStats:
     #: for an exactly-matching problem signature.
     n_primal_reuses: int = 0
     #: Wall-clock seconds spent assembling System (1) probes before handing
-    #: them to the backend: interval structure, skeleton arrays (cached per
-    #: signature), ``LPSpec`` and warm-start hint.
+    #: them to the backend: interval structure, skeleton arrays, ``LPSpec``
+    #: and warm-start hint.
     assembly_seconds: float = 0.0
     #: Wall-clock seconds inside whole milestone searches (bounds, milestone
     #: enumeration, probe loop -- solves included).
@@ -383,6 +389,13 @@ class LPProbeStats:
     replan_latencies: deque[float] = field(
         default_factory=lambda: deque(maxlen=REPLAN_LATENCY_WINDOW)
     )
+
+    def record_search(self, solved: int, skipped: int) -> None:
+        """Count one milestone search's solved and certificate-skipped probes."""
+        self.n_searches += 1
+        self.n_search_probes += solved
+        self.n_certificate_skipped += skipped
+        self.searches.append((solved, skipped))
 
     @property
     def per_probe_seconds(self) -> float:

@@ -10,23 +10,20 @@ System (1)/(2) problem has a content-identical optimum, so the whole
 milestone search (or re-optimization) is skipped and the stored solution
 is re-bound onto the consumer's problem object.
 
-Buckets are keyed by the **content** of the realized instance -- a hash
-over the jobs (ids, releases, sizes, databanks) and the platform (machine
-ids, cycle times, hosted databanks) -- never by run order, so what a
-consumer finds in its bucket is a function of which content-identical runs
-completed before it, not of where they ran.  Combined with the
-replicate-affinity task placement of :mod:`repro.experiments.runner`
-(every task of one ``(config, replicate)`` group executes on the same
-worker lane, in canonical order), each bucket's history is exactly the
-group's canonical prefix at any worker count -- which is what keeps
-sharded campaign records bit-identical to serial runs with the bank
-enabled.
+A bank lives exactly as long as one ``(config, replicate)`` task group of
+:mod:`repro.experiments.runner` -- the only runs that realize the
+instance its bucket serves -- so the bucket's history is the group's
+canonical prefix wherever the group runs, which is what keeps sharded
+campaign records bit-identical to serial runs with the bank enabled.  The
+bucket is keyed by the **content** of the realized instance -- a hash over
+the jobs (ids, releases, sizes, databanks) and the platform (machine ids,
+cycle times, hosted databanks) --, so a run on any other instance finds a
+cold bucket instead of another LP's optima.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,12 +36,6 @@ __all__ = [
     "instance_content_key",
     "problem_signature",
 ]
-
-#: Buckets kept per bank (least-recently-used eviction).  Tasks of one
-#: content group are consecutive on their worker lane, so only the current
-#: group's bucket is ever live; a small bound caps memory on long
-#: campaigns without hurting the hit rate.
-_MAX_BUCKETS = 8
 
 #: Primal solutions kept per bucket and system.  Replans past the first
 #: arrival diverge across schedulers (executed work differs), so reuse
@@ -135,51 +126,32 @@ class BankBucket:
 
 
 class SolverStateBank:
-    """The per-worker bank: content key -> :class:`BankBucket`, LRU-bounded.
+    """The bank of one task group: the :class:`BankBucket` of one content key.
 
-    One bank lives in each campaign worker (and one in the in-process
-    serial runner); :class:`~repro.lp.incremental.ReplanContext` acquires
-    the bucket for its instance at construction, reads stored optima from
-    it and stores its own as it solves them.  Eviction is deterministic and
-    harmless: tasks of one content group are consecutive on their lane, so
-    an evicted bucket's key never recurs.
+    The campaign runner builds one per ``(configuration, replicate)``
+    group and drops it when the group returns (and
+    :mod:`repro.experiments.overhead` one per replicate): only the
+    schedulers of that group realize its instance, so no other run could
+    read the bucket.  :class:`~repro.lp.incremental.ReplanContext`
+    acquires the bucket for its instance at construction, reads stored
+    optima from it and stores its own as it solves them; acquiring another
+    key starts a cold bucket in its place.
     """
 
-    def __init__(self, *, max_buckets: int = _MAX_BUCKETS):
-        self._buckets: OrderedDict[str, BankBucket] = OrderedDict()
-        self._max_buckets = max(1, int(max_buckets))
+    def __init__(self) -> None:
+        self._key: str | None = None
+        self._bucket = BankBucket()
         self.n_hits: int = 0
         self.n_misses: int = 0
 
     def acquire(self, key: str) -> tuple[BankBucket, bool]:
         """The bucket for ``key`` plus whether it arrived warm (a bank hit)."""
-        bucket = self._buckets.get(key)
-        hit = bucket is not None and bucket.warm
-        if bucket is None:
-            bucket = BankBucket()
-            self._buckets[key] = bucket
-        self._buckets.move_to_end(key)
-        while len(self._buckets) > self._max_buckets:
-            self._buckets.popitem(last=False)
+        if key != self._key:
+            self._key = key
+            self._bucket = BankBucket()
+        hit = self._bucket.warm
         if hit:
             self.n_hits += 1
         else:
             self.n_misses += 1
-        return bucket, hit
-
-    def stats(self) -> dict[str, int]:
-        """Machine-readable counters (buckets held, lookup hits/misses)."""
-        return {
-            "n_buckets": len(self._buckets),
-            "n_hits": self.n_hits,
-            "n_misses": self.n_misses,
-        }
-
-    def clear(self) -> None:
-        """Drop every bucket and reset the counters."""
-        self._buckets.clear()
-        self.n_hits = 0
-        self.n_misses = 0
-
-    def __len__(self) -> int:
-        return len(self._buckets)
+        return self._bucket, hit

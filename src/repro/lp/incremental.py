@@ -11,19 +11,22 @@ work is identical:
 * the optimal max-stretch :math:`S^*` moves little from one release date to
   the next, so the milestone search is **warm-started** at the previous
   optimum -- the only solution value carried from one replan to the next;
+* the **job table** holds the admitted, uncompleted jobs only: a row is
+  appended when the job is admitted and dropped when it completes;
 * the winning System (1) probe and the System (2) re-optimization that
-  follows share the same milestone interval, so their **constraint
-  skeletons** (one column set per job class, its variable indexing and row
-  grouping) are identical and cached;
-  on persistent HiGHS, System (2) even re-solves the winning probe's model.
+  follows share the same milestone interval, so System (2) takes the
+  probe's **constraint skeleton** (one column set per job class, its
+  variable indexing and row grouping) instead of rebuilding it; on
+  persistent HiGHS, it even re-solves the winning probe's model.
 
-:class:`ReplanContext` bundles these caches behind the same three calls a
+:class:`ReplanContext` bundles these behind the same three calls a
 from-scratch replan makes (`build problem`, `solve System (1)`, `re-optimize
 System (2)`).  Because warm-starting only reorders the probes of a monotone
-feasibility search and the cached skeletons pin the exact variable order of
-every LP, the context returns *bit-identical* objectives and
-allocations to rebuilding every LP from scratch -- the from-scratch
-scheduler survives only as the test oracle in ``tests/replan_oracles.py``.
+feasibility search and a skeleton is a function of the problem and its
+interval structure alone, pinning the exact variable order of every LP, the
+context returns *bit-identical* objectives and allocations to rebuilding
+every LP from scratch -- the from-scratch scheduler survives only as the
+test oracle in ``tests/replan_oracles.py``.
 
 The LP solves themselves go through a :mod:`repro.lp.backends` backend
 that lives for the context's run.  The bit-identical guarantee above holds
@@ -53,17 +56,16 @@ from repro.lp.backends import SolverBackend, make_backend
 from repro.lp.backends.base import annotate_solver_error
 from repro.lp.bank import BankBucket, SolverStateBank, instance_content_key, problem_signature
 from repro.lp.maxstretch import (
-    ConstraintSkeleton,
     LiveProbe,
     MaxStretchSolution,
     MilestoneSearchReport,
     minimize_max_weighted_flow,
 )
 from repro.lp.problem import (
+    JobRow,
     JobTable,
     MaxStretchProblem,
     Resource,
-    build_job_table,
     build_resources,
     job_rows,
     problem_from_instance,
@@ -75,11 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReplanContext"]
 
-#: Skeleton cache entries kept per context.  One replan touches a handful of
-#: milestone intervals; keeping a small multiple of that bounds memory on
-#: long campaigns without measurably hurting the hit rate.
-_MAX_SKELETONS = 64
-
 
 class ReplanContext:
     """Caches carried across the successive LP solves of one simulation run.
@@ -87,8 +84,10 @@ class ReplanContext:
     Parameters
     ----------
     instance:
-        The instance being simulated.  The platform-derived caches (resource
-        tuple and :class:`~repro.lp.problem.JobTable`) are computed once here.
+        The instance being simulated.  The resource tuple is computed once
+        here, and the :class:`~repro.lp.problem.JobTable` starts with the
+        jobs ``instance`` holds (every job of a batch instance, none of an
+        empty :class:`~repro.core.instance.LiveInstance`).
     solver_backend:
         The run's LP solver backend, resolved through
         :func:`~repro.lp.backends.make_backend`: ``None``, ``"auto"`` or
@@ -98,7 +97,7 @@ class ReplanContext:
         simplex from the previous basis instead of a cold one.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across the
-        runs of one campaign worker.  The context acquires the bucket for
+        runs of one campaign task group.  The context acquires the bucket for
         the instance's content key at construction, answers exact
         problem-signature matches from its stored optima and stores its own
         optima into it as it solves them.  ``None`` (the default, and every
@@ -129,15 +128,16 @@ class ReplanContext:
     ):
         self.instance = instance
         self.resources: tuple[Resource, ...] = build_resources(instance.platform)
-        self.job_table: JobTable = build_job_table(instance, self.resources)
-        self._table_ids: set[int] = {row[0] for row in self.job_table.rows}
+        #: The table's rows by job id, in admission order.
+        self._rows: dict[int, JobRow] = {}
+        self._table: JobTable | None = None
+        self.ensure_jobs(instance.jobs)
         self.backend: SolverBackend = make_backend(solver_backend)
         # A caller-supplied backend instance may have served a previous run;
         # drop its series bases and its counters, so both describe this run.
         self.backend.close()
         self.last_objective: float | None = None
         self.n_replans: int = 0
-        self._skeletons: dict[tuple, ConstraintSkeleton] = {}
         self._bucket: BankBucket | None = None
         self._last_problem: MaxStretchProblem | None = None
         self._live: LiveProbe | None = None
@@ -149,6 +149,14 @@ class ReplanContext:
                 self.backend.stats.n_bank_misses += 1
 
     # -- problem construction ------------------------------------------------------
+    @property
+    def job_table(self) -> JobTable:
+        """The :class:`~repro.lp.problem.JobTable` of the admitted, uncompleted jobs."""
+        table = self._table
+        if table is None:
+            table = self._table = JobTable(rows=tuple(self._rows.values()))
+        return table
+
     def build_problem(
         self, now: float, remaining: Mapping[int, float]
     ) -> MaxStretchProblem:
@@ -167,30 +175,30 @@ class ReplanContext:
         )
 
     def ensure_jobs(self, jobs: "Sequence[Job]") -> None:
-        """Extend the replan fast path with jobs admitted after construction.
+        """Give the jobs admitted since the last call their table rows.
 
-        Batch mode builds the :class:`~repro.lp.problem.JobTable` from the
-        full instance up front, so this is a no-op there (every arriving job
-        is already a table row).  In service mode the instance *grows* as
-        submissions are accepted; the scheduler calls this from its arrival
-        hook so the table gains one row per admitted job, computed by
-        :func:`~repro.lp.problem.job_rows` like the rest of the table.
-        Jobs are admitted in ``(release, job_id)`` order (the
-        :class:`~repro.core.instance.LiveInstance` invariant), so a table
-        grown incrementally is bit-identical to one built from the final
-        instance restricted to the jobs seen so far -- which keeps service
-        replans bit-identical to their batch counterparts.
+        The scheduler calls this from its arrival hook (a no-op for a batch
+        instance, whose jobs all have rows from the start; in service mode
+        the instance *grows* as submissions are accepted), so the table
+        gains one row per admitted job, computed by
+        :func:`~repro.lp.problem.job_rows`.  Jobs are admitted in
+        ``(release, job_id)`` order (the
+        :class:`~repro.core.instance.LiveInstance` invariant) and
+        :meth:`drop_job` keeps the order of the rest, so the table is
+        always the final instance's restricted to the admitted, uncompleted
+        jobs -- which keeps service replans bit-identical to their batch
+        counterparts.
         """
-        new = []
-        for job in jobs:
-            if job.job_id not in self._table_ids:
-                self._table_ids.add(job.job_id)
-                new.append(job)
+        new = [job for job in jobs if job.job_id not in self._rows]
         if new:
-            # JobTable is frozen (its arrays() cache must match its rows);
-            # grow by replacement so the cache is rebuilt lazily.
-            rows = job_rows(self.instance, new, self.resources)
-            self.job_table = JobTable(rows=self.job_table.rows + rows)
+            for row in job_rows(self.instance, new, self.resources):
+                self._rows[row[0]] = row
+            self._table = None
+
+    def drop_job(self, job_id: int) -> None:
+        """Drop the row of a completed job: no later problem holds it."""
+        if self._rows.pop(job_id, None) is not None:
+            self._table = None
 
     # -- solves --------------------------------------------------------------------
     def solve_max_stretch(self, problem: MaxStretchProblem) -> MaxStretchSolution:
@@ -216,7 +224,6 @@ class ReplanContext:
             solution = minimize_max_weighted_flow(
                 problem,
                 warm_start=self.last_objective,
-                skeleton_cache=self._skeletons,
                 backend=self.backend,
                 report=report,
             )
@@ -230,7 +237,6 @@ class ReplanContext:
             )
             raise
         self._live = report.live
-        self._trim_skeletons()
         if bucket is not None:
             # Banked with its shares built: the probe columns they would
             # otherwise wait in pin the skeleton for the bank's lifetime.
@@ -245,11 +251,11 @@ class ReplanContext:
         Called on machine availability transitions: the carried warm start
         describes the previous plan on a stable platform, and an outage
         invalidates that (a downed machine executes nothing its plan
-        claimed).  Structural caches (resources, job table, skeletons)
-        survive: they describe problem shapes, not solution values, and the
-        full-platform problem returns unchanged once every machine is back
-        up.  Bank entries also survive -- they are keyed by the full problem
-        content, so they can only ever re-bind exact optima.
+        claimed).  Structural caches (resources, job table) survive: they
+        describe problem shapes, not solution values, and the full-platform
+        problem returns unchanged once every machine is back up.  Bank
+        entries also survive -- they are keyed by the full problem content,
+        so they can only ever re-bind exact optima.
         """
         self.last_objective = None
 
@@ -282,7 +288,7 @@ class ReplanContext:
     def reoptimize(
         self, problem: MaxStretchProblem, objective: float
     ) -> MaxStretchSolution:
-        """System (2) at fixed ``objective``, sharing the skeleton cache.
+        """System (2) at fixed ``objective``, on the winning probe's skeleton.
 
         With a bank bucket, a re-optimization already stored for the
         exact ``(problem signature, objective)`` pair is re-bound and
@@ -332,15 +338,9 @@ class ReplanContext:
                 self.backend.stats.n_primal_reuses += 1
                 return self._rebind(banked, problem)
         solution = reoptimize_allocation(
-            problem, objective, skeleton_cache=self._skeletons, backend=self.backend,
-            live=live, generic=generic,
+            problem, objective, backend=self.backend, live=live, generic=generic
         )
         if bucket is not None:
             bucket.sys2[key] = solution
             bucket.trim()
         return solution
-
-    def _trim_skeletons(self) -> None:
-        """Bound the skeleton cache (drop oldest entries, dict is insertion-ordered)."""
-        while len(self._skeletons) > _MAX_SKELETONS:
-            self._skeletons.pop(next(iter(self._skeletons)))

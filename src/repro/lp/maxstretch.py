@@ -49,7 +49,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass
-from typing import MutableMapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,9 +199,8 @@ class ConstraintSkeleton:
 
     Nothing here depends on the objective bounds, the works or the costs
     (right-hand sides are member counts, scaled by the class work in
-    :func:`_lp_spec`), so the :class:`~repro.lp.incremental.ReplanContext`
-    caches skeletons by :attr:`signature`: the winning System (1) probe and
-    the System (2) solve after it share one.
+    :func:`_lp_spec`), so the winning System (1) probe and the System (2)
+    solve after it share one (:class:`LiveProbe`).
 
     Columns come class by class (classes in the release order of their
     first member): the class's ``x`` by interval, then resource, from its
@@ -228,9 +227,8 @@ class ConstraintSkeleton:
 
     Attributes
     ----------
-    structure, signature:
-        The interval structure the skeleton was built on; the cache key
-        (boundaries, job windows, job ids, class labels and resources).
+    structure:
+        The interval structure the skeleton was built on.
     key_t, key_c, key_k:
         Per ``x`` column: its interval, resource and class.
     n_slacks:
@@ -257,7 +255,6 @@ class ConstraintSkeleton:
     """
 
     structure: IntervalStructure
-    signature: tuple
     key_t: np.ndarray
     key_c: np.ndarray
     key_k: np.ndarray
@@ -309,9 +306,6 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 class _JobClasses(NamedTuple):
     """A problem's job classes (:func:`_job_classes`), with their per-class arrays."""
 
-    #: Cache-key part of the skeleton signature: job ids, class labels (in
-    #: job order) and class resources.
-    key: tuple
     #: Job positions class by class, in release order inside a class.
     member_pos: np.ndarray
     #: Job ids and class index of the members (in ``member_pos`` order).
@@ -348,7 +342,6 @@ def _job_classes(problem: MaxStretchProblem) -> _JobClasses:
         last_start: list[float] = []
         members: list[list[int]] = []
         resources: list[tuple[int, ...]] = []
-        labels = [0] * len(jobs)
         # Release order, then start order, then job order (lexsort is stable).
         for pos in np.lexsort((starts, releases)).tolist():
             start = start_of[pos]
@@ -360,17 +353,14 @@ def _job_classes(problem: MaxStretchProblem) -> _JobClasses:
                 resources.append(eligible[pos])
             last_start[label] = start
             members[label].append(pos)
-            labels[pos] = label
         sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
         n_res = np.fromiter(map(len, resources), dtype=np.int64, count=len(members))
         member_pos = np.fromiter(
             (pos for m in members for pos in m), dtype=np.int64, count=len(jobs)
         )
-        ids = tuple(job.job_id for job in jobs)
         classes = _JobClasses(
-            key=(ids, tuple(labels), tuple(resources)),
             member_pos=member_pos,
-            member_id=np.array(ids, dtype=np.int64)[member_pos],
+            member_id=np.array([job.job_id for job in jobs], dtype=np.int64)[member_pos],
             member_class=np.repeat(np.arange(len(members), dtype=np.int64), sizes),
             member_start=np.concatenate(([0], np.cumsum(sizes))),
             n_res=n_res,
@@ -385,11 +375,9 @@ def _job_classes(problem: MaxStretchProblem) -> _JobClasses:
 
 
 def build_skeleton(
-    problem: MaxStretchProblem,
-    structure: IntervalStructure,
-    cache: MutableMapping[tuple, "ConstraintSkeleton"] | None = None,
+    problem: MaxStretchProblem, structure: IntervalStructure
 ) -> ConstraintSkeleton | None:
-    """Build (or fetch from ``cache``) the constraint skeleton for ``structure``.
+    """Build the constraint skeleton of ``problem`` on ``structure``.
 
     Returns ``None`` when some job has no interval to run in, i.e. its
     deadline does not lie strictly after its earliest start -- the quick
@@ -407,14 +395,6 @@ def build_skeleton(
     classes = _job_classes(problem)
     bnd_const = structure.bnd_const
     bnd_coef = structure.bnd_coef
-    signature = (
-        bnd_const.tobytes(), bnd_coef.tobytes(), starts.tobytes(), ends.tobytes(), classes.key
-    )
-    if cache is not None:
-        cached = cache.get(signature)
-        if cached is not None:
-            return cached
-
     member_start = classes.member_start
     member_class = classes.member_class
     member_id = classes.member_id
@@ -489,9 +469,8 @@ def build_skeleton(
         rel_first = rel_class = rel_count = rel_entry_rows = rel_entry_cols = _NO_ROWS
 
     member_col0 = col_start[member_class] - class_start[member_class] * n_res[member_class]
-    skeleton = ConstraintSkeleton(
+    return ConstraintSkeleton(
         structure=structure,
-        signature=signature,
         key_t=key_t,
         key_c=key_c,
         key_k=key_k,
@@ -543,9 +522,6 @@ def build_skeleton(
             ]
         ),
     )
-    if cache is not None:
-        cache[signature] = skeleton
-    return skeleton
 
 
 def warm_hint(skeleton: ConstraintSkeleton, *, with_objective_var: bool) -> WarmStartHint:
@@ -746,7 +722,6 @@ def solve_on_objective_range(
     f_low: float,
     f_high: float,
     *,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     outcome: ProbeOutcome | None = None,
 ) -> MaxStretchSolution | None:
@@ -754,8 +729,6 @@ def solve_on_objective_range(
 
     Returns ``None`` when no feasible schedule exists with a maximum weighted
     flow in that range (the expected outcome for ranges below the optimum).
-    ``skeleton_cache`` optionally reuses constraint skeletons across solves
-    sharing the same interval structure (see :class:`ConstraintSkeleton`);
     ``backend`` selects the LP solver backend (persistent backends
     additionally start each probe from the basis of the previous one,
     mapped through :func:`warm_hint`) and receives the assembly time in its
@@ -779,7 +752,7 @@ def solve_on_objective_range(
     assembly_start = time.perf_counter()
     probe = _probe_value(f_low, f_high)
     structure = build_interval_structure(problem, probe)
-    skeleton = build_skeleton(problem, structure, skeleton_cache)
+    skeleton = build_skeleton(problem, structure)
     if skeleton is None:
         backend.stats.assembly_seconds += time.perf_counter() - assembly_start
         return None
@@ -812,7 +785,6 @@ def minimize_max_weighted_flow(
     problem: MaxStretchProblem,
     *,
     warm_start: float | None = None,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     report: MilestoneSearchReport | None = None,
 ) -> MaxStretchSolution:
@@ -828,9 +800,6 @@ def minimize_max_weighted_flow(
         milestone search starts at the interval containing it.  Because
         feasibility is monotone in the objective, the result is *identical*
         to a cold search -- only the probe order changes.
-    skeleton_cache:
-        Optional mapping reusing constraint skeletons across solves (see
-        :class:`ConstraintSkeleton`).
     backend:
         LP solver backend; ``None`` means one fresh
         :class:`~repro.lp.backends.highs.HighsPersistentBackend` for the whole
@@ -865,7 +834,6 @@ def minimize_max_weighted_flow(
         problem,
         boundaries,
         start_idx,
-        skeleton_cache=skeleton_cache,
         backend=backend,
         report=report,
     )
@@ -875,8 +843,7 @@ def minimize_max_weighted_flow(
         # the last interval infeasible, retry with a widened bracket before
         # giving up.
         widened = solve_on_objective_range(
-            problem, f_lb, 2.0 * f_ub + 1.0, skeleton_cache=skeleton_cache,
-            backend=backend,
+            problem, f_lb, 2.0 * f_ub + 1.0, backend=backend
         )
         if widened is None:
             raise InfeasibleError(
@@ -910,7 +877,6 @@ def _search_certificate(
     boundaries: Sequence[float],
     start_idx: int,
     *,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend,
     report: MilestoneSearchReport | None = None,
 ) -> MaxStretchSolution | None:
@@ -946,8 +912,7 @@ def _search_certificate(
         nonlocal solved, live
         outcome = ProbeOutcome()
         solution = solve_on_objective_range(
-            problem, boundaries[i], boundaries[i + 1],
-            skeleton_cache=skeleton_cache, backend=backend, outcome=outcome,
+            problem, boundaries[i], boundaries[i + 1], backend=backend, outcome=outcome
         )
         solved += 1
         if solution is not None:
@@ -959,8 +924,7 @@ def _search_certificate(
         if report is not None:
             report.live = live
         stats = backend.stats
-        stats.n_certificate_skipped += skipped
-        stats.searches.append((solved, skipped))
+        stats.record_search(solved, skipped)
         stats.n_interior_exits += int(interior_exit)
         return best
 

@@ -318,13 +318,14 @@ JobRow = tuple[int, float, float, float, tuple[int, ...]]
 class JobTable:
     """Array-backed per-job invariants, the one way into a :class:`MaxStretchProblem`.
 
-    One row per instance job, in instance order (which pins the LP job and
-    column order): ``(job_id, release, size, flow_factor, eligible resource
+    One row per job, in instance order (which pins the LP job and column
+    order): ``(job_id, release, size, flow_factor, eligible resource
     indices)``.  Releases, sizes, flow factors (the stretch weights, i.e.
     the jobs' ideal times) and eligibility never change during a simulation,
-    so the :class:`~repro.lp.incremental.ReplanContext` builds the table
-    once and every replan's :func:`problem_from_instance` call skips the
-    weight and eligibility recomputation entirely.  A table built on a
+    so the :class:`~repro.lp.incremental.ReplanContext` computes a job's row
+    once, at its admission, keeps it until the job completes, and every
+    replan's :func:`problem_from_instance` call skips the weight and
+    eligibility recomputation entirely.  A table built on a
     restricted platform (degraded replans) may hold rows with no eligible
     resource: those jobs must not be active.
     """

@@ -37,13 +37,11 @@ the problem, and it favours neither early nor late completions.
 
 from __future__ import annotations
 
-from typing import MutableMapping
-
 import numpy as np
 
 from repro.core.errors import InfeasibleError, SolverError
 from repro.lp.backends import SolverBackend, make_backend
-from repro.lp.intervals import build_interval_structure
+from repro.lp.intervals import IntervalStructure, build_interval_structure
 from repro.lp.maxstretch import (
     ConstraintSkeleton,
     LiveProbe,
@@ -65,7 +63,6 @@ def reoptimize_allocation(
     objective: float,
     *,
     inflation: float | None = None,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     live: LiveProbe | None = None,
     generic: bool = False,
@@ -79,21 +76,15 @@ def reoptimize_allocation(
     objective:
         The max weighted flow bound :math:`\\mathcal{S}^*` (deadlines are
         derived from it).
-    skeleton_cache:
-        Optional mapping reusing constraint skeletons across solves.  The
-        System (2) probe usually lands in the same milestone interval as the
-        winning System (1) probe, so the skeleton is a cache hit when the
-        same mapping was passed to
-        :func:`~repro.lp.maxstretch.minimize_max_weighted_flow`.  A target
-        strictly inside ``live``'s ``F`` bounds takes ``live``'s skeleton
-        without a lookup.
     backend:
         LP solver backend (``None`` -> a fresh persistent HiGHS backend).
     live:
-        The winning probe of ``problem``'s milestone search.  A target with
-        its skeleton and inside its ``F`` bounds -- each geometric inflation
-        retry included -- is solved on its model; otherwise, or on failure,
-        the program is rebuilt (warm-started from the series basis).
+        The winning probe of ``problem``'s milestone search.  System (2)
+        usually lands in the probe's milestone interval: a target inside
+        its ``F`` bounds -- each geometric inflation retry included --
+        whose interval structure is the probe's takes the probe's skeleton
+        and is solved on its model; otherwise, or on failure, the program
+        is rebuilt (warm-started from the series basis).
     inflation:
         Relative slack added to ``objective`` before building the deadlines.
         The optimum returned by :func:`minimize_max_weighted_flow` sits
@@ -133,9 +124,7 @@ def reoptimize_allocation(
     last_error: str | None = None
     while slack <= 1e-3:
         target = objective * (1.0 + slack)
-        solution = _solve_fixed_objective(
-            problem, target, skeleton_cache, backend, live, generic
-        )
+        solution = _solve_fixed_objective(problem, target, backend, live, generic)
         if solution is not None:
             return solution
         last_error = f"System (2) infeasible at objective {target!r}"
@@ -146,12 +135,11 @@ def reoptimize_allocation(
 def _solve_fixed_objective(
     problem: MaxStretchProblem,
     objective: float,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None,
     backend: SolverBackend,
     live: LiveProbe | None,
     generic: bool,
 ) -> MaxStretchSolution | None:
-    skeleton = _fixed_objective_skeleton(problem, objective, skeleton_cache, live)
+    skeleton = _fixed_objective_skeleton(problem, objective, live)
     if skeleton is None:
         return None
     structure = skeleton.structure
@@ -200,20 +188,33 @@ def _solve_fixed_objective(
 
 
 def _fixed_objective_skeleton(
-    problem: MaxStretchProblem,
-    objective: float,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None,
-    live: LiveProbe | None,
+    problem: MaxStretchProblem, objective: float, live: LiveProbe | None
 ) -> ConstraintSkeleton | None:
     """The constraint skeleton of ``problem`` at ``objective``.
 
     Strictly inside the live probe's ``F`` range the milestone order is the
-    probe's, so its skeleton is the one a rebuild would fetch from the
-    cache; anywhere else the interval structure is rebuilt at ``objective``.
+    probe's, so its skeleton is the one a rebuild would produce.  Anywhere
+    else the interval structure is rebuilt at ``objective``, and one equal
+    to the probe's takes the probe's skeleton all the same: at the range's
+    closed ends, where coincident boundaries may keep the probe's order,
+    the solve then runs on the probe's model.
     """
     if live is not None and live.f_low < objective < live.f_high:
         return live.skeleton
-    return build_skeleton(problem, build_interval_structure(problem, objective), skeleton_cache)
+    structure = build_interval_structure(problem, objective)
+    if live is not None and _same_structure(structure, live.skeleton.structure):
+        return live.skeleton
+    return build_skeleton(problem, structure)
+
+
+def _same_structure(a: IntervalStructure, b: IntervalStructure) -> bool:
+    """Whether ``a`` and ``b`` have the same boundaries and job windows."""
+    return (
+        np.array_equal(a.bnd_const, b.bnd_const)
+        and np.array_equal(a.bnd_coef, b.bnd_coef)
+        and np.array_equal(a.start_index, b.start_index)
+        and np.array_equal(a.deadline_index, b.deadline_index)
+    )
 
 
 def _generic_costs(skeleton: ConstraintSkeleton) -> np.ndarray:

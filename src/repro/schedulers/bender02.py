@@ -91,15 +91,6 @@ class Bender02Scheduler(PriorityScheduler):
             self._max_size = max(self._max_size, job.size)
             self._delta = self._max_size / self._min_size
 
-    def pseudo_stretch(self, state: SchedulerState, runtime: JobRuntime) -> float:
-        """:math:`\\hat S_j(t)` at the current simulation time."""
-        delta = max(self._delta, 1.0)
-        relative_size = runtime.job.size / self._min_size
-        age = state.time - runtime.job.release
-        if relative_size <= math.sqrt(delta):
-            return age / math.sqrt(delta)
-        return age / delta
-
     def priority_keys(
         self, state: SchedulerState, runtimes: Sequence[JobRuntime]
     ) -> np.ndarray:

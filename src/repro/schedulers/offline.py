@@ -87,24 +87,19 @@ class OfflineScheduler(PlanBasedScheduler):
         backend.close()
         self.lp_stats = backend.stats
         problem = problem_from_instance(instance)
-        skeletons: dict = {}  # lets System (2) find the winning probe's model
         report = MilestoneSearchReport()
-        solution = minimize_max_weighted_flow(
-            problem, backend=backend, skeleton_cache=skeletons, report=report
-        )
+        solution = minimize_max_weighted_flow(problem, backend=backend, report=report)
         self.optimal_max_stretch = solution.objective
         if self.reoptimize_sum:
             solution = reoptimize_allocation(
-                problem, solution.objective, backend=backend,
-                skeleton_cache=skeletons, live=report.live,
+                problem, solution.objective, backend=backend, live=report.live
             )
             order_rule = swrpt_terminal_order
         else:
             # One of System (1)'s optima, picked by the problem alone; the
             # deadlines stay at S* to 1e-12, so the plan's max-stretch is S*.
             solution = reoptimize_allocation(
-                problem, solution.objective, backend=backend, skeleton_cache=skeletons,
-                live=report.live, generic=True,
+                problem, solution.objective, backend=backend, live=report.live, generic=True
             )
             order_rule = edf_order
         self.set_lanes(materialize_solution(solution, instance, order_rule=order_rule))

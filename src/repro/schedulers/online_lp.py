@@ -101,7 +101,7 @@ class OnlineLPScheduler(PlanBasedScheduler):
         ReplanContext.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across runs
-        (the campaign workers hold one each), or ``None``.  Any other value
+        (the campaign runner builds one per task group), or ``None``.  Any other value
         raises :class:`TypeError`: the bool of
         :attr:`ExperimentConfig.state_bank` must be turned into a bank or
         ``None`` by the caller, as the campaign runner does.
@@ -163,10 +163,15 @@ class OnlineLPScheduler(PlanBasedScheduler):
     def on_arrivals(self, state: SchedulerState, jobs: Sequence[Job]) -> None:
         # Service mode admits jobs after reset; make sure the replan fast
         # path has a row for each before any policy decision can trigger
-        # an LP resolution.  No-op in batch mode (the table is built from
-        # the full instance up front), so schedules are unchanged there.
+        # an LP resolution.  No-op in batch mode (the table starts with
+        # every job of the instance), so schedules are unchanged there.
         self._context.ensure_jobs(jobs)
         super().on_arrivals(state, jobs)
+
+    def on_completion(self, state: SchedulerState, job_id: int) -> None:
+        # The job table keeps only the jobs a later problem can hold.
+        self._context.drop_job(job_id)
+        super().on_completion(state, job_id)
 
     def on_arrival(self, state: SchedulerState, job: Job) -> None:
         # Kept for API compatibility (direct calls in tests/examples); the
@@ -265,16 +270,13 @@ class OnlineLPScheduler(PlanBasedScheduler):
             instance, now=now, remaining=runnable, resources=build_resources(platform)
         )
         backend = self._context.backend
-        skeletons: dict = {}  # lets System (2) find the winning probe's model
         report = MilestoneSearchReport()
-        best = minimize_max_weighted_flow(
-            problem, backend=backend, skeleton_cache=skeletons, report=report
-        )
+        best = minimize_max_weighted_flow(problem, backend=backend, report=report)
         self.last_objective = best.objective
         self.n_resolutions += 1
         solution = reoptimize_allocation(
-            problem, best.objective, backend=backend, skeleton_cache=skeletons,
-            live=report.live, generic=self.variant == "online-nonopt",
+            problem, best.objective, backend=backend, live=report.live,
+            generic=self.variant == "online-nonopt",
         )
         self._install_plan(solution, instance, now)
 

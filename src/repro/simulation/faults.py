@@ -206,18 +206,6 @@ class FaultTimeline:
 
     # -- engine-facing queries ---------------------------------------------
 
-    def initial_down(self, start: float = 0.0) -> set[int]:
-        """Machines already down at ``start`` (transition at ``start`` excluded)."""
-        down: set[int] = set()
-        for event in self._events:
-            if event.time >= start:
-                break
-            if event.up:
-                down.discard(event.machine_id)
-            else:
-                down.add(event.machine_id)
-        return down
-
     def transitions_after(self, start: float = 0.0) -> tuple[FaultEvent, ...]:
         """Transitions at or after ``start``, in delivery order."""
         return tuple(e for e in self._events if e.time >= start)

@@ -30,6 +30,8 @@ from repro.lp.incremental import ReplanContext
 from repro.lp.intervals import IntervalStructure
 from repro.lp.maxstretch import MaxStretchSolution, Shares
 from repro.lp.problem import Affine, MaxStretchProblem
+from repro.simulation.faults import FaultTimeline
+from repro.utils.validation import ABS_TOL
 
 from certify import certify, certify_system2
 from scipy_backend import ScipyBackend
@@ -280,3 +282,61 @@ def schedule_of(lanes, instance: Instance) -> Schedule:
         for start, end, job_id in rows
         for piece in split_work_across_machines(instance, machine_ids, job_id, start, end)
     )
+
+
+# -- schedule, instance and fault-timeline summaries only tests read ---------------
+
+
+def machine_utilization(schedule: Schedule, instance: Instance) -> dict[int, float]:
+    """Per-machine busy-time fraction over the schedule makespan."""
+    horizon = schedule.makespan()
+    if horizon <= 0:
+        return {m.machine_id: 0.0 for m in instance.platform}
+    return {m.machine_id: schedule.busy_time(m.machine_id) / horizon for m in instance.platform}
+
+
+def preemption_count(schedule: Schedule) -> int:
+    """Number of times a job is resumed after having been interrupted.
+
+    Slices of a job that touch, on any machines, form one service period
+    (migration is free in this model); each period after a job's first is
+    one preemption.
+    """
+    by_job: dict[int, list] = {}
+    for s in schedule.slices:
+        by_job.setdefault(s.job_id, []).append(s)
+    count = 0
+    for slices in by_job.values():
+        periods = 0
+        current_end = -math.inf
+        for s in sorted(slices, key=lambda s: s.start):
+            if s.start > current_end + ABS_TOL:
+                periods += 1
+                current_end = s.end
+            else:
+                current_end = max(current_end, s.end)
+        count += max(0, periods - 1)
+    return count
+
+
+def lower_bound_makespan(instance: Instance) -> float:
+    """A trivial lower bound on the makespan (load / total speed, from last release)."""
+    if instance.n_jobs == 0:
+        return 0.0
+    return max(
+        instance.jobs.total_work() / instance.platform.aggregate_speed(),
+        max(job.release + instance.ideal_time(job.job_id) for job in instance.jobs),
+    )
+
+
+def initial_down(timeline: FaultTimeline, start: float = 0.0) -> set[int]:
+    """Machines already down at ``start`` (a transition at ``start`` excluded)."""
+    down: set[int] = set()
+    for event in timeline.transitions_after(-math.inf):
+        if event.time >= start:
+            break
+        if event.up:
+            down.discard(event.machine_id)
+        else:
+            down.add(event.machine_id)
+    return down

@@ -52,7 +52,6 @@ from repro.lp.maxstretch import (
     _ALLOCATION_EPS,
     _F_COL_ID,
     _RAY_COEF_EPS,
-    ConstraintSkeleton,
     LiveProbe,
     NO_SHARES,
     MaxStretchSolution,
@@ -148,7 +147,6 @@ def search_gallop(
     boundaries: Sequence[float],
     start_idx: int,
     *,
-    skeleton_cache: MutableMapping[tuple, ConstraintSkeleton] | None = None,
     backend: SolverBackend | None = None,
     report: MilestoneSearchReport | None = None,
 ) -> MaxStretchSolution | None:
@@ -170,12 +168,11 @@ def search_gallop(
             problem,
             boundaries[i],
             boundaries[i + 1],
-            skeleton_cache=skeleton_cache,
             backend=backend,
         )
 
     def finish(best: MaxStretchSolution | None) -> MaxStretchSolution | None:
-        backend.stats.searches.append((solved, 0))
+        backend.stats.record_search(solved, 0)
         return best
 
     best: MaxStretchSolution | None = None

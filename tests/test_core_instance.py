@@ -11,6 +11,8 @@ from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.platform import Machine, Platform
 
+from helpers import lower_bound_makespan
+
 
 @pytest.fixture
 def platform() -> Platform:
@@ -112,7 +114,7 @@ class TestDerivedQuantities:
         assert uniform.is_uniform()
 
     def test_lower_bound_makespan(self, instance):
-        bound = instance.lower_bound_makespan()
+        bound = lower_bound_makespan(instance)
         total_work = sum(j.size for j in instance.jobs)
         assert bound >= total_work / instance.platform.aggregate_speed() - 1e-12
         assert bound >= max(

@@ -10,6 +10,8 @@ from repro.core.job import Job
 from repro.core.platform import Machine, Platform
 from repro.core.schedule import Schedule, WorkSlice
 
+from helpers import machine_utilization, preemption_count
+
 
 @pytest.fixture
 def instance() -> Instance:
@@ -74,7 +76,7 @@ class TestScheduleQueries:
 
     def test_machine_utilization(self, instance):
         schedule = valid_schedule()
-        util = schedule.machine_utilization(instance)
+        util = machine_utilization(schedule, instance)
         assert util[0] == pytest.approx(0.5)
         assert util[1] == pytest.approx(1.0)
 
@@ -87,7 +89,7 @@ class TestScheduleQueries:
 
     def test_preemption_count_zero_for_contiguous(self):
         schedule = valid_schedule()
-        assert schedule.preemption_count() == 0
+        assert preemption_count(schedule) == 0
 
     def test_preemption_count_detects_gap(self):
         schedule = Schedule(
@@ -96,7 +98,7 @@ class TestScheduleQueries:
                 WorkSlice(0, 0, 2.0, 3.0, 1.0),
             ]
         )
-        assert schedule.preemption_count() == 1
+        assert preemption_count(schedule) == 1
 
     def test_merged_with(self):
         a = Schedule([WorkSlice(0, 0, 0.0, 1.0, 1.0)])

@@ -36,7 +36,7 @@ from repro.simulation.faults import (
 )
 from repro.workload.faults import FaultSpec, generate_fault_timeline
 
-from helpers import make_uniform_instance
+from helpers import initial_down, make_uniform_instance
 from replan_oracles import FromScratchOnlineLP
 from scipy_backend import ScipyBackend
 
@@ -105,7 +105,7 @@ class TestFaultTimeline:
         timeline = FaultTimeline.from_intervals([(0, 1.0, 2.0), (1, 0.5, 3.0), (2, 4.0, None)])
         only = timeline.restrict_to([1])
         assert only.machine_ids() == (1,)
-        assert timeline.initial_down(1.5) == {0, 1}
+        assert initial_down(timeline, 1.5) == {0, 1}
         assert [e.time for e in timeline.transitions_after(2.0)] == [2.0, 3.0, 4.0]
 
     def test_jsonl_round_trip(self, tmp_path):

@@ -217,13 +217,8 @@ class TestLazyBasis:
         for seed in (3, 7):
             problem, _skeleton, _probe = _problem_and_skeleton(seed)
             report = MilestoneSearchReport()
-            cache = {}
-            best = minimize_max_weighted_flow(
-                problem, backend=backend, report=report, skeleton_cache=cache
-            )
-            reoptimize_allocation(
-                problem, best.objective, backend=backend, live=report.live, skeleton_cache=cache
-            )
+            best = minimize_max_weighted_flow(problem, backend=backend, report=report)
+            reoptimize_allocation(problem, best.objective, backend=backend, live=report.live)
         stats = backend.stats
         assert stats.n_live_reoptimizations == 2  # System (2) on each winning probe
         assert len(conversions) == len(pending_reads) > 0

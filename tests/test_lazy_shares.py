@@ -104,7 +104,7 @@ def test_the_bank_keeps_built_shares(monkeypatch):
     probes = record_probes(monkeypatch)
     bank = SolverStateBank()
     simulate(_instance(3), OnlineLPScheduler("online", state_bank=bank))
-    (bucket,) = bank._buckets.values()
+    bucket = bank._bucket
     assert bucket.sys1
     for banked in bucket.sys1.values():
         assert isinstance(banked.allocation, Shares)

@@ -403,7 +403,7 @@ def test_replan_sequence_equivalence(backend_name, monkeypatch):
     assert cert_objectives == pytest.approx(gallop_objectives, rel=1e-9)
     # The certificate context never solves more probes than the gallop one.
     def probes_solved(stats):
-        return sum(solved for solved, _skipped in stats.searches)
+        return stats.n_search_probes
 
     assert probes_solved(cert_stats) <= probes_solved(gallop_stats)
 

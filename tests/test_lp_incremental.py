@@ -88,7 +88,7 @@ class TestWarmStartEquivalence:
             1e9,                       # far above the bracket
         ):
             warmed = minimize_max_weighted_flow(
-                problem, warm_start=warm, skeleton_cache={}, backend=ScipyBackend()
+                problem, warm_start=warm, backend=ScipyBackend()
             )
             assert warmed.objective == cold.objective
             assert_same_shares(warmed, cold)
@@ -158,27 +158,49 @@ class TestIncrementalSchedulerEquivalence:
         assert scheduler._context.last_objective == scheduler.last_objective
 
 
-class TestSkeletonCache:
-    def test_cache_populated_and_hit(self):
-        instance = random_restricted_instance(0, n_jobs=6)
-        problem = problem_from_instance(instance)
-        cache: dict = {}
-        first = minimize_max_weighted_flow(problem, skeleton_cache=cache)
-        assert cache  # skeletons were stored
-        size = len(cache)
-        again = minimize_max_weighted_flow(
-            problem, warm_start=first.objective, skeleton_cache=cache
-        )
-        assert again.objective == first.objective
-        assert len(cache) == size  # same structures, no new entries
+class TestJobTable:
+    def test_admissions_and_completions_keep_instance_order(self):
+        """Rows appended at admission and dropped at completion are the
+        final instance's table restricted to the live jobs."""
+        instance = _gripps_instance(5)
+        live = LiveInstance(instance.platform)
+        context = ReplanContext(live)
+        assert context.job_table.rows == ()
+        alive: list[int] = []
+        for position, job in enumerate(instance.jobs):
+            live.admit(job)
+            context.ensure_jobs([job])
+            alive.append(job.job_id)
+            if position % 3 == 1:  # every other live job completes
+                for job_id in alive[::2]:
+                    context.drop_job(job_id)
+                del alive[::2]
+            expected = tuple(
+                row for row in build_job_table(instance).rows if row[0] in alive
+            )
+            assert context.job_table.rows == expected
 
-    def test_context_cache_is_bounded(self):
+    def test_completed_jobs_leave_the_table(self, monkeypatch):
+        """Every replan's table holds its active jobs and the unreleased
+        ones, in instance order; a finished run leaves it empty."""
         instance = _gripps_instance(3, max_jobs=20)
+        order = [job.job_id for job in instance.jobs]
         scheduler = OnlineLPScheduler(variant="online")
-        simulate(instance, scheduler)
-        from repro.lp.incremental import _MAX_SKELETONS
+        seen = []
+        build = ReplanContext.build_problem
 
-        assert len(scheduler._context._skeletons) <= _MAX_SKELETONS
+        def spy(context, now, remaining):
+            ids = [row[0] for row in context.job_table.rows]
+            unreleased = {job.job_id for job in instance.jobs if job.release > now}
+            assert set(ids) == set(remaining) | unreleased
+            assert ids == [job_id for job_id in order if job_id in set(ids)]
+            seen.append(len(ids))
+            return build(context, now, remaining)
+
+        monkeypatch.setattr(ReplanContext, "build_problem", spy)
+        simulate(instance, scheduler)
+        assert seen and min(seen) < instance.n_jobs
+        assert scheduler._context.job_table.rows == ()
 
 
 def _dense_instance(seed: int, max_jobs: int = 14):
@@ -246,7 +268,7 @@ class TestOracleRegressionCases:
 
 def _probes_solved(context: ReplanContext) -> int:
     """Milestone probes the context's searches have solved so far."""
-    return sum(solved for solved, _skipped in context.backend.stats.searches)
+    return context.backend.stats.n_search_probes
 
 
 class TestReplanContextShortcuts:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,9 +90,17 @@ def _fresh_stats(backend) -> LPProbeStats:
     return backend.stats
 
 
+def _same_structure(a, b) -> bool:
+    """Equal boundaries and job windows (what a skeleton is built from)."""
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("bnd_const", "bnd_coef", "start_index", "deadline_index")
+    )
+
+
 def _sys2_solves(stats) -> int:
     """LP solves of a run that were not milestone-search probes."""
-    return stats.n_probes - sum(solved for solved, _skipped in stats.searches)
+    return stats.n_probes - stats.n_search_probes
 
 
 class TestLiveEqualsRebuild:
@@ -162,25 +171,28 @@ class TestLiveSkeleton:
     @pytest.mark.parametrize(
         ("variant", "with_faults"), [("online", False), ("online-nonopt", False), ("online", True)]
     )
-    def test_system_2_takes_the_skeleton_a_rebuild_would_fetch(self, variant, with_faults):
+    def test_system_2_takes_the_skeleton_a_rebuild_would_match(self, variant, with_faults):
         """Inside the live probe's open ``F`` range System (2) builds no structure.
 
-        The rebuild it skips would have fetched the live probe's skeleton
-        from the cache, and a run that always rebuilds installs the same
-        System (2) answers, bit for bit.
+        The structure it skips rebuilding equals the live probe's, and a run
+        that always rebuilds the structure (taking the probe's skeleton only
+        when they are equal) installs the same System (2) answers, bit for
+        bit.
         """
         taken = relaxation_module._fixed_objective_skeleton
 
-        def rebuilt(problem, objective, skeleton_cache, live):
+        def rebuilt(problem, objective, live):
             structure = build_interval_structure(problem, objective)
-            return build_skeleton(problem, structure, skeleton_cache)
+            if live is not None and _same_structure(structure, live.skeleton.structure):
+                return live.skeleton
+            return build_skeleton(problem, structure)
 
         skipped = []
 
-        def checked(problem, objective, skeleton_cache, live):
-            skeleton = taken(problem, objective, skeleton_cache, live)
+        def checked(problem, objective, live):
+            skeleton = taken(problem, objective, live)
             if live is not None and live.f_low < objective < live.f_high:
-                assert rebuilt(problem, objective, skeleton_cache, live) is skeleton
+                assert rebuilt(problem, objective, live) is skeleton
                 skipped.append(objective)
             return skeleton
 
@@ -207,26 +219,49 @@ class TestFallbacks:
     def test_target_above_the_probe_bracket_rebuilds(self):
         problem = problem_from_instance(_small_instance(7, max_jobs=20, density=2.0))
         backend = make_backend("highs")
-        skeletons: dict = {}
         report = MilestoneSearchReport()
-        best = minimize_max_weighted_flow(
-            problem, backend=backend, skeleton_cache=skeletons, report=report
-        )
+        best = minimize_max_weighted_flow(problem, backend=backend, report=report)
         live = report.live
         assert live is not None and live.f_low <= best.objective < live.f_high
         stats = _fresh_stats(backend)
-        above = reoptimize_allocation(
-            problem, live.f_high, skeleton_cache=skeletons, backend=backend, live=live
-        )
+        above = reoptimize_allocation(problem, live.f_high, backend=backend, live=live)
         assert (stats.n_probes, stats.n_live_reoptimizations) == (1, 0)
         _assert_feasible(above)
         # The same handle still serves a target inside its bracket.
         stats = _fresh_stats(backend)
-        inside = reoptimize_allocation(
-            problem, best.objective, skeleton_cache=skeletons, backend=backend, live=live
-        )
+        inside = reoptimize_allocation(problem, best.objective, backend=backend, live=live)
         assert (stats.n_probes, stats.n_live_reoptimizations) == (1, 1)
         _assert_feasible(inside)
+
+    def test_closed_bounds_take_the_live_skeleton_only_on_an_equal_structure(self):
+        """At the live probe's closed ``F`` bounds the structure is rebuilt;
+        the probe's skeleton (and model) serve only when it is the probe's."""
+        outcomes = set()
+        for seed in range(12):
+            problem = problem_from_instance(_small_instance(seed, max_jobs=20, density=2.0))
+            backend = make_backend("highs")
+            report = MilestoneSearchReport()
+            minimize_max_weighted_flow(problem, backend=backend, report=report)
+            live = report.live
+            for objective in (live.f_low, live.f_high):
+                structure = build_interval_structure(problem, objective)
+                same = _same_structure(structure, live.skeleton.structure)
+                skeleton = relaxation_module._fixed_objective_skeleton(problem, objective, live)
+                assert (skeleton is live.skeleton) == same
+                assert _same_structure(skeleton.structure, structure)
+                outcomes.add(same)
+            # The top bound is feasible: solved on the live model exactly when
+            # the structure there is the probe's.
+            stats = _fresh_stats(backend)
+            top = relaxation_module._solve_fixed_objective(
+                problem, live.f_high, backend, live, False
+            )
+            assert top is not None
+            same = _same_structure(
+                build_interval_structure(problem, live.f_high), live.skeleton.structure
+            )
+            assert stats.n_live_reoptimizations == int(same)
+        assert outcomes == {False, True}
 
     def test_system_1_reused_from_the_bank_rebuilds(self):
         instance = _small_instance(5, max_jobs=16)

@@ -28,10 +28,12 @@ class TestBender02:
         delta = 16.0
         small = state.active[0]
         large = state.active[1]
+        # Priority keys sort ascending: each is the negated pseudo-stretch.
+        keys = -scheduler.priority_keys(state, [small, large])
         # Small job (relative size 1 <= sqrt(16)=4): age / sqrt(delta).
-        assert scheduler.pseudo_stretch(state, small) == pytest.approx(8.0 / math.sqrt(delta))
+        assert keys[0] == pytest.approx(8.0 / math.sqrt(delta))
         # Large job (relative size 16 > 4): age / delta.
-        assert scheduler.pseudo_stretch(state, large) == pytest.approx(8.0 / delta)
+        assert keys[1] == pytest.approx(8.0 / delta)
 
     def test_higher_pseudo_stretch_scheduled_first(self):
         # Both jobs waiting equally long: the small job has the larger

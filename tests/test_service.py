@@ -38,6 +38,7 @@ from repro.service import (
     verify_replay,
 )
 from repro.lp.backends.base import REPLAN_LATENCY_WINDOW, LPProbeStats
+from repro.lp.incremental import ReplanContext
 from repro.service.http import _Handler
 from repro.service.trace import TraceWriter
 
@@ -871,6 +872,44 @@ class TestCliSigterm:
         trace = read_trace(journal)
         assert len(trace) == 1
         assert verify_replay(trace).identical
+
+
+class TestLiveJobTable:
+    def test_lp_daemon_keeps_rows_of_active_jobs_only(self, tmp_path, monkeypatch):
+        """A paced LP daemon's job table holds the admitted, uncompleted jobs:
+        never more rows than active jobs at any replan, none once drained,
+        and the journal still replays bit-identically."""
+        journal = tmp_path / "paced.jsonl"
+        daemon = SchedulerDaemon(
+            small_platform(),
+            ServiceConfig(scheduler="online", journal=str(journal), time_scale=100.0),
+        )
+        rows_seen: list[tuple[int, int]] = []
+        build = ReplanContext.build_problem
+
+        def spy(context, now, remaining):
+            ids = {row[0] for row in context.job_table.rows}
+            active = set(daemon.engine.state.active)
+            assert ids <= active
+            rows_seen.append((len(ids), len(active)))
+            return build(context, now, remaining)
+
+        monkeypatch.setattr(ReplanContext, "build_problem", spy)
+        daemon.start()
+        banks = ("sp", "nt", "pdb")
+        n_jobs = 90
+        for i in range(n_jobs):
+            daemon.submit(SubmissionRequest(size=0.2 + 0.1 * (i % 4), databank=banks[i % 3]))
+            if i % 3 == 2:
+                time.sleep(0.01)  # let the paced engine complete and replan
+        result = drain(daemon)
+        monkeypatch.undo()  # the replay below runs its own contexts
+        assert sorted(result.completions) == list(range(n_jobs))
+        assert daemon.scheduler._context.job_table.rows == ()
+        assert len(rows_seen) > 10
+        assert max(rows for rows, _active in rows_seen) < n_jobs // 2
+        check = verify_replay(read_trace(journal))
+        assert check.identical, check.detail
 
 
 class TestPacedClock:

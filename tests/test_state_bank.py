@@ -3,19 +3,22 @@
 The bank's contract is strictly *accelerator, not oracle*: on the stateless
 linprog reference (``tests/scipy_backend.py``) every banked answer is
 bitwise identical to the cold solve, so a whole campaign run with the bank
-on must produce the exact record set of the bank-off run -- and, through
-replicate-affinity lane placement, the exact record set of the serial run
-at any worker count.  Warm HiGHS bases shift results only at solver
+on must produce the exact record set of the bank-off run -- and, since
+every (configuration, replicate) group runs on a bank of its own, the exact
+record set of the serial run at any worker count.  Warm HiGHS bases shift results only at solver
 tolerance, which the two-tier comparison of ``tests/record_sets.py``
 covers.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 from dataclasses import replace
 
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.io import CampaignCheckpoint
 from repro.experiments.overhead import OVERHEAD_TABLE_HEADERS, scheduling_overhead
@@ -88,25 +91,18 @@ class TestSolverStateBank:
         bucket.sys1[("sig",)] = object()
         _, hit3 = bank.acquire("k1")
         assert hit3
-        assert bank.stats() == {"n_buckets": 1, "n_hits": 1, "n_misses": 2}
+        assert (bank.n_hits, bank.n_misses) == (1, 2)
 
-    def test_lru_eviction_bounds_resident_buckets(self):
-        bank = SolverStateBank(max_buckets=2)
-        a, _ = bank.acquire("a")
-        bank.acquire("b")
-        bank.acquire("c")  # evicts "a"
-        assert len(bank) == 2
-        fresh, hit = bank.acquire("a")
-        assert fresh is not a and not hit
-
-    def test_clear_drops_buckets_and_counters(self):
+    def test_a_bank_holds_one_bucket_and_another_key_starts_cold(self):
         bank = SolverStateBank()
-        bucket, _ = bank.acquire("k")
-        bucket.sys2[("sig", 1.0)] = object()
-        bank.acquire("k")
-        bank.clear()
-        assert len(bank) == 0
-        assert bank.stats() == {"n_buckets": 0, "n_hits": 0, "n_misses": 0}
+        a, _ = bank.acquire("a")
+        a.sys1[("sig",)] = object()
+        b, hit = bank.acquire("b")
+        assert b is not a and not hit
+        b.sys2[("sig", 1.0, False)] = object()
+        again, hit = bank.acquire("a")  # "a" was dropped with its optima
+        assert again is not a and not again.warm and not hit
+        assert (bank.n_hits, bank.n_misses) == (0, 3)
 
     def test_bucket_trim_bounds_stored_solutions(self):
         bucket = BankBucket()
@@ -245,6 +241,40 @@ class TestCampaignInvariants:
     ):
         sharded = _campaign(n_workers=n_workers, state_bank=True)
         assert sharded.result_set() == serial_bank_on.result_set()
+
+    def test_two_workers_bank_every_run_like_the_serial_campaign(self, tmp_path, monkeypatch):
+        """Each group's bank serves the same hits and reuses wherever it runs."""
+        assert multiprocessing.get_start_method() == "fork", (
+            "pool workers inherit the logging patch only when forked"
+        )
+        real_simulate = runner_module.simulate
+
+        def campaign_logging_to(path, n_workers):
+            def logged(instance, scheduler, **kwargs):
+                result = real_simulate(instance, scheduler, **kwargs)
+                probes = result.lp_probes
+                row = [
+                    instance_content_key(instance),
+                    scheduler.name,
+                    probes.n_bank_hits,
+                    probes.n_primal_reuses,
+                ]
+                with path.open("a") as handle:  # one append per run, any process
+                    handle.write(json.dumps(row) + "\n")
+                return result
+
+            monkeypatch.setattr(runner_module, "simulate", logged)
+            results = _campaign(n_workers=n_workers, state_bank=True)
+            runs = sorted(json.loads(line) for line in path.read_text().splitlines())
+            return results, runs
+
+        serial, serial_runs = campaign_logging_to(tmp_path / "serial.jsonl", 1)
+        pooled, pooled_runs = campaign_logging_to(tmp_path / "pooled.jsonl", 2)
+        assert pooled.result_set() == serial.result_set()
+        assert pooled_runs == serial_runs
+        assert len(serial_runs) == len(CONFIGS) * REPLICATES * len(KEYS)
+        assert sum(hits for _k, _s, hits, _r in serial_runs) > 0
+        assert sum(reuses for _k, _s, _h, reuses in serial_runs) > 0
 
     def test_sharded_bit_identical_to_serial_without_bank(self):
         off_serial = _campaign(n_workers=1, state_bank=False)
