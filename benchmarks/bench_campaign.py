@@ -43,7 +43,6 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -59,7 +58,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sharding import ShardPlan
 from repro.lp.bank import SolverStateBank
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import generate_instance
 
@@ -191,7 +190,7 @@ def bench_campaign_sharded_speedup(benchmark):
 
 
 def bench_state_bank_reuse(benchmark):
-    """The reuse gate behind the ``--state-bank on`` default.
+    """The reuse gate behind banking every campaign group.
 
     A paper-shaped slice where the bank's affinity assumption is exact --
     the four on-line LP variants of every (configuration, replicate) group
@@ -259,8 +258,8 @@ def bench_state_bank_reuse(benchmark):
     hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
     # Tolerance gate on the shipping default backend, sharded bank-on vs
-    # bank-off, over the standard mini-campaign schedulers (the surface
-    # ``campaign --state-bank`` actually exposes).  ``online-nonopt`` stays
+    # bank-off, over the standard mini-campaign schedulers; the bank-off
+    # leg passes ``state_bank=None`` per key.  ``online-nonopt`` stays
     # out of this leg on purpose: it installs a System (1) optimum with its
     # deadlines at S* itself, so a banked-vs-cold HiGHS S* at solver
     # tolerance can shift its tie metrics the most -- at mini-campaign
@@ -274,7 +273,9 @@ def bench_state_bank_reuse(benchmark):
     )
     bank_on = run_campaign(ab_configs, **campaign_kwargs)
     bank_off = run_campaign(
-        [replace(c, state_bank=False) for c in ab_configs], **campaign_kwargs
+        ab_configs,
+        scheduler_options={key: {"state_bank": None} for key in ONLINE_LP_SCHEDULERS},
+        **campaign_kwargs,
     )
     report = compare_record_sets(
         bank_on, bank_off, backend_a="bank-on", backend_b="bank-off"

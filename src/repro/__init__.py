@@ -54,8 +54,7 @@ the *incremental replanning pipeline* spanning the starred modules::
     |                          and replans, dual-ray bounds within a search;
     |                          imported, with the HiGHS extension scipy
     |                          vendors (not scipy.optimize), by the first
-    |                          make_backend() (or load_solver()), never by
-    |                          `import repro`
+    |                          make_backend(), never by `import repro`
     |-- simulation/    the fluid discrete-event engine
     |   |-- clock      * heap-based event queue, batched simultaneous arrivals
     |   |-- engine     * the step loop: dispatch, assign, advance, complete;
@@ -77,8 +76,8 @@ the *incremental replanning pipeline* spanning the starred modules::
     |-- workload/      GriPPS-like synthetic platform/workload generation
     |-- experiments/   the paper's campaign (configs inherit RunOptions)
     |   |-- runner     * campaign engine: whole (config, replicate) groups
-    |   |                over long-lived worker lanes (a solver-state
-    |   |                bank per group, replicate-affinity
+    |   |                over long-lived worker lanes (always a
+    |   |                solver-state bank per group, replicate-affinity
     |   |                placement, crash recovery), bit-identical at any
     |   |                worker count, progress/ETA
     |   |-- io           CSV/JSON persistence + JSONL campaign checkpoints

@@ -56,7 +56,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.experiments.config import figure3_configurations, paper_configurations
 from repro import api
@@ -68,8 +68,6 @@ from repro.experiments.sharding import parse_shard_spec
 from repro.experiments.tables import breakdown_tables, table1
 from repro.schedulers.registry import (
     SERVICE_SCHEDULERS,
-    OnOff,
-    OptionEnum,
     RunOptions,
     available_schedulers,
     paper_schedulers,
@@ -163,14 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument("--seed", type=int, default=2006)
     camp.add_argument("--workers", type=int, default=1)
-    camp.add_argument(
-        "--state-bank",
-        **enum_option(OnOff, OnOff.ON, param="--state-bank"),
-        help="cross-run solver-state bank: share warm solver state across "
-        "the on-line LP schedulers of each (config, replicate) group "
-        "(content-addressed, so records stay bit-identical at any worker "
-        "count); 'off' re-pays every cold solve (default: on)",
-    )
     camp.add_argument("--sites", type=int, nargs="+", default=[3, 10, 20])
     camp.add_argument("--databanks", type=int, nargs="+", default=[3, 10, 20])
     camp.add_argument("--availabilities", type=float, nargs="+", default=[0.3, 0.6, 0.9])
@@ -399,34 +389,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
         )
 
 
-def enum_option(
-    enum_cls: "type[OptionEnum]",
-    default: Any,
-    *,
-    param: str | None = None,
-) -> dict[str, Any]:
-    """``argparse.add_argument`` keywords for an enum-valued option.
-
-    Input goes through :meth:`OptionEnum.coerce` (canonical spellings,
-    case-insensitively), the ``choices`` list shows them, and the parsed
-    value is always an enum member.
-    """
-
-    def parse(text: str) -> OptionEnum:
-        try:
-            return enum_cls.coerce(text, param=param)
-        except ValueError as exc:
-            # argparse reports the type error with its own framing; keep ours.
-            raise ValueError(str(exc)) from None
-
-    return {
-        "type": parse,
-        "choices": tuple(enum_cls),
-        "default": enum_cls.coerce(default, param=param),
-        "metavar": "|".join(m.value for m in enum_cls),
-    }
-
-
 def _run_option_type(name: str):
     """argparse type: validate one run option through :class:`RunOptions`.
 
@@ -582,7 +544,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         window=args.window,
         max_jobs=args.max_jobs if args.max_jobs > 0 else None,
         **_run_options(args),
-        state_bank=args.state_bank,
         fault_mtbf=args.fault_mtbf,
         fault_mttr=args.fault_mttr,
         fault_loss_model=args.fault_loss_model,

@@ -200,14 +200,6 @@ class Instance:
             require_feasible=False,
         )
 
-    def with_jobs(self, jobs: Iterable[Job]) -> "Instance":
-        """A new instance with the same platform and different jobs."""
-        return Instance(jobs, self._platform)
-
-    def with_platform(self, platform: Platform) -> "Instance":
-        """A new instance with the same jobs on a different platform."""
-        return Instance(self._jobs, platform)
-
     # -- summaries ---------------------------------------------------------------
     def describe(self) -> str:
         """Human-readable description used by the CLI and examples."""

@@ -70,14 +70,6 @@ class Job:
             raise ModelError(str(exc)) from exc
 
     # -- convenience -----------------------------------------------------
-    def with_release(self, release: float) -> "Job":
-        """Return a copy of this job with a different release date."""
-        return replace(self, release=release)
-
-    def with_size(self, size: float) -> "Job":
-        """Return a copy of this job with a different size."""
-        return replace(self, size=size)
-
     def with_id(self, job_id: int) -> "Job":
         """Return a copy of this job with a different identifier."""
         return replace(self, job_id=job_id)

@@ -4,8 +4,9 @@
   factorial design of Section 5.3 and the density sweep of Section 5.2.
 * :mod:`repro.experiments.runner` -- the campaign execution engine: runs
   whole (configuration, replicate) groups over long-lived worker processes
-  (a solver-state bank per worker, a solver backend per run; a serial run
-  owns its own bank), with progress/ETA reporting and checkpoint/resume.
+  (a solver-state bank per task group, a solver backend per run, in pool
+  workers and serial runs alike), with progress/ETA reporting and
+  checkpoint/resume.
 * :mod:`repro.experiments.statistics` -- per-instance normalization
   (degradation w.r.t. the best heuristic) and mean/SD/max aggregation.
 * :mod:`repro.experiments.tables` -- regenerates Tables 1-16.

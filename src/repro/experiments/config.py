@@ -22,14 +22,13 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ModelError
-from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, OnOff, RunOptions
+from repro.schedulers.registry import RunOptions
 from repro.workload.faults import FaultSpec
 from repro.workload.generator import PlatformSpec, WorkloadSpec
 from repro.workload.gripps import DEFAULT_PROCESSORS_PER_CLUSTER, SUBMISSION_WINDOW_SECONDS
 
 __all__ = [
     "ExperimentConfig",
-    "ONLINE_LP_SCHEDULERS",
     "PAPER_SITES",
     "PAPER_DATABANKS",
     "PAPER_AVAILABILITIES",
@@ -57,14 +56,6 @@ class ExperimentConfig(RunOptions):
     (keyword-only): the replan policy driving the on-line LP heuristics (a
     new scenario axis the paper only discusses qualitatively).
 
-    ``state_bank`` toggles the content-addressed cross-run solver-state
-    bank (:mod:`repro.lp.bank`) for the on-line LP heuristics.  The flag is
-    a plain bool here; only the campaign runner translates it into a live
-    bank, one per ``(configuration, replicate)`` group (direct
-    ``simulate()`` paths stay bank-less), so the results are bit-identical
-    at any worker count either way -- ``state_bank=False`` simply re-pays
-    the cold solves.
-
     The ``fault_*`` fields add a machine-availability axis (another scenario
     the paper discusses only qualitatively): when ``fault_mtbf`` and
     ``fault_mttr`` are both set, each replicate's instance is paired with a
@@ -84,7 +75,6 @@ class ExperimentConfig(RunOptions):
     processors_per_cluster: int = DEFAULT_PROCESSORS_PER_CLUSTER
     window: float = SUBMISSION_WINDOW_SECONDS
     max_jobs: int | None = None
-    state_bank: "OnOff | bool | str" = OnOff.ON
     fault_mtbf: float | None = None
     fault_mttr: float | None = None
     fault_horizon: float | None = None
@@ -99,14 +89,9 @@ class ExperimentConfig(RunOptions):
             raise ModelError("availability must lie in (0, 1]")
         if self.density <= 0 or self.window <= 0:
             raise ModelError("density and window must be positive")
-        # The inherited run options validate (and normalize) themselves; the
-        # state-bank toggle is normalized the same way (the dataclass is
-        # frozen, hence the explicit __setattr__).
+        # The inherited run options validate themselves.
         try:
             super().__post_init__()
-            object.__setattr__(
-                self, "state_bank", OnOff.coerce(self.state_bank, param="state_bank")
-            )
         except ValueError as exc:
             raise ModelError(str(exc)) from None
         if (self.fault_mtbf is None) != (self.fault_mttr is None):
@@ -152,21 +137,6 @@ class ExperimentConfig(RunOptions):
             max_jobs=self.max_jobs if max_jobs is None else max_jobs,
         )
 
-    def scheduler_options_for(self, key: str) -> dict[str, object]:
-        """Constructor options this configuration implies for scheduler ``key``.
-
-        The run options' rule
-        (:meth:`~repro.schedulers.registry.RunOptions.scheduler_options_for`)
-        plus the state-bank toggle, which only exists on the on-line LP
-        heuristics.
-        """
-        options = super().scheduler_options_for(key)
-        if key in ONLINE_LP_SCHEDULERS:
-            # A bool at this level; every caller turns it into a live
-            # SolverStateBank or None (OnlineLPScheduler rejects the bool).
-            options["state_bank"] = bool(self.state_bank)
-        return options
-
     def as_dict(self) -> dict[str, float | int | str | bool | None]:
         return {
             "name": self.name,
@@ -188,9 +158,10 @@ class ExperimentConfig(RunOptions):
             # same --resume reason: default journals recorded "auto".  merge
             # drops it and rejects any value but "auto" / "highs".
             "solver_backend": "auto",
-            # The journal/checkpoint schema predates the typed toggle: keep
-            # emitting the historical primitive (bool).
-            "state_bank": bool(self.state_bank),
+            # Every campaign banks each group now; the key stays, constant,
+            # for the same --resume reason.  merge drops it whatever its
+            # value, and a journal recorded with false resumes.
+            "state_bank": True,
             # Speculative replan pre-solving is gone; the key stays,
             # constant, for the same --resume header-equality reason as
             # "incremental_lp".  merge drops it whatever its value.

@@ -152,18 +152,26 @@ def _as_written_today(meta: dict[str, object]) -> dict[str, object]:
 
     A journal started with ``--solver-backend highs`` ran the one LP engine
     every run uses now, but its configs recorded ``"highs"`` where today's
-    record ``"auto"``; it resumes like a default one.
+    record ``"auto"``; one started with ``--state-bank off`` recorded
+    ``false`` where today's record ``true``.  Both resume like a default one
+    (the bank only reuses exact optima, and a resumed campaign runs its
+    restored groups' remaining schedulers on a cold bank anyway).
     """
     configs = meta.get("configs")
     if not isinstance(configs, list):
         return meta
-    configs = [
-        {**values, "solver_backend": "auto"}
-        if isinstance(values, dict) and values.get("solver_backend") == "highs"
-        else values
-        for values in configs
-    ]
-    return {**meta, "configs": configs}
+    return {**meta, "configs": [_config_as_written_today(values) for values in configs]}
+
+
+def _config_as_written_today(values: object) -> object:
+    if not isinstance(values, dict):
+        return values
+    values = dict(values)
+    if values.get("solver_backend") == "highs":
+        values["solver_backend"] = "auto"
+    if values.get("state_bank") is False:
+        values["state_bank"] = True
+    return values
 
 
 class CampaignCheckpoint:

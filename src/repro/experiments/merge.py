@@ -70,8 +70,9 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
     from-scratch path, now a constant ``True`` (see
     :meth:`ExperimentConfig.as_dict`); it is dropped here.  A journal
     recorded with ``False`` ran that removed path and is rejected.  The
-    constant ``speculation`` key is dropped whatever its value: the removed
-    speculative pre-solves never changed a record.  So is the constant
+    constant ``speculation`` and ``state_bank`` keys are dropped whatever
+    their value: the removed speculative pre-solves never changed a record,
+    and the bank only ever reuses exact optima.  So is the constant
     ``solver_backend`` key, but only as ``"auto"`` or ``"highs"``: a
     journal that pinned the removed scipy backend is rejected.
     """
@@ -86,6 +87,7 @@ def design_tasks_from_meta(meta: dict[str, object]) -> list[CampaignTask]:
                     "its journals cannot be merged"
                 )
             values.pop("speculation", None)
+            values.pop("state_bank", None)
             if values.pop("solver_backend", "auto") not in ("auto", "highs"):
                 raise ReproError(
                     f"configuration {values.get('name')!r} was run on a solver "

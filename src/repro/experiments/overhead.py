@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.lp.backends.base import nearest_rank
-from repro.lp.bank import SolverStateBank
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.utils.seeding import derive_seed
@@ -56,8 +55,6 @@ OVERHEAD_TABLE_HEADERS: tuple[str, ...] = (
     "LP skipped",
     "basis reused",
     "downgrades",
-    "bank hits",
-    "primal reused",
     "p50 replan (s)",
     "p95 replan (s)",
     "instances",
@@ -74,10 +71,8 @@ class OverheadRecord:
     solved, milestone candidates eliminated without a solve, and solved
     probes served from warm persistent-solver state.  ``mean_downgrades``
     counts probes the warm solve failed and a cold HiGHS model answered
-    (:attr:`~repro.lp.backends.LPProbeStats.n_downgrades`).  ``mean_bank_hits`` /
-    ``mean_primal_reused`` count warm lookups in the cross-run solver-state
-    bank and whole LP solutions answered from a carried primal (both zero
-    unless a bank is threaded in via ``state_bank=True``).
+    (:attr:`~repro.lp.backends.LPProbeStats.n_downgrades`).  The runs are
+    bank-less: every strategy pays its own cold solves.
     ``p50_replan_latency`` / ``p95_replan_latency`` are nearest-rank
     percentiles of the per-replan wall-clock (arrival to refreshed plan),
     pooled over the strategy's runs.
@@ -92,8 +87,6 @@ class OverheadRecord:
     mean_lp_skipped: float = 0.0
     mean_basis_reused: float = 0.0
     mean_downgrades: float = 0.0
-    mean_bank_hits: float = 0.0
-    mean_primal_reused: float = 0.0
     p50_replan_latency: float = 0.0
     p95_replan_latency: float = 0.0
 
@@ -107,8 +100,6 @@ class OverheadRecord:
             self.mean_lp_skipped,
             self.mean_basis_reused,
             self.mean_downgrades,
-            self.mean_bank_hits,
-            self.mean_primal_reused,
             self.p50_replan_latency,
             self.p95_replan_latency,
             self.n_instances,
@@ -128,7 +119,6 @@ def scheduling_overhead(
     replicates: int = 3,
     base_seed: int = 53,
     replan_policy: str = "on-arrival",
-    state_bank: bool = False,
 ) -> list[OverheadRecord]:
     """Measure the scheduler-side wall-clock cost of each strategy.
 
@@ -137,13 +127,6 @@ def scheduling_overhead(
     cap are configurable for larger runs.  ``replan_policy`` selects the
     replan cadence of the on-line LP heuristics, so the overhead tables can
     compare cadences.
-
-    ``state_bank=True`` threads one live :class:`SolverStateBank` per
-    replicate across all strategies of that replicate -- the same
-    affinity the campaign runner realizes per (config, replicate) group --
-    so the table's "bank hits" / "primal reused" columns show the
-    cross-run reuse effect.  The default ``False`` keeps the historical
-    bank-less measurement.
     """
     config = ExperimentConfig(
         name="overhead",
@@ -161,8 +144,6 @@ def scheduling_overhead(
     lp_skipped: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     lp_reused: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     downgrades: dict[str, list[int]] = {key: [] for key in scheduler_keys}
-    bank_hits: dict[str, list[int]] = {key: [] for key in scheduler_keys}
-    primal_reused: dict[str, list[int]] = {key: [] for key in scheduler_keys}
     replan_latencies: dict[str, list[float]] = {key: [] for key in scheduler_keys}
     names: dict[str, str] = {}
     for replicate in range(replicates):
@@ -170,12 +151,9 @@ def scheduling_overhead(
         instance = generate_instance(
             config.platform_spec(), config.workload_spec(), rng=seed
         )
-        bank = SolverStateBank() if state_bank else None
         for key in scheduler_keys:
             options = config.scheduler_options_for(key)
             options.update((scheduler_options or {}).get(key, {}))
-            if isinstance(options.get("state_bank"), bool):
-                options["state_bank"] = bank if options["state_bank"] else None
             scheduler = make_scheduler(key, **options)
             names.setdefault(key, scheduler.name)
             try:
@@ -188,8 +166,6 @@ def scheduling_overhead(
             lp_skipped[key].append(result.lp_probes.n_certificate_skipped)
             lp_reused[key].append(result.lp_probes.n_basis_reused)
             downgrades[key].append(result.lp_probes.n_downgrades)
-            bank_hits[key].append(result.lp_probes.n_bank_hits)
-            primal_reused[key].append(result.lp_probes.n_primal_reuses)
             replan_latencies[key].extend(result.lp_probes.replan_latencies)
 
     records: list[OverheadRecord] = []
@@ -207,8 +183,6 @@ def scheduling_overhead(
                 mean_lp_skipped=float(np.mean(lp_skipped[key])),
                 mean_basis_reused=float(np.mean(lp_reused[key])),
                 mean_downgrades=float(np.mean(downgrades[key])),
-                mean_bank_hits=float(np.mean(bank_hits[key])),
-                mean_primal_reused=float(np.mean(primal_reused[key])),
                 p50_replan_latency=nearest_rank(replan_latencies[key], 50),
                 p95_replan_latency=nearest_rank(replan_latencies[key], 95),
             )

@@ -58,9 +58,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.core.errors import ReproError
 from repro.core.instance import Instance
 from repro.experiments.config import ExperimentConfig
-from repro.lp.backends import load_solver
 from repro.lp.bank import SolverStateBank
-from repro.schedulers.registry import LP_SCHEDULERS, make_scheduler, paper_schedulers
+from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, make_scheduler, paper_schedulers
 from repro.simulation.engine import simulate
 from repro.utils.seeding import derive_seed
 from repro.workload.faults import generate_fault_timeline
@@ -351,15 +350,12 @@ def _run_one(
     scheduler_options: Mapping[str, Mapping[str, object]] | None,
 ) -> RunRecord:
     """Run one scheduler on the group's realized ``instance``."""
-    # Configuration-level replanning knobs first, then explicit per-key
-    # options so callers can still override them.
+    # Configuration-level replanning knobs and the group's bank first, then
+    # explicit per-key options so callers can still override them.
     options = config.scheduler_options_for(scheduler_key)
+    if scheduler_key in ONLINE_LP_SCHEDULERS:
+        options["state_bank"] = bank
     options.update((scheduler_options or {}).get(scheduler_key, {}))
-    # The configuration carries the bank toggle as a plain bool; the group
-    # is the only place a live bank exists, so translate it here.
-    bank_flag = options.get("state_bank")
-    if isinstance(bank_flag, bool):
-        options["state_bank"] = bank if bank_flag else None
     scheduler = make_scheduler(scheduler_key, **options)
     # The availability axis: a seeded fault timeline derived from the
     # replicate seed, regenerated identically wherever the task runs.  With
@@ -541,14 +537,16 @@ def run_campaign(
         calling process; larger values run whole ``(configuration,
         replicate)`` groups on per-worker *lanes* (one single-process pool
         each), each group dealt to a fixed lane by first appearance.
-        Either way a group's schedulers share one solver-state bank, built
-        for the group.  The returned record set
+        Either way a group's on-line LP schedulers share one solver-state
+        bank, built for the group.  The returned record set
         is bit-identical (up to the ``scheduler_time`` measurement) for
-        every worker count, bank on or off.
+        every worker count.
     scheduler_options:
         Optional per-scheduler-key constructor options (e.g.
-        ``{"bender98": {"max_jobs_per_resolution": 30}}``).  Must be
-        picklable when ``n_workers > 1``.
+        ``{"bender98": {"max_jobs_per_resolution": 30}}``), applied after
+        the configuration's and the group bank (``{"online": {"state_bank":
+        None}}`` runs ``online`` bank-less).  Must be picklable when
+        ``n_workers > 1``.
     progress:
         Optional callback invoked with a :class:`CampaignProgress` (renders
         as a short ``[done/total] ... eta`` message) after each completed
@@ -761,10 +759,6 @@ def _run_pooled(
     backlogs: dict[int, list[list[int]]] = {}
     for unit in reversed(_group_pending(tasks, pending)):
         backlogs.setdefault(lanes[unit[0]], []).append(unit)
-    if any(tasks[index].scheduler_key.lower() in LP_SCHEDULERS for index in pending):
-        # Forked workers inherit the loaded solver instead of each importing it.
-        load_solver()
-
     pools: dict[int, ProcessPoolExecutor] = {}
     unfinished: dict[Future, list[int]] = {}
     retries: dict[int, int] = {}

@@ -17,8 +17,8 @@ it; a :class:`SolverBackend` instance passed there is used as it is, which
 is how tests inject a reference solver or a fake.
 
 Importing this package does not import scipy: the ``highs`` module loads
-on the first :func:`make_backend` call (or an earlier :func:`load_solver`),
-so LP-free runs never pay for the solver stack.  It loads top-level
+on the first :func:`make_backend` call, so LP-free runs never pay for the
+solver stack.  It loads top-level
 ``scipy`` and the HiGHS extension module scipy vendors, not
 ``scipy.optimize`` and the ``scipy.linalg`` / ``scipy.sparse`` stack behind it.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "WarmStartHint",
     "LPProbeStats",
     "highs_source",
-    "load_solver",
     "make_backend",
     "resolve_backend_name",
 ]
@@ -67,16 +66,6 @@ def resolve_backend_name(spec: "str | SolverBackend | None" = None) -> str:
         f"unknown solver backend {spec!r}; accepted: None, 'auto', 'highs' "
         "or a SolverBackend instance"
     )
-
-
-def load_solver() -> None:
-    """Import the HiGHS backend and scipy's HiGHS bindings, if not yet done.
-
-    :func:`make_backend` does this on its first call; a process about to
-    fork workers that will solve LPs, or a daemon about to take
-    submissions, calls it up front so the import is paid once, at boot.
-    """
-    import repro.lp.backends.highs  # noqa: F401
 
 
 def make_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:

@@ -218,10 +218,6 @@ class SolverBackend(ABC):
 
     #: Display name of the backend ("highs", ...).
     name: str = "abstract"
-    #: Whether the backend exploits the ``warm`` argument to reuse bases
-    #: across solves.  Callers skip building warm hints for non-persistent
-    #: backends.
-    persistent: bool = False
 
     def __init__(self) -> None:
         #: The LP counters of the current run.
@@ -233,7 +229,6 @@ class SolverBackend(ABC):
         stats.solve_seconds += seconds
         stats.n_columns += spec.n_vars
         stats.n_rows += spec.n_rows
-        stats.by_backend[self.name] = stats.by_backend.get(self.name, 0) + 1
 
     def solve(
         self, spec: LPSpec, *, warm: WarmStartHint | LiveResolve | None = None
@@ -338,7 +333,6 @@ class LPProbeStats:
     #: (a live re-solve counts its model's).
     n_columns: int = 0
     n_rows: int = 0
-    by_backend: dict[str, int] = field(default_factory=dict)
     #: Milestone probes eliminated without an LP solve (certificate jumps
     #: plus downward probes pruned by the interior-optimum re-check).
     n_certificate_skipped: int = 0

@@ -246,7 +246,6 @@ class HighsPersistentBackend(SolverBackend):
     """
 
     name = "highs"
-    persistent = True
 
     def __init__(self):
         super().__init__()

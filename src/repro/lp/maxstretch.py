@@ -729,8 +729,8 @@ def solve_on_objective_range(
 
     Returns ``None`` when no feasible schedule exists with a maximum weighted
     flow in that range (the expected outcome for ranges below the optimum).
-    ``backend`` selects the LP solver backend (persistent backends
-    additionally start each probe from the basis of the previous one,
+    ``backend`` selects the LP solver backend (HiGHS additionally starts
+    each probe from the basis of the previous one,
     mapped through :func:`warm_hint`) and receives the assembly time in its
     :attr:`~repro.lp.backends.SolverBackend.stats`; ``None`` means a fresh
     persistent HiGHS backend.  ``outcome``, when provided,
@@ -758,9 +758,7 @@ def solve_on_objective_range(
         return None
 
     spec = _lp_spec(problem, skeleton, f_range=(f_low, f_high))
-    warm = None
-    if backend.persistent:
-        warm = warm_hint(skeleton, with_objective_var=True)
+    warm = warm_hint(skeleton, with_objective_var=True)
     backend.stats.assembly_seconds += time.perf_counter() - assembly_start
     result = backend.solve(spec, warm=warm)
     if not result.feasible:

@@ -168,10 +168,7 @@ def _solve_fixed_objective(
             pass  # build the program afresh below
     if result is None:
         spec = _lp_spec(problem, skeleton, fixed_objective=objective, costs=costs)
-        warm = None
-        if backend.persistent:
-            warm = warm_hint(skeleton, with_objective_var=False)
-        result = backend.solve(spec, warm=warm)
+        result = backend.solve(spec, warm=warm_hint(skeleton, with_objective_var=False))
     if not result.feasible:
         return None
     offset = result.values.size - skeleton.n_variables  # 1 on the live model: F leads

@@ -101,10 +101,8 @@ class OnlineLPScheduler(PlanBasedScheduler):
         ReplanContext.
     state_bank:
         Optional :class:`~repro.lp.bank.SolverStateBank` shared across runs
-        (the campaign runner builds one per task group), or ``None``.  Any other value
-        raises :class:`TypeError`: the bool of
-        :attr:`ExperimentConfig.state_bank` must be turned into a bank or
-        ``None`` by the caller, as the campaign runner does.
+        (the campaign runner builds one per task group), or ``None``.  Any
+        other value raises :class:`TypeError`.
     """
 
     def __init__(

@@ -14,15 +14,13 @@ directly or through the decorator form::
 
 :class:`RunOptions` declares the run options of the LP schedulers once, and
 :meth:`RunOptions.scheduler_options_for` is the one rule mapping them onto
-the registered keys.  The string-valued option enum :class:`OnOff` lives
-next to it, on the coercion rule of :class:`OptionEnum`.
+the registered keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable
+from typing import Callable
 
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bender02 import Bender02Scheduler
@@ -46,11 +44,8 @@ __all__ = [
     "available_schedulers",
     "paper_schedulers",
     "RunOptions",
-    "OptionEnum",
-    "OnOff",
     "PAPER_TABLE1_ORDER",
     "ONLINE_LP_SCHEDULERS",
-    "LP_SCHEDULERS",
     "SERVICE_SCHEDULERS",
 ]
 
@@ -64,10 +59,6 @@ ONLINE_LP_SCHEDULERS: tuple[str, ...] = (
     "online-egdf",
     "online-nonopt",
 )
-
-#: Keys of every scheduler that solves linear programs: the processes that
-#: will run one load the HiGHS backend up front (``load_solver``).
-LP_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + ("offline", "offline-sum", "bender98")
 
 #: Keys of the schedulers usable in *service mode* (streaming arrivals): any
 #: strategy that requires no whole-instance knowledge before the first
@@ -84,58 +75,6 @@ SERVICE_SCHEDULERS: tuple[str, ...] = ONLINE_LP_SCHEDULERS + (
     "mct",
     "mct-div",
 )
-
-
-class OptionEnum(str, Enum):
-    """Base class for the string-valued option enums.
-
-    Members *are* their canonical spelling (``str(OnOff.ON) == "on"``), so
-    they compare equal to it, serialize to JSON as plain strings and pass
-    through ``== "auto"``-style checks unchanged.
-    """
-
-    # str's __str__/__format__, not Enum's: f"{OnOff.ON}" must be "on" on
-    # every supported Python (3.11's StrEnum does this, 3.10 has no StrEnum).
-    __str__ = str.__str__
-    __format__ = str.__format__
-
-    @classmethod
-    def coerce(cls, value: Any, *, param: str | None = None) -> "OptionEnum":
-        """Normalize ``value`` into a member of this enum.
-
-        Members pass through; canonical spellings map case-insensitively;
-        anything else raises :class:`ValueError` naming the valid choices.
-        """
-        if isinstance(value, cls):
-            return value
-        label = param or cls.__name__
-        text = str(value).strip().lower()
-        try:
-            return cls(text)
-        except ValueError:
-            pass
-        valid = ", ".join(repr(m.value) for m in cls)
-        raise ValueError(f"{label} must be one of {valid} (got {value!r})")
-
-
-class OnOff(OptionEnum):
-    """A boolean toggle spelled ``on``/``off`` (``--state-bank``).
-
-    Truthiness follows the toggle (``bool(OnOff.OFF) is False``), so the
-    member can replace a plain bool anywhere.
-    """
-
-    ON = "on"
-    OFF = "off"
-
-    def __bool__(self) -> bool:
-        return self is OnOff.ON
-
-    @classmethod
-    def coerce(cls, value: Any, *, param: str | None = None) -> "OnOff":
-        if isinstance(value, bool):
-            return cls.ON if value else cls.OFF
-        return super().coerce(value, param=param)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, kw_only=True)

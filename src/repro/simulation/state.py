@@ -28,10 +28,6 @@ class JobRuntime:
         """Work already executed."""
         return self.job.size - self.remaining
 
-    def is_finished(self, *, tol: float = 1e-9) -> bool:
-        """True when the remaining work is negligible w.r.t. the job size."""
-        return self.remaining <= tol * max(1.0, self.job.size)
-
 
 @dataclass
 class Assignment:
@@ -50,10 +46,6 @@ class Assignment:
 
     mapping: dict[int, int] = field(default_factory=dict)
     valid_until: float | None = None
-
-    def machines_of(self, job_id: int) -> list[int]:
-        """Machines currently assigned to ``job_id``."""
-        return [m for m, j in self.mapping.items() if j == job_id]
 
     @classmethod
     def idle(cls, valid_until: float | None = None) -> "Assignment":
@@ -97,24 +89,10 @@ class SchedulerState:
         """``job_id -> remaining work`` for all active jobs."""
         return {j: rt.remaining for j, rt in self.active.items()}
 
-    def released_jobs(self) -> list[Job]:
-        """All jobs released so far (active or completed)."""
-        return [self.instance.job(j) for j in sorted(self.released_ids)]
-
-    def is_active(self, job_id: int) -> bool:
-        return job_id in self.active
-
-    def is_completed(self, job_id: int) -> bool:
-        return job_id in self.completions
-
     def n_active(self) -> int:
         return len(self.active)
 
     # -- machine availability (fault injection) -----------------------------------
-    def machine_available(self, machine_id: int) -> bool:
-        """False while the machine is down per the active fault timeline."""
-        return machine_id not in self.down
-
     def available_ids(self) -> set[int]:
         """Identifiers of the machines currently up."""
         ids = set(self._machine_ids)

@@ -577,8 +577,8 @@ def per_job_solve_on_objective_range(
     flow in that range (the expected outcome for ranges below the optimum).
     ``skeleton_cache`` optionally reuses constraint skeletons across solves
     sharing the same interval structure (see :class:`PerJobSkeleton`);
-    ``backend`` selects the LP solver backend (persistent backends
-    additionally start each probe from the basis of the previous one,
+    ``backend`` selects the LP solver backend (HiGHS additionally starts
+    each probe from the basis of the previous one,
     mapped through :func:`warm_hint`) and receives the assembly time in its
     :attr:`~repro.lp.backends.SolverBackend.stats`; ``None`` means a fresh
     one-shot scipy backend.  ``outcome``, when provided,
@@ -606,9 +606,7 @@ def per_job_solve_on_objective_range(
         return None
 
     spec = per_job_lp_spec(problem, skeleton, f_range=(f_low, f_high))
-    warm = None
-    if backend.persistent:
-        warm = per_job_warm_hint(skeleton, with_objective_var=True)
+    warm = per_job_warm_hint(skeleton, with_objective_var=True)
     backend.stats.assembly_seconds += time.perf_counter() - assembly_start
     result = backend.solve(spec, warm=warm)
     if not result.feasible:
@@ -752,10 +750,7 @@ def per_job_solve_fixed_objective(
             pass  # build the program afresh below
     if result is None:
         spec = per_job_lp_spec(problem, skeleton, fixed_objective=objective, costs=costs)
-        warm = None
-        if backend.persistent:
-            warm = per_job_warm_hint(skeleton, with_objective_var=False)
-        result = backend.solve(spec, warm=warm)
+        result = backend.solve(spec, warm=per_job_warm_hint(skeleton, with_objective_var=False))
     if not result.feasible:
         return None
     offset = result.values.size - skeleton.n_variables  # 1 on the live model: F leads

@@ -46,7 +46,6 @@ class ScipyBackend(SolverBackend):
     """
 
     name = "scipy"
-    persistent = False
 
     def _solve(self, spec: LPSpec, *, warm: WarmStartHint | None = None) -> LPResult:
         del warm  # one-shot backend: nothing to reuse

@@ -158,13 +158,14 @@ class TestSerialRunState:
     def test_concurrent_serial_runs_match_a_lone_run(self, bank):
         configs = paper_configurations(
             sites=[3], databanks=[3], availabilities=[0.6], densities=[3.0],
-            window=20.0, max_jobs=20, state_bank=bank,
+            window=20.0, max_jobs=20,
         )
+        options = None if bank else {key: {"state_bank": None} for key in ("online", "online-edf")}
 
         def run() -> list[dict[str, object]]:
             return run_campaign(
                 configs, scheduler_keys=("online", "online-edf"), replicates=2,
-                base_seed=7,
+                base_seed=7, scheduler_options=options,
             ).result_set()
 
         expected = run()
@@ -325,26 +326,21 @@ class TestGroupDispatch:
     durability story.
     """
 
-    @pytest.fixture(scope="class")
-    def bank_off_configs(self):
-        import dataclasses
-
-        return [dataclasses.replace(c, state_bank=False) for c in CONFIGS]
+    #: Per-key options that run the on-line LP scheduler bank-less.
+    BANK_OFF = {"online": {"state_bank": None}}
 
     @pytest.fixture(scope="class")
-    def serial_bank_off(self, bank_off_configs) -> ExperimentResults:
+    def serial_bank_off(self) -> ExperimentResults:
         return run_campaign(
-            bank_off_configs, scheduler_keys=KEYS, replicates=REPLICATES,
-            base_seed=SEED,
+            CONFIGS, scheduler_keys=KEYS, replicates=REPLICATES,
+            base_seed=SEED, scheduler_options=self.BANK_OFF,
         )
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_bank_off_bit_identical_across_workers(
-        self, bank_off_configs, serial_bank_off, n_workers
-    ):
+    def test_bank_off_bit_identical_across_workers(self, serial_bank_off, n_workers):
         sharded = run_campaign(
-            bank_off_configs, scheduler_keys=KEYS, replicates=REPLICATES,
-            base_seed=SEED, n_workers=n_workers,
+            CONFIGS, scheduler_keys=KEYS, replicates=REPLICATES,
+            base_seed=SEED, n_workers=n_workers, scheduler_options=self.BANK_OFF,
         )
         assert sharded.result_set() == serial_bank_off.result_set()
 

@@ -41,6 +41,8 @@ FAULT_CONFIG = ExperimentConfig(
 KEYS = ("online", "swrpt", "offline")
 REPLICATES = 2
 SEED = 23
+#: Per-key options that run the campaign's on-line LP scheduler bank-less.
+BANK_OFF = {"online": {"state_bank": None}}
 
 
 @pytest.fixture(scope="module")
@@ -81,17 +83,16 @@ class TestFaultAxisCampaigns:
     def test_bit_identical_across_workers_bank_backend(
         self, fault_serial, n_workers, bank, backend, monkeypatch
     ):
-        import dataclasses
-
         if backend == "scipy":
             run_lp_on_scipy(monkeypatch)
-        config = dataclasses.replace(FAULT_CONFIG, state_bank=bank)
+        options = None if bank else BANK_OFF
         serial = run_campaign(
-            [config], scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED
+            [FAULT_CONFIG], scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
+            scheduler_options=options,
         )
         pooled = run_campaign(
-            [config], scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
-            n_workers=n_workers,
+            [FAULT_CONFIG], scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
+            n_workers=n_workers, scheduler_options=options,
         )
         assert pooled.result_set() == serial.result_set()
         # The bank never changes the objective values, only how they are
@@ -115,17 +116,16 @@ class TestEmptyTimelineIdentity:
 
         if backend == "scipy":
             run_lp_on_scipy(monkeypatch)
-        config = dataclasses.replace(
-            FAULT_CONFIG, fault_mtbf=None, fault_mttr=None, state_bank=bank
-        )
+        config = dataclasses.replace(FAULT_CONFIG, fault_mtbf=None, fault_mttr=None)
         assert config.fault_spec() is None
+        options = None if bank else BANK_OFF
         serial = run_campaign(
             [config], scheduler_keys=("online", "swrpt"), replicates=REPLICATES,
-            base_seed=SEED,
+            base_seed=SEED, scheduler_options=options,
         )
         pooled = run_campaign(
             [config], scheduler_keys=("online", "swrpt"), replicates=REPLICATES,
-            base_seed=SEED, n_workers=n_workers,
+            base_seed=SEED, n_workers=n_workers, scheduler_options=options,
         )
         assert pooled.result_set() == serial.result_set()
         assert all(not r.failed for r in pooled)

@@ -47,14 +47,12 @@ class TestParser:
             build_parser().parse_args(argv)
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
-    def test_state_bank_flag(self):
-        # The cross-run solver-state bank is on by default; 'off' is the
-        # escape hatch that re-pays every cold solve.
-        assert build_parser().parse_args(["campaign"]).state_bank == "on"
-        args = build_parser().parse_args(["campaign", "--state-bank", "off"])
-        assert args.state_bank == "off"
+    @pytest.mark.parametrize("value", ["on", "off"])
+    def test_state_bank_flag_is_gone(self, value, capsys):
+        # Every campaign banks each (config, replicate) group.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--state-bank", "maybe"])
+            build_parser().parse_args(["campaign", "--state-bank", value])
+        assert "unrecognized arguments: --state-bank" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["simulate", "campaign", "serve", "overhead"])
     def test_speculate_flag_is_gone(self, sub, capsys):

@@ -136,9 +136,3 @@ class TestProjections:
     def test_released_before(self, instance):
         assert set(instance.released_before(0.5).jobs.ids()) == {0, 2}
         assert set(instance.released_before(0.5, inclusive=False).jobs.ids()) == {0}
-
-    def test_with_jobs_and_with_platform(self, instance, platform):
-        new = instance.with_jobs([Job(9, release=0.0, size=1.0, databank="b")])
-        assert new.n_jobs == 1
-        smaller = instance.with_platform(platform.restrict_to([1]))
-        assert smaller.n_machines == 1

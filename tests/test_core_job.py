@@ -40,17 +40,10 @@ class TestJob:
         with pytest.raises(ModelError):
             Job(0, release=0.0, size=float("inf"))
 
-    def test_with_release_returns_copy(self):
+    def test_with_id_returns_copy(self):
         job = Job(0, release=0.0, size=1.0)
-        shifted = job.with_release(4.0)
-        assert shifted.release == 4.0
-        assert job.release == 0.0
-        assert shifted.job_id == job.job_id
-
-    def test_with_size_and_with_id(self):
-        job = Job(0, release=0.0, size=1.0)
-        assert job.with_size(3.0).size == 3.0
         assert job.with_id(9).job_id == 9
+        assert job.job_id == 0
 
     def test_jobs_are_hashable_and_frozen(self):
         job = Job(0, release=0.0, size=1.0)

@@ -70,7 +70,7 @@ class TestExperimentConfig:
     def test_run_options_reach_lp_schedulers(self):
         config = self.make()
         online = config.scheduler_options_for("online")
-        assert online == {"policy": "on-arrival", "state_bank": True}
+        assert online == {"policy": "on-arrival"}
         assert config.scheduler_options_for("offline") == {}
         assert config.scheduler_options_for("swrpt") == {}
 

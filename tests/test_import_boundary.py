@@ -2,10 +2,8 @@
 
 Each case runs in a fresh interpreter, since the test process itself has
 long since imported scipy.  ``repro.lp.backends`` imports its ``highs``
-module only when :func:`make_backend` builds the first backend, or when
-:func:`load_solver` is called: by a pooled campaign whose design solves
-LPs, before it forks its workers, and by a daemon serving an LP scheduler,
-at boot.  That module loads top-level ``scipy`` and the HiGHS extension
+module only when :func:`make_backend` builds the first backend: neither a
+daemon's boot nor a pooled campaign's parent loads it.  That module loads top-level ``scipy`` and the HiGHS extension
 module scipy vendors, never ``scipy.optimize``; imported in either order,
 the two share one extension module object.
 """
@@ -73,10 +71,11 @@ def test_lp_free_work_never_imports_scipy():
         """
         import repro, repro.cli, repro.service
         from repro import api
-        from repro.schedulers.registry import LP_SCHEDULERS, available_schedulers
+        from repro.schedulers.registry import ONLINE_LP_SCHEDULERS, available_schedulers
         from repro.workload.generator import generate_instance
 
-        heuristics = [k for k in available_schedulers() if k not in LP_SCHEDULERS]
+        lp_keys = {*ONLINE_LP_SCHEDULERS, "offline", "offline-sum", "bender98"}
+        heuristics = [k for k in available_schedulers() if k not in lp_keys]
         assert {"mct", "mct-div", "bender02", "swrpt"} <= set(heuristics), heuristics
         instance = generate_instance(CONFIG.platform_spec(), CONFIG.workload_spec(), rng=3)
         for key in heuristics:
@@ -105,37 +104,48 @@ def test_backend_names_need_no_solver_and_the_first_backend_loads_it():
     assert loaded == _SOLVER
 
 
-def test_load_solver_loads_highs_without_scipy_optimize():
+def test_an_lp_run_loads_highs_without_scipy_optimize():
     loaded = _loaded(
+        _CONFIG,
         """
-        from repro.lp.backends import load_solver
+        from repro import api
+        from repro.workload.generator import generate_instance
 
-        load_solver()
-        """
+        instance = generate_instance(CONFIG.platform_spec(), CONFIG.workload_spec(), rng=3)
+        assert api.simulate(instance, "online").completions
+        """,
     )
     assert loaded == _SOLVER
 
 
 @pytest.mark.parametrize(("scheduler", "loads"), [("online", True), ("swrpt", False)])
-def test_a_daemon_loads_the_solver_at_boot_only_for_an_lp_scheduler(scheduler, loads):
+def test_a_daemon_loads_the_solver_on_its_first_solve_not_at_boot(scheduler, loads):
+    # Booting loads nothing; an LP daemon's first replan pays the load.
     loaded = _loaded(
         f"""
+        import sys
         from repro.core.platform import Platform
-        from repro.service.daemon import SchedulerDaemon, ServiceConfig
+        from repro.service import SchedulerDaemon, ServiceConfig, SubmissionRequest
 
-        SchedulerDaemon(
+        daemon = SchedulerDaemon(
             Platform.uniform([1.0, 1.0], databanks=["db"]),
             ServiceConfig(scheduler={scheduler!r}),
         )
+        assert "scipy" not in sys.modules
+        daemon.start()
+        for size in (1.0, 2.0, 0.5):
+            daemon.submit(SubmissionRequest(size=size, databank="db"))
+        daemon.close_submissions()
+        assert sorted(daemon.join(timeout=60.0).completions) == [0, 1, 2]
         """
     )
     assert loaded == (_SOLVER if loads else _NOTHING)
 
 
-@pytest.mark.parametrize(("keys", "loads"), [(("online", "swrpt"), True), (("swrpt",), False)])
-def test_a_pooled_campaign_loads_the_solver_before_forking_only_for_lp_designs(keys, loads):
-    # The parent solves nothing itself: the solver is in its modules only
-    # if it was loaded for the workers to inherit.
+@pytest.mark.parametrize("keys", [("online", "swrpt"), ("swrpt",)])
+def test_a_pooled_campaign_leaves_the_solver_to_its_workers(keys):
+    # The parent solves nothing itself, so whatever the design it never
+    # loads the solver: each worker loads it on its own first solve.
     loaded = _loaded(
         _CONFIG,
         f"""
@@ -143,9 +153,10 @@ def test_a_pooled_campaign_loads_the_solver_before_forking_only_for_lp_designs(k
 
         results = api.run_campaign([CONFIG], scheduler_keys={keys!r}, replicates=2, n_workers=2)
         assert len(results.records) == 2 * {len(keys)}
+        assert not any(record.failed for record in results.records)
         """,
     )
-    assert loaded == (_SOLVER if loads else _NOTHING)
+    assert loaded == _NOTHING
 
 
 #: Checks that the bindings are one module object, then prints an ``online``
@@ -173,18 +184,18 @@ print(digest.hexdigest())
 """
 
 
-#: ``load_solver()`` and ``import scipy.optimize``, in both orders.
+#: The first ``make_backend()`` and ``import scipy.optimize``, in both orders.
 _IMPORT_ORDERS = {
     "solver first": """
-        from repro.lp.backends import load_solver
-        load_solver()
+        from repro.lp.backends import make_backend
+        make_backend()
         assert "scipy.optimize._highspy._core" in sys.modules
         import scipy.optimize
         """,
     "optimize first": """
         import scipy.optimize
-        from repro.lp.backends import load_solver
-        load_solver()
+        from repro.lp.backends import make_backend
+        make_backend()
         """,
 }
 

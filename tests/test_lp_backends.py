@@ -135,7 +135,7 @@ class TestSpecWithBackend:
         assert first.feasible and second.feasible
         assert first.objective == pytest.approx(3.0)
         assert second.objective == pytest.approx(2.5)  # y carries the load now
-        if backend.persistent:
+        if isinstance(backend, HighsPersistentBackend):
             # The second model started from the basis the first one left.
             assert backend.stats.n_basis_reused == 1
 
@@ -214,7 +214,7 @@ class TestReplanContextWithHighsBackend:
     def test_context_owns_persistent_backend(self):
         instance = _small_instance(3)
         context = ReplanContext(instance, solver_backend="highs")
-        assert context.backend.persistent
+        assert isinstance(context.backend, HighsPersistentBackend)
         remaining = {job.job_id: job.size for job in instance.jobs}
         first = context.solve_max_stretch(context.build_problem(0.0, remaining))
         reference_ctx = ReplanContext(instance, solver_backend=ScipyBackend())
@@ -395,7 +395,6 @@ class TestPersistentMechanics:
         for backend in backends:
             stats = backend.stats
             assert stats.n_probes > 0
-            assert set(stats.by_backend) == {backend.name}
             assert stats.solve_seconds > 0
             assert stats.per_probe_seconds > 0
 
@@ -481,7 +480,7 @@ class TestMakeBackend:
     @pytest.mark.parametrize("spec", [None, "auto", "highs", "AUTO"])
     def test_every_name_is_a_fresh_highs_backend(self, spec):
         backend = make_backend(spec)
-        assert isinstance(backend, HighsPersistentBackend) and backend.persistent
+        assert isinstance(backend, HighsPersistentBackend)
         assert make_backend(spec) is not backend  # each run owns its series bases
         assert resolve_backend_name(spec) == "highs"
 

@@ -1,63 +1,20 @@
-"""Tests of the typed option enums, their shared coercion/CLI helper, and
-:class:`RunOptions`: one declaration, one validation rule, one mapping."""
+"""Tests of :class:`RunOptions` -- one declaration, one validation rule, one
+mapping -- and of the option surface that is gone."""
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
+import importlib
 
 import pytest
 
-from repro.cli import build_parser, enum_option
-from repro.core.errors import ModelError
+from repro.cli import build_parser
 from repro.experiments.config import ExperimentConfig
 from repro.schedulers.registry import (
     ONLINE_LP_SCHEDULERS,
-    OnOff,
     RunOptions,
     available_schedulers,
 )
-
-
-class TestOnOff:
-    def test_members_are_their_spelling(self):
-        assert OnOff.ON == "on"
-        assert str(OnOff.OFF) == "off"
-        assert f"{OnOff.ON}" == "on"
-        assert json.dumps({"k": OnOff.ON}) == '{"k": "on"}'
-
-    def test_truthiness_follows_the_toggle(self):
-        assert bool(OnOff.ON) is True
-        assert bool(OnOff.OFF) is False  # a plain StrEnum would be truthy!
-
-    def test_coerce_canonical_and_member(self):
-        assert OnOff.coerce("on") is OnOff.ON
-        assert OnOff.coerce("OFF") is OnOff.OFF
-        assert OnOff.coerce(OnOff.ON) is OnOff.ON
-        assert OnOff.coerce(True) is OnOff.ON
-        assert OnOff.coerce(False) is OnOff.OFF
-
-    def test_invalid_value_names_choices(self):
-        with pytest.raises(ValueError, match="'on', 'off'"):
-            OnOff.coerce("maybe", param="--state-bank")
-
-
-#: The spellings coerce() mapped with a DeprecationWarning before they were
-#: removed; each is now an invalid value like any other.
-REMOVED_SPELLINGS = {
-    OnOff: ("true", "yes", "1", "enabled", "false", "no", "0", "disabled"),
-}
-
-
-@pytest.mark.parametrize(
-    "enum_cls,text",
-    [(enum_cls, text) for enum_cls, texts in REMOVED_SPELLINGS.items() for text in texts],
-)
-def test_removed_spelling_is_rejected_with_choices(enum_cls, text):
-    choices = ", ".join(repr(member.value) for member in enum_cls)
-    with pytest.raises(ValueError, match=f"must be one of {choices}"):
-        enum_cls.coerce(text, param="--option")
 
 
 def _removed_keyword_calls():
@@ -76,6 +33,10 @@ def _removed_keyword_calls():
         pytest.param(lambda: ExperimentConfig(
             name="t", n_clusters=2, n_databanks=2, availability=0.6,
             density=1.0, speculation=True), "speculation", id="ExperimentConfig"),
+        pytest.param(lambda: ExperimentConfig(
+            name="t", n_clusters=2, n_databanks=2, availability=0.6,
+            density=1.0, state_bank=False), "state_bank",
+                     id="ExperimentConfig-state_bank"),
         pytest.param(lambda: ServiceConfig(speculation=True), "speculation",
                      id="ServiceConfig"),
         pytest.param(lambda: ExperimentConfig(
@@ -100,6 +61,10 @@ def _removed_keyword_calls():
                      id="paper_configurations"),
         pytest.param(lambda: scheduling_overhead(speculation=True), "speculation",
                      id="scheduling_overhead"),
+        pytest.param(lambda: paper_configurations(state_bank=False), "state_bank",
+                     id="paper_configurations-state_bank"),
+        pytest.param(lambda: scheduling_overhead(state_bank=True), "state_bank",
+                     id="scheduling_overhead-state_bank"),
         pytest.param(lambda: make_scheduler("online", speculate=True), "speculate",
                      id="make_scheduler"),
         pytest.param(lambda: api.run_campaign([], max_in_flight=4), "max_in_flight",
@@ -119,71 +84,44 @@ def _removed_keyword_calls():
 
 
 #: The speculative pre-solve toggle, the campaign dispatch mode, the solver
-#: backend run option and the knobs no caller set are gone from every entry
-#: point: passing one is a plain TypeError, not a no-op.
+#: backend run option, the state-bank toggle and the knobs no caller set are
+#: gone from every entry point: passing one is a plain TypeError, not a no-op.
 @pytest.mark.parametrize("call,keyword", _removed_keyword_calls())
 def test_removed_keyword_is_rejected(call, keyword):
     with pytest.raises(TypeError, match=keyword):
         call()
 
 
-def test_dispatch_mode_enum_is_gone():
-    import repro.schedulers.registry
-
-    assert not hasattr(repro.schedulers.registry, "DispatchMode")
-
-
-class TestEnumOption:
-    def build(self):
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--toggle", **enum_option(OnOff, OnOff.OFF,
-                                                      param="--toggle"))
-        return parser
-
-    def test_parses_canonical_value(self):
-        args = self.build().parse_args(["--toggle", "on"])
-        assert args.toggle is OnOff.ON
-
-    def test_default_is_a_member(self):
-        assert self.build().parse_args([]).toggle is OnOff.OFF
-
-    def test_invalid_value_errors_out(self):
-        with pytest.raises(SystemExit):
-            self.build().parse_args(["--toggle", "sideways"])
+@pytest.mark.parametrize("module,name", [
+    ("repro.schedulers.registry", "DispatchMode"),
+    ("repro.schedulers.registry", "OptionEnum"),
+    ("repro.schedulers.registry", "OnOff"),
+    ("repro.schedulers.registry", "LP_SCHEDULERS"),
+    ("repro.cli", "enum_option"),
+    ("repro.lp.backends", "load_solver"),
+])
+def test_removed_name_is_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
 
 
-class TestExperimentConfigNormalization:
+class TestExperimentConfigPrimitives:
     def make(self, **kwargs):
         return ExperimentConfig(
             name="t", n_clusters=2, n_databanks=2, availability=0.6,
             density=1.0, **kwargs
         )
 
-    def test_defaults_are_enum_members(self):
-        assert self.make().state_bank is OnOff.ON
-
-    def test_strings_and_bools_normalize(self):
-        assert self.make(state_bank=False).state_bank is OnOff.OFF
-        assert self.make(state_bank="off").state_bank is OnOff.OFF
-
-    def test_invalid_toggle_is_a_model_error(self):
-        with pytest.raises(ModelError):
-            self.make(state_bank="sometimes")
-
     def test_as_dict_keeps_the_journal_schema_primitives(self):
-        config = self.make(state_bank="off")
-        data = config.as_dict()
-        assert data["state_bank"] is False
+        data = self.make().as_dict()
         # Retired toggles stay as constants so old headers still resume.
+        assert data["state_bank"] is True
         assert data["solver_backend"] == "auto"
         assert data["incremental_lp"] is True
         assert data["speculation"] is False
 
     def test_scheduler_options_emit_plain_types(self):
-        options = self.make(state_bank="off").scheduler_options_for("online")
-        assert options["state_bank"] is False
-        assert "speculate" not in options
-        assert "solver_backend" not in options
+        options = self.make().scheduler_options_for("online")
+        assert options == {"policy": "on-arrival"}
 
 
 class TestRunOptions:
@@ -227,12 +165,7 @@ class TestTheOneRule:
         for key in available_schedulers():
             expected = rule.scheduler_options_for(key)
             assert service.scheduler_options_for(key) == expected, key
-            # The configuration adds only its state-bank toggle.
-            from_config = config.scheduler_options_for(key)
-            assert from_config.pop("state_bank", None) is (
-                True if key in ONLINE_LP_SCHEDULERS else None
-            ), key
-            assert from_config == expected, key
+            assert config.scheduler_options_for(key) == expected, key
 
 
 class TestRunOptionFlags:

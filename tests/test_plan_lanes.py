@@ -263,7 +263,7 @@ class PerMachinePlan:
             for segment in per_machine:
                 if segment.end <= time + 1e-12:
                     continue
-                if not state.is_active(segment.job_id):
+                if segment.job_id not in state.active:
                     continue
                 if segment.start <= time + 1e-12:
                     current = segment

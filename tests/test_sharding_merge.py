@@ -365,9 +365,10 @@ class TestMergeValidation:
 
 
 #: A journal header as campaigns wrote it while the replan path, speculative
-#: pre-solving and the solver backend were configuration toggles
-#: (``incremental_lp``, ``speculation``, ``solver_backend`` at its default
-#: ``"auto"``, resolved to ``["highs"]``), for LEGACY_CONFIG below.
+#: pre-solving, the solver backend and the state bank were configuration
+#: toggles (``incremental_lp``, ``speculation``, ``solver_backend`` at its
+#: default ``"auto"``, resolved to ``["highs"]``, ``state_bank``), for
+#: LEGACY_CONFIG below.
 LEGACY_HEADER = (
     '{"kind": "repro-campaign-checkpoint", "version": 1, "meta": {"base_seed": 17, '
     '"replicates": 1, "scheduler_keys": ["online", "swrpt"], "configs": [{"name": '
@@ -399,12 +400,12 @@ class TestLegacyReplanKey:
         header = json.dumps({"kind": "repro-campaign-checkpoint", "version": 1,
                              "meta": meta})
         assert header == LEGACY_HEADER
-        knobbed = replace(LEGACY_CONFIG, replan_policy="batched:2", state_bank=False)
+        knobbed = replace(LEGACY_CONFIG, replan_policy="batched:2")
         assert json.dumps(knobbed.as_dict()).startswith(
             '{"name": "legacy", "n_clusters": 2, "n_databanks": 2, "availability": '
             '0.6, "density": 1.0, "processors_per_cluster": 3, "window": 12.0, '
             '"max_jobs": 5, "replan_policy": "batched:2", "incremental_lp": true, '
-            '"solver_backend": "auto", "state_bank": false, "speculation": false, '
+            '"solver_backend": "auto", "state_bank": true, "speculation": false, '
         )
 
     def test_legacy_journal_resumes_and_merges(self, tmp_path):
@@ -438,6 +439,20 @@ class TestLegacyReplanKey:
         results = self._resume(path)
         assert len(results) == 2
         assert path.read_text().count('"solver_backend": "highs"') == 1
+        merged = merge_journals([path])
+        assert merged.complete
+        assert merged.results.result_set() == results.result_set()
+
+    def test_bank_off_journal_resumes_and_merges(self, tmp_path):
+        # A journal started with --state-bank off resumes (its remaining
+        # groups run banked) and merges like a default one.
+        path = tmp_path / "bank-off.jsonl"
+        path.write_text(
+            LEGACY_HEADER.replace('"state_bank": true', '"state_bank": false') + "\n"
+        )
+        results = self._resume(path)
+        assert len(results) == 2
+        assert path.read_text().count('"state_bank": false') == 1
         merged = merge_journals([path])
         assert merged.complete
         assert merged.results.result_set() == results.result_set()

@@ -25,22 +25,14 @@ def instance() -> Instance:
 
 
 class TestJobRuntime:
-    def test_processed_and_finished(self, instance):
+    def test_processed(self, instance):
         runtime = JobRuntime(job=instance.job(0), remaining=4.0)
         assert runtime.processed == 0.0
         runtime.remaining = 1.0
         assert runtime.processed == pytest.approx(3.0)
-        assert not runtime.is_finished()
-        runtime.remaining = 1e-12
-        assert runtime.is_finished()
 
 
 class TestAssignment:
-    def test_lookups(self):
-        assignment = Assignment(mapping={0: 7, 1: 7, 2: 9})
-        assert sorted(assignment.machines_of(7)) == [0, 1]
-        assert set(assignment.mapping.values()) == {7, 9}
-
     def test_idle(self):
         idle = Assignment.idle(valid_until=3.0)
         assert idle.mapping == {}
@@ -51,16 +43,16 @@ class TestSchedulerState:
     def test_release_and_complete_lifecycle(self, instance):
         state = SchedulerState(instance)
         runtime = state.release(instance.job(0))
-        assert state.is_active(0)
-        assert not state.is_completed(0)
+        assert 0 in state.active
+        assert 0 not in state.completions
         assert state.remaining_work(0) == 4.0
         assert state.n_active() == 1
-        assert [j.job_id for j in state.released_jobs()] == [0]
+        assert state.released_ids == {0}
 
         runtime.remaining = 0.0
         state.complete(0, time=4.0)
-        assert not state.is_active(0)
-        assert state.is_completed(0)
+        assert 0 not in state.active
+        assert 0 in state.completions
         assert state.remaining_work(0) == 0.0
         assert state.completions[0] == 4.0
 

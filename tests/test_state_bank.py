@@ -36,7 +36,11 @@ from repro.lp.bank import (
 )
 from repro.lp.incremental import ReplanContext
 from repro.lp.problem import problem_from_instance
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import (
+    ONLINE_LP_SCHEDULERS,
+    available_schedulers,
+    make_scheduler,
+)
 from repro.simulation.engine import simulate
 from repro.workload.generator import generate_instance
 
@@ -61,15 +65,17 @@ CONFIGS = [
 KEYS = ONLINE_KEYS + ("swrpt",)
 REPLICATES = 2
 SEED = 31
+#: Per-key options that run a campaign's on-line LP variants bank-less.
+BANK_OFF = {key: {"state_bank": None} for key in ONLINE_KEYS}
 
 
 def _campaign(
     configs=CONFIGS, *, n_workers=1, state_bank=True, checkpoint=None, resume=False,
 ) -> ExperimentResults:
-    cfgs = [replace(c, state_bank=state_bank) for c in configs]
     return run_campaign(
-        cfgs, scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
+        configs, scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
         n_workers=n_workers, checkpoint=checkpoint, resume=resume,
+        scheduler_options=None if state_bank else BANK_OFF,
     )
 
 
@@ -126,9 +132,9 @@ class TestContentKey:
         )
 
     def test_key_ignores_solver_knobs(self):
-        # Bank and policy flags shape the *run*, not the instance: both legs
-        # of a bank on/off comparison share the key.
-        knobbed = replace(CONFIGS[0], replan_policy="batched:2", state_bank=False)
+        # Run options shape the *run*, not the instance: both legs of a
+        # policy comparison share the key.
+        knobbed = replace(CONFIGS[0], replan_policy="batched:2")
         assert instance_content_key(_instance(knobbed)) == instance_content_key(
             _instance(CONFIGS[0])
         )
@@ -210,21 +216,18 @@ class TestBankTransparency:
             assert consumer.n_probes < publisher.n_probes
 
     def test_non_bank_values_are_rejected(self):
-        # ExperimentConfig's bool must become a bank or None before it gets
-        # here; every caller translates it.
         with pytest.raises(TypeError, match="SolverStateBank or None"):
             make_scheduler("online", state_bank=True)
         assert make_scheduler("online", state_bank=None).state_bank is None
         bank = SolverStateBank()
         assert make_scheduler("online", state_bank=bank).state_bank is bank
 
-    def test_overhead_translates_the_config_bool(self):
-        # The overhead config keeps ExperimentConfig's default bank toggle
-        # (on) while scheduling_overhead defaults to no bank.
+    def test_overhead_table_is_bank_less(self):
         records = scheduling_overhead(
             scheduler_keys=("online",), window=10.0, max_jobs=6, replicates=1
         )
-        assert [record.mean_bank_hits for record in records] == [0.0]
+        assert [len(record.cells()) for record in records] == [len(OVERHEAD_TABLE_HEADERS)]
+        assert not any("bank" in header for header in OVERHEAD_TABLE_HEADERS)
 
 
 # -- campaign invariants -------------------------------------------------------------
@@ -341,6 +344,59 @@ class TestLaneAssignments:
         assert set(_lane_assignments(tasks, 1)) == {0}
 
 
+# -- which runs get the group's bank -------------------------------------------------
+
+#: A design small enough to run every registered scheduler in one group.
+TINY = ExperimentConfig(
+    name="bank-tiny", n_clusters=2, n_databanks=2, availability=0.6,
+    density=1.0, processors_per_cluster=2, window=10.0, max_jobs=5,
+)
+
+
+def _group_options(keys, scheduler_options=None) -> dict[str, dict]:
+    """Run one ``TINY`` group of ``keys``; the options each scheduler was built with."""
+    built = {}
+
+    def spy(key, **options):
+        built[key] = options
+        return make_scheduler(key, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "make_scheduler", spy)
+        records, _ = runner_module._run_task_group(TINY, 0, SEED, keys, scheduler_options)
+    assert [record.failed for record in records] == [False] * len(keys)
+    return built
+
+
+class TestGroupBankOptions:
+    @pytest.fixture(scope="class")
+    def every_scheduler(self) -> dict[str, dict]:
+        return _group_options(tuple(available_schedulers()))
+
+    @pytest.mark.parametrize("key", available_schedulers())
+    def test_the_group_bank_reaches_exactly_the_online_lp_schedulers(
+        self, every_scheduler, key
+    ):
+        options = every_scheduler[key]
+        if key in ONLINE_LP_SCHEDULERS:
+            assert isinstance(options["state_bank"], SolverStateBank)
+        else:
+            assert "state_bank" not in options
+
+    def test_each_group_runs_on_one_bank_of_its_own(self, every_scheduler):
+        banks = {id(every_scheduler[key]["state_bank"]) for key in ONLINE_KEYS}
+        assert len(banks) == 1
+        again = _group_options(ONLINE_KEYS)
+        assert again["online"]["state_bank"] is not every_scheduler["online"]["state_bank"]
+
+    @pytest.mark.parametrize("key", ONLINE_KEYS)
+    def test_per_key_options_override_the_group_bank(self, key):
+        built = _group_options(ONLINE_KEYS, {key: {"state_bank": None}})
+        assert built[key]["state_bank"] is None
+        others = [built[other]["state_bank"] for other in ONLINE_KEYS if other != key]
+        assert all(isinstance(bank, SolverStateBank) for bank in others)
+
+
 # -- solver-layer pieces -------------------------------------------------------------
 
 
@@ -387,22 +443,3 @@ class TestReplanContextBank:
         simulate(instance, make_scheduler("online", **options))
         bucket, hit = bank.acquire(instance_content_key(instance))
         assert hit and bucket.sys1 and bucket.sys2
-
-
-# -- overhead surface ----------------------------------------------------------------
-
-
-class TestOverheadColumns:
-    def test_bank_columns_populate_with_a_live_bank(self, monkeypatch):
-        run_lp_on_scipy(monkeypatch)
-        kwargs = dict(
-            scheduler_keys=("online", "online-edf"), n_clusters=2, n_databanks=2,
-            window=12.0, max_jobs=6, replicates=2,
-        )
-        cold = scheduling_overhead(state_bank=False, **kwargs)
-        warm = scheduling_overhead(state_bank=True, **kwargs)
-        assert all(r.mean_bank_hits == 0 and r.mean_primal_reused == 0 for r in cold)
-        by_name = {r.scheduler: r for r in warm}
-        assert by_name["Online-EDF"].mean_bank_hits == 1.0
-        assert by_name["Online-EDF"].mean_primal_reused > 0
-        assert len(warm[0].cells()) == len(OVERHEAD_TABLE_HEADERS)
